@@ -57,7 +57,9 @@ def _load(path: str):
         raise _CliError(f"{path}: {e}", EXIT_PARSE)
 
 
-def _write_report(report: Report, args, command: str, inputs: list[str]):
+def _write_report(report: Report, args, command: str, path: str, obj):
+    """Print the table and, with --report, write the records and a manifest
+    carrying the digest of ``obj``, the object already loaded from ``path``."""
     if not args.quiet:
         print(report.table())
     if args.report:
@@ -67,9 +69,7 @@ def _write_report(report: Report, args, command: str, inputs: list[str]):
         manifest = {
             "command": command,
             "argv": sys.argv[1:],
-            "inputs": [{"path": p,
-                        "digest": fileformat.digest(_load(p))}
-                       for p in inputs],
+            "inputs": [{"path": path, "digest": fileformat.digest(obj)}],
             "seed": getattr(args, "seed", 0),
             "report": args.report,
         }
@@ -121,7 +121,7 @@ def cmd_verify(args) -> int:
         rep = _verify_any(obj, args)
     except (MissingAntipodeError, MalformedDataError, PreconditionError) as e:
         raise _CliError(str(e), EXIT_PARSE)
-    _write_report(rep, args, "verify", [args.path])
+    _write_report(rep, args, "verify", args.path, obj)
     return EXIT_PASS if rep.overall else EXIT_FAIL
 
 
@@ -186,7 +186,7 @@ def cmd_transform(args) -> int:
     fileformat.save(args.out, out)
     if not args.quiet:
         print(f"wrote {fileformat.kind_of(out)} to {args.out}")
-    _write_report(rep, args, f"transform {args.op}", [args.path])
+    _write_report(rep, args, f"transform {args.op}", args.path, obj)
     return EXIT_PASS
 
 
@@ -269,7 +269,7 @@ def cmd_analyze(args) -> int:
     if not args.quiet:
         for line in out_lines:
             print(line)
-    _write_report(rep, args, f"analyze {op}", [args.path])
+    _write_report(rep, args, f"analyze {op}", args.path, obj)
     return code
 
 

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .scalars import Field, FieldMismatchError
+from .sparse import SparseMap, columns
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,11 @@ class LinMap:
 
     def col(self, j: int) -> list:
         return [self.entries[r][j] for r in range(self.rows)]
+
+    def sparse(self) -> SparseMap:
+        """The same map in column form, as check_map_equal compares it."""
+        return SparseMap(self.field, self.rows,
+                         columns(self.entries, self.cols))
 
     def apply(self, vec) -> list:
         if len(vec) != self.cols:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import LinMap
+from .scalars import FieldMismatchError
+from .sparse import nonzero
 
 
 class PreconditionError(ValueError):
@@ -90,25 +91,39 @@ class Report:
 
 
 def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
-                    lhs: LinMap, rhs: LinMap, required: bool = True) -> bool:
+                    lhs, rhs, required: bool = True) -> bool:
     """Record exact equality of two maps, checked basis element by element.
 
-    Every domain basis vector is an independent instance; the first failing one
-    is kept as witness together with the nonzero residual coordinates.
+    The maps are ``LinMap`` or ``SparseMap`` values, compared in sparse column
+    form.  Every domain basis vector is an independent instance; the first
+    failing one is kept as witness together with the nonzero residual
+    coordinates (lhs minus rhs) in row order.
     """
-    diff = lhs - rhs
+    lhs, rhs = lhs.sparse(), rhs.sparse()
+    if lhs.field != rhs.field:
+        raise FieldMismatchError(
+            f"cannot compare maps over {lhs.field} and {rhs.field}")
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        raise ValueError(
+            f"cannot compare a {lhs.rows}x{lhs.cols} map with a "
+            f"{rhs.rows}x{rhs.cols} map")
+    fmt = lhs.field.fmt
     witness = None
     residual = ""
     failures = 0
-    for j in range(diff.cols):
-        col = diff.col(j)
-        if any(col):
+    for j, (lcol, rcol) in enumerate(zip(lhs.columns, rhs.columns)):
+        if lcol == rcol:
+            continue
+        diff = dict(lcol)
+        for r, v in rcol.items():
+            diff[r] = diff[r] - v if r in diff else -v
+        diff = nonzero(diff)
+        if diff:
             failures += 1
             if witness is None:
                 witness = j
-                parts = [f"[{r}]={diff.field.fmt(v)}"
-                         for r, v in enumerate(col) if v]
-                residual = " ".join(parts)
+                residual = " ".join(f"[{r}]={fmt(diff[r])}"
+                                    for r in sorted(diff))
     item = CheckItem(axiom, objects, failures == 0, witness, residual,
                      failures, required)
     report.add(item)

@@ -1,6 +1,9 @@
 import json
 import os
 
+import pytest
+
+from hopfcat import fileformat
 from hopfcat.cli import main
 from hopfcat.fileformat import load, save
 from hopfcat.fixtures import group_algebra
@@ -77,6 +80,40 @@ def test_verify_report_and_manifest(fixture_dir, tmp_path):
     assert manifest["command"] == "verify"
     assert manifest["inputs"][0]["digest"]
     assert manifest["seed"] == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "{path}"],
+    ["transform", "{path}", "opposite", "{out}"],
+    ["analyze", "{path}", "integrals"],
+])
+def test_manifest_digests_the_loaded_input(fixture_dir, tmp_path, command):
+    path = fx(fixture_dir, "taft4")
+    rep = str(tmp_path / "r.jsonl")
+    argv = [a.format(path=path, out=tmp_path / "out.hc") for a in command]
+    assert main(["--quiet", "--report", rep] + argv) == 0
+    manifest = json.load(open(rep + ".manifest.json"))
+    assert manifest["inputs"][0]["path"] == path
+    assert manifest["inputs"][0]["digest"] == \
+        fileformat.digest(fileformat.load(path))
+
+
+def test_large_declared_dim_over_sparse_constants(fixture_dir, tmp_path,
+                                                  capsys):
+    # Missing entries default to 0, so this is well-formed: e_2..e_39 are
+    # zero under every product and coproduct, and only the unit and counit
+    # laws can see that.
+    src = open(fx(fixture_dir, "kz2")).read()
+    assert "dim * * 2\n" in src
+    path = tmp_path / "kz2_dim40.hc"
+    path.write_text(src.replace("dim * * 2\n", "dim * * 40\n"))
+    rep = str(tmp_path / "r.jsonl")
+    assert main(["--report", rep, "verify", str(path)]) == 1
+    assert "8/12 checks ok" in capsys.readouterr().out
+    failed = [r for r in map(json.loads, open(rep)) if not r["ok"]]
+    assert [r["axiom"] for r in failed] == [
+        "unit-left", "unit-right", "counit-left", "counit-right"]
+    assert all(r["witness"] == 2 for r in failed)
 
 
 # -- transform ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hopfcat.core import (MissingAntipodeError, MalformedDataError,
                           is_strict, transform, verify_structure)
 from hopfcat.fixtures import (group_algebra, idempotent_antipode_candidates,
                               idempotent_monoid_bialgebra, taft_four_dim)
+from hopfcat.groupoid import linearize_groupoid, pair_groupoid
 from hopfcat.report import PreconditionError
 from hopfcat.scalars import GF, QQ
 
@@ -56,6 +57,26 @@ def test_malformed_dims_raise():
 def test_verify_over_prime_field():
     assert verify_structure(taft_four_dim(GF(3)), "hopf").overall
     assert verify_structure(group_algebra(GF(2), 3), "hopf").overall
+
+
+# -- scale: these sizes are out of reach of a dense d^4 x d^4 check ----------------
+
+def test_group_algebra_of_order_16_at_scale():
+    a = group_algebra(QQ, 16)
+    rep = verify_structure(a, "hopf")
+    assert rep.overall, rep.table()
+    assert [it.ok for it in rep.by_axiom("comult-mult")] == [True]
+    theorems = check_antipode_theorems(a)
+    assert theorems.overall, theorems.table()
+    assert len(theorems.by_axiom("antipode-antimult")) == 1
+
+
+def test_pair_groupoid_on_8_objects_at_scale():
+    a = linearize_groupoid(pair_groupoid(tuple("abcdefgh")), QQ)
+    rep = verify_structure(a, "hopf")
+    assert rep.overall, rep.table()
+    assert len(rep.by_axiom("assoc")) == 8 ** 4
+    assert len(rep.by_axiom("comult-mult")) == 8 ** 3
 
 
 def test_zero_dim_homs_pass_vacuously(hopf_fixtures):

@@ -1,0 +1,134 @@
+"""The per-basis verifier against the dense matrix verifier it replaced.
+
+Both must produce the same report records (axiom, objects, verdict, first
+witness, residual, failure count) item for item, on passing and failing
+data alike.
+"""
+
+import copy
+import glob
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import dense_antipode_theorems, dense_verify_structure
+
+from hopfcat import fixtures as fx
+from hopfcat.core import (LEVELS, HopfCatData, check_antipode_theorems,
+                          verify_structure)
+from hopfcat.fileformat import load
+from hopfcat.report import PreconditionError
+from hopfcat.scalars import GF, QQ
+
+
+def records(rep):
+    return [it.record() for it in rep.items]
+
+
+def outcome(fn, a, *args):
+    """The records of a report, or the exception type it raised."""
+    try:
+        return records(fn(a, *args))
+    except PreconditionError as e:
+        return type(e)
+
+
+def assert_same_reports(a: HopfCatData, levels=None):
+    if levels is None:
+        levels = LEVELS if a.has_antipode else LEVELS[:2]
+    for level in levels:
+        assert records(verify_structure(a, level)) \
+            == records(dense_verify_structure(a, level)), level
+    if a.has_antipode:
+        assert outcome(check_antipode_theorems, a) \
+            == outcome(dense_antipode_theorems, a)
+
+
+def hopf_category_files(fixture_dir):
+    out = []
+    for path in sorted(glob.glob(os.path.join(fixture_dir, "*.hc"))):
+        with open(path) as fh:
+            if "kind hopf-category\n" in fh.read():
+                out.append(path)
+    return out
+
+
+def test_every_hopf_category_fixture_at_every_level(fixture_dir):
+    paths = hopf_category_files(fixture_dir)
+    assert len(paths) == 20
+    for path in paths:
+        assert_same_reports(load(path))
+
+
+def positions(a: HopfCatData):
+    """Every structure-constant slot as (tensor name, key, index path)."""
+    X = a.objects
+    for x in X:
+        for y in X:
+            for z in X:
+                for i in range(a.dim(x, y)):
+                    for j in range(a.dim(y, z)):
+                        for k in range(a.dim(x, z)):
+                            yield "mult", (x, y, z), (i, j, k)
+    for x in X:
+        for i in range(a.dim(x, x)):
+            yield "unit", x, (i,)
+    for x in X:
+        for y in X:
+            d = a.dim(x, y)
+            for i in range(d):
+                for j in range(d):
+                    for k in range(d):
+                        yield "comult", (x, y), (i, j, k)
+                yield "counit", (x, y), (i,)
+            if a.antipode is not None:
+                for r in range(a.dim(y, x)):
+                    for c in range(d):
+                        yield "antipode", (x, y), (r, c)
+
+
+def mutate(a: HopfCatData, edits) -> HopfCatData:
+    """A deep copy of ``a`` with each (tensor, key, path, f) edit applied,
+    where f maps the old coefficient to the new one."""
+    b = copy.deepcopy(a)
+    for name, key, path, f in edits:
+        slot = getattr(b, name)[key]
+        for i in path[:-1]:
+            slot = slot[i]
+        slot[path[-1]] = f(slot[path[-1]])
+    return b
+
+
+def doubled_or_one(field):
+    return lambda v: v * 2 if v else field.one
+
+
+@pytest.mark.parametrize("name", ["kz2", "kz3", "pair2"])
+def test_every_single_coefficient_mutant(hopf_fixtures, name):
+    a = hopf_fixtures[name]
+    bump = doubled_or_one(a.field)
+    failing = 0
+    for name_, key, path in positions(a):
+        mut = mutate(a, [(name_, key, path, bump)])
+        assert_same_reports(mut, levels=("hopf",))
+        failing += not verify_structure(mut, "hopf").overall
+    assert failing > 0
+
+
+TAFT4 = {field: fx.taft_four_dim(field) for field in (QQ, GF(5))}
+TAFT4_POSITIONS = list(positions(TAFT4[QQ]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([QQ, GF(5)]),
+       edits=st.lists(st.tuples(st.integers(0, len(TAFT4_POSITIONS) - 1),
+                                st.integers(-2, 3), st.sampled_from([1, 2])),
+                      min_size=1, max_size=3))
+def test_taft4_mutants(field, edits):
+    a = TAFT4[field]
+    mut = mutate(a, [
+        TAFT4_POSITIONS[pos] + (lambda v, n=n, d=d: field.of(n) / field.of(d),)
+        for pos, n, d in edits])
+    assert_same_reports(mut)
+
