@@ -1,11 +1,11 @@
 """Exact structure-constant calculus for finite k-linear Hopf categories.
 
 Data lives as structure constants over an exact field (rationals or a prime
-field); every axiom is verified as an exact matrix identity over the chosen
-bases.  Constructions: groupoid linearization, group-graded lifting, duality
-on dual bases, weak-Hopf packing, the bimonoid correspondence on the
-two-tensor-product category, and the freeness toolkit (canonical Galois-type
-maps, antipode recovery, coinvariants, integrals).
+field); every axiom is verified exactly, on every basis element of its
+domain, over the chosen bases.  Constructions: groupoid linearization,
+group-graded lifting, duality on dual bases, weak-Hopf packing, the bimonoid
+correspondence on the two-tensor-product category, and the freeness toolkit
+(canonical Galois-type maps, antipode recovery, coinvariants, integrals).
 """
 
 from .scalars import Field, FpElement, FieldMismatchError, GF, QQ, parse_field

@@ -70,7 +70,6 @@ def _write_report(report: Report, args, command: str, path: str, obj):
             "command": command,
             "argv": sys.argv[1:],
             "inputs": [{"path": path, "digest": fileformat.digest(obj)}],
-            "seed": getattr(args, "seed", 0),
             "report": args.report,
         }
         with open(args.report + ".manifest.json", "w") as fh:
@@ -82,6 +81,10 @@ def _verify_any(obj, args) -> Report:
     if isinstance(obj, HopfCatData):
         level = args.level or ("hopf" if obj.has_antipode else "semihopf")
         rep = verify_structure(obj, level)
+        # the extra checks presuppose valid data: on a failing base report
+        # they are skipped, and that report is the answer
+        if not rep.overall:
+            return rep
         if getattr(args, "strictness", False):
             rep.extend(check_strictness(obj))
         if getattr(args, "antipode_theorems", False):
@@ -93,7 +96,7 @@ def _verify_any(obj, args) -> Report:
     if isinstance(obj, DualHopfCatData):
         return verify_dual(obj)
     if isinstance(obj, WeakHopfData):
-        return verify_weak_hopf(obj, seed=args.seed)
+        return verify_weak_hopf(obj)
     if isinstance(obj, BimonoidData):
         return verify_bimonoid(obj)
     if isinstance(obj, ModuleData):
@@ -174,8 +177,7 @@ def cmd_transform(args) -> int:
             MalformedDataError) as e:
         raise _CliError(str(e), EXIT_PARSE)
     # self-check before writing
-    check_args = argparse.Namespace(level=None, seed=args.seed, quiet=True,
-                                    report=None)
+    check_args = argparse.Namespace(level=None, quiet=True, report=None)
     rep = _verify_any(out, check_args)
     if not rep.overall:
         if not args.quiet:
@@ -280,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hopf categories")
     p.add_argument("--field", default="q",
                    help="target field for from-groupoid: q or fp:<p>")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled audits")
     p.add_argument("--report", default=None,
                    help="write a JSON-lines report (plus run manifest)")
     p.add_argument("--quiet", action="store_true")

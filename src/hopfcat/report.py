@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .scalars import FieldMismatchError
-from .sparse import nonzero
 
 
 class PreconditionError(ValueError):
@@ -90,6 +89,17 @@ class Report:
         return "\n".join(lines)
 
 
+def residual(fmt, lhs: dict, rhs: dict) -> str:
+    """The nonzero coordinates of lhs − rhs, two sparse vectors, as
+    ``[key]=value`` in key order with values written by ``fmt``; empty when
+    the vectors agree."""
+    diff = dict(lhs)
+    for k, v in rhs.items():
+        diff[k] = diff[k] - v if k in diff else -v
+    return " ".join(f"[{k}]={fmt(diff[k])}"
+                    for k in sorted(diff) if diff[k])
+
+
 def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
                     lhs, rhs, required: bool = True) -> bool:
     """Record exact equality of two maps, checked basis element by element.
@@ -107,24 +117,18 @@ def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
         raise ValueError(
             f"cannot compare a {lhs.rows}x{lhs.cols} map with a "
             f"{rhs.rows}x{rhs.cols} map")
-    fmt = lhs.field.fmt
     witness = None
-    residual = ""
+    first = ""
     failures = 0
     for j, (lcol, rcol) in enumerate(zip(lhs.columns, rhs.columns)):
         if lcol == rcol:
             continue
-        diff = dict(lcol)
-        for r, v in rcol.items():
-            diff[r] = diff[r] - v if r in diff else -v
-        diff = nonzero(diff)
-        if diff:
+        res = residual(lhs.field.fmt, lcol, rcol)
+        if res:
             failures += 1
             if witness is None:
-                witness = j
-                residual = " ".join(f"[{r}]={fmt(diff[r])}"
-                                    for r in sorted(diff))
-    item = CheckItem(axiom, objects, failures == 0, witness, residual,
+                witness, first = j, res
+    item = CheckItem(axiom, objects, failures == 0, witness, first,
                      failures, required)
     report.add(item)
     return item.ok

@@ -6,7 +6,11 @@ direct product of the per-pair algebras with the summed cocomposition.  Both
 outputs, and any hand-built data of the same shape, go through
 ``verify_weak_hopf``, which checks the weak bialgebra laws and the three
 antipode identities against internally computed source and target counital
-maps — all at every basis element, exactly.
+maps — all exactly, on every basis element, pair or triple a law ranges over.
+The weak counit law ε(xyz) = ε(xy₁)ε(y₂z) = ε(xy₂)ε(y₁z) is checked on all n³
+basis triples through the pairing ε(e_i·e_a), so nothing is skipped or
+sampled.  The checks run on the ``sparse`` helpers that the Hopf-category
+verifier uses, over the nonzero structure constants read once per call.
 
 Blocks are ordered lexicographically in the declared object order, so packed
 output is canonical and diffable.
@@ -14,13 +18,12 @@ output is canonical and diffable.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
+from . import sparse as sp
 from .core import HopfCatData, MalformedDataError, MissingAntipodeError
 from .dual import DualHopfCatData
-from .linalg import LinMap
-from .report import Report, check_condition
+from .report import Report, check_condition, residual
 from .scalars import Field
 
 
@@ -57,69 +60,6 @@ class WeakHopfData:
                 len(self.antipode) != n
                 or any(len(r) != n for r in self.antipode)):
             raise MalformedDataError("antipode matrix malformed")
-
-    def block_of(self, index: int) -> tuple[str, str]:
-        for (pair, off, ln) in self.blocks:
-            if off <= index < off + ln:
-                return pair
-        raise IndexError(index)
-
-    def antipode_map(self) -> LinMap:
-        if self.antipode is None:
-            raise MissingAntipodeError("weak Hopf data carries no antipode")
-        return LinMap(self.field, self.total_dim, self.total_dim,
-                      self.antipode)
-
-
-# -- sparse element calculus ----------------------------------------------------
-
-def _vec_mul(w: WeakHopfData, u: dict, v: dict) -> dict:
-    out: dict = {}
-    for i, a in u.items():
-        row = w.mult[i]
-        for j, b in v.items():
-            ab = a * b
-            if ab:
-                for k, c in enumerate(row[j]):
-                    if c:
-                        out[k] = out.get(k, w.field.zero) + ab * c
-    return {k: v for k, v in out.items() if v}
-
-
-def _vec_delta(w: WeakHopfData, u: dict) -> dict:
-    out: dict = {}
-    for i, a in u.items():
-        for j, rowj in enumerate(w.comult[i]):
-            for k, c in enumerate(rowj):
-                if c:
-                    key = (j, k)
-                    out[key] = out.get(key, w.field.zero) + a * c
-    return {k: v for k, v in out.items() if v}
-
-
-def _vec_eps(w: WeakHopfData, u: dict):
-    s = w.field.zero
-    for i, a in u.items():
-        s = s + a * w.counit[i]
-    return s
-
-
-def _vec_s(w: WeakHopfData, u: dict) -> dict:
-    out: dict = {}
-    for i, a in u.items():
-        for j in range(w.total_dim):
-            c = w.antipode[j][i]
-            if c:
-                out[j] = out.get(j, w.field.zero) + a * c
-    return {k: v for k, v in out.items() if v}
-
-
-def _unit_vec(w: WeakHopfData) -> dict:
-    return {i: v for i, v in enumerate(w.unit) if v}
-
-
-def _fmt_vec(w: WeakHopfData, u: dict) -> str:
-    return " ".join(f"[{k}]={w.field.fmt(v)}" for k, v in sorted(u.items()))
 
 
 # -- packing --------------------------------------------------------------------
@@ -240,292 +180,213 @@ def pack_dual(c: DualHopfCatData) -> WeakHopfData:
 
 # -- verification -----------------------------------------------------------------
 
-def _tensor3_eq(w, t1: dict, t2: dict) -> tuple[bool, str]:
-    keys = set(t1) | set(t2)
-    diff = {k: t1.get(k, w.field.zero) - t2.get(k, w.field.zero) for k in keys}
-    diff = {k: v for k, v in diff.items() if v}
-    if not diff:
-        return True, ""
-    parts = [f"[{k}]={w.field.fmt(v)}" for k, v in sorted(diff.items())]
-    return False, " ".join(parts)
+class _Tensors:
+    """Sparse views of a ``WeakHopfData``'s structure constants, read once per
+    call, and the element operations the weak Hopf laws are written in.
+
+    ``comult[i]`` is Δ(e_i) as ``{(a, b): c}``; ``pairing[i][a]`` is
+    ε(e_i·e_a), the bilinear form through which every counital expression is
+    evaluated.
+    """
+
+    def __init__(self, w: WeakHopfData):
+        n = w.total_dim
+        self.one, self.zero = w.field.one, w.field.zero
+        self.mult = sp.tensor3(w.mult)
+        self.comult = [{(a, b): c for a, fibre in rows.items()
+                        for b, c in fibre.items()}
+                       for rows in sp.tensor3(w.comult)]
+        self.counit = sp.vector(w.counit)
+        self.unit = sp.vector(w.unit)
+        self.antipode = None if w.antipode is None \
+            else sp.columns(w.antipode, n)
+        self.pairing = [sp.nonzero({a: self.eps(vec)
+                                    for a, vec in rows.items()})
+                        for rows in self.mult]
+        self.unit_delta = self.delta(self.unit)
+
+    def delta(self, u: dict) -> dict:
+        acc = {}
+        for i, c in u.items():
+            sp.axpy(acc, c, self.comult[i])
+        return sp.nonzero(acc)
+
+    def eps(self, u: dict):
+        s = self.zero
+        for i, c in u.items():
+            if i in self.counit:
+                s = s + c * self.counit[i]
+        return s
+
+    def eps_t(self, u: dict) -> dict:
+        """ε(1₁·u) 1₂."""
+        acc = {}
+        for (a, b), v in self.unit_delta.items():
+            h = sp.product(self.mult, {a: self.one}, u)
+            sp.add(acc, b, v * self.eps(h))
+        return sp.nonzero(acc)
+
+    def eps_s(self, u: dict) -> dict:
+        """1₁ ε(u·1₂)."""
+        acc = {}
+        for (a, b), v in self.unit_delta.items():
+            h = sp.product(self.mult, u, {b: self.one})
+            sp.add(acc, a, v * self.eps(h))
+        return sp.nonzero(acc)
+
+    def splits(self, j: int, flip: bool) -> list[dict]:
+        """With Δ(e_j) = Σ D_j[a,b] e_a⊗e_b: the rows Σ_b D_j[a,b] ε(e_b·–)
+        over a (flip: the rows Σ_a D_j[a,b] ε(e_a·–) over b).  Contracted
+        with the row ε(e_i·–) they give Σ ε(e_i y₁) ε(y₂·–) (flip:
+        Σ ε(e_i y₂) ε(y₁·–)) at y = e_j."""
+        rows = [{} for _ in self.mult]
+        for (a, b), c in self.comult[j].items():
+            if flip:
+                a, b = b, a
+            rows[a][b] = c
+        return [sp.apply(self.pairing, row) for row in rows]
 
 
-def _compatible_blocks(w: WeakHopfData) -> dict[tuple, bool]:
-    """Block pairs whose product is not identically zero in the stored tensor."""
-    out = {}
-    for (p1, o1, l1) in w.blocks:
-        for (p2, o2, l2) in w.blocks:
-            nz = any(w.mult[o1 + i][o2 + j][k]
-                     for i in range(l1) for j in range(l2)
-                     for k in range(w.total_dim))
-            out[(p1, p2)] = nz
-    return out
-
-
-def verify_weak_hopf(w: WeakHopfData, seed: int = 0,
-                     audit_samples: int = 100) -> Report:
+def verify_weak_hopf(w: WeakHopfData) -> Report:
     """Associativity/unit, coassociativity/counit, multiplicativity of the
     comultiplication, both orderings of the weak counit law, both weak unit
     identities, and the three antipode identities against the internally
     computed source/target counital maps.
 
-    The weak counit law runs over all basis triples within block-compatible
-    positions; a seeded sample of the remaining (identically zero) triples is
-    audited as well.
+    Every law is checked on every basis element, pair or triple it ranges
+    over; the weak counit law in particular on all n³ triples.  A failing
+    instance is recorded under the blocks of its basis elements.
     """
     w.validate_shape()
     if w.antipode is None:
         raise MissingAntipodeError("weak Hopf verification needs an antipode")
+    t = _Tensors(w)
+    n, mult, comult, antipode = w.total_dim, t.mult, t.comult, t.antipode
+    fmt = w.field.fmt
+    blk = [pair for (pair, _, ln) in w.blocks for _ in range(ln)]
+    basis = [{i: t.one} for i in range(n)]
     rep = Report()
-    n = w.total_dim
-    one_elt = _unit_vec(w)
-    basis = [{i: w.field.one} for i in range(n)]
 
-    def blk(i):
-        return w.block_of(i)
+    def fail(axiom, objects, witness, res):
+        check_condition(rep, axiom, objects, False, residual=res,
+                        witness=witness)
+
+    def check(axiom, objects, witness, lhs, rhs):
+        res = residual(fmt, lhs, rhs)
+        if res:
+            fail(axiom, objects, witness, res)
+
+    def summarize(*axioms, res=""):
+        for axiom in axioms:
+            check_condition(rep, axiom, (), not rep.by_axiom(axiom),
+                            residual=res)
 
     # algebra laws
+    times = [sp.right_factor(mult, k, n) for k in range(n)]
     for i in range(n):
+        i_times = sp.left_factor(mult, i, n)
         for j in range(n):
+            ij = mult[i].get(j, {})
             for k in range(n):
-                lhs = _vec_mul(w, _vec_mul(w, basis[i], basis[j]), basis[k])
-                rhs = _vec_mul(w, basis[i], _vec_mul(w, basis[j], basis[k]))
-                ok, res = _tensor3_eq(w, lhs, rhs)
-                if not ok:
-                    check_condition(rep, "assoc", blk(i) + blk(j) + blk(k),
-                                    False, residual=res, witness=i)
-    check_condition(rep, "assoc", (), not rep.failed(), residual="see items")
+                check("assoc", blk[i] + blk[j] + blk[k], i,
+                      sp.apply(times[k], ij),
+                      sp.apply(i_times, mult[j].get(k, {})))
+    summarize("assoc", res="see items")
 
-    unit_ok = True
-    for i in range(n):
-        l = _vec_mul(w, one_elt, basis[i])
-        r = _vec_mul(w, basis[i], one_elt)
-        okl, resl = _tensor3_eq(w, l, basis[i])
-        okr, resr = _tensor3_eq(w, r, basis[i])
-        if not (okl and okr):
-            unit_ok = False
-            check_condition(rep, "unit", blk(i), False,
-                            residual=resl or resr, witness=i)
-    check_condition(rep, "unit", (), unit_ok)
+    for i, e_i in enumerate(basis):
+        res = residual(fmt, sp.product(mult, t.unit, e_i), e_i) \
+            or residual(fmt, sp.product(mult, e_i, t.unit), e_i)
+        if res:
+            fail("unit", blk[i], i, res)
+    summarize("unit")
 
     # coalgebra laws
-    co_ok, cu_ok = True, True
-    for i in range(n):
-        d1 = _vec_delta(w, basis[i])
-        left = {}
-        right = {}
-        for (a_, b_), v in d1.items():
-            for (p, q), u in _vec_delta(w, basis[a_]).items():
-                left[(p, q, b_)] = left.get((p, q, b_), w.field.zero) + v * u
-            for (p, q), u in _vec_delta(w, basis[b_]).items():
-                right[(a_, p, q)] = right.get((a_, p, q), w.field.zero) + v * u
-        ok, res = _tensor3_eq(w, {k: v for k, v in left.items() if v},
-                              {k: v for k, v in right.items() if v})
-        if not ok:
-            co_ok = False
-            check_condition(rep, "coassoc", blk(i), False, residual=res,
-                            witness=i)
-        lc = {}
-        rc = {}
-        for (a_, b_), v in d1.items():
-            lc[b_] = lc.get(b_, w.field.zero) + v * w.counit[a_]
-            rc[a_] = rc.get(a_, w.field.zero) + v * w.counit[b_]
-        okl, resl = _tensor3_eq(w, {k: v for k, v in lc.items() if v}, basis[i])
-        okr, resr = _tensor3_eq(w, {k: v for k, v in rc.items() if v}, basis[i])
-        if not (okl and okr):
-            cu_ok = False
-            check_condition(rep, "counit", blk(i), False,
-                            residual=resl or resr, witness=i)
-    check_condition(rep, "coassoc", (), co_ok)
-    check_condition(rep, "counit", (), cu_ok)
+    for i, delta in enumerate(comult):
+        left, right, lc, rc = {}, {}, {}, {}
+        for (a, b), v in delta.items():
+            for (p, q), u in comult[a].items():
+                sp.add(left, (p, q, b), v * u)
+            for (p, q), u in comult[b].items():
+                sp.add(right, (a, p, q), v * u)
+            sp.add(lc, b, v * t.counit.get(a, t.zero))
+            sp.add(rc, a, v * t.counit.get(b, t.zero))
+        check("coassoc", blk[i], i, left, right)
+        res = residual(fmt, lc, basis[i]) or residual(fmt, rc, basis[i])
+        if res:
+            fail("counit", blk[i], i, res)
+    summarize("coassoc", "counit")
 
     # comultiplication is multiplicative
-    dm_ok = True
-    for i in range(n):
-        di = _vec_delta(w, basis[i])
-        for j in range(n):
-            dj = _vec_delta(w, basis[j])
-            lhs = _vec_delta(w, _vec_mul(w, basis[i], basis[j]))
-            rhs: dict = {}
-            for (a_, b_), u in di.items():
-                for (p, q), v in dj.items():
-                    uv = u * v
-                    if not uv:
-                        continue
-                    first = _vec_mul(w, basis[a_], basis[p])
-                    second = _vec_mul(w, basis[b_], basis[q])
-                    for r_, cr in first.items():
-                        for s_, cs in second.items():
-                            key = (r_, s_)
-                            rhs[key] = rhs.get(key, w.field.zero) + uv * cr * cs
-            ok, res = _tensor3_eq(w, lhs, {k: v for k, v in rhs.items() if v})
-            if not ok:
-                dm_ok = False
-                check_condition(rep, "comult-mult", blk(i) + blk(j), False,
-                                residual=res, witness=i)
-    check_condition(rep, "comult-mult", (), dm_ok)
-
-    # weak counit laws on compatible triples, plus a seeded audit of the rest
-    compat = _compatible_blocks(w)
-
-    def weak_counit_triple(i, j, k) -> tuple[bool, bool, str]:
-        eps_ijk = _vec_eps(w, _vec_mul(w, _vec_mul(w, basis[i], basis[j]),
-                                       basis[k]))
-        d = _vec_delta(w, basis[j])
-        s1 = w.field.zero
-        s2 = w.field.zero
-        for (a_, b_), v in d.items():
-            s1 = s1 + v * _vec_eps(w, _vec_mul(w, basis[i], basis[a_])) \
-                * _vec_eps(w, _vec_mul(w, basis[b_], basis[k]))
-            s2 = s2 + v * _vec_eps(w, _vec_mul(w, basis[i], basis[b_])) \
-                * _vec_eps(w, _vec_mul(w, basis[a_], basis[k]))
-        ok1 = s1 == eps_ijk
-        ok2 = s2 == eps_ijk
-        res = (f"eps(hkl)={w.field.fmt(eps_ijk)} "
-               f"split1={w.field.fmt(s1)} split2={w.field.fmt(s2)}")
-        return ok1, ok2, res
-
-    wc1_ok, wc2_ok = True, True
-    skipped = []
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if compat[(blk(i), blk(j))] and compat[(blk(j), blk(k))]:
-                    ok1, ok2, res = weak_counit_triple(i, j, k)
-                    if not ok1:
-                        wc1_ok = False
-                        check_condition(rep, "weak-counit-left",
-                                        blk(i) + blk(j) + blk(k), False,
-                                        residual=res, witness=j)
-                    if not ok2:
-                        wc2_ok = False
-                        check_condition(rep, "weak-counit-right",
-                                        blk(i) + blk(j) + blk(k), False,
-                                        residual=res, witness=j)
-                else:
-                    skipped.append((i, j, k))
-    check_condition(rep, "weak-counit-left", (), wc1_ok)
-    check_condition(rep, "weak-counit-right", (), wc2_ok)
+            rhs = {}
+            for (a, b), u in comult[i].items():
+                for (p, q), v in comult[j].items():
+                    first, second = mult[a].get(p, {}), mult[b].get(q, {})
+                    for r, cr in first.items():
+                        for s, cs in second.items():
+                            sp.add(rhs, (r, s), u * v * cr * cs)
+            check("comult-mult", blk[i] + blk[j], i,
+                  t.delta(mult[i].get(j, {})), rhs)
+    summarize("comult-mult")
 
-    rng = random.Random(seed)
-    audit = skipped if len(skipped) <= audit_samples \
-        else rng.sample(skipped, audit_samples)
-    audit_ok = True
-    for (i, j, k) in audit:
-        ok1, ok2, res = weak_counit_triple(i, j, k)
-        if not (ok1 and ok2):
-            audit_ok = False
-            check_condition(rep, "weak-counit-audit",
-                            blk(i) + blk(j) + blk(k), False, residual=res,
-                            witness=j)
-    check_condition(rep, "weak-counit-audit", (), audit_ok,
-                    residual=f"sampled {len(audit)} cross-block triples")
+    # weak counit law ε(e_i e_j e_k) = Σ ε(e_i y₁) ε(y₂ e_k)
+    # = Σ ε(e_i y₂) ε(y₁ e_k) with Δ(e_j) = Σ y₁⊗y₂, on every triple: all
+    # three sides are read off the pairing, row by row over k
+    splits = [(t.splits(j, False), t.splits(j, True)) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            whole = sp.apply(t.pairing, mult[i].get(j, {}))
+            s1 = sp.apply(splits[j][0], t.pairing[i])
+            s2 = sp.apply(splits[j][1], t.pairing[i])
+            for k in sorted(whole.keys() | s1.keys() | s2.keys()):
+                v, v1, v2 = (x.get(k, t.zero) for x in (whole, s1, s2))
+                if v1 == v and v2 == v:
+                    continue
+                res = f"eps(hkl)={fmt(v)} split1={fmt(v1)} split2={fmt(v2)}"
+                objects = blk[i] + blk[j] + blk[k]
+                if v1 != v:
+                    fail("weak-counit-left", objects, j, res)
+                if v2 != v:
+                    fail("weak-counit-right", objects, j, res)
+    summarize("weak-counit-left", "weak-counit-right")
 
     # weak unit laws
-    d1 = _vec_delta(w, one_elt)
-    ddl = {}
-    for (a_, b_), v in d1.items():
-        for (p, q), u in _vec_delta(w, basis[a_]).items():
-            ddl[(p, q, b_)] = ddl.get((p, q, b_), w.field.zero) + v * u
-    ddl = {k: v for k, v in ddl.items() if v}
-    t_mid: dict = {}
-    t_mid2: dict = {}
-    for (a_, b_), v in d1.items():
-        for (c_, d_), u in d1.items():
-            vu = v * u
-            if not vu:
-                continue
-            for m_, cm in _vec_mul(w, basis[b_], basis[c_]).items():
-                key = (a_, m_, d_)
-                t_mid[key] = t_mid.get(key, w.field.zero) + vu * cm
-            for m_, cm in _vec_mul(w, basis[c_], basis[b_]).items():
-                key = (a_, m_, d_)
-                t_mid2[key] = t_mid2.get(key, w.field.zero) + vu * cm
-    ok1, res1 = _tensor3_eq(w, {k: v for k, v in t_mid.items() if v}, ddl)
-    ok2, res2 = _tensor3_eq(w, {k: v for k, v in t_mid2.items() if v}, ddl)
-    check_condition(rep, "weak-unit-left", (), ok1, residual=res1)
-    check_condition(rep, "weak-unit-right", (), ok2, residual=res2)
+    ddl, mid, mid_op = {}, {}, {}
+    for (a, b), v in t.unit_delta.items():
+        for (p, q), u in comult[a].items():
+            sp.add(ddl, (p, q, b), v * u)
+        for (c, d), u in t.unit_delta.items():
+            for m, cm in mult[b].get(c, {}).items():
+                sp.add(mid, (a, m, d), v * u * cm)
+            for m, cm in mult[c].get(b, {}).items():
+                sp.add(mid_op, (a, m, d), v * u * cm)
+    for axiom, lhs in (("weak-unit-left", mid), ("weak-unit-right", mid_op)):
+        res = residual(fmt, lhs, ddl)
+        check_condition(rep, axiom, (), not res, residual=res)
 
     # counital maps and antipode identities
-    def eps_s(u: dict) -> dict:
-        out: dict = {}
-        for (a_, b_), v in d1.items():
-            c = _vec_eps(w, _vec_mul(w, u, basis[b_]))
-            if c:
-                out[a_] = out.get(a_, w.field.zero) + v * c
-        return {k: v for k, v in out.items() if v}
-
-    def eps_t(u: dict) -> dict:
-        out: dict = {}
-        for (a_, b_), v in d1.items():
-            c = _vec_eps(w, _vec_mul(w, basis[a_], u))
-            if c:
-                out[b_] = out.get(b_, w.field.zero) + v * c
-        return {k: v for k, v in out.items() if v}
-
-    s_ok = [True, True, True]
-    for i in range(n):
-        d = _vec_delta(w, basis[i])
-        t1: dict = {}
-        t2: dict = {}
-        for (a_, b_), v in d.items():
-            for k_, c in _vec_mul(w, basis[a_], _vec_s(w, basis[b_])).items():
-                t1[k_] = t1.get(k_, w.field.zero) + v * c
-            for k_, c in _vec_mul(w, _vec_s(w, basis[a_]), basis[b_]).items():
-                t2[k_] = t2.get(k_, w.field.zero) + v * c
-        t1 = {k: v for k, v in t1.items() if v}
-        t2 = {k: v for k, v in t2.items() if v}
-        okt, rest = _tensor3_eq(w, t1, eps_t(basis[i]))
-        oks, ress = _tensor3_eq(w, t2, eps_s(basis[i]))
-        if not okt:
-            s_ok[0] = False
-            check_condition(rep, "antipode-target", blk(i), False,
-                            residual=rest, witness=i)
-        if not oks:
-            s_ok[1] = False
-            check_condition(rep, "antipode-source", blk(i), False,
-                            residual=ress, witness=i)
-        # S(h1) h2 S(h3) = S(h)
-        t3: dict = {}
-        for (a_, b_), v in d.items():
-            for (p, q), u in _vec_delta(w, basis[b_]).items():
-                vu = v * u
-                if not vu:
-                    continue
-                inner = _vec_mul(w, _vec_mul(w, _vec_s(w, basis[a_]),
-                                             basis[p]),
-                                 _vec_s(w, basis[q]))
-                for k_, c in inner.items():
-                    t3[k_] = t3.get(k_, w.field.zero) + vu * c
-        t3 = {k: v for k, v in t3.items() if v}
-        okf, resf = _tensor3_eq(w, t3, _vec_s(w, basis[i]))
-        if not okf:
-            s_ok[2] = False
-            check_condition(rep, "antipode-full", blk(i), False,
-                            residual=resf, witness=i)
-    check_condition(rep, "antipode-target", (), s_ok[0])
-    check_condition(rep, "antipode-source", (), s_ok[1])
-    check_condition(rep, "antipode-full", (), s_ok[2])
+    for i, delta in enumerate(comult):
+        target, source, full = {}, {}, {}
+        for (a, b), v in delta.items():
+            sp.axpy(target, v, sp.product(mult, basis[a], antipode[b]))
+            sp.axpy(source, v, sp.product(mult, antipode[a], basis[b]))
+            for (p, q), u in comult[b].items():
+                # S(h₁) h₂ S(h₃) = S(h)
+                s_h1_h2 = sp.product(mult, antipode[a], basis[p])
+                sp.axpy(full, v * u, sp.product(mult, s_h1_h2, antipode[q]))
+        check("antipode-target", blk[i], i, target, t.eps_t(basis[i]))
+        check("antipode-source", blk[i], i, source, t.eps_s(basis[i]))
+        check("antipode-full", blk[i], i, full, antipode[i])
+    summarize("antipode-target", "antipode-source", "antipode-full")
     return rep
 
 
 def counital_target(w: WeakHopfData, vec: dict) -> dict:
     """eps_t(h) = eps(1_(1) h) 1_(2), as a sparse coordinate vector."""
-    d1 = _vec_delta(w, _unit_vec(w))
-    out: dict = {}
-    for (a_, b_), v in d1.items():
-        c = _vec_eps(w, _vec_mul(w, {a_: w.field.one}, vec))
-        if c:
-            out[b_] = out.get(b_, w.field.zero) + v * c
-    return {k: v for k, v in out.items() if v}
+    return _Tensors(w).eps_t(vec)
 
 
 def counital_source(w: WeakHopfData, vec: dict) -> dict:
     """eps_s(h) = 1_(1) eps(h 1_(2))."""
-    d1 = _vec_delta(w, _unit_vec(w))
-    out: dict = {}
-    for (a_, b_), v in d1.items():
-        c = _vec_eps(w, _vec_mul(w, vec, {b_: w.field.one}))
-        if c:
-            out[a_] = out.get(a_, w.field.zero) + v * c
-    return {k: v for k, v in out.items() if v}
+    return _Tensors(w).eps_s(vec)

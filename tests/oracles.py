@@ -3,11 +3,14 @@
 These deliberately avoid the library's verifier: identities are summed out
 index by index over the raw structure-constant tensors, and linear solves go
 through sympy.  They exist so that every checked value has a second,
-unrelated route to it.  The dense matrix verifier at the end of this file is
-the engine that ``core.verify_structure`` used before its per-basis rewrite,
-kept as a reference whose reports the new engine must reproduce exactly.
+unrelated route to it.  The dense matrix verifier near the end of this file
+is the engine that ``core.verify_structure`` used before its per-basis
+rewrite, kept as a reference whose reports the new engine must reproduce
+exactly; the sampled weak Hopf verifier after it plays the same part for
+``weak.verify_weak_hopf``.
 """
 
+import random
 from fractions import Fraction
 
 import sympy
@@ -229,4 +232,331 @@ def dense_antipode_theorems(a):
                 rep, "antipode-conditions-agree", (x, y),
                 c1 == c2 == c3,
                 residual=f"left-twisted={c1} right-twisted={c2} involutive={c3}")
+    return rep
+
+
+# The weak Hopf verifier as it was before it moved onto the shared sparse
+# helpers: its own dict calculus, and the weak counit law checked only on
+# block-compatible triples plus a seeded sample of the others.  It is kept
+# only as a reference for differential tests; with ``audit_samples`` at least
+# the number of skipped triples, the audit covers all of them.
+
+def _block_of(w, index):
+    for (pair, off, ln) in w.blocks:
+        if off <= index < off + ln:
+            return pair
+    raise IndexError(index)
+
+
+def _vec_mul(w, u: dict, v: dict) -> dict:
+    out: dict = {}
+    for i, a in u.items():
+        row = w.mult[i]
+        for j, b in v.items():
+            ab = a * b
+            if ab:
+                for k, c in enumerate(row[j]):
+                    if c:
+                        out[k] = out.get(k, w.field.zero) + ab * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _vec_delta(w, u: dict) -> dict:
+    out: dict = {}
+    for i, a in u.items():
+        for j, rowj in enumerate(w.comult[i]):
+            for k, c in enumerate(rowj):
+                if c:
+                    key = (j, k)
+                    out[key] = out.get(key, w.field.zero) + a * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _vec_eps(w, u: dict):
+    s = w.field.zero
+    for i, a in u.items():
+        s = s + a * w.counit[i]
+    return s
+
+
+def _vec_s(w, u: dict) -> dict:
+    out: dict = {}
+    for i, a in u.items():
+        for j in range(w.total_dim):
+            c = w.antipode[j][i]
+            if c:
+                out[j] = out.get(j, w.field.zero) + a * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _unit_vec(w) -> dict:
+    return {i: v for i, v in enumerate(w.unit) if v}
+
+
+def _tensor3_eq(w, t1: dict, t2: dict) -> tuple[bool, str]:
+    keys = set(t1) | set(t2)
+    diff = {k: t1.get(k, w.field.zero) - t2.get(k, w.field.zero) for k in keys}
+    diff = {k: v for k, v in diff.items() if v}
+    if not diff:
+        return True, ""
+    parts = [f"[{k}]={w.field.fmt(v)}" for k, v in sorted(diff.items())]
+    return False, " ".join(parts)
+
+
+def _compatible_blocks(w) -> dict[tuple, bool]:
+    """Block pairs whose product is not identically zero in the stored tensor."""
+    out = {}
+    for (p1, o1, l1) in w.blocks:
+        for (p2, o2, l2) in w.blocks:
+            nz = any(w.mult[o1 + i][o2 + j][k]
+                     for i in range(l1) for j in range(l2)
+                     for k in range(w.total_dim))
+            out[(p1, p2)] = nz
+    return out
+
+
+def sampled_verify_weak_hopf(w, seed: int = 0,
+                             audit_samples: int = 100) -> Report:
+    """Associativity/unit, coassociativity/counit, multiplicativity of the
+    comultiplication, both orderings of the weak counit law, both weak unit
+    identities, and the three antipode identities against the internally
+    computed source/target counital maps.
+
+    The weak counit law runs over all basis triples within block-compatible
+    positions; a seeded sample of the remaining (identically zero) triples is
+    audited as well.
+    """
+    w.validate_shape()
+    if w.antipode is None:
+        raise MissingAntipodeError("weak Hopf verification needs an antipode")
+    rep = Report()
+    n = w.total_dim
+    one_elt = _unit_vec(w)
+    basis = [{i: w.field.one} for i in range(n)]
+
+    def blk(i):
+        return _block_of(w, i)
+
+    # algebra laws
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _vec_mul(w, _vec_mul(w, basis[i], basis[j]), basis[k])
+                rhs = _vec_mul(w, basis[i], _vec_mul(w, basis[j], basis[k]))
+                ok, res = _tensor3_eq(w, lhs, rhs)
+                if not ok:
+                    check_condition(rep, "assoc", blk(i) + blk(j) + blk(k),
+                                    False, residual=res, witness=i)
+    check_condition(rep, "assoc", (), not rep.failed(), residual="see items")
+
+    unit_ok = True
+    for i in range(n):
+        l = _vec_mul(w, one_elt, basis[i])
+        r = _vec_mul(w, basis[i], one_elt)
+        okl, resl = _tensor3_eq(w, l, basis[i])
+        okr, resr = _tensor3_eq(w, r, basis[i])
+        if not (okl and okr):
+            unit_ok = False
+            check_condition(rep, "unit", blk(i), False,
+                            residual=resl or resr, witness=i)
+    check_condition(rep, "unit", (), unit_ok)
+
+    # coalgebra laws
+    co_ok, cu_ok = True, True
+    for i in range(n):
+        d1 = _vec_delta(w, basis[i])
+        left = {}
+        right = {}
+        for (a_, b_), v in d1.items():
+            for (p, q), u in _vec_delta(w, basis[a_]).items():
+                left[(p, q, b_)] = left.get((p, q, b_), w.field.zero) + v * u
+            for (p, q), u in _vec_delta(w, basis[b_]).items():
+                right[(a_, p, q)] = right.get((a_, p, q), w.field.zero) + v * u
+        ok, res = _tensor3_eq(w, {k: v for k, v in left.items() if v},
+                              {k: v for k, v in right.items() if v})
+        if not ok:
+            co_ok = False
+            check_condition(rep, "coassoc", blk(i), False, residual=res,
+                            witness=i)
+        lc = {}
+        rc = {}
+        for (a_, b_), v in d1.items():
+            lc[b_] = lc.get(b_, w.field.zero) + v * w.counit[a_]
+            rc[a_] = rc.get(a_, w.field.zero) + v * w.counit[b_]
+        okl, resl = _tensor3_eq(w, {k: v for k, v in lc.items() if v}, basis[i])
+        okr, resr = _tensor3_eq(w, {k: v for k, v in rc.items() if v}, basis[i])
+        if not (okl and okr):
+            cu_ok = False
+            check_condition(rep, "counit", blk(i), False,
+                            residual=resl or resr, witness=i)
+    check_condition(rep, "coassoc", (), co_ok)
+    check_condition(rep, "counit", (), cu_ok)
+
+    # comultiplication is multiplicative
+    dm_ok = True
+    for i in range(n):
+        di = _vec_delta(w, basis[i])
+        for j in range(n):
+            dj = _vec_delta(w, basis[j])
+            lhs = _vec_delta(w, _vec_mul(w, basis[i], basis[j]))
+            rhs: dict = {}
+            for (a_, b_), u in di.items():
+                for (p, q), v in dj.items():
+                    uv = u * v
+                    if not uv:
+                        continue
+                    first = _vec_mul(w, basis[a_], basis[p])
+                    second = _vec_mul(w, basis[b_], basis[q])
+                    for r_, cr in first.items():
+                        for s_, cs in second.items():
+                            key = (r_, s_)
+                            rhs[key] = rhs.get(key, w.field.zero) + uv * cr * cs
+            ok, res = _tensor3_eq(w, lhs, {k: v for k, v in rhs.items() if v})
+            if not ok:
+                dm_ok = False
+                check_condition(rep, "comult-mult", blk(i) + blk(j), False,
+                                residual=res, witness=i)
+    check_condition(rep, "comult-mult", (), dm_ok)
+
+    # weak counit laws on compatible triples, plus a seeded audit of the rest
+    compat = _compatible_blocks(w)
+
+    def weak_counit_triple(i, j, k) -> tuple[bool, bool, str]:
+        eps_ijk = _vec_eps(w, _vec_mul(w, _vec_mul(w, basis[i], basis[j]),
+                                       basis[k]))
+        d = _vec_delta(w, basis[j])
+        s1 = w.field.zero
+        s2 = w.field.zero
+        for (a_, b_), v in d.items():
+            s1 = s1 + v * _vec_eps(w, _vec_mul(w, basis[i], basis[a_])) \
+                * _vec_eps(w, _vec_mul(w, basis[b_], basis[k]))
+            s2 = s2 + v * _vec_eps(w, _vec_mul(w, basis[i], basis[b_])) \
+                * _vec_eps(w, _vec_mul(w, basis[a_], basis[k]))
+        ok1 = s1 == eps_ijk
+        ok2 = s2 == eps_ijk
+        res = (f"eps(hkl)={w.field.fmt(eps_ijk)} "
+               f"split1={w.field.fmt(s1)} split2={w.field.fmt(s2)}")
+        return ok1, ok2, res
+
+    wc1_ok, wc2_ok = True, True
+    skipped = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if compat[(blk(i), blk(j))] and compat[(blk(j), blk(k))]:
+                    ok1, ok2, res = weak_counit_triple(i, j, k)
+                    if not ok1:
+                        wc1_ok = False
+                        check_condition(rep, "weak-counit-left",
+                                        blk(i) + blk(j) + blk(k), False,
+                                        residual=res, witness=j)
+                    if not ok2:
+                        wc2_ok = False
+                        check_condition(rep, "weak-counit-right",
+                                        blk(i) + blk(j) + blk(k), False,
+                                        residual=res, witness=j)
+                else:
+                    skipped.append((i, j, k))
+    check_condition(rep, "weak-counit-left", (), wc1_ok)
+    check_condition(rep, "weak-counit-right", (), wc2_ok)
+
+    rng = random.Random(seed)
+    audit = skipped if len(skipped) <= audit_samples \
+        else rng.sample(skipped, audit_samples)
+    audit_ok = True
+    for (i, j, k) in audit:
+        ok1, ok2, res = weak_counit_triple(i, j, k)
+        if not (ok1 and ok2):
+            audit_ok = False
+            check_condition(rep, "weak-counit-audit",
+                            blk(i) + blk(j) + blk(k), False, residual=res,
+                            witness=j)
+    check_condition(rep, "weak-counit-audit", (), audit_ok,
+                    residual=f"sampled {len(audit)} cross-block triples")
+
+    # weak unit laws
+    d1 = _vec_delta(w, one_elt)
+    ddl = {}
+    for (a_, b_), v in d1.items():
+        for (p, q), u in _vec_delta(w, basis[a_]).items():
+            ddl[(p, q, b_)] = ddl.get((p, q, b_), w.field.zero) + v * u
+    ddl = {k: v for k, v in ddl.items() if v}
+    t_mid: dict = {}
+    t_mid2: dict = {}
+    for (a_, b_), v in d1.items():
+        for (c_, d_), u in d1.items():
+            vu = v * u
+            if not vu:
+                continue
+            for m_, cm in _vec_mul(w, basis[b_], basis[c_]).items():
+                key = (a_, m_, d_)
+                t_mid[key] = t_mid.get(key, w.field.zero) + vu * cm
+            for m_, cm in _vec_mul(w, basis[c_], basis[b_]).items():
+                key = (a_, m_, d_)
+                t_mid2[key] = t_mid2.get(key, w.field.zero) + vu * cm
+    ok1, res1 = _tensor3_eq(w, {k: v for k, v in t_mid.items() if v}, ddl)
+    ok2, res2 = _tensor3_eq(w, {k: v for k, v in t_mid2.items() if v}, ddl)
+    check_condition(rep, "weak-unit-left", (), ok1, residual=res1)
+    check_condition(rep, "weak-unit-right", (), ok2, residual=res2)
+
+    # counital maps and antipode identities
+    def eps_s(u: dict) -> dict:
+        out: dict = {}
+        for (a_, b_), v in d1.items():
+            c = _vec_eps(w, _vec_mul(w, u, basis[b_]))
+            if c:
+                out[a_] = out.get(a_, w.field.zero) + v * c
+        return {k: v for k, v in out.items() if v}
+
+    def eps_t(u: dict) -> dict:
+        out: dict = {}
+        for (a_, b_), v in d1.items():
+            c = _vec_eps(w, _vec_mul(w, basis[a_], u))
+            if c:
+                out[b_] = out.get(b_, w.field.zero) + v * c
+        return {k: v for k, v in out.items() if v}
+
+    s_ok = [True, True, True]
+    for i in range(n):
+        d = _vec_delta(w, basis[i])
+        t1: dict = {}
+        t2: dict = {}
+        for (a_, b_), v in d.items():
+            for k_, c in _vec_mul(w, basis[a_], _vec_s(w, basis[b_])).items():
+                t1[k_] = t1.get(k_, w.field.zero) + v * c
+            for k_, c in _vec_mul(w, _vec_s(w, basis[a_]), basis[b_]).items():
+                t2[k_] = t2.get(k_, w.field.zero) + v * c
+        t1 = {k: v for k, v in t1.items() if v}
+        t2 = {k: v for k, v in t2.items() if v}
+        okt, rest = _tensor3_eq(w, t1, eps_t(basis[i]))
+        oks, ress = _tensor3_eq(w, t2, eps_s(basis[i]))
+        if not okt:
+            s_ok[0] = False
+            check_condition(rep, "antipode-target", blk(i), False,
+                            residual=rest, witness=i)
+        if not oks:
+            s_ok[1] = False
+            check_condition(rep, "antipode-source", blk(i), False,
+                            residual=ress, witness=i)
+        # S(h1) h2 S(h3) = S(h)
+        t3: dict = {}
+        for (a_, b_), v in d.items():
+            for (p, q), u in _vec_delta(w, basis[b_]).items():
+                vu = v * u
+                if not vu:
+                    continue
+                inner = _vec_mul(w, _vec_mul(w, _vec_s(w, basis[a_]),
+                                             basis[p]),
+                                 _vec_s(w, basis[q]))
+                for k_, c in inner.items():
+                    t3[k_] = t3.get(k_, w.field.zero) + vu * c
+        t3 = {k: v for k, v in t3.items() if v}
+        okf, resf = _tensor3_eq(w, t3, _vec_s(w, basis[i]))
+        if not okf:
+            s_ok[2] = False
+            check_condition(rep, "antipode-full", blk(i), False,
+                            residual=resf, witness=i)
+    check_condition(rep, "antipode-target", (), s_ok[0])
+    check_condition(rep, "antipode-source", (), s_ok[1])
+    check_condition(rep, "antipode-full", (), s_ok[2])
     return rep

@@ -53,6 +53,25 @@ def test_verify_other_kinds(fixture_dir):
         assert main(["--quiet", "verify", fx(fixture_dir, name)]) == 0
 
 
+@pytest.mark.parametrize("edit, axiom, flag", [
+    (("counit * * 0 1\n", "counit * * 0 2\n"), "counit-left",
+     "--antipode-theorems"),
+    (("unit * 0 1\n", "unit * 0 2\n"), "unit-left", "--strictness"),
+])
+def test_extra_checks_report_a_failing_base(fixture_dir, tmp_path, edit,
+                                            axiom, flag):
+    # well-formed data that breaks an axiom exits 1 with its report, also
+    # when the extra checks, which presuppose valid data, were asked for
+    src = open(fx(fixture_dir, "kz2")).read()
+    assert edit[0] in src
+    path = tmp_path / "kz2_edited.hc"
+    path.write_text(src.replace(edit[0], edit[1]))
+    rep = str(tmp_path / "r.jsonl")
+    assert main(["--quiet", "--report", rep, "verify", str(path), flag]) == 1
+    failed = {r["axiom"] for r in map(json.loads, open(rep)) if not r["ok"]}
+    assert axiom in failed
+
+
 def test_verify_weak_output_of_pack(fixture_dir, tmp_path):
     out = str(tmp_path / "w.hc")
     assert main(["--quiet", "transform", fx(fixture_dir, "pair2"),
@@ -79,7 +98,13 @@ def test_verify_report_and_manifest(fixture_dir, tmp_path):
     manifest = json.load(open(rep + ".manifest.json"))
     assert manifest["command"] == "verify"
     assert manifest["inputs"][0]["digest"]
-    assert manifest["seed"] == 0
+    assert "seed" not in manifest
+
+
+def test_seed_flag_is_gone(fixture_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "verify", fx(fixture_dir, "kz2")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", [

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import pytest
@@ -23,6 +24,20 @@ def test_roundtrip_every_hopf_fixture(hopf_fixtures):
         again = parse(text)
         assert again == a
         assert serialize(again) == text
+
+
+def test_make_fixtures_reproduces_the_bundled_files(fixture_dir, tmp_path):
+    script = os.path.join(fixture_dir, "..", "scripts", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    make_fixtures.main(str(tmp_path))
+    written = sorted(os.listdir(tmp_path))
+    assert written == sorted(os.listdir(fixture_dir))
+    for name in written:
+        with open(tmp_path / name, "rb") as fresh, \
+                open(os.path.join(fixture_dir, name), "rb") as bundled:
+            assert fresh.read() == bundled.read(), name
 
 
 def test_roundtrip_other_kinds(hopf_fixtures):

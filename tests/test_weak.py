@@ -7,9 +7,24 @@ from hopfcat.dual import dualize
 from hopfcat.fixtures import idempotent_monoid_bialgebra, pair_groupoid_3
 from hopfcat.groupoid import linearize_groupoid
 from hopfcat.scalars import QQ
-from hopfcat.weak import (WeakHopfData, _unit_vec, _vec_delta, _vec_mul,
-                          counital_source, counital_target, pack, pack_dual,
-                          verify_weak_hopf)
+from hopfcat.weak import (WeakHopfData, counital_source, counital_target,
+                          pack, pack_dual, verify_weak_hopf)
+
+
+def basis_product(w, i, j):
+    """e_i·e_j as a sparse coordinate vector, read straight off w.mult."""
+    return {k: c for k, c in enumerate(w.mult[i][j]) if c}
+
+
+def unit_coproduct(w):
+    """Δ(1) as {(j, k): coefficient}, summed straight off w.comult."""
+    out = {}
+    for i, u in enumerate(w.unit):
+        for j, row in enumerate(w.comult[i]):
+            for k, c in enumerate(row):
+                if u * c:
+                    out[(j, k)] = out.get((j, k), QQ.zero) + u * c
+    return {key: v for key, v in out.items() if v}
 
 
 @pytest.mark.parametrize("name", ["kz2", "kz3", "taft4", "pair2", "pair3",
@@ -54,7 +69,7 @@ def test_pack_pair_groupoid_is_the_groupoid_algebra(hopf_fixtures):
     names = {pair: g.hom(*pair)[0] for pair in blocks}
     for (p1, o1) in blocks.items():
         for (p2, o2) in blocks.items():
-            prod = _vec_mul(w, {o1: QQ.one}, {o2: QQ.one})
+            prod = basis_product(w, o1, o2)
             if p1[1] == p2[0]:
                 target = (p1[0], p2[1])
                 composite = g.compose[(names[p1], names[p2])]
@@ -66,11 +81,11 @@ def test_pack_pair_groupoid_is_the_groupoid_algebra(hopf_fixtures):
 
 def test_packed_unit_comultiplies_to_diagonal_blocks(hopf_fixtures):
     w = pack(hopf_fixtures["pair2"])
-    d1 = _vec_delta(w, _unit_vec(w))
+    d1 = unit_coproduct(w)
     diag = {off for (pair, off, _) in w.blocks if pair[0] == pair[1]}
     assert d1 == {(i, i): QQ.one for i in diag}
     # strictly weak: not 1 ⊗ 1
-    one = _unit_vec(w)
+    one = {i: v for i, v in enumerate(w.unit) if v}
     full = {(i, j): u * v for i, u in one.items() for j, v in one.items()}
     assert d1 != full
 
@@ -108,11 +123,26 @@ def test_fault_injected_mutant_fails_with_witness(hopf_fixtures):
     assert any(it.witness is not None for it in rep.failed())
 
 
-def test_weak_counit_audit_runs_with_seed(hopf_fixtures):
-    w = pack(hopf_fixtures["pair3"])
-    rep = verify_weak_hopf(w, seed=7, audit_samples=25)
-    audit = rep.by_axiom("weak-counit-audit")
-    assert audit and audit[-1].ok
+def test_weak_counit_law_is_checked_on_every_triple(hopf_fixtures):
+    # Δ(e_0) picks up the cross-block term e_0⊗e_3, so the law now fails on
+    # triples whose blocks do not compose, which a check restricted to
+    # composable blocks would pass
+    w = pack(hopf_fixtures["pair2"])
+    assert w.comult[0][0][3] == QQ.zero
+    w.comult[0][0][3] = QQ.one
+    rep = verify_weak_hopf(w)
+    assert not rep.by_axiom("weak-counit-audit")
+    for axiom in ("weak-counit-left", "weak-counit-right"):
+        items = rep.by_axiom(axiom)
+        assert items[-1].objects == () and not items[-1].ok
+        assert all(len(it.objects) == 6 for it in items[:-1])
+        assert len(items) == 5
+    first = rep.by_axiom("weak-counit-left")[0]
+    assert first.objects == ("1", "1", "1", "1", "2", "1")
+    assert first.witness == 0
+    assert first.residual == "eps(hkl)=0 split1=1 split2=0"
+    assert rep.by_axiom("weak-counit-right")[0].residual \
+        == "eps(hkl)=0 split1=0 split2=1"
 
 
 def test_blocks_must_tile():
