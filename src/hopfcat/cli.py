@@ -85,10 +85,18 @@ def _verify_any(obj, args) -> Report:
         # they are skipped, and that report is the answer
         if not rep.overall:
             return rep
+        # the data is verified once per level an extra check needs, and the
+        # passing report handed to the check as its precondition
+        extra = Report()
         if getattr(args, "strictness", False):
-            rep.extend(check_strictness(obj))
+            extra.extend(check_strictness(obj, base=rep))
         if getattr(args, "antipode_theorems", False):
-            rep.extend(check_antipode_theorems(obj))
+            hopf = rep if level == "hopf" else verify_structure(obj, "hopf")
+            if hopf.overall:
+                extra.extend(check_antipode_theorems(obj, base=hopf))
+            else:
+                extra.items.extend(hopf.failed())
+        rep.extend(extra)
         return rep
     if args.level:
         raise _CliError("--level only applies to hopf-category files",

@@ -171,21 +171,21 @@ class _Tensors:
     """
 
     def __init__(self, a: HopfCatData):
-        X = a.objects
-        self.field = a.field
-        self.one = a.field.one
+        X, f = a.objects, a.field
+        self.field = f
+        self.one = f.raw(f.one)
         self.dim = a.dim
-        self.mult = {(x, y, z): sp.tensor3(a.mult[(x, y, z)])
+        self.mult = {(x, y, z): sp.tensor3(f, a.mult[(x, y, z)])
                      for x in X for y in X for z in X}
-        self.comult = {(x, y): sp.tensor3(a.comult[(x, y)])
+        self.comult = {(x, y): sp.tensor3(f, a.comult[(x, y)])
                        for x in X for y in X}
         self.comult_flat = {key: sp.flatten_pairs(t, self.dim(*key))
                             for key, t in self.comult.items()}
-        self.unit = {x: sp.vector(a.unit[x]) for x in X}
-        self.counit = {(x, y): sp.vector(a.counit[(x, y)])
+        self.unit = {x: sp.vector(f, a.unit[x]) for x in X}
+        self.counit = {(x, y): sp.vector(f, a.counit[(x, y)])
                        for x in X for y in X}
         self.antipode = None if a.antipode is None else {
-            (x, y): sp.columns(a.antipode[(x, y)], self.dim(x, y))
+            (x, y): sp.columns(f, a.antipode[(x, y)], self.dim(x, y))
             for x in X for y in X}
 
     def pair(self, rows: int, lhs: list, rhs: list):
@@ -456,15 +456,31 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
     return rep
 
 
-def check_antipode_theorems(a: HopfCatData) -> Report:
+def _require(a: HopfCatData, level: str, base: Report | None, what: str):
+    """The guard of a check that presupposes data valid at ``level``.
+
+    ``base`` is a report of ``verify_structure`` on ``a`` at that level or a
+    higher one, already made by the caller; without one the data is verified
+    here.  Raises ``PreconditionError`` when the report fails.
+    """
+    if base is None:
+        base = verify_structure(a, level)
+    if not base.overall:
+        raise PreconditionError(f"{what}: {base.summary()}")
+
+
+def check_antipode_theorems(a: HopfCatData,
+                            base: Report | None = None) -> Report:
     """Derived antipode identities: anti-(co)multiplicativity, unit and counit
     preservation, and the three equivalent twisted-antipode conditions,
-    reported per object pair together with their pairwise agreement."""
-    base = verify_structure(a, "hopf")
-    if not base.overall:
-        raise PreconditionError(
-            "antipode theorems need data that passes level 'hopf': "
-            + base.summary())
+    reported per object pair together with their pairwise agreement.
+
+    The data must pass level 'hopf'; ``base``, a passing report of
+    ``verify_structure(a, "hopf")`` the caller already has, spares
+    verifying it again.
+    """
+    _require(a, "hopf", base,
+             "antipode theorems need data that passes level 'hopf'")
     rep = Report()
     X = a.objects
     t = _Tensors(a)
@@ -573,14 +589,16 @@ def transform(a: HopfCatData, mode: str) -> HopfCatData:
                        antipode)
 
 
-def check_strictness(a: HopfCatData) -> Report:
+def check_strictness(a: HopfCatData, base: Report | None = None) -> Report:
     """Surjectivity of every composition map, reported per triple, plus the
-    loop-only variant and their (theorem-backed) agreement on this instance."""
-    base = verify_structure(a, "category")
-    if not base.overall:
-        raise PreconditionError(
-            "strictness needs data valid at level 'category': "
-            + base.summary())
+    loop-only variant and their (theorem-backed) agreement on this instance.
+
+    The data must be valid at level 'category'; ``base``, a passing report
+    of ``verify_structure`` on ``a`` at any level, spares verifying it
+    again.
+    """
+    _require(a, "category", base,
+             "strictness needs data valid at level 'category'")
     rep = Report()
     X = a.objects
     all_surj = True

@@ -107,7 +107,7 @@ class LinMap:
     def sparse(self) -> SparseMap:
         """The same map in column form, as check_map_equal compares it."""
         return SparseMap(self.field, self.rows,
-                         columns(self.entries, self.cols))
+                         columns(self.field, self.entries, self.cols))
 
     def apply(self, vec) -> list:
         if len(vec) != self.cols:
@@ -230,8 +230,15 @@ def swap_map(field: Field, d1: int, d2: int) -> LinMap:
 
 
 def _rref(field: Field, rows):
-    """Reduced row echelon form in place; returns (rows, pivot_cols)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form of rows of raw scalars (``Field.raw``, not
+    necessarily reduced); returns (rows, pivot_cols) with canonical entries.
+    Only two steps depend on the field: a pivot's inverse, and bringing each
+    changed row back to canonical form (mod p; nothing to do over Q)."""
+    p = field.p
+
+    def canonical(row):
+        return row if p is None else [v % p for v in row]
+    rows = [canonical(list(r)) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -246,12 +253,14 @@ def _rref(field: Field, rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        if pv != field.one:
-            rows[r] = [v / pv for v in rows[r]]
+        if pv != 1:
+            inv = field.one / pv if p is None else pow(pv, p - 2, p)
+            rows[r] = canonical([v * inv for v in rows[r]])
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = canonical([a - f * b
+                                     for a, b in zip(rows[i], rows[r])])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -259,13 +268,28 @@ def _rref(field: Field, rows):
     return rows, pivots
 
 
+def _raw(field: Field, rows) -> list[list]:
+    raw = field.raw
+    return [[raw(v) for v in r] for r in rows]
+
+
+def _lift(field: Field, row) -> tuple:
+    lift = field.lift
+    return tuple(lift(v) for v in row)
+
+
+def _echelon(field: Field, rows) -> list[list]:
+    """The nonzero rows of the rref of raw rows."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return []
+    rows, pivots = _rref(field, rows)
+    return rows[:len(pivots)]
+
+
 def echelon_basis(field: Field, vectors) -> list[tuple]:
     """Canonical (reduced echelon) basis of the span of the given vectors."""
-    vectors = [list(v) for v in vectors if any(v)]
-    if not vectors:
-        return []
-    rows, pivots = _rref(field, vectors)
-    return [tuple(rows[i]) for i in range(len(pivots))]
+    return [_lift(field, r) for r in _echelon(field, _raw(field, vectors))]
 
 
 def rank_kernel(f: LinMap) -> tuple[int, list[tuple]]:
@@ -278,11 +302,12 @@ def rank_kernel(f: LinMap) -> tuple[int, list[tuple]]:
         basis = [tuple(one if i == j else zero for i in range(f.cols))
                  for j in range(f.cols)]
         return 0, basis
-    rows, pivots = _rref(f.field, f.entries)
+    field = f.field
+    rows, pivots = _rref(field, _raw(field, f.entries))
     rank = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(f.cols) if c not in pivot_set]
-    zero, one = f.field.zero, f.field.one
+    zero, one = field.raw(field.zero), field.raw(field.one)
     raw = []
     for fc in free:
         v = [zero] * f.cols
@@ -290,7 +315,7 @@ def rank_kernel(f: LinMap) -> tuple[int, list[tuple]]:
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][fc]
         raw.append(v)
-    return rank, echelon_basis(f.field, raw)
+    return rank, [_lift(field, r) for r in _echelon(field, raw)]
 
 
 def rank(f: LinMap) -> int:
@@ -304,12 +329,13 @@ def invert(f: LinMap):
     n = f.rows
     if n == 0:
         return LinMap(f.field, 0, 0, [])
-    aug = [list(r) + list(i)
-           for r, i in zip(f.entries, LinMap.identity(f.field, n).entries)]
-    rows, pivots = _rref(f.field, aug)
+    field = f.field
+    aug = _raw(field, [list(r) + list(i) for r, i in
+                       zip(f.entries, LinMap.identity(field, n).entries)])
+    rows, pivots = _rref(field, aug)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         return NotInvertible(rank(f), n, n)
-    return LinMap(f.field, n, n, [r[n:] for r in rows])
+    return LinMap(field, n, n, [_lift(field, r[n:]) for r in rows])
 
 
 def solve(a: LinMap, b: LinMap):
@@ -323,15 +349,16 @@ def solve(a: LinMap, b: LinMap):
         raise ValueError("incompatible shapes in solve")
     if a.cols == 0:
         return LinMap(a.field, 0, b.cols, []) if b.is_zero() else None
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-    rows, pivots = _rref(a.field, aug)
+    field = a.field
+    aug = _raw(field, [list(ra) + list(rb)
+                       for ra, rb in zip(a.entries, b.entries)])
+    rows, pivots = _rref(field, aug)
     if any(p >= a.cols for p in pivots):
         return None  # a pivot in the right block: inconsistent
-    zero = a.field.zero
+    zero = field.zero
     out = [[zero] * b.cols for _ in range(a.cols)]
     for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = rows[i][a.cols + j]
+        out[pc] = _lift(field, rows[i][a.cols:])
     # Reject underdetermined systems only if the candidate fails to verify.
     cand = LinMap(a.field, a.cols, b.cols, out)
     return cand if a @ cand == b else None

@@ -89,15 +89,19 @@ class Report:
         return "\n".join(lines)
 
 
-def residual(fmt, lhs: dict, rhs: dict) -> str:
-    """The nonzero coordinates of lhs − rhs, two sparse vectors, as
-    ``[key]=value`` in key order with values written by ``fmt``; empty when
-    the vectors agree."""
+def residual(field, lhs: dict, rhs: dict) -> str:
+    """The nonzero coordinates of lhs − rhs, two sparse vectors of raw
+    scalars (see ``sparse``), as ``[key]=value`` in key order with values
+    written by ``field.fmt``; empty when the vectors agree.  The difference
+    is reduced here (``Field.reduce``), the one place where the engine's
+    unreduced GF(p) values are brought mod p."""
+    if lhs == rhs:
+        return ""
     diff = dict(lhs)
     for k, v in rhs.items():
         diff[k] = diff[k] - v if k in diff else -v
-    return " ".join(f"[{k}]={fmt(diff[k])}"
-                    for k in sorted(diff) if diff[k])
+    diff = field.reduce(diff)
+    return " ".join(f"[{k}]={field.fmt(diff[k])}" for k in sorted(diff))
 
 
 def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
@@ -121,9 +125,7 @@ def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
     first = ""
     failures = 0
     for j, (lcol, rcol) in enumerate(zip(lhs.columns, rhs.columns)):
-        if lcol == rcol:
-            continue
-        res = residual(lhs.field.fmt, lcol, rcol)
+        res = residual(lhs.field, lcol, rcol)
         if res:
             failures += 1
             if witness is None:

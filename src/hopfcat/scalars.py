@@ -5,6 +5,15 @@ positive denominator).  Prime-field scalars are ``FpElement`` values carrying
 their modulus.  Plain ``int`` coerces into either field; mixing two different
 moduli, or mixing a prime-field element with a rational, raises
 ``FieldMismatchError``.  There is no floating point anywhere.
+
+``FpElement`` is the public scalar: parsed files, ``LinMap`` entries and
+every value the library hands out.  Inside the two hot layers, the sparse
+verifier engine (``sparse``) and row reduction (``linalg._rref``), a GF(p)
+scalar is its plain ``int`` instead, so that no object is built per
+operation: ``Field.raw`` turns a public scalar into that form, ``Field.lift``
+turns it back, and ``Field.reduce`` brings a sparse vector of raw values,
+which may have grown past p, to canonical form.  Over Q the raw form is the
+``Fraction`` itself.
 """
 
 from __future__ import annotations
@@ -160,12 +169,28 @@ class Field:
             raise ValueError(f"'{s}' is not a GF({self.p}) scalar")
         return FpElement(int(s), self.p)
 
+    def raw(self, x):
+        """The engine form of a scalar: over GF(p) an int in [0, p)."""
+        if self.p is None:
+            return x
+        return x.value if isinstance(x, FpElement) else x % self.p
+
+    def lift(self, x):
+        """The public scalar of a raw value."""
+        return x if self.p is None else FpElement(x, self.p)
+
+    def reduce(self, vec: dict) -> dict:
+        """A sparse vector of raw values in canonical form: over GF(p) every
+        value taken mod p, and zeros dropped."""
+        p = self.p
+        if p is None:
+            return {k: v for k, v in vec.items() if v}
+        return {k: r for k, v in vec.items() if (r := v % p)}
+
     def fmt(self, x) -> str:
         if self.p is None:
             return str(Fraction(x))
-        if isinstance(x, int):
-            x = FpElement(x, self.p)
-        return str(x.value)
+        return str(x % self.p if isinstance(x, int) else x.value)
 
     def __str__(self):
         return "q" if self.p is None else f"fp:{self.p}"

@@ -6,14 +6,19 @@ indices flattened as in ``linalg`` (leftmost tensor factor slowest).  A
 which is the form in which ``report.check_map_equal`` compares two maps:
 an axiom holds when both sides agree on every basis element of the domain.
 
-Structure tensors are read into sparse form once per verifier call:
-a 3-tensor ``t[i][j][k]`` becomes a list over ``i`` of dicts
-``{j: {k: c}}``, keeping only the nonzero ``c`` (so ``t[i][j]`` is the
+Scalars here are raw (``Field.raw``): over GF(p) plain ints, over Q
+``Fraction`` values.  Structure tensors are read into sparse raw form once
+per verifier call: a 3-tensor ``t[i][j][k]`` becomes a list over ``i`` of
+dicts ``{j: {k: c}}``, keeping only the nonzero ``c`` (so ``t[i][j]`` is the
 vector that a bilinear map sends ``e_i, e_j`` to), and a matrix
 ``m[row][col]`` becomes its list of sparse columns.
 
-The ``add*`` helpers and ``axpy`` accumulate in place and may leave zeros
-behind from cancellation; ``nonzero`` drops them.
+The arithmetic helpers use only ``+`` and ``*``, so over GF(p) they
+accumulate unreduced ints that may leave [0, p), and may leave zeros behind
+from cancellation (``nonzero`` drops the literal ones).  They are brought to
+canonical form (``Field.reduce``) only where two sides are compared: in
+``report.residual``, which every comparison of two vectors goes through, and
+where the weak counit law compares scalars.
 """
 
 from __future__ import annotations
@@ -41,28 +46,30 @@ class SparseMap:
 
 # -- reading dense tensors ------------------------------------------------------
 
-def vector(v) -> dict:
-    return {i: c for i, c in enumerate(v) if c}
+def vector(field: Field, v) -> dict:
+    raw = field.raw
+    return {i: raw(c) for i, c in enumerate(v) if c}
 
 
-def tensor3(t) -> list[dict]:
+def tensor3(field: Field, t) -> list[dict]:
     out = []
     for slab in t:
         rows = {}
         for j, fibre in enumerate(slab):
-            vec = vector(fibre)
+            vec = vector(field, fibre)
             if vec:
                 rows[j] = vec
         out.append(rows)
     return out
 
 
-def columns(m, cols: int) -> list[dict]:
+def columns(field: Field, m, cols: int) -> list[dict]:
+    raw = field.raw
     out = [{} for _ in range(cols)]
     for r, row in enumerate(m):
         for c, v in enumerate(row):
             if v:
-                out[c][r] = v
+                out[c][r] = raw(v)
     return out
 
 

@@ -7,7 +7,8 @@ unrelated route to it.  The dense matrix verifier near the end of this file
 is the engine that ``core.verify_structure`` used before its per-basis
 rewrite, kept as a reference whose reports the new engine must reproduce
 exactly; the sampled weak Hopf verifier after it plays the same part for
-``weak.verify_weak_hopf``.
+``weak.verify_weak_hopf``, and the row reduction on public scalars at the
+end for ``linalg``'s row reduction on raw ones.
 """
 
 import random
@@ -16,7 +17,7 @@ from fractions import Fraction
 import sympy
 
 from hopfcat.core import LEVELS, MissingAntipodeError
-from hopfcat.linalg import LinMap, swap_map
+from hopfcat.linalg import LinMap, NotInvertible, swap_map
 from hopfcat.report import (CheckItem, PreconditionError, Report,
                             check_condition)
 
@@ -560,3 +561,95 @@ def sampled_verify_weak_hopf(w, seed: int = 0,
     check_condition(rep, "antipode-source", (), s_ok[1])
     check_condition(rep, "antipode-full", (), s_ok[2])
     return rep
+
+
+# Row reduction as it was before it moved onto raw scalars: one body on the
+# public scalars (``Fraction`` or ``FpElement``), kept only as a reference
+# for differential tests, with the four functions that called it.
+
+def reference_rref(field, rows):
+    """Reduced row echelon form in place; returns (rows, pivot_cols)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        if pv != field.one:
+            rows[r] = [v / pv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_echelon_basis(field, vectors):
+    vectors = [list(v) for v in vectors if any(v)]
+    if not vectors:
+        return []
+    rows, pivots = reference_rref(field, vectors)
+    return [tuple(rows[i]) for i in range(len(pivots))]
+
+
+def reference_rank_kernel(f):
+    if f.cols == 0:
+        return 0, []
+    if f.rows == 0:
+        one, zero = f.field.one, f.field.zero
+        return 0, [tuple(one if i == j else zero for i in range(f.cols))
+                   for j in range(f.cols)]
+    rows, pivots = reference_rref(f.field, f.entries)
+    pivot_set = set(pivots)
+    zero, one = f.field.zero, f.field.one
+    raw = []
+    for fc in [c for c in range(f.cols) if c not in pivot_set]:
+        v = [zero] * f.cols
+        v[fc] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        raw.append(v)
+    return len(pivots), reference_echelon_basis(f.field, raw)
+
+
+def reference_invert(f):
+    if f.rows != f.cols:
+        return NotInvertible(reference_rank_kernel(f)[0], f.rows, f.cols)
+    n = f.rows
+    if n == 0:
+        return LinMap(f.field, 0, 0, [])
+    aug = [list(r) + list(i)
+           for r, i in zip(f.entries, LinMap.identity(f.field, n).entries)]
+    rows, pivots = reference_rref(f.field, aug)
+    if len(pivots) < n or pivots[:n] != list(range(n)):
+        return NotInvertible(reference_rank_kernel(f)[0], n, n)
+    return LinMap(f.field, n, n, [r[n:] for r in rows])
+
+
+def reference_solve(a, b):
+    if a.cols == 0:
+        return LinMap(a.field, 0, b.cols, []) if b.is_zero() else None
+    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
+    rows, pivots = reference_rref(a.field, aug)
+    if any(p >= a.cols for p in pivots):
+        return None
+    zero = a.field.zero
+    out = [[zero] * b.cols for _ in range(a.cols)]
+    for i, pc in enumerate(pivots):
+        for j in range(b.cols):
+            out[pc][j] = rows[i][a.cols + j]
+    cand = LinMap(a.field, a.cols, b.cols, out)
+    return cand if a @ cand == b else None

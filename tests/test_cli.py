@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from hopfcat import fileformat
+from hopfcat import cli, core, fileformat
 from hopfcat.cli import main
+from hopfcat.core import check_antipode_theorems, verify_structure
 from hopfcat.fileformat import load, save
 from hopfcat.fixtures import group_algebra
 from hopfcat.scalars import GF, QQ
@@ -70,6 +71,46 @@ def test_extra_checks_report_a_failing_base(fixture_dir, tmp_path, edit,
     assert main(["--quiet", "--report", rep, "verify", str(path), flag]) == 1
     failed = {r["axiom"] for r in map(json.loads, open(rep)) if not r["ok"]}
     assert axiom in failed
+
+
+def test_antipode_theorems_below_level_hopf(fixture_dir, tmp_path):
+    # with --level category the base report passes, and the hopf-level
+    # check the antipode theorems presuppose is run as their guard: its
+    # failures are reported (exit 1, report written), not a usage error
+    src = open(fx(fixture_dir, "kz2")).read()
+    path = tmp_path / "kz2_edited.hc"
+    path.write_text(src.replace("counit * * 0 1\n", "counit * * 0 2\n"))
+    rep = str(tmp_path / "r.jsonl")
+    argv = ["--quiet", "--report", rep, "verify", str(path), "--level",
+            "category", "--antipode-theorems"]
+    assert main(argv) == 1
+    records = [json.loads(line) for line in open(rep)]
+    a = load(str(path))
+    base = verify_structure(a, "category")
+    assert base.overall
+    assert records == [it.record() for it in base.items] \
+        + [it.record() for it in verify_structure(a, "hopf").failed()]
+    assert "counit-left" in {r["axiom"] for r in records if not r["ok"]}
+    # passing data keeps its items: the base report, then the theorems
+    a = load(fx(fixture_dir, "kz2"))
+    argv[4] = fx(fixture_dir, "kz2")
+    assert main(argv) == 0
+    assert [json.loads(line) for line in open(rep)] == \
+        [it.record() for it in verify_structure(a, "category").items
+         + check_antipode_theorems(a).items]
+
+
+def test_verify_checks_the_structure_once(fixture_dir, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return verify_structure(*args, **kwargs)
+    monkeypatch.setattr(cli, "verify_structure", counted)
+    monkeypatch.setattr(core, "verify_structure", counted)
+    assert main(["--quiet", "verify", fx(fixture_dir, "taft4"),
+                 "--strictness", "--antipode-theorems"]) == 0
+    assert calls == [("hopf",)]
 
 
 def test_verify_weak_output_of_pack(fixture_dir, tmp_path):

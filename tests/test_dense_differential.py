@@ -8,6 +8,7 @@ data alike.
 import copy
 import glob
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from hopfcat import fixtures as fx
 from hopfcat.core import (LEVELS, HopfCatData, check_antipode_theorems,
                           verify_structure)
 from hopfcat.fileformat import load
+from hopfcat.linalg import LinMap, invert
 from hopfcat.report import PreconditionError
 from hopfcat.scalars import GF, QQ
 
@@ -132,3 +134,85 @@ def test_taft4_mutants(field, edits):
         for pos, n, d in edits])
     assert_same_reports(mut)
 
+
+
+# Over a large prime, in a basis where every structure constant is a full-size
+# residue, so that sums and products in the engine leave [0, p) and must be
+# reduced before the two sides are compared.
+
+BIG = GF(2**61 - 1)
+
+
+def rebased(a: HopfCatData, seed: int) -> HopfCatData:
+    """A one-object algebra in the basis f_x = sum_i P[i][x] e_i, for a
+    seeded upper unitriangular P whose entries above the diagonal are
+    anywhere in the field: m' = P^-1 m (P⊗P), Δ' = (P^-1⊗P^-1) Δ P,
+    ε' = ε P, 1' = P^-1 1 and S' = P^-1 S P."""
+    rng = random.Random(seed)
+    f, d = a.field, a.dim("*", "*")
+    p = LinMap(f, d, d, [[f.one if i == j else
+                          f.of(rng.randrange(1, f.p)) if j > i else f.zero
+                          for j in range(d)] for i in range(d)])
+    q = invert(p)
+    m = q @ a.mult_map("*", "*", "*") @ p.kron(p)
+    delta = q.kron(q) @ a.comult_map("*", "*") @ p
+    unit = q @ a.unit_map("*")
+    s = q @ a.antipode_map("*", "*") @ p
+    return fx.singleton_hopf(
+        f, d,
+        [[[m.entries[k][i * d + j] for k in range(d)] for j in range(d)]
+         for i in range(d)],
+        [unit.entries[i][0] for i in range(d)],
+        [[[delta.entries[j * d + k][i] for k in range(d)] for j in range(d)]
+         for i in range(d)],
+        list((a.counit_map("*", "*") @ p).entries[0]),
+        [list(r) for r in s.entries])
+
+
+REBASED = {name: rebased(a, seed) for seed, (name, a) in enumerate([
+    ("kz2", fx.group_algebra(BIG, 2)), ("kz3", fx.group_algebra(BIG, 3)),
+    ("kz4", fx.group_algebra(BIG, 4)), ("taft4", fx.taft_four_dim(BIG))])}
+
+
+@pytest.mark.parametrize("name", sorted(REBASED))
+def test_dense_constants_over_a_large_prime(name):
+    a = REBASED[name]
+    d = a.dim("*", "*")
+    # dense: products and coproducts have many full-size coefficients
+    for t in (a.mult[("*", "*", "*")], a.comult[("*", "*")]):
+        assert sum(v.value >= 2**32 for plane in t for row in plane
+                   for v in row) >= d * (d - 1)
+    assert verify_structure(a).overall
+    assert_same_reports(a)
+
+
+def wrapping_edits(field):
+    """Edits whose new coefficient, and so the residual it leaves, wraps
+    around p: set to p-1, subtract one, negate."""
+    minus_one = field.of(field.p - 1)
+    return [lambda v: minus_one, lambda v: v + minus_one, lambda v: -v]
+
+
+def test_every_wrapping_mutant_of_rebased_kz2():
+    a = REBASED["kz2"]
+    failing = 0
+    for slot in positions(a):
+        for edit in wrapping_edits(BIG):
+            mut = mutate(a, [slot + (edit,)])
+            assert_same_reports(mut, levels=("hopf",))
+            failing += not verify_structure(mut, "hopf").overall
+    assert failing > 0
+
+
+TAFT4_BIG_POSITIONS = list(positions(REBASED["taft4"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits=st.lists(st.tuples(
+    st.integers(0, len(TAFT4_BIG_POSITIONS) - 1), st.integers(0, 2)),
+    min_size=1, max_size=2))
+def test_rebased_taft4_wrapping_mutants(edits):
+    a = REBASED["taft4"]
+    mut = mutate(a, [TAFT4_BIG_POSITIONS[pos] + (wrapping_edits(BIG)[e],)
+                     for pos, e in edits])
+    assert_same_reports(mut, levels=("hopf",))

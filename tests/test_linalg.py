@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcat.linalg import (LinMap, NotInvertible, TensorIndex, invert, kron,
-                            rank, rank_kernel, solve, swap_map)
-from hopfcat.scalars import GF, QQ, FieldMismatchError
+from oracles import (reference_echelon_basis, reference_invert,
+                     reference_rank_kernel, reference_solve)
+
+from hopfcat.linalg import (LinMap, NotInvertible, TensorIndex,
+                            echelon_basis, invert, kron, rank, rank_kernel,
+                            solve, swap_map)
+from hopfcat.scalars import GF, QQ, FieldMismatchError, FpElement
 
 
 def qmat(rows):
@@ -130,29 +134,46 @@ def test_tensor_index_bounds():
 # -- hypothesis properties ---------------------------------------------------------
 
 small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+FIELDS = [QQ, GF(2), GF(5), GF(2**61 - 1)]
 
 
 def matrices(field, rows, cols):
     if field is QQ:
         elem = small_fraction
     else:
-        elem = st.integers(min_value=0, max_value=4).map(field.of)
+        # small values give zeros and dependent rows; anything below p
+        # gives entries whose products and sums wrap around p
+        elem = (st.integers(min_value=0, max_value=4)
+                | st.integers(min_value=0, max_value=field.p - 1)
+                ).map(field.of)
     return st.lists(st.lists(elem, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows) \
         .map(lambda e: LinMap(field, rows, cols, e))
 
 
-@settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=3).flatmap(
-    lambda n: matrices(QQ, n, n)))
+def square_matrices(max_n=3):
+    return st.tuples(st.sampled_from(FIELDS),
+                     st.integers(min_value=0, max_value=max_n)).flatmap(
+        lambda fn: matrices(fn[0], fn[1], fn[1]))
+
+
+def shaped_matrices(max_rows=4, max_cols=4):
+    return st.tuples(st.sampled_from(FIELDS),
+                     st.integers(min_value=0, max_value=max_rows),
+                     st.integers(min_value=0, max_value=max_cols)).flatmap(
+        lambda frc: matrices(*frc))
+
+
+@settings(max_examples=80)
+@given(square_matrices())
 def test_invert_iff_full_rank(f):
     out = invert(f)
     if isinstance(out, NotInvertible):
         assert rank(f) < f.rows
     else:
         assert rank(f) == f.rows
-        assert f @ out == LinMap.identity(QQ, f.rows)
-        assert out @ f == LinMap.identity(QQ, f.rows)
+        assert f @ out == LinMap.identity(f.field, f.rows)
+        assert out @ f == LinMap.identity(f.field, f.rows)
 
 
 @settings(max_examples=40)
@@ -170,9 +191,8 @@ def test_kron_associative_on_entries(a, b, c):
     assert kron(kron(a, b), c) == kron(a, kron(b, c))
 
 
-@settings(max_examples=40)
-@given(st.integers(min_value=0, max_value=3).flatmap(
-    lambda n: matrices(QQ, n, n)))
+@settings(max_examples=80)
+@given(shaped_matrices(3, 3))
 def test_rank_kernel_exactness(f):
     r, basis = rank_kernel(f)
     assert r + len(basis) == f.cols
@@ -185,3 +205,49 @@ def test_rank_kernel_exactness(f):
         assert v[nz[0]] == 1
         leads.append(nz[0])
     assert leads == sorted(leads)
+
+
+# -- row reduction on raw scalars against the one on public scalars ------------
+
+def public(field, value) -> bool:
+    """Whether a scalar is in the public form of its field."""
+    if field is QQ:
+        return isinstance(value, Fraction)
+    return isinstance(value, FpElement) and value.p == field.p
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices())
+def test_rank_kernel_and_echelon_basis_match_the_reference(f):
+    r, basis = rank_kernel(f)
+    assert (r, basis) == reference_rank_kernel(f)
+    rows = echelon_basis(f.field, f.entries)
+    assert rows == reference_echelon_basis(f.field, f.entries)
+    assert all(public(f.field, v) for vec in basis + rows for v in vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(4))
+def test_invert_matches_the_reference(f):
+    out = invert(f)
+    assert out == reference_invert(f)
+    if isinstance(out, LinMap):
+        assert all(public(f.field, v) for row in out.entries for v in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_matches_the_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    r, c, k = (data.draw(st.integers(min_value=0, max_value=n))
+               for n in (4, 3, 2))
+    a = data.draw(matrices(field, r, c))
+    if data.draw(st.booleans()):
+        b = a @ data.draw(matrices(field, c, k))   # consistent
+    else:
+        b = data.draw(matrices(field, r, k))
+    out = solve(a, b)
+    assert out == reference_solve(a, b)
+    if out is not None:
+        assert a @ out == b
+        assert all(public(field, v) for row in out.entries for v in row)

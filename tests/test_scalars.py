@@ -29,6 +29,18 @@ def test_prime_field_basics():
     assert 1 / a == f5.of(2)
 
 
+def test_raw_form_round_trip_and_reduction():
+    f5 = GF(5)
+    assert f5.raw(f5.of(3)) == 3 and type(f5.raw(f5.of(3))) is int
+    assert f5.lift(3) == f5.of(3) and isinstance(f5.lift(3), FpElement)
+    # unreduced engine values: past p, negative, multiples of p dropped
+    assert f5.reduce({0: 7, 1: 10, 2: -1, 3: 0}) == {0: 2, 2: 4}
+    assert f5.fmt(-1) == "4" and f5.fmt(12) == "2"
+    q = Fraction(-3, 2)
+    assert QQ.raw(q) is q and QQ.lift(q) is q
+    assert QQ.reduce({0: q, 1: Fraction(0)}) == {0: q}
+
+
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError):
         GF(6)

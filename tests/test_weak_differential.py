@@ -21,7 +21,7 @@ from oracles import sampled_verify_weak_hopf
 from hopfcat import fixtures as fx
 from hopfcat.dual import dualize
 from hopfcat.fileformat import load
-from hopfcat.scalars import QQ
+from hopfcat.scalars import GF, QQ
 from hopfcat.weak import WeakHopfData, pack, pack_dual, verify_weak_hopf
 
 LAWS = ("weak-counit-left", "weak-counit-right")
@@ -96,6 +96,12 @@ def test_pack_and_pack_dual_of_every_fixture_with_an_antipode(fixture_dir):
         assert_record_rule(pack_dual(dualize(a)))
 
 
+def test_pack_and_pack_dual_of_taft4_over_gf5():
+    a = fx.taft_four_dim(GF(5))
+    assert assert_record_rule(pack(a)).overall
+    assert assert_record_rule(pack_dual(dualize(a))).overall
+
+
 def positions(w: WeakHopfData, tensors=("mult", "comult", "counit")):
     """Every coefficient slot of the named tensors as (name, index path)."""
     n = w.total_dim
@@ -150,3 +156,17 @@ def test_pack_pair3_mutants(edits):
     assert_record_rule(mutate(PAIR3, [
         PAIR3_SLOTS[pos] + (lambda v, n=n, d=d: QQ.of(n) / QQ.of(d),)
         for pos, n, d in edits]))
+
+
+def test_wrapping_mutants_of_pack_taft4_over_gf5():
+    # each coefficient set to p-1 = -1, or lowered by one, so that residuals
+    # and sums wrap around p
+    w = pack(fx.taft_four_dim(GF(5)))
+    minus_one = GF(5).of(4)
+    failing = 0
+    for name, path in positions(w, ("mult", "comult", "counit", "unit",
+                                    "antipode")):
+        for edit in (lambda v: minus_one, lambda v: v + minus_one):
+            failing += not assert_record_rule(
+                mutate(w, [(name, path, edit)])).overall
+    assert failing > 0
