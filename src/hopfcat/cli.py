@@ -112,7 +112,11 @@ def _verify_any(obj, args) -> Report:
     if isinstance(obj, ComoduleData):
         return verify_comodule(obj)
     if isinstance(obj, HopfModuleData):
-        return verify_hopf_module(obj)
+        # a failing base is the answer; a passing one is the precondition
+        base = verify_structure(obj.base, "semihopf")
+        if not base.overall:
+            return base
+        return verify_hopf_module(obj, base=base)
     if isinstance(obj, GroupoidData):
         rep = Report()
         try:

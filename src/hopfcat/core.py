@@ -163,191 +163,40 @@ class HopfCatData:
 
 class _Tensors:
     """Sparse views of a ``HopfCatData``'s structure constants, read once per
-    verifier call, and both sides of every axiom as ``SparseMap`` pairs.
+    verifier call, and both sides of each derived antipode identity as
+    ``SparseMap`` pairs (the axioms themselves are the shared laws of
+    ``sparse``).
 
     Each side is evaluated on each domain basis element in turn, flattened as
-    the matrix form of the axiom would be, so a column here is the column of
-    the same index there.  Terms are summed only over nonzero constants.
+    the matrix form of the identity would be, so a column here is the column
+    of the same index there.  Terms are summed only over nonzero constants.
     """
 
     def __init__(self, a: HopfCatData):
-        X, f = a.objects, a.field
+        f = a.field
         self.field = f
-        self.one = f.raw(f.one)
         self.dim = a.dim
-        self.mult = {(x, y, z): sp.tensor3(f, a.mult[(x, y, z)])
-                     for x in X for y in X for z in X}
-        self.comult = {(x, y): sp.tensor3(f, a.comult[(x, y)])
-                       for x in X for y in X}
-        self.comult_flat = {key: sp.flatten_pairs(t, self.dim(*key))
-                            for key, t in self.comult.items()}
-        self.unit = {x: sp.vector(f, a.unit[x]) for x in X}
-        self.counit = {(x, y): sp.vector(f, a.counit[(x, y)])
-                       for x in X for y in X}
+        self.mult = sp.tensors(f, a.mult)
+        self.comult = sp.tensors(f, a.comult)
+        self.unit = sp.vectors(f, a.unit)
+        self.counit = sp.vectors(f, a.counit)
         self.antipode = None if a.antipode is None else {
             (x, y): sp.columns(f, a.antipode[(x, y)], self.dim(x, y))
-            for x in X for y in X}
+            for x in a.objects for y in a.objects}
 
     def pair(self, rows: int, lhs: list, rhs: list):
         return (sp.SparseMap(self.field, rows, lhs),
                 sp.SparseMap(self.field, rows, rhs))
 
-    def basis(self, d: int) -> list:
-        return [{i: self.one} for i in range(d)]
-
-    # -- category ---------------------------------------------------------
-
-    def assoc(self, x, y, z, t):
-        """(e_i e_j)·e_k against e_i·(e_j e_k)."""
-        m_xyz, m_xzt = self.mult[(x, y, z)], self.mult[(x, z, t)]
-        m_xyt, m_yzt = self.mult[(x, y, t)], self.mult[(y, z, t)]
-        d3 = self.dim(z, t)
-        times_k = [sp.right_factor(m_xzt, k, self.dim(x, z))
-                   for k in range(d3)]
-        lhs, rhs = [], []
-        for i in range(self.dim(x, y)):
-            i_times = sp.left_factor(m_xyt, i, self.dim(y, t))
-            for j in range(self.dim(y, z)):
-                ij = m_xyz[i].get(j, {})
-                for k in range(d3):
-                    lhs.append(sp.apply(times_k[k], ij))
-                    rhs.append(sp.apply(i_times, m_yzt[j].get(k, {})))
-        return self.pair(self.dim(x, t), lhs, rhs)
-
-    def unit_law(self, x, y, left: bool):
-        """1_x·e_i (left) or e_i·1_y against e_i."""
-        d = self.dim(x, y)
-        if left:
-            m, d_unit, unit = self.mult[(x, x, y)], self.dim(x, x), self.unit[x]
-            lhs = [sp.apply(sp.right_factor(m, i, d_unit), unit)
-                   for i in range(d)]
-        else:
-            m, d_unit, unit = self.mult[(x, y, y)], self.dim(y, y), self.unit[y]
-            lhs = [sp.apply(sp.left_factor(m, i, d_unit), unit)
-                   for i in range(d)]
-        return self.pair(d, lhs, self.basis(d))
-
-    # -- coalgebra --------------------------------------------------------
-
-    def coassoc(self, x, y):
-        """(Δ⊗1)Δ against (1⊗Δ)Δ, into A(x,y)^⊗3."""
-        d = self.dim(x, y)
-        flat = self.comult_flat[(x, y)]
-        lhs, rhs = [], []
-        for fibres in self.comult[(x, y)]:
-            left, right = {}, {}
-            for j, fibre in fibres.items():
-                for k, c in fibre.items():
-                    sp.add_tensor(left, flat[j], {k: c}, d)
-                    sp.add_tensor(right, {j: c}, flat[k], d * d)
-            lhs.append(sp.nonzero(left))
-            rhs.append(sp.nonzero(right))
-        return self.pair(d * d * d, lhs, rhs)
-
-    def counit_laws(self, x, y):
-        """(ε⊗1)Δ and (1⊗ε)Δ, each against the identity."""
-        d = self.dim(x, y)
-        eps = self.counit[(x, y)]
-        left, right = [], []
-        for fibres in self.comult[(x, y)]:
-            lacc, racc = {}, {}
-            for j, fibre in fibres.items():
-                for k, c in fibre.items():
-                    if j in eps:
-                        sp.add(lacc, k, eps[j] * c)
-                    if k in eps:
-                        sp.add(racc, j, eps[k] * c)
-            left.append(sp.nonzero(lacc))
-            right.append(sp.nonzero(racc))
-        basis = self.basis(d)
-        return self.pair(d, left, basis), self.pair(d, right, basis)
-
-    def comult_mult(self, x, y, z):
-        """Δ(e_i e_j) against (m⊗m)(1⊗τ⊗1)(Δe_i ⊗ Δe_j), into A(x,z)^⊗2.
-
-        The right side is contracted in three stages rather than expanding
-        Δe_i ⊗ Δe_j term by term, which keeps dense data at d^6 scalar
-        products instead of d^8: with Δe_i = Σ D_i[a,b] a⊗b and
-        Δe_j = Σ D_j[c,e] c⊗e, first L[c][b] = Σ_a D_i[a,b] (a·c) per i,
-        then R[b,e] = Σ_c D_j[c,e] L[c][b] per j, then the column
-        Σ_(b,e) R[b,e] ⊗ (b·e).
-        """
-        m = self.mult[(x, y, z)]
-        d = self.dim(x, z)
-        flat = self.comult_flat[(x, z)]
-        lhs, rhs = [], []
-        for i, delta_i in enumerate(self.comult[(x, y)]):
-            stage1 = {}
-            for a, fibre in delta_i.items():
-                for b, cab in fibre.items():
-                    for c, ac in m[a].items():
-                        sp.axpy(stage1.setdefault(c, {}).setdefault(b, {}),
-                                cab, ac)
-            for j, delta_j in enumerate(self.comult[(y, z)]):
-                lhs.append(sp.apply(flat, m[i].get(j, {})))
-                stage2 = {}
-                for c, fibre in delta_j.items():
-                    for b, vec in stage1.get(c, {}).items():
-                        for e, cce in fibre.items():
-                            sp.axpy(stage2.setdefault((b, e), {}), cce, vec)
-                col = {}
-                for (b, e), vec in stage2.items():
-                    if e in m[b]:
-                        sp.add_tensor(col, vec, m[b][e], d)
-                rhs.append(sp.nonzero(col))
-        return self.pair(d * d, lhs, rhs)
-
-    def counit_mult(self, x, y, z):
-        """ε(e_i e_j) against ε(e_i) ε(e_j)."""
-        m = self.mult[(x, y, z)]
-        eps = self.counit[(x, z)]
-        eps_l, eps_r = self.counit[(x, y)], self.counit[(y, z)]
-        lhs, rhs = [], []
-        for i in range(self.dim(x, y)):
-            for j in range(self.dim(y, z)):
-                lhs.append(sp.pairing(m[i].get(j, {}), eps))
-                rhs.append({0: eps_l[i] * eps_r[j]}
-                           if i in eps_l and j in eps_r else {})
-        return self.pair(1, lhs, rhs)
-
-    def comult_unit(self, x):
-        d = self.dim(x, x)
-        unit = self.unit[x]
-        both = {}
-        sp.add_tensor(both, unit, unit, d)
-        return self.pair(d * d, [sp.apply(self.comult_flat[(x, x)], unit)],
-                         [both])
-
-    def counit_unit(self, x):
-        return self.pair(1, [sp.pairing(self.unit[x], self.counit[(x, x)])],
-                         [{0: self.one}])
-
-    # -- antipode ---------------------------------------------------------
-
     def antipode_law(self, x, y, s_first: bool, flip: bool = False):
         """Σ S(h1)·h2 (s_first, in A(y,y)) or Σ h1·S(h2) (in A(x,x)) over
-        Δe_i = Σ h1⊗h2, with the legs flipped first when ``flip``, against
-        ε(e_i)·1."""
-        if s_first:
-            target, m = y, self.mult[(y, x, y)]
-        else:
-            target, m = x, self.mult[(x, y, x)]
-        s = self.antipode[(x, y)]
-        unit, eps = self.unit[target], self.counit[(x, y)]
-        lhs, rhs = [], []
-        for i, fibres in enumerate(self.comult[(x, y)]):
-            acc = {}
-            for j, fibre in fibres.items():
-                for k, c in fibre.items():
-                    h1, h2 = (k, j) if flip else (j, k)
-                    if s_first:
-                        sp.add_product(acc, m, s[h1], {h2: c})
-                    else:
-                        sp.add_product(acc, m, {h1: c}, s[h2])
-            lhs.append(sp.nonzero(acc))
-            rhs.append({k: eps[i] * u for k, u in unit.items()}
-                       if i in eps else {})
-        return self.pair(self.dim(target, target), lhs, rhs)
+        Δe_i = Σ h1⊗h2, legs flipped first when ``flip``, against ε(e_i)·1."""
+        target = y if s_first else x
+        m = self.mult[(y, x, y)] if s_first else self.mult[(x, y, x)]
+        return sp.antipode_law(self.field, self.comult[(x, y)],
+                               self.antipode[(x, y)], m, self.unit[target],
+                               self.counit[(x, y)], s_first=s_first,
+                               rows=self.dim(target, target), flip=flip)
 
     def antimult(self, x, y, z):
         """S(e_i e_j) against S(e_j) S(e_i)."""
@@ -370,7 +219,7 @@ class _Tensors:
         """Δ(S e_i) against (S⊗S)τΔ(e_i), into A(y,x)^⊗2."""
         s = self.antipode[(x, y)]
         d = self.dim(y, x)
-        flat = self.comult_flat[(y, x)]
+        flat = sp.flatten_pairs(self.comult[(y, x)], d)
         lhs, rhs = [], []
         for i, fibres in enumerate(self.comult[(x, y)]):
             lhs.append(sp.apply(flat, s[i]))
@@ -387,12 +236,12 @@ class _Tensors:
         eps, eps_op = self.counit[(x, y)], self.counit[(y, x)]
         return self.pair(1, [sp.pairing(col, eps_op) for col in s],
                          [sp.pairing(e, eps)
-                          for e in self.basis(self.dim(x, y))])
+                          for e in sp.identity(self.field, self.dim(x, y))])
 
     def involutive(self, x, y):
         s, s_op = self.antipode[(x, y)], self.antipode[(y, x)]
         return self.pair(self.dim(x, y), [sp.apply(s_op, col) for col in s],
-                         self.basis(self.dim(x, y)))
+                         sp.identity(self.field, self.dim(x, y)))
 
 
 def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
@@ -410,40 +259,51 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
     if level == "hopf" and a.antipode is None:
         raise MissingAntipodeError("level 'hopf' requires an antipode")
     rep = Report()
-    X = a.objects
+    X, f, dim = a.objects, a.field, a.dim
     t = _Tensors(a)
+    mult, unit, comult, counit = t.mult, t.unit, t.comult, t.counit
 
     for x in X:
         for y in X:
             for z in X:
                 for w in X:
-                    check_map_equal(rep, "assoc", (x, y, z, w),
-                                    *t.assoc(x, y, z, w))
+                    check_map_equal(rep, "assoc", (x, y, z, w), *sp.assoc(
+                        f, mult[(x, y, z)], mult[(x, z, w)], mult[(y, z, w)],
+                        mult[(x, y, w)], dim(z, w), dim(x, w)))
     for x in X:
         for y in X:
-            check_map_equal(rep, "unit-left", (x, y),
-                            *t.unit_law(x, y, left=True))
-            check_map_equal(rep, "unit-right", (x, y),
-                            *t.unit_law(x, y, left=False))
+            check_map_equal(rep, "unit-left", (x, y), *sp.unit_law(
+                f, mult[(x, x, y)], unit[x], dim(x, y), left=True))
+            check_map_equal(rep, "unit-right", (x, y), *sp.unit_law(
+                f, mult[(x, y, y)], unit[y], dim(x, y), left=False))
     if level == "category":
         return rep
 
     for x in X:
         for y in X:
-            check_map_equal(rep, "coassoc", (x, y), *t.coassoc(x, y))
-            left, right = t.counit_laws(x, y)
-            check_map_equal(rep, "counit-left", (x, y), *left)
-            check_map_equal(rep, "counit-right", (x, y), *right)
+            d, delta = dim(x, y), comult[(x, y)]
+            check_map_equal(rep, "coassoc", (x, y), *sp.coassoc(
+                f, delta, delta, delta, delta, (d, d, d)))
+            check_map_equal(rep, "counit-left", (x, y), *sp.counit_law(
+                f, delta, counit[(x, y)], left=True))
+            check_map_equal(rep, "counit-right", (x, y), *sp.counit_law(
+                f, delta, counit[(x, y)], left=False))
     for x in X:
         for y in X:
             for z in X:
-                check_map_equal(rep, "comult-mult", (x, y, z),
-                                *t.comult_mult(x, y, z))
-                check_map_equal(rep, "counit-mult", (x, y, z),
-                                *t.counit_mult(x, y, z))
+                m = mult[(x, y, z)]
+                check_map_equal(rep, "comult-mult", (x, y, z), *sp.comult_mult(
+                    f, m, comult[(x, z)], comult[(x, y)], comult[(y, z)], m,
+                    m, (dim(x, z), dim(x, z))))
+                check_map_equal(rep, "counit-mult", (x, y, z), *sp.counit_mult(
+                    f, m, counit[(x, z)], counit[(x, y)], counit[(y, z)],
+                    dim(y, z)))
     for x in X:
-        check_map_equal(rep, "comult-unit", (x,), *t.comult_unit(x))
-        check_map_equal(rep, "counit-unit", (x,), *t.counit_unit(x))
+        check_map_equal(rep, "comult-unit", (x,), *sp.comult_unit(
+            f, comult[(x, x)], unit[x], unit[x], unit[x],
+            (dim(x, x), dim(x, x))))
+        check_map_equal(rep, "counit-unit", (x,),
+                        *sp.counit_unit(f, unit[x], counit[(x, x)]))
     if level == "semihopf":
         return rep
 

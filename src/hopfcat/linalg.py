@@ -319,7 +319,8 @@ def rank_kernel(f: LinMap) -> tuple[int, list[tuple]]:
 
 
 def rank(f: LinMap) -> int:
-    return rank_kernel(f)[0]
+    """Exact rank: the number of pivots of one row reduction."""
+    return len(_rref(f.field, _raw(f.field, f.entries))[1])
 
 
 def invert(f: LinMap):

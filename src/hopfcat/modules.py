@@ -14,13 +14,16 @@ Coaction tensors over a dual category C:
             rho(x,y,z): M(x,z) → M(x,y)⊗C(y,z)
 
 The module↔comodule translation pairs against the coordinate dual bases, so
-both round trips are literal identities of tensors.
+both round trips are literal identities of tensors.  ``verify_module`` and
+``verify_comodule`` evaluate both sides of every law on every basis element
+through the shared laws of ``sparse``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import sparse as sp
 from .core import HopfCatData, MalformedDataError
 from .dual import DualHopfCatData, dualize, undualize
 from .linalg import LinMap, swap_map
@@ -40,9 +43,6 @@ class ModuleData:
 
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
-
-    def identity_map(self, x: str, y: str) -> LinMap:
-        return LinMap.identity(self.base.field, self.dim(x, y))
 
     def action_map(self, x: str, y: str, z: str) -> LinMap:
         f = self.base.field
@@ -93,19 +93,6 @@ class ComoduleData:
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
 
-    def coaction_map(self, x: str, y: str, z: str) -> LinMap:
-        f = self.base.field
-        d1 = self.dim(x, z)
-        d2, d3 = self.dim(x, y), self.base.dim(y, z)
-        t = self.coaction[(x, y, z)]
-        zero = f.zero
-        out = [[zero] * d1 for _ in range(d2 * d3)]
-        for i in range(d1):
-            for j in range(d2):
-                for k in range(d3):
-                    out[j * d3 + k][i] = t[i][j][k]
-        return LinMap(f, d2 * d3, d1, out)
-
     def validate_shape(self):
         X = self.base.objects
         for x in X:
@@ -130,41 +117,32 @@ def verify_module(m: ModuleData) -> Report:
     m.validate_shape()
     rep = Report()
     a = m.base
-    X = a.objects
-    if m.side == "right":
-        for x in X:
-            for y in X:
-                for z in X:
-                    for u in X:
-                        lhs = m.action_map(x, z, u) @ m.action_map(x, y, z) \
-                            .kron(LinMap.identity(a.field, a.dim(z, u)))
-                        rhs = m.action_map(x, y, u) @ m.identity_map(x, y) \
-                            .kron(a.mult_map(y, z, u))
-                        check_map_equal(rep, "module-assoc", (x, y, z, u),
-                                        lhs, rhs)
-        for x in X:
-            for y in X:
-                ident = m.identity_map(x, y)
-                check_map_equal(rep, "module-unit", (x, y),
-                                m.action_map(x, y, y)
-                                @ ident.kron(a.unit_map(y)), ident)
-    else:
-        for x in X:
-            for y in X:
-                for z in X:
-                    for u in X:
-                        lhs = m.action_map(x, y, u) @ LinMap.identity(
-                            a.field, a.dim(x, y)).kron(m.action_map(y, z, u))
-                        rhs = m.action_map(x, z, u) @ a.mult_map(x, y, z) \
-                            .kron(m.identity_map(z, u))
-                        check_map_equal(rep, "module-assoc", (x, y, z, u),
-                                        lhs, rhs)
-        for x in X:
-            for y in X:
-                ident = m.identity_map(x, y)
-                check_map_equal(rep, "module-unit", (x, y),
-                                m.action_map(x, x, y)
-                                @ a.unit_map(x).kron(ident), ident)
+    X, f = a.objects, a.field
+    act, mult = sp.tensors(f, m.action), sp.tensors(f, a.mult)
+    unit = sp.vectors(f, a.unit)
+    right = m.side == "right"
+    for x in X:
+        for y in X:
+            for z in X:
+                for u in X:
+                    if right:    # (m·a)·b against m·(ab)
+                        pair = sp.assoc(f, act[(x, y, z)], act[(x, z, u)],
+                                        mult[(y, z, u)], act[(x, y, u)],
+                                        a.dim(z, u), m.dim(x, u))
+                    else:        # a·(b·m) against (ab)·m
+                        pair = sp.assoc(f, mult[(x, y, z)], act[(x, z, u)],
+                                        act[(y, z, u)], act[(x, y, u)],
+                                        m.dim(z, u), m.dim(x, u))[::-1]
+                    check_map_equal(rep, "module-assoc", (x, y, z, u), *pair)
+    for x in X:
+        for y in X:
+            if right:
+                pair = sp.unit_law(f, act[(x, y, y)], unit[y], m.dim(x, y),
+                                   left=False)
+            else:
+                pair = sp.unit_law(f, act[(x, x, y)], unit[x], m.dim(x, y),
+                                   left=True)
+            check_map_equal(rep, "module-unit", (x, y), *pair)
     return rep
 
 
@@ -173,24 +151,22 @@ def verify_comodule(m: ComoduleData) -> Report:
     m.validate_shape()
     rep = Report()
     c = m.base
-    X = c.objects
+    X, f = c.objects, c.field
+    coact, cocomp = sp.tensors(f, m.coaction), sp.tensors(f, c.cocomp)
+    counit = sp.vectors(f, c.counit)
     for x in X:
         for z in X:
             for u in X:
                 for y in X:
-                    lhs = m.coaction_map(x, u, y).kron(
-                        LinMap.identity(c.field, c.dim(y, z))) \
-                        @ m.coaction_map(x, y, z)
-                    rhs = LinMap.identity(c.field, m.dim(x, u)).kron(
-                        c.cocomp_map(u, y, z)) @ m.coaction_map(x, u, z)
-                    check_map_equal(rep, "comodule-coassoc", (x, u, y, z),
-                                    lhs, rhs)
+                    check_map_equal(
+                        rep, "comodule-coassoc", (x, u, y, z), *sp.coassoc(
+                            f, coact[(x, y, z)], coact[(x, u, y)],
+                            coact[(x, u, z)], cocomp[(u, y, z)],
+                            (m.dim(x, u), c.dim(u, y), c.dim(y, z))))
     for x in X:
         for z in X:
-            ident = LinMap.identity(c.field, m.dim(x, z))
-            check_map_equal(rep, "comodule-counit", (x, z),
-                            ident.kron(c.counit_map(z))
-                            @ m.coaction_map(x, z, z), ident)
+            check_map_equal(rep, "comodule-counit", (x, z), *sp.counit_law(
+                f, coact[(x, z, z)], counit[z], left=False))
     return rep
 
 

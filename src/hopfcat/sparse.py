@@ -5,6 +5,10 @@ indices flattened as in ``linalg`` (leftmost tensor factor slowest).  A
 ``SparseMap`` stores a linear map as one such vector per domain basis element,
 which is the form in which ``report.check_map_equal`` compares two maps:
 an axiom holds when both sides agree on every basis element of the domain.
+The law functions at the end give both sides of each axiom shape that the
+verifiers check (associativity, unit law, coassociativity, counit law,
+bialgebra compatibility and the laws of units, counits and antipodes) as
+such a pair, for whichever tensors feed the law.
 
 Scalars here are raw (``Field.raw``): over GF(p) plain ints, over Q
 ``Fraction`` values.  Structure tensors are read into sparse raw form once
@@ -61,6 +65,16 @@ def tensor3(field: Field, t) -> list[dict]:
                 rows[j] = vec
         out.append(rows)
     return out
+
+
+def tensors(field: Field, table: dict) -> dict:
+    """Each 3-tensor of a table keyed by objects, in sparse form."""
+    return {key: tensor3(field, t) for key, t in table.items()}
+
+
+def vectors(field: Field, table: dict) -> dict:
+    """Each vector of a table keyed by objects, in sparse form."""
+    return {key: vector(field, v) for key, v in table.items()}
 
 
 def columns(field: Field, m, cols: int) -> list[dict]:
@@ -145,3 +159,192 @@ def pairing(u: dict, covec: dict) -> dict:
         if i in covec:
             add(acc, 0, c * covec[i])
     return nonzero(acc)
+
+
+# -- axiom laws -----------------------------------------------------------------
+#
+# Each law returns both sides of one axiom instance as a pair of SparseMaps,
+# lhs first: column c of a side is that side evaluated on the c-th domain
+# basis element, with domain and codomain flattened as in the matrix form of
+# the axiom, so a column here is the column of the same index there.  Terms
+# are summed only over nonzero constants.  A bilinear map U⊗V → W is a sparse
+# 3-tensor over (U, V, W), a map D → L⊗R one over (D, L, R), a covector or
+# vector a sparse vector, and a linear map its sparse columns.
+
+def _pair(field: Field, rows: int, lhs: list, rhs: list):
+    return SparseMap(field, rows, lhs), SparseMap(field, rows, rhs)
+
+
+def identity(field: Field, d: int) -> list[dict]:
+    """The columns of the identity of a space of dimension d."""
+    one = field.raw(field.one)
+    return [{i: one} for i in range(d)]
+
+
+def side_by_side(field: Field, rows: int, pairs):
+    """One pair whose columns are those of the given pairs in turn: a law
+    on a direct sum of domains, block by block."""
+    lhs, rhs = [], []
+    for left, right in pairs:
+        lhs += left.columns
+        rhs += right.columns
+    return _pair(field, rows, lhs, rhs)
+
+
+def assoc(field: Field, first, then, inner, outer, d3: int, rows: int):
+    """(u·v)·w against u·(v·w) on e_i⊗e_j⊗e_k, for bilinear maps
+    first: U⊗V → P, then: P⊗W → T, inner: V⊗W → Q and outer: U⊗Q → T,
+    with d3 = dim W and rows = dim T."""
+    lhs, rhs = [], []
+    for first_i, outer_i in zip(first, outer):
+        for j, inner_j in enumerate(inner):
+            uv = first_i.get(j, {})
+            for k in range(d3):
+                acc = {}
+                for p, c in uv.items():
+                    if k in then[p]:
+                        axpy(acc, c, then[p][k])
+                lhs.append(nonzero(acc))
+                acc = {}
+                for q, c in inner_j.get(k, {}).items():
+                    if q in outer_i:
+                        axpy(acc, c, outer_i[q])
+                rhs.append(nonzero(acc))
+    return _pair(field, rows, lhs, rhs)
+
+
+def unit_law(field: Field, m, unit: dict, d: int, left: bool):
+    """m(1, e_i) (left) or m(e_i, 1) against e_i, for a bilinear m whose
+    other factor and target have dimension d."""
+    lhs = []
+    for i in range(d):
+        acc = {}
+        for u, c in unit.items():
+            vec = m[u].get(i) if left else m[i].get(u)
+            if vec:
+                axpy(acc, c, vec)
+        lhs.append(nonzero(acc))
+    return _pair(field, d, lhs, identity(field, d))
+
+
+def coassoc(field: Field, first, left, second, right, dims):
+    """(left⊗1)∘first against (1⊗right)∘second, into U⊗V⊗W with
+    dims = (dim U, dim V, dim W), for first: D → P⊗W, left: P → U⊗V,
+    second: D → U⊗Q and right: Q → V⊗W."""
+    du, dv, dw = dims
+    left, right = flatten_pairs(left, dv), flatten_pairs(right, dw)
+    lhs, rhs = [], []
+    for split1, split2 in zip(first, second):
+        acc = {}
+        for p, fibre in split1.items():
+            for w, c in fibre.items():
+                add_tensor(acc, left[p], {w: c}, dw)
+        lhs.append(nonzero(acc))
+        acc = {}
+        for u, fibre in split2.items():
+            for q, c in fibre.items():
+                add_tensor(acc, {u: c}, right[q], dv * dw)
+        rhs.append(nonzero(acc))
+    return _pair(field, du * dv * dw, lhs, rhs)
+
+
+def counit_law(field: Field, delta, eps: dict, left: bool):
+    """(ε⊗1)∘δ (left) or (1⊗ε)∘δ against the identity, for δ: D → L⊗R and
+    ε the covector on the leg it removes."""
+    lhs = []
+    for fibres in delta:
+        acc = {}
+        for j, fibre in fibres.items():
+            for k, c in fibre.items():
+                if left:
+                    if j in eps:
+                        add(acc, k, eps[j] * c)
+                elif k in eps:
+                    add(acc, j, eps[k] * c)
+        lhs.append(nonzero(acc))
+    return _pair(field, len(delta), lhs, identity(field, len(delta)))
+
+
+def comult_mult(field: Field, m, delta, delta_u, delta_v, m1, m2, dims):
+    """δ(m(e_i, e_j)) against Σ m1(u1, v1) ⊗ m2(u2, v2) over δ_u e_i =
+    Σ u1⊗u2 and δ_v e_j = Σ v1⊗v2, that is (m1⊗m2)(1⊗τ⊗1)(δ_u⊗δ_v), into
+    W1⊗W2 with dims = (dim W1, dim W2); m: U⊗V → W and δ: W → W1⊗W2.
+
+    The right side is contracted in three stages rather than expanding
+    δ_u e_i ⊗ δ_v e_j term by term, which keeps dense data at d^6 scalar
+    products instead of d^8: with δ_u e_i = Σ D_i[a,b] a⊗b and
+    δ_v e_j = Σ D_j[c,e] c⊗e, first L[c][b] = Σ_a D_i[a,b] m1(a,c) per i,
+    then R[b,e] = Σ_c D_j[c,e] L[c][b] per j, then the column
+    Σ_(b,e) R[b,e] ⊗ m2(b,e).
+    """
+    d1, d2 = dims
+    flat = flatten_pairs(delta, d2)
+    lhs, rhs = [], []
+    for i, delta_i in enumerate(delta_u):
+        stage1 = {}
+        for a, fibre in delta_i.items():
+            for b, cab in fibre.items():
+                for c, ac in m1[a].items():
+                    axpy(stage1.setdefault(c, {}).setdefault(b, {}), cab, ac)
+        for j, delta_j in enumerate(delta_v):
+            lhs.append(apply(flat, m[i].get(j, {})))
+            stage2 = {}
+            for c, fibre in delta_j.items():
+                for b, vec in stage1.get(c, {}).items():
+                    for e, cce in fibre.items():
+                        axpy(stage2.setdefault((b, e), {}), cce, vec)
+            col = {}
+            for (b, e), vec in stage2.items():
+                if e in m2[b]:
+                    add_tensor(col, vec, m2[b][e], d2)
+            rhs.append(nonzero(col))
+    return _pair(field, d1 * d2, lhs, rhs)
+
+
+def counit_mult(field: Field, m, eps: dict, eps_u: dict, eps_v: dict,
+                dv: int):
+    """ε(m(e_i, e_j)) against ε_u(e_i) ε_v(e_j), for m: U⊗V → W and
+    dv = dim V."""
+    lhs, rhs = [], []
+    for i, row in enumerate(m):
+        for j in range(dv):
+            lhs.append(pairing(row.get(j, {}), eps))
+            rhs.append({0: eps_u[i] * eps_v[j]}
+                       if i in eps_u and j in eps_v else {})
+    return _pair(field, 1, lhs, rhs)
+
+
+def comult_unit(field: Field, delta, unit: dict, unit_l: dict, unit_r: dict,
+                dims):
+    """δ(1) against 1_l ⊗ 1_r, for δ: W → L⊗R and dims = (dim L, dim R)."""
+    dl, dr = dims
+    both = {}
+    add_tensor(both, unit_l, unit_r, dr)
+    return _pair(field, dl * dr, [apply(flatten_pairs(delta, dr), unit)],
+                 [both])
+
+
+def counit_unit(field: Field, unit: dict, eps: dict):
+    """ε(1) against 1."""
+    return _pair(field, 1, [pairing(unit, eps)], [{0: field.raw(field.one)}])
+
+
+def antipode_law(field: Field, delta, s, m, unit: dict, eps: dict,
+                 s_first: bool, rows: int, flip: bool = False):
+    """Σ m(S h1, h2) (s_first) or Σ m(h1, S h2) over δ e_i = Σ h1⊗h2, with
+    the legs flipped first when ``flip``, against ε(e_i)·1, for S in column
+    form and 1 the unit of the target, of dimension rows."""
+    lhs, rhs = [], []
+    for i, fibres in enumerate(delta):
+        acc = {}
+        for j, fibre in fibres.items():
+            for k, c in fibre.items():
+                h1, h2 = (k, j) if flip else (j, k)
+                if s_first:
+                    add_product(acc, m, s[h1], {h2: c})
+                else:
+                    add_product(acc, m, {h1: c}, s[h2])
+        lhs.append(nonzero(acc))
+        rhs.append({k: eps[i] * u for k, u in unit.items()}
+                   if i in eps else {})
+    return _pair(field, rows, lhs, rhs)

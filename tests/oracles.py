@@ -3,10 +3,11 @@
 These deliberately avoid the library's verifier: identities are summed out
 index by index over the raw structure-constant tensors, and linear solves go
 through sympy.  They exist so that every checked value has a second,
-unrelated route to it.  The dense matrix verifier near the end of this file
-is the engine that ``core.verify_structure`` used before its per-basis
-rewrite, kept as a reference whose reports the new engine must reproduce
-exactly; the sampled weak Hopf verifier after it plays the same part for
+unrelated route to it.  The dense matrix verifiers near the end of this
+file are the engine that ``core.verify_structure`` and the dual, duoidal,
+module, Hopf-module and graded verifiers used before their per-basis
+rewrite, kept as references whose reports the new engine must reproduce
+exactly; the sampled weak Hopf verifier after them plays the same part for
 ``weak.verify_weak_hopf``, and the row reduction on public scalars at the
 end for ``linalg``'s row reduction on raw ones.
 """
@@ -17,6 +18,7 @@ from fractions import Fraction
 import sympy
 
 from hopfcat.core import LEVELS, MissingAntipodeError
+from hopfcat.duoidal import black_tensor, white_tensor, zeta
 from hopfcat.linalg import LinMap, NotInvertible, swap_map
 from hopfcat.report import (CheckItem, PreconditionError, Report,
                             check_condition)
@@ -233,6 +235,428 @@ def dense_antipode_theorems(a):
                 rep, "antipode-conditions-agree", (x, y),
                 c1 == c2 == c3,
                 residual=f"left-twisted={c1} right-twisted={c2} involutive={c3}")
+    return rep
+
+
+# The dual, duoidal, module, comodule, Hopf-module and graded verifiers as
+# they were before they moved onto the shared sparse laws: every axiom
+# composed out of dense structure matrices with kron and @.  They are kept
+# only as references for differential tests, with the matrix builders only
+# they use.
+
+def _bilinear_map(field, t, d1, d2, d3):
+    """U⊗V → W from t[i][j][k], domain flattened leftmost-slowest."""
+    out = [[field.zero] * (d1 * d2) for _ in range(d3)]
+    for i in range(d1):
+        for j in range(d2):
+            for k in range(d3):
+                out[k][i * d2 + j] = t[i][j][k]
+    return LinMap(field, d3, d1 * d2, out)
+
+
+def _split_map(field, t, d1, d2, d3):
+    """D → L⊗R from t[i][j][k]."""
+    out = [[field.zero] * d1 for _ in range(d2 * d3)]
+    for i in range(d1):
+        for j in range(d2):
+            for k in range(d3):
+                out[j * d3 + k][i] = t[i][j][k]
+    return LinMap(field, d2 * d3, d1, out)
+
+
+def dense_verify_dual(c):
+    """Dense reference for ``dual.verify_dual``."""
+    c.validate_shape()
+    check = _dense_check_map_equal
+    rep = Report()
+    f, X, dim = c.field, c.objects, c.dim
+
+    def ident(x, y):
+        return LinMap.identity(f, dim(x, y))
+
+    def alg(x, y):
+        d = dim(x, y)
+        return _bilinear_map(f, c.alg[(x, y)], d, d, d)
+
+    def unit(x, y):
+        return LinMap.column(f, c.unit[(x, y)])
+
+    def cocomp(x, y, z):
+        return _split_map(f, c.cocomp[(x, y, z)], dim(x, z), dim(x, y),
+                          dim(y, z))
+
+    def counit(x):
+        return LinMap.row(f, c.counit[x])
+
+    def antipode(x, y):
+        return LinMap(f, dim(x, y), dim(y, x), c.antipode[(x, y)])
+
+    for x in X:
+        for y in X:
+            m = alg(x, y)
+            i = ident(x, y)
+            check(rep, "alg-assoc", (x, y), m @ m.kron(i), m @ i.kron(m))
+            check(rep, "alg-unit-left", (x, y), m @ unit(x, y).kron(i), i)
+            check(rep, "alg-unit-right", (x, y), m @ i.kron(unit(x, y)), i)
+    for x in X:
+        for y in X:
+            for z in X:
+                for u in X:
+                    lhs = cocomp(x, y, z).kron(ident(z, u)) @ cocomp(x, z, u)
+                    rhs = ident(x, y).kron(cocomp(y, z, u)) @ cocomp(x, y, u)
+                    check(rep, "cocomp-coassoc", (x, y, z, u), lhs, rhs)
+    for x in X:
+        for y in X:
+            i = ident(x, y)
+            check(rep, "cocomp-counit-left", (x, y),
+                  counit(x).kron(i) @ cocomp(x, x, y), i)
+            check(rep, "cocomp-counit-right", (x, y),
+                  i.kron(counit(y)) @ cocomp(x, y, y), i)
+    for x in X:
+        for y in X:
+            for z in X:
+                da, db = dim(x, y), dim(y, z)
+                cc = cocomp(x, y, z)
+                pair_mult = alg(x, y).kron(alg(y, z)) \
+                    @ ident(x, y).kron(swap_map(f, db, da)).kron(ident(y, z))
+                check(rep, "cocomp-mult", (x, y, z),
+                      cc @ alg(x, z), pair_mult @ cc.kron(cc))
+                check(rep, "cocomp-unit", (x, y, z),
+                      cc @ unit(x, z), unit(x, y).kron(unit(y, z)))
+    for x in X:
+        check(rep, "counit-mult", (x,), counit(x) @ alg(x, x),
+              counit(x).kron(counit(x)))
+        check(rep, "counit-unit", (x,), counit(x) @ unit(x, x),
+              LinMap.identity(f, 1))
+    if c.antipode is not None:
+        for x in X:
+            for y in X:
+                cc = cocomp(x, y, x)
+                check(rep, "dual-antipode-left", (x, y),
+                      alg(x, y) @ ident(x, y).kron(antipode(x, y)) @ cc,
+                      unit(x, y) @ counit(x))
+                check(rep, "dual-antipode-right", (x, y),
+                      alg(y, x) @ antipode(y, x).kron(ident(y, x)) @ cc,
+                      unit(y, x) @ counit(x))
+    return rep
+
+
+def dense_verify_bimonoid(b):
+    """Dense reference for ``duoidal.verify_bimonoid``, with the interchange
+    as an explicit block matrix."""
+    b.validate_shape()
+    check = _dense_check_map_equal
+    rep = Report()
+    f = b.field
+    car = b.carrier
+    X, dim = car.objects, car.dim
+
+    def ident(n):
+        return LinMap.identity(f, n)
+
+    def mu(x, u, y):
+        return _bilinear_map(f, b.mu[(x, u, y)], dim(x, u), dim(u, y),
+                             dim(x, y))
+
+    def mu_all(x, y):
+        """(A⊙A)(x,y) → A(x,y): all middle-object components side by
+        side."""
+        _, offsets = white_tensor(car, car)
+        cols = sum(dim(x, u) * dim(u, y) for u in X)
+        out = [[f.zero] * cols for _ in range(dim(x, y))]
+        for u in X:
+            comp = mu(x, u, y)
+            off = offsets[(x, y)][u]
+            for r in range(comp.rows):
+                for c in range(comp.cols):
+                    out[r][off + c] = comp.entries[r][c]
+        return LinMap(f, dim(x, y), cols, out)
+
+    def eta(x):
+        return LinMap.column(f, b.eta[x])
+
+    def delta(x, y):
+        d = dim(x, y)
+        return _split_map(f, b.delta[(x, y)], d, d, d)
+
+    def eps(x, y):
+        return LinMap.row(f, b.eps[(x, y)])
+
+    for x in X:
+        for u in X:
+            for v in X:
+                for y in X:
+                    lhs = mu(x, v, y) @ mu(x, u, v).kron(ident(dim(v, y)))
+                    rhs = mu(x, u, y) @ ident(dim(x, u)).kron(mu(u, v, y))
+                    check(rep, "monoid-assoc", (x, u, v, y), lhs, rhs)
+    for x in X:
+        for y in X:
+            i = ident(dim(x, y))
+            check(rep, "monoid-unit-left", (x, y),
+                  mu(x, x, y) @ eta(x).kron(i), i)
+            check(rep, "monoid-unit-right", (x, y),
+                  mu(x, y, y) @ i.kron(eta(y)), i)
+    for x in X:
+        for y in X:
+            i = ident(dim(x, y))
+            dm, em = delta(x, y), eps(x, y)
+            check(rep, "comonoid-coassoc", (x, y),
+                  dm.kron(i) @ dm, i.kron(dm) @ dm)
+            check(rep, "comonoid-counit-left", (x, y), em.kron(i) @ dm, i)
+            check(rep, "comonoid-counit-right", (x, y), i.kron(em) @ dm, i)
+
+    zeta_blocks = zeta(f, car, car, car, car)
+    aa = black_tensor(car, car)
+    dd_dom, dd_dom_off = white_tensor(car, car)
+    dd_cod, dd_cod_off = white_tensor(aa, aa)
+    for x in X:
+        for y in X:
+            mu_xy = mu_all(x, y)
+            # blockwise delta⊙delta into (A•A)⊙(A•A)
+            dd = [[f.zero] * dd_dom.dim(x, y)
+                  for _ in range(dd_cod.dim(x, y))]
+            ee = [[f.zero] * dd_dom.dim(x, y)]
+            for z in X:
+                blk = delta(x, z).kron(delta(z, y))
+                ro, co = dd_cod_off[(x, y)][z], dd_dom_off[(x, y)][z]
+                for r in range(blk.rows):
+                    for c in range(blk.cols):
+                        if blk.entries[r][c]:
+                            dd[ro + r][co + c] = blk.entries[r][c]
+                blk = eps(x, z).kron(eps(z, y))
+                for c in range(blk.cols):
+                    ee[0][co + c] = blk.entries[0][c]
+            dd_map = LinMap(f, dd_cod.dim(x, y), dd_dom.dim(x, y), dd)
+            check(rep, "interchange-mult-comult", (x, y),
+                  delta(x, y) @ mu_xy,
+                  mu_xy.kron(mu_xy) @ zeta_blocks[(x, y)] @ dd_map)
+            check(rep, "interchange-counit-mult", (x, y),
+                  eps(x, y) @ mu_xy, LinMap(f, 1, dd_dom.dim(x, y), ee))
+    for x in X:
+        check(rep, "interchange-comult-unit", (x,),
+              delta(x, x) @ eta(x), eta(x).kron(eta(x)))
+        check(rep, "interchange-counit-unit", (x,),
+              eps(x, x) @ eta(x), LinMap.identity(f, 1))
+    return rep
+
+
+def _dense_action(m, x, y, z):
+    """The action map at (x,y,z) of a module or Hopf module."""
+    a = m.base
+    if getattr(m, "side", "right") == "right":
+        d1, d2 = m.dim(x, y), a.dim(y, z)
+    else:
+        d1, d2 = a.dim(x, y), m.dim(y, z)
+    return _bilinear_map(a.field, m.action[(x, y, z)], d1, d2, m.dim(x, z))
+
+
+def _dense_base(a):
+    """Matrix builders of a Hopf category's structure maps."""
+    f = a.field
+
+    def mult(x, y, z):
+        return _bilinear_map(f, a.mult[(x, y, z)], a.dim(x, y), a.dim(y, z),
+                             a.dim(x, z))
+
+    def comult(x, y):
+        d = a.dim(x, y)
+        return _split_map(f, a.comult[(x, y)], d, d, d)
+
+    def unit(x):
+        return LinMap.column(f, a.unit[x])
+
+    def counit(x, y):
+        return LinMap.row(f, a.counit[(x, y)])
+    return mult, comult, unit, counit
+
+
+def _dense_right_module_laws(m, rep):
+    a = m.base
+    f, X = a.field, a.objects
+    mult, _, unit, _ = _dense_base(a)
+    check = _dense_check_map_equal
+    for x in X:
+        for y in X:
+            for z in X:
+                for u in X:
+                    lhs = _dense_action(m, x, z, u) @ _dense_action(
+                        m, x, y, z).kron(LinMap.identity(f, a.dim(z, u)))
+                    rhs = _dense_action(m, x, y, u) @ LinMap.identity(
+                        f, m.dim(x, y)).kron(mult(y, z, u))
+                    check(rep, "module-assoc", (x, y, z, u), lhs, rhs)
+    for x in X:
+        for y in X:
+            i = LinMap.identity(f, m.dim(x, y))
+            check(rep, "module-unit", (x, y),
+                  _dense_action(m, x, y, y) @ i.kron(unit(y)), i)
+
+
+def dense_verify_module(m):
+    """Dense reference for ``modules.verify_module``."""
+    m.validate_shape()
+    rep = Report()
+    if m.side == "right":
+        _dense_right_module_laws(m, rep)
+        return rep
+    a = m.base
+    f, X = a.field, a.objects
+    mult, _, unit, _ = _dense_base(a)
+    check = _dense_check_map_equal
+    for x in X:
+        for y in X:
+            for z in X:
+                for u in X:
+                    lhs = _dense_action(m, x, y, u) @ LinMap.identity(
+                        f, a.dim(x, y)).kron(_dense_action(m, y, z, u))
+                    rhs = _dense_action(m, x, z, u) @ mult(x, y, z).kron(
+                        LinMap.identity(f, m.dim(z, u)))
+                    check(rep, "module-assoc", (x, y, z, u), lhs, rhs)
+    for x in X:
+        for y in X:
+            i = LinMap.identity(f, m.dim(x, y))
+            check(rep, "module-unit", (x, y),
+                  _dense_action(m, x, x, y) @ unit(x).kron(i), i)
+    return rep
+
+
+def dense_verify_comodule(m):
+    """Dense reference for ``modules.verify_comodule``."""
+    m.validate_shape()
+    check = _dense_check_map_equal
+    rep = Report()
+    c = m.base
+    f, X = c.field, c.objects
+
+    def coaction(x, y, z):
+        return _split_map(f, m.coaction[(x, y, z)], m.dim(x, z), m.dim(x, y),
+                          c.dim(y, z))
+
+    def cocomp(x, y, z):
+        return _split_map(f, c.cocomp[(x, y, z)], c.dim(x, z), c.dim(x, y),
+                          c.dim(y, z))
+
+    for x in X:
+        for z in X:
+            for u in X:
+                for y in X:
+                    lhs = coaction(x, u, y).kron(
+                        LinMap.identity(f, c.dim(y, z))) @ coaction(x, y, z)
+                    rhs = LinMap.identity(f, m.dim(x, u)).kron(
+                        cocomp(u, y, z)) @ coaction(x, u, z)
+                    check(rep, "comodule-coassoc", (x, u, y, z), lhs, rhs)
+    for x in X:
+        for z in X:
+            i = LinMap.identity(f, m.dim(x, z))
+            check(rep, "comodule-counit", (x, z),
+                  i.kron(LinMap.row(f, c.counit[z])) @ coaction(x, z, z), i)
+    return rep
+
+
+def dense_verify_hopf_module(m):
+    """Dense reference for ``fundamental.verify_hopf_module``."""
+    base_rep = dense_verify_structure(m.base, "semihopf")
+    if not base_rep.overall:
+        raise PreconditionError(
+            "Hopf modules need a base valid at level 'semihopf': "
+            + base_rep.summary())
+    m.validate_shape()
+    check = _dense_check_map_equal
+    rep = Report()
+    a = m.base
+    f, X = a.field, a.objects
+    mult, comult, _, counit = _dense_base(a)
+
+    def coaction(x, y):
+        return _split_map(f, m.coaction[(x, y)], m.dim(x, y), m.dim(x, y),
+                          a.dim(x, y))
+
+    _dense_right_module_laws(m, rep)
+    for x in X:
+        for y in X:
+            i = LinMap.identity(f, m.dim(x, y))
+            rho = coaction(x, y)
+            check(rep, "comodule-coassoc", (x, y),
+                  rho.kron(LinMap.identity(f, a.dim(x, y))) @ rho,
+                  i.kron(comult(x, y)) @ rho)
+            check(rep, "comodule-counit", (x, y),
+                  i.kron(counit(x, y)) @ rho, i)
+    for x in X:
+        for y in X:
+            for z in X:
+                psi = _dense_action(m, x, y, z)
+                d_a1, d_a2 = a.dim(x, y), a.dim(y, z)
+                mid = LinMap.identity(f, m.dim(x, y)).kron(
+                    swap_map(f, d_a1, d_a2)).kron(LinMap.identity(f, d_a2))
+                check(rep, "hopf-compat", (x, y, z),
+                      coaction(x, z) @ psi,
+                      psi.kron(mult(x, y, z)) @ mid
+                      @ coaction(x, y).kron(comult(y, z)))
+    return rep
+
+
+def dense_validate_graded(h):
+    """Dense reference for ``graded.validate_graded``."""
+    h.group.validate()
+    check = _dense_check_map_equal
+    rep = Report()
+    f, G, mul = h.field, h.group.elements, h.group.mul
+    e = h.group.identity()
+    ident = {s: LinMap.identity(f, h.dim(s)) for s in G}
+
+    def m(s, t):
+        return _bilinear_map(f, h.mult[(s, t)], h.dim(s), h.dim(t),
+                             h.dim(mul(s, t)))
+
+    def comult(s):
+        d = h.dim(s)
+        return _split_map(f, h.comult[s], d, d, d)
+
+    def counit(s):
+        return LinMap.row(f, h.counit[s])
+
+    unit = LinMap.column(f, h.unit)
+    for s in G:
+        for t in G:
+            for r in G:
+                lhs = m(mul(s, t), r) @ m(s, t).kron(ident[r])
+                rhs = m(s, mul(t, r)) @ ident[s].kron(m(t, r))
+                check(rep, "graded-assoc", (s, t, r), lhs, rhs)
+    for s in G:
+        check(rep, "graded-unit-left", (s,),
+              m(e, s) @ unit.kron(ident[s]), ident[s])
+        check(rep, "graded-unit-right", (s,),
+              m(s, e) @ ident[s].kron(unit), ident[s])
+    for s in G:
+        cm, cu = comult(s), counit(s)
+        check(rep, "graded-coassoc", (s,),
+              cm.kron(ident[s]) @ cm, ident[s].kron(cm) @ cm)
+        check(rep, "graded-counit-left", (s,), cu.kron(ident[s]) @ cm,
+              ident[s])
+        check(rep, "graded-counit-right", (s,), ident[s].kron(cu) @ cm,
+              ident[s])
+    for s in G:
+        for t in G:
+            mst = m(s, t)
+            mid = ident[s].kron(swap_map(f, h.dim(s), h.dim(t))).kron(
+                ident[t])
+            check(rep, "graded-comult-mult", (s, t),
+                  comult(mul(s, t)) @ mst,
+                  mst.kron(mst) @ mid @ comult(s).kron(comult(t)))
+            check(rep, "graded-counit-mult", (s, t),
+                  counit(mul(s, t)) @ mst, counit(s).kron(counit(t)))
+    check(rep, "graded-comult-unit", (e,), comult(e) @ unit,
+          unit.kron(unit))
+    check(rep, "graded-counit-unit", (e,), counit(e) @ unit,
+          LinMap.identity(f, 1))
+    if h.antipode is not None:
+        for s in G:
+            si = h.group.inverse(s)
+            sm = LinMap(f, h.dim(si), h.dim(s), h.antipode[s])
+            target = unit @ counit(s)
+            check(rep, "graded-antipode-left", (s,),
+                  m(s, si) @ ident[s].kron(sm) @ comult(s), target)
+            check(rep, "graded-antipode-right", (s,),
+                  m(si, s) @ sm.kron(ident[s]) @ comult(s), target)
     return rep
 
 

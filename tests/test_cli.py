@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -180,6 +183,65 @@ def test_large_declared_dim_over_sparse_constants(fixture_dir, tmp_path,
     assert [r["axiom"] for r in failed] == [
         "unit-left", "unit-right", "counit-left", "counit-right"]
     assert all(r["witness"] == 2 for r in failed)
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_capped(argv):
+    """The CLI in a fresh interpreter whose address space is capped at
+    1.5 GB, so a verifier that materialises dense matrices runs out of
+    memory instead of swamping the machine."""
+    def cap():
+        limit = 1536 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run([sys.executable, "-m", "hopfcat.cli", *argv],
+                          preexec_fn=cap, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=300)
+
+
+@pytest.mark.parametrize("kind", ["dual", "bimonoid"])
+def test_large_declared_dim_in_other_kinds(fixture_dir, tmp_path, kind):
+    # as above, for the dual and bimonoid verifiers: d = 12 gave d^4-column
+    # dense matrices and a MemoryError traceback under the cap
+    if kind == "dual":
+        src = open(fx(fixture_dir, "kz2_dual")).read()
+        prefixes = ("alg-unit", "cocomp-counit")
+    else:
+        out = str(tmp_path / "kz2_bimonoid.hc")
+        assert main(["--quiet", "transform", fx(fixture_dir, "kz2"),
+                     "bimonoid", out]) == 0
+        src = open(out).read()
+        prefixes = ("monoid-unit", "comonoid-counit")
+    assert "dim * * 2\n" in src
+    path = tmp_path / f"{kind}_dim12.hc"
+    path.write_text(src.replace("dim * * 2\n", "dim * * 12\n"))
+    rep = str(tmp_path / "r.jsonl")
+    done = run_capped(["--quiet", "--report", rep, "verify", str(path)])
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Error" not in done.stderr
+    failed = [r for r in map(json.loads, open(rep)) if not r["ok"]]
+    assert [r["axiom"] for r in failed] == [
+        p + side for p in prefixes for side in ("-left", "-right")]
+    assert all(r["witness"] == 2 and r["failures"] == 10 for r in failed)
+
+
+def test_hopf_module_over_a_failing_base(fixture_dir, tmp_path):
+    # both files are well formed: the failing base is the verdict (exit 1,
+    # report written), not a usage error
+    src = open(fx(fixture_dir, "kz2")).read()
+    assert "counit * * 1 1\n" in src
+    (tmp_path / "kz2.hc").write_text(
+        src.replace("counit * * 1 1\n", "counit * * 1 2\n"))
+    path = tmp_path / "kz2_regular_hopf_module.hc"
+    path.write_text(open(fx(fixture_dir, "kz2_regular_hopf_module")).read())
+    rep = str(tmp_path / "r.jsonl")
+    assert main(["--quiet", "--report", rep, "verify", str(path)]) == 1
+    base = verify_structure(load(str(tmp_path / "kz2.hc")), "semihopf")
+    assert not base.overall
+    assert [json.loads(line) for line in open(rep)] \
+        == [it.record() for it in base.items]
+    assert os.path.exists(rep + ".manifest.json")
 
 
 # -- transform ----------------------------------------------------------------------

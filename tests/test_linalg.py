@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (reference_echelon_basis, reference_invert,
@@ -224,6 +224,15 @@ def test_rank_kernel_and_echelon_basis_match_the_reference(f):
     rows = echelon_basis(f.field, f.entries)
     assert rows == reference_echelon_basis(f.field, f.entries)
     assert all(public(f.field, v) for vec in basis + rows for v in vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices(4, 5))
+@example(LinMap(QQ, 0, 3, []))
+@example(LinMap(GF(5), 2, 0, [[], []]))
+@example(LinMap(GF(2), 0, 0, []))
+def test_rank_matches_the_reference(f):
+    assert rank(f) == reference_rank_kernel(f)[0]
 
 
 @settings(max_examples=150, deadline=None)

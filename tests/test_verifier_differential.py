@@ -1,0 +1,281 @@
+"""The dual, duoidal, module, comodule, Hopf-module and graded verifiers
+against the dense matrix verifiers they replaced.
+
+Both must produce the same report records (axiom, objects, verdict, first
+witness, residual, failure count) item for item, on passing and failing
+data alike, or raise the same precondition error.
+"""
+
+import copy
+import glob
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (dense_validate_graded, dense_verify_bimonoid,
+                     dense_verify_comodule, dense_verify_dual,
+                     dense_verify_hopf_module, dense_verify_module)
+
+from hopfcat import fixtures as fx
+from hopfcat.core import HopfCatData, verify_structure
+from hopfcat.dual import DualHopfCatData, dualize, verify_dual
+from hopfcat.duoidal import (BimonoidData, bimonoid_from_category,
+                             verify_bimonoid)
+from hopfcat.fileformat import load
+from hopfcat.fundamental import (HopfModuleData, regular_hopf_module,
+                                 verify_hopf_module)
+from hopfcat.graded import GradedHopfData, GroupTable, validate_graded
+from hopfcat.modules import (ComoduleData, ModuleData, regular_comodule,
+                             regular_module, verify_comodule, verify_module)
+from hopfcat.report import PreconditionError
+from hopfcat.scalars import GF, QQ
+
+HOPF = ("mult", "unit", "comult", "counit", "antipode")
+DUAL = ("alg", "unit", "cocomp", "counit", "antipode")
+
+
+def of_base(names):
+    return tuple("base." + name for name in names)
+
+
+# kind -> (verifier, dense oracle, the tensors a mutant may edit, the base's
+# included: the module verifiers read the base without checking it)
+KINDS = {
+    DualHopfCatData: (verify_dual, dense_verify_dual, DUAL),
+    BimonoidData: (verify_bimonoid, dense_verify_bimonoid,
+                   ("mu", "eta", "delta", "eps")),
+    ModuleData: (verify_module, dense_verify_module,
+                 ("action",) + of_base(HOPF)),
+    ComoduleData: (verify_comodule, dense_verify_comodule,
+                   ("coaction",) + of_base(DUAL)),
+    HopfModuleData: (verify_hopf_module, dense_verify_hopf_module,
+                     ("action", "coaction") + of_base(HOPF)),
+    GradedHopfData: (validate_graded, dense_validate_graded, HOPF),
+}
+
+
+def outcome(fn, obj):
+    """The records of a report, or the exception type it raised."""
+    try:
+        return [it.record() for it in fn(obj).items]
+    except PreconditionError as e:
+        return type(e)
+
+
+def assert_same_reports(obj):
+    new, old, _ = KINDS[type(obj)]
+    result = outcome(new, obj)
+    assert result == outcome(old, obj)
+    return result
+
+
+def passes(result) -> bool:
+    return isinstance(result, list) and all(
+        r["ok"] for r in result if r["required"])
+
+
+def fixture_files(fixture_dir, kinds):
+    out = []
+    for path in sorted(glob.glob(os.path.join(fixture_dir, "*.hc"))):
+        with open(path) as fh:
+            text = fh.read()
+        if any(f"kind {kind}\n" in text for kind in kinds):
+            out.append(path)
+    return out
+
+
+PORTED = ("dual-hopf-category", "bimonoid", "module", "comodule",
+          "hopf-module", "graded-hopf")
+
+
+def test_every_fixture_of_a_ported_kind(fixture_dir):
+    paths = fixture_files(fixture_dir, PORTED)
+    assert len(paths) == 7
+    for path in paths:
+        assert passes(assert_same_reports(load(path))), path
+
+
+def test_bimonoid_and_dual_of_every_hopf_category_fixture(fixture_dir):
+    paths = fixture_files(fixture_dir, ("hopf-category",))
+    assert len(paths) == 20
+    for path in paths:
+        a = load(path)
+        assert_same_reports(bimonoid_from_category(a))
+        assert_same_reports(dualize(a))
+
+
+def slots(obj):
+    """Every coefficient slot a mutant may edit, as (tensor name, key, index
+    path); the key is None for a tensor that is not a table."""
+    def walk(name, key, t, path):
+        if isinstance(t, list):
+            for i, v in enumerate(t):
+                yield from walk(name, key, v, path + (i,))
+        else:
+            yield name, key, path
+
+    for name in KINDS[type(obj)][2]:
+        table = attribute(obj, name)
+        if table is None:
+            continue
+        if isinstance(table, dict):
+            for key in table:
+                yield from walk(name, key, table[key], ())
+        else:
+            yield from walk(name, None, table, ())
+
+
+def attribute(obj, dotted: str):
+    for name in dotted.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def mutate(obj, edits):
+    """A deep copy of ``obj`` with each (tensor, key, path, f) edit applied,
+    where f maps the old coefficient to the new one."""
+    out = copy.deepcopy(obj)
+    for name, key, path, f in edits:
+        slot = attribute(out, name)
+        if key is not None:
+            slot = slot[key]
+        for i in path[:-1]:
+            slot = slot[i]
+        slot[path[-1]] = f(slot[path[-1]])
+    return out
+
+
+def single_mutant_inputs(fixture_dir):
+    def fixture(name):
+        return load(os.path.join(fixture_dir, name + ".hc"))
+    return {
+        "kz2_dual": fixture("kz2_dual"),
+        "pair2_dual": fixture("pair2_dual"),
+        "bimonoid(kz2)": bimonoid_from_category(fixture("kz2")),
+        "kz2_regular_module": fixture("kz2_regular_module"),
+        "kz2_dual_regular_comodule": fixture("kz2_dual_regular_comodule"),
+        "kz2_regular_hopf_module": fixture("kz2_regular_hopf_module"),
+        "graded_z2_strong": fixture("graded_z2_strong_graded"),
+    }
+
+
+def assert_same_reports_on_single_mutants(obj):
+    field = obj.base.field if hasattr(obj, "base") else obj.field
+    bump = (lambda v: v * 2 if v else field.one)
+    failing = total = 0
+    for slot in slots(obj):
+        total += 1
+        failing += not passes(assert_same_reports(
+            mutate(obj, [slot + (bump,)])))
+    assert failing > 0 and total >= 8
+
+
+@pytest.mark.parametrize("name", [
+    "kz2_dual", "pair2_dual", "bimonoid(kz2)", "kz2_regular_module",
+    "kz2_dual_regular_comodule", "kz2_regular_hopf_module",
+    "graded_z2_strong"])
+def test_every_single_coefficient_mutant(fixture_dir, name):
+    assert_same_reports_on_single_mutants(
+        single_mutant_inputs(fixture_dir)[name])
+
+
+def cyclic_graded(field, n: int, m: int) -> GradedHopfData:
+    """k[Z/nm] graded by Z/n, where s ≠ s⁻¹ for n > 2: the degree-s
+    component is spanned by g^(s + n·a) for a < m, at index a."""
+    zero, one = field.zero, field.one
+    G = tuple(str(s) for s in range(n))
+    table = {(str(s), str(t)): str((s + t) % n) for s in range(n)
+             for t in range(n)}
+
+    def basis(a):
+        return [one if b == a else zero for b in range(m)]
+    mult = {(str(s), str(t)): [[basis(((s + n * a + t + n * b)
+                                            % (n * m)) // n)
+                                for b in range(m)] for a in range(m)]
+            for s in range(n) for t in range(n)}
+    comult = {s: [[basis(a) if b == a else [zero] * m
+                   for b in range(m)] for a in range(m)] for s in G}
+    # S(g^k) = g^-k: rows over the degree -s component, columns over s
+    antipode = {}
+    for s in range(n):
+        cols = [((-(s + n * a)) % (n * m)) // n for a in range(m)]
+        antipode[str(s)] = [[one if cols[a] == r else zero
+                             for a in range(m)] for r in range(m)]
+    return GradedHopfData(field, GroupTable(G, table), {s: m for s in G},
+                          mult, basis(0), comult,
+                          {s: [one] * m for s in G}, antipode)
+
+
+def test_single_mutants_of_a_z3_grading():
+    h = cyclic_graded(QQ, 3, 2)
+    assert passes(assert_same_reports(h))
+    assert_same_reports_on_single_mutants(h)
+
+
+def unequal_dims_category(field) -> HopfCatData:
+    """A semi-Hopf category whose homs differ in dimension, so that no law
+    can mix up the dimensions of its tensor factors unseen: the
+    linearization of the category on x and y with A(x,x) = k, A(y,y) and
+    A(x,y) spanned by copies of Z/2, composed by the group law, and
+    A(y,x) = 0; every basis element is grouplike."""
+    X = ("x", "y")
+    dims = {("x", "x"): 1, ("y", "y"): 2, ("x", "y"): 2, ("y", "x"): 0}
+    zero, one = field.zero, field.one
+    mult = {}
+    for x in X:
+        for y in X:
+            for z in X:
+                d1, d2, d3 = dims[(x, y)], dims[(y, z)], dims[(x, z)]
+                mult[(x, y, z)] = [[[one if k == (i + j) % d3 else zero
+                                     for k in range(d3)]
+                                    for j in range(d2)] for i in range(d1)]
+    comult = {key: [[[one if i == j == k else zero for k in range(d)]
+                     for j in range(d)] for i in range(d)]
+              for key, d in dims.items()}
+    counit = {key: [one] * d for key, d in dims.items()}
+    unit = {"x": [one], "y": [one, zero]}
+    return HopfCatData(field, X, dims, mult, unit, comult, counit)
+
+
+UNEQUAL = unequal_dims_category(QQ)
+UNEQUAL_INPUTS = {
+    "bimonoid": bimonoid_from_category(UNEQUAL),
+    "dual": dualize(UNEQUAL),
+    "right module": regular_module(UNEQUAL, "right"),
+    "left module": regular_module(UNEQUAL, "left"),
+    "comodule": regular_comodule(dualize(UNEQUAL)),
+    "hopf module": regular_hopf_module(UNEQUAL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNEQUAL_INPUTS))
+def test_unequal_hom_dims_and_their_single_mutants(name):
+    assert verify_structure(UNEQUAL, "semihopf").overall
+    obj = UNEQUAL_INPUTS[name]
+    assert passes(assert_same_reports(obj))
+    assert_same_reports_on_single_mutants(obj)
+
+
+TAFT4 = {field: fx.taft_four_dim(field) for field in (QQ, GF(5))}
+TAFT4_DERIVED = {(field, kind): make(a)
+                 for field, a in TAFT4.items()
+                 for kind, make in (("dual", dualize),
+                                    ("bimonoid", bimonoid_from_category))}
+TAFT4_SLOTS = {kind: list(slots(TAFT4_DERIVED[(QQ, kind)]))
+               for kind in ("dual", "bimonoid")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([QQ, GF(5)]),
+       kind=st.sampled_from(["dual", "bimonoid"]),
+       edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(-2, 3),
+                                st.sampled_from([1, 2])),
+                      min_size=1, max_size=3))
+def test_taft4_dual_and_bimonoid_mutants(field, kind, edits):
+    positions = TAFT4_SLOTS[kind]
+    mut = mutate(TAFT4_DERIVED[(field, kind)], [
+        positions[pos % len(positions)]
+        + (lambda v, n=n, d=d: field.of(n) / field.of(d),)
+        for pos, n, d in edits])
+    assert_same_reports(mut)
