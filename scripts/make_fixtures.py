@@ -12,10 +12,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hopfcat import fixtures as fx                      # noqa: E402
 from hopfcat.dual import dualize                        # noqa: E402
+from hopfcat.duoidal import bimonoid_from_category      # noqa: E402
 from hopfcat.fileformat import save                     # noqa: E402
 from hopfcat.fundamental import regular_hopf_module     # noqa: E402
 from hopfcat.modules import regular_comodule, regular_module  # noqa: E402
 from hopfcat.scalars import QQ                          # noqa: E402
+from hopfcat.weak import pack, pack_dual                # noqa: E402
 
 
 def main(outdir: str):
@@ -50,12 +52,19 @@ def main(outdir: str):
     m = regular_module(hopf["kz2"], "right")
     m._base_name = "kz2"
     put("kz2_regular_module", m)
+    lm = regular_module(hopf["kz2"], "left")
+    lm._base_name = "kz2"
+    put("kz2_left_regular_module", lm)
     hm = regular_hopf_module(hopf["kz2"])
     hm._base_name = "kz2"
     put("kz2_regular_hopf_module", hm)
     cm = regular_comodule(dualize(hopf["kz2"]))
     cm._base_name = "kz2_dual"
     put("kz2_dual_regular_comodule", cm)
+
+    put("kz2_bimonoid", bimonoid_from_category(hopf["kz2"]))
+    put("pair3_packed", pack(hopf["pair3"]))
+    put("disjoint_dual_packed", pack_dual(dualize(hopf["disjoint"])))
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ PORTED = ("dual-hopf-category", "bimonoid", "module", "comodule",
 
 def test_every_fixture_of_a_ported_kind(fixture_dir):
     paths = fixture_files(fixture_dir, PORTED)
-    assert len(paths) == 7
+    assert len(paths) == 9
     for path in paths:
         assert passes(assert_same_reports(load(path))), path
 
