@@ -31,10 +31,7 @@ from .linalg import LinMap, invert, NotInvertible, rank
 from .report import (Report, PreconditionError, check_condition,
                      check_map_equal)
 from .scalars import Field
-
-
-class MalformedDataError(ValueError):
-    """Structure tensors inconsistent with the declared dimensions."""
+from .schema import LAYOUTS, MalformedDataError, check_shape
 
 
 class MissingAntipodeError(ValueError):
@@ -42,15 +39,6 @@ class MissingAntipodeError(ValueError):
 
 
 LEVELS = ("category", "semihopf", "hopf")
-
-
-def _tensor3_shape_ok(t, d1: int, d2: int, d3: int) -> bool:
-    if len(t) != d1:
-        return False
-    for p in t:
-        if len(p) != d2 or any(len(q) != d3 for q in p):
-            return False
-    return True
 
 
 @dataclass
@@ -64,6 +52,9 @@ class HopfCatData:
     counit: dict[tuple[str, str], list]
     antipode: dict[tuple[str, str], list] | None = None
 
+    layout = LAYOUTS["hopf-category"]
+    validate_shape = check_shape
+
     # -- shape ---------------------------------------------------------------
 
     def dim(self, x: str, y: str) -> int:
@@ -73,42 +64,6 @@ class HopfCatData:
     def has_antipode(self) -> bool:
         return self.antipode is not None
 
-    def validate_shape(self):
-        X = self.objects
-        if len(set(X)) != len(X):
-            raise MalformedDataError("duplicate object labels")
-        for x in X:
-            for y in X:
-                if (x, y) not in self.dims or self.dims[(x, y)] < 0:
-                    raise MalformedDataError(f"missing or negative dim({x},{y})")
-        for x in X:
-            for y in X:
-                for z in X:
-                    t = self.mult.get((x, y, z))
-                    if t is None or not _tensor3_shape_ok(
-                            t, self.dim(x, y), self.dim(y, z), self.dim(x, z)):
-                        raise MalformedDataError(
-                            f"composition tensor at ({x},{y},{z}) malformed")
-        for x in X:
-            if len(self.unit.get(x, ())) != self.dim(x, x):
-                raise MalformedDataError(f"unit vector at {x} malformed")
-        for x in X:
-            for y in X:
-                d = self.dim(x, y)
-                t = self.comult.get((x, y))
-                if t is None or not _tensor3_shape_ok(t, d, d, d):
-                    raise MalformedDataError(
-                        f"comultiplication tensor at ({x},{y}) malformed")
-                if len(self.counit.get((x, y), ())) != d:
-                    raise MalformedDataError(f"counit at ({x},{y}) malformed")
-        if self.antipode is not None:
-            for x in X:
-                for y in X:
-                    m = self.antipode.get((x, y))
-                    dxy, dyx = self.dim(x, y), self.dim(y, x)
-                    if m is None or len(m) != dyx or any(len(r) != dxy for r in m):
-                        raise MalformedDataError(
-                            f"antipode matrix at ({x},{y}) malformed")
 
     # -- structure maps as matrices -------------------------------------------
 

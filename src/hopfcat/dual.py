@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import sparse as sp
-from .core import HopfCatData, MalformedDataError
+from .core import HopfCatData
 from .report import Report, check_map_equal
 from .scalars import Field
+from .schema import LAYOUTS, check_shape
 
 
 @dataclass
@@ -40,6 +41,9 @@ class DualHopfCatData:
     counit: dict[str, list]                    # covector on C(x,x)
     antipode: dict[tuple[str, str], list] | None = None
 
+    layout = LAYOUTS["dual-hopf-category"]
+    validate_shape = check_shape
+
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
 
@@ -47,42 +51,6 @@ class DualHopfCatData:
     def has_antipode(self) -> bool:
         return self.antipode is not None
 
-    def validate_shape(self):
-        X = self.objects
-        if len(set(X)) != len(X):
-            raise MalformedDataError("duplicate object labels")
-        for x in X:
-            for y in X:
-                d = self.dims.get((x, y))
-                if d is None or d < 0:
-                    raise MalformedDataError(f"missing dim({x},{y})")
-                t = self.alg.get((x, y))
-                if t is None or len(t) != d or any(
-                        len(p) != d or any(len(q) != d for q in p) for p in t):
-                    raise MalformedDataError(f"algebra tensor at ({x},{y}) malformed")
-                if len(self.unit.get((x, y), ())) != d:
-                    raise MalformedDataError(f"unit vector at ({x},{y}) malformed")
-        for x in X:
-            for y in X:
-                for z in X:
-                    t = self.cocomp.get((x, y, z))
-                    dk, da, db = self.dim(x, z), self.dim(x, y), self.dim(y, z)
-                    if t is None or len(t) != dk or any(
-                            len(p) != da or any(len(q) != db for q in p)
-                            for p in t):
-                        raise MalformedDataError(
-                            f"cocomposition tensor at ({x},{y},{z}) malformed")
-        for x in X:
-            if len(self.counit.get(x, ())) != self.dim(x, x):
-                raise MalformedDataError(f"counit at {x} malformed")
-        if self.antipode is not None:
-            for x in X:
-                for y in X:
-                    m = self.antipode.get((x, y))
-                    if m is None or len(m) != self.dim(x, y) or any(
-                            len(r) != self.dim(y, x) for r in m):
-                        raise MalformedDataError(
-                            f"dual antipode at ({x},{y}) malformed")
 
     def strip_antipode(self) -> "DualHopfCatData":
         return replace(self, antipode=None)

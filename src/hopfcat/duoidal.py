@@ -31,6 +31,7 @@ from .core import HopfCatData, MalformedDataError
 from .linalg import LinMap
 from .report import Report, check_map_equal
 from .scalars import Field
+from .schema import LAYOUTS, check_shape
 
 
 @dataclass
@@ -40,13 +41,6 @@ class MkXObject:
 
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
-
-    def validate_shape(self):
-        for x in self.objects:
-            for y in self.objects:
-                if self.dims.get((x, y), -1) < 0:
-                    raise MalformedDataError(f"missing dim({x},{y})")
-
 
 def carrier_of(a: HopfCatData) -> MkXObject:
     return MkXObject(a.objects, dict(a.dims))
@@ -147,36 +141,11 @@ class BimonoidData:
     delta: dict[tuple[str, str], list]      # D[i][j][k]
     eps: dict[tuple[str, str], list]
 
+    layout = LAYOUTS["bimonoid"]
+    validate_shape = check_shape
+
     def dim(self, x: str, y: str) -> int:
         return self.carrier.dim(x, y)
-
-    def validate_shape(self):
-        self.carrier.validate_shape()
-        X = self.carrier.objects
-        for x in X:
-            for u in X:
-                for y in X:
-                    t = self.mu.get((x, u, y))
-                    d1, d2, d3 = self.dim(x, u), self.dim(u, y), self.dim(x, y)
-                    if t is None or len(t) != d1 or any(
-                            len(pp) != d2 or any(len(qq) != d3 for qq in pp)
-                            for pp in t):
-                        raise MalformedDataError(
-                            f"product component at ({x},{u},{y}) malformed")
-        for x in X:
-            if len(self.eta.get(x, ())) != self.dim(x, x):
-                raise MalformedDataError(f"unit component at {x} malformed")
-        for x in X:
-            for y in X:
-                d = self.dim(x, y)
-                t = self.delta.get((x, y))
-                if t is None or len(t) != d or any(
-                        len(pp) != d or any(len(qq) != d for qq in pp)
-                        for pp in t):
-                    raise MalformedDataError(
-                        f"comultiplication at ({x},{y}) malformed")
-                if len(self.eps.get((x, y), ())) != d:
-                    raise MalformedDataError(f"counit at ({x},{y}) malformed")
 
 
 def verify_bimonoid(b: BimonoidData) -> Report:

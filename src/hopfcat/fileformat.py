@@ -1,17 +1,19 @@
 """Line-oriented sparse structure-constant files.
 
 Layout: a fixed header (format version, kind, field, object list, per-kind
-flags), followed by `dim` lines for every slot and one record per nonzero
-coefficient.  Scalars are strings ('a/b' or 'a' over the rationals, decimal
-digits over a prime field whose modulus rides in the header), so files are
-exact and diffable.  Serialization is canonical: header order is fixed,
-records are sorted by their index tuple in declared object order, and zero
-coefficients are never emitted — transforming the same input twice yields
-byte-identical bytes.
+headers), `dim` lines, then one record per nonzero coefficient.  Scalars are
+strings ('a/b' or 'a' over the rationals, decimal digits over a prime field
+whose modulus rides in the header), so files are exact and diffable.
+Serialization is canonical: header order is fixed, records are sorted by tag
+and index tuple in declared object order, and zeros are never emitted.
 
-Module-like kinds (module / comodule / hopf-module) name their base structure
-with a `base <name>` header; the loader resolves the name against the file's
-directory (adding the .hc suffix when absent).
+The single place where a kind's layout is defined is its slot table in
+``schema``: record tag, key labels, index order and dimension rule of every
+tensor family.  One reader and one writer serve every kind from the tables;
+only the headers that are not slots (``antipode``, ``base``, ``side``,
+``gmul``, ``block``) and the scalar-free ``groupoid`` kind have code here.
+Module-like kinds name their base with `base <name>`, resolved by the loader
+next to the file (adding the .hc suffix when absent).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from itertools import product
 
 from .core import HopfCatData
 from .dual import DualHopfCatData
@@ -27,13 +30,21 @@ from .fundamental import HopfModuleData
 from .graded import GradedHopfData, GroupTable
 from .groupoid import GroupoidData
 from .modules import ComoduleData, ModuleData
-from .scalars import Field, parse_field
+from .scalars import parse_field
+from .schema import LAYOUTS, Frame
 from .weak import WeakHopfData
 
 FORMAT_VERSION = 1
 
-KINDS = ("hopf-category", "dual-hopf-category", "weak-hopf", "groupoid",
-         "graded-hopf", "module", "comodule", "hopf-module", "bimonoid")
+KINDS = tuple(LAYOUTS)
+
+_CLASSES = {cls.layout.name: cls for cls in (
+    HopfCatData, DualHopfCatData, WeakHopfData, GroupoidData, GradedHopfData,
+    ModuleData, ComoduleData, HopfModuleData, BimonoidData)}
+
+# header name -> tokens on its line; the first three appear at most once
+_HEADER_WIDTH = {"antipode": 2, "base": 2, "side": 2, "gmul": 4, "block": 5}
+_ONCE = ("antipode", "base", "side")
 
 
 class ParseError(ValueError):
@@ -47,217 +58,65 @@ class KindMismatchError(ParseError):
 
 
 def kind_of(obj) -> str:
-    return {
-        HopfCatData: "hopf-category",
-        DualHopfCatData: "dual-hopf-category",
-        WeakHopfData: "weak-hopf",
-        GroupoidData: "groupoid",
-        GradedHopfData: "graded-hopf",
-        ModuleData: "module",
-        ComoduleData: "comodule",
-        HopfModuleData: "hopf-module",
-        BimonoidData: "bimonoid",
-    }[type(obj)]
+    return type(obj).layout.name
 
 
 # -- serialization -----------------------------------------------------------------
 
-def _tensor3_records(tag, keyparts, t, fmt):
-    for i, plane in enumerate(t):
-        for j, row in enumerate(plane):
-            for k, v in enumerate(row):
-                if v:
-                    yield (tag, keyparts + (i, j, k), fmt(v))
+def _header_lines(obj, name: str) -> list[str]:
+    if name == "antipode":
+        return ["antipode " + ("no" if obj.antipode is None else "yes")]
+    if name == "base":
+        if getattr(obj, "_base_name", None) is None:
+            raise ParseError("module-like data needs a base name for "
+                             "serialization; set obj._base_name")
+        return [f"base {obj._base_name}"]
+    if name == "side":
+        return [f"side {obj.side}"]
+    if name == "gmul":
+        table = obj.group.table
+        return [f"gmul {a} {b} {table[(a, b)]}"
+                for a, b in product(obj.group.elements, repeat=2)
+                if (a, b) in table]
+    return [f"block {x} {y} {off} {ln}" for ((x, y), off, ln) in obj.blocks]
 
 
-def _vector_records(tag, keyparts, vec, fmt):
-    for i, v in enumerate(vec):
-        if v:
-            yield (tag, keyparts + (i,), fmt(v))
-
-
-def _matrix_records(tag, keyparts, mat, fmt):
-    """Antipode matrices: record (.., i, j, v) means basis i maps onto j."""
-    for j, row in enumerate(mat):
-        for i, v in enumerate(row):
-            if v:
-                yield (tag, keyparts + (i, j), fmt(v))
-
-
-def _emit(records, order_index) -> list[str]:
-    def key(rec):
-        tag, parts, _ = rec
-        return (tag, tuple(order_index.get(p, p) if isinstance(p, str) else p
-                           for p in parts))
-    lines = []
-    for tag, parts, val in sorted(records, key=key):
-        lines.append(" ".join([tag, *map(str, parts), val]))
-    return lines
+def _serialize_groupoid(g: GroupoidData) -> list[str]:
+    return (["objects " + " ".join(g.objects)]
+            + [f"morphism {' '.join(m)}" for m in g.morphisms]
+            + [f"identity {x} {g.identities[x]}" for x in g.objects]
+            + [f"compose {a} {b} {c}" for (a, b), c in sorted(g.compose.items())]
+            + [f"inverse {a} {b}" for a, b in sorted(g.inverses.items())])
 
 
 def serialize(obj) -> str:
-    kind = kind_of(obj)
-    lines = [f"format {FORMAT_VERSION}", f"kind {kind}"]
-    if kind == "groupoid":
-        g: GroupoidData = obj
-        lines.append("objects " + " ".join(g.objects))
-        for name, src, tgt in g.morphisms:
-            lines.append(f"morphism {name} {src} {tgt}")
-        for x in g.objects:
-            lines.append(f"identity {x} {g.identities[x]}")
-        for (a, b) in sorted(g.compose):
-            lines.append(f"compose {a} {b} {g.compose[(a, b)]}")
-        for a in sorted(g.inverses):
-            lines.append(f"inverse {a} {g.inverses[a]}")
-        return "\n".join(lines) + "\n"
-
-    field: Field = obj.base.field \
-        if kind in ("module", "comodule", "hopf-module") else obj.field
-    lines.append(f"field {field}")
-    fmt = field.fmt
-
-    if kind == "graded-hopf":
-        h: GradedHopfData = obj
-        G = h.group.elements
-        order = {s: i for i, s in enumerate(G)}
-        lines.append("objects " + " ".join(G))
-        lines.append("antipode " + ("yes" if h.antipode is not None else "no"))
-        for (a, b) in sorted(h.group.table,
-                             key=lambda p: (order[p[0]], order[p[1]])):
-            lines.append(f"gmul {a} {b} {h.group.table[(a, b)]}")
-        for s in G:
-            lines.append(f"dim {s} {h.dims[s]}")
-        recs = []
-        for (s, t), tns in h.mult.items():
-            recs.extend(_tensor3_records("mult", (s, t), tns, fmt))
-        recs.extend(_vector_records("unit", (), h.unit, fmt))
-        for s, tns in h.comult.items():
-            recs.extend(_tensor3_records("comult", (s,), tns, fmt))
-        for s, vec in h.counit.items():
-            recs.extend(_vector_records("counit", (s,), vec, fmt))
-        if h.antipode is not None:
-            for s, mat in h.antipode.items():
-                recs.extend(_matrix_records("antipode", (s,), mat, fmt))
-        lines.extend(_emit(recs, order))
-        return "\n".join(lines) + "\n"
-
-    if kind == "weak-hopf":
-        w: WeakHopfData = obj
-        labels = []
-        for (pair, _, _) in w.blocks:
-            for lbl in pair:
-                if lbl not in labels:
-                    labels.append(lbl)
-        lines.append("objects " + " ".join(labels))
-        lines.append("antipode " + ("yes" if w.antipode is not None else "no"))
-        for (pair, off, ln) in w.blocks:
-            lines.append(f"block {pair[0]} {pair[1]} {off} {ln}")
-        recs = list(_tensor3_records("mult", (), w.mult, fmt))
-        recs.extend(_vector_records("unit", (), w.unit, fmt))
-        recs.extend(_tensor3_records("comult", (), w.comult, fmt))
-        recs.extend(_vector_records("counit", (), w.counit, fmt))
-        if w.antipode is not None:
-            recs.extend(_matrix_records("antipode", (), w.antipode, fmt))
-        lines.extend(_emit(recs, {}))
-        return "\n".join(lines) + "\n"
-
-    if kind in ("module", "comodule", "hopf-module"):
-        base_name = getattr(obj, "_base_name", None)
-        if base_name is None:
-            raise ParseError(
-                "module-like data needs a base name for serialization; "
-                "set obj._base_name")
-        X = obj.base.objects
-        order = {x: i for i, x in enumerate(X)}
-        lines.append("objects " + " ".join(X))
-        lines.append(f"base {base_name}")
-        if kind == "module":
-            lines.append(f"side {obj.side}")
-        for x in X:
-            for y in X:
-                lines.append(f"dim {x} {y} {obj.dims[(x, y)]}")
-        recs = []
-        if kind in ("module", "hopf-module"):
-            for (x, y, z), tns in obj.action.items():
-                recs.extend(_tensor3_records("action", (x, y, z), tns, fmt))
-        if kind == "comodule":
-            for (x, y, z), tns in obj.coaction.items():
-                recs.extend(_tensor3_records("coaction", (x, y, z), tns, fmt))
-        if kind == "hopf-module":
-            for (x, y), tns in obj.coaction.items():
-                recs.extend(_tensor3_records("coaction", (x, y), tns, fmt))
-        lines.extend(_emit(recs, order))
-        return "\n".join(lines) + "\n"
-
-    if kind == "bimonoid":
-        b: BimonoidData = obj
-        X = b.carrier.objects
-        order = {x: i for i, x in enumerate(X)}
-        lines.append("objects " + " ".join(X))
-        for x in X:
-            for y in X:
-                lines.append(f"dim {x} {y} {b.carrier.dims[(x, y)]}")
-        recs = []
-        for (x, u, y), tns in b.mu.items():
-            recs.extend(_tensor3_records("mu", (x, u, y), tns, fmt))
-        for x, vec in b.eta.items():
-            recs.extend(_vector_records("eta", (x,), vec, fmt))
-        for (x, y), tns in b.delta.items():
-            recs.extend(_tensor3_records("delta", (x, y), tns, fmt))
-        for (x, y), vec in b.eps.items():
-            recs.extend(_vector_records("eps", (x, y), vec, fmt))
-        lines.extend(_emit(recs, order))
-        return "\n".join(lines) + "\n"
-
-    if kind == "hopf-category":
-        a: HopfCatData = obj
-        X = a.objects
-        order = {x: i for i, x in enumerate(X)}
-        lines.append("objects " + " ".join(X))
-        lines.append("antipode " + ("yes" if a.antipode is not None else "no"))
-        for x in X:
-            for y in X:
-                lines.append(f"dim {x} {y} {a.dims[(x, y)]}")
-        recs = []
-        for (x, y, z), tns in a.mult.items():
-            recs.extend(_tensor3_records("mult", (x, y, z), tns, fmt))
-        for x, vec in a.unit.items():
-            recs.extend(_vector_records("unit", (x,), vec, fmt))
-        for (x, y), tns in a.comult.items():
-            recs.extend(_tensor3_records("comult", (x, y), tns, fmt))
-        for (x, y), vec in a.counit.items():
-            recs.extend(_vector_records("counit", (x, y), vec, fmt))
-        if a.antipode is not None:
-            for (x, y), mat in a.antipode.items():
-                recs.extend(_matrix_records("antipode", (x, y), mat, fmt))
-        lines.extend(_emit(recs, order))
-        return "\n".join(lines) + "\n"
-
-    if kind == "dual-hopf-category":
-        c: DualHopfCatData = obj
-        X = c.objects
-        order = {x: i for i, x in enumerate(X)}
-        lines.append("objects " + " ".join(X))
-        lines.append("antipode " + ("yes" if c.antipode is not None else "no"))
-        for x in X:
-            for y in X:
-                lines.append(f"dim {x} {y} {c.dims[(x, y)]}")
-        recs = []
-        for (x, y), tns in c.alg.items():
-            recs.extend(_tensor3_records("alg", (x, y), tns, fmt))
-        for (x, y), vec in c.unit.items():
-            recs.extend(_vector_records("unit", (x, y), vec, fmt))
-        for (x, y, z), tns in c.cocomp.items():
-            recs.extend(_tensor3_records("cocomp", (x, y, z), tns, fmt))
-        for x, vec in c.counit.items():
-            recs.extend(_vector_records("counit", (x,), vec, fmt))
-        if c.antipode is not None:
-            for (x, y), mat in c.antipode.items():
-                recs.extend(_matrix_records("antipode", (x, y), mat, fmt))
-        lines.extend(_emit(recs, order))
-        return "\n".join(lines) + "\n"
-
-    raise ParseError(f"cannot serialize kind '{kind}'")
+    kind = type(obj).layout
+    lines = [f"format {FORMAT_VERSION}", f"kind {kind.name}"]
+    if kind.name == "groupoid":
+        return "\n".join(lines + _serialize_groupoid(obj)) + "\n"
+    frame = kind.frame(obj)
+    fmt = frame.field.fmt
+    labels = frame.labels
+    if kind.labels is None:     # weak: the objects named by the blocks
+        labels = tuple(dict.fromkeys(
+            lbl for (pair, _, _) in obj.blocks for lbl in pair))
+    lines.append(f"field {frame.field}")
+    lines.append("objects " + " ".join(labels))
+    for name in kind.headers:
+        lines.extend(_header_lines(obj, name))
+    if kind.dim:
+        for key in product(frame.labels, repeat=len(kind.dim)):
+            d = frame.dims[key[0] if len(key) == 1 else key]
+            lines.append(" ".join(("dim", *key, str(d))))
+    for slot in sorted(kind.slots, key=lambda s: s.tag):
+        data = getattr(obj, slot.tag)
+        if data is None:
+            continue
+        for key in product(frame.labels, repeat=len(slot.keys)):
+            head = " ".join((slot.tag, *key))
+            lines.extend(" ".join((head, *map(str, idx), fmt(v)))
+                         for idx, v in slot.entries(slot.stored(data, key)))
+    return "\n".join(lines) + "\n"
 
 
 def digest(obj) -> str:
@@ -281,64 +140,20 @@ def save(path: str, obj):
 
 # -- parsing -----------------------------------------------------------------------
 
-class _Lines:
-    def __init__(self, text: str):
-        self.rows = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((lineno, body.split()))
+def _rows(text: str) -> list:
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append((lineno, body.split()))
+    return rows
 
 
-def _zeros3(field, d1, d2, d3):
-    z = field.zero
-    return [[[z] * d3 for _ in range(d2)] for _ in range(d1)]
-
-
-def _take_header(rows, idx, name, required=True):
+def _take_header(rows, idx, name):
     if idx < len(rows) and rows[idx][1][0] == name:
         return idx + 1, rows[idx]
-    if required:
-        lineno = rows[idx][0] if idx < len(rows) else None
-        raise ParseError(f"expected '{name}' header", lineno)
-    return idx, None
-
-
-def parse(text: str, base_loader=None):
-    """Parse one structure file; ``base_loader(name)`` resolves module bases."""
-    rows = _Lines(text).rows
-    if not rows:
-        raise ParseError("empty file")
-    idx = 0
-    idx, (ln, toks) = _take_header(rows, idx, "format")
-    if len(toks) != 2 or toks[1] != str(FORMAT_VERSION):
-        raise ParseError(f"unsupported format version {toks[1:]}", ln)
-    idx, (ln, toks) = _take_header(rows, idx, "kind")
-    if len(toks) != 2 or toks[1] not in KINDS:
-        raise ParseError(f"unknown kind {toks[1:]}", ln)
-    kind = toks[1]
-    if kind == "groupoid":
-        return _parse_groupoid(rows, idx)
-
-    idx, (ln, toks) = _take_header(rows, idx, "field")
-    try:
-        field = parse_field(" ".join(toks[1:]))
-    except ValueError as e:
-        raise ParseError(str(e), ln)
-    idx, (ln, toks) = _take_header(rows, idx, "objects")
-    objects = tuple(toks[1:])
-    if not objects or len(set(objects)) != len(objects):
-        raise ParseError("objects line must list distinct labels", ln)
-
-    if kind == "graded-hopf":
-        return _parse_graded(rows, idx, field, objects)
-    if kind == "weak-hopf":
-        return _parse_weak(rows, idx, field, objects)
-    if kind in ("module", "comodule", "hopf-module"):
-        return _parse_module_like(rows, idx, kind, field, objects, base_loader)
-    if kind == "bimonoid":
-        return _parse_bimonoid(rows, idx, field, objects)
-    return _parse_category_like(rows, idx, kind, field, objects)
+    lineno = rows[idx][0] if idx < len(rows) else None
+    raise ParseError(f"expected '{name}' header", lineno)
 
 
 def _scalar(field, tok, ln):
@@ -355,543 +170,215 @@ def _int(tok, ln):
         raise ParseError(f"bad integer '{tok}'", ln)
 
 
-def _check_label(objects, tok, ln):
-    if tok not in objects:
+def _check_label(labels, tok, ln):
+    if tok not in labels:
         raise ParseError(f"undeclared object label '{tok}'", ln)
     return tok
 
 
-def _set3(tname, store, key, idxs, dims3, val, ln, seen):
-    i, j, k = idxs
-    d1, d2, d3 = dims3
-    if not (0 <= i < d1 and 0 <= j < d2 and 0 <= k < d3):
-        raise ParseError(
-            f"{tname} index ({i},{j},{k}) out of range for dims {dims3}", ln)
-    mark = (tname, key, i, j, k)
-    if mark in seen:
-        raise ParseError(f"duplicate {tname} entry at {key} ({i},{j},{k})", ln)
-    seen.add(mark)
-    if val:
-        store[key][i][j][k] = val
-
-
-def _parse_category_like(rows, idx, kind, field, objects):
-    dims = {}
-    antipode_flag = None
-    dim_rows, entry_rows = [], []
-    for lineno, toks in rows[idx:]:
-        if toks[0] == "antipode" and len(toks) == 2 and toks[1] in ("yes", "no"):
-            antipode_flag = toks[1] == "yes"
-        elif toks[0] == "dim":
-            dim_rows.append((lineno, toks))
-        else:
-            entry_rows.append((lineno, toks))
-    if antipode_flag is None:
-        raise ParseError("missing 'antipode yes|no' header")
-    for lineno, toks in dim_rows:
-        if len(toks) != 4:
-            raise ParseError("dim line needs: dim x y n", lineno)
-        x = _check_label(objects, toks[1], lineno)
-        y = _check_label(objects, toks[2], lineno)
-        if (x, y) in dims:
-            raise ParseError(f"duplicate dim({x},{y})", lineno)
-        n = _int(toks[3], lineno)
-        if n < 0:
-            raise ParseError("negative dimension", lineno)
-        dims[(x, y)] = n
-    for x in objects:
-        for y in objects:
-            if (x, y) not in dims:
-                raise ParseError(f"missing dim({x},{y})")
-
-    if kind == "hopf-category":
-        mult = {(x, y, z): _zeros3(field, dims[(x, y)], dims[(y, z)],
-                                   dims[(x, z)])
-                for x in objects for y in objects for z in objects}
-        unit = {x: [field.zero] * dims[(x, x)] for x in objects}
-        comult = {(x, y): _zeros3(field, dims[(x, y)], dims[(x, y)],
-                                  dims[(x, y)])
-                  for x in objects for y in objects}
-        counit = {(x, y): [field.zero] * dims[(x, y)]
-                  for x in objects for y in objects}
-        antipode = None
-        if antipode_flag:
-            antipode = {(x, y): [[field.zero] * dims[(x, y)]
-                                 for _ in range(dims[(y, x)])]
-                        for x in objects for y in objects}
-        seen = set()
-        for lineno, toks in entry_rows:
-            tag = toks[0]
-            if tag == "mult" and len(toks) == 8:
-                x, y, z = (_check_label(objects, t, lineno) for t in toks[1:4])
-                i, j, k = (_int(t, lineno) for t in toks[4:7])
-                v = _scalar(field, toks[7], lineno)
-                _set3("mult", mult, (x, y, z), (i, j, k),
-                      (dims[(x, y)], dims[(y, z)], dims[(x, z)]), v, lineno,
-                      seen)
-            elif tag == "unit" and len(toks) == 4:
-                x = _check_label(objects, toks[1], lineno)
-                i = _int(toks[2], lineno)
-                if not 0 <= i < dims[(x, x)]:
-                    raise ParseError(f"unit index {i} out of range", lineno)
-                if ("unit", x, i) in seen:
-                    raise ParseError(f"duplicate unit entry at {x}", lineno)
-                seen.add(("unit", x, i))
-                unit[x][i] = _scalar(field, toks[3], lineno)
-            elif tag == "comult" and len(toks) == 7:
-                x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-                i, j, k = (_int(t, lineno) for t in toks[3:6])
-                v = _scalar(field, toks[6], lineno)
-                d = dims[(x, y)]
-                _set3("comult", comult, (x, y), (i, j, k), (d, d, d), v,
-                      lineno, seen)
-            elif tag == "counit" and len(toks) == 5:
-                x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-                i = _int(toks[3], lineno)
-                if not 0 <= i < dims[(x, y)]:
-                    raise ParseError(f"counit index {i} out of range", lineno)
-                if ("counit", x, y, i) in seen:
-                    raise ParseError("duplicate counit entry", lineno)
-                seen.add(("counit", x, y, i))
-                counit[(x, y)][i] = _scalar(field, toks[4], lineno)
-            elif tag == "antipode" and len(toks) == 6:
-                if antipode is None:
-                    raise ParseError(
-                        "antipode entry in a file declaring 'antipode no'",
-                        lineno)
-                x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-                i, j = _int(toks[3], lineno), _int(toks[4], lineno)
-                if not (0 <= i < dims[(x, y)] and 0 <= j < dims[(y, x)]):
-                    raise ParseError("antipode index out of range", lineno)
-                if ("antipode", x, y, i, j) in seen:
-                    raise ParseError("duplicate antipode entry", lineno)
-                seen.add(("antipode", x, y, i, j))
-                antipode[(x, y)][j][i] = _scalar(field, toks[5], lineno)
-            else:
-                raise ParseError(f"unrecognized record '{' '.join(toks)}'",
-                                 lineno)
-        return HopfCatData(field, objects, dims, mult, unit, comult, counit,
-                           antipode)
-
-    # dual-hopf-category
-    alg = {(x, y): _zeros3(field, dims[(x, y)], dims[(x, y)], dims[(x, y)])
-           for x in objects for y in objects}
-    unit = {(x, y): [field.zero] * dims[(x, y)]
-            for x in objects for y in objects}
-    cocomp = {(x, y, z): _zeros3(field, dims[(x, z)], dims[(x, y)],
-                                 dims[(y, z)])
-              for x in objects for y in objects for z in objects}
-    counit = {x: [field.zero] * dims[(x, x)] for x in objects}
-    antipode = None
-    if antipode_flag:
-        antipode = {(x, y): [[field.zero] * dims[(y, x)]
-                             for _ in range(dims[(x, y)])]
-                    for x in objects for y in objects}
-    seen = set()
-    for lineno, toks in entry_rows:
-        tag = toks[0]
-        if tag == "alg" and len(toks) == 7:
-            x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-            i, j, k = (_int(t, lineno) for t in toks[3:6])
-            d = dims[(x, y)]
-            _set3("alg", alg, (x, y), (i, j, k), (d, d, d),
-                  _scalar(field, toks[6], lineno), lineno, seen)
-        elif tag == "unit" and len(toks) == 5:
-            x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-            i = _int(toks[3], lineno)
-            if not 0 <= i < dims[(x, y)]:
-                raise ParseError("unit index out of range", lineno)
-            if ("unit", x, y, i) in seen:
-                raise ParseError("duplicate unit entry", lineno)
-            seen.add(("unit", x, y, i))
-            unit[(x, y)][i] = _scalar(field, toks[4], lineno)
-        elif tag == "cocomp" and len(toks) == 8:
-            x, y, z = (_check_label(objects, t, lineno) for t in toks[1:4])
-            k, a_, b_ = (_int(t, lineno) for t in toks[4:7])
-            _set3("cocomp", cocomp, (x, y, z), (k, a_, b_),
-                  (dims[(x, z)], dims[(x, y)], dims[(y, z)]),
-                  _scalar(field, toks[7], lineno), lineno, seen)
-        elif tag == "counit" and len(toks) == 4:
-            x = _check_label(objects, toks[1], lineno)
-            i = _int(toks[2], lineno)
-            if not 0 <= i < dims[(x, x)]:
-                raise ParseError("counit index out of range", lineno)
-            if ("counit", x, i) in seen:
-                raise ParseError("duplicate counit entry", lineno)
-            seen.add(("counit", x, i))
-            counit[x][i] = _scalar(field, toks[3], lineno)
-        elif tag == "antipode" and len(toks) == 6:
-            if antipode is None:
-                raise ParseError(
-                    "antipode entry in a file declaring 'antipode no'", lineno)
-            x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-            i, j = _int(toks[3], lineno), _int(toks[4], lineno)
-            if not (0 <= i < dims[(y, x)] and 0 <= j < dims[(x, y)]):
-                raise ParseError("antipode index out of range", lineno)
-            if ("antipode", x, y, i, j) in seen:
-                raise ParseError("duplicate antipode entry", lineno)
-            seen.add(("antipode", x, y, i, j))
-            antipode[(x, y)][j][i] = _scalar(field, toks[5], lineno)
-        else:
-            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
-    return DualHopfCatData(field, objects, dims, alg, unit, cocomp, counit,
-                           antipode)
-
-
-def _parse_groupoid(rows, idx):
+def parse(text: str, base_loader=None):
+    """Parse one structure file; ``base_loader(name)`` resolves module bases."""
+    rows = _rows(text)
+    if not rows:
+        raise ParseError("empty file")
+    idx, (ln, toks) = _take_header(rows, 0, "format")
+    if len(toks) != 2 or toks[1] != str(FORMAT_VERSION):
+        raise ParseError(f"unsupported format version {toks[1:]}", ln)
+    idx, (ln, toks) = _take_header(rows, idx, "kind")
+    if len(toks) != 2 or toks[1] not in KINDS:
+        raise ParseError(f"unknown kind {toks[1:]}", ln)
+    kind = LAYOUTS[toks[1]]
+    field = None
+    if kind.name != "groupoid":
+        idx, (ln, toks) = _take_header(rows, idx, "field")
+        try:
+            field = parse_field(" ".join(toks[1:]))
+        except ValueError as e:
+            raise ParseError(str(e), ln)
     idx, (ln, toks) = _take_header(rows, idx, "objects")
-    objects = tuple(toks[1:])
-    morphisms = []
-    identities = {}
-    compose = {}
-    inverses = {}
-    names = set()
-    for lineno, toks in rows[idx:]:
-        tag = toks[0]
-        if tag == "morphism" and len(toks) == 4:
-            if toks[1] in names:
-                raise ParseError(f"duplicate morphism '{toks[1]}'", lineno)
-            names.add(toks[1])
-            _check_label(objects, toks[2], lineno)
-            _check_label(objects, toks[3], lineno)
-            morphisms.append((toks[1], toks[2], toks[3]))
-        elif tag == "identity" and len(toks) == 3:
-            x = _check_label(objects, toks[1], lineno)
-            if x in identities:
-                raise ParseError(f"duplicate identity for '{x}'", lineno)
-            identities[x] = toks[2]
-        elif tag == "compose" and len(toks) == 4:
-            if (toks[1], toks[2]) in compose:
-                raise ParseError("duplicate compose entry", lineno)
-            compose[(toks[1], toks[2])] = toks[3]
-        elif tag == "inverse" and len(toks) == 3:
-            if toks[1] in inverses:
-                raise ParseError("duplicate inverse entry", lineno)
-            inverses[toks[1]] = toks[2]
+    labels = tuple(toks[1:])
+    if not labels or len(set(labels)) != len(labels):
+        raise ParseError("objects line must list distinct labels", ln)
+    if kind.name == "groupoid":
+        return _parse_groupoid(rows[idx:], labels)
+
+    heads = {name: [] for name in kind.headers}
+    dim_rows, records = [], []
+    for row in rows[idx:]:
+        tag = row[1][0]
+        if tag in heads and len(row[1]) == _HEADER_WIDTH[tag]:
+            if tag in _ONCE and heads[tag]:
+                raise ParseError(f"repeated '{tag}' header", row[0])
+            heads[tag].append(row)
+        elif tag == "dim" and kind.dim:
+            dim_rows.append(row)
         else:
-            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
-    return GroupoidData(objects, tuple(morphisms), identities, compose,
-                        inverses)
-
-
-def _parse_graded(rows, idx, field, elements):
-    antipode_flag = None
-    table = {}
-    dims = {}
-    entry_rows = []
-    for lineno, toks in rows[idx:]:
-        tag = toks[0]
-        if tag == "antipode" and len(toks) == 2 and toks[1] in ("yes", "no"):
-            antipode_flag = toks[1] == "yes"
-        elif tag == "gmul" and len(toks) == 4:
-            a = _check_label(elements, toks[1], lineno)
-            b = _check_label(elements, toks[2], lineno)
-            c = _check_label(elements, toks[3], lineno)
-            if (a, b) in table:
-                raise ParseError("duplicate gmul entry", lineno)
-            table[(a, b)] = c
-        elif tag == "dim" and len(toks) == 3:
-            s = _check_label(elements, toks[1], lineno)
-            if s in dims:
-                raise ParseError(f"duplicate dim({s})", lineno)
-            dims[s] = _int(toks[2], lineno)
-        else:
-            entry_rows.append((lineno, toks))
-    if antipode_flag is None:
-        raise ParseError("missing 'antipode yes|no' header")
-    group = GroupTable(elements, table)
-    group.validate()
-    for s in elements:
-        if s not in dims:
-            raise ParseError(f"missing dim({s})")
-    e = group.identity()
-    mult = {(s, t): _zeros3(field, dims[s], dims[t],
-                            dims[group.mul(s, t)])
-            for s in elements for t in elements}
-    unit = [field.zero] * dims[e]
-    comult = {s: _zeros3(field, dims[s], dims[s], dims[s]) for s in elements}
-    counit = {s: [field.zero] * dims[s] for s in elements}
-    antipode = None
-    if antipode_flag:
-        antipode = {s: [[field.zero] * dims[s]
-                        for _ in range(dims[group.inverse(s)])]
-                    for s in elements}
-    seen = set()
-    for lineno, toks in entry_rows:
-        tag = toks[0]
-        if tag == "mult" and len(toks) == 7:
-            s = _check_label(elements, toks[1], lineno)
-            t = _check_label(elements, toks[2], lineno)
-            i, j, k = (_int(tk, lineno) for tk in toks[3:6])
-            _set3("mult", mult, (s, t), (i, j, k),
-                  (dims[s], dims[t], dims[group.mul(s, t)]),
-                  _scalar(field, toks[6], lineno), lineno, seen)
-        elif tag == "unit" and len(toks) == 3:
-            i = _int(toks[1], lineno)
-            if not 0 <= i < dims[e]:
-                raise ParseError("unit index out of range", lineno)
-            if ("unit", i) in seen:
-                raise ParseError("duplicate unit entry", lineno)
-            seen.add(("unit", i))
-            unit[i] = _scalar(field, toks[2], lineno)
-        elif tag == "comult" and len(toks) == 6:
-            s = _check_label(elements, toks[1], lineno)
-            i, j, k = (_int(tk, lineno) for tk in toks[2:5])
-            _set3("comult", comult, s, (i, j, k),
-                  (dims[s], dims[s], dims[s]),
-                  _scalar(field, toks[5], lineno), lineno, seen)
-        elif tag == "counit" and len(toks) == 4:
-            s = _check_label(elements, toks[1], lineno)
-            i = _int(toks[2], lineno)
-            if not 0 <= i < dims[s]:
-                raise ParseError("counit index out of range", lineno)
-            if ("counit", s, i) in seen:
-                raise ParseError("duplicate counit entry", lineno)
-            seen.add(("counit", s, i))
-            counit[s][i] = _scalar(field, toks[3], lineno)
-        elif tag == "antipode" and len(toks) == 5:
-            if antipode is None:
-                raise ParseError(
-                    "antipode entry in a file declaring 'antipode no'", lineno)
-            s = _check_label(elements, toks[1], lineno)
-            i, j = _int(toks[2], lineno), _int(toks[3], lineno)
-            si = group.inverse(s)
-            if not (0 <= i < dims[s] and 0 <= j < dims[si]):
-                raise ParseError("antipode index out of range", lineno)
-            if ("antipode", s, i, j) in seen:
-                raise ParseError("duplicate antipode entry", lineno)
-            seen.add(("antipode", s, i, j))
-            antipode[s][j][i] = _scalar(field, toks[4], lineno)
-        else:
-            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
-    return GradedHopfData(field, group, dims, mult, unit, comult, counit,
-                          antipode)
-
-
-def _parse_weak(rows, idx, field, objects):
-    antipode_flag = None
-    blocks = []
-    entry_rows = []
-    for lineno, toks in rows[idx:]:
-        tag = toks[0]
-        if tag == "antipode" and len(toks) == 2 and toks[1] in ("yes", "no"):
-            antipode_flag = toks[1] == "yes"
-        elif tag == "block" and len(toks) == 5:
-            x = _check_label(objects, toks[1], lineno)
-            y = _check_label(objects, toks[2], lineno)
-            blocks.append(((x, y), _int(toks[3], lineno),
-                           _int(toks[4], lineno)))
-        else:
-            entry_rows.append((lineno, toks))
-    if antipode_flag is None:
-        raise ParseError("missing 'antipode yes|no' header")
-    if not blocks:
-        raise ParseError("weak-hopf file needs block lines")
-    total = sum(ln for (_, _, ln) in blocks)
-    mult = _zeros3(field, total, total, total)
-    comult = _zeros3(field, total, total, total)
-    unit = [field.zero] * total
-    counit = [field.zero] * total
-    antipode = [[field.zero] * total for _ in range(total)] \
-        if antipode_flag else None
-    seen = set()
-    store_m = {0: mult}
-    store_c = {0: comult}
-    for lineno, toks in entry_rows:
-        tag = toks[0]
-        if tag == "mult" and len(toks) == 5:
-            i, j, k = (_int(t, lineno) for t in toks[1:4])
-            _set3("mult", store_m, 0, (i, j, k), (total, total, total),
-                  _scalar(field, toks[4], lineno), lineno, seen)
-        elif tag == "comult" and len(toks) == 5:
-            i, j, k = (_int(t, lineno) for t in toks[1:4])
-            _set3("comult", store_c, 0, (i, j, k), (total, total, total),
-                  _scalar(field, toks[4], lineno), lineno, seen)
-        elif tag == "unit" and len(toks) == 3:
-            i = _int(toks[1], lineno)
-            if not 0 <= i < total:
-                raise ParseError("unit index out of range", lineno)
-            if ("unit", i) in seen:
-                raise ParseError("duplicate unit entry", lineno)
-            seen.add(("unit", i))
-            unit[i] = _scalar(field, toks[2], lineno)
-        elif tag == "counit" and len(toks) == 3:
-            i = _int(toks[1], lineno)
-            if not 0 <= i < total:
-                raise ParseError("counit index out of range", lineno)
-            if ("counit", i) in seen:
-                raise ParseError("duplicate counit entry", lineno)
-            seen.add(("counit", i))
-            counit[i] = _scalar(field, toks[2], lineno)
-        elif tag == "antipode" and len(toks) == 4:
-            if antipode is None:
-                raise ParseError(
-                    "antipode entry in a file declaring 'antipode no'", lineno)
-            i, j = _int(toks[1], lineno), _int(toks[2], lineno)
-            if not (0 <= i < total and 0 <= j < total):
-                raise ParseError("antipode index out of range", lineno)
-            if ("antipode", i, j) in seen:
-                raise ParseError("duplicate antipode entry", lineno)
-            seen.add(("antipode", i, j))
-            antipode[j][i] = _scalar(field, toks[3], lineno)
-        else:
-            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
-    w = WeakHopfData(field, total, tuple(blocks), mult, unit, comult, counit,
-                     antipode)
-    w.validate_shape()
-    return w
-
-
-def _parse_module_like(rows, idx, kind, field, objects, base_loader):
-    base_name = None
-    side = "right"
-    dims = {}
-    entry_rows = []
-    for lineno, toks in rows[idx:]:
-        tag = toks[0]
-        if tag == "base" and len(toks) == 2:
-            base_name = toks[1]
-        elif tag == "side" and len(toks) == 2 and kind == "module":
-            if toks[1] not in ("right", "left"):
-                raise ParseError(f"bad side '{toks[1]}'", lineno)
-            side = toks[1]
-        elif tag == "dim" and len(toks) == 4:
-            x = _check_label(objects, toks[1], lineno)
-            y = _check_label(objects, toks[2], lineno)
-            if (x, y) in dims:
-                raise ParseError("duplicate dim entry", lineno)
-            dims[(x, y)] = _int(toks[3], lineno)
-        else:
-            entry_rows.append((lineno, toks))
-    if base_name is None:
-        raise ParseError(f"{kind} file needs a 'base <name>' header")
-    if base_loader is None:
-        raise ParseError(f"no loader available to resolve base '{base_name}'")
-    base = base_loader(base_name)
-    if base.objects != objects:
-        raise ParseError(
-            f"base '{base_name}' has objects {base.objects}, file declares "
-            f"{objects}")
-    if kind == "comodule":
-        if not isinstance(base, DualHopfCatData):
-            raise KindMismatchError(
-                f"comodule base '{base_name}' must be a dual-hopf-category")
-    else:
-        if not isinstance(base, HopfCatData):
-            raise KindMismatchError(
-                f"{kind} base '{base_name}' must be a hopf-category")
-    for x in objects:
-        for y in objects:
-            if (x, y) not in dims:
-                raise ParseError(f"missing dim({x},{y})")
-
-    def act_dims(x, y, z):
-        if kind == "module" and side == "left":
-            return (base.dim(x, y), dims[(y, z)], dims[(x, z)])
-        return (dims[(x, y)], base.dim(y, z), dims[(x, z)])
-
-    action = {(x, y, z): _zeros3(field, *act_dims(x, y, z))
-              for x in objects for y in objects for z in objects} \
-        if kind != "comodule" else None
-    coaction3 = {(x, y, z): _zeros3(field, dims[(x, z)], dims[(x, y)],
-                                    base.dim(y, z))
-                 for x in objects for y in objects for z in objects} \
-        if kind == "comodule" else None
-    coaction2 = {(x, y): _zeros3(field, dims[(x, y)], dims[(x, y)],
-                                 base.dim(x, y))
-                 for x in objects for y in objects} \
-        if kind == "hopf-module" else None
-    seen = set()
-    for lineno, toks in entry_rows:
-        tag = toks[0]
-        if tag == "action" and len(toks) == 8 and action is not None:
-            x, y, z = (_check_label(objects, t, lineno) for t in toks[1:4])
-            i, j, k = (_int(t, lineno) for t in toks[4:7])
-            _set3("action", action, (x, y, z), (i, j, k), act_dims(x, y, z),
-                  _scalar(field, toks[7], lineno), lineno, seen)
-        elif tag == "coaction" and len(toks) == 8 and coaction3 is not None:
-            x, y, z = (_check_label(objects, t, lineno) for t in toks[1:4])
-            i, j, k = (_int(t, lineno) for t in toks[4:7])
-            _set3("coaction", coaction3, (x, y, z), (i, j, k),
-                  (dims[(x, z)], dims[(x, y)], base.dim(y, z)),
-                  _scalar(field, toks[7], lineno), lineno, seen)
-        elif tag == "coaction" and len(toks) == 7 and coaction2 is not None:
-            x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-            i, j, k = (_int(t, lineno) for t in toks[3:6])
-            _set3("coaction", coaction2, (x, y), (i, j, k),
-                  (dims[(x, y)], dims[(x, y)], base.dim(x, y)),
-                  _scalar(field, toks[6], lineno), lineno, seen)
-        else:
-            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
-    if kind == "module":
-        out = ModuleData(base, side, dims, action)
-    elif kind == "comodule":
-        out = ComoduleData(base, dims, coaction3)
-    else:
-        out = HopfModuleData(base, dims, action, coaction2)
-    out._base_name = base_name
+            records.append(row)
+    frame, fields = _read_headers(kind, field, labels, heads, base_loader)
+    if kind.dim:
+        frame = frame._replace(dims=_read_dims(dim_rows, labels,
+                                               len(kind.dim)))
+        fields["dims"] = frame.dims
+    if kind.name == "bimonoid":
+        fields["carrier"] = MkXObject(fields.pop("objects"),
+                                      fields.pop("dims"))
+    omit = heads.get("antipode") and heads["antipode"][0][1][1] == "no"
+    fields.update(_read_slots(kind, frame, field, records, omit))
+    out = _CLASSES[kind.name](**fields)
+    if kind.name == "weak-hopf":
+        out.validate_shape()
+    if "base" in kind.headers:
+        out._base_name = heads["base"][0][1][1]
     return out
 
 
-def _parse_bimonoid(rows, idx, field, objects):
+def _read_headers(kind, field, labels, heads, base_loader):
+    """The frame of a file and the constructor fields its headers give."""
+    if "antipode" in heads:
+        if not heads["antipode"]:
+            raise ParseError("missing 'antipode yes|no' header")
+        ln, toks = heads["antipode"][0]
+        if toks[1] not in ("yes", "no"):
+            raise ParseError(f"bad antipode header '{toks[1]}'", ln)
+    if kind.name == "weak-hopf":
+        blocks = []
+        for ln, toks in heads["block"]:
+            pair = tuple(_check_label(labels, t, ln) for t in toks[1:3])
+            off, length = _int(toks[3], ln), _int(toks[4], ln)
+            if length < 0:
+                raise ParseError("negative dimension", ln)
+            blocks.append((pair, off, length))
+        if not blocks:
+            raise ParseError("weak-hopf file needs block lines")
+        total = sum(length for (_, _, length) in blocks)
+        return (Frame(field, (), None, n=total),
+                {"field": field, "total_dim": total, "blocks": tuple(blocks)})
+    if kind.name == "graded-hopf":
+        table = {}
+        for ln, toks in heads["gmul"]:
+            a, b, c = (_check_label(labels, t, ln) for t in toks[1:])
+            if (a, b) in table:
+                raise ParseError("duplicate gmul entry", ln)
+            table[(a, b)] = c
+        group = GroupTable(labels, table)
+        group.validate()
+        return (Frame(field, labels, None, group=group),
+                {"field": field, "group": group})
+    if "base" not in heads:
+        return Frame(field, labels, None), {"field": field, "objects": labels}
+    if not heads["base"]:
+        raise ParseError(f"{kind.name} file needs a 'base <name>' header")
+    base_name = heads["base"][0][1][1]
+    side = heads["side"][0][1][1] if heads.get("side") else "right"
+    if side not in ("right", "left"):
+        raise ParseError(f"bad side '{side}'", heads["side"][0][0])
+    if base_loader is None:
+        raise ParseError(f"no loader available to resolve base '{base_name}'")
+    base = base_loader(base_name)
+    want = DualHopfCatData if kind.name == "comodule" else HopfCatData
+    if not isinstance(base, want):
+        raise KindMismatchError(f"{kind.name} base '{base_name}' must be a "
+                                f"{want.layout.name}")
+    if base.objects != labels:
+        raise ParseError(f"base '{base_name}' has objects {base.objects}, "
+                         f"file declares {labels}")
+    fields = {"base": base, "side": side} if kind.name == "module" \
+        else {"base": base}
+    return Frame(field, labels, None, base=base, side=side), fields
+
+
+def _read_dims(dim_rows, labels, arity: int) -> dict:
     dims = {}
-    entry_rows = []
-    for lineno, toks in rows[idx:]:
-        if toks[0] == "dim" and len(toks) == 4:
-            x = _check_label(objects, toks[1], lineno)
-            y = _check_label(objects, toks[2], lineno)
-            if (x, y) in dims:
-                raise ParseError("duplicate dim entry", lineno)
-            dims[(x, y)] = _int(toks[3], lineno)
-        else:
-            entry_rows.append((lineno, toks))
-    for x in objects:
-        for y in objects:
-            if (x, y) not in dims:
-                raise ParseError(f"missing dim({x},{y})")
-    mu = {(x, u, y): _zeros3(field, dims[(x, u)], dims[(u, y)], dims[(x, y)])
-          for x in objects for u in objects for y in objects}
-    eta = {x: [field.zero] * dims[(x, x)] for x in objects}
-    delta = {(x, y): _zeros3(field, dims[(x, y)], dims[(x, y)], dims[(x, y)])
-             for x in objects for y in objects}
-    eps = {(x, y): [field.zero] * dims[(x, y)]
-           for x in objects for y in objects}
+    for ln, toks in dim_rows:
+        if len(toks) != arity + 2:
+            raise ParseError(
+                f"dim line needs {arity} labels and a dimension", ln)
+        key = tuple(_check_label(labels, t, ln) for t in toks[1:-1])
+        if arity == 1:
+            key = key[0]
+        if key in dims:
+            raise ParseError(f"duplicate dim {toks[1:-1]}", ln)
+        n = _int(toks[-1], ln)
+        if n < 0:
+            raise ParseError("negative dimension", ln)
+        dims[key] = n
+    for key in product(labels, repeat=arity):
+        if (key[0] if arity == 1 else key) not in dims:
+            raise ParseError(f"missing dim({','.join(key)})")
+    return dims
+
+
+def _read_slots(kind, frame, field, records, omit) -> dict:
+    """Every slot's tensors, zero but for the records; an optional slot is
+    None when ``omit``."""
+    zero = field.zero
+    cells = {}          # tag -> (slot, {key labels: (tensor, record shape)})
+    out = {}
+    for slot in kind.slots:
+        if slot.optional and omit:
+            out[slot.tag], cells[slot.tag] = None, (slot, None)
+            continue
+        table = {key: (slot.zeros(shape, zero), shape)
+                 for key, shape in slot.shapes(frame)}
+        cells[slot.tag] = (slot, table)
+        store = {k[0] if len(k) == 1 else k: t for k, (t, _) in table.items()}
+        out[slot.tag] = store if slot.keys else store[()]
     seen = set()
-    for lineno, toks in entry_rows:
+    for ln, toks in records:
+        slot, table = cells.get(toks[0], (None, None))
+        if slot is None or len(toks) != slot.width:
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", ln)
+        if table is None:
+            raise ParseError(
+                "antipode entry in a file declaring 'antipode no'", ln)
+        end = 1 + len(slot.keys)
+        key = tuple(toks[1:end])
+        if key not in table:
+            for t in key:
+                _check_label(frame.labels, t, ln)
+        t, shape = table[key]
+        try:
+            idx = [int(tok) for tok in toks[end:-1]]
+        except ValueError:
+            idx = [_int(tok, ln) for tok in toks[end:-1]]
+        for i, d in zip(idx, shape):
+            if not 0 <= i < d:
+                raise ParseError(f"{slot.tag} index {tuple(idx)} out of "
+                                 f"range for dims {shape}", ln)
+        mark = (slot.tag, key, *idx)
+        if mark in seen:
+            raise ParseError(f"duplicate {slot.tag} entry at {key} "
+                             f"{tuple(idx)}", ln)
+        seen.add(mark)
+        v = _scalar(field, toks[-1], ln)
+        if v:
+            slot.put(t, idx, v)
+    return out
+
+
+def _parse_groupoid(rows, objects):
+    morphisms, names = [], set()
+    tables = {"identity": {}, "compose": {}, "inverse": {}}
+    for ln, toks in rows:
         tag = toks[0]
-        if tag == "mu" and len(toks) == 8:
-            x, u, y = (_check_label(objects, t, lineno) for t in toks[1:4])
-            i, j, k = (_int(t, lineno) for t in toks[4:7])
-            _set3("mu", mu, (x, u, y), (i, j, k),
-                  (dims[(x, u)], dims[(u, y)], dims[(x, y)]),
-                  _scalar(field, toks[7], lineno), lineno, seen)
-        elif tag == "eta" and len(toks) == 4:
-            x = _check_label(objects, toks[1], lineno)
-            i = _int(toks[2], lineno)
-            if not 0 <= i < dims[(x, x)]:
-                raise ParseError("eta index out of range", lineno)
-            if ("eta", x, i) in seen:
-                raise ParseError("duplicate eta entry", lineno)
-            seen.add(("eta", x, i))
-            eta[x][i] = _scalar(field, toks[3], lineno)
-        elif tag == "delta" and len(toks) == 7:
-            x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-            i, j, k = (_int(t, lineno) for t in toks[3:6])
-            d = dims[(x, y)]
-            _set3("delta", delta, (x, y), (i, j, k), (d, d, d),
-                  _scalar(field, toks[6], lineno), lineno, seen)
-        elif tag == "eps" and len(toks) == 5:
-            x, y = (_check_label(objects, t, lineno) for t in toks[1:3])
-            i = _int(toks[3], lineno)
-            if not 0 <= i < dims[(x, y)]:
-                raise ParseError("eps index out of range", lineno)
-            if ("eps", x, y, i) in seen:
-                raise ParseError("duplicate eps entry", lineno)
-            seen.add(("eps", x, y, i))
-            eps[(x, y)][i] = _scalar(field, toks[4], lineno)
+        if tag == "morphism" and len(toks) == 4:
+            if toks[1] in names:
+                raise ParseError(f"duplicate morphism '{toks[1]}'", ln)
+            names.add(toks[1])
+            for t in toks[2:]:
+                _check_label(objects, t, ln)
+            morphisms.append(tuple(toks[1:]))
+        elif len(toks) == (4 if tag == "compose" else 3) and tag in tables:
+            key = tuple(toks[1:3]) if tag == "compose" else toks[1]
+            if tag == "identity":
+                _check_label(objects, key, ln)
+            if key in tables[tag]:
+                raise ParseError(f"duplicate {tag} entry", ln)
+            tables[tag][key] = toks[-1]
         else:
-            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
-    return BimonoidData(field, MkXObject(objects, dims), mu, eta, delta, eps)
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", ln)
+    return GroupoidData(objects, tuple(morphisms), tables["identity"],
+                        tables["compose"], tables["inverse"])
 
 
 # -- path-level helpers ---------------------------------------------------------------

@@ -21,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sparse as sp
-from .core import (HopfCatData, MalformedDataError, MissingAntipodeError,
-                   _require, verify_structure)
+from .core import (HopfCatData, MissingAntipodeError, _require,
+                   verify_structure)
 from .linalg import (LinMap, NotInvertible, invert, rank, rank_kernel, solve,
                      swap_map)
 from .modules import ModuleData, verify_module
 from .report import (InternalInvariantError, PreconditionError, Report,
                      check_condition, check_map_equal)
+from .schema import LAYOUTS, check_shape
 
 
 @dataclass
@@ -36,6 +37,9 @@ class HopfModuleData:
     dims: dict[tuple[str, str], int]
     action: dict[tuple[str, str, str], list]   # p[i][j][k]
     coaction: dict[tuple[str, str], list]      # r[i][j][k]
+
+    layout = LAYOUTS["hopf-module"]
+    validate_shape = check_shape
 
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
@@ -66,29 +70,6 @@ class HopfModuleData:
                 for k in range(da):
                     out[j * da + k][i] = t[i][j][k]
         return LinMap(f, d * da, d, out)
-
-    def validate_shape(self):
-        X = self.base.objects
-        for x in X:
-            for y in X:
-                if self.dims.get((x, y), -1) < 0:
-                    raise MalformedDataError(f"missing dim({x},{y})")
-                t = self.coaction.get((x, y))
-                d, da = self.dim(x, y), self.base.dim(x, y)
-                if t is None or len(t) != d or any(
-                        len(p) != d or any(len(q) != da for q in p)
-                        for p in t):
-                    raise MalformedDataError(
-                        f"coaction tensor at ({x},{y}) malformed")
-                for z in X:
-                    t = self.action.get((x, y, z))
-                    d1, d2, d3 = (self.dim(x, y), self.base.dim(y, z),
-                                  self.dim(x, z))
-                    if t is None or len(t) != d1 or any(
-                            len(p) != d2 or any(len(q) != d3 for q in p)
-                            for p in t):
-                        raise MalformedDataError(
-                            f"action tensor at ({x},{y},{z}) malformed")
 
 
 def verify_hopf_module(m: HopfModuleData,

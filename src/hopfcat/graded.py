@@ -19,6 +19,7 @@ from . import sparse as sp
 from .core import HopfCatData
 from .report import Report, check_map_equal
 from .scalars import Field
+from .schema import LAYOUTS, check_shape
 
 
 class GradedError(ValueError):
@@ -84,6 +85,9 @@ class GradedHopfData:
     counit: dict[str, list]
     antipode: dict[str, list] | None = None   # S_s matrix: rows over A_{s^-1}
 
+    layout = LAYOUTS["graded-hopf"]
+    validate_shape = check_shape
+
     def dim(self, s: str) -> int:
         return self.dims[s]
 
@@ -91,6 +95,7 @@ class GradedHopfData:
 def validate_graded(h: GradedHopfData) -> Report:
     """All graded axioms (group table included), on every basis element."""
     h.group.validate()
+    h.validate_shape()
     rep = Report()
     f, G, mul, dim = h.field, h.group.elements, h.group.mul, h.dim
     e = h.group.identity()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .core import HopfCatData
 from .scalars import Field
+from .schema import LAYOUTS
 
 
 class GroupoidError(ValueError):
@@ -26,6 +27,8 @@ class GroupoidData:
     identities: dict[str, str]                   # object -> morphism name
     compose: dict[tuple[str, str], str]          # (g, h) -> g∘h
     inverses: dict[str, str]
+
+    layout = LAYOUTS["groupoid"]
 
     def source(self, g: str) -> str:
         return self._by_name[g][1]

@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sparse as sp
-from .core import HopfCatData, MalformedDataError
+from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
 from .linalg import LinMap, swap_map
 from .report import Report, check_map_equal
+from .schema import LAYOUTS, check_shape
 
 
 class BaseMismatchError(ValueError):
@@ -40,6 +41,9 @@ class ModuleData:
     side: str                       # "right" | "left"
     dims: dict[tuple[str, str], int]
     action: dict[tuple[str, str, str], list]
+
+    layout = LAYOUTS["module"]
+    validate_shape = check_shape
 
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
@@ -59,30 +63,6 @@ class ModuleData:
                     out[k][i * d2 + j] = t[i][j][k]
         return LinMap(f, d3, d1 * d2, out)
 
-    def validate_shape(self):
-        if self.side not in ("right", "left"):
-            raise MalformedDataError(f"unknown module side '{self.side}'")
-        X = self.base.objects
-        for x in X:
-            for y in X:
-                if self.dims.get((x, y), -1) < 0:
-                    raise BaseMismatchError(f"missing module dim({x},{y})")
-        for x in X:
-            for y in X:
-                for z in X:
-                    t = self.action.get((x, y, z))
-                    if self.side == "right":
-                        d1, d2, d3 = (self.dim(x, y), self.base.dim(y, z),
-                                      self.dim(x, z))
-                    else:
-                        d1, d2, d3 = (self.base.dim(x, y), self.dim(y, z),
-                                      self.dim(x, z))
-                    if t is None or len(t) != d1 or any(
-                            len(p) != d2 or any(len(q) != d3 for q in p)
-                            for p in t):
-                        raise BaseMismatchError(
-                            f"action tensor at ({x},{y},{z}) malformed")
-
 
 @dataclass
 class ComoduleData:
@@ -90,26 +70,11 @@ class ComoduleData:
     dims: dict[tuple[str, str], int]
     coaction: dict[tuple[str, str, str], list]
 
+    layout = LAYOUTS["comodule"]
+    validate_shape = check_shape
+
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
-
-    def validate_shape(self):
-        X = self.base.objects
-        for x in X:
-            for y in X:
-                if self.dims.get((x, y), -1) < 0:
-                    raise BaseMismatchError(f"missing comodule dim({x},{y})")
-        for x in X:
-            for y in X:
-                for z in X:
-                    t = self.coaction.get((x, y, z))
-                    d1 = self.dim(x, z)
-                    d2, d3 = self.dim(x, y), self.base.dim(y, z)
-                    if t is None or len(t) != d1 or any(
-                            len(p) != d2 or any(len(q) != d3 for q in p)
-                            for p in t):
-                        raise BaseMismatchError(
-                            f"coaction tensor at ({x},{y},{z}) malformed")
 
 
 def verify_module(m: ModuleData) -> Report:

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sparse as sp
-from .core import HopfCatData, MalformedDataError, MissingAntipodeError
+from .core import HopfCatData, MissingAntipodeError
 from .dual import DualHopfCatData
 from .report import Report, check_condition, residual
 from .scalars import Field
+from .schema import LAYOUTS, check_shape
 
 
 @dataclass
@@ -38,28 +39,8 @@ class WeakHopfData:
     counit: list
     antipode: list | None = None   # S[j][i]
 
-    def validate_shape(self):
-        offset = 0
-        for (_, off, ln) in self.blocks:
-            if off != offset or ln < 0:
-                raise MalformedDataError("blocks do not tile the total space")
-            offset += ln
-        if offset != self.total_dim:
-            raise MalformedDataError("blocks do not cover the total space")
-        n = self.total_dim
-        if len(self.mult) != n or any(
-                len(p) != n or any(len(q) != n for q in p) for p in self.mult):
-            raise MalformedDataError("multiplication tensor malformed")
-        if len(self.comult) != n or any(
-                len(p) != n or any(len(q) != n for q in p)
-                for p in self.comult):
-            raise MalformedDataError("comultiplication tensor malformed")
-        if len(self.unit) != n or len(self.counit) != n:
-            raise MalformedDataError("unit or counit malformed")
-        if self.antipode is not None and (
-                len(self.antipode) != n
-                or any(len(r) != n for r in self.antipode)):
-            raise MalformedDataError("antipode matrix malformed")
+    layout = LAYOUTS["weak-hopf"]
+    validate_shape = check_shape
 
 
 # -- packing --------------------------------------------------------------------

@@ -8,8 +8,9 @@ file are the engine that ``core.verify_structure`` and the dual, duoidal,
 module, Hopf-module and graded verifiers used before their per-basis
 rewrite, kept as references whose reports the new engine must reproduce
 exactly; the sampled weak Hopf verifier after them plays the same part for
-``weak.verify_weak_hopf``, and the row reduction on public scalars at the
-end for ``linalg``'s row reduction on raw ones.
+``weak.verify_weak_hopf``, the row reduction on public scalars for
+``linalg``'s row reduction on raw ones, and the per-kind parsers at the end
+for ``fileformat``'s one table-driven reader.
 """
 
 import random
@@ -17,11 +18,21 @@ from fractions import Fraction
 
 import sympy
 
-from hopfcat.core import LEVELS, MissingAntipodeError
-from hopfcat.duoidal import black_tensor, white_tensor, zeta
+from hopfcat.core import LEVELS, HopfCatData, MissingAntipodeError
+from hopfcat.dual import DualHopfCatData
+from hopfcat.duoidal import (BimonoidData, MkXObject, black_tensor,
+                             white_tensor, zeta)
+from hopfcat.fileformat import (FORMAT_VERSION, KINDS, KindMismatchError,
+                                ParseError)
+from hopfcat.fundamental import HopfModuleData
+from hopfcat.graded import GradedHopfData, GroupTable
+from hopfcat.groupoid import GroupoidData
 from hopfcat.linalg import LinMap, NotInvertible, swap_map
+from hopfcat.modules import ComoduleData, ModuleData
 from hopfcat.report import (CheckItem, PreconditionError, Report,
                             check_condition)
+from hopfcat.scalars import parse_field
+from hopfcat.weak import WeakHopfData
 
 
 def antipode_law_holds(a) -> bool:
@@ -1077,3 +1088,622 @@ def reference_solve(a, b):
             out[pc][j] = rows[i][a.cols + j]
     cand = LinMap(a.field, a.cols, b.cols, out)
     return cand if a @ cand == b else None
+
+
+# -- the per-kind parsers that the slot-table reader replaced -----------------------
+#
+# ``reference_parse`` is ``fileformat.parse`` as it was before every kind was
+# read from one slot table: one hand-written parser per kind.  The parser
+# differential test holds the table-driven reader to it.
+
+class _RefLines:
+    def __init__(self, text: str):
+        self.rows = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                self.rows.append((lineno, body.split()))
+
+
+def _ref_zeros3(field, d1, d2, d3):
+    z = field.zero
+    return [[[z] * d3 for _ in range(d2)] for _ in range(d1)]
+
+
+def _ref_take_header(rows, idx, name, required=True):
+    if idx < len(rows) and rows[idx][1][0] == name:
+        return idx + 1, rows[idx]
+    if required:
+        lineno = rows[idx][0] if idx < len(rows) else None
+        raise ParseError(f"expected '{name}' header", lineno)
+    return idx, None
+
+
+def reference_parse(text: str, base_loader=None):
+    """Parse one structure file; ``base_loader(name)`` resolves module bases."""
+    rows = _RefLines(text).rows
+    if not rows:
+        raise ParseError("empty file")
+    idx = 0
+    idx, (ln, toks) = _ref_take_header(rows, idx, "format")
+    if len(toks) != 2 or toks[1] != str(FORMAT_VERSION):
+        raise ParseError(f"unsupported format version {toks[1:]}", ln)
+    idx, (ln, toks) = _ref_take_header(rows, idx, "kind")
+    if len(toks) != 2 or toks[1] not in KINDS:
+        raise ParseError(f"unknown kind {toks[1:]}", ln)
+    kind = toks[1]
+    if kind == "groupoid":
+        return _ref_parse_groupoid(rows, idx)
+
+    idx, (ln, toks) = _ref_take_header(rows, idx, "field")
+    try:
+        field = parse_field(" ".join(toks[1:]))
+    except ValueError as e:
+        raise ParseError(str(e), ln)
+    idx, (ln, toks) = _ref_take_header(rows, idx, "objects")
+    objects = tuple(toks[1:])
+    if not objects or len(set(objects)) != len(objects):
+        raise ParseError("objects line must list distinct labels", ln)
+
+    if kind == "graded-hopf":
+        return _ref_parse_graded(rows, idx, field, objects)
+    if kind == "weak-hopf":
+        return _ref_parse_weak(rows, idx, field, objects)
+    if kind in ("module", "comodule", "hopf-module"):
+        return _ref_parse_module_like(rows, idx, kind, field, objects, base_loader)
+    if kind == "bimonoid":
+        return _ref_parse_bimonoid(rows, idx, field, objects)
+    return _ref_parse_category_like(rows, idx, kind, field, objects)
+
+
+def _ref_scalar(field, tok, ln):
+    try:
+        return field.parse(tok)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad scalar '{tok}': {e}", ln)
+
+
+def _ref_int(tok, ln):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad integer '{tok}'", ln)
+
+
+def _ref_check_label(objects, tok, ln):
+    if tok not in objects:
+        raise ParseError(f"undeclared object label '{tok}'", ln)
+    return tok
+
+
+def _ref_set3(tname, store, key, idxs, dims3, val, ln, seen):
+    i, j, k = idxs
+    d1, d2, d3 = dims3
+    if not (0 <= i < d1 and 0 <= j < d2 and 0 <= k < d3):
+        raise ParseError(
+            f"{tname} index ({i},{j},{k}) out of range for dims {dims3}", ln)
+    mark = (tname, key, i, j, k)
+    if mark in seen:
+        raise ParseError(f"duplicate {tname} entry at {key} ({i},{j},{k})", ln)
+    seen.add(mark)
+    if val:
+        store[key][i][j][k] = val
+
+
+def _ref_parse_category_like(rows, idx, kind, field, objects):
+    dims = {}
+    antipode_flag = None
+    dim_rows, entry_rows = [], []
+    for lineno, toks in rows[idx:]:
+        if toks[0] == "antipode" and len(toks) == 2 and toks[1] in ("yes", "no"):
+            antipode_flag = toks[1] == "yes"
+        elif toks[0] == "dim":
+            dim_rows.append((lineno, toks))
+        else:
+            entry_rows.append((lineno, toks))
+    if antipode_flag is None:
+        raise ParseError("missing 'antipode yes|no' header")
+    for lineno, toks in dim_rows:
+        if len(toks) != 4:
+            raise ParseError("dim line needs: dim x y n", lineno)
+        x = _ref_check_label(objects, toks[1], lineno)
+        y = _ref_check_label(objects, toks[2], lineno)
+        if (x, y) in dims:
+            raise ParseError(f"duplicate dim({x},{y})", lineno)
+        n = _ref_int(toks[3], lineno)
+        if n < 0:
+            raise ParseError("negative dimension", lineno)
+        dims[(x, y)] = n
+    for x in objects:
+        for y in objects:
+            if (x, y) not in dims:
+                raise ParseError(f"missing dim({x},{y})")
+
+    if kind == "hopf-category":
+        mult = {(x, y, z): _ref_zeros3(field, dims[(x, y)], dims[(y, z)],
+                                   dims[(x, z)])
+                for x in objects for y in objects for z in objects}
+        unit = {x: [field.zero] * dims[(x, x)] for x in objects}
+        comult = {(x, y): _ref_zeros3(field, dims[(x, y)], dims[(x, y)],
+                                  dims[(x, y)])
+                  for x in objects for y in objects}
+        counit = {(x, y): [field.zero] * dims[(x, y)]
+                  for x in objects for y in objects}
+        antipode = None
+        if antipode_flag:
+            antipode = {(x, y): [[field.zero] * dims[(x, y)]
+                                 for _ in range(dims[(y, x)])]
+                        for x in objects for y in objects}
+        seen = set()
+        for lineno, toks in entry_rows:
+            tag = toks[0]
+            if tag == "mult" and len(toks) == 8:
+                x, y, z = (_ref_check_label(objects, t, lineno) for t in toks[1:4])
+                i, j, k = (_ref_int(t, lineno) for t in toks[4:7])
+                v = _ref_scalar(field, toks[7], lineno)
+                _ref_set3("mult", mult, (x, y, z), (i, j, k),
+                      (dims[(x, y)], dims[(y, z)], dims[(x, z)]), v, lineno,
+                      seen)
+            elif tag == "unit" and len(toks) == 4:
+                x = _ref_check_label(objects, toks[1], lineno)
+                i = _ref_int(toks[2], lineno)
+                if not 0 <= i < dims[(x, x)]:
+                    raise ParseError(f"unit index {i} out of range", lineno)
+                if ("unit", x, i) in seen:
+                    raise ParseError(f"duplicate unit entry at {x}", lineno)
+                seen.add(("unit", x, i))
+                unit[x][i] = _ref_scalar(field, toks[3], lineno)
+            elif tag == "comult" and len(toks) == 7:
+                x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+                i, j, k = (_ref_int(t, lineno) for t in toks[3:6])
+                v = _ref_scalar(field, toks[6], lineno)
+                d = dims[(x, y)]
+                _ref_set3("comult", comult, (x, y), (i, j, k), (d, d, d), v,
+                      lineno, seen)
+            elif tag == "counit" and len(toks) == 5:
+                x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+                i = _ref_int(toks[3], lineno)
+                if not 0 <= i < dims[(x, y)]:
+                    raise ParseError(f"counit index {i} out of range", lineno)
+                if ("counit", x, y, i) in seen:
+                    raise ParseError("duplicate counit entry", lineno)
+                seen.add(("counit", x, y, i))
+                counit[(x, y)][i] = _ref_scalar(field, toks[4], lineno)
+            elif tag == "antipode" and len(toks) == 6:
+                if antipode is None:
+                    raise ParseError(
+                        "antipode entry in a file declaring 'antipode no'",
+                        lineno)
+                x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+                i, j = _ref_int(toks[3], lineno), _ref_int(toks[4], lineno)
+                if not (0 <= i < dims[(x, y)] and 0 <= j < dims[(y, x)]):
+                    raise ParseError("antipode index out of range", lineno)
+                if ("antipode", x, y, i, j) in seen:
+                    raise ParseError("duplicate antipode entry", lineno)
+                seen.add(("antipode", x, y, i, j))
+                antipode[(x, y)][j][i] = _ref_scalar(field, toks[5], lineno)
+            else:
+                raise ParseError(f"unrecognized record '{' '.join(toks)}'",
+                                 lineno)
+        return HopfCatData(field, objects, dims, mult, unit, comult, counit,
+                           antipode)
+
+    # dual-hopf-category
+    alg = {(x, y): _ref_zeros3(field, dims[(x, y)], dims[(x, y)], dims[(x, y)])
+           for x in objects for y in objects}
+    unit = {(x, y): [field.zero] * dims[(x, y)]
+            for x in objects for y in objects}
+    cocomp = {(x, y, z): _ref_zeros3(field, dims[(x, z)], dims[(x, y)],
+                                 dims[(y, z)])
+              for x in objects for y in objects for z in objects}
+    counit = {x: [field.zero] * dims[(x, x)] for x in objects}
+    antipode = None
+    if antipode_flag:
+        antipode = {(x, y): [[field.zero] * dims[(y, x)]
+                             for _ in range(dims[(x, y)])]
+                    for x in objects for y in objects}
+    seen = set()
+    for lineno, toks in entry_rows:
+        tag = toks[0]
+        if tag == "alg" and len(toks) == 7:
+            x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+            i, j, k = (_ref_int(t, lineno) for t in toks[3:6])
+            d = dims[(x, y)]
+            _ref_set3("alg", alg, (x, y), (i, j, k), (d, d, d),
+                  _ref_scalar(field, toks[6], lineno), lineno, seen)
+        elif tag == "unit" and len(toks) == 5:
+            x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+            i = _ref_int(toks[3], lineno)
+            if not 0 <= i < dims[(x, y)]:
+                raise ParseError("unit index out of range", lineno)
+            if ("unit", x, y, i) in seen:
+                raise ParseError("duplicate unit entry", lineno)
+            seen.add(("unit", x, y, i))
+            unit[(x, y)][i] = _ref_scalar(field, toks[4], lineno)
+        elif tag == "cocomp" and len(toks) == 8:
+            x, y, z = (_ref_check_label(objects, t, lineno) for t in toks[1:4])
+            k, a_, b_ = (_ref_int(t, lineno) for t in toks[4:7])
+            _ref_set3("cocomp", cocomp, (x, y, z), (k, a_, b_),
+                  (dims[(x, z)], dims[(x, y)], dims[(y, z)]),
+                  _ref_scalar(field, toks[7], lineno), lineno, seen)
+        elif tag == "counit" and len(toks) == 4:
+            x = _ref_check_label(objects, toks[1], lineno)
+            i = _ref_int(toks[2], lineno)
+            if not 0 <= i < dims[(x, x)]:
+                raise ParseError("counit index out of range", lineno)
+            if ("counit", x, i) in seen:
+                raise ParseError("duplicate counit entry", lineno)
+            seen.add(("counit", x, i))
+            counit[x][i] = _ref_scalar(field, toks[3], lineno)
+        elif tag == "antipode" and len(toks) == 6:
+            if antipode is None:
+                raise ParseError(
+                    "antipode entry in a file declaring 'antipode no'", lineno)
+            x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+            i, j = _ref_int(toks[3], lineno), _ref_int(toks[4], lineno)
+            if not (0 <= i < dims[(y, x)] and 0 <= j < dims[(x, y)]):
+                raise ParseError("antipode index out of range", lineno)
+            if ("antipode", x, y, i, j) in seen:
+                raise ParseError("duplicate antipode entry", lineno)
+            seen.add(("antipode", x, y, i, j))
+            antipode[(x, y)][j][i] = _ref_scalar(field, toks[5], lineno)
+        else:
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
+    return DualHopfCatData(field, objects, dims, alg, unit, cocomp, counit,
+                           antipode)
+
+
+def _ref_parse_groupoid(rows, idx):
+    idx, (ln, toks) = _ref_take_header(rows, idx, "objects")
+    objects = tuple(toks[1:])
+    morphisms = []
+    identities = {}
+    compose = {}
+    inverses = {}
+    names = set()
+    for lineno, toks in rows[idx:]:
+        tag = toks[0]
+        if tag == "morphism" and len(toks) == 4:
+            if toks[1] in names:
+                raise ParseError(f"duplicate morphism '{toks[1]}'", lineno)
+            names.add(toks[1])
+            _ref_check_label(objects, toks[2], lineno)
+            _ref_check_label(objects, toks[3], lineno)
+            morphisms.append((toks[1], toks[2], toks[3]))
+        elif tag == "identity" and len(toks) == 3:
+            x = _ref_check_label(objects, toks[1], lineno)
+            if x in identities:
+                raise ParseError(f"duplicate identity for '{x}'", lineno)
+            identities[x] = toks[2]
+        elif tag == "compose" and len(toks) == 4:
+            if (toks[1], toks[2]) in compose:
+                raise ParseError("duplicate compose entry", lineno)
+            compose[(toks[1], toks[2])] = toks[3]
+        elif tag == "inverse" and len(toks) == 3:
+            if toks[1] in inverses:
+                raise ParseError("duplicate inverse entry", lineno)
+            inverses[toks[1]] = toks[2]
+        else:
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
+    return GroupoidData(objects, tuple(morphisms), identities, compose,
+                        inverses)
+
+
+def _ref_parse_graded(rows, idx, field, elements):
+    antipode_flag = None
+    table = {}
+    dims = {}
+    entry_rows = []
+    for lineno, toks in rows[idx:]:
+        tag = toks[0]
+        if tag == "antipode" and len(toks) == 2 and toks[1] in ("yes", "no"):
+            antipode_flag = toks[1] == "yes"
+        elif tag == "gmul" and len(toks) == 4:
+            a = _ref_check_label(elements, toks[1], lineno)
+            b = _ref_check_label(elements, toks[2], lineno)
+            c = _ref_check_label(elements, toks[3], lineno)
+            if (a, b) in table:
+                raise ParseError("duplicate gmul entry", lineno)
+            table[(a, b)] = c
+        elif tag == "dim" and len(toks) == 3:
+            s = _ref_check_label(elements, toks[1], lineno)
+            if s in dims:
+                raise ParseError(f"duplicate dim({s})", lineno)
+            dims[s] = _ref_int(toks[2], lineno)
+        else:
+            entry_rows.append((lineno, toks))
+    if antipode_flag is None:
+        raise ParseError("missing 'antipode yes|no' header")
+    group = GroupTable(elements, table)
+    group.validate()
+    for s in elements:
+        if s not in dims:
+            raise ParseError(f"missing dim({s})")
+    e = group.identity()
+    mult = {(s, t): _ref_zeros3(field, dims[s], dims[t],
+                            dims[group.mul(s, t)])
+            for s in elements for t in elements}
+    unit = [field.zero] * dims[e]
+    comult = {s: _ref_zeros3(field, dims[s], dims[s], dims[s]) for s in elements}
+    counit = {s: [field.zero] * dims[s] for s in elements}
+    antipode = None
+    if antipode_flag:
+        antipode = {s: [[field.zero] * dims[s]
+                        for _ in range(dims[group.inverse(s)])]
+                    for s in elements}
+    seen = set()
+    for lineno, toks in entry_rows:
+        tag = toks[0]
+        if tag == "mult" and len(toks) == 7:
+            s = _ref_check_label(elements, toks[1], lineno)
+            t = _ref_check_label(elements, toks[2], lineno)
+            i, j, k = (_ref_int(tk, lineno) for tk in toks[3:6])
+            _ref_set3("mult", mult, (s, t), (i, j, k),
+                  (dims[s], dims[t], dims[group.mul(s, t)]),
+                  _ref_scalar(field, toks[6], lineno), lineno, seen)
+        elif tag == "unit" and len(toks) == 3:
+            i = _ref_int(toks[1], lineno)
+            if not 0 <= i < dims[e]:
+                raise ParseError("unit index out of range", lineno)
+            if ("unit", i) in seen:
+                raise ParseError("duplicate unit entry", lineno)
+            seen.add(("unit", i))
+            unit[i] = _ref_scalar(field, toks[2], lineno)
+        elif tag == "comult" and len(toks) == 6:
+            s = _ref_check_label(elements, toks[1], lineno)
+            i, j, k = (_ref_int(tk, lineno) for tk in toks[2:5])
+            _ref_set3("comult", comult, s, (i, j, k),
+                  (dims[s], dims[s], dims[s]),
+                  _ref_scalar(field, toks[5], lineno), lineno, seen)
+        elif tag == "counit" and len(toks) == 4:
+            s = _ref_check_label(elements, toks[1], lineno)
+            i = _ref_int(toks[2], lineno)
+            if not 0 <= i < dims[s]:
+                raise ParseError("counit index out of range", lineno)
+            if ("counit", s, i) in seen:
+                raise ParseError("duplicate counit entry", lineno)
+            seen.add(("counit", s, i))
+            counit[s][i] = _ref_scalar(field, toks[3], lineno)
+        elif tag == "antipode" and len(toks) == 5:
+            if antipode is None:
+                raise ParseError(
+                    "antipode entry in a file declaring 'antipode no'", lineno)
+            s = _ref_check_label(elements, toks[1], lineno)
+            i, j = _ref_int(toks[2], lineno), _ref_int(toks[3], lineno)
+            si = group.inverse(s)
+            if not (0 <= i < dims[s] and 0 <= j < dims[si]):
+                raise ParseError("antipode index out of range", lineno)
+            if ("antipode", s, i, j) in seen:
+                raise ParseError("duplicate antipode entry", lineno)
+            seen.add(("antipode", s, i, j))
+            antipode[s][j][i] = _ref_scalar(field, toks[4], lineno)
+        else:
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
+    return GradedHopfData(field, group, dims, mult, unit, comult, counit,
+                          antipode)
+
+
+def _ref_parse_weak(rows, idx, field, objects):
+    antipode_flag = None
+    blocks = []
+    entry_rows = []
+    for lineno, toks in rows[idx:]:
+        tag = toks[0]
+        if tag == "antipode" and len(toks) == 2 and toks[1] in ("yes", "no"):
+            antipode_flag = toks[1] == "yes"
+        elif tag == "block" and len(toks) == 5:
+            x = _ref_check_label(objects, toks[1], lineno)
+            y = _ref_check_label(objects, toks[2], lineno)
+            blocks.append(((x, y), _ref_int(toks[3], lineno),
+                           _ref_int(toks[4], lineno)))
+        else:
+            entry_rows.append((lineno, toks))
+    if antipode_flag is None:
+        raise ParseError("missing 'antipode yes|no' header")
+    if not blocks:
+        raise ParseError("weak-hopf file needs block lines")
+    total = sum(ln for (_, _, ln) in blocks)
+    mult = _ref_zeros3(field, total, total, total)
+    comult = _ref_zeros3(field, total, total, total)
+    unit = [field.zero] * total
+    counit = [field.zero] * total
+    antipode = [[field.zero] * total for _ in range(total)] \
+        if antipode_flag else None
+    seen = set()
+    store_m = {0: mult}
+    store_c = {0: comult}
+    for lineno, toks in entry_rows:
+        tag = toks[0]
+        if tag == "mult" and len(toks) == 5:
+            i, j, k = (_ref_int(t, lineno) for t in toks[1:4])
+            _ref_set3("mult", store_m, 0, (i, j, k), (total, total, total),
+                  _ref_scalar(field, toks[4], lineno), lineno, seen)
+        elif tag == "comult" and len(toks) == 5:
+            i, j, k = (_ref_int(t, lineno) for t in toks[1:4])
+            _ref_set3("comult", store_c, 0, (i, j, k), (total, total, total),
+                  _ref_scalar(field, toks[4], lineno), lineno, seen)
+        elif tag == "unit" and len(toks) == 3:
+            i = _ref_int(toks[1], lineno)
+            if not 0 <= i < total:
+                raise ParseError("unit index out of range", lineno)
+            if ("unit", i) in seen:
+                raise ParseError("duplicate unit entry", lineno)
+            seen.add(("unit", i))
+            unit[i] = _ref_scalar(field, toks[2], lineno)
+        elif tag == "counit" and len(toks) == 3:
+            i = _ref_int(toks[1], lineno)
+            if not 0 <= i < total:
+                raise ParseError("counit index out of range", lineno)
+            if ("counit", i) in seen:
+                raise ParseError("duplicate counit entry", lineno)
+            seen.add(("counit", i))
+            counit[i] = _ref_scalar(field, toks[2], lineno)
+        elif tag == "antipode" and len(toks) == 4:
+            if antipode is None:
+                raise ParseError(
+                    "antipode entry in a file declaring 'antipode no'", lineno)
+            i, j = _ref_int(toks[1], lineno), _ref_int(toks[2], lineno)
+            if not (0 <= i < total and 0 <= j < total):
+                raise ParseError("antipode index out of range", lineno)
+            if ("antipode", i, j) in seen:
+                raise ParseError("duplicate antipode entry", lineno)
+            seen.add(("antipode", i, j))
+            antipode[j][i] = _ref_scalar(field, toks[3], lineno)
+        else:
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
+    w = WeakHopfData(field, total, tuple(blocks), mult, unit, comult, counit,
+                     antipode)
+    w.validate_shape()
+    return w
+
+
+def _ref_parse_module_like(rows, idx, kind, field, objects, base_loader):
+    base_name = None
+    side = "right"
+    dims = {}
+    entry_rows = []
+    for lineno, toks in rows[idx:]:
+        tag = toks[0]
+        if tag == "base" and len(toks) == 2:
+            base_name = toks[1]
+        elif tag == "side" and len(toks) == 2 and kind == "module":
+            if toks[1] not in ("right", "left"):
+                raise ParseError(f"bad side '{toks[1]}'", lineno)
+            side = toks[1]
+        elif tag == "dim" and len(toks) == 4:
+            x = _ref_check_label(objects, toks[1], lineno)
+            y = _ref_check_label(objects, toks[2], lineno)
+            if (x, y) in dims:
+                raise ParseError("duplicate dim entry", lineno)
+            dims[(x, y)] = _ref_int(toks[3], lineno)
+        else:
+            entry_rows.append((lineno, toks))
+    if base_name is None:
+        raise ParseError(f"{kind} file needs a 'base <name>' header")
+    if base_loader is None:
+        raise ParseError(f"no loader available to resolve base '{base_name}'")
+    base = base_loader(base_name)
+    if base.objects != objects:
+        raise ParseError(
+            f"base '{base_name}' has objects {base.objects}, file declares "
+            f"{objects}")
+    if kind == "comodule":
+        if not isinstance(base, DualHopfCatData):
+            raise KindMismatchError(
+                f"comodule base '{base_name}' must be a dual-hopf-category")
+    else:
+        if not isinstance(base, HopfCatData):
+            raise KindMismatchError(
+                f"{kind} base '{base_name}' must be a hopf-category")
+    for x in objects:
+        for y in objects:
+            if (x, y) not in dims:
+                raise ParseError(f"missing dim({x},{y})")
+
+    def act_dims(x, y, z):
+        if kind == "module" and side == "left":
+            return (base.dim(x, y), dims[(y, z)], dims[(x, z)])
+        return (dims[(x, y)], base.dim(y, z), dims[(x, z)])
+
+    action = {(x, y, z): _ref_zeros3(field, *act_dims(x, y, z))
+              for x in objects for y in objects for z in objects} \
+        if kind != "comodule" else None
+    coaction3 = {(x, y, z): _ref_zeros3(field, dims[(x, z)], dims[(x, y)],
+                                    base.dim(y, z))
+                 for x in objects for y in objects for z in objects} \
+        if kind == "comodule" else None
+    coaction2 = {(x, y): _ref_zeros3(field, dims[(x, y)], dims[(x, y)],
+                                 base.dim(x, y))
+                 for x in objects for y in objects} \
+        if kind == "hopf-module" else None
+    seen = set()
+    for lineno, toks in entry_rows:
+        tag = toks[0]
+        if tag == "action" and len(toks) == 8 and action is not None:
+            x, y, z = (_ref_check_label(objects, t, lineno) for t in toks[1:4])
+            i, j, k = (_ref_int(t, lineno) for t in toks[4:7])
+            _ref_set3("action", action, (x, y, z), (i, j, k), act_dims(x, y, z),
+                  _ref_scalar(field, toks[7], lineno), lineno, seen)
+        elif tag == "coaction" and len(toks) == 8 and coaction3 is not None:
+            x, y, z = (_ref_check_label(objects, t, lineno) for t in toks[1:4])
+            i, j, k = (_ref_int(t, lineno) for t in toks[4:7])
+            _ref_set3("coaction", coaction3, (x, y, z), (i, j, k),
+                  (dims[(x, z)], dims[(x, y)], base.dim(y, z)),
+                  _ref_scalar(field, toks[7], lineno), lineno, seen)
+        elif tag == "coaction" and len(toks) == 7 and coaction2 is not None:
+            x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+            i, j, k = (_ref_int(t, lineno) for t in toks[3:6])
+            _ref_set3("coaction", coaction2, (x, y), (i, j, k),
+                  (dims[(x, y)], dims[(x, y)], base.dim(x, y)),
+                  _ref_scalar(field, toks[6], lineno), lineno, seen)
+        else:
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
+    if kind == "module":
+        out = ModuleData(base, side, dims, action)
+    elif kind == "comodule":
+        out = ComoduleData(base, dims, coaction3)
+    else:
+        out = HopfModuleData(base, dims, action, coaction2)
+    out._base_name = base_name
+    return out
+
+
+def _ref_parse_bimonoid(rows, idx, field, objects):
+    dims = {}
+    entry_rows = []
+    for lineno, toks in rows[idx:]:
+        if toks[0] == "dim" and len(toks) == 4:
+            x = _ref_check_label(objects, toks[1], lineno)
+            y = _ref_check_label(objects, toks[2], lineno)
+            if (x, y) in dims:
+                raise ParseError("duplicate dim entry", lineno)
+            dims[(x, y)] = _ref_int(toks[3], lineno)
+        else:
+            entry_rows.append((lineno, toks))
+    for x in objects:
+        for y in objects:
+            if (x, y) not in dims:
+                raise ParseError(f"missing dim({x},{y})")
+    mu = {(x, u, y): _ref_zeros3(field, dims[(x, u)], dims[(u, y)], dims[(x, y)])
+          for x in objects for u in objects for y in objects}
+    eta = {x: [field.zero] * dims[(x, x)] for x in objects}
+    delta = {(x, y): _ref_zeros3(field, dims[(x, y)], dims[(x, y)], dims[(x, y)])
+             for x in objects for y in objects}
+    eps = {(x, y): [field.zero] * dims[(x, y)]
+           for x in objects for y in objects}
+    seen = set()
+    for lineno, toks in entry_rows:
+        tag = toks[0]
+        if tag == "mu" and len(toks) == 8:
+            x, u, y = (_ref_check_label(objects, t, lineno) for t in toks[1:4])
+            i, j, k = (_ref_int(t, lineno) for t in toks[4:7])
+            _ref_set3("mu", mu, (x, u, y), (i, j, k),
+                  (dims[(x, u)], dims[(u, y)], dims[(x, y)]),
+                  _ref_scalar(field, toks[7], lineno), lineno, seen)
+        elif tag == "eta" and len(toks) == 4:
+            x = _ref_check_label(objects, toks[1], lineno)
+            i = _ref_int(toks[2], lineno)
+            if not 0 <= i < dims[(x, x)]:
+                raise ParseError("eta index out of range", lineno)
+            if ("eta", x, i) in seen:
+                raise ParseError("duplicate eta entry", lineno)
+            seen.add(("eta", x, i))
+            eta[x][i] = _ref_scalar(field, toks[3], lineno)
+        elif tag == "delta" and len(toks) == 7:
+            x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+            i, j, k = (_ref_int(t, lineno) for t in toks[3:6])
+            d = dims[(x, y)]
+            _ref_set3("delta", delta, (x, y), (i, j, k), (d, d, d),
+                  _ref_scalar(field, toks[6], lineno), lineno, seen)
+        elif tag == "eps" and len(toks) == 5:
+            x, y = (_ref_check_label(objects, t, lineno) for t in toks[1:3])
+            i = _ref_int(toks[3], lineno)
+            if not 0 <= i < dims[(x, y)]:
+                raise ParseError("eps index out of range", lineno)
+            if ("eps", x, y, i) in seen:
+                raise ParseError("duplicate eps entry", lineno)
+            seen.add(("eps", x, y, i))
+            eps[(x, y)][i] = _ref_scalar(field, toks[4], lineno)
+        else:
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
+    return BimonoidData(field, MkXObject(objects, dims), mu, eta, delta, eps)

@@ -131,6 +131,37 @@ def test_verify_parse_error_exit(tmp_path):
     assert main(["--quiet", "verify", str(tmp_path / "missing.hc")]) == 2
 
 
+HEADERS = ("format", "kind", "field", "objects", "antipode", "base", "side",
+           "gmul", "block", "dim")
+
+
+@pytest.mark.parametrize("name", [
+    "kz2", "kz2_dual", "pair3_packed", "graded_z2_strong_graded",
+    "kz2_left_regular_module", "kz2_dual_regular_comodule",
+    "kz2_regular_hopf_module", "kz2_bimonoid"])
+def test_negative_dimension_in_every_kind(fixture_dir, tmp_path, capsys,
+                                          name):
+    """A file of any kind stripped of its records, with one dimension set
+    to -1, is rejected with exit 2 and the line of that dimension."""
+    for base in ("kz2", "kz2_dual"):
+        save(str(tmp_path / (base + ".hc")), load(fx(fixture_dir, base)))
+    kept, bad_line = [], None
+    with open(fx(fixture_dir, name)) as fh:
+        for line in fh:
+            toks = line.split()
+            if toks[0] in ("dim", "block") and bad_line is None:
+                line = " ".join(toks[:-1] + ["-1"]) + "\n"
+                bad_line = len(kept) + 1
+            if toks[0] in HEADERS and not (toks[0] == "antipode"
+                                           and len(toks) > 2):
+                kept.append(line)
+    path = tmp_path / "bad.hc"
+    path.write_text("".join(kept))
+    capsys.readouterr()
+    assert main(["--quiet", "verify", str(path)]) == 2
+    assert f"line {bad_line}: negative dimension" in capsys.readouterr().err
+
+
 def test_verify_report_and_manifest(fixture_dir, tmp_path):
     rep = str(tmp_path / "r.jsonl")
     assert main(["--quiet", "--report", rep, "verify",

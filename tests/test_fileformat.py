@@ -136,6 +136,7 @@ unit * 0 1
 # -- malformed inputs -------------------------------------------------------------------
 
 HEADER = "format 1\nkind hopf-category\nfield q\nobjects *\nantipode no\ndim * * 1\n"
+MODULE = "format 1\nkind module\nfield q\nobjects *\nbase kz2\n"
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -150,9 +151,14 @@ HEADER = "format 1\nkind hopf-category\nfield q\nobjects *\nantipode no\ndim * *
     (HEADER + "wibble 1 2 3\n", "unrecognized"),
     ("format 1\nkind hopf-category\nfield q\nobjects *\nantipode no\n",
      "missing dim"),
+    (HEADER + "antipode yes\n", "line 7: repeated 'antipode' header"),
+    (MODULE + "side left\nside right\n", "line 7: repeated 'side' header"),
+    (MODULE + "base kz2\n", "line 6: repeated 'base' header"),
+    ("format 1\nkind groupoid\nobjects 1 2 1 2\n",
+     "line 3: objects line must list distinct labels"),
 ])
 def test_parse_errors(text, msg):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=msg):
         parse(text)
 
 

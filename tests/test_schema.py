@@ -1,0 +1,85 @@
+import copy
+import os
+import re
+
+import pytest
+
+from hopfcat.core import MalformedDataError
+from hopfcat.fileformat import kind_of, load
+from hopfcat.schema import LAYOUTS
+
+# one fixture of every kind that carries scalars
+FIXTURES = {
+    "hopf-category": "taft4",
+    "dual-hopf-category": "pair2_dual",
+    "weak-hopf": "pair3_packed",
+    "graded-hopf": "graded_z2_strong_graded",
+    "module": "kz2_left_regular_module",
+    "comodule": "kz2_dual_regular_comodule",
+    "hopf-module": "kz2_regular_hopf_module",
+    "bimonoid": "kz2_bimonoid",
+}
+
+HEADER_TEXT = {"antipode": r"antipode yes\|no", "base": "base <name>",
+               "side": r"side right\|left", "gmul": "gmul s t st",
+               "block": "block x y offset length"}
+
+
+def table_rows():
+    """The README's slot table as the schema gives it."""
+    rows = []
+    for kind in LAYOUTS.values():
+        heads = [HEADER_TEXT[h] for h in kind.headers]
+        if kind.dim:
+            heads.append(" ".join(("dim", *kind.dim, "n")))
+        for n, slot in enumerate(kind.slots):
+            record = " ".join((slot.tag, *slot.keys, *"ijk"[:len(slot.dims)],
+                               "v"))
+            dims = f"`{' '.join(slot.dims)}`"
+            if slot.left:
+                dims = f"right: {dims}; left: `{' '.join(slot.left)}`"
+            if slot.transposed:
+                dims += ", stored `[j][i]`"
+            if slot.optional:
+                dims += ", only with `antipode yes`"
+            first = [f"`{kind.name}`", ", ".join(f"`{h}`" for h in heads)]
+            rows.append((first if n == 0 else ["", ""])
+                        + [f"`{record}`",
+                           kind.labels if slot.keys else "none", dims])
+    return rows
+
+
+def test_readme_slot_table_matches_the_schema(fixture_dir):
+    with open(os.path.join(fixture_dir, "..", "README.md")) as fh:
+        text = fh.read()
+    block = text.split("<!-- slot table")[1].split("\n\n")[0]
+    rows = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in block.splitlines()[3:]]
+    assert rows == table_rows()
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURES))
+def test_kind_of_reads_the_table(fixture_dir, kind):
+    assert kind_of(load(os.path.join(fixture_dir,
+                                     FIXTURES[kind] + ".hc"))) == kind
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURES))
+def test_shape_check_names_the_malformed_slot(fixture_dir, kind):
+    obj = load(os.path.join(fixture_dir, FIXTURES[kind] + ".hc"))
+    obj.validate_shape()
+    for slot in obj.layout.slots:
+        bad = copy.deepcopy(obj)
+        data = getattr(bad, slot.tag)
+        tensor = next(iter(data.values())) if slot.keys else data
+        tensor.append(copy.deepcopy(tensor[0]))
+        with pytest.raises(MalformedDataError, match=slot.tag):
+            bad.validate_shape()
+
+
+@pytest.mark.parametrize("kind", ["module", "comodule", "hopf-module"])
+def test_module_like_dims_are_shape_errors(fixture_dir, kind):
+    bad = load(os.path.join(fixture_dir, FIXTURES[kind] + ".hc"))
+    bad.dims[("*", "*")] = -1
+    with pytest.raises(MalformedDataError, match="negative dim"):
+        bad.validate_shape()
