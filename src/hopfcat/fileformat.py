@@ -223,7 +223,7 @@ def parse(text: str, base_loader=None):
         fields["carrier"] = MkXObject(fields.pop("objects"),
                                       fields.pop("dims"))
     omit = heads.get("antipode") and heads["antipode"][0][1][1] == "no"
-    fields.update(_read_slots(kind, frame, field, records, omit))
+    fields.update(_read_slots(kind, frame, records, omit))
     out = _CLASSES[kind.name](**fields)
     if kind.name == "weak-hopf":
         out.validate_shape()
@@ -308,9 +308,10 @@ def _read_dims(dim_rows, labels, arity: int) -> dict:
     return dims
 
 
-def _read_slots(kind, frame, field, records, omit) -> dict:
+def _read_slots(kind, frame, records, omit) -> dict:
     """Every slot's tensors, zero but for the records; an optional slot is
     None when ``omit``."""
+    field = frame.field
     zero = field.zero
     cells = {}          # tag -> (slot, {key labels: (tensor, record shape)})
     out = {}

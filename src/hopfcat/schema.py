@@ -15,7 +15,8 @@ by objects (or group elements).  A kind's ``Kind`` entry lists its slots; a
   ``n``       the total dimension (weak kinds, from the ``block`` headers);
 - whether the record order is the transpose of the stored order: record
   ``antipode x y i j v`` is stored at ``antipode[(x, y)][j][i]``;
-- whether the slot is optional, present exactly when ``antipode yes``.
+- whether the slot is optional, present exactly when ``antipode yes``;
+- for a module's action, the rules that apply under ``side left``.
 
 ``fileformat`` reads and writes every kind from these tables, and
 ``check_shape``, the ``validate_shape`` of every data class, checks stored
