@@ -261,9 +261,16 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
                         *sp.counit_unit(f, unit[x], counit[(x, x)]))
     if level == "semihopf":
         return rep
+    return _check_antipode_laws(a, rep, t)
 
-    for x in X:
-        for y in X:
+
+def _check_antipode_laws(a: HopfCatData, rep: Report,
+                         t: _Tensors | None = None) -> Report:
+    """Append both antipode identities of ``a`` to ``rep``, its report at
+    level 'semihopf', making it the report at level 'hopf'."""
+    t = t or _Tensors(a)
+    for x in a.objects:
+        for y in a.objects:
             check_map_equal(rep, "antipode-left", (x, y),
                             *t.antipode_law(x, y, s_first=False))
             check_map_equal(rep, "antipode-right", (x, y),

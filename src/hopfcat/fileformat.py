@@ -27,7 +27,7 @@ from .core import HopfCatData
 from .dual import DualHopfCatData
 from .duoidal import BimonoidData, MkXObject
 from .fundamental import HopfModuleData
-from .graded import GradedHopfData, GroupTable
+from .graded import GradedError, GradedHopfData, GroupTable
 from .groupoid import GroupoidData
 from .modules import ComoduleData, ModuleData
 from .scalars import parse_field
@@ -214,7 +214,8 @@ def parse(text: str, base_loader=None):
             dim_rows.append(row)
         else:
             records.append(row)
-    frame, fields = _read_headers(kind, field, labels, heads, base_loader)
+    frame, fields = _read_headers(kind, field, labels, heads, base_loader,
+                                  rows[2][0], rows[3][0])
     if kind.dim:
         frame = frame._replace(dims=_read_dims(dim_rows, labels,
                                                len(kind.dim)))
@@ -225,14 +226,13 @@ def parse(text: str, base_loader=None):
     omit = heads.get("antipode") and heads["antipode"][0][1][1] == "no"
     fields.update(_read_slots(kind, frame, records, omit))
     out = _CLASSES[kind.name](**fields)
-    if kind.name == "weak-hopf":
-        out.validate_shape()
     if "base" in kind.headers:
         out._base_name = heads["base"][0][1][1]
     return out
 
 
-def _read_headers(kind, field, labels, heads, base_loader):
+def _read_headers(kind, field, labels, heads, base_loader, field_ln,
+                  objects_ln):
     """The frame of a file and the constructor fields its headers give."""
     if "antipode" in heads:
         if not heads["antipode"]:
@@ -241,16 +241,18 @@ def _read_headers(kind, field, labels, heads, base_loader):
         if toks[1] not in ("yes", "no"):
             raise ParseError(f"bad antipode header '{toks[1]}'", ln)
     if kind.name == "weak-hopf":
-        blocks = []
+        blocks, total = [], 0
         for ln, toks in heads["block"]:
             pair = tuple(_check_label(labels, t, ln) for t in toks[1:3])
             off, length = _int(toks[3], ln), _int(toks[4], ln)
             if length < 0:
                 raise ParseError("negative dimension", ln)
+            if off != total:
+                raise ParseError("blocks do not tile the total space", ln)
             blocks.append((pair, off, length))
+            total += length
         if not blocks:
             raise ParseError("weak-hopf file needs block lines")
-        total = sum(length for (_, _, length) in blocks)
         return (Frame(field, (), None, n=total),
                 {"field": field, "total_dim": total, "blocks": tuple(blocks)})
     if kind.name == "graded-hopf":
@@ -261,7 +263,13 @@ def _read_headers(kind, field, labels, heads, base_loader):
                 raise ParseError("duplicate gmul entry", ln)
             table[(a, b)] = c
         group = GroupTable(labels, table)
-        group.validate()
+        try:
+            group.validate()
+        except GradedError as e:
+            # the entry of the offending pair, else the group's declaration
+            raise ParseError(str(e), next(
+                (ln for ln, toks in heads["gmul"]
+                 if tuple(toks[1:3]) == e.degrees), objects_ln))
         return (Frame(field, labels, None, group=group),
                 {"field": field, "group": group})
     if "base" not in heads:
@@ -282,6 +290,9 @@ def _read_headers(kind, field, labels, heads, base_loader):
     if base.objects != labels:
         raise ParseError(f"base '{base_name}' has objects {base.objects}, "
                          f"file declares {labels}")
+    if base.field != field:
+        raise ParseError(f"base '{base_name}' is over field {base.field}, "
+                         f"file declares {field}", field_ln)
     fields = {"base": base, "side": side} if kind.name == "module" \
         else {"base": base}
     return Frame(field, labels, None, base=base, side=side), fields

@@ -11,9 +11,10 @@ recovery needs, and with an antipode present the closed-form inverse
 a⊗b ↦ a·S(b_(1)) ⊗ b_(2) must agree with the exact matrix inverse.
 
 ``verify_hopf_module`` checks its laws on every basis element through the
-shared laws of ``sparse``.  The canonical maps, antipode recovery,
-coinvariants, the freeness equivalence and integrals are dense ``LinMap``
-algebra, since they need ranks, kernels, inverses and solutions.
+shared laws of ``sparse``.  The canonical maps and the canonical and dual
+Hopf modules are contracted out of the nonzero structure constants; ranks and
+antipode recovery row-reduce those raw rows directly.  Coinvariants, the
+freeness equivalence and integrals are kernels and solutions: dense ``LinMap``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sparse as sp
-from .core import (HopfCatData, MissingAntipodeError, _require,
-                   verify_structure)
-from .linalg import (LinMap, NotInvertible, invert, rank, rank_kernel, solve,
-                     swap_map)
+from .core import (HopfCatData, MissingAntipodeError, _check_antipode_laws,
+                   _require, verify_structure)
+from .linalg import (LinMap, NotInvertible, _rref, invert, rank, rank_kernel,
+                     solve)
 from .modules import ModuleData, verify_module
 from .report import (InternalInvariantError, PreconditionError, Report,
                      check_condition, check_map_equal)
@@ -119,67 +120,60 @@ def regular_hopf_module(a: HopfCatData) -> HopfModuleData:
                           {k: v for k, v in a.comult.items()})
 
 
+def _right_leg_coaction(a: HopfCatData, x: str, y: str, n: int) -> list:
+    """The coaction of k^n⊗A(x,y) that comultiplies the right leg."""
+    dxy, t = a.dim(x, y), a.comult[(x, y)]
+    r = [[[a.field.zero] * dxy for _ in range(n * dxy)]
+         for _ in range(n * dxy)]
+    for i in range(n):
+        for b in range(dxy):
+            for j in range(dxy):
+                for k in range(dxy):
+                    if t[b][j][k]:
+                        r[i * dxy + b][i * dxy + j][k] = t[b][j][k]
+    return r
+
+
 def canonical_hopf_module(a: HopfCatData, z: str) -> HopfModuleData:
     """The Hopf module with component A(z,y)⊗A(x,y) at (x,y): the coaction
     comultiplies the right leg and the action hits both legs diagonally."""
     if z not in a.objects:
         raise ValueError(f"unknown object label '{z}'")
-    f = a.field
-    X = a.objects
+    f, X = a.field, a.objects
+    mult, comult = sp.tensors(f, a.mult), sp.tensors(f, a.comult)
+    zero, one = f.raw(f.zero), f.raw(f.one)
     dims = {(x, y): a.dim(z, y) * a.dim(x, y) for x in X for y in X}
-    coaction = {}
-    action = {}
+    coaction, action = {}, {}
     for x in X:
         for y in X:
-            dzy, dxy = a.dim(z, y), a.dim(x, y)
-            d = dzy * dxy
-            t = a.comult[(x, y)]
-            zero = f.zero
-            r = [[[zero] * dxy for _ in range(d)] for _ in range(d)]
-            for al in range(dzy):
-                for b in range(dxy):
-                    for j in range(dxy):
-                        for k in range(dxy):
-                            if t[b][j][k]:
-                                r[al * dxy + b][al * dxy + j][k] = t[b][j][k]
-            coaction[(x, y)] = r
+            dxy, d = a.dim(x, y), dims[(x, y)]
+            coaction[(x, y)] = _right_leg_coaction(a, x, y, a.dim(z, y))
+            # (c⊗b)·h = Σ c·h_(1) ⊗ b·h_(2): the right side of the bialgebra
+            # law for the splitting of c⊗b into itself and Δh
+            split = [{i // dxy: {i % dxy: one}} for i in range(d)]
             for u in X:
-                dyu = a.dim(y, u)
-                big = (a.mult_map(z, y, u).kron(a.mult_map(x, y, u))
-                       @ LinMap.identity(f, dzy)
-                       .kron(swap_map(f, dxy, dyu))
-                       .kron(LinMap.identity(f, dyu))
-                       @ LinMap.identity(f, d).kron(a.comult_map(y, u)))
-                d3 = dims[(x, u)]
+                dyu, d3 = a.dim(y, u), dims[(x, u)]
+                _, rhs = sp.comult_mult(f, [{}] * d, [], split, comult[(y, u)],
+                                        mult[(z, y, u)], mult[(x, y, u)],
+                                        (a.dim(z, u), a.dim(x, u)))
                 action[(x, y, u)] = [
-                    [[big.entries[k][i * dyu + j] for k in range(d3)]
-                     for j in range(dyu)] for i in range(d)]
+                    [[f.lift(col.get(k, zero)) for k in range(d3)]
+                     for col in rhs.columns[i * dyu:(i + 1) * dyu]]
+                    for i in range(d)]
     return HopfModuleData(a, dims, action, coaction)
 
 
 def free_hopf_module(a: HopfCatData, ndims: dict[str, int]) -> HopfModuleData:
     """The free Hopf module on a family of plain spaces: component
     k^{n_x}⊗A(x,y), action on the right leg, coaction comultiplying it."""
-    f = a.field
-    X = a.objects
-    zero = f.zero
+    X, zero = a.objects, a.field.zero
     dims = {(x, y): ndims[x] * a.dim(x, y) for x in X for y in X}
-    action = {}
-    coaction = {}
+    action, coaction = {}, {}
     for x in X:
         n = ndims[x]
         for y in X:
             dxy = a.dim(x, y)
-            t = a.comult[(x, y)]
-            r = [[[zero] * dxy for _ in range(n * dxy)]
-                 for _ in range(n * dxy)]
-            for i in range(n):
-                for b in range(dxy):
-                    for j in range(dxy):
-                        for k in range(dxy):
-                            if t[b][j][k]:
-                                r[i * dxy + b][i * dxy + j][k] = t[b][j][k]
-            coaction[(x, y)] = r
+            coaction[(x, y)] = _right_leg_coaction(a, x, y, n)
             for u in X:
                 mt = a.mult[(x, y, u)]
                 dyu, dxu = a.dim(y, u), a.dim(x, u)
@@ -197,24 +191,50 @@ def free_hopf_module(a: HopfCatData, ndims: dict[str, int]) -> HopfModuleData:
 
 # -- canonical maps ------------------------------------------------------------------
 
+def _can_rows(a: HopfCatData, z: str, x: str, y: str,
+              closed_inverse: bool = False) -> list[list]:
+    """Raw rows (``Field.raw``) of the canonical map at (z,x,y),
+    a⊗b ↦ Σ a·b_(1) ⊗ b_(2) on A(z,x)⊗A(x,y), or with ``closed_inverse`` of
+    a⊗b ↦ Σ a·S(b_(1)) ⊗ b_(2) on A(z,y)⊗A(x,y), summed over the nonzero
+    constants: d^5 products on dense data."""
+    f = a.field
+    zero, one = f.raw(f.zero), f.raw(f.one)
+    dxy = a.dim(x, y)
+    mid, out = (y, x) if closed_inverse else (x, y)
+    m = sp.tensor3(f, a.mult[(z, mid, out)])
+    s = (sp.columns(f, a.antipode[(x, y)], dxy) if closed_inverse
+         else sp.identity(f, dxy))
+    delta = sp.tensor3(f, a.comult[(x, y)])
+    rows = [[zero] * (len(m) * dxy) for _ in range(a.dim(z, out) * dxy)]
+    for i in range(len(m)):
+        left = [sp.product(m, {i: one}, col) for col in s]   # m(e_i, s e_j)
+        for b, fibres in enumerate(delta):
+            for j, fibre in fibres.items():
+                for w, u in left[j].items():
+                    for k, v in fibre.items():
+                        rows[w * dxy + k][i * dxy + b] += u * v
+    return rows
+
+
+def _lifted(f, rows: list[list], cols: int) -> LinMap:
+    lift = f.lift
+    return LinMap(f, len(rows), cols, [[lift(v) for v in r] for r in rows])
+
+
 def build_can(a: HopfCatData, z: str, x: str, y: str) -> LinMap:
     """A(z,x)⊗A(x,y) → A(z,y)⊗A(x,y),  a⊗b ↦ a·b_(1) ⊗ b_(2)."""
     for lbl in (z, x, y):
         if lbl not in a.objects:
             raise ValueError(f"unknown object label '{lbl}'")
-    f = a.field
-    return (a.mult_map(z, x, y).kron(LinMap.identity(f, a.dim(x, y)))
-            @ LinMap.identity(f, a.dim(z, x)).kron(a.comult_map(x, y)))
+    return _lifted(a.field, _can_rows(a, z, x, y), a.dim(z, x) * a.dim(x, y))
 
 
 def can_closed_inverse(a: HopfCatData, z: str, x: str, y: str) -> LinMap:
     """A(z,y)⊗A(x,y) → A(z,x)⊗A(x,y),  a⊗b ↦ a·S(b_(1)) ⊗ b_(2)."""
-    f = a.field
-    s = a.antipode_map(x, y)
-    dxy = a.dim(x, y)
-    return (a.mult_map(z, y, x).kron(LinMap.identity(f, dxy))
-            @ LinMap.identity(f, a.dim(z, y)).kron(
-                s.kron(LinMap.identity(f, dxy)) @ a.comult_map(x, y)))
+    if a.antipode is None:
+        raise MissingAntipodeError("data carries no antipode")
+    return _lifted(a.field, _can_rows(a, z, x, y, closed_inverse=True),
+                   a.dim(z, y) * a.dim(x, y))
 
 
 def can_inverse(a: HopfCatData, z: str, x: str, y: str):
@@ -260,8 +280,8 @@ def can_rank_table(a: HopfCatData) -> dict[tuple[str, str, str], tuple[int, int]
     for z in a.objects:
         for x in a.objects:
             for y in a.objects:
-                cm = build_can(a, z, x, y)
-                out[(z, x, y)] = (rank(cm), cm.rows)
+                rows = _can_rows(a, z, x, y)
+                out[(z, x, y)] = (len(_rref(a.field, rows)[1]), len(rows))
     return out
 
 
@@ -269,36 +289,38 @@ def recover_antipode(a: HopfCatData):
     """Reconstruct the antipode from inverses of the probe canonical maps.
 
     Succeeds exactly when the maps at (x,x,y) and (y,x,y) are invertible for
-    all pairs; the result re-verifies at the full Hopf level before being
-    returned.  On a singular probe map, returns a RecoveryFailure instead.
+    all pairs; the result passes the full Hopf level (the input's semi-Hopf
+    laws, then the antipode laws) before being returned.  On a singular
+    probe map, returns a RecoveryFailure instead.  The map at (y,x,y) is
+    row-reduced beside η_y⊗1, giving X = can⁻¹∘(η_y⊗1) and S = (1⊗ε)∘X.
     """
-    base = verify_structure(a, "semihopf")
-    if not base.overall:
+    rep = verify_structure(a, "semihopf")
+    if not rep.overall:
         raise PreconditionError(
-            "antipode recovery needs level 'semihopf': " + base.summary())
+            "antipode recovery needs level 'semihopf': " + rep.summary())
     work = a.strip_antipode()
     f = a.field
-    inverses = {}
-    for x in a.objects:
-        for y in a.objects:
-            for z in (x, y):
-                if (z, x, y) in inverses:
-                    continue
-                cm = build_can(work, z, x, y)
-                inv = invert(cm)
-                if isinstance(inv, NotInvertible):
-                    return RecoveryFailure(z, x, y, inv.rank, cm.rows)
-                inverses[(z, x, y)] = inv
+    zero = f.raw(f.zero)
     antipode = {}
     for x in a.objects:
         for y in a.objects:
             dxy, dyx = work.dim(x, y), work.dim(y, x)
-            s = (LinMap.identity(f, dyx).kron(work.counit_map(x, y))
-                 @ inverses[(y, x, y)]
-                 @ work.unit_map(y).kron(LinMap.identity(f, dxy)))
+            for z in dict.fromkeys((x, y)):     # (y,x,y) last
+                rows = _can_rows(work, z, x, y)
+                n = work.dim(z, x) * dxy
+                if z == y:      # beside it η_y⊗1
+                    for i, row in enumerate(rows):
+                        row += [zero] * dxy
+                        row[n + i % dxy] = f.raw(work.unit[y][i // dxy])
+                rows, pivots = _rref(f, rows)
+                r = sum(p < n for p in pivots)      # the rank of can
+                if len(rows) != n or r < n:
+                    return RecoveryFailure(z, x, y, r, len(rows))
+            solved = _lifted(f, [row[n:] for row in rows], dxy)
+            s = LinMap.identity(f, dyx).kron(work.counit_map(x, y)) @ solved
             antipode[(x, y)] = [list(r) for r in s.entries]
     out = work.with_antipode(antipode)
-    rep = verify_structure(out, "hopf")
+    _check_antipode_laws(out, rep)
     if not rep.overall:
         raise AntipodeRecoveryError(
             "recovered maps violate the antipode identities", rep,
@@ -328,10 +350,8 @@ class CoinvariantFamily:
 def coinvariants(m: HopfModuleData) -> CoinvariantFamily:
     """Exact kernel of v ↦ rho(v) − v⊗1 on each diagonal component."""
     a = m.base
-    f = a.field
     bases = {}
     for x in a.objects:
-        d = m.dim(x, x)
         rho = m.coaction_map(x, x)
         against = m.identity_map(x, x).kron(a.unit_map(x))
         _, basis = rank_kernel(rho - against)
@@ -409,12 +429,10 @@ def dual_hopf_module(a: HopfCatData) -> HopfModuleData:
     if a.antipode is None:
         raise MissingAntipodeError("the dual Hopf module needs an antipode")
     a.validate_shape()
-    f = a.field
-    X = a.objects
-    zero = f.zero
+    f, X = a.field, a.objects
+    one, mult = f.raw(f.one), sp.tensors(f, a.mult)
     dims = dict(a.dims)
-    coaction = {}
-    action = {}
+    coaction, action = {}, {}
     for x in X:
         for y in X:
             d = a.dim(x, y)
@@ -422,19 +440,15 @@ def dual_hopf_module(a: HopfCatData) -> HopfModuleData:
             coaction[(x, y)] = [[[dc[c][i][al] for i in range(d)]
                                  for c in range(d)] for al in range(d)]
             for z in X:
-                s = a.antipode[(y, z)]         # A(y,z) → A(z,y)
-                mt = a.mult[(x, z, y)]         # A(x,z)⊗A(z,y) → A(x,y)
-                d1, d2, d3 = a.dim(x, y), a.dim(y, z), a.dim(x, z)
-                dzy = a.dim(z, y)
-                p = [[[zero] * d3 for _ in range(d2)] for _ in range(d1)]
-                for al in range(d1):
-                    for j in range(d2):
-                        for b in range(d3):
-                            acc = zero
-                            for t in range(dzy):
-                                if s[t][j] and mt[b][t][al]:
-                                    acc = acc + s[t][j] * mt[b][t][al]
-                            p[al][j][b] = acc
+                # p[α][j][b] = Σ_t S[t][j]·m[b][t][α], for S: A(y,z) → A(z,y)
+                # and m: A(x,z)⊗A(z,y) → A(x,y)
+                s = sp.columns(f, a.antipode[(y, z)], a.dim(y, z))
+                mt, d3 = mult[(x, z, y)], a.dim(x, z)
+                p = [[[f.zero] * d3 for _ in s] for _ in range(d)]
+                for b in range(d3):
+                    for j, col in enumerate(s):
+                        for al, v in sp.product(mt, {b: one}, col).items():
+                            p[al][j][b] = f.lift(v)
                 action[(x, y, z)] = p
     return HopfModuleData(a, dims, action, coaction)
 
@@ -474,16 +488,10 @@ def integrals(a: HopfCatData, x: str) -> list[tuple]:
     # pairing against every component is bijective
     for y in a.objects:
         dxy = a.dim(x, y)
-        pairing_cols = []
-        for phi in basis:
-            for j in range(dxy):
-                vec = dual_mod.action_map(x, x, y).apply(
-                    [phi[i] if jj == j else zero
-                     for i in range(d) for jj in range(dxy)])
-                pairing_cols.append(vec)
-        mat = LinMap(f, dxy, len(pairing_cols),
-                     [[pairing_cols[c][r] for c in range(len(pairing_cols))]
-                      for r in range(dxy)])
+        act = dual_mod.action[(x, x, y)]
+        mat = LinMap(f, dxy, len(basis) * dxy, [
+            [sum((phi[i] * act[i][j][b] for i in range(d)), zero)
+             for phi in basis for j in range(dxy)] for b in range(dxy)])
         if mat.rows != mat.cols or isinstance(invert(mat), NotInvertible):
             raise InternalInvariantError(
                 f"integral pairing at ({x},{y}) is not bijective "

@@ -165,10 +165,6 @@ class LinMap:
                       [[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.entries, other.entries)])
 
-    def scale(self, s) -> "LinMap":
-        return LinMap(self.field, self.rows, self.cols,
-                      [[s * v for v in r] for r in self.entries])
-
     def kron(self, other: "LinMap") -> "LinMap":
         """Tensor product on bases, leftmost factor slowest."""
         self._check_field(other)
@@ -184,11 +180,6 @@ class LinMap:
                             if bv:
                                 out[ri + k][cj + l] = a * bv
         return LinMap(self.field, rows, cols, out)
-
-    def transpose(self) -> "LinMap":
-        return LinMap(self.field, self.cols, self.rows,
-                      [[self.entries[r][c] for r in range(self.rows)]
-                       for c in range(self.cols)])
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.entries)
@@ -208,15 +199,6 @@ class LinMap:
 
 def kron(f: LinMap, g: LinMap) -> LinMap:
     return f.kron(g)
-
-
-def kron_all(maps) -> LinMap:
-    out = None
-    for m in maps:
-        out = m if out is None else out.kron(m)
-    if out is None:
-        raise ValueError("empty tensor product")
-    return out
 
 
 def swap_map(field: Field, d1: int, d2: int) -> LinMap:

@@ -134,10 +134,6 @@ class Field:
             raise ValueError(f"modulus {self.p} is not prime")
 
     @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
-    @property
     def zero(self):
         return Fraction(0) if self.p is None else FpElement(0, self.p)
 
@@ -154,11 +150,6 @@ class Field:
                 return FpElement(n.numerator, self.p)
             raise FieldMismatchError(f"cannot map {n} into GF({self.p})")
         return FpElement(n, self.p)
-
-    def contains(self, x) -> bool:
-        if self.p is None:
-            return isinstance(x, Fraction) or isinstance(x, int)
-        return isinstance(x, FpElement) and x.p == self.p
 
     def parse(self, s: str):
         """Parse a scalar string: 'a' or 'a/b' over Q, decimal digits over GF(p)."""

@@ -7,8 +7,10 @@ unrelated route to it.  The dense matrix verifiers near the end of this
 file are the engine that ``core.verify_structure`` and the dual, duoidal,
 module, Hopf-module and graded verifiers used before their per-basis
 rewrite, kept as references whose reports the new engine must reproduce
-exactly; the sampled weak Hopf verifier after them plays the same part for
-``weak.verify_weak_hopf``, the row reduction on public scalars for
+exactly, and so are the dense canonical maps, antipode recovery and
+canonical and dual Hopf modules after them for ``fundamental``'s
+contractions; the sampled weak Hopf verifier after them plays the same part
+for ``weak.verify_weak_hopf``, the row reduction on public scalars for
 ``linalg``'s row reduction on raw ones, and the per-kind parsers at the end
 for ``fileformat``'s one table-driven reader.
 """
@@ -18,16 +20,18 @@ from fractions import Fraction
 
 import sympy
 
-from hopfcat.core import LEVELS, HopfCatData, MissingAntipodeError
+from hopfcat.core import (LEVELS, HopfCatData, MissingAntipodeError,
+                          verify_structure)
 from hopfcat.dual import DualHopfCatData
 from hopfcat.duoidal import (BimonoidData, MkXObject, black_tensor,
                              white_tensor, zeta)
 from hopfcat.fileformat import (FORMAT_VERSION, KINDS, KindMismatchError,
                                 ParseError)
-from hopfcat.fundamental import HopfModuleData
+from hopfcat.fundamental import (AntipodeRecoveryError, HopfModuleData,
+                                 RecoveryFailure)
 from hopfcat.graded import GradedHopfData, GroupTable
 from hopfcat.groupoid import GroupoidData
-from hopfcat.linalg import LinMap, NotInvertible, swap_map
+from hopfcat.linalg import LinMap, NotInvertible, invert, rank, swap_map
 from hopfcat.modules import ComoduleData, ModuleData
 from hopfcat.report import (CheckItem, PreconditionError, Report,
                             check_condition)
@@ -603,6 +607,155 @@ def dense_verify_hopf_module(m):
                       psi.kron(mult(x, y, z)) @ mid
                       @ coaction(x, y).kron(comult(y, z)))
     return rep
+
+
+# -- the canonical maps as dense compositions ---------------------------------------
+#
+# ``fundamental``'s canonical maps, antipode recovery and the canonical and
+# dual Hopf modules as they were before they became contractions of the
+# nonzero constants: composed out of dense structure matrices with kron, @
+# and swap_map.  Kept only as references for differential tests.
+
+def dense_build_can(a, z, x, y):
+    """Reference for ``fundamental.build_can``."""
+    for lbl in (z, x, y):
+        if lbl not in a.objects:
+            raise ValueError(f"unknown object label '{lbl}'")
+    f = a.field
+    return (a.mult_map(z, x, y).kron(LinMap.identity(f, a.dim(x, y)))
+            @ LinMap.identity(f, a.dim(z, x)).kron(a.comult_map(x, y)))
+
+
+def dense_can_closed_inverse(a, z, x, y):
+    """Reference for ``fundamental.can_closed_inverse``."""
+    f = a.field
+    s = a.antipode_map(x, y)
+    dxy = a.dim(x, y)
+    return (a.mult_map(z, y, x).kron(LinMap.identity(f, dxy))
+            @ LinMap.identity(f, a.dim(z, y)).kron(
+                s.kron(LinMap.identity(f, dxy)) @ a.comult_map(x, y)))
+
+
+def dense_can_rank_table(a):
+    """Reference for ``fundamental.can_rank_table``."""
+    out = {}
+    for z in a.objects:
+        for x in a.objects:
+            for y in a.objects:
+                cm = dense_build_can(a, z, x, y)
+                out[(z, x, y)] = (rank(cm), cm.rows)
+    return out
+
+
+def dense_recover_antipode(a):
+    """Reference for ``fundamental.recover_antipode``: the input verified at
+    level 'semihopf', every probe map inverted, and the completed data
+    verified again at level 'hopf'.  Returns the completed data or the
+    ``RecoveryFailure``, and raises as the library does."""
+    base = verify_structure(a, "semihopf")
+    if not base.overall:
+        raise PreconditionError(
+            "antipode recovery needs level 'semihopf': " + base.summary())
+    work = a.strip_antipode()
+    f = a.field
+    inverses = {}
+    for x in a.objects:
+        for y in a.objects:
+            for z in (x, y):
+                if (z, x, y) in inverses:
+                    continue
+                cm = dense_build_can(work, z, x, y)
+                inv = invert(cm)
+                if isinstance(inv, NotInvertible):
+                    return RecoveryFailure(z, x, y, inv.rank, cm.rows)
+                inverses[(z, x, y)] = inv
+    antipode = {}
+    for x in a.objects:
+        for y in a.objects:
+            dxy, dyx = work.dim(x, y), work.dim(y, x)
+            s = (LinMap.identity(f, dyx).kron(work.counit_map(x, y))
+                 @ inverses[(y, x, y)]
+                 @ work.unit_map(y).kron(LinMap.identity(f, dxy)))
+            antipode[(x, y)] = [list(r) for r in s.entries]
+    out = work.with_antipode(antipode)
+    rep = verify_structure(out, "hopf")
+    if not rep.overall:
+        raise AntipodeRecoveryError(
+            "recovered maps violate the antipode identities", rep,
+            dense_can_rank_table(work))
+    return out
+
+
+def dense_canonical_hopf_module(a, z):
+    """Reference for ``fundamental.canonical_hopf_module``."""
+    if z not in a.objects:
+        raise ValueError(f"unknown object label '{z}'")
+    f = a.field
+    X = a.objects
+    dims = {(x, y): a.dim(z, y) * a.dim(x, y) for x in X for y in X}
+    coaction = {}
+    action = {}
+    for x in X:
+        for y in X:
+            dzy, dxy = a.dim(z, y), a.dim(x, y)
+            d = dzy * dxy
+            t = a.comult[(x, y)]
+            zero = f.zero
+            r = [[[zero] * dxy for _ in range(d)] for _ in range(d)]
+            for al in range(dzy):
+                for b in range(dxy):
+                    for j in range(dxy):
+                        for k in range(dxy):
+                            if t[b][j][k]:
+                                r[al * dxy + b][al * dxy + j][k] = t[b][j][k]
+            coaction[(x, y)] = r
+            for u in X:
+                dyu = a.dim(y, u)
+                big = (a.mult_map(z, y, u).kron(a.mult_map(x, y, u))
+                       @ LinMap.identity(f, dzy)
+                       .kron(swap_map(f, dxy, dyu))
+                       .kron(LinMap.identity(f, dyu))
+                       @ LinMap.identity(f, d).kron(a.comult_map(y, u)))
+                d3 = dims[(x, u)]
+                action[(x, y, u)] = [
+                    [[big.entries[k][i * dyu + j] for k in range(d3)]
+                     for j in range(dyu)] for i in range(d)]
+    return HopfModuleData(a, dims, action, coaction)
+
+
+def dense_dual_hopf_module(a):
+    """Reference for ``fundamental.dual_hopf_module``."""
+    if a.antipode is None:
+        raise MissingAntipodeError("the dual Hopf module needs an antipode")
+    a.validate_shape()
+    f = a.field
+    X = a.objects
+    zero = f.zero
+    dims = dict(a.dims)
+    coaction = {}
+    action = {}
+    for x in X:
+        for y in X:
+            d = a.dim(x, y)
+            dc = a.comult[(x, y)]
+            coaction[(x, y)] = [[[dc[c][i][al] for i in range(d)]
+                                 for c in range(d)] for al in range(d)]
+            for z in X:
+                s = a.antipode[(y, z)]         # A(y,z) → A(z,y)
+                mt = a.mult[(x, z, y)]         # A(x,z)⊗A(z,y) → A(x,y)
+                d1, d2, d3 = a.dim(x, y), a.dim(y, z), a.dim(x, z)
+                dzy = a.dim(z, y)
+                p = [[[zero] * d3 for _ in range(d2)] for _ in range(d1)]
+                for al in range(d1):
+                    for j in range(d2):
+                        for b in range(d3):
+                            acc = zero
+                            for t in range(dzy):
+                                if s[t][j] and mt[b][t][al]:
+                                    acc = acc + s[t][j] * mt[b][t][al]
+                            p[al][j][b] = acc
+                action[(x, y, z)] = p
+    return HopfModuleData(a, dims, action, coaction)
 
 
 def dense_validate_graded(h):

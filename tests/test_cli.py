@@ -162,6 +162,22 @@ def test_negative_dimension_in_every_kind(fixture_dir, tmp_path, capsys,
     assert f"line {bad_line}: negative dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [
+    "kz2_regular_module", "kz2_dual_regular_comodule",
+    "kz2_regular_hopf_module"])
+def test_module_over_a_base_of_another_field(fixture_dir, tmp_path, capsys,
+                                             name):
+    for base in ("kz2", "kz2_dual"):
+        save(str(tmp_path / (base + ".hc")), load(fx(fixture_dir, base)))
+    text = open(fx(fixture_dir, name)).read()
+    assert text.splitlines()[2] == "field q"
+    path = tmp_path / "bad.hc"
+    path.write_text(text.replace("field q\n", "field fp:5\n", 1))
+    capsys.readouterr()
+    assert main(["--quiet", "verify", str(path)]) == 2
+    assert "line 3: base 'kz2" in capsys.readouterr().err
+
+
 def test_verify_report_and_manifest(fixture_dir, tmp_path):
     rep = str(tmp_path / "r.jsonl")
     assert main(["--quiet", "--report", rep, "verify",

@@ -137,6 +137,8 @@ unit * 0 1
 
 HEADER = "format 1\nkind hopf-category\nfield q\nobjects *\nantipode no\ndim * * 1\n"
 MODULE = "format 1\nkind module\nfield q\nobjects *\nbase kz2\n"
+WEAK = "format 1\nkind weak-hopf\nfield q\nobjects x\nantipode no\n"
+GRADED = "format 1\nkind graded-hopf\nfield q\nobjects e g\nantipode no\n"
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -156,6 +158,13 @@ MODULE = "format 1\nkind module\nfield q\nobjects *\nbase kz2\n"
     (MODULE + "base kz2\n", "line 6: repeated 'base' header"),
     ("format 1\nkind groupoid\nobjects 1 2 1 2\n",
      "line 3: objects line must list distinct labels"),
+    (WEAK + "block x x 0 1\nblock x x 0 1\n",
+     "line 7: blocks do not tile the total space"),
+    (GRADED + "gmul e g g\n", r"line 4: missing or bad product \(e,e\)"),
+    (GRADED + "gmul e e e\ngmul e g g\ngmul g e g\ngmul g g g\n",
+     "line 4: group element 'g' has no inverse"),
+    (GRADED + "gmul e e e\ngmul e g g\ngmul g e e\ngmul g g e\n",
+     r"line 8: group table not associative at \(g,e,g\)"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

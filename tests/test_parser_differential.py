@@ -19,6 +19,7 @@ import pytest
 
 from hopfcat import cli
 from hopfcat.fileformat import ParseError, load, parse
+from hopfcat.graded import GradedError, GroupTable
 from oracles import reference_parse
 
 POOL = ["-1", "0", "1", "2", "3", "9", "x", "*", "1/2", "1/0", "-1/3",
@@ -77,6 +78,32 @@ def _groupoid_labels(rows) -> bool:
                                    or len(set(labels)) != len(labels))
 
 
+def _untiled_blocks(rows) -> bool:
+    total = 0
+    for toks in rows:
+        if toks[0] == "block" and len(toks) == 5:
+            try:
+                if int(toks[3]) != total:
+                    return True
+                total += int(toks[4])
+            except ValueError:
+                return False
+    return False
+
+
+def _not_a_group(rows) -> bool:
+    if ["kind", "graded-hopf"] not in rows:
+        return False
+    labels = next((toks[1:] for toks in rows if toks[0] == "objects"), [])
+    table = {tuple(toks[1:3]): toks[3] for toks in rows
+             if toks[0] == "gmul" and len(toks) == 4}
+    try:
+        GroupTable(tuple(labels), table).validate()
+    except GradedError:
+        return True
+    return False
+
+
 # The changes the reader makes on purpose: where one of these holds of a
 # file, the reader raises ParseError (with a line number) where the old
 # parsers accepted the file or raised another error.  Single-line edits of
@@ -91,6 +118,11 @@ DELIBERATE = {
     "repeated header": _repeated_header,
     # a groupoid's objects line lists distinct labels, at least one
     "groupoid labels": _groupoid_labels,
+    # weak-hopf blocks that do not tile, and a graded `gmul` table that is
+    # not a group, are rejected with the line of the offending header
+    # (the old parsers raised MalformedDataError and GradedError)
+    "untiled blocks": _untiled_blocks,
+    "not a group": _not_a_group,
 }
 
 

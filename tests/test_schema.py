@@ -1,11 +1,14 @@
 import copy
 import os
 import re
+from itertools import permutations
 
 import pytest
 
 from hopfcat.core import MalformedDataError
-from hopfcat.fileformat import kind_of, load
+from hopfcat.fileformat import kind_of, load, parse, serialize
+from hopfcat.graded import GradedHopfData, GroupTable
+from hopfcat.scalars import QQ
 from hopfcat.schema import LAYOUTS
 
 # one fixture of every kind that carries scalars
@@ -83,3 +86,33 @@ def test_module_like_dims_are_shape_errors(fixture_dir, kind):
     bad.dims[("*", "*")] = -1
     with pytest.raises(MalformedDataError, match="negative dim"):
         bad.validate_shape()
+
+
+def test_graded_product_degree_is_st_over_a_non_abelian_group():
+    """Graded data over S3 with a different dimension in every degree, so
+    that mult[(s,t)], of shape d(s) x d(t) x d(st), tells st from ts for
+    every pair that does not commute.  It is a layout, not a valid graded
+    Hopf structure (a valid one has equal dimensions on its support)."""
+    perms = list(permutations(range(3)))
+    name = {p: "".join(map(str, p)) for p in perms}
+    group = GroupTable(tuple(name.values()), {
+        (name[p], name[q]): name[tuple(p[i] for i in q)]
+        for p in perms for q in perms})
+    G, mul = group.elements, group.mul
+    dims = {s: n + 1 for n, s in enumerate(G)}
+    zero = QQ.zero
+
+    def zeros(*shape):
+        if len(shape) == 1:
+            return [zero] * shape[0]
+        return [zeros(*shape[1:]) for _ in range(shape[0])]
+    mult = {(s, t): zeros(dims[s], dims[t], dims[mul(s, t)])
+            for s in G for t in G}
+    for (s, t), m in mult.items():
+        m[0][0][-1] = QQ.one        # a record at the last index of d(st)
+    h = GradedHopfData(QQ, group, dims, mult, zeros(dims[G[0]]),
+                       {s: zeros(dims[s], dims[s], dims[s]) for s in G},
+                       {s: zeros(dims[s]) for s in G})
+    assert sum(mul(s, t) != mul(t, s) for s in G for t in G) == 18
+    h.validate_shape()
+    assert parse(serialize(h)) == h
