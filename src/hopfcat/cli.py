@@ -14,6 +14,7 @@ with content digests of the canonicalized inputs is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,8 +65,7 @@ def _write_report(report: Report, args, command: str, path: str, obj):
         print(report.table())
     if args.report:
         with open(args.report, "w") as fh:
-            for item in report.items:
-                fh.write(json.dumps(item.record()) + "\n")
+            fh.writelines(item.json_line() for item in report.items)
         manifest = {
             "command": command,
             "argv": sys.argv[1:],
@@ -240,7 +240,8 @@ def cmd_analyze(args) -> int:
     elif op == "integrals":
         if not isinstance(obj, HopfCatData):
             raise _CliError("integrals needs a hopf-category file", EXIT_PARSE)
-        bases = {x: integrals(obj, x) for x in obj.objects}
+        memo = {}
+        bases = {x: integrals(obj, x, memo) for x in obj.objects}
         for x in obj.objects:
             rep.add(CheckItem("integral-basis", (x,), True, None,
                               f"dimension {len(bases[x])}"))
@@ -287,7 +288,11 @@ def cmd_analyze(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every ``parse_args``
+    call fills a fresh namespace, so nothing carries from one call to the
+    next."""
     p = argparse.ArgumentParser(
         prog="hopfcat",
         description="exact structure-constant calculus for finite k-linear "

@@ -453,12 +453,15 @@ def dual_hopf_module(a: HopfCatData) -> HopfModuleData:
     return HopfModuleData(a, dims, action, coaction)
 
 
-def integrals(a: HopfCatData, x: str) -> list[tuple]:
+def integrals(a: HopfCatData, x: str, memo: dict | None = None) -> list[tuple]:
     """Reduced-echelon basis of the left integrals on the dual of A(x,x).
 
     Solves the defining linear system directly, cross-checks it against the
     coinvariants of the dual Hopf module at x, and verifies that pairing the
     integrals against every hom component A(x,y) fills the whole dual space.
+    The dual Hopf module and its coinvariants do not depend on x: a caller
+    that asks for several objects passes the same ``memo`` dict to each call,
+    and they are built once, in the first.
     """
     if a.antipode is None:
         raise MissingAntipodeError("integrals need an antipode")
@@ -478,8 +481,11 @@ def integrals(a: HopfCatData, x: str) -> list[tuple]:
             rows.append(row)
     _, basis = rank_kernel(LinMap(f, len(rows), d, rows))
 
-    dual_mod = dual_hopf_module(a)
-    cofam = coinvariants(dual_mod)
+    memo = {} if memo is None else memo
+    if "dual" not in memo:
+        dual_mod = dual_hopf_module(a)
+        memo["dual"] = dual_mod, coinvariants(dual_mod)
+    dual_mod, cofam = memo["dual"]
     if basis != cofam.bases[x]:
         raise InternalInvariantError(
             f"integral system at {x} disagrees with the coinvariants of the "

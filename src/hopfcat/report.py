@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .scalars import FieldMismatchError
 
@@ -35,6 +36,19 @@ class CheckItem:
             "failures": self.failures,
             "required": self.required,
         }
+
+    def json_line(self) -> str:
+        """``json.dumps(self.record()) + "\\n"``, byte for byte: the keys in
+        their fixed order, each string escaped by the escaper ``json.dumps``
+        uses, without building the dict or running the encoder."""
+        witness = "null" if self.witness is None else self.witness
+        return (f'{{"axiom": {_quote(self.axiom)}, '
+                f'"objects": [{", ".join(map(_quote, self.objects))}], '
+                f'"ok": {"true" if self.ok else "false"}, '
+                f'"witness": {witness}, '
+                f'"residual": {_quote(self.residual)}, '
+                f'"failures": {self.failures}, '
+                f'"required": {"true" if self.required else "false"}}}\n')
 
 
 @dataclass

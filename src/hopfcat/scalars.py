@@ -13,7 +13,10 @@ scalar is its plain ``int`` instead, so that no object is built per
 operation: ``Field.raw`` turns a public scalar into that form, ``Field.lift``
 turns it back, and ``Field.reduce`` brings a sparse vector of raw values,
 which may have grown past p, to canonical form.  Over Q the raw form is the
-``Fraction`` itself.
+``int`` numerator of an integral ``Fraction`` and the ``Fraction`` itself
+otherwise: constants are almost always integers, Python's mixed
+int/``Fraction`` arithmetic is exact, and int arithmetic builds no object
+per operation.  ``Field.lift`` hands out a ``Fraction`` again.
 """
 
 from __future__ import annotations
@@ -161,14 +164,17 @@ class Field:
         return FpElement(int(s), self.p)
 
     def raw(self, x):
-        """The engine form of a scalar: over GF(p) an int in [0, p)."""
+        """The engine form of a scalar: over GF(p) an int in [0, p), over Q
+        an int when the value is integral and the ``Fraction`` otherwise."""
         if self.p is None:
-            return x
+            return x.numerator if x.denominator == 1 else x
         return x.value if isinstance(x, FpElement) else x % self.p
 
     def lift(self, x):
         """The public scalar of a raw value."""
-        return x if self.p is None else FpElement(x, self.p)
+        if self.p is None:
+            return x if type(x) is Fraction else Fraction(x)
+        return FpElement(x, self.p)
 
     def reduce(self, vec: dict) -> dict:
         """A sparse vector of raw values in canonical form: over GF(p) every

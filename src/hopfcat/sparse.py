@@ -10,12 +10,13 @@ verifiers check (associativity, unit law, coassociativity, counit law,
 bialgebra compatibility and the laws of units, counits and antipodes) as
 such a pair, for whichever tensors feed the law.
 
-Scalars here are raw (``Field.raw``): over GF(p) plain ints, over Q
-``Fraction`` values.  Structure tensors are read into sparse raw form once
-per verifier call: a 3-tensor ``t[i][j][k]`` becomes a list over ``i`` of
-dicts ``{j: {k: c}}``, keeping only the nonzero ``c`` (so ``t[i][j]`` is the
-vector that a bilinear map sends ``e_i, e_j`` to), and a matrix
-``m[row][col]`` becomes its list of sparse columns.
+Scalars here are raw (``Field.raw``): over GF(p) plain ints, over Q ints
+where the value is integral and ``Fraction`` values otherwise.  Structure
+tensors are read into sparse raw form once per verifier call: a 3-tensor
+``t[i][j][k]`` becomes a list over ``i`` of dicts ``{j: {k: c}}``, keeping
+only the nonzero ``c`` (so ``t[i][j]`` is the vector that a bilinear map
+sends ``e_i, e_j`` to), and a matrix ``m[row][col]`` becomes its list of
+sparse columns.
 
 The arithmetic helpers use only ``+`` and ``*``, so over GF(p) they
 accumulate unreduced ints that may leave [0, p), and may leave zeros behind

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hopfcat import cli, core, fileformat
+from hopfcat import cli, core, fileformat, fundamental
 from hopfcat.cli import main
 from hopfcat.core import check_antipode_theorems, verify_structure
 from hopfcat.fileformat import load, save
@@ -410,6 +410,19 @@ def test_analyze_integrals(fixture_dir, tmp_path, capsys):
     assert "(1, 0)" in text
 
 
+def test_analyze_integrals_builds_the_dual_module_once(fixture_dir,
+                                                      monkeypatch):
+    builds = []
+    for name in ("dual_hopf_module", "coinvariants"):
+        def counted(*args, name=name, fn=getattr(fundamental, name)):
+            builds.append(name)
+            return fn(*args)
+        monkeypatch.setattr(fundamental, name, counted)
+    assert main(["--quiet", "analyze", fx(fixture_dir, "pair3"),
+                 "integrals"]) == 0
+    assert sorted(builds) == ["coinvariants", "dual_hopf_module"]
+
+
 def test_analyze_coinvariants(fixture_dir, capsys):
     assert main(["analyze", fx(fixture_dir, "kz2_regular_hopf_module"),
                  "coinvariants"]) == 0
@@ -431,3 +444,44 @@ def test_analyze_strictness(fixture_dir):
                  "strictness"]) == 0
     assert main(["--quiet", "analyze", fx(fixture_dir, "graded_z2_zero"),
                  "strictness"]) == 1
+
+
+# -- one process, many calls --------------------------------------------------------
+
+def test_consecutive_calls_share_nothing(fixture_dir, tmp_path, capsys):
+    """The parser is built once per process; no option of one call carries
+    into the next.  Each call's exit code, output and files must be those of
+    the same call on a freshly built parser."""
+    out = tmp_path / "out"
+    out.mkdir()
+    rep, listing = str(out / "r.jsonl"), str(out / "ints.txt")
+    calls = [
+        ["--report", rep, "verify", fx(fixture_dir, "idempotent"),
+         "--level", "category"],
+        ["verify", fx(fixture_dir, "idempotent_candidate_identity")],
+        ["verify", fx(fixture_dir, "disjoint"), "--strictness"],
+        ["verify", fx(fixture_dir, "disjoint")],
+        ["--quiet", "analyze", fx(fixture_dir, "kz2"), "integrals",
+         "--out", listing],
+        ["analyze", fx(fixture_dir, "kz2"), "integrals"],
+        ["--seed", "1", "verify", fx(fixture_dir, "kz2")],
+        ["verify", fx(fixture_dir, "kz2")],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = ("exit", e.code)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            p.unlink()
+        return code, capsys.readouterr(), files
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 1, 1, 0, 0, 0, ("exit", 2), 0]
+    assert cli.build_parser() is cli.build_parser()
+    assert [run(argv) for argv in calls] == fresh

@@ -1,0 +1,100 @@
+"""Report record lines are ``json.dumps(item.record()) + "\\n"``, byte for byte.
+
+``CheckItem.json_line`` formats the records of ``--report`` files directly;
+these tests hold it to the encoder it stands in for, on every fixture, on
+failing items with witnesses and residuals, and on strings that need
+escaping.
+"""
+
+import copy
+import glob
+import json
+import os
+from fractions import Fraction
+
+import pytest
+
+from hopfcat.cli import main
+from hopfcat.core import HopfCatData, verify_structure
+from hopfcat.fileformat import load
+from hopfcat.report import CheckItem
+
+
+def dumped(item: CheckItem) -> str:
+    return json.dumps(item.record()) + "\n"
+
+
+@pytest.mark.parametrize("name", [
+    os.path.basename(p)[:-3] for p in sorted(glob.glob(os.path.join(
+        os.path.dirname(__file__), "..", "fixtures", "*.hc")))])
+def test_report_file_of_every_fixture(fixture_dir, tmp_path, name):
+    path = os.path.join(fixture_dir, name + ".hc")
+    obj, flags = load(path), []
+    if isinstance(obj, HopfCatData):
+        flags = ["--strictness"] + (["--antipode-theorems"]
+                                    if obj.has_antipode else [])
+    report = str(tmp_path / "r.jsonl")
+    assert main(["--quiet", "--report", report, "verify", path] + flags) \
+        in (0, 1)
+    with open(report, newline="") as fh:
+        lines = fh.readlines()
+    assert lines
+    for line in lines:
+        assert line == json.dumps(json.loads(line)) + "\n"
+
+
+def slots(a: HopfCatData):
+    """Every structure-constant slot as (tensor name, key, index path)."""
+    def walk(t, path):
+        if isinstance(t, list):
+            for i, v in enumerate(t):
+                yield from walk(v, path + (i,))
+        else:
+            yield path
+    for slot in a.layout.slots:
+        table = getattr(a, slot.tag)
+        if table is not None:
+            for key, t in table.items():
+                for path in walk(t, ()):
+                    yield slot.tag, key, path
+
+
+def mutate(a: HopfCatData, tag, key, path, edit) -> HopfCatData:
+    out = copy.deepcopy(a)
+    t = getattr(out, tag)[key]
+    for i in path[:-1]:
+        t = t[i]
+    t[path[-1]] = edit(t[path[-1]])
+    return out
+
+
+@pytest.mark.parametrize("name", ["kz2_stripped", "pair2_stripped"])
+def test_every_single_coefficient_mutant(fixture_dir, name):
+    a = load(os.path.join(fixture_dir, name + ".hc"))
+    one, half = a.field.one, Fraction(1, 2)
+    failing = mutants = 0
+    for edit in (lambda v: v * 2 if v else one, lambda v: v - half):
+        for slot in slots(a):
+            mutants += 1
+            for item in verify_structure(mutate(a, *slot, edit),
+                                         "semihopf").items:
+                assert item.json_line() == dumped(item)
+                failing += item.witness is not None and bool(item.residual)
+    assert mutants >= 36 and failing > mutants
+
+
+@pytest.mark.parametrize("item", [
+    CheckItem("assoc", ("x", "y", "z", "w"), True),
+    CheckItem("assoc", (), False, 0, "[0]=-1/2", 1),
+    CheckItem("unit-left", ("x",), False, None, "", 3, required=False),
+    CheckItem("comult-mult", ("é", "Δ", "日本"), False, 12,
+              "[3]=1 [7]=-2", 2),
+    CheckItem('quote"d', ('"', "back\\slash"), False, 0, 'say "hi"\\', 1),
+    CheckItem("controls", ("tab\there", "new\nline", "\x00\x1f\x7f"), True,
+              None, "bell\x07   \U0001f600", 0),
+    CheckItem("groupoid-valid", (), False, None,
+              "composition table: (a,b) ∘ (b,c) is missing", 1),
+])
+def test_hand_made_items_that_need_escaping(item):
+    assert item.json_line() == dumped(item)
+    assert json.loads(item.json_line()) == item.record()
