@@ -130,13 +130,13 @@ class _Tensors:
     def __init__(self, a: HopfCatData):
         f = a.field
         self.field = f
-        self.dim = a.dim
+        self.dims = a.dims
         self.mult = sp.tensors(f, a.mult)
         self.comult = sp.tensors(f, a.comult)
         self.unit = sp.vectors(f, a.unit)
         self.counit = sp.vectors(f, a.counit)
         self.antipode = None if a.antipode is None else {
-            (x, y): sp.columns(f, a.antipode[(x, y)], self.dim(x, y))
+            (x, y): sp.columns(f, a.antipode[(x, y)], a.dims[(x, y)])
             for x in a.objects for y in a.objects}
 
     def pair(self, rows: int, lhs: list, rhs: list):
@@ -151,7 +151,7 @@ class _Tensors:
         return sp.antipode_law(self.field, self.comult[(x, y)],
                                self.antipode[(x, y)], m, self.unit[target],
                                self.counit[(x, y)], s_first=s_first,
-                               rows=self.dim(target, target), flip=flip)
+                               rows=self.dims[(target, target)], flip=flip)
 
     def antimult(self, x, y, z):
         """S(e_i e_j) against S(e_j) S(e_i)."""
@@ -159,21 +159,21 @@ class _Tensors:
         s_xz = self.antipode[(x, z)]
         s_yz, s_xy = self.antipode[(y, z)], self.antipode[(x, y)]
         lhs, rhs = [], []
-        for i in range(self.dim(x, y)):
-            for j in range(self.dim(y, z)):
-                lhs.append(sp.apply(s_xz, m[i].get(j, {})))
-                rhs.append(sp.product(m_op, s_yz[j], s_xy[i]))
-        return self.pair(self.dim(z, x), lhs, rhs)
+        for i, m_i in enumerate(m):
+            for j, s_j in enumerate(s_yz):
+                lhs.append(sp.apply(s_xz, m_i.get(j, {})))
+                rhs.append(sp.product(m_op, s_j, s_xy[i]))
+        return self.pair(self.dims[(z, x)], lhs, rhs)
 
     def antipode_unit(self, x):
         unit = self.unit[x]
-        return self.pair(self.dim(x, x),
+        return self.pair(self.dims[(x, x)],
                          [sp.apply(self.antipode[(x, x)], unit)], [unit])
 
     def anticomult(self, x, y):
         """Δ(S e_i) against (S⊗S)τΔ(e_i), into A(y,x)^⊗2."""
         s = self.antipode[(x, y)]
-        d = self.dim(y, x)
+        d = self.dims[(y, x)]
         flat = sp.flatten_pairs(self.comult[(y, x)], d)
         lhs, rhs = [], []
         for i, fibres in enumerate(self.comult[(x, y)]):
@@ -181,8 +181,11 @@ class _Tensors:
             acc = {}
             for j, fibre in fibres.items():
                 for k, c in fibre.items():
-                    sp.add_tensor(acc, {p: c * v for p, v in s[k].items()},
-                                  s[j], d)
+                    for p, v in s[k].items():
+                        cv, base = c * v, p * d
+                        for q, w in s[j].items():
+                            t = base + q
+                            acc[t] = acc[t] + cv * w if t in acc else cv * w
             rhs.append(sp.nonzero(acc))
         return self.pair(d * d, lhs, rhs)
 
@@ -191,12 +194,12 @@ class _Tensors:
         eps, eps_op = self.counit[(x, y)], self.counit[(y, x)]
         return self.pair(1, [sp.pairing(col, eps_op) for col in s],
                          [sp.pairing(e, eps)
-                          for e in sp.identity(self.field, self.dim(x, y))])
+                          for e in sp.identity(self.field, len(s))])
 
     def involutive(self, x, y):
         s, s_op = self.antipode[(x, y)], self.antipode[(y, x)]
-        return self.pair(self.dim(x, y), [sp.apply(s_op, col) for col in s],
-                         sp.identity(self.field, self.dim(x, y)))
+        return self.pair(len(s), [sp.apply(s_op, col) for col in s],
+                         sp.identity(self.field, len(s)))
 
 
 def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
@@ -214,7 +217,7 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
     if level == "hopf" and a.antipode is None:
         raise MissingAntipodeError("level 'hopf' requires an antipode")
     rep = Report()
-    X, f, dim = a.objects, a.field, a.dim
+    X, f, dims = a.objects, a.field, a.dims
     t = _Tensors(a)
     mult, unit, comult, counit = t.mult, t.unit, t.comult, t.counit
 
@@ -224,19 +227,19 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
                 for w in X:
                     check_map_equal(rep, "assoc", (x, y, z, w), *sp.assoc(
                         f, mult[(x, y, z)], mult[(x, z, w)], mult[(y, z, w)],
-                        mult[(x, y, w)], dim(z, w), dim(x, w)))
+                        mult[(x, y, w)], dims[(z, w)], dims[(x, w)]))
     for x in X:
         for y in X:
             check_map_equal(rep, "unit-left", (x, y), *sp.unit_law(
-                f, mult[(x, x, y)], unit[x], dim(x, y), left=True))
+                f, mult[(x, x, y)], unit[x], dims[(x, y)], left=True))
             check_map_equal(rep, "unit-right", (x, y), *sp.unit_law(
-                f, mult[(x, y, y)], unit[y], dim(x, y), left=False))
+                f, mult[(x, y, y)], unit[y], dims[(x, y)], left=False))
     if level == "category":
         return rep
 
     for x in X:
         for y in X:
-            d, delta = dim(x, y), comult[(x, y)]
+            d, delta = dims[(x, y)], comult[(x, y)]
             check_map_equal(rep, "coassoc", (x, y), *sp.coassoc(
                 f, delta, delta, delta, delta, (d, d, d)))
             check_map_equal(rep, "counit-left", (x, y), *sp.counit_law(
@@ -249,14 +252,14 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
                 m = mult[(x, y, z)]
                 check_map_equal(rep, "comult-mult", (x, y, z), *sp.comult_mult(
                     f, m, comult[(x, z)], comult[(x, y)], comult[(y, z)], m,
-                    m, (dim(x, z), dim(x, z))))
+                    m, (dims[(x, z)], dims[(x, z)])))
                 check_map_equal(rep, "counit-mult", (x, y, z), *sp.counit_mult(
                     f, m, counit[(x, z)], counit[(x, y)], counit[(y, z)],
-                    dim(y, z)))
+                    dims[(y, z)]))
     for x in X:
         check_map_equal(rep, "comult-unit", (x,), *sp.comult_unit(
             f, comult[(x, x)], unit[x], unit[x], unit[x],
-            (dim(x, x), dim(x, x))))
+            (dims[(x, x)], dims[(x, x)])))
         check_map_equal(rep, "counit-unit", (x,),
                         *sp.counit_unit(f, unit[x], counit[(x, x)]))
     if level == "semihopf":

@@ -62,13 +62,13 @@ def verify_dual(c: DualHopfCatData) -> Report:
     being algebra maps, and — if present — both dual antipode identities."""
     c.validate_shape()
     rep = Report()
-    X, f, dim = c.objects, c.field, c.dim
+    X, f, dims = c.objects, c.field, c.dims
     alg, unit = sp.tensors(f, c.alg), sp.vectors(f, c.unit)
     cocomp, counit = sp.tensors(f, c.cocomp), sp.vectors(f, c.counit)
 
     for x in X:
         for y in X:
-            m, d = alg[(x, y)], dim(x, y)
+            m, d = alg[(x, y)], dims[(x, y)]
             check_map_equal(rep, "alg-assoc", (x, y),
                             *sp.assoc(f, m, m, m, m, d, d))
             check_map_equal(rep, "alg-unit-left", (x, y),
@@ -84,7 +84,7 @@ def verify_dual(c: DualHopfCatData) -> Report:
                         rep, "cocomp-coassoc", (x, y, z, u), *sp.coassoc(
                             f, cocomp[(x, z, u)], cocomp[(x, y, z)],
                             cocomp[(x, y, u)], cocomp[(y, z, u)],
-                            (dim(x, y), dim(y, z), dim(z, u))))
+                            (dims[(x, y)], dims[(y, z)], dims[(z, u)])))
     for x in X:
         for y in X:
             check_map_equal(rep, "cocomp-counit-left", (x, y), *sp.counit_law(
@@ -101,19 +101,19 @@ def verify_dual(c: DualHopfCatData) -> Report:
                 cc = cocomp[(x, y, z)]
                 check_map_equal(rep, "cocomp-mult", (x, y, z), *sp.comult_mult(
                     f, alg[(x, z)], cc, cc, cc, alg[(x, y)], alg[(y, z)],
-                    (dim(x, y), dim(y, z))))
+                    (dims[(x, y)], dims[(y, z)])))
                 check_map_equal(rep, "cocomp-unit", (x, y, z), *sp.comult_unit(
                     f, cc, unit[(x, z)], unit[(x, y)], unit[(y, z)],
-                    (dim(x, y), dim(y, z))))
+                    (dims[(x, y)], dims[(y, z)])))
     for x in X:
         check_map_equal(rep, "counit-mult", (x,), *sp.counit_mult(
-            f, alg[(x, x)], counit[x], counit[x], counit[x], dim(x, x)))
+            f, alg[(x, x)], counit[x], counit[x], counit[x], dims[(x, x)]))
         check_map_equal(rep, "counit-unit", (x,),
                         *sp.counit_unit(f, unit[(x, x)], counit[x]))
 
     if c.antipode is not None:
         # S(x,y): C(y,x) → C(x,y), in column form
-        s = {(x, y): sp.columns(f, c.antipode[(x, y)], dim(y, x))
+        s = {(x, y): sp.columns(f, c.antipode[(x, y)], dims[(y, x)])
              for x in X for y in X}
         for x in X:
             for y in X:
@@ -121,11 +121,11 @@ def verify_dual(c: DualHopfCatData) -> Report:
                 check_map_equal(
                     rep, "dual-antipode-left", (x, y), *sp.antipode_law(
                         f, cc, s[(x, y)], alg[(x, y)], unit[(x, y)],
-                        counit[x], s_first=False, rows=dim(x, y)))
+                        counit[x], s_first=False, rows=dims[(x, y)]))
                 check_map_equal(
                     rep, "dual-antipode-right", (x, y), *sp.antipode_law(
                         f, cc, s[(y, x)], alg[(y, x)], unit[(y, x)],
-                        counit[x], s_first=True, rows=dim(y, x)))
+                        counit[x], s_first=True, rows=dims[(y, x)]))
     return rep
 
 

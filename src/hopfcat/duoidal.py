@@ -156,7 +156,7 @@ def verify_bimonoid(b: BimonoidData) -> Report:
     side by side over u in object order; the interchange is never built."""
     b.validate_shape()
     rep = Report()
-    f, X, dim = b.field, b.carrier.objects, b.dim
+    f, X, dims = b.field, b.carrier.objects, b.carrier.dims
     mu, eta = sp.tensors(f, b.mu), sp.vectors(f, b.eta)
     delta, eps = sp.tensors(f, b.delta), sp.vectors(f, b.eps)
 
@@ -167,17 +167,17 @@ def verify_bimonoid(b: BimonoidData) -> Report:
                     check_map_equal(
                         rep, "monoid-assoc", (x, u, v, y), *sp.assoc(
                             f, mu[(x, u, v)], mu[(x, v, y)], mu[(u, v, y)],
-                            mu[(x, u, y)], dim(v, y), dim(x, y)))
+                            mu[(x, u, y)], dims[(v, y)], dims[(x, y)]))
     for x in X:
         for y in X:
             check_map_equal(rep, "monoid-unit-left", (x, y), *sp.unit_law(
-                f, mu[(x, x, y)], eta[x], dim(x, y), left=True))
+                f, mu[(x, x, y)], eta[x], dims[(x, y)], left=True))
             check_map_equal(rep, "monoid-unit-right", (x, y), *sp.unit_law(
-                f, mu[(x, y, y)], eta[y], dim(x, y), left=False))
+                f, mu[(x, y, y)], eta[y], dims[(x, y)], left=False))
 
     for x in X:
         for y in X:
-            d, dl = dim(x, y), delta[(x, y)]
+            d, dl = dims[(x, y)], delta[(x, y)]
             check_map_equal(rep, "comonoid-coassoc", (x, y),
                             *sp.coassoc(f, dl, dl, dl, dl, (d, d, d)))
             check_map_equal(rep, "comonoid-counit-left", (x, y),
@@ -187,7 +187,7 @@ def verify_bimonoid(b: BimonoidData) -> Report:
 
     for x in X:
         for y in X:
-            d = dim(x, y)
+            d = dims[(x, y)]
             check_map_equal(
                 rep, "interchange-mult-comult", (x, y), *sp.side_by_side(
                     f, d * d, (sp.comult_mult(
@@ -198,10 +198,10 @@ def verify_bimonoid(b: BimonoidData) -> Report:
                 rep, "interchange-counit-mult", (x, y), *sp.side_by_side(
                     f, 1, (sp.counit_mult(
                         f, mu[(x, u, y)], eps[(x, y)], eps[(x, u)],
-                        eps[(u, y)], dim(u, y)) for u in X)))
+                        eps[(u, y)], dims[(u, y)]) for u in X)))
     for x in X:
         check_map_equal(rep, "interchange-comult-unit", (x,), *sp.comult_unit(
-            f, delta[(x, x)], eta[x], eta[x], eta[x], (dim(x, x), dim(x, x))))
+            f, delta[(x, x)], eta[x], eta[x], eta[x], (dims[(x, x)],) * 2))
         check_map_equal(rep, "interchange-counit-unit", (x,),
                         *sp.counit_unit(f, eta[x], eps[(x, x)]))
     return rep

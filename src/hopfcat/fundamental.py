@@ -97,7 +97,7 @@ def verify_hopf_module(m: HopfModuleData,
             rho = coact[(x, y)]
             check_map_equal(rep, "comodule-coassoc", (x, y), *sp.coassoc(
                 f, rho, rho, rho, comult[(x, y)],
-                (m.dim(x, y), a.dim(x, y), a.dim(x, y))))
+                (m.dims[(x, y)], a.dims[(x, y)], a.dims[(x, y)])))
             check_map_equal(rep, "comodule-counit", (x, y), *sp.counit_law(
                 f, rho, counit[(x, y)], left=False))
     for x in X:
@@ -106,7 +106,7 @@ def verify_hopf_module(m: HopfModuleData,
                 psi = act[(x, y, z)]
                 check_map_equal(rep, "hopf-compat", (x, y, z), *sp.comult_mult(
                     f, psi, coact[(x, z)], coact[(x, y)], comult[(y, z)], psi,
-                    mult[(x, y, z)], (m.dim(x, z), a.dim(x, z))))
+                    mult[(x, y, z)], (m.dims[(x, z)], a.dims[(x, z)])))
     return rep
 
 

@@ -97,7 +97,7 @@ def validate_graded(h: GradedHopfData) -> Report:
     h.group.validate()
     h.validate_shape()
     rep = Report()
-    f, G, mul, dim = h.field, h.group.elements, h.group.mul, h.dim
+    f, G, mul, dims = h.field, h.group.elements, h.group.mul, h.dims
     e = h.group.identity()
     mult, comult = sp.tensors(f, h.mult), sp.tensors(f, h.comult)
     counit, unit = sp.vectors(f, h.counit), sp.vector(f, h.unit)
@@ -107,14 +107,14 @@ def validate_graded(h: GradedHopfData) -> Report:
             for r in G:
                 check_map_equal(rep, "graded-assoc", (s, t, r), *sp.assoc(
                     f, mult[(s, t)], mult[(mul(s, t), r)], mult[(t, r)],
-                    mult[(s, mul(t, r))], dim(r), dim(mul(mul(s, t), r))))
+                    mult[(s, mul(t, r))], dims[r], dims[mul(mul(s, t), r)]))
     for s in G:
         check_map_equal(rep, "graded-unit-left", (s,), *sp.unit_law(
-            f, mult[(e, s)], unit, dim(s), left=True))
+            f, mult[(e, s)], unit, dims[s], left=True))
         check_map_equal(rep, "graded-unit-right", (s,), *sp.unit_law(
-            f, mult[(s, e)], unit, dim(s), left=False))
+            f, mult[(s, e)], unit, dims[s], left=False))
     for s in G:
-        d, delta = dim(s), comult[s]
+        d, delta = dims[s], comult[s]
         check_map_equal(rep, "graded-coassoc", (s,),
                         *sp.coassoc(f, delta, delta, delta, delta, (d, d, d)))
         check_map_equal(rep, "graded-counit-left", (s,),
@@ -127,26 +127,26 @@ def validate_graded(h: GradedHopfData) -> Report:
             check_map_equal(rep, "graded-comult-mult", (s, t),
                             *sp.comult_mult(f, m, comult[st], comult[s],
                                             comult[t], m, m,
-                                            (dim(st), dim(st))))
+                                            (dims[st], dims[st])))
             check_map_equal(rep, "graded-counit-mult", (s, t),
                             *sp.counit_mult(f, m, counit[st], counit[s],
-                                            counit[t], dim(t)))
+                                            counit[t], dims[t]))
     check_map_equal(rep, "graded-comult-unit", (e,), *sp.comult_unit(
-        f, comult[e], unit, unit, unit, (dim(e), dim(e))))
+        f, comult[e], unit, unit, unit, (dims[e], dims[e])))
     check_map_equal(rep, "graded-counit-unit", (e,),
                     *sp.counit_unit(f, unit, counit[e]))
     if h.antipode is not None:
         for s in G:
             si = h.group.inverse(s)
-            sm = sp.columns(f, h.antipode[s], dim(s))   # A_s → A_{s^-1}
+            sm = sp.columns(f, h.antipode[s], dims[s])   # A_s → A_{s^-1}
             check_map_equal(rep, "graded-antipode-left", (s,),
                             *sp.antipode_law(f, comult[s], sm, mult[(s, si)],
                                              unit, counit[s], s_first=False,
-                                             rows=dim(e)))
+                                             rows=dims[e]))
             check_map_equal(rep, "graded-antipode-right", (s,),
                             *sp.antipode_law(f, comult[s], sm, mult[(si, s)],
                                              unit, counit[s], s_first=True,
-                                             rows=dim(e)))
+                                             rows=dims[e]))
     return rep
 
 

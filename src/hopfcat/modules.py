@@ -93,19 +93,19 @@ def verify_module(m: ModuleData) -> Report:
                     if right:    # (m·a)·b against m·(ab)
                         pair = sp.assoc(f, act[(x, y, z)], act[(x, z, u)],
                                         mult[(y, z, u)], act[(x, y, u)],
-                                        a.dim(z, u), m.dim(x, u))
+                                        a.dims[(z, u)], m.dims[(x, u)])
                     else:        # a·(b·m) against (ab)·m
                         pair = sp.assoc(f, mult[(x, y, z)], act[(x, z, u)],
                                         act[(y, z, u)], act[(x, y, u)],
-                                        m.dim(z, u), m.dim(x, u))[::-1]
+                                        m.dims[(z, u)], m.dims[(x, u)])[::-1]
                     check_map_equal(rep, "module-assoc", (x, y, z, u), *pair)
     for x in X:
         for y in X:
             if right:
-                pair = sp.unit_law(f, act[(x, y, y)], unit[y], m.dim(x, y),
+                pair = sp.unit_law(f, act[(x, y, y)], unit[y], m.dims[(x, y)],
                                    left=False)
             else:
-                pair = sp.unit_law(f, act[(x, x, y)], unit[x], m.dim(x, y),
+                pair = sp.unit_law(f, act[(x, x, y)], unit[x], m.dims[(x, y)],
                                    left=True)
             check_map_equal(rep, "module-unit", (x, y), *pair)
     return rep
@@ -127,7 +127,7 @@ def verify_comodule(m: ComoduleData) -> Report:
                         rep, "comodule-coassoc", (x, u, y, z), *sp.coassoc(
                             f, coact[(x, y, z)], coact[(x, u, y)],
                             coact[(x, u, z)], cocomp[(u, y, z)],
-                            (m.dim(x, u), c.dim(u, y), c.dim(y, z))))
+                            (m.dims[(x, u)], c.dims[(u, y)], c.dims[(y, z)])))
     for x in X:
         for z in X:
             check_map_equal(rep, "comodule-counit", (x, z), *sp.counit_law(

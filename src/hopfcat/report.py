@@ -54,17 +54,33 @@ class CheckItem:
 @dataclass
 class Report:
     items: list[CheckItem] = field(default_factory=list)
+    # (items list, how many of it were scanned, the required failing ones):
+    # ``overall`` and ``failed`` scan only the items appended since, through
+    # ``add``, ``extend`` or ``items`` itself; a new ``items`` list is
+    # scanned from its start.  Items are never removed.
+    _seen: tuple = field(default=(None, 0, ()), init=False, repr=False,
+                         compare=False)
+
+    def _scan(self) -> tuple[CheckItem, ...]:
+        items = self.items
+        seen, start, failed = self._seen
+        if seen is not items:
+            start, failed = 0, ()
+        failed += tuple(it for it in items[start:]
+                        if it.required and not it.ok)
+        self._seen = (items, len(items), failed)
+        return failed
 
     @property
     def overall(self) -> bool:
-        return all(it.ok for it in self.items if it.required)
+        return not self._scan()
 
     @property
     def total_failures(self) -> int:
         return sum(it.failures for it in self.items if it.required)
 
     def failed(self) -> list[CheckItem]:
-        return [it for it in self.items if it.required and not it.ok]
+        return list(self._scan())
 
     def add(self, item: CheckItem):
         self.items.append(item)
@@ -126,24 +142,32 @@ def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
     form.  Every domain basis vector is an independent instance; the first
     failing one is kept as witness together with the nonzero residual
     coordinates (lhs minus rhs) in row order.
+
+    The column lists are compared whole first, with one ``==``.  Only when
+    they differ is each column pair taken through ``residual``, which
+    reduces the difference, so columns that agree only mod p, or up to an
+    explicit zero, are still found equal.
     """
     lhs, rhs = lhs.sparse(), rhs.sparse()
-    if lhs.field != rhs.field:
+    field = lhs.field
+    if field is not rhs.field and field != rhs.field:
         raise FieldMismatchError(
-            f"cannot compare maps over {lhs.field} and {rhs.field}")
-    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+            f"cannot compare maps over {field} and {rhs.field}")
+    lcols, rcols = lhs.columns, rhs.columns
+    if lhs.rows != rhs.rows or len(lcols) != len(rcols):
         raise ValueError(
             f"cannot compare a {lhs.rows}x{lhs.cols} map with a "
             f"{rhs.rows}x{rhs.cols} map")
     witness = None
     first = ""
     failures = 0
-    for j, (lcol, rcol) in enumerate(zip(lhs.columns, rhs.columns)):
-        res = residual(lhs.field, lcol, rcol)
-        if res:
-            failures += 1
-            if witness is None:
-                witness, first = j, res
+    if lcols != rcols:
+        for j, (lcol, rcol) in enumerate(zip(lcols, rcols)):
+            res = residual(field, lcol, rcol)
+            if res:
+                failures += 1
+                if witness is None:
+                    witness, first = j, res
     item = CheckItem(axiom, objects, failures == 0, witness, first,
                      failures, required)
     report.add(item)

@@ -186,7 +186,7 @@ class Field:
 
     def fmt(self, x) -> str:
         if self.p is None:
-            return str(Fraction(x))
+            return str(x if type(x) in (int, Fraction) else Fraction(x))
         return str(x % self.p if isinstance(x, int) else x.value)
 
     def __str__(self):

@@ -252,10 +252,11 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
         check_condition(rep, axiom, objects, False, residual=res,
                         witness=witness)
 
-    def check(axiom, objects, witness, lhs, rhs):
-        res = residual(field, lhs, rhs)
-        if res:
-            fail(axiom, objects, witness, res)
+    def check(axiom, indices, witness, lhs, rhs):   # labelled on failure
+        if lhs != rhs:
+            res = residual(field, lhs, rhs)
+            if res:
+                fail(axiom, sum((blk[b] for b in indices), ()), witness, res)
 
     def summarize(*axioms, res=""):
         for axiom in axioms:
@@ -267,11 +268,11 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
     for i in range(n):
         i_times = sp.left_factor(mult, i, n)
         for j in range(n):
-            ij = mult[i].get(j, {})
-            for k in range(n):
-                check("assoc", blk[i] + blk[j] + blk[k], i,
-                      sp.apply(times[k], ij),
-                      sp.apply(i_times, mult[j].get(k, {})))
+            ij, jk = mult[i].get(j, {}), mult[j]
+            # where e_i·e_j = 0 both sides vanish unless e_j·e_k != 0
+            for k in (range(n) if ij else jk):
+                check("assoc", (i, j, k), i, sp.apply(times[k], ij),
+                      sp.apply(i_times, jk.get(k, {})))
     summarize("assoc", res="see items")
 
     for i, e_i in enumerate(basis):
@@ -291,7 +292,7 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
                 sp.add(right, (a, p, q), v * u)
             sp.add(lc, b, v * t.counit.get(a, t.zero))
             sp.add(rc, a, v * t.counit.get(b, t.zero))
-        check("coassoc", blk[i], i, left, right)
+        check("coassoc", (i,), i, left, right)
         res = residual(field, lc, basis[i]) \
             or residual(field, rc, basis[i])
         if res:
@@ -308,7 +309,7 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
                     for r, cr in first.items():
                         for s, cs in second.items():
                             sp.add(rhs, (r, s), u * v * cr * cs)
-            check("comult-mult", blk[i] + blk[j], i,
+            check("comult-mult", (i, j), i,
                   t.delta(mult[i].get(j, {})), rhs)
     summarize("comult-mult")
 
@@ -359,9 +360,9 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
                 # S(h₁) h₂ S(h₃) = S(h)
                 s_h1_h2 = sp.product(mult, antipode[a], basis[p])
                 sp.axpy(full, v * u, sp.product(mult, s_h1_h2, antipode[q]))
-        check("antipode-target", blk[i], i, target, t.eps_t(basis[i]))
-        check("antipode-source", blk[i], i, source, t.eps_s(basis[i]))
-        check("antipode-full", blk[i], i, full, antipode[i])
+        check("antipode-target", (i,), i, target, t.eps_t(basis[i]))
+        check("antipode-source", (i,), i, source, t.eps_s(basis[i]))
+        check("antipode-full", (i,), i, full, antipode[i])
     summarize("antipode-target", "antipode-source", "antipode-full")
     return rep
 

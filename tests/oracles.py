@@ -12,7 +12,9 @@ canonical and dual Hopf modules after them for ``fundamental``'s
 contractions; the sampled weak Hopf verifier after them plays the same part
 for ``weak.verify_weak_hopf``, the row reduction on public scalars for
 ``linalg``'s row reduction on raw ones, and the per-kind parsers at the end
-for ``fileformat``'s one table-driven reader.
+for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
+is the per-column comparison that ``report.check_map_equal`` ran before it
+compared whole column lists first.
 """
 
 import random
@@ -34,8 +36,8 @@ from hopfcat.groupoid import GroupoidData
 from hopfcat.linalg import LinMap, NotInvertible, invert, rank, swap_map
 from hopfcat.modules import ComoduleData, ModuleData
 from hopfcat.report import (CheckItem, PreconditionError, Report,
-                            check_condition)
-from hopfcat.scalars import parse_field
+                            check_condition, residual)
+from hopfcat.scalars import FieldMismatchError, parse_field
 from hopfcat.weak import WeakHopfData
 
 
@@ -119,6 +121,33 @@ def _dense_check_map_equal(report, axiom, objects, lhs, rhs, required=True):
     report.add(CheckItem(axiom, objects, failures == 0, witness, residual,
                          failures, required))
     return failures == 0
+
+
+def reference_check_map_equal(report, axiom, objects, lhs, rhs,
+                              required=True):
+    """``report.check_map_equal`` as it was before its whole-map ``==``:
+    every column pair goes through ``residual``, equal or not."""
+    lhs, rhs = lhs.sparse(), rhs.sparse()
+    if lhs.field != rhs.field:
+        raise FieldMismatchError(
+            f"cannot compare maps over {lhs.field} and {rhs.field}")
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        raise ValueError(
+            f"cannot compare a {lhs.rows}x{lhs.cols} map with a "
+            f"{rhs.rows}x{rhs.cols} map")
+    witness = None
+    first = ""
+    failures = 0
+    for j, (lcol, rcol) in enumerate(zip(lhs.columns, rhs.columns)):
+        res = residual(lhs.field, lcol, rcol)
+        if res:
+            failures += 1
+            if witness is None:
+                witness, first = j, res
+    item = CheckItem(axiom, objects, failures == 0, witness, first,
+                     failures, required)
+    report.add(item)
+    return item.ok
 
 
 def dense_verify_structure(a, level="hopf"):

@@ -81,6 +81,18 @@ def test_rational_serialization_roundtrip(q):
     assert QQ.parse(QQ.fmt(q)) == q
 
 
+@given(st.one_of(st.integers(), st.integers(max_value=-1),
+                 st.fractions().filter(lambda q: q.denominator != 1),
+                 st.fractions()))
+def test_rational_fmt_is_str_of_the_fraction(x):
+    # fmt writes an int or a Fraction as itself, without a new Fraction;
+    # the text must be that of the Fraction of the same value, for the raw
+    # ints of the engine as for public scalars
+    assert QQ.fmt(x) == str(Fraction(x))
+    if isinstance(x, Fraction) and x.denominator == 1:
+        assert QQ.fmt(x.numerator) == QQ.fmt(x)
+
+
 @given(st.integers(), st.integers())
 def test_fp_arithmetic_matches_ints(a, b):
     p = 13
