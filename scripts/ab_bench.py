@@ -4,11 +4,11 @@
     python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload many-objects \\
         --pairs 10 --seconds 35
 
-Pair n runs ``perfbench/run.py --workload W --seed n --seconds S --trace 0``
-once in each checkout, one after the other in fresh processes; even pairs
-run the parent first and odd pairs the change first, so that a drift in the
-machine's speed does not always favour the same side.  Each run writes only
-under its own checkout's ``.perfbench_work/``.
+Pair n, for n = 1 .. N, runs ``perfbench/run.py --workload W --seed n
+--seconds S --trace 0`` once in each checkout, one after the other in fresh
+processes; odd pairs run the parent first and even pairs the change first,
+so that a drift in the machine's speed does not always favour the same
+side.  Each run writes only under its own checkout's ``.perfbench_work/``.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints the median of
 each side, the parent's quartiles and their distance (IQR), the change in
@@ -77,26 +77,21 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=35)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--json", help="also write every run's metrics here")
     args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2 for quartiles")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     parent, change = [], []
-    for n in range(args.pairs):
-        seed = args.first_seed + n
+    for seed in range(1, args.pairs + 1):
         sides = [(args.parent, parent), (args.change, change)]
-        for checkout, runs in (sides if n % 2 == 0 else sides[::-1]):
+        for checkout, runs in (sides if seed % 2 else sides[::-1]):
             runs.append(run_once(checkout, args.workload, seed,
                                  args.seconds))
-        print(f"pair {n + 1}/{args.pairs} seed {seed}: wall_s parent "
+        print(f"pair {seed}/{args.pairs} seed {seed}: wall_s parent "
               f"{parent[-1]['wall_s']:.4f} change {change[-1]['wall_s']:.4f}",
               flush=True)
     print("\n".join(summary(metrics, parent, change)))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"workload": args.workload, "seconds": args.seconds,
-                       "parent": parent, "change": change}, fh, indent=1)
     return 0
 
 

@@ -181,11 +181,8 @@ class _Tensors:
             acc = {}
             for j, fibre in fibres.items():
                 for k, c in fibre.items():
-                    for p, v in s[k].items():
-                        cv, base = c * v, p * d
-                        for q, w in s[j].items():
-                            t = base + q
-                            acc[t] = acc[t] + cv * w if t in acc else cv * w
+                    sp.add_tensor(acc, {p: c * v for p, v in s[k].items()},
+                                  s[j], d)
             rhs.append(sp.nonzero(acc))
         return self.pair(d * d, lhs, rhs)
 

@@ -54,33 +54,17 @@ class CheckItem:
 @dataclass
 class Report:
     items: list[CheckItem] = field(default_factory=list)
-    # (items list, how many of it were scanned, the required failing ones):
-    # ``overall`` and ``failed`` scan only the items appended since, through
-    # ``add``, ``extend`` or ``items`` itself; a new ``items`` list is
-    # scanned from its start.  Items are never removed.
-    _seen: tuple = field(default=(None, 0, ()), init=False, repr=False,
-                         compare=False)
-
-    def _scan(self) -> tuple[CheckItem, ...]:
-        items = self.items
-        seen, start, failed = self._seen
-        if seen is not items:
-            start, failed = 0, ()
-        failed += tuple(it for it in items[start:]
-                        if it.required and not it.ok)
-        self._seen = (items, len(items), failed)
-        return failed
 
     @property
     def overall(self) -> bool:
-        return not self._scan()
+        return all(it.ok for it in self.items if it.required)
 
     @property
     def total_failures(self) -> int:
         return sum(it.failures for it in self.items if it.required)
 
     def failed(self) -> list[CheckItem]:
-        return list(self._scan())
+        return [it for it in self.items if it.required and not it.ok]
 
     def add(self, item: CheckItem):
         self.items.append(item)

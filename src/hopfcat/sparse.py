@@ -90,9 +90,12 @@ def flatten_pairs(t3: list[dict], d2: int) -> list[dict]:
 
 # -- arithmetic -----------------------------------------------------------------
 #
-# ``apply``, ``product`` and the laws accumulate inline.  A vector built from
-# one term (a nonzero scalar times a vector without zeros) is kept as built;
-# one summed from several terms may hold zeros from cancellation, dropped.
+# ``apply``, ``product`` and the laws checked on every triple or quadruple
+# of objects (``assoc``, ``comult_mult``, ``counit_mult``) accumulate inline
+# rather than through ``axpy`` or ``pairing``.  A vector summed from one term
+# is kept as built: given inputs without zeros, as every sparse form here is,
+# a nonzero scalar times such a vector has none.  One summed from several
+# terms may hold zeros from cancellation, which are dropped.
 
 _EMPTY: dict = {}   # the shared default of ``.get`` lookups; never written
 
@@ -112,8 +115,27 @@ def axpy(acc: dict, s, vec: dict):
         acc[k] = acc[k] + s * v if k in acc else s * v
 
 
+def add_tensor(acc: dict, u: dict, v: dict, d2: int):
+    """acc += u⊗v, where v lives in a space of dimension d2."""
+    for i, a in u.items():
+        for j, b in v.items():
+            k = i * d2 + j
+            acc[k] = acc[k] + a * b if k in acc else a * b
+
+
+def add_product(acc: dict, t3: list[dict], u: dict, v: dict):
+    """acc += the bilinear map of the sparse 3-tensor t3 on (u, v)."""
+    for i, a in u.items():
+        row = t3[i]
+        for j, b in v.items():
+            if j in row:
+                axpy(acc, a * b, row[j])
+
+
 def product(t3: list[dict], u: dict, v: dict) -> dict:
-    """The bilinear map of the sparse 3-tensor t3 on (u, v)."""
+    """The bilinear map of the sparse 3-tensor t3 on (u, v).  A result of
+    one nonzero constant is not filtered: it has no zeros if u, v and t3
+    have none."""
     acc, terms = {}, 0
     for i, a in u.items():
         row = t3[i]
@@ -138,7 +160,9 @@ def right_factor(t3: list[dict], j: int, d1: int) -> list[dict]:
 
 
 def apply(cols: list[dict], u: dict) -> dict:
-    """The map with these sparse columns applied to u."""
+    """The map with these sparse columns applied to u.  For u of one
+    coordinate the result is not filtered: it has no zeros if u and the
+    columns have none."""
     acc = {}
     for i, c in u.items():
         for k, v in cols[i].items():
@@ -217,14 +241,12 @@ def unit_law(field: Field, m, unit: dict, d: int, left: bool):
     other factor and target have dimension d."""
     lhs = []
     for i in range(d):
-        acc, terms = {}, 0
+        acc = {}
         for u, c in unit.items():
             vec = m[u].get(i) if left else m[i].get(u)
             if vec:
-                terms += 1
-                for t, v in vec.items():
-                    acc[t] = acc[t] + c * v if t in acc else c * v
-        lhs.append({t: v for t, v in acc.items() if v} if terms > 1 else acc)
+                axpy(acc, c, vec)
+        lhs.append(nonzero(acc))
     return _pair(field, d, lhs, identity(field, d))
 
 
@@ -233,29 +255,20 @@ def coassoc(field: Field, first, left, second, right, dims):
     dims = (dim U, dim V, dim W), for first: D → P⊗W, left: P → U⊗V,
     second: D → U⊗Q and right: Q → V⊗W."""
     du, dv, dw = dims
-    dvw = dv * dw
     left, right = flatten_pairs(left, dv), flatten_pairs(right, dw)
     lhs, rhs = [], []
     for split1, split2 in zip(first, second):
-        acc, terms = {}, 0
+        acc = {}
         for p, fibre in split1.items():
-            vec = left[p]
             for w, c in fibre.items():
-                terms += 1
-                for i, a in vec.items():
-                    k = i * dw + w
-                    acc[k] = acc[k] + a * c if k in acc else a * c
-        lhs.append({k: v for k, v in acc.items() if v} if terms > 1 else acc)
-        acc, terms = {}, 0
+                add_tensor(acc, left[p], {w: c}, dw)
+        lhs.append(nonzero(acc))
+        acc = {}
         for u, fibre in split2.items():
-            base = u * dvw
             for q, c in fibre.items():
-                terms += 1
-                for j, b in right[q].items():
-                    k = base + j
-                    acc[k] = acc[k] + c * b if k in acc else c * b
-        rhs.append({k: v for k, v in acc.items() if v} if terms > 1 else acc)
-    return _pair(field, du * dvw, lhs, rhs)
+                add_tensor(acc, {u: c}, right[q], dv * dw)
+        rhs.append(nonzero(acc))
+    return _pair(field, du * dv * dw, lhs, rhs)
 
 
 def counit_law(field: Field, delta, eps: dict, left: bool):
@@ -263,15 +276,15 @@ def counit_law(field: Field, delta, eps: dict, left: bool):
     ε the covector on the leg it removes."""
     lhs = []
     for fibres in delta:
-        acc, terms = {}, 0
+        acc = {}
         for j, fibre in fibres.items():
             for k, c in fibre.items():
-                e = eps.get(j if left else k)
-                if e is not None:
-                    terms += 1
-                    t = k if left else j
-                    acc[t] = acc[t] + e * c if t in acc else e * c
-        lhs.append({k: v for k, v in acc.items() if v} if terms > 1 else acc)
+                if left:
+                    if j in eps:
+                        add(acc, k, eps[j] * c)
+                elif k in eps:
+                    add(acc, j, eps[k] * c)
+        lhs.append(nonzero(acc))
     return _pair(field, len(delta), lhs, identity(field, len(delta)))
 
 
@@ -344,8 +357,8 @@ def comult_unit(field: Field, delta, unit: dict, unit_l: dict, unit_r: dict,
                 dims):
     """δ(1) against 1_l ⊗ 1_r, for δ: W → L⊗R and dims = (dim L, dim R)."""
     dl, dr = dims
-    both = {i * dr + j: a * b for i, a in unit_l.items()
-            for j, b in unit_r.items()}
+    both = {}
+    add_tensor(both, unit_l, unit_r, dr)
     return _pair(field, dl * dr, [apply(flatten_pairs(delta, dr), unit)],
                  [both])
 
@@ -362,21 +375,15 @@ def antipode_law(field: Field, delta, s, m, unit: dict, eps: dict,
     form and 1 the unit of the target, of dimension rows."""
     lhs, rhs = [], []
     for i, fibres in enumerate(delta):
-        acc, terms = {}, 0
+        acc = {}
         for j, fibre in fibres.items():
             for k, c in fibre.items():
                 h1, h2 = (k, j) if flip else (j, k)
-                # the terms a·c·m(e_p, e_h2) over S e_h1 = Σ a e_p, or
-                # c·b·m(e_h1, e_q) over S e_h2 = Σ b e_q
-                for p, a in s[h1 if s_first else h2].items():
-                    vec = m[p].get(h2) if s_first else m[h1].get(p)
-                    if vec:
-                        terms += 1
-                        ac = a * c if s_first else c * a
-                        for t, v in vec.items():
-                            acc[t] = acc[t] + ac * v if t in acc else ac * v
-        lhs.append({t: v for t, v in acc.items() if v} if terms > 1 else acc)
-        e = eps.get(i)
-        rhs.append({k: e * u for k, u in unit.items()} if e is not None
-                   else {})
+                if s_first:
+                    add_product(acc, m, s[h1], {h2: c})
+                else:
+                    add_product(acc, m, {h1: c}, s[h2])
+        lhs.append(nonzero(acc))
+        rhs.append({k: eps[i] * u for k, u in unit.items()}
+                   if i in eps else {})
     return _pair(field, rows, lhs, rhs)

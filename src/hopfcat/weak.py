@@ -253,10 +253,9 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
                         witness=witness)
 
     def check(axiom, indices, witness, lhs, rhs):   # labelled on failure
-        if lhs != rhs:
-            res = residual(field, lhs, rhs)
-            if res:
-                fail(axiom, sum((blk[b] for b in indices), ()), witness, res)
+        res = residual(field, lhs, rhs)
+        if res:
+            fail(axiom, sum((blk[b] for b in indices), ()), witness, res)
 
     def summarize(*axioms, res=""):
         for axiom in axioms:
