@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import sparse as sp
-from .linalg import LinMap, invert, NotInvertible, rank
+from .linalg import (LinMap, NotInvertible, bilinear_map, invert, rank,
+                     split_map)
 from .report import (Report, PreconditionError, check_condition,
                      check_map_equal)
 from .scalars import Field
-from .schema import LAYOUTS, MalformedDataError, check_shape
+from .schema import LAYOUTS, MalformedDataError, check_shape, reshaped
 
 
 class MissingAntipodeError(ValueError):
@@ -72,16 +73,8 @@ class HopfCatData:
 
     def mult_map(self, x: str, y: str, z: str) -> LinMap:
         """A(x,y)⊗A(y,z) → A(x,z), domain flattened leftmost-slowest."""
-        d1, d2, d3 = self.dim(x, y), self.dim(y, z), self.dim(x, z)
-        t = self.mult[(x, y, z)]
-        zero = self.field.zero
-        out = [[zero] * (d1 * d2) for _ in range(d3)]
-        for i in range(d1):
-            for j in range(d2):
-                col = i * d2 + j
-                for k in range(d3):
-                    out[k][col] = t[i][j][k]
-        return LinMap(self.field, d3, d1 * d2, out)
+        return bilinear_map(self.field, self.mult[(x, y, z)], self.dim(x, y),
+                            self.dim(y, z), self.dim(x, z))
 
     def unit_map(self, x: str) -> LinMap:
         return LinMap.column(self.field, self.unit[x])
@@ -89,14 +82,7 @@ class HopfCatData:
     def comult_map(self, x: str, y: str) -> LinMap:
         """A(x,y) → A(x,y)⊗A(x,y)."""
         d = self.dim(x, y)
-        t = self.comult[(x, y)]
-        zero = self.field.zero
-        out = [[zero] * d for _ in range(d * d)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    out[j * d + k][i] = t[i][j][k]
-        return LinMap(self.field, d * d, d, out)
+        return split_map(self.field, self.comult[(x, y)], d, d, d)
 
     def counit_map(self, x: str, y: str) -> LinMap:
         return LinMap.row(self.field, self.counit[(x, y)])
@@ -355,35 +341,21 @@ def transform(a: HopfCatData, mode: str) -> HopfCatData:
     if mode not in ("opposite", "coopposite", "opcop"):
         raise ValueError(f"unknown transform mode '{mode}'")
     a.validate_shape()
-    X = a.objects
-    flip_obj = mode in ("opposite", "opcop")
-    flip_comult = mode in ("coopposite", "opcop")
-
-    if flip_obj:
+    X, zero = a.objects, a.field.zero
+    dims, mult = dict(a.dims), dict(a.mult)
+    comult, counit = dict(a.comult), dict(a.counit)
+    if mode in ("opposite", "opcop"):
         dims = {(x, y): a.dim(y, x) for x in X for y in X}
-        mult = {}
-        for x in X:
-            for y in X:
-                for z in X:
-                    t = a.mult[(z, y, x)]
-                    d1, d2, d3 = a.dim(y, x), a.dim(z, y), a.dim(z, x)
-                    mult[(x, y, z)] = [[[t[j][i][k] for k in range(d3)]
-                                        for j in range(d2)]
-                                       for i in range(d1)]
+        mult = {(x, y, z): reshaped(
+            a.mult[(z, y, x)], 3, (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
+            zero, lambda i, j, k: (j, i, k))
+            for x in X for y in X for z in X}
         comult = {(x, y): a.comult[(y, x)] for x in X for y in X}
         counit = {(x, y): a.counit[(y, x)] for x in X for y in X}
-    else:
-        dims = dict(a.dims)
-        mult = {k: v for k, v in a.mult.items()}
-        comult = {k: v for k, v in a.comult.items()}
-        counit = {k: v for k, v in a.counit.items()}
-    if flip_comult:
-        comult = {
-            key: [[[comult[key][i][k][j] for k in range(len(comult[key][i]))]
-                   for j in range(len(comult[key][i]))]
-                  for i in range(len(comult[key]))]
-            for key in comult
-        }
+    if mode in ("coopposite", "opcop"):
+        comult = {key: reshaped(t, 3, (dims[key],) * 3, zero,
+                                lambda i, j, k: (i, k, j))
+                  for key, t in comult.items()}
 
     antipode = None
     if a.antipode is not None:
@@ -392,20 +364,16 @@ def transform(a: HopfCatData, mode: str) -> HopfCatData:
             for y in X:
                 if mode == "opcop":
                     antipode[(x, y)] = a.antipode[(y, x)]
-                elif mode == "opposite":
-                    inv = invert(a.antipode_map(x, y))
-                    if isinstance(inv, NotInvertible):
-                        raise MalformedDataError(
-                            f"antipode at ({x},{y}) is singular; "
-                            "the opposite antipode needs its inverse")
-                    antipode[(x, y)] = [list(r) for r in inv.entries]
-                else:  # coopposite
-                    inv = invert(a.antipode_map(y, x))
-                    if isinstance(inv, NotInvertible):
-                        raise MalformedDataError(
-                            f"antipode at ({y},{x}) is singular; "
-                            "the coopposite antipode needs its inverse")
-                    antipode[(x, y)] = [list(r) for r in inv.entries]
+                    continue
+                # the inverse of S(x,y) for the opposite, of S(y,x) for the
+                # coopposite
+                u, v = (x, y) if mode == "opposite" else (y, x)
+                inv = invert(a.antipode_map(u, v))
+                if isinstance(inv, NotInvertible):
+                    raise MalformedDataError(
+                        f"antipode at ({u},{v}) is singular; "
+                        f"the {mode} antipode needs its inverse")
+                antipode[(x, y)] = [list(r) for r in inv.entries]
 
     return HopfCatData(a.field, X, dims, mult, dict(a.unit), comult, counit,
                        antipode)

@@ -27,7 +27,7 @@ from . import sparse as sp
 from .core import HopfCatData
 from .report import Report, check_map_equal
 from .scalars import Field
-from .schema import LAYOUTS, check_shape
+from .schema import LAYOUTS, check_shape, reshaped
 
 
 @dataclass
@@ -129,38 +129,31 @@ def verify_dual(c: DualHopfCatData) -> Report:
     return rep
 
 
+def _reversed(t, rank: int, shape: tuple, zero):
+    """``t`` with its index order reversed, for example t[i][j][k] at
+    [k][j][i]: every tensor of a coordinate dual, either way round."""
+    return reshaped(t, rank, shape, zero, lambda *idx: idx[::-1])
+
+
 def dualize(a: HopfCatData) -> DualHopfCatData:
     """Coordinate-dual of a (semi-)Hopf category on the dual bases."""
     a.validate_shape()
-    X = a.objects
+    X, zero = a.objects, a.field.zero
     dims = {(x, y): a.dim(y, x) for x in X for y in X}
-    alg = {}
-    for x in X:
-        for y in X:
-            d = dims[(x, y)]
-            cm = a.comult[(y, x)]
-            # opposite convolution: (f_a f_b)(e_i) = <f_a, e_i(2)><f_b, e_i(1)>
-            alg[(x, y)] = [[[cm[i][b][a_] for i in range(d)]
-                            for b in range(d)] for a_ in range(d)]
+    # opposite convolution: (f_a f_b)(e_i) = <f_a, e_i(2)><f_b, e_i(1)>
+    alg = {(x, y): _reversed(a.comult[(y, x)], 3, (dims[(x, y)],) * 3, zero)
+           for x in X for y in X}
     unit = {(x, y): list(a.counit[(y, x)]) for x in X for y in X}
-    cocomp = {}
-    for x in X:
-        for y in X:
-            for z in X:
-                mt = a.mult[(z, y, x)]   # c[i][j][k] over A(z,y)⊗A(y,x)→A(z,x)
-                dk, da, db = dims[(x, z)], dims[(x, y)], dims[(y, z)]
-                cocomp[(x, y, z)] = [[[mt[b][a_][k] for b in range(db)]
-                                      for a_ in range(da)] for k in range(dk)]
+    # A(z,y)⊗A(y,x) → A(z,x) read backwards: C(x,z) → C(x,y)⊗C(y,z)
+    cocomp = {(x, y, z): _reversed(
+        a.mult[(z, y, x)], 3, (dims[(x, z)], dims[(x, y)], dims[(y, z)]),
+        zero) for x in X for y in X for z in X}
     counit = {x: list(a.unit[x]) for x in X}
     antipode = None
-    if a.antipode is not None:
-        antipode = {}
-        for x in X:
-            for y in X:
-                s = a.antipode[(y, x)]   # A(y,x) → A(x,y)
-                dr, dc = dims[(x, y)], dims[(y, x)]
-                antipode[(x, y)] = [[s[j][i] for j in range(dc)]
-                                    for i in range(dr)]
+    if a.antipode is not None:    # the transpose of S: A(y,x) → A(x,y)
+        antipode = {(x, y): _reversed(a.antipode[(y, x)], 2,
+                                      (dims[(x, y)], dims[(y, x)]), zero)
+                    for x in X for y in X}
     return DualHopfCatData(a.field, X, dims, alg, unit, cocomp, counit,
                            antipode)
 
@@ -168,32 +161,18 @@ def dualize(a: HopfCatData) -> DualHopfCatData:
 def undualize(c: DualHopfCatData) -> HopfCatData:
     """Inverse of ``dualize`` on the double-dual basis identification."""
     c.validate_shape()
-    X = c.objects
+    X, zero = c.objects, c.field.zero
     dims = {(x, y): c.dim(y, x) for x in X for y in X}
-    mult = {}
-    for x in X:
-        for y in X:
-            for z in X:
-                t = c.cocomp[(z, y, x)]
-                d1, d2, d3 = dims[(x, y)], dims[(y, z)], dims[(x, z)]
-                mult[(x, y, z)] = [[[t[k][b][a_] for k in range(d3)]
-                                    for b in range(d2)] for a_ in range(d1)]
+    mult = {(x, y, z): _reversed(
+        c.cocomp[(z, y, x)], 3, (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
+        zero) for x in X for y in X for z in X}
     unit = {x: list(c.counit[x]) for x in X}
-    comult = {}
-    for x in X:
-        for y in X:
-            d = dims[(x, y)]
-            mc = c.alg[(y, x)]
-            comult[(x, y)] = [[[mc[i][j][a_] for i in range(d)]
-                               for j in range(d)] for a_ in range(d)]
+    comult = {(x, y): _reversed(c.alg[(y, x)], 3, (dims[(x, y)],) * 3, zero)
+              for x in X for y in X}
     counit = {(x, y): list(c.unit[(y, x)]) for x in X for y in X}
     antipode = None
-    if c.antipode is not None:
-        antipode = {}
-        for x in X:
-            for y in X:
-                s = c.antipode[(y, x)]   # C(x,y) → C(y,x)
-                dr, dc_ = dims[(y, x)], dims[(x, y)]
-                antipode[(x, y)] = [[s[i][j] for i in range(dc_)]
-                                    for j in range(dr)]
+    if c.antipode is not None:    # the transpose of S: C(x,y) → C(y,x)
+        antipode = {(x, y): _reversed(c.antipode[(y, x)], 2,
+                                      (dims[(y, x)], dims[(x, y)]), zero)
+                    for x in X for y in X}
     return HopfCatData(c.field, X, dims, mult, unit, comult, counit, antipode)

@@ -203,17 +203,21 @@ def parse(text: str, base_loader=None):
         return _parse_groupoid(rows[idx:], labels)
 
     heads = {name: [] for name in kind.headers}
+    widths = {slot.tag: slot.width for slot in kind.slots}
     dim_rows, records = [], []
     for row in rows[idx:]:
-        tag = row[1][0]
-        if tag in heads and len(row[1]) == _HEADER_WIDTH[tag]:
+        ln, toks = row
+        tag = toks[0]
+        if tag in heads and len(toks) == _HEADER_WIDTH[tag]:
             if tag in _ONCE and heads[tag]:
-                raise ParseError(f"repeated '{tag}' header", row[0])
+                raise ParseError(f"repeated '{tag}' header", ln)
             heads[tag].append(row)
         elif tag == "dim" and kind.dim:
             dim_rows.append(row)
-        else:
+        elif widths.get(tag) == len(toks):
             records.append(row)
+        else:   # before a missing header or dim can be blamed for it
+            raise ParseError(f"unrecognized record '{' '.join(toks)}'", ln)
     frame, fields = _read_headers(kind, field, labels, heads, base_loader,
                                   rows[2][0], rows[3][0])
     if kind.dim:
@@ -337,9 +341,7 @@ def _read_slots(kind, frame, records, omit) -> dict:
         out[slot.tag] = store if slot.keys else store[()]
     seen = set()
     for ln, toks in records:
-        slot, table = cells.get(toks[0], (None, None))
-        if slot is None or len(toks) != slot.width:
-            raise ParseError(f"unrecognized record '{' '.join(toks)}'", ln)
+        slot, table = cells[toks[0]]
         if table is None:
             raise ParseError(
                 "antipode entry in a file declaring 'antipode no'", ln)
@@ -397,8 +399,13 @@ def _parse_groupoid(rows, objects):
 
 def load(path: str):
     """Parse a structure file, resolving module bases next to it."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason}",
+                         data.count(b"\n", 0, e.start) + 1)
 
     def base_loader(name: str):
         d = os.path.dirname(os.path.abspath(path))

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import (HopfCatData, MissingAntipodeError, _check_antipode_laws,
                    _require, verify_structure)
-from .linalg import (LinMap, NotInvertible, _rref, invert, rank, rank_kernel,
-                     solve)
+from .linalg import (LinMap, NotInvertible, _rref, bilinear_map, invert,
+                     rank, rank_kernel, solve, split_map)
 from .modules import ModuleData, verify_module
 from .report import (InternalInvariantError, PreconditionError, Report,
                      check_condition, check_map_equal)
-from .schema import LAYOUTS, check_shape
+from .schema import LAYOUTS, check_shape, place, reshaped, zeros
 
 
 @dataclass
@@ -49,28 +49,14 @@ class HopfModuleData:
         return LinMap.identity(self.base.field, self.dim(x, y))
 
     def action_map(self, x: str, y: str, z: str) -> LinMap:
-        f = self.base.field
-        d1, d2, d3 = self.dim(x, y), self.base.dim(y, z), self.dim(x, z)
-        t = self.action[(x, y, z)]
-        zero = f.zero
-        out = [[zero] * (d1 * d2) for _ in range(d3)]
-        for i in range(d1):
-            for j in range(d2):
-                for k in range(d3):
-                    out[k][i * d2 + j] = t[i][j][k]
-        return LinMap(f, d3, d1 * d2, out)
+        a = self.base
+        return bilinear_map(a.field, self.action[(x, y, z)], self.dim(x, y),
+                            a.dim(y, z), self.dim(x, z))
 
     def coaction_map(self, x: str, y: str) -> LinMap:
-        f = self.base.field
-        d, da = self.dim(x, y), self.base.dim(x, y)
-        t = self.coaction[(x, y)]
-        zero = f.zero
-        out = [[zero] * d for _ in range(d * da)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(da):
-                    out[j * da + k][i] = t[i][j][k]
-        return LinMap(f, d * da, d, out)
+        d = self.dim(x, y)
+        return split_map(self.base.field, self.coaction[(x, y)], d, d,
+                         self.base.dim(x, y))
 
 
 def verify_hopf_module(m: HopfModuleData,
@@ -122,15 +108,11 @@ def regular_hopf_module(a: HopfCatData) -> HopfModuleData:
 
 def _right_leg_coaction(a: HopfCatData, x: str, y: str, n: int) -> list:
     """The coaction of k^n⊗A(x,y) that comultiplies the right leg."""
-    dxy, t = a.dim(x, y), a.comult[(x, y)]
-    r = [[[a.field.zero] * dxy for _ in range(n * dxy)]
-         for _ in range(n * dxy)]
-    for i in range(n):
-        for b in range(dxy):
-            for j in range(dxy):
-                for k in range(dxy):
-                    if t[b][j][k]:
-                        r[i * dxy + b][i * dxy + j][k] = t[b][j][k]
+    d = a.dim(x, y)
+    r = zeros(a.field.zero, (n * d, n * d, d))
+    for i in range(n):      # one copy of Δ per basis vector of k^n
+        place(r, a.comult[(x, y)], 3,
+              lambda b, j, k: (i * d + b, i * d + j, k))
     return r
 
 
@@ -175,16 +157,11 @@ def free_hopf_module(a: HopfCatData, ndims: dict[str, int]) -> HopfModuleData:
             dxy = a.dim(x, y)
             coaction[(x, y)] = _right_leg_coaction(a, x, y, n)
             for u in X:
-                mt = a.mult[(x, y, u)]
                 dyu, dxu = a.dim(y, u), a.dim(x, u)
-                p = [[[zero] * (n * dxu) for _ in range(dyu)]
-                     for _ in range(n * dxy)]
-                for i in range(n):
-                    for b in range(dxy):
-                        for j in range(dyu):
-                            for k in range(dxu):
-                                if mt[b][j][k]:
-                                    p[i * dxy + b][j][i * dxu + k] = mt[b][j][k]
+                p = zeros(zero, (n * dxy, dyu, n * dxu))
+                for i in range(n):      # one copy of the product per vector
+                    place(p, a.mult[(x, y, u)], 3,
+                          lambda b, j, k: (i * dxy + b, j, i * dxu + k))
                 action[(x, y, u)] = p
     return HopfModuleData(a, dims, action, coaction)
 
@@ -436,9 +413,8 @@ def dual_hopf_module(a: HopfCatData) -> HopfModuleData:
     for x in X:
         for y in X:
             d = a.dim(x, y)
-            dc = a.comult[(x, y)]
-            coaction[(x, y)] = [[[dc[c][i][al] for i in range(d)]
-                                 for c in range(d)] for al in range(d)]
+            coaction[(x, y)] = reshaped(a.comult[(x, y)], 3, (d, d, d),
+                                        f.zero, lambda c, i, al: (al, c, i))
             for z in X:
                 # p[α][j][b] = Σ_t S[t][j]·m[b][t][α], for S: A(y,z) → A(z,y)
                 # and m: A(x,z)⊗A(z,y) → A(x,y)

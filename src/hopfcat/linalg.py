@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .scalars import Field, FieldMismatchError
+from .schema import reshaped
 from .sparse import SparseMap, columns
 
 
@@ -199,6 +200,20 @@ class LinMap:
 
 def kron(f: LinMap, g: LinMap) -> LinMap:
     return f.kron(g)
+
+
+def bilinear_map(field: Field, t, d1: int, d2: int, d3: int) -> LinMap:
+    """U⊗V → W from the 3-tensor t[i][j][k] over dims (d1, d2, d3):
+    e_i⊗e_j ↦ Σ_k t[i][j][k] e_k, domain flattened leftmost-slowest."""
+    return LinMap(field, d3, d1 * d2, reshaped(
+        t, 3, (d3, d1 * d2), field.zero, lambda i, j, k: (k, i * d2 + j)))
+
+
+def split_map(field: Field, t, d1: int, d2: int, d3: int) -> LinMap:
+    """D → L⊗R from the 3-tensor t[i][j][k] over dims (d1, d2, d3):
+    e_i ↦ Σ_{j,k} t[i][j][k] e_j⊗e_k."""
+    return LinMap(field, d2 * d3, d1, reshaped(
+        t, 3, (d2 * d3, d1), field.zero, lambda i, j, k: (j * d3 + k, i)))
 
 
 def swap_map(field: Field, d1: int, d2: int) -> LinMap:

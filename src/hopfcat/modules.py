@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
-from .linalg import LinMap, swap_map
+from .linalg import LinMap, bilinear_map, swap_map
 from .report import Report, check_map_equal
-from .schema import LAYOUTS, check_shape
+from .schema import LAYOUTS, check_shape, reshaped
 
 
 class BaseMismatchError(ValueError):
@@ -49,19 +49,11 @@ class ModuleData:
         return self.dims[(x, y)]
 
     def action_map(self, x: str, y: str, z: str) -> LinMap:
-        f = self.base.field
-        if self.side == "right":
-            d1, d2, d3 = self.dim(x, y), self.base.dim(y, z), self.dim(x, z)
-        else:
-            d1, d2, d3 = self.base.dim(x, y), self.dim(y, z), self.dim(x, z)
-        t = self.action[(x, y, z)]
-        zero = f.zero
-        out = [[zero] * (d1 * d2) for _ in range(d3)]
-        for i in range(d1):
-            for j in range(d2):
-                for k in range(d3):
-                    out[k][i * d2 + j] = t[i][j][k]
-        return LinMap(f, d3, d1 * d2, out)
+        a = self.base
+        d1, d2 = ((self.dim(x, y), a.dim(y, z)) if self.side == "right"
+                  else (a.dim(x, y), self.dim(y, z)))
+        return bilinear_map(a.field, self.action[(x, y, z)], d1, d2,
+                            self.dim(x, z))
 
 
 @dataclass
@@ -170,46 +162,36 @@ def unit_module(a: HopfCatData, side: str = "left") -> ModuleData:
 
 # -- module <-> comodule ------------------------------------------------------------
 
+def _swap_legs(t, shape, zero):
+    """The 3-tensor t[i][j][k] as [i][k][j]: ``shape`` is the result's."""
+    return reshaped(t, 3, shape, zero, lambda i, j, k: (i, k, j))
+
+
 def comodule_to_module(m: ComoduleData) -> ModuleData:
     """Right action through the coaction: m·a pairs a against the C-leg.
 
     The base of the result is the finite dual of the comodule's base.
     """
-    c = m.base
-    a = undualize(c)
-    X = c.objects
-    dims = dict(m.dims)
-    action = {}
-    for x in X:
-        for z in X:
-            for y in X:
-                # psi(x,z,y): M(x,z) ⊗ A(z,y) → M(x,y); A(z,y) = C(y,z)*
-                r = m.coaction[(x, y, z)]
-                d1, d2, d3 = m.dim(x, z), a.dim(z, y), m.dim(x, y)
-                action[(x, z, y)] = [[[r[i][k][j] for k in range(d3)]
-                                      for j in range(d2)] for i in range(d1)]
-    return ModuleData(a, "right", dims, action)
+    a = undualize(m.base)
+    X, zero = a.objects, a.field.zero
+    # psi(x,z,y): M(x,z) ⊗ A(z,y) → M(x,y); A(z,y) = C(y,z)*
+    action = {(x, z, y): _swap_legs(m.coaction[(x, y, z)], (
+        m.dim(x, z), a.dim(z, y), m.dim(x, y)), zero)
+        for x in X for z in X for y in X}
+    return ModuleData(a, "right", dict(m.dims), action)
 
 
 def module_to_comodule(m: ModuleData) -> ComoduleData:
     """Coaction through the action against the coordinate dual basis."""
     if m.side != "right":
         raise BaseMismatchError("the comodule translation acts on right modules")
-    a = m.base
-    c = dualize(a)
-    X = a.objects
-    dims = dict(m.dims)
-    coaction = {}
-    for x in X:
-        for y in X:
-            for z in X:
-                # rho(x,y,z): M(x,z) → M(x,y) ⊗ C(y,z); C(y,z) = A(z,y)*
-                p = m.action[(x, z, y)]
-                d1, d2, d3 = m.dim(x, z), m.dim(x, y), c.dim(y, z)
-                coaction[(x, y, z)] = [[[p[i][k][j] for k in range(d3)]
-                                        for j in range(d2)]
-                                       for i in range(d1)]
-    return ComoduleData(c, dims, coaction)
+    c = dualize(m.base)
+    X, zero = c.objects, c.field.zero
+    # rho(x,y,z): M(x,z) → M(x,y) ⊗ C(y,z); C(y,z) = A(z,y)*
+    coaction = {(x, y, z): _swap_legs(m.action[(x, z, y)], (
+        m.dim(x, z), m.dim(x, y), c.dim(y, z)), zero)
+        for x in X for y in X for z in X}
+    return ComoduleData(c, dict(m.dims), coaction)
 
 
 def tensor_modules(m: ModuleData, n: ModuleData) -> ModuleData:
@@ -248,8 +230,8 @@ def tensor_modules(m: ModuleData, n: ModuleData) -> ModuleData:
                            @ LinMap.identity(f, dm * dn)
                            .kron(a.comult_map(y, z)))
                     d1, d2 = dm * dn, da
-                d3 = dims[(x, z)]
-                t = [[[big.entries[k][i * d2 + j] for k in range(d3)]
-                      for j in range(d2)] for i in range(d1)]
-                action[(x, y, z)] = t
+                # the columns of the map, flattened leftmost-slowest
+                action[(x, y, z)] = reshaped(
+                    big.entries, 2, (d1, d2, dims[(x, z)]), f.zero,
+                    lambda k, col: (*divmod(col, d2), k))
     return ModuleData(a, m.side, dims, action)

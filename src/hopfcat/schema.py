@@ -22,6 +22,15 @@ by objects (or group elements).  A kind's ``Kind`` entry lists its slots; a
 ``check_shape``, the ``validate_shape`` of every data class, checks stored
 tensors against them.  Headers that are not slots (``antipode``, ``base``,
 ``side``, ``gmul``, ``block``) are handled by the reader and writer.
+
+This module also owns the storage layout, nested lists of rank 1 to 3:
+``zeros`` allocates a tensor and ``place`` / ``reshaped`` move the nonzero
+entries of one tensor to the positions a function of their indices names.
+Every construction that re-indexes existing structure constants goes
+through them: duals and opposites, packing, the module↔comodule maps, the
+free Hopf module, the module tensor product, and the matrix builders
+(``linalg.bilinear_map`` and ``linalg.split_map``).  ``sparse``'s readers
+(``tensors``, ``vectors``, ``columns``) turn the lists into sparse form.
 """
 
 from __future__ import annotations
@@ -67,7 +76,7 @@ def _rule(text: str, keys: str):
     return lambda key, f: f.dims[key[p]]
 
 
-def _zeros(zero, shape):
+def zeros(zero, shape):
     """Nested lists of ``zero`` in ``shape`` (of rank 1 to 3)."""
     if len(shape) == 1:
         return [zero] * shape[0]
@@ -100,6 +109,31 @@ def _nonzero(t, rank: int) -> list:
                 for j, v in enumerate(p) if v]
     return [((i, j, k), v) for i, p in enumerate(t) for j, q in enumerate(p)
             for k, v in enumerate(q) if v]
+
+
+def _put(t, idx, v):
+    """Store ``v`` at the index tuple ``idx`` of nested lists ``t``."""
+    for i in idx[:-1]:
+        t = t[i]
+    t[idx[-1]] = v
+
+
+def place(out, t, rank: int, where):
+    """Write each nonzero entry ``t[idx]`` of the nested lists ``t`` (of
+    ``rank`` 1 to 3) at ``out[where(*idx)]``; returns ``out``.  Every
+    re-indexing of structure constants (a transpose, a leg swap, a block
+    shift, a flattening of two factors into one) is a ``where``."""
+    for idx, v in _nonzero(t, rank):
+        _put(out, where(*idx), v)
+    return out
+
+
+def reshaped(t, rank: int, shape, zero, where):
+    """The nested lists of ``shape`` holding each nonzero ``t[idx]`` at
+    ``where(*idx)`` and ``zero`` elsewhere.  Take ``shape`` from the
+    declared dimensions, not from ``t``: a factor of dimension 0 is stored
+    as empty lists, which have lost the sizes of the factors after it."""
+    return place(zeros(zero, shape), t, rank, where)
 
 
 def _shape_of(rules):
@@ -143,15 +177,11 @@ class Slot:
 
     def zeros(self, shape: tuple, zero) -> list:
         """A zero tensor of record-order ``shape``."""
-        return _zeros(zero, shape[::-1] if self.transposed else shape)
+        return zeros(zero, shape[::-1] if self.transposed else shape)
 
     def put(self, t, idx: list, v):
         """Store ``v`` at the record-order indices ``idx``."""
-        if self.transposed:
-            idx = idx[::-1]
-        for i in idx[:-1]:
-            t = t[i]
-        t[idx[-1]] = v
+        _put(t, idx[::-1] if self.transposed else idx, v)
 
     def entries(self, t) -> list:
         """(record indices, value) of the nonzero entries, in record order."""

@@ -19,13 +19,14 @@ output is canonical and diffable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import sparse as sp
 from .core import HopfCatData, MissingAntipodeError
 from .dual import DualHopfCatData
 from .report import Report, check_condition, residual
 from .scalars import Field
-from .schema import LAYOUTS, check_shape
+from .schema import LAYOUTS, check_shape, place, zeros
 
 
 @dataclass
@@ -56,6 +57,19 @@ def _block_layout(objects, dims) -> tuple:
     return tuple(blocks), off
 
 
+def _packed(field, blocks, total: int, parts) -> WeakHopfData:
+    """The weak Hopf data on the total space holding, for each
+    (tag, tensor, offsets) of ``parts``, the tensor's nonzero entries with
+    each index shifted by its block's offset, and zero elsewhere."""
+    out = {tag: zeros(field.zero, (total,) * rank)
+           for tag, rank in (("mult", 3), ("unit", 1), ("comult", 3),
+                             ("counit", 1), ("antipode", 2))}
+    for tag, t, offs in parts:
+        place(out[tag], t, len(offs),
+              lambda *idx: tuple(o + i for o, i in zip(offs, idx)))
+    return WeakHopfData(field, total, blocks, **out)
+
+
 def pack(a: HopfCatData) -> WeakHopfData:
     """One algebra on the direct sum of all hom objects; blocks multiply
     through composition when the inner objects match and give zero otherwise."""
@@ -65,45 +79,16 @@ def pack(a: HopfCatData) -> WeakHopfData:
     X = a.objects
     blocks, total = _block_layout(X, a.dims)
     off = {pair: o for (pair, o, _) in blocks}
-    zero = a.field.zero
-    mult = [[[zero] * total for _ in range(total)] for _ in range(total)]
-    comult = [[[zero] * total for _ in range(total)] for _ in range(total)]
-    counit = [zero] * total
-    unit = [zero] * total
-    antipode = [[zero] * total for _ in range(total)]
-
-    for x in X:
-        for y in X:
-            o1 = off[(x, y)]
-            for z in X:
-                t = a.mult[(x, y, z)]
-                o2, o3 = off[(y, z)], off[(x, z)]
-                for i in range(a.dim(x, y)):
-                    for j in range(a.dim(y, z)):
-                        for k in range(a.dim(x, z)):
-                            if t[i][j][k]:
-                                mult[o1 + i][o2 + j][o3 + k] = t[i][j][k]
-            d = a.dim(x, y)
-            t = a.comult[(x, y)]
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        if t[i][j][k]:
-                            comult[o1 + i][o1 + j][o1 + k] = t[i][j][k]
-            for i in range(d):
-                counit[o1 + i] = a.counit[(x, y)][i]
-            s = a.antipode[(x, y)]
-            o_s = off[(y, x)]
-            for i in range(d):
-                for j in range(a.dim(y, x)):
-                    if s[j][i]:
-                        antipode[o_s + j][o1 + i] = s[j][i]
-    for x in X:
-        o = off[(x, x)]
-        for i, v in enumerate(a.unit[x]):
-            unit[o + i] = v
-    return WeakHopfData(a.field, total, blocks, mult, unit, comult, counit,
-                        antipode)
+    parts = [("unit", a.unit[x], (off[(x, x)],)) for x in X]
+    for x, y in product(X, repeat=2):
+        o = off[(x, y)]
+        parts += [("mult", a.mult[(x, y, z)], (o, off[(y, z)], off[(x, z)]))
+                  for z in X]
+        # S(x,y) maps the (x,y) block into the (y,x) block
+        parts += [("comult", a.comult[(x, y)], (o, o, o)),
+                  ("counit", a.counit[(x, y)], (o,)),
+                  ("antipode", a.antipode[(x, y)], (off[(y, x)], o))]
+    return _packed(a.field, blocks, total, parts)
 
 
 def pack_dual(c: DualHopfCatData) -> WeakHopfData:
@@ -115,48 +100,16 @@ def pack_dual(c: DualHopfCatData) -> WeakHopfData:
     X = c.objects
     blocks, total = _block_layout(X, c.dims)
     off = {pair: o for (pair, o, _) in blocks}
-    zero = c.field.zero
-    mult = [[[zero] * total for _ in range(total)] for _ in range(total)]
-    comult = [[[zero] * total for _ in range(total)] for _ in range(total)]
-    counit = [zero] * total
-    unit = [zero] * total
-    antipode = [[zero] * total for _ in range(total)]
-
-    for x in X:
-        for y in X:
-            o1 = off[(x, y)]
-            d = c.dim(x, y)
-            t = c.alg[(x, y)]
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        if t[i][j][k]:
-                            mult[o1 + i][o1 + j][o1 + k] = t[i][j][k]
-            for i, v in enumerate(c.unit[(x, y)]):
-                unit[o1 + i] = v
-            # the antipode restricted to the (x,y) block maps into (y,x)
-            s = c.antipode[(y, x)]   # C(x,y) → C(y,x)
-            o_s = off[(y, x)]
-            for j in range(c.dim(y, x)):
-                for i in range(d):
-                    if s[j][i]:
-                        antipode[o_s + j][o1 + i] = s[j][i]
-        counit_x = c.counit[x]
-        o_d = off[(x, x)]
-        for i, v in enumerate(counit_x):
-            counit[o_d + i] = v
-    for x in X:
-        for z in X:
-            for y in X:
-                t = c.cocomp[(x, y, z)]
-                ok, oa, ob = off[(x, z)], off[(x, y)], off[(y, z)]
-                for k in range(c.dim(x, z)):
-                    for a_ in range(c.dim(x, y)):
-                        for b_ in range(c.dim(y, z)):
-                            if t[k][a_][b_]:
-                                comult[ok + k][oa + a_][ob + b_] = t[k][a_][b_]
-    return WeakHopfData(c.field, total, blocks, mult, unit, comult, counit,
-                        antipode)
+    parts = [("counit", c.counit[x], (off[(x, x)],)) for x in X]
+    for x, y in product(X, repeat=2):
+        o = off[(x, y)]
+        # S(y,x): C(x,y) → C(y,x) maps the (x,y) block into the (y,x) block
+        parts += [("mult", c.alg[(x, y)], (o, o, o)),
+                  ("unit", c.unit[(x, y)], (o,)),
+                  ("antipode", c.antipode[(y, x)], (off[(y, x)], o))]
+        parts += [("comult", c.cocomp[(x, y, z)], (off[(x, z)], o, off[(y, z)]))
+                  for z in X]
+    return _packed(c.field, blocks, total, parts)
 
 
 # -- verification -----------------------------------------------------------------

@@ -10,9 +10,11 @@ rewrite, kept as references whose reports the new engine must reproduce
 exactly, and so are the dense canonical maps, antipode recovery and
 canonical and dual Hopf modules after them for ``fundamental``'s
 contractions; the sampled weak Hopf verifier after them plays the same part
-for ``weak.verify_weak_hopf``, the row reduction on public scalars for
-``linalg``'s row reduction on raw ones, and the per-kind parsers at the end
-for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
+for ``weak.verify_weak_hopf``, the hand-written re-indexing loops after it
+(duals, opposites, packing, module↔comodule, free and tensor modules) for
+the same constructions on ``schema.reshaped``, the row reduction on public
+scalars for ``linalg``'s row reduction on raw ones, and the per-kind
+parsers at the end for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
 is the per-column comparison that ``report.check_map_equal`` ran before it
 compared whole column lists first.
 """
@@ -34,10 +36,11 @@ from hopfcat.fundamental import (AntipodeRecoveryError, HopfModuleData,
 from hopfcat.graded import GradedHopfData, GroupTable
 from hopfcat.groupoid import GroupoidData
 from hopfcat.linalg import LinMap, NotInvertible, invert, rank, swap_map
-from hopfcat.modules import ComoduleData, ModuleData
+from hopfcat.modules import BaseMismatchError, ComoduleData, ModuleData
 from hopfcat.report import (CheckItem, PreconditionError, Report,
                             check_condition, residual)
 from hopfcat.scalars import FieldMismatchError, parse_field
+from hopfcat.schema import MalformedDataError
 from hopfcat.weak import WeakHopfData
 
 
@@ -1178,6 +1181,372 @@ def sampled_verify_weak_hopf(w, seed: int = 0,
     check_condition(rep, "antipode-source", (), s_ok[1])
     check_condition(rep, "antipode-full", (), s_ok[2])
     return rep
+
+
+# The re-indexings of structure constants as they were before they moved
+# onto ``schema.place`` / ``schema.reshaped``: one hand-written nested loop
+# per construction.  Kept only as references for differential tests; the
+# matrix builders the module tensor product uses are ``_bilinear_map`` and
+# ``_split_map`` above.
+
+def reference_dualize(a):
+    """Reference for ``dual.dualize``."""
+    a.validate_shape()
+    X = a.objects
+    dims = {(x, y): a.dim(y, x) for x in X for y in X}
+    alg = {}
+    for x in X:
+        for y in X:
+            d = dims[(x, y)]
+            cm = a.comult[(y, x)]
+            alg[(x, y)] = [[[cm[i][b][a_] for i in range(d)]
+                            for b in range(d)] for a_ in range(d)]
+    unit = {(x, y): list(a.counit[(y, x)]) for x in X for y in X}
+    cocomp = {}
+    for x in X:
+        for y in X:
+            for z in X:
+                mt = a.mult[(z, y, x)]
+                dk, da, db = dims[(x, z)], dims[(x, y)], dims[(y, z)]
+                cocomp[(x, y, z)] = [[[mt[b][a_][k] for b in range(db)]
+                                      for a_ in range(da)] for k in range(dk)]
+    counit = {x: list(a.unit[x]) for x in X}
+    antipode = None
+    if a.antipode is not None:
+        antipode = {}
+        for x in X:
+            for y in X:
+                s = a.antipode[(y, x)]
+                dr, dc = dims[(x, y)], dims[(y, x)]
+                antipode[(x, y)] = [[s[j][i] for j in range(dc)]
+                                    for i in range(dr)]
+    return DualHopfCatData(a.field, X, dims, alg, unit, cocomp, counit,
+                           antipode)
+
+
+def reference_undualize(c):
+    """Reference for ``dual.undualize``."""
+    c.validate_shape()
+    X = c.objects
+    dims = {(x, y): c.dim(y, x) for x in X for y in X}
+    mult = {}
+    for x in X:
+        for y in X:
+            for z in X:
+                t = c.cocomp[(z, y, x)]
+                d1, d2, d3 = dims[(x, y)], dims[(y, z)], dims[(x, z)]
+                mult[(x, y, z)] = [[[t[k][b][a_] for k in range(d3)]
+                                    for b in range(d2)] for a_ in range(d1)]
+    unit = {x: list(c.counit[x]) for x in X}
+    comult = {}
+    for x in X:
+        for y in X:
+            d = dims[(x, y)]
+            mc = c.alg[(y, x)]
+            comult[(x, y)] = [[[mc[i][j][a_] for i in range(d)]
+                               for j in range(d)] for a_ in range(d)]
+    counit = {(x, y): list(c.unit[(y, x)]) for x in X for y in X}
+    antipode = None
+    if c.antipode is not None:
+        antipode = {}
+        for x in X:
+            for y in X:
+                s = c.antipode[(y, x)]
+                dr, dc_ = dims[(y, x)], dims[(x, y)]
+                antipode[(x, y)] = [[s[i][j] for i in range(dc_)]
+                                    for j in range(dr)]
+    return HopfCatData(c.field, X, dims, mult, unit, comult, counit, antipode)
+
+
+def reference_transform(a, mode):
+    """Reference for ``core.transform``."""
+    if mode not in ("opposite", "coopposite", "opcop"):
+        raise ValueError(f"unknown transform mode '{mode}'")
+    a.validate_shape()
+    X = a.objects
+    flip_obj = mode in ("opposite", "opcop")
+    flip_comult = mode in ("coopposite", "opcop")
+
+    if flip_obj:
+        dims = {(x, y): a.dim(y, x) for x in X for y in X}
+        mult = {}
+        for x in X:
+            for y in X:
+                for z in X:
+                    t = a.mult[(z, y, x)]
+                    d1, d2, d3 = a.dim(y, x), a.dim(z, y), a.dim(z, x)
+                    mult[(x, y, z)] = [[[t[j][i][k] for k in range(d3)]
+                                        for j in range(d2)]
+                                       for i in range(d1)]
+        comult = {(x, y): a.comult[(y, x)] for x in X for y in X}
+        counit = {(x, y): a.counit[(y, x)] for x in X for y in X}
+    else:
+        dims = dict(a.dims)
+        mult = {k: v for k, v in a.mult.items()}
+        comult = {k: v for k, v in a.comult.items()}
+        counit = {k: v for k, v in a.counit.items()}
+    if flip_comult:
+        comult = {
+            key: [[[comult[key][i][k][j] for k in range(len(comult[key][i]))]
+                   for j in range(len(comult[key][i]))]
+                  for i in range(len(comult[key]))]
+            for key in comult
+        }
+
+    antipode = None
+    if a.antipode is not None:
+        antipode = {}
+        for x in X:
+            for y in X:
+                if mode == "opcop":
+                    antipode[(x, y)] = a.antipode[(y, x)]
+                elif mode == "opposite":
+                    inv = invert(a.antipode_map(x, y))
+                    if isinstance(inv, NotInvertible):
+                        raise MalformedDataError(
+                            f"antipode at ({x},{y}) is singular; "
+                            "the opposite antipode needs its inverse")
+                    antipode[(x, y)] = [list(r) for r in inv.entries]
+                else:  # coopposite
+                    inv = invert(a.antipode_map(y, x))
+                    if isinstance(inv, NotInvertible):
+                        raise MalformedDataError(
+                            f"antipode at ({y},{x}) is singular; "
+                            "the coopposite antipode needs its inverse")
+                    antipode[(x, y)] = [list(r) for r in inv.entries]
+
+    return HopfCatData(a.field, X, dims, mult, dict(a.unit), comult, counit,
+                       antipode)
+
+
+def _reference_block_layout(objects, dims):
+    blocks = []
+    off = 0
+    for x in objects:
+        for y in objects:
+            ln = dims[(x, y)]
+            blocks.append(((x, y), off, ln))
+            off += ln
+    return tuple(blocks), off
+
+
+def reference_pack(a):
+    """Reference for ``weak.pack``."""
+    a.validate_shape()
+    if a.antipode is None:
+        raise MissingAntipodeError("packing needs an antipode")
+    X = a.objects
+    blocks, total = _reference_block_layout(X, a.dims)
+    off = {pair: o for (pair, o, _) in blocks}
+    zero = a.field.zero
+    mult = [[[zero] * total for _ in range(total)] for _ in range(total)]
+    comult = [[[zero] * total for _ in range(total)] for _ in range(total)]
+    counit = [zero] * total
+    unit = [zero] * total
+    antipode = [[zero] * total for _ in range(total)]
+
+    for x in X:
+        for y in X:
+            o1 = off[(x, y)]
+            for z in X:
+                t = a.mult[(x, y, z)]
+                o2, o3 = off[(y, z)], off[(x, z)]
+                for i in range(a.dim(x, y)):
+                    for j in range(a.dim(y, z)):
+                        for k in range(a.dim(x, z)):
+                            if t[i][j][k]:
+                                mult[o1 + i][o2 + j][o3 + k] = t[i][j][k]
+            d = a.dim(x, y)
+            t = a.comult[(x, y)]
+            for i in range(d):
+                for j in range(d):
+                    for k in range(d):
+                        if t[i][j][k]:
+                            comult[o1 + i][o1 + j][o1 + k] = t[i][j][k]
+            for i in range(d):
+                counit[o1 + i] = a.counit[(x, y)][i]
+            s = a.antipode[(x, y)]
+            o_s = off[(y, x)]
+            for i in range(d):
+                for j in range(a.dim(y, x)):
+                    if s[j][i]:
+                        antipode[o_s + j][o1 + i] = s[j][i]
+    for x in X:
+        o = off[(x, x)]
+        for i, v in enumerate(a.unit[x]):
+            unit[o + i] = v
+    return WeakHopfData(a.field, total, blocks, mult, unit, comult, counit,
+                        antipode)
+
+
+def reference_pack_dual(c):
+    """Reference for ``weak.pack_dual``."""
+    c.validate_shape()
+    if c.antipode is None:
+        raise MissingAntipodeError("packing needs an antipode")
+    X = c.objects
+    blocks, total = _reference_block_layout(X, c.dims)
+    off = {pair: o for (pair, o, _) in blocks}
+    zero = c.field.zero
+    mult = [[[zero] * total for _ in range(total)] for _ in range(total)]
+    comult = [[[zero] * total for _ in range(total)] for _ in range(total)]
+    counit = [zero] * total
+    unit = [zero] * total
+    antipode = [[zero] * total for _ in range(total)]
+
+    for x in X:
+        for y in X:
+            o1 = off[(x, y)]
+            d = c.dim(x, y)
+            t = c.alg[(x, y)]
+            for i in range(d):
+                for j in range(d):
+                    for k in range(d):
+                        if t[i][j][k]:
+                            mult[o1 + i][o1 + j][o1 + k] = t[i][j][k]
+            for i, v in enumerate(c.unit[(x, y)]):
+                unit[o1 + i] = v
+            s = c.antipode[(y, x)]
+            o_s = off[(y, x)]
+            for j in range(c.dim(y, x)):
+                for i in range(d):
+                    if s[j][i]:
+                        antipode[o_s + j][o1 + i] = s[j][i]
+        counit_x = c.counit[x]
+        o_d = off[(x, x)]
+        for i, v in enumerate(counit_x):
+            counit[o_d + i] = v
+    for x in X:
+        for z in X:
+            for y in X:
+                t = c.cocomp[(x, y, z)]
+                ok, oa, ob = off[(x, z)], off[(x, y)], off[(y, z)]
+                for k in range(c.dim(x, z)):
+                    for a_ in range(c.dim(x, y)):
+                        for b_ in range(c.dim(y, z)):
+                            if t[k][a_][b_]:
+                                comult[ok + k][oa + a_][ob + b_] = t[k][a_][b_]
+    return WeakHopfData(c.field, total, blocks, mult, unit, comult, counit,
+                        antipode)
+
+
+def reference_comodule_to_module(m):
+    """Reference for ``modules.comodule_to_module``."""
+    c = m.base
+    a = reference_undualize(c)
+    X = c.objects
+    dims = dict(m.dims)
+    action = {}
+    for x in X:
+        for z in X:
+            for y in X:
+                r = m.coaction[(x, y, z)]
+                d1, d2, d3 = m.dim(x, z), a.dim(z, y), m.dim(x, y)
+                action[(x, z, y)] = [[[r[i][k][j] for k in range(d3)]
+                                      for j in range(d2)] for i in range(d1)]
+    return ModuleData(a, "right", dims, action)
+
+
+def reference_module_to_comodule(m):
+    """Reference for ``modules.module_to_comodule``."""
+    if m.side != "right":
+        raise BaseMismatchError("the comodule translation acts on right modules")
+    a = m.base
+    c = reference_dualize(a)
+    X = a.objects
+    dims = dict(m.dims)
+    coaction = {}
+    for x in X:
+        for y in X:
+            for z in X:
+                p = m.action[(x, z, y)]
+                d1, d2, d3 = m.dim(x, z), m.dim(x, y), c.dim(y, z)
+                coaction[(x, y, z)] = [[[p[i][k][j] for k in range(d3)]
+                                        for j in range(d2)]
+                                       for i in range(d1)]
+    return ComoduleData(c, dims, coaction)
+
+
+def reference_tensor_modules(m, n):
+    """Reference for ``modules.tensor_modules``."""
+    if m.side != n.side:
+        raise BaseMismatchError("tensor factors must have the same side")
+    if m.base != n.base:
+        raise BaseMismatchError("tensor factors must share their base")
+    a = m.base
+    f = a.field
+    X = a.objects
+    _, comult_map, _, _ = _dense_base(a)
+    dims = {(x, y): m.dim(x, y) * n.dim(x, y) for x in X for y in X}
+    action = {}
+    for x in X:
+        for y in X:
+            for z in X:
+                act = (_dense_action(m, x, y, z)
+                       .kron(_dense_action(n, x, y, z)))
+                if m.side == "left":
+                    da = a.dim(x, y)
+                    dm, dn = m.dim(y, z), n.dim(y, z)
+                    big = (act
+                           @ LinMap.identity(f, da)
+                           .kron(swap_map(f, da, dm))
+                           .kron(LinMap.identity(f, dn))
+                           @ comult_map(x, y)
+                           .kron(LinMap.identity(f, dm * dn)))
+                    d1, d2 = da, dm * dn
+                else:
+                    dm, dn = m.dim(x, y), n.dim(x, y)
+                    da = a.dim(y, z)
+                    big = (act
+                           @ LinMap.identity(f, dm)
+                           .kron(swap_map(f, dn, da))
+                           .kron(LinMap.identity(f, da))
+                           @ LinMap.identity(f, dm * dn)
+                           .kron(comult_map(y, z)))
+                    d1, d2 = dm * dn, da
+                d3 = dims[(x, z)]
+                t = [[[big.entries[k][i * d2 + j] for k in range(d3)]
+                      for j in range(d2)] for i in range(d1)]
+                action[(x, y, z)] = t
+    return ModuleData(a, m.side, dims, action)
+
+
+def _reference_right_leg_coaction(a, x, y, n):
+    dxy, t = a.dim(x, y), a.comult[(x, y)]
+    r = [[[a.field.zero] * dxy for _ in range(n * dxy)]
+         for _ in range(n * dxy)]
+    for i in range(n):
+        for b in range(dxy):
+            for j in range(dxy):
+                for k in range(dxy):
+                    if t[b][j][k]:
+                        r[i * dxy + b][i * dxy + j][k] = t[b][j][k]
+    return r
+
+
+def reference_free_hopf_module(a, ndims):
+    """Reference for ``fundamental.free_hopf_module``."""
+    X, zero = a.objects, a.field.zero
+    dims = {(x, y): ndims[x] * a.dim(x, y) for x in X for y in X}
+    action, coaction = {}, {}
+    for x in X:
+        n = ndims[x]
+        for y in X:
+            dxy = a.dim(x, y)
+            coaction[(x, y)] = _reference_right_leg_coaction(a, x, y, n)
+            for u in X:
+                mt = a.mult[(x, y, u)]
+                dyu, dxu = a.dim(y, u), a.dim(x, u)
+                p = [[[zero] * (n * dxu) for _ in range(dyu)]
+                     for _ in range(n * dxy)]
+                for i in range(n):
+                    for b in range(dxy):
+                        for j in range(dyu):
+                            for k in range(dxu):
+                                if mt[b][j][k]:
+                                    p[i * dxy + b][j][i * dxu + k] = mt[b][j][k]
+                action[(x, y, u)] = p
+    return HopfModuleData(a, dims, action, coaction)
 
 
 # Row reduction as it was before it moved onto raw scalars: one body on the

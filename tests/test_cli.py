@@ -131,6 +131,25 @@ def test_verify_parse_error_exit(tmp_path):
     assert main(["--quiet", "verify", str(tmp_path / "missing.hc")]) == 2
 
 
+def test_verify_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.hc"
+    bad.write_bytes(b"format 1\nkind hopf-category\nfield q\nobjects \xff\n")
+    assert main(["--quiet", "verify", str(bad)]) == 2
+    assert "line 4: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("antipode yes", "antipode y es", 5), ("dim * * 2", "im * * 2", 6)])
+def test_verify_names_the_line_of_an_unrecognized_header(
+        fixture_dir, tmp_path, capsys, old, new, line):
+    path = tmp_path / "kz2.hc"
+    with open(fx(fixture_dir, "kz2")) as fh:
+        path.write_text(fh.read().replace(old + "\n", new + "\n"))
+    assert main(["--quiet", "verify", str(path)]) == 2
+    assert f"line {line}: unrecognized record '{new}'" \
+        in capsys.readouterr().err
+
+
 HEADERS = ("format", "kind", "field", "objects", "antipode", "base", "side",
            "gmul", "block", "dim")
 

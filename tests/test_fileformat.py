@@ -151,6 +151,12 @@ GRADED = "format 1\nkind graded-hopf\nfield q\nobjects e g\nantipode no\n"
     (HEADER + "mult * y * 0 0 0 1\n", "undeclared"),
     (HEADER + "antipode * * 0 0 1\n", "antipode no"),
     (HEADER + "wibble 1 2 3\n", "unrecognized"),
+    # a header or dim line that fits nothing is reported at its line,
+    # not as the header or dim it fails to be
+    ("format 1\nkind hopf-category\nfield q\nobjects *\nantipode y es\n"
+     "dim * * 2\n", "line 5: unrecognized record 'antipode y es'"),
+    ("format 1\nkind hopf-category\nfield q\nobjects *\nantipode yes\n"
+     "im * * 2\n", r"line 6: unrecognized record 'im \* \* 2'"),
     ("format 1\nkind hopf-category\nfield q\nobjects *\nantipode no\n",
      "missing dim"),
     (HEADER + "antipode yes\n", "line 7: repeated 'antipode' header"),

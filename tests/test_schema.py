@@ -9,7 +9,7 @@ from hopfcat.core import MalformedDataError
 from hopfcat.fileformat import kind_of, load, parse, serialize
 from hopfcat.graded import GradedHopfData, GroupTable
 from hopfcat.scalars import QQ
-from hopfcat.schema import LAYOUTS
+from hopfcat.schema import LAYOUTS, place, reshaped, zeros
 
 # one fixture of every kind that carries scalars
 FIXTURES = {
@@ -116,3 +116,40 @@ def test_graded_product_degree_is_st_over_a_non_abelian_group():
     assert sum(mul(s, t) != mul(t, s) for s in G for t in G) == 18
     h.validate_shape()
     assert parse(serialize(h)) == h
+
+
+# -- the reshaping primitive ---------------------------------------------------------
+
+T = [[[1, 0], [2, 3]], [[0, 4], [5, 0]]]      # t[i][j][k] over (2, 2, 2)
+
+
+def test_reshaped_moves_each_nonzero_entry():
+    assert reshaped(T, 3, (2, 2, 2), 0, lambda i, j, k: (k, j, i)) == \
+        [[[1, 0], [2, 5]], [[0, 4], [3, 0]]]
+    # a matrix of the bilinear map: row k, column i*2 + j
+    assert reshaped(T, 3, (2, 4), 0, lambda i, j, k: (k, i * 2 + j)) == \
+        [[1, 2, 0, 5], [0, 3, 4, 0]]
+    assert reshaped([0, 7, 8], 1, (5,), 0, lambda i: (i + 2,)) == \
+        [0, 0, 0, 7, 8]
+
+
+def test_place_writes_into_the_given_tensor_and_leaves_the_rest():
+    out = [[9] * 3 for _ in range(3)]
+    assert place(out, [[1, 0], [0, 2]], 2, lambda i, j: (i + 1, j + 1)) \
+        is out
+    assert out == [[9, 9, 9], [9, 1, 9], [9, 9, 2]]
+
+
+def test_a_zero_length_factor_keeps_the_other_sizes():
+    # d = (2, 0, 3): stored as two empty lists, with nothing to place
+    t = zeros(0, (2, 0, 3))
+    assert t == [[], []]
+    assert reshaped(t, 3, (3, 0, 2), 0, lambda i, j, k: (k, j, i)) == \
+        [[], [], []]
+    assert reshaped(t, 3, (3, 0), 0, lambda i, j, k: (k, j)) == \
+        [[], [], []]
+    # a first factor of length 0 is stored as [], which has lost the rest
+    assert zeros(0, (0, 2, 3)) == []
+    assert reshaped([], 3, (3, 2, 0), 0, lambda i, j, k: (k, j, i)) == \
+        [[[], []], [[], []], [[], []]]
+    assert reshaped([], 2, (4,), 0, lambda i, j: (i,)) == [0] * 4
