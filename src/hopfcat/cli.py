@@ -77,14 +77,15 @@ def _write_report(report: Report, args, command: str, path: str, obj):
             fh.write("\n")
 
 
-def _verify_any(obj, args) -> Report:
+def _verify_any(obj, args) -> tuple[Report, bool]:
+    """The report of verifying ``obj``, and its verdict read once per part."""
     if isinstance(obj, HopfCatData):
         level = args.level or ("hopf" if obj.has_antipode else "semihopf")
         rep = verify_structure(obj, level)
         # the extra checks presuppose valid data: on a failing base report
         # they are skipped, and that report is the answer
         if not rep.overall:
-            return rep
+            return rep, False
         # the data is verified once per level an extra check needs, and the
         # passing report handed to the check as its precondition
         extra = Report()
@@ -92,52 +93,53 @@ def _verify_any(obj, args) -> Report:
             extra.extend(check_strictness(obj, base=rep))
         if getattr(args, "antipode_theorems", False):
             hopf = rep if level == "hopf" else verify_structure(obj, "hopf")
-            if hopf.overall:
+            if hopf is rep or hopf.overall:
                 extra.extend(check_antipode_theorems(obj, base=hopf))
             else:
                 extra.items.extend(hopf.failed())
         rep.extend(extra)
-        return rep
+        return rep, extra.overall
     if args.level:
         raise _CliError("--level only applies to hopf-category files",
                         EXIT_PARSE)
     if isinstance(obj, DualHopfCatData):
-        return verify_dual(obj)
-    if isinstance(obj, WeakHopfData):
-        return verify_weak_hopf(obj)
-    if isinstance(obj, BimonoidData):
-        return verify_bimonoid(obj)
-    if isinstance(obj, ModuleData):
-        return verify_module(obj)
-    if isinstance(obj, ComoduleData):
-        return verify_comodule(obj)
-    if isinstance(obj, HopfModuleData):
+        rep = verify_dual(obj)
+    elif isinstance(obj, WeakHopfData):
+        rep = verify_weak_hopf(obj)
+    elif isinstance(obj, BimonoidData):
+        rep = verify_bimonoid(obj)
+    elif isinstance(obj, ModuleData):
+        rep = verify_module(obj)
+    elif isinstance(obj, ComoduleData):
+        rep = verify_comodule(obj)
+    elif isinstance(obj, HopfModuleData):
         # a failing base is the answer; a passing one is the precondition
-        base = verify_structure(obj.base, "semihopf")
-        if not base.overall:
-            return base
-        return verify_hopf_module(obj, base=base)
-    if isinstance(obj, GroupoidData):
+        rep = verify_structure(obj.base, "semihopf")
+        if not rep.overall:
+            return rep, False
+        rep = verify_hopf_module(obj, base=rep)
+    elif isinstance(obj, GroupoidData):
         rep = Report()
         try:
             validate_groupoid(obj)
             rep.add(CheckItem("groupoid-valid", (), True))
         except GroupoidError as e:
             rep.add(CheckItem("groupoid-valid", (), False, None, str(e), 1))
-        return rep
-    if isinstance(obj, GradedHopfData):
-        return validate_graded(obj)
-    raise _CliError(f"no verifier for {type(obj).__name__}", EXIT_PARSE)
+    elif isinstance(obj, GradedHopfData):
+        rep = validate_graded(obj)
+    else:
+        raise _CliError(f"no verifier for {type(obj).__name__}", EXIT_PARSE)
+    return rep, rep.overall
 
 
 def cmd_verify(args) -> int:
     obj = _load(args.path)
     try:
-        rep = _verify_any(obj, args)
+        rep, ok = _verify_any(obj, args)
     except (MissingAntipodeError, MalformedDataError, PreconditionError) as e:
         raise _CliError(str(e), EXIT_PARSE)
     _write_report(rep, args, "verify", args.path, obj)
-    return EXIT_PASS if rep.overall else EXIT_FAIL
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 _TRANSFORMS = {
@@ -190,8 +192,8 @@ def cmd_transform(args) -> int:
         raise _CliError(str(e), EXIT_PARSE)
     # self-check before writing
     check_args = argparse.Namespace(level=None, quiet=True, report=None)
-    rep = _verify_any(out, check_args)
-    if not rep.overall:
+    rep, ok = _verify_any(out, check_args)
+    if not ok:
         if not args.quiet:
             print(rep.table())
         raise _CliError(

@@ -152,7 +152,7 @@ def _rows(text: str) -> list:
 def _take_header(rows, idx, name):
     if idx < len(rows) and rows[idx][1][0] == name:
         return idx + 1, rows[idx]
-    lineno = rows[idx][0] if idx < len(rows) else None
+    lineno = rows[idx][0] if idx < len(rows) else rows[-1][0]
     raise ParseError(f"expected '{name}' header", lineno)
 
 
@@ -180,7 +180,7 @@ def parse(text: str, base_loader=None):
     """Parse one structure file; ``base_loader(name)`` resolves module bases."""
     rows = _rows(text)
     if not rows:
-        raise ParseError("empty file")
+        raise ParseError("empty file", 1)
     idx, (ln, toks) = _take_header(rows, 0, "format")
     if len(toks) != 2 or toks[1] != str(FORMAT_VERSION):
         raise ParseError(f"unsupported format version {toks[1:]}", ln)
@@ -222,7 +222,7 @@ def parse(text: str, base_loader=None):
                                   rows[2][0], rows[3][0])
     if kind.dim:
         frame = frame._replace(dims=_read_dims(dim_rows, labels,
-                                               len(kind.dim)))
+                                               len(kind.dim), rows[3][0]))
         fields["dims"] = frame.dims
     if kind.name == "bimonoid":
         fields["carrier"] = MkXObject(fields.pop("objects"),
@@ -237,10 +237,11 @@ def parse(text: str, base_loader=None):
 
 def _read_headers(kind, field, labels, heads, base_loader, field_ln,
                   objects_ln):
-    """The frame of a file and the constructor fields its headers give."""
+    """The frame of a file and the constructor fields its headers give; a
+    missing header is reported at the objects line, a bad base at its own."""
     if "antipode" in heads:
         if not heads["antipode"]:
-            raise ParseError("missing 'antipode yes|no' header")
+            raise ParseError("missing 'antipode yes|no' header", objects_ln)
         ln, toks = heads["antipode"][0]
         if toks[1] not in ("yes", "no"):
             raise ParseError(f"bad antipode header '{toks[1]}'", ln)
@@ -256,7 +257,7 @@ def _read_headers(kind, field, labels, heads, base_loader, field_ln,
             blocks.append((pair, off, length))
             total += length
         if not blocks:
-            raise ParseError("weak-hopf file needs block lines")
+            raise ParseError("weak-hopf file needs block lines", objects_ln)
         return (Frame(field, (), None, n=total),
                 {"field": field, "total_dim": total, "blocks": tuple(blocks)})
     if kind.name == "graded-hopf":
@@ -279,21 +280,28 @@ def _read_headers(kind, field, labels, heads, base_loader, field_ln,
     if "base" not in heads:
         return Frame(field, labels, None), {"field": field, "objects": labels}
     if not heads["base"]:
-        raise ParseError(f"{kind.name} file needs a 'base <name>' header")
-    base_name = heads["base"][0][1][1]
+        raise ParseError(f"{kind.name} file needs a 'base <name>' header",
+                         objects_ln)
+    base_ln, (_, base_name) = heads["base"][0]
     side = heads["side"][0][1][1] if heads.get("side") else "right"
     if side not in ("right", "left"):
         raise ParseError(f"bad side '{side}'", heads["side"][0][0])
     if base_loader is None:
-        raise ParseError(f"no loader available to resolve base '{base_name}'")
-    base = base_loader(base_name)
+        raise ParseError(f"no loader available to resolve base '{base_name}'",
+                         base_ln)
+    try:
+        base = base_loader(base_name)
+    except ParseError as e:     # an error inside the base file names its line
+        if e.line is not None:
+            raise
+        raise type(e)(str(e), base_ln) from None
     want = DualHopfCatData if kind.name == "comodule" else HopfCatData
     if not isinstance(base, want):
         raise KindMismatchError(f"{kind.name} base '{base_name}' must be a "
-                                f"{want.layout.name}")
+                                f"{want.layout.name}", base_ln)
     if base.objects != labels:
         raise ParseError(f"base '{base_name}' has objects {base.objects}, "
-                         f"file declares {labels}")
+                         f"file declares {labels}", base_ln)
     if base.field != field:
         raise ParseError(f"base '{base_name}' is over field {base.field}, "
                          f"file declares {field}", field_ln)
@@ -302,7 +310,7 @@ def _read_headers(kind, field, labels, heads, base_loader, field_ln,
     return Frame(field, labels, None, base=base, side=side), fields
 
 
-def _read_dims(dim_rows, labels, arity: int) -> dict:
+def _read_dims(dim_rows, labels, arity: int, objects_ln: int) -> dict:
     dims = {}
     for ln, toks in dim_rows:
         if len(toks) != arity + 2:
@@ -319,7 +327,7 @@ def _read_dims(dim_rows, labels, arity: int) -> dict:
         dims[key] = n
     for key in product(labels, repeat=arity):
         if (key[0] if arity == 1 else key) not in dims:
-            raise ParseError(f"missing dim({','.join(key)})")
+            raise ParseError(f"missing dim({','.join(key)})", objects_ln)
     return dims
 
 

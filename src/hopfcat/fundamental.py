@@ -13,8 +13,10 @@ a⊗b ↦ a·S(b_(1)) ⊗ b_(2) must agree with the exact matrix inverse.
 ``verify_hopf_module`` checks its laws on every basis element through the
 shared laws of ``sparse``.  The canonical maps and the canonical and dual
 Hopf modules are contracted out of the nonzero structure constants; ranks and
-antipode recovery row-reduce those raw rows directly.  Coinvariants, the
-freeness equivalence and integrals are kernels and solutions: dense ``LinMap``.
+antipode recovery row-reduce those raw rows directly, coinvariants are the
+kernel of rows read off the coaction, and the freeness equivalence is sparse
+columns.  A ``LinMap`` is only the row container of a kernel, inverse or
+rank, but for recovery's last step S = (1⊗ε)∘X.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import (HopfCatData, MissingAntipodeError, _check_antipode_laws,
                    _require, verify_structure)
-from .linalg import (LinMap, NotInvertible, _rref, bilinear_map, invert,
-                     rank, rank_kernel, solve, split_map)
-from .modules import ModuleData, verify_module
+from .linalg import LinMap, NotInvertible, _rref, invert, rank, rank_kernel
+from .modules import ModuleData, diagonal_action, verify_module
 from .report import (InternalInvariantError, PreconditionError, Report,
                      check_condition, check_map_equal)
 from .schema import LAYOUTS, check_shape, place, reshaped, zeros
@@ -44,19 +45,6 @@ class HopfModuleData:
 
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
-
-    def identity_map(self, x: str, y: str) -> LinMap:
-        return LinMap.identity(self.base.field, self.dim(x, y))
-
-    def action_map(self, x: str, y: str, z: str) -> LinMap:
-        a = self.base
-        return bilinear_map(a.field, self.action[(x, y, z)], self.dim(x, y),
-                            a.dim(y, z), self.dim(x, z))
-
-    def coaction_map(self, x: str, y: str) -> LinMap:
-        d = self.dim(x, y)
-        return split_map(self.base.field, self.coaction[(x, y)], d, d,
-                         self.base.dim(x, y))
 
 
 def verify_hopf_module(m: HopfModuleData,
@@ -101,9 +89,7 @@ def verify_hopf_module(m: HopfModuleData,
 def regular_hopf_module(a: HopfCatData) -> HopfModuleData:
     """The base with its own composition as action and comultiplication as
     coaction."""
-    return HopfModuleData(a, dict(a.dims),
-                          {k: v for k, v in a.mult.items()},
-                          {k: v for k, v in a.comult.items()})
+    return HopfModuleData(a, dict(a.dims), dict(a.mult), dict(a.comult))
 
 
 def _right_leg_coaction(a: HopfCatData, x: str, y: str, n: int) -> list:
@@ -123,25 +109,15 @@ def canonical_hopf_module(a: HopfCatData, z: str) -> HopfModuleData:
         raise ValueError(f"unknown object label '{z}'")
     f, X = a.field, a.objects
     mult, comult = sp.tensors(f, a.mult), sp.tensors(f, a.comult)
-    zero, one = f.raw(f.zero), f.raw(f.one)
     dims = {(x, y): a.dim(z, y) * a.dim(x, y) for x in X for y in X}
     coaction, action = {}, {}
     for x in X:
         for y in X:
-            dxy, d = a.dim(x, y), dims[(x, y)]
             coaction[(x, y)] = _right_leg_coaction(a, x, y, a.dim(z, y))
-            # (c⊗b)·h = Σ c·h_(1) ⊗ b·h_(2): the right side of the bialgebra
-            # law for the splitting of c⊗b into itself and Δh
-            split = [{i // dxy: {i % dxy: one}} for i in range(d)]
-            for u in X:
-                dyu, d3 = a.dim(y, u), dims[(x, u)]
-                _, rhs = sp.comult_mult(f, [{}] * d, [], split, comult[(y, u)],
-                                        mult[(z, y, u)], mult[(x, y, u)],
-                                        (a.dim(z, u), a.dim(x, u)))
-                action[(x, y, u)] = [
-                    [[f.lift(col.get(k, zero)) for k in range(d3)]
-                     for col in rhs.columns[i * dyu:(i + 1) * dyu]]
-                    for i in range(d)]
+            for u in X:     # (c⊗b)·h = Σ c·h_(1) ⊗ b·h_(2)
+                action[(x, y, u)] = diagonal_action(
+                    f, mult[(z, y, u)], mult[(x, y, u)], comult[(y, u)],
+                    (a.dim(z, y), a.dim(x, y)), (a.dim(z, u), a.dim(x, u)))
     return HopfModuleData(a, dims, action, coaction)
 
 
@@ -317,23 +293,37 @@ class CoinvariantFamily:
     def dim(self, x: str) -> int:
         return len(self.bases[x])
 
-    def inclusion(self, field, x: str, ambient_dim: int) -> LinMap:
-        cols = self.bases[x]
-        return LinMap(field, ambient_dim, len(cols),
-                      [[cols[j][i] for j in range(len(cols))]
-                       for i in range(ambient_dim)])
-
 
 def coinvariants(m: HopfModuleData) -> CoinvariantFamily:
     """Exact kernel of v ↦ rho(v) − v⊗1 on each diagonal component."""
     a = m.base
+    f, zero = a.field, a.field.zero
     bases = {}
     for x in a.objects:
-        rho = m.coaction_map(x, x)
-        against = m.identity_map(x, x).kron(a.unit_map(x))
-        _, basis = rank_kernel(rho - against)
-        bases[x] = basis
+        d, da = m.dim(x, x), a.dim(x, x)
+        r, u = m.coaction[(x, x)], a.unit[x]
+        # row (j, k) of the map, column i: r[i][j][k] − δ_ij u[k]
+        rows = [[r[i][j][k] - (u[k] if i == j else zero) for i in range(d)]
+                for j in range(d) for k in range(da)]
+        bases[x] = rank_kernel(LinMap(f, d * da, d, rows))[1]
     return CoinvariantFamily(bases)
+
+
+def _coordinates(f, basis: list[dict], w: dict):
+    """The coordinates of the sparse vector w in a reduced-echelon basis of
+    sparse vectors, read off at the pivots; None when w is not in their
+    span."""
+    w = f.reduce(w)
+    coords = {p: w[i] for p, v in enumerate(basis)
+              if (i := next(iter(v))) in w}
+    return coords if f.reduce(sp.apply(basis, coords)) == w else None
+
+
+def _check_identity(rep: Report, axiom: str, objects: tuple, f, cols: list):
+    """Record that the map with these sparse columns is the identity."""
+    n = len(cols)
+    check_map_equal(rep, axiom, objects, sp.SparseMap(f, n, cols),
+                    sp.SparseMap(f, n, sp.identity(f, n)))
 
 
 def check_equivalence(m: HopfModuleData) -> Report:
@@ -341,59 +331,66 @@ def check_equivalence(m: HopfModuleData) -> Report:
 
     Builds the coinvariant family N, the free module on it, the evaluation
     map N_x⊗A(x,y) → M(x,y) with its antipode-built inverse, and the pair of
-    mutually inverse maps between N and the coinvariants of the free module.
+    mutually inverse maps between N and the coinvariants of the free module,
+    as sparse columns; the inverses read coordinates off echelon bases.
     """
     a = m.base
     if a.antipode is None:
         raise PreconditionError("the freeness equivalence needs an antipode")
-    base_rep = verify_structure(a, "hopf")
-    if not base_rep.overall:
-        raise PreconditionError(
-            "the freeness equivalence needs level 'hopf': "
-            + base_rep.summary())
+    _require(a, "hopf", None, "the freeness equivalence needs level 'hopf'")
     f = a.field
+    one = f.raw(f.one)
     rep = Report()
     fam = coinvariants(m)
+    act, coact = sp.tensors(f, m.action), sp.tensors(f, m.coaction)
 
     for x in a.objects:
-        incl = fam.inclusion(f, x, m.dim(x, x))
+        basis = [sp.vector(f, v) for v in fam.bases[x]]
         for y in a.objects:
-            dxy = a.dim(x, y)
-            counit_fg = m.action_map(x, x, y) @ incl.kron(
-                LinMap.identity(f, dxy))
-            rho = m.coaction_map(x, y)
-            raw = (m.action_map(x, y, x).kron(LinMap.identity(f, dxy))
-                   @ m.identity_map(x, y).kron(
-                       a.antipode_map(x, y).kron(LinMap.identity(f, dxy)))
-                   @ rho.kron(LinMap.identity(f, dxy)) @ rho)
-            alpha = solve(incl.kron(LinMap.identity(f, dxy)), raw)
-            if alpha is None:
+            dxy, ident = a.dim(x, y), sp.identity(f, a.dim(x, y))
+            rho = sp.flatten_pairs(coact[(x, y)], dxy)
+            s = sp.columns(f, a.antipode[(x, y)], dxy)
+            # n⊗h ↦ n·h, on the basis v_p⊗e_j of N_x⊗A(x,y)
+            incl = sp.tensor_maps(basis, ident, dxy)
+            psi = [col for i in range(m.dim(x, x))
+                   for col in sp.left_factor(act[(x, x, y)], i, dxy)]
+            counit_fg = [sp.apply(psi, v) for v in incl]
+            # its inverse m ↦ Σ m_(0)·S(m_(1)) ⊗ m_(2): u⊗h ↦ u·S(h) on the
+            # first leg of rho(m), then beside its second leg
+            twisted = [sp.product(act[(x, y, x)], {u: one}, col)
+                       for u in range(m.dim(x, y)) for col in s]
+            twist = sp.tensor_maps([sp.apply(twisted, c) for c in rho], ident,
+                                   dxy)
+            alpha = [_coordinates(f, incl, sp.apply(twist, col))
+                     for col in rho]
+            if None in alpha:
                 raise InternalInvariantError(
                     f"twisted coaction at ({x},{y}) does not land in the "
                     "coinvariant subspace")
-            check_map_equal(rep, "counit-after-inverse", (x, y),
-                            counit_fg @ alpha, m.identity_map(x, y))
-            check_map_equal(rep, "inverse-after-counit", (x, y),
-                            alpha @ counit_fg,
-                            LinMap.identity(f, fam.dim(x) * dxy))
+            _check_identity(rep, "counit-after-inverse", (x, y), f,
+                            [sp.apply(counit_fg, c) for c in alpha])
+            _check_identity(rep, "inverse-after-counit", (x, y), f,
+                            [sp.apply(alpha, c) for c in counit_fg])
 
     free = free_hopf_module(a, {x: fam.dim(x) for x in a.objects})
     gf = coinvariants(free)
     for x in a.objects:
-        n = fam.dim(x)
-        incl_gf = gf.inclusion(f, x, free.dim(x, x))
-        # eta: n ↦ n⊗1_x, expressed in the echelon basis of GF(N)_x
-        target = LinMap.identity(f, n).kron(a.unit_map(x))
-        eta = solve(incl_gf, target)
-        if eta is None:
+        ident, dxx = sp.identity(f, fam.dim(x)), a.dim(x, x)
+        basis = [sp.vector(f, v) for v in gf.bases[x]]
+        # eta: n ↦ n⊗1_x, in the echelon basis of GF(N)_x, and beta = 1⊗ε
+        units = sp.tensor_maps(ident, [sp.vector(f, a.unit[x])], dxx)
+        eta = [_coordinates(f, basis, u) for u in units]
+        if None in eta:
             raise InternalInvariantError(
                 f"unit map at {x} does not land in the coinvariants "
                 "of the free module")
-        beta = LinMap.identity(f, n).kron(a.counit_map(x, x)) @ incl_gf
-        check_map_equal(rep, "retract-after-unit", (x,),
-                        beta @ eta, LinMap.identity(f, n))
-        check_map_equal(rep, "unit-after-retract", (x,),
-                        eta @ beta, LinMap.identity(f, gf.dim(x)))
+        counit = sp.tensor_maps(
+            ident, sp.columns(f, [a.counit[(x, x)]], dxx), 1)
+        beta = [sp.apply(counit, v) for v in basis]
+        _check_identity(rep, "retract-after-unit", (x,), f,
+                        [sp.apply(beta, c) for c in eta])
+        _check_identity(rep, "unit-after-retract", (x,), f,
+                        [sp.apply(eta, c) for c in beta])
     return rep
 
 

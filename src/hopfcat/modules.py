@@ -16,7 +16,8 @@ Coaction tensors over a dual category C:
 The module↔comodule translation pairs against the coordinate dual bases, so
 both round trips are literal identities of tensors.  ``verify_module`` and
 ``verify_comodule`` evaluate both sides of every law on every basis element
-through the shared laws of ``sparse``.
+through the shared laws of ``sparse``, which also give the diagonal action
+of a tensor product (``diagonal_action``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
-from .linalg import LinMap, bilinear_map, swap_map
 from .report import Report, check_map_equal
 from .schema import LAYOUTS, check_shape, reshaped
 
@@ -47,13 +47,6 @@ class ModuleData:
 
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
-
-    def action_map(self, x: str, y: str, z: str) -> LinMap:
-        a = self.base
-        d1, d2 = ((self.dim(x, y), a.dim(y, z)) if self.side == "right"
-                  else (a.dim(x, y), self.dim(y, z)))
-        return bilinear_map(a.field, self.action[(x, y, z)], d1, d2,
-                            self.dim(x, z))
 
 
 @dataclass
@@ -131,33 +124,21 @@ def verify_comodule(m: ComoduleData) -> Report:
 
 def regular_module(a: HopfCatData, side: str = "right") -> ModuleData:
     """The base acting on itself by composition."""
-    return ModuleData(a, side, dict(a.dims),
-                      {k: v for k, v in a.mult.items()})
+    return ModuleData(a, side, dict(a.dims), dict(a.mult))
 
 
 def regular_comodule(c: DualHopfCatData) -> ComoduleData:
     """The dual base coacting on itself by cocomposition."""
-    return ComoduleData(c, dict(c.dims), {k: v for k, v in c.cocomp.items()})
+    return ComoduleData(c, dict(c.dims), dict(c.cocomp))
 
 
 def unit_module(a: HopfCatData, side: str = "left") -> ModuleData:
     """All hom components one-dimensional, acted on through the counit."""
-    one = a.field.one
-    X = a.objects
-    dims = {(x, y): 1 for x in X for y in X}
-    action = {}
-    for x in X:
-        for y in X:
-            for z in X:
-                if side == "left":
-                    d = a.dim(x, y)
-                    action[(x, y, z)] = [[[a.counit[(x, y)][i]]]
-                                         for i in range(d)]
-                else:
-                    d = a.dim(y, z)
-                    action[(x, y, z)] = [[[a.counit[(y, z)][j]]
-                                          for j in range(d)]]
-    return ModuleData(a, side, dims, action)
+    X, eps = a.objects, a.counit
+    action = {(x, y, z): [[[e]] for e in eps[(x, y)]] if side == "left"
+              else [[[e] for e in eps[(y, z)]]]
+              for x in X for y in X for z in X}
+    return ModuleData(a, side, {(x, y): 1 for x in X for y in X}, action)
 
 
 # -- module <-> comodule ------------------------------------------------------------
@@ -194,6 +175,24 @@ def module_to_comodule(m: ModuleData) -> ComoduleData:
     return ComoduleData(c, dict(m.dims), coaction)
 
 
+def diagonal_action(f, act1, act2, delta, factors, dims,
+                    left: bool = False) -> list:
+    """The tensor of (u⊗v)·h = Σ act1(u, h1) ⊗ act2(v, h2), or with ``left``
+    of h·(u⊗v) = Σ act1(h1, u) ⊗ act2(h2, v), over Δh = Σ h1⊗h2, for sparse
+    act1, act2 and Δ, factors = (dim U, dim V) and dims those of the targets
+    of act1 and act2: the right side of ``sparse.comult_mult`` with U⊗V
+    split as itself."""
+    du, dv = factors
+    one, zero, lift = f.raw(f.one), f.raw(f.zero), f.lift
+    split = [{i // dv: {i % dv: one}} for i in range(du * dv)]
+    legs = (delta, split) if left else (split, delta)
+    n, width = len(legs[0]), len(legs[1])
+    _, rhs = sp.comult_mult(f, [{}] * n, [], *legs, act1, act2, dims)
+    return [[[lift(col.get(k, zero)) for k in range(rhs.rows)]
+             for col in rhs.columns[i * width:(i + 1) * width]]
+            for i in range(n)]
+
+
 def tensor_modules(m: ModuleData, n: ModuleData) -> ModuleData:
     """Componentwise tensor with the diagonal action through comultiplication."""
     if m.side != n.side:
@@ -201,37 +200,19 @@ def tensor_modules(m: ModuleData, n: ModuleData) -> ModuleData:
     if m.base != n.base:
         raise BaseMismatchError("tensor factors must share their base")
     a = m.base
-    f = a.field
-    X = a.objects
+    f, X = a.field, a.objects
+    left = m.side == "left"
+    act_m, act_n = sp.tensors(f, m.action), sp.tensors(f, n.action)
+    comult = sp.tensors(f, a.comult)
     dims = {(x, y): m.dim(x, y) * n.dim(x, y) for x in X for y in X}
     action = {}
     for x in X:
         for y in X:
             for z in X:
-                if m.side == "left":
-                    da = a.dim(x, y)
-                    dm, dn = m.dim(y, z), n.dim(y, z)
-                    # A ⊗ (M⊗N) → A⊗A⊗M⊗N → A⊗M⊗A⊗N → M'⊗N'
-                    big = (m.action_map(x, y, z).kron(n.action_map(x, y, z))
-                           @ LinMap.identity(f, da)
-                           .kron(swap_map(f, da, dm))
-                           .kron(LinMap.identity(f, dn))
-                           @ a.comult_map(x, y)
-                           .kron(LinMap.identity(f, dm * dn)))
-                    d1, d2 = da, dm * dn
-                else:
-                    dm, dn = m.dim(x, y), n.dim(x, y)
-                    da = a.dim(y, z)
-                    # (M⊗N) ⊗ A → M⊗N⊗A⊗A → M⊗A⊗N⊗A → M'⊗N'
-                    big = (m.action_map(x, y, z).kron(n.action_map(x, y, z))
-                           @ LinMap.identity(f, dm)
-                           .kron(swap_map(f, dn, da))
-                           .kron(LinMap.identity(f, da))
-                           @ LinMap.identity(f, dm * dn)
-                           .kron(a.comult_map(y, z)))
-                    d1, d2 = dm * dn, da
-                # the columns of the map, flattened leftmost-slowest
-                action[(x, y, z)] = reshaped(
-                    big.entries, 2, (d1, d2, dims[(x, z)]), f.zero,
-                    lambda k, col: (*divmod(col, d2), k))
+                u, v = (y, z) if left else (x, y)   # M(u,v)⊗N(u,v) is acted on
+                action[(x, y, z)] = diagonal_action(
+                    f, act_m[(x, y, z)], act_n[(x, y, z)],
+                    comult[(x, y) if left else (y, z)],
+                    (m.dim(u, v), n.dim(u, v)), (m.dim(x, z), n.dim(x, z)),
+                    left)
     return ModuleData(a, m.side, dims, action)

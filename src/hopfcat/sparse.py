@@ -123,6 +123,13 @@ def add_tensor(acc: dict, u: dict, v: dict, d2: int):
             acc[k] = acc[k] + a * b if k in acc else a * b
 
 
+def tensor_maps(left: list[dict], right: list[dict], d2: int) -> list[dict]:
+    """The columns of g⊗h, for g and h given by their sparse columns and h
+    into a space of dimension d2."""
+    return [{i * d2 + j: a * b for i, a in u.items() for j, b in v.items()}
+            for u in left for v in right]
+
+
 def add_product(acc: dict, t3: list[dict], u: dict, v: dict):
     """acc += the bilinear map of the sparse 3-tensor t3 on (u, v)."""
     for i, a in u.items():

@@ -9,7 +9,9 @@ module, Hopf-module and graded verifiers used before their per-basis
 rewrite, kept as references whose reports the new engine must reproduce
 exactly, and so are the dense canonical maps, antipode recovery and
 canonical and dual Hopf modules after them for ``fundamental``'s
-contractions; the sampled weak Hopf verifier after them plays the same part
+contractions, and dense strictness, coinvariants and the freeness
+equivalence after those for their raw-row and sparse-column rewrites; the
+sampled weak Hopf verifier after them plays the same part
 for ``weak.verify_weak_hopf``, the hand-written re-indexing loops after it
 (duals, opposites, packing, module↔comodule, free and tensor modules) for
 the same constructions on ``schema.reshaped``, the row reduction on public
@@ -31,14 +33,16 @@ from hopfcat.duoidal import (BimonoidData, MkXObject, black_tensor,
                              white_tensor, zeta)
 from hopfcat.fileformat import (FORMAT_VERSION, KINDS, KindMismatchError,
                                 ParseError)
-from hopfcat.fundamental import (AntipodeRecoveryError, HopfModuleData,
-                                 RecoveryFailure)
+from hopfcat.fundamental import (AntipodeRecoveryError, CoinvariantFamily,
+                                 HopfModuleData, RecoveryFailure)
 from hopfcat.graded import GradedHopfData, GroupTable
 from hopfcat.groupoid import GroupoidData
-from hopfcat.linalg import LinMap, NotInvertible, invert, rank, swap_map
+from hopfcat.linalg import (LinMap, NotInvertible, invert, rank, rank_kernel,
+                            solve, swap_map)
 from hopfcat.modules import BaseMismatchError, ComoduleData, ModuleData
-from hopfcat.report import (CheckItem, PreconditionError, Report,
-                            check_condition, residual)
+from hopfcat.report import (CheckItem, InternalInvariantError,
+                            PreconditionError, Report, check_condition,
+                            residual)
 from hopfcat.scalars import FieldMismatchError, parse_field
 from hopfcat.schema import MalformedDataError
 from hopfcat.weak import WeakHopfData
@@ -788,6 +792,119 @@ def dense_dual_hopf_module(a):
                             p[al][j][b] = acc
                 action[(x, y, z)] = p
     return HopfModuleData(a, dims, action, coaction)
+
+
+# -- strictness, coinvariants and the freeness equivalence as dense compositions -----
+#
+# ``core.check_strictness``, ``fundamental.coinvariants`` and
+# ``fundamental.check_equivalence`` as they were before they moved onto raw
+# rows and sparse columns: ranks of dense composition maps, kernels of
+# kron-built maps and solves against dense inclusions.  Kept only as
+# references for differential tests.
+
+def dense_check_strictness(a, base=None):
+    """Reference for ``core.check_strictness``."""
+    if base is None:
+        base = verify_structure(a, "category")
+    if not base.overall:
+        raise PreconditionError("strictness needs data valid at level "
+                                f"'category': {base.summary()}")
+    rep = Report()
+    X = a.objects
+    all_surj = True
+    loops_surj = True
+    for x in X:
+        for y in X:
+            for z in X:
+                r = rank(a.mult_map(x, y, z))
+                ok = r == a.dim(x, z)
+                all_surj &= ok
+                check_condition(rep, "compose-surjective", (x, y, z), ok,
+                                residual=f"rank {r} < {a.dim(x, z)}")
+                if x == z:
+                    loops_surj &= ok
+                    check_condition(rep, "compose-surjective-loop", (x, y), ok,
+                                    residual=f"rank {r} < {a.dim(x, z)}")
+    check_condition(rep, "strictness-conditions-agree", (),
+                    all_surj == loops_surj,
+                    residual=f"all={all_surj} loops={loops_surj}")
+    return rep
+
+
+def _dense_coaction(m, x, y):
+    d = m.dim(x, y)
+    return _split_map(m.base.field, m.coaction[(x, y)], d, d, m.base.dim(x, y))
+
+
+def _inclusion(field, basis, ambient_dim):
+    return LinMap(field, ambient_dim, len(basis),
+                  [[v[i] for v in basis] for i in range(ambient_dim)])
+
+
+def dense_coinvariants(m):
+    """Reference for ``fundamental.coinvariants``."""
+    a = m.base
+    bases = {}
+    for x in a.objects:
+        against = LinMap.identity(a.field, m.dim(x, x)).kron(a.unit_map(x))
+        bases[x] = rank_kernel(_dense_coaction(m, x, x) - against)[1]
+    return CoinvariantFamily(bases)
+
+
+def dense_check_equivalence(m):
+    """Reference for ``fundamental.check_equivalence``."""
+    a = m.base
+    if a.antipode is None:
+        raise PreconditionError("the freeness equivalence needs an antipode")
+    base_rep = verify_structure(a, "hopf")
+    if not base_rep.overall:
+        raise PreconditionError(
+            "the freeness equivalence needs level 'hopf': "
+            + base_rep.summary())
+    f = a.field
+    rep = Report()
+    fam = dense_coinvariants(m)
+
+    for x in a.objects:
+        incl = _inclusion(f, fam.bases[x], m.dim(x, x))
+        for y in a.objects:
+            dxy = a.dim(x, y)
+            ident = LinMap.identity(f, dxy)
+            counit_fg = _dense_action(m, x, x, y) @ incl.kron(ident)
+            rho = _dense_coaction(m, x, y)
+            raw = (_dense_action(m, x, y, x).kron(ident)
+                   @ LinMap.identity(f, m.dim(x, y)).kron(
+                       a.antipode_map(x, y).kron(ident))
+                   @ rho.kron(ident) @ rho)
+            alpha = solve(incl.kron(ident), raw)
+            if alpha is None:
+                raise InternalInvariantError(
+                    f"twisted coaction at ({x},{y}) does not land in the "
+                    "coinvariant subspace")
+            reference_check_map_equal(rep, "counit-after-inverse", (x, y),
+                                      counit_fg @ alpha,
+                                      LinMap.identity(f, m.dim(x, y)))
+            reference_check_map_equal(rep, "inverse-after-counit", (x, y),
+                                      alpha @ counit_fg,
+                                      LinMap.identity(f, fam.dim(x) * dxy))
+
+    free = reference_free_hopf_module(a, {x: fam.dim(x) for x in a.objects})
+    gf = dense_coinvariants(free)
+    for x in a.objects:
+        n = fam.dim(x)
+        incl_gf = _inclusion(f, gf.bases[x], free.dim(x, x))
+        target = LinMap.identity(f, n).kron(a.unit_map(x))
+        eta = solve(incl_gf, target)
+        if eta is None:
+            raise InternalInvariantError(
+                f"unit map at {x} does not land in the coinvariants "
+                "of the free module")
+        beta = LinMap.identity(f, n).kron(a.counit_map(x, x)) @ incl_gf
+        reference_check_map_equal(rep, "retract-after-unit", (x,),
+                                  beta @ eta, LinMap.identity(f, n))
+        reference_check_map_equal(rep, "unit-after-retract", (x,),
+                                  eta @ beta, LinMap.identity(f, gf.dim(x)))
+    return rep
 
 
 def dense_validate_graded(h):

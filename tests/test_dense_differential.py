@@ -110,12 +110,11 @@ def doubled_or_one(field):
 def test_every_single_coefficient_mutant(hopf_fixtures, name):
     a = hopf_fixtures[name]
     bump = doubled_or_one(a.field)
-    failing = 0
     for name_, key, path in positions(a):
         mut = mutate(a, [(name_, key, path, bump)])
         assert_same_reports(mut, levels=("hopf",))
-        failing += not verify_structure(mut, "hopf").overall
-    assert failing > 0
+        # no coefficient can change without breaking an axiom
+        assert not verify_structure(mut, "hopf").overall, (name_, key, path)
 
 
 TAFT4 = {field: fx.taft_four_dim(field) for field in (QQ, GF(5))}

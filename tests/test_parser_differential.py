@@ -5,10 +5,12 @@ drop the last token, duplicate the line, append a token) goes through
 ``fileformat.parse`` and through ``oracles.reference_parse``.  Both must
 return equal objects, or both must raise the same kind of error, naming a
 line if the old parser named one, except for the deliberate changes listed
-in ``DELIBERATE``.  Every edit also goes through ``cli.main``, which must
-neither raise nor return 3, and so does a seeded corpus of byte-level edits
-(truncate at a byte, insert or delete a byte, split a token, duplicate a
-run of bytes).
+in ``DELIBERATE``.  Every ``ParseError`` of the reader names a line, also
+where the old parser named none.  Every edit also goes through
+``fileformat.load``, where every ``ParseError`` must name a line too, and
+through ``cli.main``, which must neither raise nor return 3, and so does a
+seeded corpus of byte-level edits (truncate at a byte, insert or delete a
+byte, split a token, duplicate a run of bytes).
 """
 
 import contextlib
@@ -229,8 +231,11 @@ def test_reader_matches_the_per_kind_parsers(fixture_dir):
         total += 1
         new = outcome(parse, text, loader)
         old = outcome(reference_parse, text, loader)
+        assert new[:2] != ("error", "ParseError") or new[2], (label, new)
         accepted += new[0] == "ok"
-        if new == old:
+        # every ParseError names a line now, where the old parsers named none
+        if new == old or (old == ("error", "ParseError", False)
+                          and new == ("error", "ParseError", True)):
             continue
         rows = [line.split("#")[0].split() for line in text.splitlines()]
         rows = [toks for toks in rows if toks]
@@ -249,7 +254,8 @@ def byte_corpus(fixture_dir):
 
 def verify_codes(fixture_dir, tmp_path, edited) -> set:
     """The exit codes of ``verify`` on each (label, bytes) of ``edited``,
-    written next to copies of the module bases; none may raise or be 3."""
+    written next to copies of the module bases; none may raise or be 3,
+    and a ``ParseError`` from loading the file must name a line."""
     for name in BASES:
         shutil.copy(os.path.join(fixture_dir, name + ".hc"), tmp_path)
     path = str(tmp_path / "edited.hc")
@@ -257,6 +263,12 @@ def verify_codes(fixture_dir, tmp_path, edited) -> set:
     for label, data in edited:
         with open(path, "wb") as fh:
             fh.write(data)
+        try:
+            load(path)
+        except ParseError as e:
+            assert e.line is not None, (label, str(e))
+        except Exception:   # cli.main below must map it to an exit code
+            pass
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             try:

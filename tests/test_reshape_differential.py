@@ -2,12 +2,13 @@
 the hand-written loops it replaced (``oracles.reference_*``).
 
 Duals, opposites and coopposites, packing, the module↔comodule maps, the
-free Hopf module and the module tensor product must give equal data, or
-raise the same error with the same message, on every hopf-category fixture
-over Q and over GF(5), on ``unequal_dims_category`` (homs of dimension 1, 2,
-2 and 0, so a swapped leg shows), and on categories of those dimensions and
-of dimensions 1, 2, 3 and 2 whose every constant is distinct, antipode
-included.  The matrix builders of the data classes must equal
+free Hopf module and the module tensor product (a contraction through
+``sparse.comult_mult`` since it left the dense route) must give equal data,
+or raise the same error with the same message, on every hopf-category
+fixture over Q and over GF(5), on ``unequal_dims_category`` (homs of
+dimension 1, 2, 2 and 0, so a swapped leg shows), and on categories of those
+dimensions and of dimensions 1, 2, 3 and 2 whose every constant is distinct,
+antipode included.  The matrix builders of ``HopfCatData`` must equal
 ``oracles._bilinear_map`` / ``_split_map``.
 """
 
@@ -27,7 +28,7 @@ from test_verifier_differential import unequal_dims_category
 from hopfcat.core import HopfCatData, transform
 from hopfcat.dual import dualize, undualize
 from hopfcat.fileformat import load
-from hopfcat.fundamental import free_hopf_module, regular_hopf_module
+from hopfcat.fundamental import free_hopf_module
 from hopfcat.modules import (ModuleData, comodule_to_module,
                              module_to_comodule, regular_comodule,
                              regular_module, tensor_modules, unit_module)
@@ -151,6 +152,7 @@ def test_free_and_tensor_modules(inputs):
             m, d = regular_module(a, side), distinct_module(a, side)
             for n in (unit_module(a, side), d):
                 same(tensor_modules, reference_tensor_modules, m, n)
+                same(tensor_modules, reference_tensor_modules, n, m)
         same(tensor_modules, reference_tensor_modules,
              regular_module(a, "right"), unit_module(a, "left"))
 
@@ -158,26 +160,9 @@ def test_free_and_tensor_modules(inputs):
 def test_matrix_builders(inputs):
     for a in inputs:
         f, X, d = a.field, a.objects, a.dim
-        h = regular_hopf_module(a)
-        free = free_hopf_module(a, {x: 2 for x in X})
-        mods = [regular_module(a, "left"), distinct_module(a, "right"),
-                distinct_module(a, "left")]
         for x, y in itertools.product(X, repeat=2):
             assert a.comult_map(x, y) == _split_map(
                 f, a.comult[(x, y)], d(x, y), d(x, y), d(x, y))
-            for hm in (h, free):
-                assert hm.coaction_map(x, y) == _split_map(
-                    f, hm.coaction[(x, y)], hm.dim(x, y), hm.dim(x, y),
-                    d(x, y))
             for z in X:
                 assert a.mult_map(x, y, z) == _bilinear_map(
                     f, a.mult[(x, y, z)], d(x, y), d(y, z), d(x, z))
-                for hm in (h, free):
-                    assert hm.action_map(x, y, z) == _bilinear_map(
-                        f, hm.action[(x, y, z)], hm.dim(x, y), d(y, z),
-                        hm.dim(x, z))
-                for m in mods:
-                    dims = ((d(x, y), m.dim(y, z)) if m.side == "left"
-                            else (m.dim(x, y), d(y, z)))
-                    assert m.action_map(x, y, z) == _bilinear_map(
-                        f, m.action[(x, y, z)], *dims, m.dim(x, z))
