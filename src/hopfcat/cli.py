@@ -55,7 +55,7 @@ def _load(path: str):
     except OSError as e:
         raise _CliError(f"cannot read {path}: {e}", EXIT_PARSE)
     except fileformat.ParseError as e:
-        raise _CliError(f"{path}: {e}", EXIT_PARSE)
+        raise _CliError(f"{e.path or path}: {e}", EXIT_PARSE)
 
 
 def _write_report(report: Report, args, command: str, path: str, obj):
@@ -134,10 +134,7 @@ def _verify_any(obj, args) -> tuple[Report, bool]:
 
 def cmd_verify(args) -> int:
     obj = _load(args.path)
-    try:
-        rep, ok = _verify_any(obj, args)
-    except (MissingAntipodeError, MalformedDataError, PreconditionError) as e:
-        raise _CliError(str(e), EXIT_PARSE)
+    rep, ok = _verify_any(obj, args)
     _write_report(rep, args, "verify", args.path, obj)
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -178,18 +175,12 @@ def _apply_transform(obj, op: str, args):
         return transform(obj, op)
     if op == "bimonoid":
         return bimonoid_from_category(obj)
-    if op == "unbimonoid":
-        return category_from_bimonoid(obj)
-    raise _CliError(f"unknown transform op '{op}'", EXIT_PARSE)
+    return category_from_bimonoid(obj)     # op == "unbimonoid"
 
 
 def cmd_transform(args) -> int:
     obj = _load(args.path)
-    try:
-        out = _apply_transform(obj, args.op, args)
-    except (GroupoidError, GradedError, MissingAntipodeError,
-            MalformedDataError) as e:
-        raise _CliError(str(e), EXIT_PARSE)
+    out = _apply_transform(obj, args.op, args)
     # self-check before writing
     check_args = argparse.Namespace(level=None, quiet=True, report=None)
     rep, ok = _verify_any(out, check_args)
@@ -277,8 +268,6 @@ def cmd_analyze(args) -> int:
         rep = check_strictness(obj)
         if not all(i.ok for i in rep.by_axiom("compose-surjective")):
             code = EXIT_FAIL
-    else:
-        raise _CliError(f"unknown analyze op '{op}'", EXIT_PARSE)
 
     if args.out and op in ("integrals", "coinvariants", "can-ranks"):
         with open(args.out, "w") as fh:

@@ -143,12 +143,12 @@ def dualize(a: HopfCatData) -> DualHopfCatData:
     # opposite convolution: (f_a f_b)(e_i) = <f_a, e_i(2)><f_b, e_i(1)>
     alg = {(x, y): _reversed(a.comult[(y, x)], 3, (dims[(x, y)],) * 3, zero)
            for x in X for y in X}
-    unit = {(x, y): list(a.counit[(y, x)]) for x in X for y in X}
+    unit = {(x, y): a.counit[(y, x)] for x in X for y in X}
     # A(z,y)⊗A(y,x) → A(z,x) read backwards: C(x,z) → C(x,y)⊗C(y,z)
     cocomp = {(x, y, z): _reversed(
         a.mult[(z, y, x)], 3, (dims[(x, z)], dims[(x, y)], dims[(y, z)]),
         zero) for x in X for y in X for z in X}
-    counit = {x: list(a.unit[x]) for x in X}
+    counit = {x: a.unit[x] for x in X}
     antipode = None
     if a.antipode is not None:    # the transpose of S: A(y,x) → A(x,y)
         antipode = {(x, y): _reversed(a.antipode[(y, x)], 2,
@@ -166,10 +166,10 @@ def undualize(c: DualHopfCatData) -> HopfCatData:
     mult = {(x, y, z): _reversed(
         c.cocomp[(z, y, x)], 3, (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
         zero) for x in X for y in X for z in X}
-    unit = {x: list(c.counit[x]) for x in X}
+    unit = {x: c.counit[x] for x in X}
     comult = {(x, y): _reversed(c.alg[(y, x)], 3, (dims[(x, y)],) * 3, zero)
               for x in X for y in X}
-    counit = {(x, y): list(c.unit[(y, x)]) for x in X for y in X}
+    counit = {(x, y): c.unit[(y, x)] for x in X for y in X}
     antipode = None
     if c.antipode is not None:    # the transpose of S: C(x,y) → C(y,x)
         antipode = {(x, y): _reversed(c.antipode[(y, x)], 2,

@@ -212,10 +212,7 @@ def bimonoid_from_category(a: HopfCatData) -> BimonoidData:
     a.validate_shape()
     return BimonoidData(
         a.field, carrier_of(a),
-        {k: v for k, v in a.mult.items()},
-        {x: list(v) for x, v in a.unit.items()},
-        {k: v for k, v in a.comult.items()},
-        {k: list(v) for k, v in a.counit.items()})
+        dict(a.mult), dict(a.unit), dict(a.comult), dict(a.counit))
 
 
 def category_from_bimonoid(b: BimonoidData) -> HopfCatData:
@@ -223,8 +220,4 @@ def category_from_bimonoid(b: BimonoidData) -> HopfCatData:
     b.validate_shape()
     return HopfCatData(
         b.field, b.carrier.objects, dict(b.carrier.dims),
-        {k: v for k, v in b.mu.items()},
-        {x: list(v) for x, v in b.eta.items()},
-        {k: v for k, v in b.delta.items()},
-        {k: list(v) for k, v in b.eps.items()},
-        None)
+        dict(b.mu), dict(b.eta), dict(b.delta), dict(b.eps), None)

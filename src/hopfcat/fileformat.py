@@ -48,6 +48,11 @@ _ONCE = ("antipode", "base", "side")
 
 
 class ParseError(ValueError):
+    """A malformed file, at ``line``; ``path`` names the file holding that
+    line when it is a base file rather than the file loaded."""
+
+    path: str | None = None
+
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
@@ -416,10 +421,14 @@ def load(path: str):
                          data.count(b"\n", 0, e.start) + 1)
 
     def base_loader(name: str):
-        d = os.path.dirname(os.path.abspath(path))
+        d = os.path.dirname(path)
         for cand in (os.path.join(d, name), os.path.join(d, name + ".hc")):
             if os.path.exists(cand):
-                return load(cand)
+                try:
+                    return load(cand)
+                except ParseError as e:     # a line of the base file
+                    e.path = e.path or cand
+                    raise
         raise ParseError(f"cannot resolve base '{name}' next to {path}")
 
     return parse(text, base_loader)

@@ -15,6 +15,7 @@ from .graded import GradedHopfData, GroupTable
 from .groupoid import (GroupoidData, cyclic_group_groupoid, disjoint_union,
                        linearize_groupoid, pair_groupoid)
 from .scalars import QQ, Field
+from .schema import tensor
 
 
 def singleton_hopf(field: Field, dim: int, mult, unit, comult, counit,
@@ -28,67 +29,43 @@ def singleton_hopf(field: Field, dim: int, mult, unit, comult, counit,
 
 def group_algebra(field: Field, n: int) -> HopfCatData:
     """kZ/n with grouplike basis g0..g(n-1) and inversion antipode."""
-    zero, one = field.zero, field.one
-    mult = [[[one if k == (i + j) % n else zero for k in range(n)]
-             for j in range(n)] for i in range(n)]
-    unit = [one if i == 0 else zero for i in range(n)]
-    comult = [[[one if i == j == k else zero for k in range(n)]
-               for j in range(n)] for i in range(n)]
-    counit = [one] * n
-    antipode = [[one if j == (-i) % n else zero for i in range(n)]
-                for j in range(n)]
-    return singleton_hopf(field, n, mult, unit, comult, counit, antipode)
+    return linearize_groupoid(cyclic_group_groupoid(n), field)
 
 
 def taft_four_dim(field: Field) -> HopfCatData:
     """The classical 4-dimensional Hopf algebra on 1, g, x, gx with g^2 = 1,
     x^2 = 0, xg = -gx; its antipode squares to the non-identity involution."""
     zero, one = field.zero, field.one
-
-    def scal(n: int):
-        return field.of(n)
-
-    d = 4  # basis order: 1, g, x, w (w = gx)
-    mult = [[[zero] * d for _ in range(d)] for _ in range(d)]
-
-    def set_prod(i, j, k, coeff=1):
-        mult[i][j][k] = scal(coeff)
-
-    I, G, Xx, W = 0, 1, 2, 3
-    table = {
+    I, G, Xx, W = range(4)  # basis order: 1, g, x, w (w = gx)
+    table = {   # e_i·e_j = c·e_k; x·x = x·w = w·x = w·w = 0
         (I, I): (I, 1), (I, G): (G, 1), (I, Xx): (Xx, 1), (I, W): (W, 1),
         (G, I): (G, 1), (G, G): (I, 1), (G, Xx): (W, 1), (G, W): (Xx, 1),
         (Xx, I): (Xx, 1), (Xx, G): (W, -1), (W, I): (W, 1), (W, G): (Xx, -1),
     }
-    for (i, j), (k, c) in table.items():
-        set_prod(i, j, k, c)
-    # x·x = x·w = w·x = w·w = 0 (left unset)
-
-    unit = [one, zero, zero, zero]
-    comult = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    comult[I][I][I] = one
-    comult[G][G][G] = one
-    comult[Xx][I][Xx] = one   # x ↦ 1⊗x + x⊗g
-    comult[Xx][Xx][G] = one
-    comult[W][G][W] = one     # w ↦ g⊗w + w⊗1
-    comult[W][W][I] = one
-    counit = [one, one, zero, zero]
-    antipode = [[zero] * d for _ in range(d)]  # S: 1↦1, g↦g, x↦w, w↦-x
-    antipode[I][I] = one
-    antipode[G][G] = one
-    antipode[W][Xx] = one
-    antipode[Xx][W] = -one
-    return singleton_hopf(field, d, mult, unit, comult, counit, antipode)
+    mult = tensor(zero, (4, 4, 4), (((i, j, k), field.of(c))
+                                    for (i, j), (k, c) in table.items()))
+    # x ↦ 1⊗x + x⊗g and w ↦ g⊗w + w⊗1; 1 and g are grouplike
+    comult = tensor(zero, (4, 4, 4), ((idx, one) for idx in (
+        (I, I, I), (G, G, G), (Xx, I, Xx), (Xx, Xx, G), (W, G, W),
+        (W, W, I))))
+    # S: 1↦1, g↦g, x↦w, w↦-x, stored as antipode[image][source]
+    antipode = tensor(zero, (4, 4), [((I, I), one), ((G, G), one),
+                                     ((W, Xx), one), ((Xx, W), -one)])
+    unit = tensor(zero, (4,), [((I,), one)])
+    counit = tensor(zero, (4,), [((I,), one), ((G,), one)])
+    return singleton_hopf(field, 4, mult, unit, comult, counit, antipode)
 
 
 def idempotent_monoid_bialgebra(field: Field) -> HopfCatData:
     """The monoid bialgebra of {1, z} with z·z = z; grouplike z forces any
     antipode candidate to fail, and its Galois map is singular."""
     zero, one = field.zero, field.one
-    mult = [[[one, zero], [zero, one]], [[zero, one], [zero, one]]]
-    unit = [one, zero]
-    comult = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
-    counit = [one, one]
+    # basis order 1, z: the product of two basis elements is the larger one
+    mult = tensor(zero, (2, 2, 2), (((i, j, max(i, j)), one)
+                                    for i in range(2) for j in range(2)))
+    comult = tensor(zero, (2, 2, 2), [((0, 0, 0), one), ((1, 1, 1), one)])
+    unit = tensor(zero, (2,), [((0,), one)])
+    counit = tensor(zero, (2,), [((0,), one), ((1,), one)])
     return singleton_hopf(field, 2, mult, unit, comult, counit, None)
 
 
@@ -96,10 +73,13 @@ def idempotent_antipode_candidates(field: Field) -> dict[str, list]:
     """Candidate antipode matrices for the idempotent-monoid bialgebra;
     every one of them violates the antipode identities (none can exist)."""
     zero, one = field.zero, field.one
+
+    def candidate(*ones):
+        return tensor(zero, (2, 2), ((idx, one) for idx in ones))
     return {
-        "identity": [[one, zero], [zero, one]],
-        "collapse-to-unit": [[one, one], [zero, zero]],
-        "kill-z": [[one, zero], [zero, zero]],
+        "identity": candidate((0, 0), (1, 1)),
+        "collapse-to-unit": candidate((0, 0), (0, 1)),
+        "kill-z": candidate((0, 0)),
     }
 
 
@@ -140,31 +120,33 @@ def _z2_table() -> GroupTable:
                                    ("g", "e"): "g", ("g", "g"): "e"})
 
 
+def _graded_z2(field: Field, dims: dict[str, int]) -> GradedHopfData:
+    """A graded structure on Z/2 with components of dimension 0 or 1, each
+    structure constant 1 where no factor is zero-dimensional."""
+    group = _z2_table()
+
+    def ones(*degrees):
+        shape = tuple(dims[s] for s in degrees)
+        return tensor(field.zero, shape,
+                      [((0,) * len(shape), field.one)] if all(shape) else [])
+    G = group.elements
+    return GradedHopfData(
+        field, group, dims,
+        {(s, t): ones(s, t, group.mul(s, t)) for s in G for t in G},
+        ones(group.identity()),
+        {s: ones(s, s, s) for s in G},
+        {s: ones(s) for s in G},
+        {s: ones(group.inverse(s), s) for s in G})
+
+
 def strongly_graded_z2(field: Field) -> GradedHopfData:
     """kZ/2 sliced by degree: both components one-dimensional, all products 1."""
-    one = field.one
-    line = [[[one]]]
-    return GradedHopfData(
-        field, _z2_table(), {"e": 1, "g": 1},
-        {("e", "e"): line, ("e", "g"): line, ("g", "e"): line,
-         ("g", "g"): line},
-        [one],
-        {"e": [[[one]]], "g": [[[one]]]},
-        {"e": [one], "g": [one]},
-        {"e": [[one]], "g": [[one]]})
+    return _graded_z2(field, {"e": 1, "g": 1})
 
 
 def zero_component_graded_z2(field: Field) -> GradedHopfData:
     """Trivial algebra graded by Z/2 with an empty odd component."""
-    one = field.one
-    return GradedHopfData(
-        field, _z2_table(), {"e": 1, "g": 0},
-        {("e", "e"): [[[one]]], ("e", "g"): [[]],
-         ("g", "e"): [], ("g", "g"): []},
-        [one],
-        {"e": [[[one]]], "g": []},
-        {"e": [one], "g": []},
-        {"e": [[one]], "g": []})
+    return _graded_z2(field, {"e": 1, "g": 0})
 
 
 # -- registry -------------------------------------------------------------------

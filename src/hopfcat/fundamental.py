@@ -30,7 +30,7 @@ from .linalg import LinMap, NotInvertible, _rref, invert, rank, rank_kernel
 from .modules import ModuleData, diagonal_action, verify_module
 from .report import (InternalInvariantError, PreconditionError, Report,
                      check_condition, check_map_equal)
-from .schema import LAYOUTS, check_shape, place, reshaped, zeros
+from .schema import LAYOUTS, check_shape, place, reshaped, tensor, zeros
 
 
 @dataclass
@@ -417,12 +417,10 @@ def dual_hopf_module(a: HopfCatData) -> HopfModuleData:
                 # and m: A(x,z)⊗A(z,y) → A(x,y)
                 s = sp.columns(f, a.antipode[(y, z)], a.dim(y, z))
                 mt, d3 = mult[(x, z, y)], a.dim(x, z)
-                p = [[[f.zero] * d3 for _ in s] for _ in range(d)]
-                for b in range(d3):
-                    for j, col in enumerate(s):
-                        for al, v in sp.product(mt, {b: one}, col).items():
-                            p[al][j][b] = f.lift(v)
-                action[(x, y, z)] = p
+                action[(x, y, z)] = tensor(f.zero, (d, len(s), d3), (
+                    ((al, j, b), f.lift(v)) for b in range(d3)
+                    for j, col in enumerate(s)
+                    for al, v in sp.product(mt, {b: one}, col).items()))
     return HopfModuleData(a, dims, action, coaction)
 
 

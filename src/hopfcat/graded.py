@@ -168,7 +168,7 @@ def from_graded(h: GradedHopfData) -> HopfCatData:
     dims = {(s, t): h.dim(slot(s, t)) for s in G for t in G}
     mult = {(s, r, t): h.mult[(slot(s, r), slot(r, t))]
             for s in G for r in G for t in G}
-    unit = {s: list(h.unit) for s in G}
+    unit = {s: h.unit for s in G}
     comult = {(s, t): h.comult[slot(s, t)] for s in G for t in G}
     counit = {(s, t): h.counit[slot(s, t)] for s in G for t in G}
     antipode = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import HopfCatData
 from .scalars import Field
-from .schema import LAYOUTS
+from .schema import LAYOUTS, tensor
 
 
 class GroupoidError(ValueError):
@@ -108,48 +108,29 @@ def linearize_groupoid(g: GroupoidData, field: Field) -> HopfCatData:
     X = g.objects
     zero, one = field.zero, field.one
     basis = {(x, y): g.hom(x, y) for x in X for y in X}
-    index = {(x, y): {m: i for i, m in enumerate(basis[(x, y)])}
-             for x in X for y in X}
-    dims = {(x, y): len(basis[(x, y)]) for x in X for y in X}
-
-    mult = {}
-    for x in X:
-        for y in X:
-            for z in X:
-                d1, d2, d3 = dims[(x, y)], dims[(y, z)], dims[(x, z)]
-                t = [[[zero] * d3 for _ in range(d2)] for _ in range(d1)]
-                for i, f in enumerate(basis[(x, y)]):
-                    for j, h in enumerate(basis[(y, z)]):
-                        k = index[(x, z)][g.compose[(f, h)]]
-                        t[i][j][k] = one
-                mult[(x, y, z)] = t
-
-    unit = {}
-    for x in X:
-        v = [zero] * dims[(x, x)]
-        v[index[(x, x)][g.identities[x]]] = one
-        unit[x] = v
-
-    comult = {}
-    counit = {}
-    for x in X:
-        for y in X:
-            d = dims[(x, y)]
-            t = [[[zero] * d for _ in range(d)] for _ in range(d)]
-            for i in range(d):
-                t[i][i][i] = one
-            comult[(x, y)] = t
-            counit[(x, y)] = [one] * d
-
-    antipode = {}
-    for x in X:
-        for y in X:
-            dxy, dyx = dims[(x, y)], dims[(y, x)]
-            m = [[zero] * dxy for _ in range(dyx)]
-            for i, f in enumerate(basis[(x, y)]):
-                m[index[(y, x)][g.inverses[f]]][i] = one
-            antipode[(x, y)] = m
-
+    index = {key: {m: i for i, m in enumerate(ms)}
+             for key, ms in basis.items()}
+    dims = {key: len(ms) for key, ms in basis.items()}
+    mult = {(x, y, z): tensor(
+        zero, (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
+        (((i, j, index[(x, z)][g.compose[(f, h)]]), one)
+         for i, f in enumerate(basis[(x, y)])
+         for j, h in enumerate(basis[(y, z)])))
+        for x in X for y in X for z in X}
+    unit = {x: tensor(zero, (dims[(x, x)],),
+                      [((index[(x, x)][g.identities[x]],), one)])
+            for x in X}
+    comult = {key: tensor(zero, (d, d, d), (((i, i, i), one)
+                                             for i in range(d)))
+              for key, d in dims.items()}
+    counit = {key: tensor(zero, (d,), (((i,), one) for i in range(d)))
+              for key, d in dims.items()}
+    # S(f) = f⁻¹, stored transposed: antipode[(x, y)][index of f⁻¹][f]
+    antipode = {(x, y): tensor(
+        zero, (dims[(y, x)], dims[(x, y)]),
+        (((index[(y, x)][g.inverses[f]], i), one)
+         for i, f in enumerate(basis[(x, y)])))
+        for x in X for y in X}
     return HopfCatData(field, X, dims, mult, unit, comult, counit, antipode)
 
 

@@ -28,7 +28,7 @@ from . import sparse as sp
 from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
 from .report import Report, check_map_equal
-from .schema import LAYOUTS, check_shape, reshaped
+from .schema import LAYOUTS, check_shape, reshaped, tensor
 
 
 class BaseMismatchError(ValueError):
@@ -134,10 +134,16 @@ def regular_comodule(c: DualHopfCatData) -> ComoduleData:
 
 def unit_module(a: HopfCatData, side: str = "left") -> ModuleData:
     """All hom components one-dimensional, acted on through the counit."""
-    X, eps = a.objects, a.counit
-    action = {(x, y, z): [[[e]] for e in eps[(x, y)]] if side == "left"
-              else [[[e] for e in eps[(y, z)]]]
-              for x in X for y in X for z in X}
+    X, f = a.objects, a.field
+    eps = sp.vectors(f, a.counit)
+
+    def act(x, y, z):   # h·1 = ε(h)·1 on the left, 1·h = ε(h)·1 on the right
+        if side == "left":
+            return tensor(f.zero, (a.dim(x, y), 1, 1), (
+                ((i, 0, 0), f.lift(e)) for i, e in eps[(x, y)].items()))
+        return tensor(f.zero, (1, a.dim(y, z), 1), (
+            ((0, i, 0), f.lift(e)) for i, e in eps[(y, z)].items()))
+    action = {(x, y, z): act(x, y, z) for x in X for y in X for z in X}
     return ModuleData(a, side, {(x, y): 1 for x in X for y in X}, action)
 
 
@@ -183,14 +189,14 @@ def diagonal_action(f, act1, act2, delta, factors, dims,
     of act1 and act2: the right side of ``sparse.comult_mult`` with U⊗V
     split as itself."""
     du, dv = factors
-    one, zero, lift = f.raw(f.one), f.raw(f.zero), f.lift
+    one = f.raw(f.one)
     split = [{i // dv: {i % dv: one}} for i in range(du * dv)]
     legs = (delta, split) if left else (split, delta)
     n, width = len(legs[0]), len(legs[1])
     _, rhs = sp.comult_mult(f, [{}] * n, [], *legs, act1, act2, dims)
-    return [[[lift(col.get(k, zero)) for k in range(rhs.rows)]
-             for col in rhs.columns[i * width:(i + 1) * width]]
-            for i in range(n)]
+    return tensor(f.zero, (n, width, rhs.rows), (
+        ((c // width, c % width, k), f.lift(v))
+        for c, col in enumerate(rhs.columns) for k, v in col.items()))
 
 
 def tensor_modules(m: ModuleData, n: ModuleData) -> ModuleData:

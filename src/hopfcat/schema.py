@@ -24,13 +24,17 @@ tensors against them.  Headers that are not slots (``antipode``, ``base``,
 ``side``, ``gmul``, ``block``) are handled by the reader and writer.
 
 This module also owns the storage layout, nested lists of rank 1 to 3:
-``zeros`` allocates a tensor and ``place`` / ``reshaped`` move the nonzero
-entries of one tensor to the positions a function of their indices names.
-Every construction that re-indexes existing structure constants goes
-through them: duals and opposites, packing, the module↔comodule maps, the
-free Hopf module, the module tensor product, and the matrix builders
-(``linalg.bilinear_map`` and ``linalg.split_map``).  ``sparse``'s readers
-(``tensors``, ``vectors``, ``columns``) turn the lists into sparse form.
+``zeros`` allocates a tensor, ``tensor`` builds one from its entries, and
+``place`` / ``reshaped`` move the nonzero entries of one tensor to the
+positions a function of their indices names.  Every structure tensor made
+from scratch goes through ``tensor``: linearized groupoids, the stock
+fixtures, the unit module and the actions of the tensor-product, canonical
+and dual Hopf modules.  Every construction that re-indexes existing
+structure constants goes through ``place`` / ``reshaped``: duals and
+opposites, packing, the module↔comodule maps, the free Hopf module, and the
+matrix builders (``linalg.bilinear_map`` and ``linalg.split_map``).
+``sparse``'s readers (``tensors``, ``vectors``, ``columns``) turn the lists
+into sparse form.
 """
 
 from __future__ import annotations
@@ -116,6 +120,23 @@ def _put(t, idx, v):
     for i in idx[:-1]:
         t = t[i]
     t[idx[-1]] = v
+
+
+def tensor(zero, shape, entries):
+    """The nested lists of ``shape`` (of rank 1 to 3) holding ``v`` at
+    ``idx`` for each ``(idx, v)`` of ``entries`` and ``zero`` elsewhere:
+    every structure tensor built from scratch comes from here."""
+    t = zeros(zero, shape)
+    if len(shape) == 1:
+        for (i,), v in entries:
+            t[i] = v
+    elif len(shape) == 2:
+        for (i, j), v in entries:
+            t[i][j] = v
+    else:
+        for (i, j, k), v in entries:
+            t[i][j][k] = v
+    return t
 
 
 def place(out, t, rank: int, where):

@@ -14,7 +14,9 @@ equivalence after those for their raw-row and sparse-column rewrites; the
 sampled weak Hopf verifier after them plays the same part
 for ``weak.verify_weak_hopf``, the hand-written re-indexing loops after it
 (duals, opposites, packing, module↔comodule, free and tensor modules) for
-the same constructions on ``schema.reshaped``, the row reduction on public
+the same constructions on ``schema.reshaped``, the hand-filled
+constructors after them (groupoid linearization, kZ/n and the Taft algebra)
+for the same constructors on ``schema.tensor``, the row reduction on public
 scalars for ``linalg``'s row reduction on raw ones, and the per-kind
 parsers at the end for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
 is the per-column comparison that ``report.check_map_equal`` ran before it
@@ -36,7 +38,8 @@ from hopfcat.fileformat import (FORMAT_VERSION, KINDS, KindMismatchError,
 from hopfcat.fundamental import (AntipodeRecoveryError, CoinvariantFamily,
                                  HopfModuleData, RecoveryFailure)
 from hopfcat.graded import GradedHopfData, GroupTable
-from hopfcat.groupoid import GroupoidData
+from hopfcat.fixtures import singleton_hopf
+from hopfcat.groupoid import GroupoidData, validate_groupoid
 from hopfcat.linalg import (LinMap, NotInvertible, invert, rank, rank_kernel,
                             solve, swap_map)
 from hopfcat.modules import BaseMismatchError, ComoduleData, ModuleData
@@ -1664,6 +1667,115 @@ def reference_free_hopf_module(a, ndims):
                                     p[i * dxy + b][j][i * dxu + k] = mt[b][j][k]
                 action[(x, y, u)] = p
     return HopfModuleData(a, dims, action, coaction)
+
+
+# The constructors as they were before they built their tensors through
+# ``schema.tensor``: hand-allocated nested lists filled entry by entry.
+# Kept only as references for differential tests.
+
+def reference_linearize_groupoid(g, field):
+    """Reference for ``groupoid.linearize_groupoid``."""
+    validate_groupoid(g)
+    X = g.objects
+    zero, one = field.zero, field.one
+    basis = {(x, y): g.hom(x, y) for x in X for y in X}
+    index = {(x, y): {m: i for i, m in enumerate(basis[(x, y)])}
+             for x in X for y in X}
+    dims = {(x, y): len(basis[(x, y)]) for x in X for y in X}
+
+    mult = {}
+    for x in X:
+        for y in X:
+            for z in X:
+                d1, d2, d3 = dims[(x, y)], dims[(y, z)], dims[(x, z)]
+                t = [[[zero] * d3 for _ in range(d2)] for _ in range(d1)]
+                for i, f in enumerate(basis[(x, y)]):
+                    for j, h in enumerate(basis[(y, z)]):
+                        k = index[(x, z)][g.compose[(f, h)]]
+                        t[i][j][k] = one
+                mult[(x, y, z)] = t
+
+    unit = {}
+    for x in X:
+        v = [zero] * dims[(x, x)]
+        v[index[(x, x)][g.identities[x]]] = one
+        unit[x] = v
+
+    comult = {}
+    counit = {}
+    for x in X:
+        for y in X:
+            d = dims[(x, y)]
+            t = [[[zero] * d for _ in range(d)] for _ in range(d)]
+            for i in range(d):
+                t[i][i][i] = one
+            comult[(x, y)] = t
+            counit[(x, y)] = [one] * d
+
+    antipode = {}
+    for x in X:
+        for y in X:
+            dxy, dyx = dims[(x, y)], dims[(y, x)]
+            m = [[zero] * dxy for _ in range(dyx)]
+            for i, f in enumerate(basis[(x, y)]):
+                m[index[(y, x)][g.inverses[f]]][i] = one
+            antipode[(x, y)] = m
+
+    return HopfCatData(field, X, dims, mult, unit, comult, counit, antipode)
+
+
+def reference_group_algebra(field, n):
+    """Reference for ``fixtures.group_algebra``."""
+    zero, one = field.zero, field.one
+    mult = [[[one if k == (i + j) % n else zero for k in range(n)]
+             for j in range(n)] for i in range(n)]
+    unit = [one if i == 0 else zero for i in range(n)]
+    comult = [[[one if i == j == k else zero for k in range(n)]
+               for j in range(n)] for i in range(n)]
+    counit = [one] * n
+    antipode = [[one if j == (-i) % n else zero for i in range(n)]
+                for j in range(n)]
+    return singleton_hopf(field, n, mult, unit, comult, counit, antipode)
+
+
+def reference_taft_four_dim(field):
+    """Reference for ``fixtures.taft_four_dim``."""
+    zero, one = field.zero, field.one
+
+    def scal(n: int):
+        return field.of(n)
+
+    d = 4  # basis order: 1, g, x, w (w = gx)
+    mult = [[[zero] * d for _ in range(d)] for _ in range(d)]
+
+    def set_prod(i, j, k, coeff=1):
+        mult[i][j][k] = scal(coeff)
+
+    I, G, Xx, W = 0, 1, 2, 3
+    table = {
+        (I, I): (I, 1), (I, G): (G, 1), (I, Xx): (Xx, 1), (I, W): (W, 1),
+        (G, I): (G, 1), (G, G): (I, 1), (G, Xx): (W, 1), (G, W): (Xx, 1),
+        (Xx, I): (Xx, 1), (Xx, G): (W, -1), (W, I): (W, 1), (W, G): (Xx, -1),
+    }
+    for (i, j), (k, c) in table.items():
+        set_prod(i, j, k, c)
+    # x·x = x·w = w·x = w·w = 0 (left unset)
+
+    unit = [one, zero, zero, zero]
+    comult = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    comult[I][I][I] = one
+    comult[G][G][G] = one
+    comult[Xx][I][Xx] = one   # x ↦ 1⊗x + x⊗g
+    comult[Xx][Xx][G] = one
+    comult[W][G][W] = one     # w ↦ g⊗w + w⊗1
+    comult[W][W][I] = one
+    counit = [one, one, zero, zero]
+    antipode = [[zero] * d for _ in range(d)]  # S: 1↦1, g↦g, x↦w, w↦-x
+    antipode[I][I] = one
+    antipode[G][G] = one
+    antipode[W][Xx] = one
+    antipode[Xx][W] = -one
+    return singleton_hopf(field, d, mult, unit, comult, counit, antipode)
 
 
 # Row reduction as it was before it moved onto raw scalars: one body on the

@@ -197,6 +197,38 @@ def test_module_over_a_base_of_another_field(fixture_dir, tmp_path, capsys,
     assert "line 3: base 'kz2" in capsys.readouterr().err
 
 
+def test_a_base_file_error_names_the_base_file(fixture_dir, tmp_path,
+                                               capsys):
+    lines = open(fx(fixture_dir, "kz2")).read().splitlines(keepends=True)
+    assert lines[5] == "dim * * 2\n"
+    lines[5] = "dim * * x\n"
+    (tmp_path / "kz2.hc").write_text("".join(lines))
+    module = tmp_path / "kz2_regular_module.hc"
+    module.write_text(open(fx(fixture_dir, "kz2_regular_module")).read())
+    capsys.readouterr()
+    assert main(["--quiet", "verify", str(module)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'kz2.hc'}: line 6: bad integer 'x'\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("base kz2", "base nowhere"), "cannot resolve base 'nowhere'"),
+    (("field q", "field fp:5"), "line 3: base 'kz2' is over field"),
+    (("objects *", "objects a"), "base 'kz2' has objects"),
+])
+def test_a_module_file_error_names_the_module_file(fixture_dir, tmp_path,
+                                                   capsys, edit, message):
+    save(str(tmp_path / "kz2.hc"), load(fx(fixture_dir, "kz2")))
+    module = tmp_path / "kz2_regular_module.hc"
+    text = open(fx(fixture_dir, "kz2_regular_module")).read()
+    assert edit[0] + "\n" in text
+    module.write_text(text.replace(edit[0] + "\n", edit[1] + "\n", 1))
+    capsys.readouterr()
+    assert main(["--quiet", "verify", str(module)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {module}: ") and message in err
+
+
 def test_verify_report_and_manifest(fixture_dir, tmp_path):
     rep = str(tmp_path / "r.jsonl")
     assert main(["--quiet", "--report", rep, "verify",

@@ -9,7 +9,7 @@ from hopfcat.core import MalformedDataError
 from hopfcat.fileformat import kind_of, load, parse, serialize
 from hopfcat.graded import GradedHopfData, GroupTable
 from hopfcat.scalars import QQ
-from hopfcat.schema import LAYOUTS, place, reshaped, zeros
+from hopfcat.schema import LAYOUTS, place, reshaped, tensor, zeros
 
 # one fixture of every kind that carries scalars
 FIXTURES = {
@@ -153,3 +153,35 @@ def test_a_zero_length_factor_keeps_the_other_sizes():
     assert reshaped([], 3, (3, 2, 0), 0, lambda i, j, k: (k, j, i)) == \
         [[[], []], [[], []], [[], []]]
     assert reshaped([], 2, (4,), 0, lambda i, j: (i,)) == [0] * 4
+
+
+# -- the constructor primitive ---------------------------------------------------------
+
+def test_tensor_places_each_entry_over_zero():
+    assert tensor(0, (3,), [((2,), 7), ((0,), 5)]) == [5, 0, 7]
+    assert tensor(0, (2, 3), [((1, 2), 4), ((0, 0), 1)]) == \
+        [[1, 0, 0], [0, 0, 4]]
+    assert tensor(0, (2, 2, 2), [((0, 0, 0), 1), ((0, 1, 1), 2),
+                                 ((1, 1, 0), 3)]) == \
+        [[[1, 0], [0, 2]], [[0, 0], [3, 0]]]
+    # a later entry at the same index wins; no entries is the zero tensor
+    assert tensor(0, (2,), [((1,), 1), ((1,), 9)]) == [0, 9]
+    assert tensor(0, (2, 1, 2), []) == zeros(0, (2, 1, 2))
+
+
+def test_tensor_rows_are_not_shared():
+    t = tensor(0, (2, 2, 2), [((0, 0, 0), 1)])
+    assert t[1] == [[0, 0], [0, 0]] and t[0][1] is not t[1][1]
+    assert t[0][0] is not t[0][1]
+
+
+@pytest.mark.parametrize("shape, stored", [
+    ((0,), []),
+    ((0, 3), []), ((2, 0), [[], []]),
+    ((0, 2, 3), []), ((2, 0, 3), [[], []]), ((2, 3, 0), [[[]] * 3] * 2),
+    ((0, 0, 0), []), ((1, 0, 0), [[]]),
+])
+def test_tensor_with_a_zero_length_factor(shape, stored):
+    # no index exists, so there is nothing to place: the empty lists keep
+    # the sizes of the factors before the first empty one
+    assert tensor(0, shape, []) == stored == zeros(0, shape)
