@@ -73,8 +73,7 @@ def _write_report(report: Report, args, command: str, path: str, obj):
             "report": args.report,
         }
         with open(args.report + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _verify_any(obj, args) -> tuple[Report, bool]:

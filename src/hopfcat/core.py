@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 from . import sparse as sp
 from .linalg import (LinMap, NotInvertible, _rref, bilinear_map, invert,
                      split_map)
-from .report import (Report, PreconditionError, check_condition,
-                     check_map_equal)
+from .report import Instances, Report, PreconditionError, check_condition
 from .scalars import Field
 from .schema import LAYOUTS, MalformedDataError, check_shape, reshaped
 
@@ -102,87 +101,82 @@ class HopfCatData:
         return replace(self, antipode=antipode)
 
 
-class _Tensors:
-    """Sparse views of a ``HopfCatData``'s structure constants, read once per
-    verifier call, and both sides of each derived antipode identity as
-    ``SparseMap`` pairs (the axioms themselves are the shared laws of
-    ``sparse``).
+class _Tensors(Instances):
+    """The axiom instances of one verifier call (``report.Instances``) and
+    the sparse views of a ``HopfCatData``'s structure constants they read,
+    interned once per call."""
 
-    Each side is evaluated on each domain basis element in turn, flattened as
-    the matrix form of the identity would be, so a column here is the column
-    of the same index there.  Terms are summed only over nonzero constants.
-    """
-
-    def __init__(self, a: HopfCatData):
+    def __init__(self, a: HopfCatData, report: Report):
+        super().__init__(report)
         f = a.field
         self.field = f
         self.dims = a.dims
-        self.mult = sp.tensors(f, a.mult)
-        self.comult = sp.tensors(f, a.comult)
-        self.unit = sp.vectors(f, a.unit)
-        self.counit = sp.vectors(f, a.counit)
-        self.antipode = None if a.antipode is None else {
+        self.mult = self.intern(sp.tensors(f, a.mult))
+        self.comult = self.intern(sp.tensors(f, a.comult))
+        self.unit = self.intern(sp.vectors(f, a.unit))
+        self.counit = self.intern(sp.vectors(f, a.counit))
+        self.antipode = None if a.antipode is None else self.intern({
             (x, y): sp.columns(f, a.antipode[(x, y)], a.dims[(x, y)])
-            for x in a.objects for y in a.objects}
+            for x in a.objects for y in a.objects})
 
-    def pair(self, rows: int, lhs: list, rhs: list):
-        return (sp.SparseMap(self.field, rows, lhs),
-                sp.SparseMap(self.field, rows, rhs))
-
-    def antipode_law(self, x, y, s_first: bool, flip: bool = False):
+    def antipode_law(self, axiom: str, x, y, s_first: bool,
+                     flip: bool = False, required: bool = True) -> bool:
         """Σ S(h1)·h2 (s_first, in A(y,y)) or Σ h1·S(h2) (in A(x,x)) over
         Δe_i = Σ h1⊗h2, legs flipped first when ``flip``, against ε(e_i)·1."""
         target = y if s_first else x
         m = self.mult[(y, x, y)] if s_first else self.mult[(x, y, x)]
-        return sp.antipode_law(self.field, self.comult[(x, y)],
-                               self.antipode[(x, y)], m, self.unit[target],
-                               self.counit[(x, y)], s_first=s_first,
-                               rows=self.dims[(target, target)], flip=flip)
+        return self.check(axiom, (x, y), sp.antipode_law, self.field,
+                          self.comult[(x, y)], self.antipode[(x, y)], m,
+                          self.unit[target], self.counit[(x, y)], s_first,
+                          self.dims[(target, target)], flip,
+                          required=required)
 
-    def antimult(self, x, y, z):
-        """S(e_i e_j) against S(e_j) S(e_i)."""
-        m, m_op = self.mult[(x, y, z)], self.mult[(z, y, x)]
-        s_xz = self.antipode[(x, z)]
-        s_yz, s_xy = self.antipode[(y, z)], self.antipode[(x, y)]
-        lhs, rhs = [], []
-        for i, m_i in enumerate(m):
-            for j, s_j in enumerate(s_yz):
-                lhs.append(sp.apply(s_xz, m_i.get(j, {})))
-                rhs.append(sp.product(m_op, s_j, s_xy[i]))
-        return self.pair(self.dims[(z, x)], lhs, rhs)
 
-    def antipode_unit(self, x):
-        unit = self.unit[x]
-        return self.pair(self.dims[(x, x)],
-                         [sp.apply(self.antipode[(x, x)], unit)], [unit])
+# The derived antipode identities, both sides of each as a ``SparseMap``
+# pair: each side is evaluated on each domain basis element in turn,
+# flattened as the matrix form of the identity would be, so a column here is
+# the column of the same index there.  Terms are summed only over nonzero
+# constants.  S is in column form.
 
-    def anticomult(self, x, y):
-        """Δ(S e_i) against (S⊗S)τΔ(e_i), into A(y,x)^⊗2."""
-        s = self.antipode[(x, y)]
-        d = self.dims[(y, x)]
-        flat = sp.flatten_pairs(self.comult[(y, x)], d)
-        lhs, rhs = [], []
-        for i, fibres in enumerate(self.comult[(x, y)]):
-            lhs.append(sp.apply(flat, s[i]))
-            acc = {}
-            for j, fibre in fibres.items():
-                for k, c in fibre.items():
-                    sp.add_tensor(acc, {p: c * v for p, v in s[k].items()},
-                                  s[j], d)
-            rhs.append(sp.nonzero(acc))
-        return self.pair(d * d, lhs, rhs)
+def _antimult(f, m, m_op, s_xz, s_yz, s_xy, rows: int):
+    """S(e_i e_j) against S(e_j) S(e_i), for m: A(x,y)⊗A(y,z) → A(x,z)
+    and m_op: A(z,y)⊗A(y,x) → A(z,x) of dimension rows."""
+    lhs, rhs = [], []
+    for i, m_i in enumerate(m):
+        for j, s_j in enumerate(s_yz):
+            lhs.append(sp.apply(s_xz, m_i.get(j, {})))
+            rhs.append(sp.product(m_op, s_j, s_xy[i]))
+    return sp.SparseMap(f, rows, lhs), sp.SparseMap(f, rows, rhs)
 
-    def antipode_counit(self, x, y):
-        s = self.antipode[(x, y)]
-        eps, eps_op = self.counit[(x, y)], self.counit[(y, x)]
-        return self.pair(1, [sp.pairing(col, eps_op) for col in s],
-                         [sp.pairing(e, eps)
-                          for e in sp.identity(self.field, len(s))])
 
-    def involutive(self, x, y):
-        s, s_op = self.antipode[(x, y)], self.antipode[(y, x)]
-        return self.pair(len(s), [sp.apply(s_op, col) for col in s],
-                         sp.identity(self.field, len(s)))
+def _antipode_unit(f, s, unit: dict, d: int):
+    return sp.SparseMap(f, d, [sp.apply(s, unit)]), sp.SparseMap(f, d, [unit])
+
+
+def _anticomult(f, s, delta, delta_op, d: int):
+    """Δ(S e_i) against (S⊗S)τΔ(e_i), into A(y,x)^⊗2 with d = dim A(y,x)."""
+    flat = sp.flatten_pairs(delta_op, d)
+    lhs, rhs = [], []
+    for i, fibres in enumerate(delta):
+        lhs.append(sp.apply(flat, s[i]))
+        acc = {}
+        for j, fibre in fibres.items():
+            for k, c in fibre.items():
+                sp.add_tensor(acc, {p: c * v for p, v in s[k].items()},
+                              s[j], d)
+        rhs.append(sp.nonzero(acc))
+    return sp.SparseMap(f, d * d, lhs), sp.SparseMap(f, d * d, rhs)
+
+
+def _antipode_counit(f, s, eps: dict, eps_op: dict):
+    return (sp.SparseMap(f, 1, [sp.pairing(col, eps_op) for col in s]),
+            sp.SparseMap(f, 1, [sp.pairing(e, eps)
+                                for e in sp.identity(f, len(s))]))
+
+
+def _involutive(f, s, s_op):
+    return (sp.SparseMap(f, len(s), [sp.apply(s_op, col) for col in s]),
+            sp.SparseMap(f, len(s), sp.identity(f, len(s))))
 
 
 def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
@@ -201,50 +195,51 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
         raise MissingAntipodeError("level 'hopf' requires an antipode")
     rep = Report()
     X, f, dims = a.objects, a.field, a.dims
-    t = _Tensors(a)
-    mult, unit, comult, counit = t.mult, t.unit, t.comult, t.counit
+    t = _Tensors(a, rep)
+    check, mult, unit, comult, counit = (t.check, t.mult, t.unit, t.comult,
+                                         t.counit)
 
     for x in X:
         for y in X:
             for z in X:
                 for w in X:
-                    check_map_equal(rep, "assoc", (x, y, z, w), *sp.assoc(
-                        f, mult[(x, y, z)], mult[(x, z, w)], mult[(y, z, w)],
-                        mult[(x, y, w)], dims[(z, w)], dims[(x, w)]))
+                    check("assoc", (x, y, z, w), sp.assoc, f,
+                          mult[(x, y, z)], mult[(x, z, w)], mult[(y, z, w)],
+                          mult[(x, y, w)], dims[(z, w)], dims[(x, w)])
     for x in X:
         for y in X:
-            check_map_equal(rep, "unit-left", (x, y), *sp.unit_law(
-                f, mult[(x, x, y)], unit[x], dims[(x, y)], left=True))
-            check_map_equal(rep, "unit-right", (x, y), *sp.unit_law(
-                f, mult[(x, y, y)], unit[y], dims[(x, y)], left=False))
+            check("unit-left", (x, y), sp.unit_law, f, mult[(x, x, y)],
+                  unit[x], dims[(x, y)], True)
+            check("unit-right", (x, y), sp.unit_law, f, mult[(x, y, y)],
+                  unit[y], dims[(x, y)], False)
     if level == "category":
         return rep
 
     for x in X:
         for y in X:
             d, delta = dims[(x, y)], comult[(x, y)]
-            check_map_equal(rep, "coassoc", (x, y), *sp.coassoc(
-                f, delta, delta, delta, delta, (d, d, d)))
-            check_map_equal(rep, "counit-left", (x, y), *sp.counit_law(
-                f, delta, counit[(x, y)], left=True))
-            check_map_equal(rep, "counit-right", (x, y), *sp.counit_law(
-                f, delta, counit[(x, y)], left=False))
+            check("coassoc", (x, y), sp.coassoc, f, delta, delta, delta,
+                  delta, (d, d, d))
+            check("counit-left", (x, y), sp.counit_law, f, delta,
+                  counit[(x, y)], True)
+            check("counit-right", (x, y), sp.counit_law, f, delta,
+                  counit[(x, y)], False)
     for x in X:
         for y in X:
             for z in X:
                 m = mult[(x, y, z)]
-                check_map_equal(rep, "comult-mult", (x, y, z), *sp.comult_mult(
-                    f, m, comult[(x, z)], comult[(x, y)], comult[(y, z)], m,
-                    m, (dims[(x, z)], dims[(x, z)])))
-                check_map_equal(rep, "counit-mult", (x, y, z), *sp.counit_mult(
-                    f, m, counit[(x, z)], counit[(x, y)], counit[(y, z)],
-                    dims[(y, z)]))
+                check("comult-mult", (x, y, z), sp.comult_mult, f, m,
+                      comult[(x, z)], comult[(x, y)], comult[(y, z)], m, m,
+                      (dims[(x, z)], dims[(x, z)]))
+                check("counit-mult", (x, y, z), sp.counit_mult, f, m,
+                      counit[(x, z)], counit[(x, y)], counit[(y, z)],
+                      dims[(y, z)])
     for x in X:
-        check_map_equal(rep, "comult-unit", (x,), *sp.comult_unit(
-            f, comult[(x, x)], unit[x], unit[x], unit[x],
-            (dims[(x, x)], dims[(x, x)])))
-        check_map_equal(rep, "counit-unit", (x,),
-                        *sp.counit_unit(f, unit[x], counit[(x, x)]))
+        d = dims[(x, x)]
+        check("comult-unit", (x,), sp.comult_unit, f, comult[(x, x)],
+              unit[x], unit[x], unit[x], (d, d))
+        check("counit-unit", (x,), sp.counit_unit, f, unit[x],
+              counit[(x, x)])
     if level == "semihopf":
         return rep
     return _check_antipode_laws(a, rep, t)
@@ -253,14 +248,13 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
 def _check_antipode_laws(a: HopfCatData, rep: Report,
                          t: _Tensors | None = None) -> Report:
     """Append both antipode identities of ``a`` to ``rep``, its report at
-    level 'semihopf', making it the report at level 'hopf'."""
-    t = t or _Tensors(a)
+    level 'semihopf', making it the report at level 'hopf'; ``t`` is the
+    calling verifier's instances of ``a`` on ``rep``."""
+    t = t or _Tensors(a, rep)
     for x in a.objects:
         for y in a.objects:
-            check_map_equal(rep, "antipode-left", (x, y),
-                            *t.antipode_law(x, y, s_first=False))
-            check_map_equal(rep, "antipode-right", (x, y),
-                            *t.antipode_law(x, y, s_first=True))
+            t.antipode_law("antipode-left", x, y, s_first=False)
+            t.antipode_law("antipode-right", x, y, s_first=True)
     return rep
 
 
@@ -290,39 +284,37 @@ def check_antipode_theorems(a: HopfCatData,
     _require(a, "hopf", base,
              "antipode theorems need data that passes level 'hopf'")
     rep = Report()
-    X = a.objects
-    t = _Tensors(a)
+    X, f, dims = a.objects, a.field, a.dims
+    t = _Tensors(a, rep)
+    check, mult, s = t.check, t.mult, t.antipode
 
     for x in X:
         for y in X:
             for z in X:
-                check_map_equal(rep, "antipode-antimult", (x, y, z),
-                                *t.antimult(x, y, z))
+                check("antipode-antimult", (x, y, z), _antimult, f,
+                      mult[(x, y, z)], mult[(z, y, x)], s[(x, z)],
+                      s[(y, z)], s[(x, y)], dims[(z, x)])
     for x in X:
-        check_map_equal(rep, "antipode-unit", (x,), *t.antipode_unit(x))
+        check("antipode-unit", (x,), _antipode_unit, f, s[(x, x)],
+              t.unit[x], dims[(x, x)])
     for x in X:
         for y in X:
-            check_map_equal(rep, "antipode-anticomult", (x, y),
-                            *t.anticomult(x, y))
-            check_map_equal(rep, "antipode-counit", (x, y),
-                            *t.antipode_counit(x, y))
+            check("antipode-anticomult", (x, y), _anticomult, f, s[(x, y)],
+                  t.comult[(x, y)], t.comult[(y, x)], dims[(y, x)])
+            check("antipode-counit", (x, y), _antipode_counit, f, s[(x, y)],
+                  t.counit[(x, y)], t.counit[(y, x)])
 
     # The three equivalent conditions.  Whether they hold is a property of
     # the instance, not an axiom, so they are recorded as measurements; only
     # their pairwise agreement is a hard check.
     for x in X:
         for y in X:
-            c1 = check_map_equal(
-                rep, "antipode-left-twisted", (x, y),
-                *t.antipode_law(x, y, s_first=True, flip=True),
-                required=False)
-            c2 = check_map_equal(
-                rep, "antipode-right-twisted", (x, y),
-                *t.antipode_law(x, y, s_first=False, flip=True),
-                required=False)
-            c3 = check_map_equal(
-                rep, "antipode-involutive", (x, y), *t.involutive(x, y),
-                required=False)
+            c1 = t.antipode_law("antipode-left-twisted", x, y, s_first=True,
+                                flip=True, required=False)
+            c2 = t.antipode_law("antipode-right-twisted", x, y,
+                                s_first=False, flip=True, required=False)
+            c3 = check("antipode-involutive", (x, y), _involutive, f,
+                       s[(x, y)], s[(y, x)], required=False)
             check_condition(
                 rep, "antipode-conditions-agree", (x, y),
                 c1 == c2 == c3,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from . import sparse as sp
 from .core import HopfCatData
-from .report import Report, check_map_equal
+from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape, reshaped
 
@@ -62,70 +62,66 @@ def verify_dual(c: DualHopfCatData) -> Report:
     being algebra maps, and — if present — both dual antipode identities."""
     c.validate_shape()
     rep = Report()
-    X, f, dims = c.objects, c.field, c.dims
-    alg, unit = sp.tensors(f, c.alg), sp.vectors(f, c.unit)
-    cocomp, counit = sp.tensors(f, c.cocomp), sp.vectors(f, c.counit)
+    inst = Instances(rep)
+    X, f, dims, check = c.objects, c.field, c.dims, inst.check
+    alg, cocomp = (inst.intern(sp.tensors(f, t)) for t in (c.alg, c.cocomp))
+    unit, counit = (inst.intern(sp.vectors(f, v)) for v in (c.unit, c.counit))
 
     for x in X:
         for y in X:
             m, d = alg[(x, y)], dims[(x, y)]
-            check_map_equal(rep, "alg-assoc", (x, y),
-                            *sp.assoc(f, m, m, m, m, d, d))
-            check_map_equal(rep, "alg-unit-left", (x, y),
-                            *sp.unit_law(f, m, unit[(x, y)], d, left=True))
-            check_map_equal(rep, "alg-unit-right", (x, y),
-                            *sp.unit_law(f, m, unit[(x, y)], d, left=False))
+            check("alg-assoc", (x, y), sp.assoc, f, m, m, m, m, d, d)
+            check("alg-unit-left", (x, y), sp.unit_law, f, m, unit[(x, y)],
+                  d, True)
+            check("alg-unit-right", (x, y), sp.unit_law, f, m, unit[(x, y)],
+                  d, False)
 
     for x in X:
         for y in X:
             for z in X:
                 for u in X:
-                    check_map_equal(
-                        rep, "cocomp-coassoc", (x, y, z, u), *sp.coassoc(
-                            f, cocomp[(x, z, u)], cocomp[(x, y, z)],
-                            cocomp[(x, y, u)], cocomp[(y, z, u)],
-                            (dims[(x, y)], dims[(y, z)], dims[(z, u)])))
+                    check("cocomp-coassoc", (x, y, z, u), sp.coassoc, f,
+                          cocomp[(x, z, u)], cocomp[(x, y, z)],
+                          cocomp[(x, y, u)], cocomp[(y, z, u)],
+                          (dims[(x, y)], dims[(y, z)], dims[(z, u)]))
     for x in X:
         for y in X:
-            check_map_equal(rep, "cocomp-counit-left", (x, y), *sp.counit_law(
-                f, cocomp[(x, x, y)], counit[x], left=True))
-            check_map_equal(rep, "cocomp-counit-right", (x, y),
-                            *sp.counit_law(f, cocomp[(x, y, y)], counit[y],
-                                           left=False))
+            check("cocomp-counit-left", (x, y), sp.counit_law, f,
+                  cocomp[(x, x, y)], counit[x], True)
+            check("cocomp-counit-right", (x, y), sp.counit_law, f,
+                  cocomp[(x, y, y)], counit[y], False)
 
     for x in X:
         for y in X:
             for z in X:
                 # cocomposition is an algebra map into the componentwise
                 # product on C(x,y)⊗C(y,z)
-                cc = cocomp[(x, y, z)]
-                check_map_equal(rep, "cocomp-mult", (x, y, z), *sp.comult_mult(
-                    f, alg[(x, z)], cc, cc, cc, alg[(x, y)], alg[(y, z)],
-                    (dims[(x, y)], dims[(y, z)])))
-                check_map_equal(rep, "cocomp-unit", (x, y, z), *sp.comult_unit(
-                    f, cc, unit[(x, z)], unit[(x, y)], unit[(y, z)],
-                    (dims[(x, y)], dims[(y, z)])))
+                cc, dims2 = cocomp[(x, y, z)], (dims[(x, y)], dims[(y, z)])
+                check("cocomp-mult", (x, y, z), sp.comult_mult, f,
+                      alg[(x, z)], cc, cc, cc, alg[(x, y)], alg[(y, z)],
+                      dims2)
+                check("cocomp-unit", (x, y, z), sp.comult_unit, f, cc,
+                      unit[(x, z)], unit[(x, y)], unit[(y, z)], dims2)
     for x in X:
-        check_map_equal(rep, "counit-mult", (x,), *sp.counit_mult(
-            f, alg[(x, x)], counit[x], counit[x], counit[x], dims[(x, x)]))
-        check_map_equal(rep, "counit-unit", (x,),
-                        *sp.counit_unit(f, unit[(x, x)], counit[x]))
+        check("counit-mult", (x,), sp.counit_mult, f, alg[(x, x)],
+              counit[x], counit[x], counit[x], dims[(x, x)])
+        check("counit-unit", (x,), sp.counit_unit, f, unit[(x, x)],
+              counit[x])
 
     if c.antipode is not None:
         # S(x,y): C(y,x) → C(x,y), in column form
-        s = {(x, y): sp.columns(f, c.antipode[(x, y)], dims[(y, x)])
-             for x in X for y in X}
+        s = inst.intern({(x, y): sp.columns(f, c.antipode[(x, y)],
+                                            dims[(y, x)])
+                         for x in X for y in X})
         for x in X:
             for y in X:
                 cc = cocomp[(x, y, x)]   # C(x,x) → C(x,y)⊗C(y,x)
-                check_map_equal(
-                    rep, "dual-antipode-left", (x, y), *sp.antipode_law(
-                        f, cc, s[(x, y)], alg[(x, y)], unit[(x, y)],
-                        counit[x], s_first=False, rows=dims[(x, y)]))
-                check_map_equal(
-                    rep, "dual-antipode-right", (x, y), *sp.antipode_law(
-                        f, cc, s[(y, x)], alg[(y, x)], unit[(y, x)],
-                        counit[x], s_first=True, rows=dims[(y, x)]))
+                check("dual-antipode-left", (x, y), sp.antipode_law, f, cc,
+                      s[(x, y)], alg[(x, y)], unit[(x, y)], counit[x],
+                      False, dims[(x, y)], False)
+                check("dual-antipode-right", (x, y), sp.antipode_law, f, cc,
+                      s[(y, x)], alg[(y, x)], unit[(y, x)], counit[x],
+                      True, dims[(y, x)], False)
     return rep
 
 

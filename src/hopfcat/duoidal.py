@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData, MalformedDataError
 from .linalg import LinMap
-from .report import Report, check_map_equal
+from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
 
@@ -156,55 +156,67 @@ def verify_bimonoid(b: BimonoidData) -> Report:
     side by side over u in object order; the interchange is never built."""
     b.validate_shape()
     rep = Report()
-    f, X, dims = b.field, b.carrier.objects, b.carrier.dims
-    mu, eta = sp.tensors(f, b.mu), sp.vectors(f, b.eta)
-    delta, eps = sp.tensors(f, b.delta), sp.vectors(f, b.eps)
+    inst = Instances(rep)
+    f, X, dims, check = b.field, b.carrier.objects, b.carrier.dims, inst.check
+    mu, delta = (inst.intern(sp.tensors(f, t)) for t in (b.mu, b.delta))
+    eta, eps = (inst.intern(sp.vectors(f, v)) for v in (b.eta, b.eps))
 
     for x in X:
         for u in X:
             for v in X:
                 for y in X:
-                    check_map_equal(
-                        rep, "monoid-assoc", (x, u, v, y), *sp.assoc(
-                            f, mu[(x, u, v)], mu[(x, v, y)], mu[(u, v, y)],
-                            mu[(x, u, y)], dims[(v, y)], dims[(x, y)]))
+                    check("monoid-assoc", (x, u, v, y), sp.assoc, f,
+                          mu[(x, u, v)], mu[(x, v, y)], mu[(u, v, y)],
+                          mu[(x, u, y)], dims[(v, y)], dims[(x, y)])
     for x in X:
         for y in X:
-            check_map_equal(rep, "monoid-unit-left", (x, y), *sp.unit_law(
-                f, mu[(x, x, y)], eta[x], dims[(x, y)], left=True))
-            check_map_equal(rep, "monoid-unit-right", (x, y), *sp.unit_law(
-                f, mu[(x, y, y)], eta[y], dims[(x, y)], left=False))
+            check("monoid-unit-left", (x, y), sp.unit_law, f, mu[(x, x, y)],
+                  eta[x], dims[(x, y)], True)
+            check("monoid-unit-right", (x, y), sp.unit_law, f,
+                  mu[(x, y, y)], eta[y], dims[(x, y)], False)
 
     for x in X:
         for y in X:
             d, dl = dims[(x, y)], delta[(x, y)]
-            check_map_equal(rep, "comonoid-coassoc", (x, y),
-                            *sp.coassoc(f, dl, dl, dl, dl, (d, d, d)))
-            check_map_equal(rep, "comonoid-counit-left", (x, y),
-                            *sp.counit_law(f, dl, eps[(x, y)], left=True))
-            check_map_equal(rep, "comonoid-counit-right", (x, y),
-                            *sp.counit_law(f, dl, eps[(x, y)], left=False))
+            check("comonoid-coassoc", (x, y), sp.coassoc, f, dl, dl, dl, dl,
+                  (d, d, d))
+            check("comonoid-counit-left", (x, y), sp.counit_law, f, dl,
+                  eps[(x, y)], True)
+            check("comonoid-counit-right", (x, y), sp.counit_law, f, dl,
+                  eps[(x, y)], False)
 
     for x in X:
         for y in X:
             d = dims[(x, y)]
-            check_map_equal(
-                rep, "interchange-mult-comult", (x, y), *sp.side_by_side(
-                    f, d * d, (sp.comult_mult(
-                        f, mu[(x, u, y)], delta[(x, y)], delta[(x, u)],
-                        delta[(u, y)], mu[(x, u, y)], mu[(x, u, y)], (d, d))
-                        for u in X)))
-            check_map_equal(
-                rep, "interchange-counit-mult", (x, y), *sp.side_by_side(
-                    f, 1, (sp.counit_mult(
-                        f, mu[(x, u, y)], eps[(x, y)], eps[(x, u)],
-                        eps[(u, y)], dims[(u, y)]) for u in X)))
+            check("interchange-mult-comult", (x, y), _mult_comult, f, d,
+                  delta[(x, y)], *(t for u in X for t in (
+                      mu[(x, u, y)], delta[(x, u)], delta[(u, y)])))
+            check("interchange-counit-mult", (x, y), _counit_mult, f,
+                  eps[(x, y)], *(t for u in X for t in (
+                      mu[(x, u, y)], eps[(x, u)], eps[(u, y)], dims[(u, y)])))
     for x in X:
-        check_map_equal(rep, "interchange-comult-unit", (x,), *sp.comult_unit(
-            f, delta[(x, x)], eta[x], eta[x], eta[x], (dims[(x, x)],) * 2))
-        check_map_equal(rep, "interchange-counit-unit", (x,),
-                        *sp.counit_unit(f, eta[x], eps[(x, x)]))
+        check("interchange-comult-unit", (x,), sp.comult_unit, f,
+              delta[(x, x)], eta[x], eta[x], eta[x], (dims[(x, x)],) * 2)
+        check("interchange-counit-unit", (x,), sp.counit_unit, f, eta[x],
+              eps[(x, x)])
     return rep
+
+
+# The two compatibility laws on (A⊙A)(x,y), the Hopf-category laws at
+# (x,u,y) side by side over the middle object u; ``blocks`` holds each u's
+# tensors in turn.
+
+def _mult_comult(f, d: int, delta, *blocks):
+    return sp.side_by_side(f, d * d, (
+        sp.comult_mult(f, m, delta, dl, dr, m, m, (d, d))
+        for m, dl, dr in zip(blocks[::3], blocks[1::3], blocks[2::3])))
+
+
+def _counit_mult(f, eps: dict, *blocks):
+    return sp.side_by_side(f, 1, (
+        sp.counit_mult(f, m, eps, el, er, dr)
+        for m, el, er, dr in zip(blocks[::4], blocks[1::4], blocks[2::4],
+                                 blocks[3::4])))
 
 
 def bimonoid_from_category(a: HopfCatData) -> BimonoidData:

@@ -338,9 +338,11 @@ def _read_dims(dim_rows, labels, arity: int, objects_ln: int) -> dict:
 
 def _read_slots(kind, frame, records, omit) -> dict:
     """Every slot's tensors, zero but for the records; an optional slot is
-    None when ``omit``."""
+    None when ``omit``.  Each distinct scalar token is parsed once, and its
+    one (immutable) scalar fills every cell that holds it."""
     field = frame.field
     zero = field.zero
+    scalars = {}        # token -> its scalar
     cells = {}          # tag -> (slot, {key labels: (tensor, record shape)})
     out = {}
     for slot in kind.slots:
@@ -377,7 +379,10 @@ def _read_slots(kind, frame, records, omit) -> dict:
             raise ParseError(f"duplicate {slot.tag} entry at {key} "
                              f"{tuple(idx)}", ln)
         seen.add(mark)
-        v = _scalar(field, toks[-1], ln)
+        tok = toks[-1]
+        v = scalars.get(tok)
+        if v is None:
+            v = scalars[tok] = _scalar(field, tok, ln)
         if v:
             slot.put(t, idx, v)
     return out

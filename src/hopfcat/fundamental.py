@@ -28,8 +28,8 @@ from .core import (HopfCatData, MissingAntipodeError, _check_antipode_laws,
                    _require, verify_structure)
 from .linalg import LinMap, NotInvertible, _rref, invert, rank, rank_kernel
 from .modules import ModuleData, diagonal_action, verify_module
-from .report import (InternalInvariantError, PreconditionError, Report,
-                     check_condition, check_map_equal)
+from .report import (InternalInvariantError, Instances, PreconditionError,
+                     Report, check_condition, check_map_equal)
 from .schema import LAYOUTS, check_shape, place, reshaped, tensor, zeros
 
 
@@ -61,26 +61,27 @@ def verify_hopf_module(m: HopfModuleData,
              "Hopf modules need a base valid at level 'semihopf'")
     m.validate_shape()
     rep = verify_module(ModuleData(m.base, "right", m.dims, m.action))
+    inst = Instances(rep)
     a = m.base
-    X, f = a.objects, a.field
-    act, coact = sp.tensors(f, m.action), sp.tensors(f, m.coaction)
-    mult, comult = sp.tensors(f, a.mult), sp.tensors(f, a.comult)
-    counit = sp.vectors(f, a.counit)
+    X, f, check = a.objects, a.field, inst.check
+    act, coact, mult, comult = (inst.intern(sp.tensors(f, t)) for t in (
+        m.action, m.coaction, a.mult, a.comult))
+    counit = inst.intern(sp.vectors(f, a.counit))
     for x in X:
         for y in X:
             rho = coact[(x, y)]
-            check_map_equal(rep, "comodule-coassoc", (x, y), *sp.coassoc(
-                f, rho, rho, rho, comult[(x, y)],
-                (m.dims[(x, y)], a.dims[(x, y)], a.dims[(x, y)])))
-            check_map_equal(rep, "comodule-counit", (x, y), *sp.counit_law(
-                f, rho, counit[(x, y)], left=False))
+            check("comodule-coassoc", (x, y), sp.coassoc, f, rho, rho, rho,
+                  comult[(x, y)],
+                  (m.dims[(x, y)], a.dims[(x, y)], a.dims[(x, y)]))
+            check("comodule-counit", (x, y), sp.counit_law, f, rho,
+                  counit[(x, y)], False)
     for x in X:
         for y in X:
             for z in X:
                 psi = act[(x, y, z)]
-                check_map_equal(rep, "hopf-compat", (x, y, z), *sp.comult_mult(
-                    f, psi, coact[(x, z)], coact[(x, y)], comult[(y, z)], psi,
-                    mult[(x, y, z)], (m.dims[(x, z)], a.dims[(x, z)])))
+                check("hopf-compat", (x, y, z), sp.comult_mult, f, psi,
+                      coact[(x, z)], coact[(x, y)], comult[(y, z)], psi,
+                      mult[(x, y, z)], (m.dims[(x, z)], a.dims[(x, z)]))
     return rep
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import sparse as sp
 from .core import HopfCatData
-from .report import Report, check_map_equal
+from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
 
@@ -97,56 +97,56 @@ def validate_graded(h: GradedHopfData) -> Report:
     h.group.validate()
     h.validate_shape()
     rep = Report()
+    inst = Instances(rep)
     f, G, mul, dims = h.field, h.group.elements, h.group.mul, h.dims
-    e = h.group.identity()
-    mult, comult = sp.tensors(f, h.mult), sp.tensors(f, h.comult)
-    counit, unit = sp.vectors(f, h.counit), sp.vector(f, h.unit)
+    e, check = h.group.identity(), inst.check
+    mult, comult = (inst.intern(sp.tensors(f, t)) for t in (h.mult, h.comult))
+    counit = inst.intern(sp.vectors(f, h.counit))
+    unit = sp.vector(f, h.unit)
 
     for s in G:
         for t in G:
             for r in G:
-                check_map_equal(rep, "graded-assoc", (s, t, r), *sp.assoc(
-                    f, mult[(s, t)], mult[(mul(s, t), r)], mult[(t, r)],
-                    mult[(s, mul(t, r))], dims[r], dims[mul(mul(s, t), r)]))
+                check("graded-assoc", (s, t, r), sp.assoc, f, mult[(s, t)],
+                      mult[(mul(s, t), r)], mult[(t, r)],
+                      mult[(s, mul(t, r))], dims[r],
+                      dims[mul(mul(s, t), r)])
     for s in G:
-        check_map_equal(rep, "graded-unit-left", (s,), *sp.unit_law(
-            f, mult[(e, s)], unit, dims[s], left=True))
-        check_map_equal(rep, "graded-unit-right", (s,), *sp.unit_law(
-            f, mult[(s, e)], unit, dims[s], left=False))
+        check("graded-unit-left", (s,), sp.unit_law, f, mult[(e, s)], unit,
+              dims[s], True)
+        check("graded-unit-right", (s,), sp.unit_law, f, mult[(s, e)], unit,
+              dims[s], False)
     for s in G:
         d, delta = dims[s], comult[s]
-        check_map_equal(rep, "graded-coassoc", (s,),
-                        *sp.coassoc(f, delta, delta, delta, delta, (d, d, d)))
-        check_map_equal(rep, "graded-counit-left", (s,),
-                        *sp.counit_law(f, delta, counit[s], left=True))
-        check_map_equal(rep, "graded-counit-right", (s,),
-                        *sp.counit_law(f, delta, counit[s], left=False))
+        check("graded-coassoc", (s,), sp.coassoc, f, delta, delta, delta,
+              delta, (d, d, d))
+        check("graded-counit-left", (s,), sp.counit_law, f, delta, counit[s],
+              True)
+        check("graded-counit-right", (s,), sp.counit_law, f, delta,
+              counit[s], False)
     for s in G:
         for t in G:
             st, m = mul(s, t), mult[(s, t)]
-            check_map_equal(rep, "graded-comult-mult", (s, t),
-                            *sp.comult_mult(f, m, comult[st], comult[s],
-                                            comult[t], m, m,
-                                            (dims[st], dims[st])))
-            check_map_equal(rep, "graded-counit-mult", (s, t),
-                            *sp.counit_mult(f, m, counit[st], counit[s],
-                                            counit[t], dims[t]))
-    check_map_equal(rep, "graded-comult-unit", (e,), *sp.comult_unit(
-        f, comult[e], unit, unit, unit, (dims[e], dims[e])))
-    check_map_equal(rep, "graded-counit-unit", (e,),
-                    *sp.counit_unit(f, unit, counit[e]))
+            check("graded-comult-mult", (s, t), sp.comult_mult, f, m,
+                  comult[st], comult[s], comult[t], m, m,
+                  (dims[st], dims[st]))
+            check("graded-counit-mult", (s, t), sp.counit_mult, f, m,
+                  counit[st], counit[s], counit[t], dims[t])
+    check("graded-comult-unit", (e,), sp.comult_unit, f, comult[e], unit,
+          unit, unit, (dims[e], dims[e]))
+    check("graded-counit-unit", (e,), sp.counit_unit, f, unit, counit[e])
     if h.antipode is not None:
+        # S_s: A_s → A_{s^-1}
+        sm = inst.intern({s: sp.columns(f, h.antipode[s], dims[s])
+                          for s in G})
         for s in G:
             si = h.group.inverse(s)
-            sm = sp.columns(f, h.antipode[s], dims[s])   # A_s → A_{s^-1}
-            check_map_equal(rep, "graded-antipode-left", (s,),
-                            *sp.antipode_law(f, comult[s], sm, mult[(s, si)],
-                                             unit, counit[s], s_first=False,
-                                             rows=dims[e]))
-            check_map_equal(rep, "graded-antipode-right", (s,),
-                            *sp.antipode_law(f, comult[s], sm, mult[(si, s)],
-                                             unit, counit[s], s_first=True,
-                                             rows=dims[e]))
+            check("graded-antipode-left", (s,), sp.antipode_law, f,
+                  comult[s], sm[s], mult[(s, si)], unit, counit[s], False,
+                  dims[e], False)
+            check("graded-antipode-right", (s,), sp.antipode_law, f,
+                  comult[s], sm[s], mult[(si, s)], unit, counit[s], True,
+                  dims[e], False)
     return rep
 
 

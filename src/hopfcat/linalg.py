@@ -251,7 +251,7 @@ def _rref(field: Field, rows):
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
         if pv != 1:
-            inv = field.one / pv if p is None else pow(pv, p - 2, p)
+            inv = field.one / pv if p is None else pow(pv, -1, p)
             rows[r] = canonical([v * inv for v in rows[r]])
         for i in range(nrows):
             if i != r and rows[i][c]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
-from .report import Report, check_map_equal
+from .report import Instances, Report
 from .schema import LAYOUTS, check_shape, reshaped, tensor
 
 
@@ -66,57 +66,64 @@ def verify_module(m: ModuleData) -> Report:
     """Associativity and unit laws of the action, on every basis element."""
     m.validate_shape()
     rep = Report()
+    inst = Instances(rep)
     a = m.base
-    X, f = a.objects, a.field
-    act, mult = sp.tensors(f, m.action), sp.tensors(f, a.mult)
-    unit = sp.vectors(f, a.unit)
+    X, f, check = a.objects, a.field, inst.check
+    act, mult = (inst.intern(sp.tensors(f, t)) for t in (m.action, a.mult))
+    unit = inst.intern(sp.vectors(f, a.unit))
     right = m.side == "right"
     for x in X:
         for y in X:
             for z in X:
                 for u in X:
                     if right:    # (m·a)·b against m·(ab)
-                        pair = sp.assoc(f, act[(x, y, z)], act[(x, z, u)],
-                                        mult[(y, z, u)], act[(x, y, u)],
-                                        a.dims[(z, u)], m.dims[(x, u)])
+                        check("module-assoc", (x, y, z, u), sp.assoc, f,
+                              act[(x, y, z)], act[(x, z, u)],
+                              mult[(y, z, u)], act[(x, y, u)],
+                              a.dims[(z, u)], m.dims[(x, u)])
                     else:        # a·(b·m) against (ab)·m
-                        pair = sp.assoc(f, mult[(x, y, z)], act[(x, z, u)],
-                                        act[(y, z, u)], act[(x, y, u)],
-                                        m.dims[(z, u)], m.dims[(x, u)])[::-1]
-                    check_map_equal(rep, "module-assoc", (x, y, z, u), *pair)
+                        check("module-assoc", (x, y, z, u), _assoc_reversed,
+                              f, mult[(x, y, z)], act[(x, z, u)],
+                              act[(y, z, u)], act[(x, y, u)],
+                              m.dims[(z, u)], m.dims[(x, u)])
     for x in X:
         for y in X:
             if right:
-                pair = sp.unit_law(f, act[(x, y, y)], unit[y], m.dims[(x, y)],
-                                   left=False)
+                check("module-unit", (x, y), sp.unit_law, f, act[(x, y, y)],
+                      unit[y], m.dims[(x, y)], False)
             else:
-                pair = sp.unit_law(f, act[(x, x, y)], unit[x], m.dims[(x, y)],
-                                   left=True)
-            check_map_equal(rep, "module-unit", (x, y), *pair)
+                check("module-unit", (x, y), sp.unit_law, f, act[(x, x, y)],
+                      unit[x], m.dims[(x, y)], True)
     return rep
+
+
+def _assoc_reversed(*args):
+    """``sparse.assoc`` with its sides swapped."""
+    return sp.assoc(*args)[::-1]
 
 
 def verify_comodule(m: ComoduleData) -> Report:
     """Coassociativity and counit laws of the coaction."""
     m.validate_shape()
     rep = Report()
+    inst = Instances(rep)
     c = m.base
-    X, f = c.objects, c.field
-    coact, cocomp = sp.tensors(f, m.coaction), sp.tensors(f, c.cocomp)
-    counit = sp.vectors(f, c.counit)
+    X, f, check = c.objects, c.field, inst.check
+    coact, cocomp = (inst.intern(sp.tensors(f, t))
+                     for t in (m.coaction, c.cocomp))
+    counit = inst.intern(sp.vectors(f, c.counit))
     for x in X:
         for z in X:
             for u in X:
                 for y in X:
-                    check_map_equal(
-                        rep, "comodule-coassoc", (x, u, y, z), *sp.coassoc(
-                            f, coact[(x, y, z)], coact[(x, u, y)],
-                            coact[(x, u, z)], cocomp[(u, y, z)],
-                            (m.dims[(x, u)], c.dims[(u, y)], c.dims[(y, z)])))
+                    check("comodule-coassoc", (x, u, y, z), sp.coassoc, f,
+                          coact[(x, y, z)], coact[(x, u, y)],
+                          coact[(x, u, z)], cocomp[(u, y, z)],
+                          (m.dims[(x, u)], c.dims[(u, y)], c.dims[(y, z)]))
     for x in X:
         for z in X:
-            check_map_equal(rep, "comodule-counit", (x, z), *sp.counit_law(
-                f, coact[(x, z, z)], counit[z], left=False))
+            check("comodule-counit", (x, z), sp.counit_law, f,
+                  coact[(x, z, z)], counit[z], False)
     return rep
 
 

@@ -1,4 +1,13 @@
-"""Machine-readable outcome of a batch of exact axiom checks."""
+"""Machine-readable outcome of a batch of exact axiom checks.
+
+Every comparison goes through ``check_map_equal`` and every record through
+``Report.add``.  A verifier that loops over object tuples checks through one
+``Instances`` per call, which evaluates each distinct axiom instance once.
+The laws it evaluates (the functions of ``sparse``, and the few beside the
+verifiers, that return both sides of an identity) must therefore be pure: a
+law may not change its arguments, and its sides may depend only on their
+values, so that equal arguments give equal sides.
+"""
 
 from __future__ import annotations
 
@@ -156,6 +165,49 @@ def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
                      failures, required)
     report.add(item)
     return item.ok
+
+
+class Instances:
+    """The axiom instances of one verifier call, each distinct one evaluated
+    once, with a record per objects tuple in ``report``.
+
+    ``intern`` makes the tensors of a table with equal sparse forms one
+    object, keyed by ``repr``, which is exact on nested lists and dicts of
+    ints and ``Fraction``s.  ``check`` keys an instance by its law, the
+    identity of each list or dict argument and the value of every other
+    one.  The first instance of a key goes through ``check_map_equal``;
+    each later one adds its own ``CheckItem``, with its own axiom, objects
+    and ``required``, and the first one's outcome.  The memo holds every
+    first call's arguments, so no ``id`` in a key is reused while it lives.
+    """
+
+    __slots__ = ("report", "_tensors", "_seen")
+
+    def __init__(self, report: Report):
+        self.report = report
+        self._tensors = {}      # repr -> the one tensor of that form
+        self._seen = {}         # key -> (first record, its arguments)
+
+    def intern(self, table: dict) -> dict:
+        tensors = self._tensors
+        return {key: tensors.setdefault(repr(t), t)
+                for key, t in table.items()}
+
+    def check(self, axiom: str, objects: tuple[str, ...], law, *args,
+              required: bool = True) -> bool:
+        key = (law, *[id(a) if type(a) in (list, dict) else a
+                      for a in args])
+        report = self.report
+        seen = self._seen.get(key)
+        if seen is None:
+            ok = check_map_equal(report, axiom, objects, *law(*args),
+                                 required)
+            self._seen[key] = report.items[-1], args
+            return ok
+        first = seen[0]
+        report.add(CheckItem(axiom, objects, first.ok, first.witness,
+                             first.residual, first.failures, required))
+        return first.ok
 
 
 def check_condition(report: Report, axiom: str, objects: tuple[str, ...],

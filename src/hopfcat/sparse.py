@@ -24,6 +24,12 @@ the two column lists of a law whole, with one ``==``, and only when they
 differ takes the columns one by one through ``report.residual``, which
 reduces (``Field.reduce``) their difference: sides that agree only mod p, or
 up to an explicit zero, are still found equal.
+
+The laws are pure: they never change their arguments (inputs and results
+may share vectors, but nothing here writes into a vector it was given), and
+both sides depend only on the values of the arguments.  ``report.Instances``
+relies on this to evaluate each distinct instance of a law once per
+verifier call and to hand its outcome to every equal instance.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ for ``weak.verify_weak_hopf``, the hand-written re-indexing loops after it
 (duals, opposites, packing, module↔comodule, free and tensor modules) for
 the same constructions on ``schema.reshaped``, the hand-filled
 constructors after them (groupoid linearization, kZ/n and the Taft algebra)
-for the same constructors on ``schema.tensor``, the row reduction on public
+for the same constructors on ``schema.tensor``, the twelve-base primality
+test for ``scalars.is_prime``, the row reduction on public
 scalars for ``linalg``'s row reduction on raw ones, and the per-kind
 parsers at the end for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
 is the per-column comparison that ``report.check_map_equal`` ran before it
@@ -1781,6 +1782,32 @@ def reference_taft_four_dim(field):
 # Row reduction as it was before it moved onto raw scalars: one body on the
 # public scalars (``Fraction`` or ``FpElement``), kept only as a reference
 # for differential tests, with the four functions that called it.
+
+def reference_is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as bases for every n: the
+    primality test that ``scalars.is_prime`` ran before it took seven
+    bases below 2**64."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def reference_rref(field, rows):
     """Reduced row echelon form in place; returns (rows, pivot_cols)."""

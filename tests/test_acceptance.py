@@ -4,11 +4,11 @@ line.  Every comparison is exact — there are no tolerances anywhere.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they go.
 """
 
-import copy
 import os
 import time
 from contextlib import contextmanager
 
+from mutants import mutate
 from oracles import antipode_law_holds, sympy_integral_basis
 
 from hopfcat.cli import main as cli_main
@@ -199,23 +199,11 @@ def test_criterion_07_integrals():
 def _mutants(a):
     key = next(k for k, d in a.dims.items() if d > 0)
     x, y = key
-    outs = []
-    m = copy.deepcopy(a)
-    m.mult[(x, y, y)][0][0][0] = m.mult[(x, y, y)][0][0][0] + QQ.one
-    outs.append(m)
-    m = copy.deepcopy(a)
-    m.comult[key][0][0][0] = m.comult[key][0][0][0] + QQ.one
-    outs.append(m)
-    m = copy.deepcopy(a)
-    m.counit[key][0] = m.counit[key][0] + QQ.one
-    outs.append(m)
-    m = copy.deepcopy(a)
-    m.unit[x][0] = m.unit[x][0] + QQ.one
-    outs.append(m)
-    m = copy.deepcopy(a)
-    m.mult[(x, x, y)][0][0][0] = m.mult[(x, x, y)][0][0][0] - QQ.one
-    outs.append(m)
-    return outs
+    up, down = (lambda v: v + QQ.one), (lambda v: v - QQ.one)
+    return [mutate(a, [edit]) for edit in (
+        ("mult", (x, y, y), (0, 0, 0), up), ("comult", key, (0, 0, 0), up),
+        ("counit", key, (0,), up), ("unit", x, (0,), up),
+        ("mult", (x, x, y), (0, 0, 0), down))]
 
 
 def test_criterion_08_bimonoid_correspondence():

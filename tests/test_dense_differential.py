@@ -5,7 +5,6 @@ witness, residual, failure count) item for item, on passing and failing
 data alike.
 """
 
-import copy
 import glob
 import os
 import random
@@ -13,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mutants import mutate
 from oracles import dense_antipode_theorems, dense_verify_structure
 
 from hopfcat import fixtures as fx
@@ -90,18 +90,6 @@ def positions(a: HopfCatData):
                         yield "antipode", (x, y), (r, c)
 
 
-def mutate(a: HopfCatData, edits) -> HopfCatData:
-    """A deep copy of ``a`` with each (tensor, key, path, f) edit applied,
-    where f maps the old coefficient to the new one."""
-    b = copy.deepcopy(a)
-    for name, key, path, f in edits:
-        slot = getattr(b, name)[key]
-        for i in path[:-1]:
-            slot = slot[i]
-        slot[path[-1]] = f(slot[path[-1]])
-    return b
-
-
 def doubled_or_one(field):
     return lambda v: v * 2 if v else field.one
 
@@ -115,6 +103,19 @@ def test_every_single_coefficient_mutant(hopf_fixtures, name):
         assert_same_reports(mut, levels=("hopf",))
         # no coefficient can change without breaking an axiom
         assert not verify_structure(mut, "hopf").overall, (name_, key, path)
+
+
+@pytest.mark.parametrize("name", ["pair3", "disjoint", "graded-z2-strong"])
+def test_every_single_coefficient_mutant_of_repeated_tensors(hopf_fixtures,
+                                                             name):
+    # these repeat equal tensors over many object tuples (the lift shares
+    # one per degree), so each mutant is an instance that differs from
+    # equal siblings in exactly one constant
+    a = hopf_fixtures[name]
+    bump = doubled_or_one(a.field)
+    for name_, key, path in positions(a):
+        assert_same_reports(mutate(a, [(name_, key, path, bump)]),
+                            levels=("hopf",))
 
 
 TAFT4 = {field: fx.taft_four_dim(field) for field in (QQ, GF(5))}

@@ -2,6 +2,8 @@ import copy
 
 import pytest
 
+from mutants import mutate
+
 from hopfcat.core import verify_structure
 from hopfcat.duoidal import (BimonoidData, MkXObject, bimonoid_from_category,
                              black_tensor, carrier_of, category_from_bimonoid,
@@ -162,21 +164,13 @@ def test_bimonoid_from_hand_built_data(hopf_fixtures):
 
 def mutate_cases(a):
     """Five deterministic single-constant faults with nonzero footprint."""
-    outs = []
     key = next(k for k, d in a.dims.items() if d > 0)
     x, y = key
-    pos = (x, y, y)
-    m1 = copy.deepcopy(a)
-    m1.mult[pos][0][0][0] = m1.mult[pos][0][0][0] + QQ.one
-    m2 = copy.deepcopy(a)
-    m2.comult[key][0][0][0] = m2.comult[key][0][0][0] + QQ.one
-    m3 = copy.deepcopy(a)
-    m3.counit[key][0] = m3.counit[key][0] + QQ.one
-    m4 = copy.deepcopy(a)
-    m4.unit[x][0] = m4.unit[x][0] + QQ.one
-    m5 = copy.deepcopy(a)
-    m5.mult[(x, x, y)][0][0][0] = m5.mult[(x, x, y)][0][0][0] - QQ.one
-    return [m1, m2, m3, m4, m5]
+    up, down = (lambda v: v + QQ.one), (lambda v: v - QQ.one)
+    return [mutate(a, [edit]) for edit in (
+        ("mult", (x, y, y), (0, 0, 0), up), ("comult", key, (0, 0, 0), up),
+        ("counit", key, (0,), up), ("unit", x, (0,), up),
+        ("mult", (x, x, y), (0, 0, 0), down))]
 
 
 @pytest.mark.parametrize("name", ALL)

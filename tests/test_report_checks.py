@@ -6,7 +6,8 @@ which walks every column, on columns equal as written, equal only after
 reduction, and different, and on maps it must refuse.  ``Report.overall`` and
 ``failed`` see items however they were appended, through ``add``, ``extend``
 or ``items`` itself.  Every item of a verifier's report goes through
-``Report.add``, which the benchmark's tracer counts.
+``Report.add``, which the benchmark's tracer counts.  ``Instances`` compares
+each distinct instance once and records every one.
 """
 
 import os
@@ -20,7 +21,8 @@ from hopfcat.core import verify_structure
 from hopfcat.dual import verify_dual
 from hopfcat.fileformat import load
 from hopfcat.linalg import LinMap
-from hopfcat.report import CheckItem, Report, check_map_equal
+from hopfcat import report as report_module
+from hopfcat.report import CheckItem, Instances, Report, check_map_equal
 from hopfcat.scalars import GF, QQ
 from hopfcat.sparse import SparseMap
 from hopfcat.weak import verify_weak_hopf
@@ -234,3 +236,57 @@ def test_every_item_goes_through_report_add(fixture_dir, monkeypatch, name,
     monkeypatch.setattr(Report, "add", counted)
     rep = verify(load(os.path.join(fixture_dir, name + ".hc")))
     assert rep.items and calls == rep.items
+
+
+# -- each distinct instance checked once -----------------------------------------
+
+def _sides(f, left: list, right: list):
+    return SparseMap(f, 1, left), SparseMap(f, 1, right)
+
+
+def _swapped(f, left: list, right: list):
+    return SparseMap(f, 1, right), SparseMap(f, 1, left)
+
+
+def test_instances_check_each_distinct_instance_once(monkeypatch):
+    compared = []
+
+    def counted(report, *args):
+        compared.append(args[:2])
+        return check_map_equal(report, *args)
+    monkeypatch.setattr(report_module, "check_map_equal", counted)
+    rep = Report()
+    inst = Instances(rep)
+    one, two = inst.intern({"a": [{0: 1}], "b": [{0: 2}]}).values()
+    again = inst.intern({"c": [{0: 1}]})["c"]
+    assert again is one
+    assert inst.check("law", ("x",), _sides, QQ, one, two) is False
+    # an equal instance: recorded with its own axiom, objects and
+    # required, and the first one's outcome
+    assert inst.check("other", ("y", "z"), _sides, QQ, again, two,
+                      required=False) is False
+    # another law, or another argument, is another instance
+    inst.check("law", ("x",), _swapped, QQ, one, two)
+    inst.check("law", ("x",), _sides, QQ, one, one)
+    inst.check("law", ("x",), _sides, QQ, [{0: 1}], two)
+    assert compared == [("law", ("x",)), ("law", ("x",)), ("law", ("x",)),
+                        ("law", ("x",))]
+    first = CheckItem("law", ("x",), False, 0, "[0]=-1", 1)
+    assert rep.items[:2] == [first, CheckItem(
+        "other", ("y", "z"), False, 0, "[0]=-1", 1, required=False)]
+    assert [it.ok for it in rep.items[2:]] == [False, True, False]
+
+
+def test_instances_keep_the_arguments_they_key_by_identity(monkeypatch):
+    # each temporary list lives on in the memo, so its id is not reused by
+    # the next one, which is a new instance
+    compared = []
+
+    def counted(report, *args):
+        compared.append(args[0])
+        return check_map_equal(report, *args)
+    monkeypatch.setattr(report_module, "check_map_equal", counted)
+    inst = Instances(Report())
+    for _ in range(50):
+        inst.check("law", (), _sides, QQ, [{0: 1}], [{0: 2}])
+    assert len(compared) == len(inst.report.items) == 50

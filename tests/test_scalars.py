@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import reference_is_prime
+
+from hopfcat.linalg import _rref
 from hopfcat.scalars import (GF, QQ, Field, FieldMismatchError, FpElement,
                              is_prime, parse_field)
 
@@ -102,3 +105,24 @@ def test_fp_arithmetic_matches_ints(a, b):
     assert (fa * fb).value == (a * b) % p
     if b % p:
         assert ((fa / fb) * fb) == fa
+
+
+def test_is_prime_matches_the_twelve_base_test():
+    # every n below 2·10^5, two strong pseudoprimes to several small bases,
+    # and primes just below 2^61 and 2^64
+    ns = list(range(200_000)) + [3215031751, 3825123056546413051,
+                                 2**61 - 1, 2**64 - 59]
+    assert [is_prime(n) for n in ns] == [reference_is_prime(n) for n in ns]
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+
+
+@given(st.sampled_from([5, 2**61 - 1]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
+def test_inverse_is_the_fermat_inverse(pv):
+    p, v = pv
+    inv = pow(v, p - 2, p)
+    assert pow(v, -1, p) == inv
+    assert FpElement(v, p).inverse() == FpElement(inv, p)
+    # the pivot of a one-row rref is scaled by the inverse
+    assert _rref(GF(p), [[v, 1]]) == ([[1, inv]], [0])

@@ -6,13 +6,13 @@ witness, residual, failure count) item for item, on passing and failing
 data alike, or raise the same precondition error.
 """
 
-import copy
 import glob
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mutants import mutate
 from oracles import (dense_validate_graded, dense_verify_bimonoid,
                      dense_verify_comodule, dense_verify_dual,
                      dense_verify_hopf_module, dense_verify_module)
@@ -132,20 +132,6 @@ def attribute(obj, dotted: str):
     return obj
 
 
-def mutate(obj, edits):
-    """A deep copy of ``obj`` with each (tensor, key, path, f) edit applied,
-    where f maps the old coefficient to the new one."""
-    out = copy.deepcopy(obj)
-    for name, key, path, f in edits:
-        slot = attribute(out, name)
-        if key is not None:
-            slot = slot[key]
-        for i in path[:-1]:
-            slot = slot[i]
-        slot[path[-1]] = f(slot[path[-1]])
-    return out
-
-
 def single_mutant_inputs(fixture_dir):
     def fixture(name):
         return load(os.path.join(fixture_dir, name + ".hc"))
@@ -157,6 +143,8 @@ def single_mutant_inputs(fixture_dir):
         "kz2_dual_regular_comodule": fixture("kz2_dual_regular_comodule"),
         "kz2_regular_hopf_module": fixture("kz2_regular_hopf_module"),
         "graded_z2_strong": fixture("graded_z2_strong_graded"),
+        "pair3_dual": dualize(fixture("pair3")),
+        "bimonoid(pair3)": bimonoid_from_category(fixture("pair3")),
     }
 
 
@@ -174,7 +162,7 @@ def assert_same_reports_on_single_mutants(obj):
 @pytest.mark.parametrize("name", [
     "kz2_dual", "pair2_dual", "bimonoid(kz2)", "kz2_regular_module",
     "kz2_dual_regular_comodule", "kz2_regular_hopf_module",
-    "graded_z2_strong"])
+    "graded_z2_strong", "pair3_dual", "bimonoid(pair3)"])
 def test_every_single_coefficient_mutant(fixture_dir, name):
     assert_same_reports_on_single_mutants(
         single_mutant_inputs(fixture_dir)[name])
