@@ -69,9 +69,14 @@ def validate_groupoid(g: GroupoidData):
             raise GroupoidError(f"({f},{h}) is not a composable pair")
         if by_name[fh] != (by_name[h][0], by_name[f][1]):
             raise GroupoidError(f"composite of ({f},{h}) has wrong endpoints")
+    # into[x]: the morphisms with target x, in declared order, so that the
+    # pairs and triples below are the composable ones only
+    into = {x: [] for x in g.objects}
+    for name, (src, tgt) in by_name.items():
+        into[tgt].append(name)
     for f, (fs, ft) in by_name.items():
-        for h, (hs, ht) in by_name.items():
-            if fs == ht and (f, h) not in comp:
+        for h in into[fs]:
+            if (f, h) not in comp:
                 raise GroupoidError(f"missing composite for pair ({f},{h})")
 
     for name, (src, tgt) in by_name.items():
@@ -81,13 +86,10 @@ def validate_groupoid(g: GroupoidData):
             raise GroupoidError(f"identity of '{tgt}' is not left-neutral at '{name}'")
 
     for f, (fs, ft) in by_name.items():
-        for h, (hs, ht) in by_name.items():
-            if fs != ht:
-                continue
-            for k, (ks, kt) in by_name.items():
-                if hs != kt:
-                    continue
-                if comp[(comp[(f, h)], k)] != comp[(f, comp[(h, k)])]:
+        for h in into[fs]:
+            fh = comp[(f, h)]
+            for k in into[by_name[h][0]]:
+                if comp[(fh, k)] != comp[(f, comp[(h, k)])]:
                     raise GroupoidError(
                         f"composition not associative at ({f},{h},{k})")
 
@@ -107,7 +109,9 @@ def linearize_groupoid(g: GroupoidData, field: Field) -> HopfCatData:
     validate_groupoid(g)
     X = g.objects
     zero, one = field.zero, field.one
-    basis = {(x, y): g.hom(x, y) for x in X for y in X}
+    basis = {(x, y): [] for x in X for y in X}
+    for name, src, tgt in g.morphisms:   # as g.hom(tgt, src), in one pass
+        basis[(tgt, src)].append(name)
     index = {key: {m: i for i, m in enumerate(ms)}
              for key, ms in basis.items()}
     dims = {key: len(ms) for key, ms in basis.items()}

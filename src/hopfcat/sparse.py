@@ -167,11 +167,6 @@ def left_factor(t3: list[dict], i: int, d2: int) -> list[dict]:
     return [t3[i].get(j, _EMPTY) for j in range(d2)]
 
 
-def right_factor(t3: list[dict], j: int, d1: int) -> list[dict]:
-    """Columns of u ↦ t3(u, e_j), for u in a space of dimension d1."""
-    return [t3[i].get(j, _EMPTY) for i in range(d1)]
-
-
 def apply(cols: list[dict], u: dict) -> dict:
     """The map with these sparse columns applied to u.  For u of one
     coordinate the result is not filtered: it has no zeros if u and the

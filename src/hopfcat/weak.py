@@ -12,6 +12,16 @@ basis triples through the pairing ε(e_i·e_a), so nothing is skipped or
 sampled.  The checks run on the ``sparse`` helpers that the Hopf-category
 verifier uses, over the nonzero structure constants read once per call.
 
+Packed data is block-sparse, so each law's loop visits only the instances
+that at least one product of nonzero constants reaches, in lexicographic
+order.  They are found through per-call indices of those constants: for
+each q the i with e_i·e_q ≠ 0 (associativity, both bracketings), Δ(e_j) by
+its left leg (multiplicativity of Δ), the columns of the pairing (the weak
+counit law) and Δ(1) by its left leg (the weak unit laws).  On every other
+instance both sides are the empty sum, so the law holds there and is still
+checked, as associativity on a triple (i, j, k) with e_i·e_j = 0 and
+e_j·e_k = 0 always was.
+
 Blocks are ordered lexicographically in the declared object order, so packed
 output is canonical and diffable.
 """
@@ -153,32 +163,45 @@ class _Tensors:
         return s
 
     def eps_t(self, u: dict) -> dict:
-        """ε(1₁·u) 1₂."""
+        """ε(1₁·u) 1₂, with each ε(e_a·e_i) read off the pairing."""
         acc = {}
         for (a, b), v in self.unit_delta.items():
-            h = sp.product(self.mult, {a: self.one}, u)
-            sp.add(acc, b, v * self.eps(h))
+            row = self.pairing[a]
+            for i, c in u.items():
+                if i in row:
+                    sp.add(acc, b, v * row[i] * c)
         return sp.nonzero(acc)
 
     def eps_s(self, u: dict) -> dict:
-        """1₁ ε(u·1₂)."""
+        """1₁ ε(u·1₂), with each ε(e_i·e_b) read off the pairing."""
         acc = {}
         for (a, b), v in self.unit_delta.items():
-            h = sp.product(self.mult, u, {b: self.one})
-            sp.add(acc, a, v * self.eps(h))
+            for i, c in u.items():
+                x = self.pairing[i].get(b)
+                if x:
+                    sp.add(acc, a, v * c * x)
         return sp.nonzero(acc)
 
-    def splits(self, j: int, flip: bool) -> list[dict]:
-        """With Δ(e_j) = Σ D_j[a,b] e_a⊗e_b: the rows Σ_b D_j[a,b] ε(e_b·–)
-        over a (flip: the rows Σ_a D_j[a,b] ε(e_a·–) over b).  Contracted
-        with the row ε(e_i·–) they give Σ ε(e_i y₁) ε(y₂·–) (flip:
-        Σ ε(e_i y₂) ε(y₁·–)) at y = e_j."""
-        rows = [{} for _ in self.mult]
+    def splits(self, j: int, flip: bool) -> dict:
+        """With Δ(e_j) = Σ D_j[a,b] e_a⊗e_b: for each a that is a left leg,
+        the row Σ_b D_j[a,b] ε(e_b·–) (flip: for each right leg b, the row
+        Σ_a D_j[a,b] ε(e_a·–)).  Contracted with the row ε(e_i·–) they give
+        Σ ε(e_i y₁) ε(y₂·–) (flip: Σ ε(e_i y₂) ε(y₁·–)) at y = e_j."""
+        rows = {}
         for (a, b), c in self.comult[j].items():
             if flip:
                 a, b = b, a
-            rows[a][b] = c
-        return [sp.apply(self.pairing, row) for row in rows]
+            rows.setdefault(a, {})[b] = c
+        return {a: sp.apply(self.pairing, row) for a, row in rows.items()}
+
+
+def _by_first(n: int, pairs) -> list[list]:
+    """For each index below n, the (rest, value) of the ((first, rest),
+    value) of ``pairs`` with that first index, in their order."""
+    out = [[] for _ in range(n)]
+    for (first, rest), v in pairs:
+        out[first].append((rest, v))
+    return out
 
 
 def verify_weak_hopf(w: WeakHopfData) -> Report:
@@ -188,7 +211,13 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
     computed source/target counital maps.
 
     Every law is checked on every basis element, pair or triple it ranges
-    over; the weak counit law in particular on all n³ triples.  A failing
+    over; the weak counit law in particular on all n³ triples.  Each law's
+    loop visits, in lexicographic order, the instances that at least one
+    product of nonzero constants reaches, found through indices of those
+    constants: the i with e_i·e_q ≠ 0 for each q, Δ(e_j) and Δ(1) by their
+    left legs, and the columns of the pairing ε(e_i·e_a).  On any other
+    instance both sides are the empty sum, so the law holds there, as
+    associativity on a triple where e_i·e_j = 0 and e_j·e_k = 0.  A failing
     instance is recorded under the blocks of its basis elements.
     """
     w.validate_shape()
@@ -215,16 +244,31 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
             check_condition(rep, axiom, (), not rep.by_axiom(axiom),
                             residual=res)
 
-    # algebra laws
-    times = [sp.right_factor(mult, k, n) for k in range(n)]
-    for i in range(n):
-        i_times = sp.left_factor(mult, i, n)
-        for j in range(n):
-            ij, jk = mult[i].get(j, {}), mult[j]
-            # where e_i·e_j = 0 both sides vanish unless e_j·e_k != 0
-            for k in (range(n) if ij else jk):
-                check("assoc", (i, j, k), i, sp.apply(times[k], ij),
-                      sp.apply(i_times, jk.get(k, {})))
+    # left_of[q]: the i with e_i·e_q != 0
+    left_of = [[] for _ in range(n)]
+    for i, row in enumerate(mult):
+        for q in row:
+            left_of[q].append(i)
+
+    # algebra laws: (e_i e_j) e_k has a term only where e_i e_j has a term
+    # e_m with e_m e_k != 0, and e_i (e_j e_k) only where e_j e_k has a term
+    # e_m with e_i e_m != 0
+    reached = {}
+    for i, row in enumerate(mult):
+        for j, ij in row.items():
+            ks = reached.setdefault((i, j), set())
+            for m in ij:
+                ks.update(mult[m])
+    for j, row in enumerate(mult):
+        for k, jk in row.items():
+            for m in jk:
+                for i in left_of[m]:
+                    reached.setdefault((i, j), set()).add(k)
+    for i, j in sorted(reached):
+        ij, jk = mult[i].get(j, {}), mult[j]
+        for k in sorted(reached[(i, j)]):
+            check("assoc", (i, j, k), i, sp.product(mult, ij, basis[k]),
+                  sp.product(mult, basis[i], jk.get(k, {})))
     summarize("assoc", res="see items")
 
     for i, e_i in enumerate(basis):
@@ -251,31 +295,58 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
             fail("counit", blk[i], i, res)
     summarize("coassoc", "counit")
 
-    # comultiplication is multiplicative
+    # comultiplication is multiplicative: Δ(e_i)Δ(e_j) is summed for all j
+    # at once, over the terms e_a⊗e_b of Δ(e_i), the e_p with e_a e_p != 0
+    # and the terms of each Δ(e_j) whose left leg is e_p
+    delta_left = _by_first(n, (((p, (j, q)), v) for j, delta
+                               in enumerate(comult)
+                               for (p, q), v in delta.items()))
     for i in range(n):
-        for j in range(n):
-            rhs = {}
-            for (a, b), u in comult[i].items():
-                for (p, q), v in comult[j].items():
-                    first, second = mult[a].get(p, {}), mult[b].get(q, {})
-                    for r, cr in first.items():
-                        for s, cs in second.items():
-                            sp.add(rhs, (r, s), u * v * cr * cs)
+        rhs = {}
+        for (a, b), u in comult[i].items():
+            for p, first in mult[a].items():
+                for (j, q), v in delta_left[p]:
+                    second = mult[b].get(q)
+                    if second:
+                        acc = rhs.setdefault(j, {})
+                        for r, cr in first.items():
+                            for s, cs in second.items():
+                                sp.add(acc, (r, s), u * v * cr * cs)
+        for j in sorted(rhs.keys() | mult[i].keys()):
             check("comult-mult", (i, j), i,
-                  t.delta(mult[i].get(j, {})), rhs)
+                  t.delta(mult[i].get(j, {})), rhs.get(j, {}))
     summarize("comult-mult")
 
     # weak counit law ε(e_i e_j e_k) = Σ ε(e_i y₁) ε(y₂ e_k)
-    # = Σ ε(e_i y₂) ε(y₁ e_k) with Δ(e_j) = Σ y₁⊗y₂, on every triple: all
-    # three sides are read off the pairing, row by row over k, and reduced
-    # to be compared as scalars
+    # = Σ ε(e_i y₂) ε(y₁ e_k) with Δ(e_j) = Σ y₁⊗y₂: all three sides are
+    # read off the pairing, row by row over k, and reduced to be compared as
+    # scalars.  ε(e_i e_j ·) has a term only where e_i e_j != 0, and a split
+    # only where ε(e_i·e_a) != 0 for a leg e_a of Δ(e_j), found through the
+    # columns of the pairing
+    paired = [[] for _ in range(n)]
+    for i, row in enumerate(t.pairing):
+        for a in row:
+            paired[a].append(i)
+    partners = [set(row) for row in mult]
+    for j, delta in enumerate(comult):
+        for a, b in delta:
+            for i in paired[a] + paired[b]:
+                partners[i].add(j)
     splits = [(t.splits(j, False), t.splits(j, True)) for j in range(n)]
     reduce = field.reduce
+
+    def split(rows, pairing_i):
+        acc = {}
+        for a, c in pairing_i.items():
+            if a in rows:
+                sp.axpy(acc, c, rows[a])
+        return reduce(acc)
+
     for i in range(n):
-        for j in range(n):
+        for j in sorted(partners[i]):
             whole = reduce(sp.apply(t.pairing, mult[i].get(j, {})))
-            s1 = reduce(sp.apply(splits[j][0], t.pairing[i]))
-            s2 = reduce(sp.apply(splits[j][1], t.pairing[i]))
+            s1 = split(splits[j][0], t.pairing[i])
+            s2 = split(splits[j][1], t.pairing[i])
             for k in sorted(whole.keys() | s1.keys() | s2.keys()):
                 v, v1, v2 = (x.get(k, t.zero) for x in (whole, s1, s2))
                 if v1 == v and v2 == v:
@@ -288,16 +359,22 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
                     fail("weak-counit-right", objects, j, res)
     summarize("weak-counit-left", "weak-counit-right")
 
-    # weak unit laws
+    # weak unit laws: in 1₁ ⊗ 1₂1'₁ ⊗ 1'₂ (mid) and 1₁ ⊗ 1'₁1₂ ⊗ 1'₂
+    # (mid_op), the terms of the second Δ(1) are found by their left leg 1'₁,
+    # which must multiply with 1₂
+    unit_left = _by_first(n, t.unit_delta.items())
     ddl, mid, mid_op = {}, {}, {}
     for (a, b), v in t.unit_delta.items():
         for (p, q), u in comult[a].items():
             sp.add(ddl, (p, q, b), v * u)
-        for (c, d), u in t.unit_delta.items():
-            for m, cm in mult[b].get(c, {}).items():
-                sp.add(mid, (a, m, d), v * u * cm)
-            for m, cm in mult[c].get(b, {}).items():
-                sp.add(mid_op, (a, m, d), v * u * cm)
+        for c, bc in mult[b].items():
+            for d, u in unit_left[c]:
+                for m, cm in bc.items():
+                    sp.add(mid, (a, m, d), v * u * cm)
+        for c in left_of[b]:
+            for d, u in unit_left[c]:
+                for m, cm in mult[c][b].items():
+                    sp.add(mid_op, (a, m, d), v * u * cm)
     for axiom, lhs in (("weak-unit-left", mid), ("weak-unit-right", mid_op)):
         res = residual(field, lhs, ddl)
         check_condition(rep, axiom, (), not res, residual=res)

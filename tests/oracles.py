@@ -12,11 +12,15 @@ canonical and dual Hopf modules after them for ``fundamental``'s
 contractions, and dense strictness, coinvariants and the freeness
 equivalence after those for their raw-row and sparse-column rewrites; the
 sampled weak Hopf verifier after them plays the same part
-for ``weak.verify_weak_hopf``, the hand-written re-indexing loops after it
+for ``weak.verify_weak_hopf``, and so does the sparse weak verifier after it,
+which visits every pair (i, j) rather than only those that nonzero constants
+reach; the hand-written re-indexing loops after it
 (duals, opposites, packing, module↔comodule, free and tensor modules) for
 the same constructions on ``schema.reshaped``, the hand-filled
 constructors after them (groupoid linearization, kZ/n and the Taft algebra)
-for the same constructors on ``schema.tensor``, the twelve-base primality
+for the same constructors on ``schema.tensor``, with the groupoid validation
+that walks every pair and triple of morphisms for the one that visits only
+composable ones, the twelve-base primality
 test for ``scalars.is_prime``, the row reduction on public
 scalars for ``linalg``'s row reduction on raw ones, and the per-kind
 parsers at the end for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
@@ -40,7 +44,7 @@ from hopfcat.fundamental import (AntipodeRecoveryError, CoinvariantFamily,
                                  HopfModuleData, RecoveryFailure)
 from hopfcat.graded import GradedHopfData, GroupTable
 from hopfcat.fixtures import singleton_hopf
-from hopfcat.groupoid import GroupoidData, validate_groupoid
+from hopfcat.groupoid import GroupoidData, GroupoidError
 from hopfcat.linalg import (LinMap, NotInvertible, invert, rank, rank_kernel,
                             solve, swap_map)
 from hopfcat.modules import BaseMismatchError, ComoduleData, ModuleData
@@ -49,6 +53,7 @@ from hopfcat.report import (CheckItem, InternalInvariantError,
                             residual)
 from hopfcat.scalars import FieldMismatchError, parse_field
 from hopfcat.schema import MalformedDataError
+from hopfcat import sparse as sp
 from hopfcat.weak import WeakHopfData
 
 
@@ -1304,6 +1309,195 @@ def sampled_verify_weak_hopf(w, seed: int = 0,
     return rep
 
 
+# The weak Hopf verifier as it was on the shared sparse helpers before its
+# law loops were restricted to the instances that nonzero constants reach:
+# every pair (i, j) visited, the weak counit law's splits built for every row,
+# and ε_t, ε_s evaluated through |Δ(1)| products per basis element.  Kept only
+# as a reference for differential tests; its records must be reproduced
+# exactly.
+
+class _ReferenceWeakTensors:
+    def __init__(self, w):
+        n, f = w.total_dim, w.field
+        self.one, self.zero = f.raw(f.one), f.raw(f.zero)
+        self.mult = sp.tensor3(f, w.mult)
+        self.comult = [{(a, b): c for a, fibre in rows.items()
+                        for b, c in fibre.items()}
+                       for rows in sp.tensor3(f, w.comult)]
+        self.counit = sp.vector(f, w.counit)
+        self.unit = sp.vector(f, w.unit)
+        self.antipode = sp.columns(f, w.antipode, n)
+        self.pairing = [f.reduce({a: self.eps(vec)
+                                  for a, vec in rows.items()})
+                        for rows in self.mult]
+        self.unit_delta = self.delta(self.unit)
+
+    def delta(self, u: dict) -> dict:
+        acc = {}
+        for i, c in u.items():
+            sp.axpy(acc, c, self.comult[i])
+        return sp.nonzero(acc)
+
+    def eps(self, u: dict):
+        s = self.zero
+        for i, c in u.items():
+            if i in self.counit:
+                s = s + c * self.counit[i]
+        return s
+
+    def eps_t(self, u: dict) -> dict:
+        acc = {}
+        for (a, b), v in self.unit_delta.items():
+            h = sp.product(self.mult, {a: self.one}, u)
+            sp.add(acc, b, v * self.eps(h))
+        return sp.nonzero(acc)
+
+    def eps_s(self, u: dict) -> dict:
+        acc = {}
+        for (a, b), v in self.unit_delta.items():
+            h = sp.product(self.mult, u, {b: self.one})
+            sp.add(acc, a, v * self.eps(h))
+        return sp.nonzero(acc)
+
+    def splits(self, j: int, flip: bool) -> list[dict]:
+        rows = [{} for _ in self.mult]
+        for (a, b), c in self.comult[j].items():
+            if flip:
+                a, b = b, a
+            rows[a][b] = c
+        return [sp.apply(self.pairing, row) for row in rows]
+
+
+def reference_verify_weak_hopf(w) -> Report:
+    """Reference for ``weak.verify_weak_hopf``."""
+    w.validate_shape()
+    if w.antipode is None:
+        raise MissingAntipodeError("weak Hopf verification needs an antipode")
+    t = _ReferenceWeakTensors(w)
+    n, mult, comult, antipode = w.total_dim, t.mult, t.comult, t.antipode
+    field, fmt = w.field, w.field.fmt
+    blk = [pair for (pair, _, ln) in w.blocks for _ in range(ln)]
+    basis = [{i: t.one} for i in range(n)]
+    rep = Report()
+
+    def fail(axiom, objects, witness, res):
+        check_condition(rep, axiom, objects, False, residual=res,
+                        witness=witness)
+
+    def check(axiom, indices, witness, lhs, rhs):
+        res = residual(field, lhs, rhs)
+        if res:
+            fail(axiom, sum((blk[b] for b in indices), ()), witness, res)
+
+    def summarize(*axioms, res=""):
+        for axiom in axioms:
+            check_condition(rep, axiom, (), not rep.by_axiom(axiom),
+                            residual=res)
+
+    empty = {}
+    times = [[mult[i].get(k, empty) for i in range(n)] for k in range(n)]
+    for i in range(n):
+        i_times = [mult[i].get(j, empty) for j in range(n)]
+        for j in range(n):
+            ij, jk = mult[i].get(j, {}), mult[j]
+            for k in (range(n) if ij else jk):
+                check("assoc", (i, j, k), i, sp.apply(times[k], ij),
+                      sp.apply(i_times, jk.get(k, {})))
+    summarize("assoc", res="see items")
+
+    for i, e_i in enumerate(basis):
+        res = residual(field, sp.product(mult, t.unit, e_i), e_i) \
+            or residual(field, sp.product(mult, e_i, t.unit), e_i)
+        if res:
+            fail("unit", blk[i], i, res)
+    summarize("unit")
+
+    for i, delta in enumerate(comult):
+        left, right, lc, rc = {}, {}, {}, {}
+        for (a, b), v in delta.items():
+            for (p, q), u in comult[a].items():
+                sp.add(left, (p, q, b), v * u)
+            for (p, q), u in comult[b].items():
+                sp.add(right, (a, p, q), v * u)
+            sp.add(lc, b, v * t.counit.get(a, t.zero))
+            sp.add(rc, a, v * t.counit.get(b, t.zero))
+        check("coassoc", (i,), i, left, right)
+        res = residual(field, lc, basis[i]) \
+            or residual(field, rc, basis[i])
+        if res:
+            fail("counit", blk[i], i, res)
+    summarize("coassoc", "counit")
+
+    for i in range(n):
+        for j in range(n):
+            rhs = {}
+            for (a, b), u in comult[i].items():
+                for (p, q), v in comult[j].items():
+                    first, second = mult[a].get(p, {}), mult[b].get(q, {})
+                    for r, cr in first.items():
+                        for s, cs in second.items():
+                            sp.add(rhs, (r, s), u * v * cr * cs)
+            check("comult-mult", (i, j), i,
+                  t.delta(mult[i].get(j, {})), rhs)
+    summarize("comult-mult")
+
+    splits = [(t.splits(j, False), t.splits(j, True)) for j in range(n)]
+    reduce = field.reduce
+    for i in range(n):
+        for j in range(n):
+            whole = reduce(sp.apply(t.pairing, mult[i].get(j, {})))
+            s1 = reduce(sp.apply(splits[j][0], t.pairing[i]))
+            s2 = reduce(sp.apply(splits[j][1], t.pairing[i]))
+            for k in sorted(whole.keys() | s1.keys() | s2.keys()):
+                v, v1, v2 = (x.get(k, t.zero) for x in (whole, s1, s2))
+                if v1 == v and v2 == v:
+                    continue
+                res = f"eps(hkl)={fmt(v)} split1={fmt(v1)} split2={fmt(v2)}"
+                objects = blk[i] + blk[j] + blk[k]
+                if v1 != v:
+                    fail("weak-counit-left", objects, j, res)
+                if v2 != v:
+                    fail("weak-counit-right", objects, j, res)
+    summarize("weak-counit-left", "weak-counit-right")
+
+    ddl, mid, mid_op = {}, {}, {}
+    for (a, b), v in t.unit_delta.items():
+        for (p, q), u in comult[a].items():
+            sp.add(ddl, (p, q, b), v * u)
+        for (c, d), u in t.unit_delta.items():
+            for m, cm in mult[b].get(c, {}).items():
+                sp.add(mid, (a, m, d), v * u * cm)
+            for m, cm in mult[c].get(b, {}).items():
+                sp.add(mid_op, (a, m, d), v * u * cm)
+    for axiom, lhs in (("weak-unit-left", mid), ("weak-unit-right", mid_op)):
+        res = residual(field, lhs, ddl)
+        check_condition(rep, axiom, (), not res, residual=res)
+
+    for i, delta in enumerate(comult):
+        target, source, full = {}, {}, {}
+        for (a, b), v in delta.items():
+            sp.axpy(target, v, sp.product(mult, basis[a], antipode[b]))
+            sp.axpy(source, v, sp.product(mult, antipode[a], basis[b]))
+            for (p, q), u in comult[b].items():
+                s_h1_h2 = sp.product(mult, antipode[a], basis[p])
+                sp.axpy(full, v * u, sp.product(mult, s_h1_h2, antipode[q]))
+        check("antipode-target", (i,), i, target, t.eps_t(basis[i]))
+        check("antipode-source", (i,), i, source, t.eps_s(basis[i]))
+        check("antipode-full", (i,), i, full, antipode[i])
+    summarize("antipode-target", "antipode-source", "antipode-full")
+    return rep
+
+
+def reference_counital_target(w, vec: dict) -> dict:
+    """Reference for ``weak.counital_target``."""
+    return _ReferenceWeakTensors(w).eps_t(vec)
+
+
+def reference_counital_source(w, vec: dict) -> dict:
+    """Reference for ``weak.counital_source``."""
+    return _ReferenceWeakTensors(w).eps_s(vec)
+
+
 # The re-indexings of structure constants as they were before they moved
 # onto ``schema.place`` / ``schema.reshaped``: one hand-written nested loop
 # per construction.  Kept only as references for differential tests; the
@@ -1674,9 +1868,68 @@ def reference_free_hopf_module(a, ndims):
 # ``schema.tensor``: hand-allocated nested lists filled entry by entry.
 # Kept only as references for differential tests.
 
+def reference_validate_groupoid(g):
+    """Reference for ``groupoid.validate_groupoid``: every check walks all
+    morphisms for each pair, and every triple, of morphisms."""
+    by_name = {}
+    for name, src, tgt in g.morphisms:
+        if name in by_name:
+            raise GroupoidError(f"duplicate morphism name '{name}'")
+        if src not in g.objects or tgt not in g.objects:
+            raise GroupoidError(f"morphism '{name}' uses undeclared objects")
+        by_name[name] = (src, tgt)
+
+    for x in g.objects:
+        e = g.identities.get(x)
+        if e is None or e not in by_name:
+            raise GroupoidError(f"object '{x}' has no identity morphism")
+        if by_name[e] != (x, x):
+            raise GroupoidError(f"identity '{e}' of '{x}' is not an endo of '{x}'")
+
+    comp = g.compose
+    for (f, h), fh in comp.items():
+        if f not in by_name or h not in by_name or fh not in by_name:
+            raise GroupoidError(f"composite entry ({f},{h}) names unknown morphisms")
+        if by_name[f][0] != by_name[h][1]:
+            raise GroupoidError(f"({f},{h}) is not a composable pair")
+        if by_name[fh] != (by_name[h][0], by_name[f][1]):
+            raise GroupoidError(f"composite of ({f},{h}) has wrong endpoints")
+    for f, (fs, ft) in by_name.items():
+        for h, (hs, ht) in by_name.items():
+            if fs == ht and (f, h) not in comp:
+                raise GroupoidError(f"missing composite for pair ({f},{h})")
+
+    for name, (src, tgt) in by_name.items():
+        if comp[(name, g.identities[src])] != name:
+            raise GroupoidError(f"identity of '{src}' is not right-neutral at '{name}'")
+        if comp[(g.identities[tgt], name)] != name:
+            raise GroupoidError(f"identity of '{tgt}' is not left-neutral at '{name}'")
+
+    for f, (fs, ft) in by_name.items():
+        for h, (hs, ht) in by_name.items():
+            if fs != ht:
+                continue
+            for k, (ks, kt) in by_name.items():
+                if hs != kt:
+                    continue
+                if comp[(comp[(f, h)], k)] != comp[(f, comp[(h, k)])]:
+                    raise GroupoidError(
+                        f"composition not associative at ({f},{h},{k})")
+
+    for name, (src, tgt) in by_name.items():
+        inv = g.inverses.get(name)
+        if inv is None or inv not in by_name:
+            raise GroupoidError(f"morphism '{name}' has no inverse")
+        if by_name[inv] != (tgt, src):
+            raise GroupoidError(f"inverse of '{name}' has wrong endpoints")
+        if comp[(name, inv)] != g.identities[tgt] or \
+                comp[(inv, name)] != g.identities[src]:
+            raise GroupoidError(f"'{inv}' is not a two-sided inverse of '{name}'")
+
+
 def reference_linearize_groupoid(g, field):
     """Reference for ``groupoid.linearize_groupoid``."""
-    validate_groupoid(g)
+    reference_validate_groupoid(g)
     X = g.objects
     zero, one = field.zero, field.one
     basis = {(x, y): g.hom(x, y) for x in X for y in X}

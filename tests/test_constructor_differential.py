@@ -8,7 +8,9 @@ whose mixed homs are zero-dimensional, the cyclic groups of order 1 to 8,
 and connected groupoids with vertex group Z/3 whose morphisms are declared
 in a shuffled order (so that f ↦ f⁻¹ between two homs is not an involution
 of the basis indices, and a transposed antipode shows); kZ/n for the same
-orders.
+orders.  Groupoid validation, which now visits only composable pairs and
+triples, must raise the same first error with the same message as the
+reference on every single-entry corruption of the groupoid fixtures.
 """
 
 import os
@@ -17,13 +19,14 @@ import random
 import pytest
 
 from oracles import (reference_group_algebra, reference_linearize_groupoid,
-                     reference_taft_four_dim)
+                     reference_taft_four_dim, reference_validate_groupoid)
 
 from hopfcat.fileformat import load, serialize
 from hopfcat.fixtures import group_algebra, taft_four_dim
-from hopfcat.groupoid import (GroupoidData, cyclic_group_groupoid,
-                              disjoint_union, linearize_groupoid,
-                              pair_groupoid)
+from hopfcat.groupoid import (GroupoidData, GroupoidError,
+                              cyclic_group_groupoid, disjoint_union,
+                              linearize_groupoid, pair_groupoid,
+                              validate_groupoid)
 from hopfcat.scalars import GF, QQ
 
 FIELDS = [QQ, GF(5), GF((1 << 61) - 1)]
@@ -88,3 +91,43 @@ def test_group_algebra(field):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_taft_four_dim(field):
     _same(taft_four_dim(field), reference_taft_four_dim(field))
+
+
+def corruptions(g: GroupoidData):
+    """Each copy of ``g`` with one ``compose``, ``identities`` or
+    ``inverses`` entry dropped, or redirected to another morphism name or to
+    an undeclared one."""
+    names = [m[0] for m in g.morphisms] + ["undeclared"]
+    for table in ("compose", "identities", "inverses"):
+        entries = getattr(g, table)
+        for key, value in entries.items():
+            changed = [{k: v for k, v in entries.items() if k != key}]
+            changed += [{**entries, key: name} for name in names
+                        if name != value]
+            for new in changed:
+                yield GroupoidData(**{**vars(g), table: new})
+
+
+def outcome(validate, g):
+    try:
+        validate(g)
+    except GroupoidError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["pair3", "z2", "disjoint", "z3xpair2"])
+def test_validate_groupoid_on_every_single_entry_corruption(fixture_dir,
+                                                             name):
+    # the groupoid fixtures, and Z/3 × the pair groupoid on 2 objects, whose
+    # corruptions also reach the associativity check
+    g = shuffled_z3_groupoid(("a", "b"), 0) if name == "z3xpair2" \
+        else load(os.path.join(fixture_dir, f"{name}_groupoid.hc"))
+    assert outcome(validate_groupoid, g) is None
+    seen = set()
+    for bad in corruptions(g):
+        want = outcome(reference_validate_groupoid, bad)
+        assert outcome(validate_groupoid, bad) == want
+        seen.add(want.split()[0] if want else None)
+    assert "missing" in seen and "composite" in seen
+    assert (name == "z3xpair2") == ("composition" in seen)

@@ -1,7 +1,8 @@
 """No module of the library (``__init__.py`` aside, whose imports are its
-exports) and no script imports a name it never uses.  Standard library only:
-each file is parsed with ``ast`` and every name bound by an import must be
-read somewhere in that file, in code or in a string annotation."""
+exports), no script and no test module imports a name it never uses.
+Standard library only: each file is parsed with ``ast`` and every name bound
+by an import must be read somewhere in that file, in code or in a string
+annotation."""
 
 import ast
 import glob
@@ -13,6 +14,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 FILES = sorted(
     p for p in glob.glob(os.path.join(ROOT, "src", "hopfcat", "*.py"))
     + glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+    + glob.glob(os.path.join(ROOT, "tests", "*.py"))
     if os.path.basename(p) != "__init__.py")
 
 
@@ -51,6 +53,8 @@ def test_the_scan_covers_the_library_and_the_scripts():
     names = {os.path.relpath(p, ROOT) for p in FILES}
     assert os.path.join("src", "hopfcat", "cli.py") in names
     assert os.path.join("scripts", "cli_identity.py") in names
+    assert os.path.join("tests", "oracles.py") in names
+    assert os.path.join("tests", "conftest.py") in names
     assert os.path.join("src", "hopfcat", "__init__.py") not in names
 
 

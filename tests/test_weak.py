@@ -5,7 +5,7 @@ import pytest
 from hopfcat.core import MissingAntipodeError
 from hopfcat.dual import dualize
 from hopfcat.fixtures import idempotent_monoid_bialgebra, pair_groupoid_3
-from hopfcat.groupoid import linearize_groupoid
+from hopfcat.groupoid import linearize_groupoid, pair_groupoid
 from hopfcat.scalars import QQ
 from hopfcat.weak import (WeakHopfData, counital_source, counital_target,
                           pack, pack_dual, verify_weak_hopf)
@@ -56,6 +56,18 @@ def test_singleton_pack_is_the_algebra_itself(hopf_fixtures):
         expect = {j: base * v for j, v in enumerate(w.unit) if base * v}
         assert counital_target(w, h) == expect
         assert counital_source(w, h) == expect
+
+
+# -- scale: n = 36, so n^3 = 46,656 basis triples -----------------------------------
+
+@pytest.mark.parametrize("packing", [pack, lambda a: pack_dual(dualize(a))],
+                         ids=["pack", "pack_dual"])
+def test_packed_pair_groupoid_on_6_objects_at_scale(packing):
+    w = packing(linearize_groupoid(pair_groupoid(tuple("abcdef")), QQ))
+    assert w.total_dim == 36
+    rep = verify_weak_hopf(w)
+    assert rep.overall, rep.table()
+    assert all(it.objects == () for it in rep.items)
 
 
 def test_pack_pair_groupoid_is_the_groupoid_algebra(hopf_fixtures):

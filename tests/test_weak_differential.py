@@ -1,26 +1,37 @@
-"""The weak Hopf verifier against the sampled verifier it replaced.
+"""The weak Hopf verifier against the verifiers it replaced.
 
-The two agree record for record on every law but the weak counit law.  That
+``oracles.reference_verify_weak_hopf`` is the verifier as it was before each
+law's loop was restricted to the instances that nonzero constants reach: the
+two must agree record for record, on every input here.
+
+``oracles.sampled_verify_weak_hopf`` is the one before that.  The two agree
+record for record on every law but the weak counit law.  That
 law is now checked on every basis triple, where the old verifier checked it
 only on block-compatible triples and audited the rest under one combined
 ``weak-counit-audit`` axiom.  So, with the old audit made to cover every
 skipped triple, the new per-triple records must be exactly the old per-triple
 ones plus each audited failure filed under the law(s) it breaks, and the old
 per-triple records must appear among the new ones in the same order.
+
+The mutant sweeps also hold the verifier to the mutation rule: every
+single-coefficient mutant of data that verifies fails a law that reads the
+tensor it changed.
 """
 
-import copy
 import glob
 import os
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sampled_verify_weak_hopf
+from mutants import mutate
+from oracles import reference_verify_weak_hopf, sampled_verify_weak_hopf
 
 from hopfcat import fixtures as fx
 from hopfcat.dual import dualize
 from hopfcat.fileformat import load
+from hopfcat.groupoid import disjoint_union, linearize_groupoid, pair_groupoid
 from hopfcat.scalars import GF, QQ
 from hopfcat.weak import WeakHopfData, pack, pack_dual, verify_weak_hopf
 
@@ -52,8 +63,14 @@ def audited_failures(recs):
     return out
 
 
-def assert_record_rule(w: WeakHopfData):
+def assert_same_records(w: WeakHopfData):
     rep = verify_weak_hopf(w)
+    assert records(rep) == records(reference_verify_weak_hopf(w))
+    return rep
+
+
+def assert_record_rule(w: WeakHopfData):
+    rep = assert_same_records(w)
     new = records(rep)
     old = records(sampled_verify_weak_hopf(w, audit_samples=w.total_dim ** 3))
 
@@ -102,50 +119,116 @@ def test_pack_and_pack_dual_of_taft4_over_gf5():
     assert assert_record_rule(pack_dual(dualize(a))).overall
 
 
-def positions(w: WeakHopfData, tensors=("mult", "comult", "counit")):
-    """Every coefficient slot of the named tensors as (name, index path)."""
+# the laws whose sides read each tensor
+READS = {
+    "mult": {"assoc", "unit", "comult-mult", "weak-counit-left",
+             "weak-counit-right", "weak-unit-left", "weak-unit-right",
+             "antipode-target", "antipode-source", "antipode-full"},
+    "comult": {"coassoc", "counit", "comult-mult", "weak-counit-left",
+               "weak-counit-right", "weak-unit-left", "weak-unit-right",
+               "antipode-target", "antipode-source", "antipode-full"},
+    "counit": {"counit", "weak-counit-left", "weak-counit-right",
+               "antipode-target", "antipode-source"},
+    "unit": {"unit", "weak-unit-left", "weak-unit-right",
+             "antipode-target", "antipode-source"},
+    "antipode": {"antipode-target", "antipode-source", "antipode-full"},
+}
+
+
+def positions(w: WeakHopfData):
+    """Every coefficient slot of the five tensors as (name, None, index
+    path): a ``mutants.mutate`` edit without its f."""
     n = w.total_dim
-    for name in tensors:
+    for name in READS:
         if name in ("mult", "comult"):
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        yield name, (i, j, k)
+                        yield name, None, (i, j, k)
         elif name == "antipode":
             for r in range(n):
                 for c in range(n):
-                    yield name, (r, c)
+                    yield name, None, (r, c)
         else:
             for i in range(n):
-                yield name, (i,)
+                yield name, None, (i,)
 
 
-def mutate(w: WeakHopfData, edits) -> WeakHopfData:
-    """A deep copy of ``w`` with each (tensor, path, f) edit applied, where f
-    maps the old coefficient to the new one."""
-    b = copy.deepcopy(w)
-    for name, path, f in edits:
-        slot = getattr(b, name)
-        for i in path[:-1]:
-            slot = slot[i]
-        slot[path[-1]] = f(slot[path[-1]])
-    return b
+def doubled_or_one(field):
+    return lambda v: v * 2 if v else field.one
+
+
+def assert_every_mutant_fails_a_law_that_reads_it(w: WeakHopfData, verify):
+    """Every doubled-or-one single-coefficient mutant of ``w`` fails, and
+    among its failing laws is one that reads the tensor it changed."""
+    slots = list(positions(w))
+    for slot in slots:
+        rep = verify(mutate(w, [slot + (doubled_or_one(w.field),)]))
+        failed = {it.axiom for it in rep.failed()}
+        assert failed & READS[slot[0]], (slot, sorted(failed))
+    return len(slots)
 
 
 def test_every_single_coefficient_mutant_of_pack_pair2(hopf_fixtures):
     w = pack(hopf_fixtures["pair2"])
-    slots = list(positions(w))
-    assert len(slots) == 132
+    assert assert_every_mutant_fails_a_law_that_reads_it(
+        w, assert_record_rule) == 152
+
+
+@pytest.mark.parametrize("name,slots", [("pack_dual(pair2)", 152),
+                                        ("pack(taft4)", 152),
+                                        ("disjoint_dual_packed", 69)])
+def test_every_single_coefficient_mutant_fails_a_law_that_reads_it(
+        hopf_fixtures, fixture_dir, name, slots):
+    if name == "disjoint_dual_packed":
+        w = load(os.path.join(fixture_dir, "disjoint_dual_packed.hc"))
+    elif name == "pack(taft4)":
+        w = pack(hopf_fixtures["taft4"])
+    else:
+        w = pack_dual(dualize(hopf_fixtures["pair2"]))
+    assert verify_weak_hopf(w).overall
+    assert assert_every_mutant_fails_a_law_that_reads_it(
+        w, verify_weak_hopf) == slots
+
+
+def groupoid_category(*sizes):
+    """The linearized union of pair groupoids on ``sizes`` objects."""
+    g = None
+    for c, size in enumerate(sizes):
+        p = pair_groupoid(tuple(f"{chr(97 + c)}{i}" for i in range(size)))
+        g = p if g is None else disjoint_union(g, p)
+    return linearize_groupoid(g, QQ)
+
+
+def test_the_packings_the_benchmark_builds_and_the_weak_fixtures(
+        fixture_dir):
+    # pack and pack_dual of the pair groupoid on 3 objects and of the unions
+    # 1+2, 2+2, 1+3, 2+3 and 1+1+2, as the many-objects workload makes them
+    for sizes in ((3,), (1, 2), (2, 2), (1, 3), (2, 3), (1, 1, 2)):
+        a = groupoid_category(*sizes)
+        assert assert_same_records(pack(a)).overall
+        assert assert_same_records(pack_dual(dualize(a))).overall
+    for name in ("pair3_packed.hc", "disjoint_dual_packed.hc"):
+        assert assert_same_records(load(os.path.join(fixture_dir, name)))
+
+
+@pytest.mark.parametrize("name", ["pack(pair2)", "pack_dual(pair2)",
+                                  "pack(taft4)"])
+def test_doubled_or_one_and_minus_one_mutants_over_gf5(name):
+    f = GF(5)
+    a = fx.hopf_fixtures(f)["taft4" if "taft4" in name else "pair2"]
+    w = pack_dual(dualize(a)) if name.startswith("pack_dual") else pack(a)
+    minus_one = f.of(4)
     failing = 0
-    for name, path in slots:
-        mut = mutate(w, [(name, path, lambda v: v * 2 if v else QQ.one)])
-        failing += not assert_record_rule(mut).overall
+    for slot in positions(w):
+        for edit in (doubled_or_one(f), lambda v: minus_one):
+            failing += not assert_same_records(
+                mutate(w, [slot + (edit,)])).overall
     assert failing > 0
 
 
 PAIR3 = pack(fx.hopf_fixtures(QQ)["pair3"])
-PAIR3_SLOTS = list(positions(PAIR3, ("mult", "comult", "counit", "unit",
-                                     "antipode")))
+PAIR3_SLOTS = list(positions(PAIR3))
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,9 +247,8 @@ def test_wrapping_mutants_of_pack_taft4_over_gf5():
     w = pack(fx.taft_four_dim(GF(5)))
     minus_one = GF(5).of(4)
     failing = 0
-    for name, path in positions(w, ("mult", "comult", "counit", "unit",
-                                    "antipode")):
+    for slot in positions(w):
         for edit in (lambda v: minus_one, lambda v: v + minus_one):
             failing += not assert_record_rule(
-                mutate(w, [(name, path, edit)])).overall
+                mutate(w, [slot + (edit,)])).overall
     assert failing > 0
