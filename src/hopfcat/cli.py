@@ -3,7 +3,8 @@
 Exit codes are stable contracts:
   0  the check or operation passed,
   1  an axiom check or analysis failed (with witnesses in the report),
-  2  unreadable, unparseable, or kind-incompatible input,
+  2  unreadable, unparseable, or kind-incompatible input, a bad option
+     value, or an output path that cannot be written,
   3  an internal theorem-backed invariant was violated (data is suspect).
 
 Reports go to stdout as a text table and, with --report, to a structured
@@ -14,6 +15,7 @@ with content digests of the canonicalized inputs is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -58,28 +60,45 @@ def _load(path: str):
         raise _CliError(f"{e.path or path}: {e}", EXIT_PARSE)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failure to write the output ``path`` the user gave as
+    exit 2, under that path rather than a temporary file's."""
+    try:
+        yield
+    except OSError as e:
+        raise _CliError(f"cannot write {path}: {e.strerror or e}",
+                        EXIT_PARSE)
+
+
 def _write_report(report: Report, args, command: str, path: str, obj):
     """Print the table and, with --report, write the records and a manifest
     carrying the digest of ``obj``, the object already loaded from ``path``."""
     if not args.quiet:
         print(report.table())
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.writelines(item.json_line() for item in report.items)
         manifest = {
             "command": command,
             "argv": sys.argv[1:],
             "inputs": [{"path": path, "digest": fileformat.digest(obj)}],
             "report": args.report,
         }
-        with open(args.report + ".manifest.json", "w") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with _writing(args.report):
+            with open(args.report, "w") as fh:
+                fh.writelines(item.json_line() for item in report.items)
+            with open(args.report + ".manifest.json", "w") as fh:
+                fh.write(json.dumps(manifest, indent=2, sort_keys=True)
+                         + "\n")
 
 
-def _verify_any(obj, args) -> tuple[Report, bool]:
-    """The report of verifying ``obj``, and its verdict read once per part."""
+def _verify_any(obj, level=None, strictness=False,
+                theorems=False) -> tuple[Report, bool]:
+    """The report of verifying ``obj``, and its verdict read once per part.
+    ``level``, ``strictness`` and ``theorems`` are the options of
+    ``verify``: they apply to hopf-category data, and a level given for
+    any other kind is a usage error."""
     if isinstance(obj, HopfCatData):
-        level = args.level or ("hopf" if obj.has_antipode else "semihopf")
+        level = level or ("hopf" if obj.has_antipode else "semihopf")
         rep = verify_structure(obj, level)
         # the extra checks presuppose valid data: on a failing base report
         # they are skipped, and that report is the answer
@@ -88,9 +107,9 @@ def _verify_any(obj, args) -> tuple[Report, bool]:
         # the data is verified once per level an extra check needs, and the
         # passing report handed to the check as its precondition
         extra = Report()
-        if getattr(args, "strictness", False):
+        if strictness:
             extra.extend(check_strictness(obj, base=rep))
-        if getattr(args, "antipode_theorems", False):
+        if theorems:
             hopf = rep if level == "hopf" else verify_structure(obj, "hopf")
             if hopf is rep or hopf.overall:
                 extra.extend(check_antipode_theorems(obj, base=hopf))
@@ -98,7 +117,7 @@ def _verify_any(obj, args) -> tuple[Report, bool]:
                 extra.items.extend(hopf.failed())
         rep.extend(extra)
         return rep, extra.overall
-    if args.level:
+    if level:
         raise _CliError("--level only applies to hopf-category files",
                         EXIT_PARSE)
     if isinstance(obj, DualHopfCatData):
@@ -133,7 +152,8 @@ def _verify_any(obj, args) -> tuple[Report, bool]:
 
 def cmd_verify(args) -> int:
     obj = _load(args.path)
-    rep, ok = _verify_any(obj, args)
+    rep, ok = _verify_any(obj, args.level, args.strictness,
+                          args.antipode_theorems)
     _write_report(rep, args, "verify", args.path, obj)
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -159,7 +179,11 @@ def _apply_transform(obj, op: str, args):
             f"op '{op}' does not accept kind "
             f"'{fileformat.kind_of(obj)}'", EXIT_PARSE)
     if op == "from-groupoid":
-        return linearize_groupoid(obj, parse_field(args.field))
+        try:
+            field = parse_field(args.field)
+        except ValueError as e:
+            raise _CliError(f"--field '{args.field}': {e}", EXIT_PARSE)
+        return linearize_groupoid(obj, field)
     if op == "from-graded":
         return from_graded(obj)
     if op == "dualize":
@@ -181,15 +205,15 @@ def cmd_transform(args) -> int:
     obj = _load(args.path)
     out = _apply_transform(obj, args.op, args)
     # self-check before writing
-    check_args = argparse.Namespace(level=None, quiet=True, report=None)
-    rep, ok = _verify_any(out, check_args)
+    rep, ok = _verify_any(out)
     if not ok:
         if not args.quiet:
             print(rep.table())
         raise _CliError(
             f"transform output fails its own verification: {rep.summary()}",
             EXIT_INTERNAL)
-    fileformat.save(args.out, out)
+    with _writing(args.out):
+        fileformat.save(args.out, out)
     if not args.quiet:
         print(f"wrote {fileformat.kind_of(out)} to {args.out}")
     _write_report(rep, args, f"transform {args.op}", args.path, obj)
@@ -227,7 +251,8 @@ def cmd_analyze(args) -> int:
         else:
             rep.add(CheckItem("antipode-recoverable", (), True))
             if args.out:
-                fileformat.save(args.out, result)
+                with _writing(args.out):
+                    fileformat.save(args.out, result)
                 out_lines.append(f"wrote completed hopf-category to {args.out}")
     elif op == "integrals":
         if not isinstance(obj, HopfCatData):
@@ -269,7 +294,7 @@ def cmd_analyze(args) -> int:
             code = EXIT_FAIL
 
     if args.out and op in ("integrals", "coinvariants", "can-ranks"):
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write("\n".join(out_lines) + "\n")
     if not args.quiet:
         for line in out_lines:

@@ -89,10 +89,6 @@ def z2_groupoid() -> GroupoidData:
     return cyclic_group_groupoid(2, "*")
 
 
-def z3_groupoid() -> GroupoidData:
-    return cyclic_group_groupoid(3, "*")
-
-
 def pair_groupoid_2() -> GroupoidData:
     return pair_groupoid(("1", "2"))
 

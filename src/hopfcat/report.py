@@ -90,23 +90,17 @@ class Report:
         return (f"{verdict}: {len(self.items) - len(bad)}/{len(self.items)} "
                 f"checks ok, {self.total_failures} failing basis elements")
 
-    def table(self, failures_only: bool = True) -> str:
+    def table(self) -> str:
+        """One line per failing item, then the summary."""
         lines = []
         for it in self.items:
-            if failures_only and it.ok:
-                continue
-            obj = ",".join(it.objects)
             if it.ok:
-                status = "ok  "
-            elif it.required:
-                status = "FAIL"
-            else:
-                status = "note"
-            line = f"{status} {it.axiom:28s} ({obj})"
-            if not it.ok:
-                line += f" witness={it.witness} residual={it.residual}"
-                if it.failures > 1:
-                    line += f" [+{it.failures - 1} more]"
+                continue
+            status = "FAIL" if it.required else "note"
+            line = (f"{status} {it.axiom:28s} ({','.join(it.objects)})"
+                    f" witness={it.witness} residual={it.residual}")
+            if it.failures > 1:
+                line += f" [+{it.failures - 1} more]"
             lines.append(line)
         lines.append(self.summary())
         return "\n".join(lines)

@@ -12,15 +12,11 @@ basis triples through the pairing ε(e_i·e_a), so nothing is skipped or
 sampled.  The checks run on the ``sparse`` helpers that the Hopf-category
 verifier uses, over the nonzero structure constants read once per call.
 
-Packed data is block-sparse, so each law's loop visits only the instances
-that at least one product of nonzero constants reaches, in lexicographic
-order.  They are found through per-call indices of those constants: for
-each q the i with e_i·e_q ≠ 0 (associativity, both bracketings), Δ(e_j) by
-its left leg (multiplicativity of Δ), the columns of the pairing (the weak
-counit law) and Δ(1) by its left leg (the weak unit laws).  On every other
-instance both sides are the empty sum, so the law holds there and is still
-checked, as associativity on a triple (i, j, k) with e_i·e_j = 0 and
-e_j·e_k = 0 always was.
+Packed data is block-sparse, so each law sums its sides over the nonzero
+constants only, keyed by instance, and compares them on the union of their
+keys, in lexicographic order.  Every instance outside those keys has two
+empty sides, so the law holds there and is still checked, as associativity
+on a triple (i, j, k) with e_i·e_j = 0 and e_j·e_k = 0 always was.
 
 Blocks are ordered lexicographically in the declared object order, so packed
 output is canonical and diffable.
@@ -182,18 +178,6 @@ class _Tensors:
                     sp.add(acc, a, v * c * x)
         return sp.nonzero(acc)
 
-    def splits(self, j: int, flip: bool) -> dict:
-        """With Δ(e_j) = Σ D_j[a,b] e_a⊗e_b: for each a that is a left leg,
-        the row Σ_b D_j[a,b] ε(e_b·–) (flip: for each right leg b, the row
-        Σ_a D_j[a,b] ε(e_a·–)).  Contracted with the row ε(e_i·–) they give
-        Σ ε(e_i y₁) ε(y₂·–) (flip: Σ ε(e_i y₂) ε(y₁·–)) at y = e_j."""
-        rows = {}
-        for (a, b), c in self.comult[j].items():
-            if flip:
-                a, b = b, a
-            rows.setdefault(a, {})[b] = c
-        return {a: sp.apply(self.pairing, row) for a, row in rows.items()}
-
 
 def _by_first(n: int, pairs) -> list[list]:
     """For each index below n, the (rest, value) of the ((first, rest),
@@ -211,14 +195,13 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
     computed source/target counital maps.
 
     Every law is checked on every basis element, pair or triple it ranges
-    over; the weak counit law in particular on all n³ triples.  Each law's
-    loop visits, in lexicographic order, the instances that at least one
-    product of nonzero constants reaches, found through indices of those
-    constants: the i with e_i·e_q ≠ 0 for each q, Δ(e_j) and Δ(1) by their
-    left legs, and the columns of the pairing ε(e_i·e_a).  On any other
-    instance both sides are the empty sum, so the law holds there, as
-    associativity on a triple where e_i·e_j = 0 and e_j·e_k = 0.  A failing
-    instance is recorded under the blocks of its basis elements.
+    over; the weak counit law in particular on all n³ triples.  Both sides
+    of a law are summed over the nonzero constants, keyed by instance, and
+    compared on the union of their keys in lexicographic order: any other
+    instance has two empty sides, so the law holds there.  A residual comes
+    from the reduced difference of the two sides, so a sum that cancels
+    inside one side changes nothing.  A failing instance is recorded under
+    the blocks of its basis elements.
     """
     w.validate_shape()
     if w.antipode is None:
@@ -250,25 +233,21 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
         for q in row:
             left_of[q].append(i)
 
-    # algebra laws: (e_i e_j) e_k has a term only where e_i e_j has a term
-    # e_m with e_m e_k != 0, and e_i (e_j e_k) only where e_j e_k has a term
-    # e_m with e_i e_m != 0
-    reached = {}
+    # algebra laws: (e_i e_j) e_k = Σ_m c_ij^m e_m e_k and
+    # e_i (e_j e_k) = Σ_m c_jk^m e_i e_m, each summed by (i, j, k)
+    lhs, rhs = {}, {}
     for i, row in enumerate(mult):
         for j, ij in row.items():
-            ks = reached.setdefault((i, j), set())
-            for m in ij:
-                ks.update(mult[m])
+            for m, c in ij.items():
+                for k, mk in mult[m].items():
+                    sp.axpy(lhs.setdefault((i, j, k), {}), c, mk)
     for j, row in enumerate(mult):
         for k, jk in row.items():
-            for m in jk:
+            for m, c in jk.items():
                 for i in left_of[m]:
-                    reached.setdefault((i, j), set()).add(k)
-    for i, j in sorted(reached):
-        ij, jk = mult[i].get(j, {}), mult[j]
-        for k in sorted(reached[(i, j)]):
-            check("assoc", (i, j, k), i, sp.product(mult, ij, basis[k]),
-                  sp.product(mult, basis[i], jk.get(k, {})))
+                    sp.axpy(rhs.setdefault((i, j, k), {}), c, mult[i][m])
+    for ijk in sorted(lhs.keys() | rhs.keys()):
+        check("assoc", ijk, ijk[0], lhs.get(ijk, {}), rhs.get(ijk, {}))
     summarize("assoc", res="see items")
 
     for i, e_i in enumerate(basis):
@@ -319,44 +298,38 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
 
     # weak counit law ε(e_i e_j e_k) = Σ ε(e_i y₁) ε(y₂ e_k)
     # = Σ ε(e_i y₂) ε(y₁ e_k) with Δ(e_j) = Σ y₁⊗y₂: all three sides are
-    # read off the pairing, row by row over k, and reduced to be compared as
-    # scalars.  ε(e_i e_j ·) has a term only where e_i e_j != 0, and a split
-    # only where ε(e_i·e_a) != 0 for a leg e_a of Δ(e_j), found through the
-    # columns of the pairing
-    paired = [[] for _ in range(n)]
-    for i, row in enumerate(t.pairing):
-        for a in row:
-            paired[a].append(i)
-    partners = [set(row) for row in mult]
+    # read off the pairing P[i][a] = ε(e_i·e_a) and summed by (i, j, k);
+    # a split term ε(e_i e_a) ε(e_b e_k) is found through column a of P
+    # and row b
+    pairing = t.pairing
+    column = [[] for _ in range(n)]
+    for i, row in enumerate(pairing):
+        for a, x in row.items():
+            column[a].append((i, x))
+    whole, s1, s2 = {}, {}, {}
+    for i, row in enumerate(mult):
+        for j, ij in row.items():
+            for m, c in ij.items():
+                for k, x in pairing[m].items():
+                    sp.add(whole, (i, j, k), c * x)
     for j, delta in enumerate(comult):
-        for a, b in delta:
-            for i in paired[a] + paired[b]:
-                partners[i].add(j)
-    splits = [(t.splits(j, False), t.splits(j, True)) for j in range(n)]
-    reduce = field.reduce
-
-    def split(rows, pairing_i):
-        acc = {}
-        for a, c in pairing_i.items():
-            if a in rows:
-                sp.axpy(acc, c, rows[a])
-        return reduce(acc)
-
-    for i in range(n):
-        for j in sorted(partners[i]):
-            whole = reduce(sp.apply(t.pairing, mult[i].get(j, {})))
-            s1 = split(splits[j][0], t.pairing[i])
-            s2 = split(splits[j][1], t.pairing[i])
-            for k in sorted(whole.keys() | s1.keys() | s2.keys()):
-                v, v1, v2 = (x.get(k, t.zero) for x in (whole, s1, s2))
-                if v1 == v and v2 == v:
-                    continue
-                res = f"eps(hkl)={fmt(v)} split1={fmt(v1)} split2={fmt(v2)}"
-                objects = blk[i] + blk[j] + blk[k]
-                if v1 != v:
-                    fail("weak-counit-left", objects, j, res)
-                if v2 != v:
-                    fail("weak-counit-right", objects, j, res)
+        for (a, b), c in delta.items():
+            for acc, left, right in ((s1, a, b), (s2, b, a)):
+                for i, x in column[left]:
+                    for k, y in pairing[right].items():
+                        sp.add(acc, (i, j, k), c * x * y)
+    whole, s1, s2 = (field.reduce(x) for x in (whole, s1, s2))
+    for ijk in sorted(whole.keys() | s1.keys() | s2.keys()):
+        v, v1, v2 = (x.get(ijk, t.zero) for x in (whole, s1, s2))
+        if v1 == v and v2 == v:
+            continue
+        i, j, k = ijk
+        res = f"eps(hkl)={fmt(v)} split1={fmt(v1)} split2={fmt(v2)}"
+        objects = blk[i] + blk[j] + blk[k]
+        if v1 != v:
+            fail("weak-counit-left", objects, j, res)
+        if v2 != v:
+            fail("weak-counit-right", objects, j, res)
     summarize("weak-counit-left", "weak-counit-right")
 
     # weak unit laws: in 1₁ ⊗ 1₂1'₁ ⊗ 1'₂ (mid) and 1₁ ⊗ 1'₁1₂ ⊗ 1'₂

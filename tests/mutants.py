@@ -34,3 +34,29 @@ def mutate(obj, edits):
             t = t[i]
         t[path[-1]] = f(t[path[-1]])
     return out
+
+
+def slots(obj, names):
+    """Every coefficient slot of the tensors ``names`` of ``obj`` as
+    (tensor name, key, index path): a ``mutate`` edit without its f.  A name
+    is dotted to reach into a part (``base.mult``); a table is walked key by
+    key in its order, with key None for a tensor that is not a table, and
+    each tensor in index order.  An absent tensor (None) has no slots."""
+    def walk(t, path):
+        if isinstance(t, list):
+            for i, v in enumerate(t):
+                yield from walk(v, path + (i,))
+        else:
+            yield path
+
+    for name in names:
+        table = obj
+        for part in name.split("."):
+            table = getattr(table, part)
+        if table is None:
+            continue
+        tensors = table.items() if isinstance(table, dict) \
+            else [(None, table)]
+        for key, t in tensors:
+            for path in walk(t, ()):
+                yield name, key, path

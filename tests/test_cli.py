@@ -436,6 +436,48 @@ def test_transform_aborts_on_nonverifying_output(tmp_path):
     assert not os.path.exists(out)
 
 
+
+@pytest.mark.parametrize("field", ["fp:4", "bogus", "fp:x", "fp:", "fp:1"])
+def test_from_groupoid_rejects_a_bad_field(fixture_dir, tmp_path, capsys,
+                                           field):
+    out = tmp_path / "x.hc"
+    capsys.readouterr()
+    assert main(["--quiet", "--field", field, "transform",
+                 fx(fixture_dir, "pair2_groupoid"), "from-groupoid",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --field '{field}': ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+UNWRITABLE = [
+    ("--report", lambda fixture_dir, path: [
+        "--quiet", "--report", path, "verify", fx(fixture_dir, "pair2")]),
+    ("transform OUT", lambda fixture_dir, path: [
+        "--quiet", "transform", fx(fixture_dir, "pair2"), "pack", path]),
+    ("analyze --out listing", lambda fixture_dir, path: [
+        "--quiet", "analyze", fx(fixture_dir, "kz2"), "integrals",
+        "--out", path]),
+    ("analyze --out structure", lambda fixture_dir, path: [
+        "--quiet", "analyze", fx(fixture_dir, "kz2_stripped"),
+        "recover-antipode", "--out", path]),
+]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in UNWRITABLE],
+                         ids=[name for name, _ in UNWRITABLE])
+def test_an_output_path_that_cannot_be_written(fixture_dir, tmp_path, capsys,
+                                               argv):
+    # the error names the path given, not the temporary file of an atomic
+    # write next to it
+    path = str(tmp_path / "missing" / "out")
+    capsys.readouterr()
+    assert main(argv(fixture_dir, path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and ".hopfcat-" not in err
+
+
 # -- analyze ------------------------------------------------------------------------
 
 def test_analyze_recover_antipode(fixture_dir, tmp_path):

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mutants import mutate
+from mutants import mutate, slots
 from oracles import dense_antipode_theorems, dense_verify_structure
 
 from hopfcat import fixtures as fx
@@ -116,6 +116,42 @@ def test_every_single_coefficient_mutant_of_repeated_tensors(hopf_fixtures,
     for name_, key, path in positions(a):
         assert_same_reports(mutate(a, [(name_, key, path, bump)]),
                             levels=("hopf",))
+
+
+# the families whose sides read each tensor
+READS = {
+    "mult": {"assoc", "unit-left", "unit-right", "comult-mult",
+             "counit-mult", "antipode-left", "antipode-right"},
+    "unit": {"unit-left", "unit-right", "comult-unit", "counit-unit",
+             "antipode-left", "antipode-right"},
+    "comult": {"coassoc", "counit-left", "counit-right", "comult-mult",
+               "comult-unit", "antipode-left", "antipode-right"},
+    "counit": {"counit-left", "counit-right", "counit-mult", "counit-unit",
+               "antipode-left", "antipode-right"},
+    "antipode": {"antipode-left", "antipode-right"},
+}
+
+
+def test_every_mutant_of_a_verifying_fixture_fails_a_family_that_reads_it(
+        fixture_dir):
+    """The mutation net: every doubled-or-one single-coefficient mutant of
+    each hopf-category fixture that verifies (at hopf, or at semihopf
+    without an antipode) fails, and a family that reads the changed tensor
+    is among its failures."""
+    inputs = mutants = 0
+    for path in hopf_category_files(fixture_dir):
+        a = load(path)
+        level = "hopf" if a.has_antipode else "semihopf"
+        if not verify_structure(a, level).overall:
+            continue
+        inputs += 1
+        for slot in slots(a, READS):
+            mutants += 1
+            rep = verify_structure(
+                mutate(a, [slot + (doubled_or_one(a.field),)]), level)
+            failed = {it.axiom for it in rep.failed()}
+            assert failed & READS[slot[0]], (path, slot, sorted(failed))
+    assert (inputs, mutants) == (17, 737)
 
 
 TAFT4 = {field: fx.taft_four_dim(field) for field in (QQ, GF(5))}

@@ -6,13 +6,14 @@ failing items with witnesses and residuals, and on strings that need
 escaping.
 """
 
-import copy
 import glob
 import json
 import os
 from fractions import Fraction
 
 import pytest
+
+from mutants import mutate, slots
 
 from hopfcat.cli import main
 from hopfcat.core import HopfCatData, verify_structure
@@ -43,40 +44,15 @@ def test_report_file_of_every_fixture(fixture_dir, tmp_path, name):
         assert line == json.dumps(json.loads(line)) + "\n"
 
 
-def slots(a: HopfCatData):
-    """Every structure-constant slot as (tensor name, key, index path)."""
-    def walk(t, path):
-        if isinstance(t, list):
-            for i, v in enumerate(t):
-                yield from walk(v, path + (i,))
-        else:
-            yield path
-    for slot in a.layout.slots:
-        table = getattr(a, slot.tag)
-        if table is not None:
-            for key, t in table.items():
-                for path in walk(t, ()):
-                    yield slot.tag, key, path
-
-
-def mutate(a: HopfCatData, tag, key, path, edit) -> HopfCatData:
-    out = copy.deepcopy(a)
-    t = getattr(out, tag)[key]
-    for i in path[:-1]:
-        t = t[i]
-    t[path[-1]] = edit(t[path[-1]])
-    return out
-
-
 @pytest.mark.parametrize("name", ["kz2_stripped", "pair2_stripped"])
 def test_every_single_coefficient_mutant(fixture_dir, name):
     a = load(os.path.join(fixture_dir, name + ".hc"))
     one, half = a.field.one, Fraction(1, 2)
     failing = mutants = 0
     for edit in (lambda v: v * 2 if v else one, lambda v: v - half):
-        for slot in slots(a):
+        for slot in slots(a, [s.tag for s in a.layout.slots]):
             mutants += 1
-            for item in verify_structure(mutate(a, *slot, edit),
+            for item in verify_structure(mutate(a, [slot + (edit,)]),
                                          "semihopf").items:
                 assert item.json_line() == dumped(item)
                 failing += item.witness is not None and bool(item.residual)

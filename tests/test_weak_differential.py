@@ -25,7 +25,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mutants import mutate
+from mutants import mutate, slots
 from oracles import reference_verify_weak_hopf, sampled_verify_weak_hopf
 
 from hopfcat import fixtures as fx
@@ -135,25 +135,6 @@ READS = {
 }
 
 
-def positions(w: WeakHopfData):
-    """Every coefficient slot of the five tensors as (name, None, index
-    path): a ``mutants.mutate`` edit without its f."""
-    n = w.total_dim
-    for name in READS:
-        if name in ("mult", "comult"):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        yield name, None, (i, j, k)
-        elif name == "antipode":
-            for r in range(n):
-                for c in range(n):
-                    yield name, None, (r, c)
-        else:
-            for i in range(n):
-                yield name, None, (i,)
-
-
 def doubled_or_one(field):
     return lambda v: v * 2 if v else field.one
 
@@ -161,12 +142,12 @@ def doubled_or_one(field):
 def assert_every_mutant_fails_a_law_that_reads_it(w: WeakHopfData, verify):
     """Every doubled-or-one single-coefficient mutant of ``w`` fails, and
     among its failing laws is one that reads the tensor it changed."""
-    slots = list(positions(w))
-    for slot in slots:
+    every = list(slots(w, READS))
+    for slot in every:
         rep = verify(mutate(w, [slot + (doubled_or_one(w.field),)]))
         failed = {it.axiom for it in rep.failed()}
         assert failed & READS[slot[0]], (slot, sorted(failed))
-    return len(slots)
+    return len(every)
 
 
 def test_every_single_coefficient_mutant_of_pack_pair2(hopf_fixtures):
@@ -220,7 +201,7 @@ def test_doubled_or_one_and_minus_one_mutants_over_gf5(name):
     w = pack_dual(dualize(a)) if name.startswith("pack_dual") else pack(a)
     minus_one = f.of(4)
     failing = 0
-    for slot in positions(w):
+    for slot in slots(w, READS):
         for edit in (doubled_or_one(f), lambda v: minus_one):
             failing += not assert_same_records(
                 mutate(w, [slot + (edit,)])).overall
@@ -228,7 +209,7 @@ def test_doubled_or_one_and_minus_one_mutants_over_gf5(name):
 
 
 PAIR3 = pack(fx.hopf_fixtures(QQ)["pair3"])
-PAIR3_SLOTS = list(positions(PAIR3))
+PAIR3_SLOTS = list(slots(PAIR3, READS))
 
 
 @settings(max_examples=25, deadline=None)
@@ -247,7 +228,7 @@ def test_wrapping_mutants_of_pack_taft4_over_gf5():
     w = pack(fx.taft_four_dim(GF(5)))
     minus_one = GF(5).of(4)
     failing = 0
-    for slot in positions(w):
+    for slot in slots(w, READS):
         for edit in (lambda v: minus_one, lambda v: v + minus_one):
             failing += not assert_record_rule(
                 mutate(w, [slot + (edit,)])).overall
