@@ -6,8 +6,13 @@
 Runs, on every fixture of each checkout's ``fixtures/``, every ``verify``
 mode (plain, each ``--level``, ``--strictness --antipode-theorems``), every
 ``transform`` op and every ``analyze`` op (with ``--out``), each with
-``--report``: 21 runs per fixture.  Each checkout runs in one fresh
-process that imports ``hopfcat`` from its own ``src/`` and calls
+``--report``: 21 runs per fixture.  It then writes, as text, the groupoid
+files of the pair groupoids on 5 and 7 objects, the same bytes for both
+checkouts, and runs ``from-groupoid`` on each, then every ``verify`` mode,
+``dualize``, ``opposite`` and ``bimonoid`` on its output: 9 runs per
+groupoid, whose n³ and n⁴ families repeat one axiom instance thousands of
+times, where the fixtures have at most 3 objects.  Each checkout runs in
+one fresh process that imports ``hopfcat`` from its own ``src/`` and calls
 ``cli.main`` once per run, with ``sys.argv`` set as the command line would
 set it, in a temporary directory of its own.
 
@@ -35,34 +40,68 @@ TRANSFORM = ("from-groupoid", "from-graded", "dualize", "undualize", "pack",
 ANALYZE = ("recover-antipode", "integrals", "coinvariants", "can-ranks",
            "strictness")
 FIELDS = ("exit", "stdout", "stderr", "report", "manifest", "out")
+GENERATED = (5, 7)
+HEAD = ["--report", "{work}/report.jsonl"]
 
 
-def runs(fixtures: str) -> list:
-    """(label, argv) of every run, with the paths still to be joined:
-    ``{fx}`` is the fixture directory, ``{work}`` the work directory."""
-    out = []
-    for path in sorted(glob.glob(os.path.join(fixtures, "*.hc"))):
-        name = os.path.basename(path)
-        src, report = "{fx}/" + name, "{work}/report.jsonl"
-        head = ["--report", report]
-        for flags in VERIFY:
-            out.append((f"verify {name} {' '.join(flags)}".rstrip(),
-                        head + ["verify", src] + flags))
-        for op in TRANSFORM:
-            out.append((f"transform {name} {op}",
-                        head + ["transform", src, op, "{work}/out"]))
-        for op in ANALYZE:
-            out.append((f"analyze {name} {op}",
-                        head + ["analyze", src, op, "--out", "{work}/out"]))
+def pair_groupoid_text(n: int) -> str:
+    """The groupoid file of the pair groupoid on objects 1..n: one morphism
+    p_x_y: y → x for each ordered pair, composed as p_x_y ∘ p_y_z = p_x_z,
+    in the order the writer emits."""
+    X = [str(i) for i in range(1, n + 1)]
+    lines = ["format 1", "kind groupoid", "objects " + " ".join(X)]
+    lines += [f"morphism p_{x}_{y} {y} {x}" for x in X for y in X]
+    lines += [f"identity {x} p_{x}_{x}" for x in X]
+    lines += [f"compose p_{x}_{y} p_{y}_{z} p_{x}_{z}"
+              for x in X for y in X for z in X]
+    lines += [f"inverse p_{x}_{y} p_{y}_{x}" for x in X for y in X]
+    return "\n".join(lines) + "\n"
+
+
+def _structure_runs(name: str, src: str, ops) -> list:
+    """(label, argv, None) of every ``verify`` mode and each transform in
+    ``ops`` on the file ``src``, labelled by ``name``."""
+    out = [(f"verify {name} {' '.join(flags)}".rstrip(),
+            HEAD + ["verify", src] + flags, None) for flags in VERIFY]
+    out += [(f"transform {name} {op}",
+             HEAD + ["transform", src, op, "{work}/out"], None) for op in ops]
     return out
 
 
-def _read(path: str):
+def runs(fixtures: str) -> list:
+    """(label, argv, keep) of every run, with the paths still to be joined:
+    ``{fx}`` is the fixture directory, ``{work}`` the work directory and
+    ``{gen}`` the directory of the generated inputs.  ``keep``, when not
+    None, is where the run's output moves once it is read, as the input of
+    the runs after it."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(fixtures, "*.hc"))):
+        name = os.path.basename(path)
+        out += _structure_runs(name, "{fx}/" + name, TRANSFORM)
+        out += [(f"analyze {name} {op}",
+                 HEAD + ["analyze", "{fx}/" + name, op, "--out", "{work}/out"],
+                 None) for op in ANALYZE]
+    for n in GENERATED:
+        name = f"pair{n}.hc"
+        out.append((f"transform pair{n}_groupoid.hc from-groupoid",
+                    HEAD + ["transform", f"{{gen}}/pair{n}_groupoid.hc",
+                            "from-groupoid", "{work}/out"], "{gen}/" + name))
+        out += _structure_runs(name, "{gen}/" + name,
+                               ("dualize", "opposite", "bimonoid"))
+    return out
+
+
+def _read(path: str, keep: str | None = None):
+    """The text of ``path``, or None when there is no such file; the file
+    is then removed, or moved to ``keep``."""
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
         data = fh.read()
-    os.unlink(path)
+    if keep is None:
+        os.unlink(path)
+    else:
+        os.replace(path, keep)
     return data.decode(errors="backslashreplace")
 
 
@@ -77,9 +116,14 @@ def worker(checkout: str, work: str, result: str):
     if not os.path.abspath(cli.__file__).startswith(
             os.path.join(checkout, "src")):
         raise RuntimeError(f"imported {cli.__file__}, not {checkout}'s")
+    gen = os.path.join(work, "generated")
+    os.mkdir(gen)
+    for n in GENERATED:
+        with open(os.path.join(gen, f"pair{n}_groupoid.hc"), "w") as fh:
+            fh.write(pair_groupoid_text(n))
     outcomes = {}
-    for label, argv in runs(fixtures):
-        argv = [a.format(fx=fixtures, work=work) for a in argv]
+    for label, argv, keep in runs(fixtures):
+        argv = [a.format(fx=fixtures, work=work, gen=gen) for a in argv]
         sys.argv = ["hopfcat", *argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
@@ -96,7 +140,8 @@ def worker(checkout: str, work: str, result: str):
             "exit": str(code), "stdout": stdout.getvalue(),
             "stderr": stderr.getvalue(), "report": _read(report),
             "manifest": _read(report + ".manifest.json"),
-            "out": _read(os.path.join(work, "out"))}
+            "out": _read(os.path.join(work, "out"),
+                         keep and keep.format(gen=gen))}
     with open(result, "w") as fh:
         json.dump(outcomes, fh)
 

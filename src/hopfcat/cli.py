@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import fileformat
@@ -71,24 +72,38 @@ def _writing(path: str):
                         EXIT_PARSE)
 
 
-def _write_report(report: Report, args, command: str, path: str, obj):
-    """Print the table and, with --report, write the records and a manifest
-    carrying the digest of ``obj``, the object already loaded from ``path``."""
+@contextlib.contextmanager
+def _reporting(report: Report, args, command: str, path: str, obj):
+    """Around the writing of a command's outputs: write the --report
+    records and a manifest carrying the digest of ``obj``, the object
+    already loaded from ``path``, before the body writes any output, and
+    remove them again if the body fails; then print the table.  So a report
+    path that cannot be written leaves no output behind, and an output that
+    cannot be written leaves no report."""
+    written = []
+    try:
+        if args.report:
+            manifest = {
+                "command": command,
+                "argv": sys.argv[1:],
+                "inputs": [{"path": path, "digest": fileformat.digest(obj)}],
+                "report": args.report,
+            }
+            files = ((args.report, map(CheckItem.json_line, report.items)),
+                     (args.report + ".manifest.json",
+                      [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]))
+            with _writing(args.report):
+                for name, lines in files:
+                    with open(name, "w") as fh:
+                        written.append(name)
+                        fh.writelines(lines)
+        yield
+    except BaseException:
+        for name in written:
+            os.unlink(name)
+        raise
     if not args.quiet:
         print(report.table())
-    if args.report:
-        manifest = {
-            "command": command,
-            "argv": sys.argv[1:],
-            "inputs": [{"path": path, "digest": fileformat.digest(obj)}],
-            "report": args.report,
-        }
-        with _writing(args.report):
-            with open(args.report, "w") as fh:
-                fh.writelines(item.json_line() for item in report.items)
-            with open(args.report + ".manifest.json", "w") as fh:
-                fh.write(json.dumps(manifest, indent=2, sort_keys=True)
-                         + "\n")
 
 
 def _verify_any(obj, level=None, strictness=False,
@@ -154,7 +169,8 @@ def cmd_verify(args) -> int:
     obj = _load(args.path)
     rep, ok = _verify_any(obj, args.level, args.strictness,
                           args.antipode_theorems)
-    _write_report(rep, args, "verify", args.path, obj)
+    with _reporting(rep, args, "verify", args.path, obj):
+        pass
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -212,11 +228,11 @@ def cmd_transform(args) -> int:
         raise _CliError(
             f"transform output fails its own verification: {rep.summary()}",
             EXIT_INTERNAL)
-    with _writing(args.out):
-        fileformat.save(args.out, out)
-    if not args.quiet:
-        print(f"wrote {fileformat.kind_of(out)} to {args.out}")
-    _write_report(rep, args, f"transform {args.op}", args.path, obj)
+    with _reporting(rep, args, f"transform {args.op}", args.path, obj):
+        with _writing(args.out):
+            fileformat.save(args.out, out)
+        if not args.quiet:
+            print(f"wrote {fileformat.kind_of(out)} to {args.out}")
     return EXIT_PASS
 
 
@@ -236,6 +252,7 @@ def cmd_analyze(args) -> int:
     rep = Report()
     code = EXIT_PASS
     out_lines: list[str] = []
+    completed = None
 
     if op == "recover-antipode":
         if not isinstance(obj, HopfCatData):
@@ -250,10 +267,7 @@ def cmd_analyze(args) -> int:
             code = EXIT_FAIL
         else:
             rep.add(CheckItem("antipode-recoverable", (), True))
-            if args.out:
-                with _writing(args.out):
-                    fileformat.save(args.out, result)
-                out_lines.append(f"wrote completed hopf-category to {args.out}")
+            completed = result
     elif op == "integrals":
         if not isinstance(obj, HopfCatData):
             raise _CliError("integrals needs a hopf-category file", EXIT_PARSE)
@@ -293,13 +307,17 @@ def cmd_analyze(args) -> int:
         if not all(i.ok for i in rep.by_axiom("compose-surjective")):
             code = EXIT_FAIL
 
-    if args.out and op in ("integrals", "coinvariants", "can-ranks"):
-        with _writing(args.out), open(args.out, "w") as fh:
-            fh.write("\n".join(out_lines) + "\n")
-    if not args.quiet:
-        for line in out_lines:
-            print(line)
-    _write_report(rep, args, f"analyze {op}", args.path, obj)
+    with _reporting(rep, args, f"analyze {op}", args.path, obj):
+        if args.out and completed is not None:
+            with _writing(args.out):
+                fileformat.save(args.out, completed)
+            out_lines.append(f"wrote completed hopf-category to {args.out}")
+        elif args.out and op in ("integrals", "coinvariants", "can-ranks"):
+            with _writing(args.out), open(args.out, "w") as fh:
+                fh.write("\n".join(out_lines) + "\n")
+        if not args.quiet:
+            for line in out_lines:
+                print(line)
     return code
 
 

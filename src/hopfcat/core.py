@@ -219,7 +219,7 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
         for y in X:
             d, delta = dims[(x, y)], comult[(x, y)]
             check("coassoc", (x, y), sp.coassoc, f, delta, delta, delta,
-                  delta, (d, d, d))
+                  delta, d, d, d)
             check("counit-left", (x, y), sp.counit_law, f, delta,
                   counit[(x, y)], True)
             check("counit-right", (x, y), sp.counit_law, f, delta,
@@ -230,14 +230,14 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
                 m = mult[(x, y, z)]
                 check("comult-mult", (x, y, z), sp.comult_mult, f, m,
                       comult[(x, z)], comult[(x, y)], comult[(y, z)], m, m,
-                      (dims[(x, z)], dims[(x, z)]))
+                      dims[(x, z)], dims[(x, z)])
                 check("counit-mult", (x, y, z), sp.counit_mult, f, m,
                       counit[(x, z)], counit[(x, y)], counit[(y, z)],
                       dims[(y, z)])
     for x in X:
         d = dims[(x, x)]
         check("comult-unit", (x,), sp.comult_unit, f, comult[(x, x)],
-              unit[x], unit[x], unit[x], (d, d))
+              unit[x], unit[x], unit[x], d, d)
         check("counit-unit", (x,), sp.counit_unit, f, unit[x],
               counit[(x, x)])
     if level == "semihopf":
@@ -261,14 +261,15 @@ def _check_antipode_laws(a: HopfCatData, rep: Report,
 def _require(a: HopfCatData, level: str, base: Report | None, what: str):
     """The guard of a check that presupposes data valid at ``level``.
 
-    ``base`` is a report of ``verify_structure`` on ``a`` at that level or a
-    higher one, already made by the caller; without one the data is verified
-    here.  Raises ``PreconditionError`` when the report fails.
+    ``base`` is a passing report of ``verify_structure`` on ``a`` at that
+    level or a higher one, already made by the caller, who has read its
+    verdict: it is taken as it stands.  Without one the data is verified
+    here, and ``PreconditionError`` raised when the report fails.
     """
     if base is None:
         base = verify_structure(a, level)
-    if not base.overall:
-        raise PreconditionError(f"{what}: {base.summary()}")
+        if not base.overall:
+            raise PreconditionError(f"{what}: {base.summary()}")
 
 
 def check_antipode_theorems(a: HopfCatData,

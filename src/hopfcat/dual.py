@@ -83,7 +83,7 @@ def verify_dual(c: DualHopfCatData) -> Report:
                     check("cocomp-coassoc", (x, y, z, u), sp.coassoc, f,
                           cocomp[(x, z, u)], cocomp[(x, y, z)],
                           cocomp[(x, y, u)], cocomp[(y, z, u)],
-                          (dims[(x, y)], dims[(y, z)], dims[(z, u)]))
+                          dims[(x, y)], dims[(y, z)], dims[(z, u)])
     for x in X:
         for y in X:
             check("cocomp-counit-left", (x, y), sp.counit_law, f,
@@ -96,12 +96,12 @@ def verify_dual(c: DualHopfCatData) -> Report:
             for z in X:
                 # cocomposition is an algebra map into the componentwise
                 # product on C(x,y)⊗C(y,z)
-                cc, dims2 = cocomp[(x, y, z)], (dims[(x, y)], dims[(y, z)])
+                cc, dl, dr = cocomp[(x, y, z)], dims[(x, y)], dims[(y, z)]
                 check("cocomp-mult", (x, y, z), sp.comult_mult, f,
                       alg[(x, z)], cc, cc, cc, alg[(x, y)], alg[(y, z)],
-                      dims2)
+                      dl, dr)
                 check("cocomp-unit", (x, y, z), sp.comult_unit, f, cc,
-                      unit[(x, z)], unit[(x, y)], unit[(y, z)], dims2)
+                      unit[(x, z)], unit[(x, y)], unit[(y, z)], dl, dr)
     for x in X:
         check("counit-mult", (x,), sp.counit_mult, f, alg[(x, x)],
               counit[x], counit[x], counit[x], dims[(x, x)])

@@ -179,7 +179,7 @@ def verify_bimonoid(b: BimonoidData) -> Report:
         for y in X:
             d, dl = dims[(x, y)], delta[(x, y)]
             check("comonoid-coassoc", (x, y), sp.coassoc, f, dl, dl, dl, dl,
-                  (d, d, d))
+                  d, d, d)
             check("comonoid-counit-left", (x, y), sp.counit_law, f, dl,
                   eps[(x, y)], True)
             check("comonoid-counit-right", (x, y), sp.counit_law, f, dl,
@@ -195,8 +195,9 @@ def verify_bimonoid(b: BimonoidData) -> Report:
                   eps[(x, y)], *(t for u in X for t in (
                       mu[(x, u, y)], eps[(x, u)], eps[(u, y)], dims[(u, y)])))
     for x in X:
+        d = dims[(x, x)]
         check("interchange-comult-unit", (x,), sp.comult_unit, f,
-              delta[(x, x)], eta[x], eta[x], eta[x], (dims[(x, x)],) * 2)
+              delta[(x, x)], eta[x], eta[x], eta[x], d, d)
         check("interchange-counit-unit", (x,), sp.counit_unit, f, eta[x],
               eps[(x, x)])
     return rep
@@ -208,7 +209,7 @@ def verify_bimonoid(b: BimonoidData) -> Report:
 
 def _mult_comult(f, d: int, delta, *blocks):
     return sp.side_by_side(f, d * d, (
-        sp.comult_mult(f, m, delta, dl, dr, m, m, (d, d))
+        sp.comult_mult(f, m, delta, dl, dr, m, m, d, d)
         for m, dl, dr in zip(blocks[::3], blocks[1::3], blocks[2::3])))
 
 

@@ -129,12 +129,17 @@ def digest(obj) -> str:
 
 
 def save(path: str, obj):
-    """Atomic write of the canonical serialization."""
+    """Atomic write of the canonical serialization, with the mode that
+    ``open(path, "w")`` would give a new file: 0666 less the umask, where
+    ``mkstemp`` alone would leave 0600."""
     data = serialize(obj)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".hopfcat-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

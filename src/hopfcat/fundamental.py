@@ -71,8 +71,8 @@ def verify_hopf_module(m: HopfModuleData,
         for y in X:
             rho = coact[(x, y)]
             check("comodule-coassoc", (x, y), sp.coassoc, f, rho, rho, rho,
-                  comult[(x, y)],
-                  (m.dims[(x, y)], a.dims[(x, y)], a.dims[(x, y)]))
+                  comult[(x, y)], m.dims[(x, y)], a.dims[(x, y)],
+                  a.dims[(x, y)])
             check("comodule-counit", (x, y), sp.counit_law, f, rho,
                   counit[(x, y)], False)
     for x in X:
@@ -81,7 +81,7 @@ def verify_hopf_module(m: HopfModuleData,
                 psi = act[(x, y, z)]
                 check("hopf-compat", (x, y, z), sp.comult_mult, f, psi,
                       coact[(x, z)], coact[(x, y)], comult[(y, z)], psi,
-                      mult[(x, y, z)], (m.dims[(x, z)], a.dims[(x, z)]))
+                      mult[(x, y, z)], m.dims[(x, z)], a.dims[(x, z)])
     return rep
 
 

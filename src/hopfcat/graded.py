@@ -119,7 +119,7 @@ def validate_graded(h: GradedHopfData) -> Report:
     for s in G:
         d, delta = dims[s], comult[s]
         check("graded-coassoc", (s,), sp.coassoc, f, delta, delta, delta,
-              delta, (d, d, d))
+              delta, d, d, d)
         check("graded-counit-left", (s,), sp.counit_law, f, delta, counit[s],
               True)
         check("graded-counit-right", (s,), sp.counit_law, f, delta,
@@ -128,12 +128,12 @@ def validate_graded(h: GradedHopfData) -> Report:
         for t in G:
             st, m = mul(s, t), mult[(s, t)]
             check("graded-comult-mult", (s, t), sp.comult_mult, f, m,
-                  comult[st], comult[s], comult[t], m, m,
-                  (dims[st], dims[st]))
+                  comult[st], comult[s], comult[t], m, m, dims[st],
+                  dims[st])
             check("graded-counit-mult", (s, t), sp.counit_mult, f, m,
                   counit[st], counit[s], counit[t], dims[t])
     check("graded-comult-unit", (e,), sp.comult_unit, f, comult[e], unit,
-          unit, unit, (dims[e], dims[e]))
+          unit, unit, dims[e], dims[e])
     check("graded-counit-unit", (e,), sp.counit_unit, f, unit, counit[e])
     if h.antipode is not None:
         # S_s: A_s → A_{s^-1}

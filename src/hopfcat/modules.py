@@ -119,7 +119,7 @@ def verify_comodule(m: ComoduleData) -> Report:
                     check("comodule-coassoc", (x, u, y, z), sp.coassoc, f,
                           coact[(x, y, z)], coact[(x, u, y)],
                           coact[(x, u, z)], cocomp[(u, y, z)],
-                          (m.dims[(x, u)], c.dims[(u, y)], c.dims[(y, z)]))
+                          m.dims[(x, u)], c.dims[(u, y)], c.dims[(y, z)])
     for x in X:
         for z in X:
             check("comodule-counit", (x, z), sp.counit_law, f,
@@ -200,7 +200,7 @@ def diagonal_action(f, act1, act2, delta, factors, dims,
     split = [{i // dv: {i % dv: one}} for i in range(du * dv)]
     legs = (delta, split) if left else (split, delta)
     n, width = len(legs[0]), len(legs[1])
-    _, rhs = sp.comult_mult(f, [{}] * n, [], *legs, act1, act2, dims)
+    _, rhs = sp.comult_mult(f, [{}] * n, [], *legs, act1, act2, *dims)
     return tensor(f.zero, (n, width, rhs.rows), (
         ((c // width, c % width, k), f.lift(v))
         for c, col in enumerate(rhs.columns) for k, v in col.items()))

@@ -2,11 +2,13 @@
 
 Every comparison goes through ``check_map_equal`` and every record through
 ``Report.add``.  A verifier that loops over object tuples checks through one
-``Instances`` per call, which evaluates each distinct axiom instance once.
-The laws it evaluates (the functions of ``sparse``, and the few beside the
-verifiers, that return both sides of an identity) must therefore be pure: a
-law may not change its arguments, and its sides may depend only on their
-values, so that equal arguments give equal sides.
+``Instances`` per call, which evaluates each distinct axiom instance once:
+an instance is keyed by its law and the identity of each argument, which
+the memo keeps alive, so a repeated instance costs one lookup and one
+record.  The laws it evaluates (the functions of ``sparse``, and the few
+beside the verifiers, that return both sides of an identity) must therefore
+be pure: a law may not change its arguments, and its sides may depend only
+on their values, so that the same arguments give the same sides.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class InternalInvariantError(AssertionError):
     """A theorem-backed internal cross-check failed; the input data is suspect."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckItem:
     axiom: str
     objects: tuple[str, ...]
@@ -167,12 +169,18 @@ class Instances:
 
     ``intern`` makes the tensors of a table with equal sparse forms one
     object, keyed by ``repr``, which is exact on nested lists and dicts of
-    ints and ``Fraction``s.  ``check`` keys an instance by its law, the
-    identity of each list or dict argument and the value of every other
-    one.  The first instance of a key goes through ``check_map_equal``;
-    each later one adds its own ``CheckItem``, with its own axiom, objects
-    and ``required``, and the first one's outcome.  The memo holds every
-    first call's arguments, so no ``id`` in a key is reused while it lives.
+    ints and ``Fraction``s.  ``check`` keys an instance by its law and the
+    identity of every argument.  The first instance of a key goes through
+    ``check_map_equal``; each later one adds its own ``CheckItem``, with its
+    own axiom, objects and ``required``, and the first one's outcome.
+
+    The key is sound because the memo holds every first call's arguments:
+    each ``id`` in a stored key names a live object, so an argument with
+    that ``id`` is that very object, and a law is pure.  Arguments that are
+    equal but distinct objects only miss, which costs an evaluation and
+    never changes an outcome.  So a caller passes its tensors interned, and
+    its dimensions and flags as they stand in its tables or as literals,
+    never in a tuple or an int built afresh per call.
     """
 
     __slots__ = ("report", "_tensors", "_seen")
@@ -189,8 +197,7 @@ class Instances:
 
     def check(self, axiom: str, objects: tuple[str, ...], law, *args,
               required: bool = True) -> bool:
-        key = (law, *[id(a) if type(a) in (list, dict) else a
-                      for a in args])
+        key = (law, *map(id, args))
         report = self.report
         seen = self._seen.get(key)
         if seen is None:

@@ -29,7 +29,12 @@ The laws are pure: they never change their arguments (inputs and results
 may share vectors, but nothing here writes into a vector it was given), and
 both sides depend only on the values of the arguments.  ``report.Instances``
 relies on this to evaluate each distinct instance of a law once per
-verifier call and to hand its outcome to every equal instance.
+verifier call and to hand its outcome to every repeat of it.  It keys an
+instance by the identity of each argument, which is sound because it keeps
+the first call's arguments alive, so no ``id`` in a key is reused; equal
+but distinct arguments only miss.  Every law therefore takes its
+dimensions as separate ints, read from a ``dims`` table, where a tuple of
+them would be built afresh per call and never hit.
 """
 
 from __future__ import annotations
@@ -258,11 +263,11 @@ def unit_law(field: Field, m, unit: dict, d: int, left: bool):
     return _pair(field, d, lhs, identity(field, d))
 
 
-def coassoc(field: Field, first, left, second, right, dims):
-    """(left⊗1)∘first against (1⊗right)∘second, into U⊗V⊗W with
-    dims = (dim U, dim V, dim W), for first: D → P⊗W, left: P → U⊗V,
-    second: D → U⊗Q and right: Q → V⊗W."""
-    du, dv, dw = dims
+def coassoc(field: Field, first, left, second, right, du: int, dv: int,
+            dw: int):
+    """(left⊗1)∘first against (1⊗right)∘second, into U⊗V⊗W of dimensions
+    du, dv and dw, for first: D → P⊗W, left: P → U⊗V, second: D → U⊗Q and
+    right: Q → V⊗W."""
     left, right = flatten_pairs(left, dv), flatten_pairs(right, dw)
     lhs, rhs = [], []
     for split1, split2 in zip(first, second):
@@ -296,10 +301,11 @@ def counit_law(field: Field, delta, eps: dict, left: bool):
     return _pair(field, len(delta), lhs, identity(field, len(delta)))
 
 
-def comult_mult(field: Field, m, delta, delta_u, delta_v, m1, m2, dims):
+def comult_mult(field: Field, m, delta, delta_u, delta_v, m1, m2, d1: int,
+                d2: int):
     """δ(m(e_i, e_j)) against Σ m1(u1, v1) ⊗ m2(u2, v2) over δ_u e_i =
     Σ u1⊗u2 and δ_v e_j = Σ v1⊗v2, that is (m1⊗m2)(1⊗τ⊗1)(δ_u⊗δ_v), into
-    W1⊗W2 with dims = (dim W1, dim W2); m: U⊗V → W and δ: W → W1⊗W2.
+    W1⊗W2 of dimensions d1 and d2; m: U⊗V → W and δ: W → W1⊗W2.
 
     The right side is contracted in three stages rather than expanding
     δ_u e_i ⊗ δ_v e_j term by term, which keeps dense data at d^6 scalar
@@ -308,7 +314,6 @@ def comult_mult(field: Field, m, delta, delta_u, delta_v, m1, m2, dims):
     then R[b,e] = Σ_c D_j[c,e] L[c][b] per j, then the column
     Σ_(b,e) R[b,e] ⊗ m2(b,e).
     """
-    d1, d2 = dims
     flat = flatten_pairs(delta, d2)
     lhs, rhs = [], []
     for i, delta_i in enumerate(delta_u):
@@ -362,9 +367,9 @@ def counit_mult(field: Field, m, eps: dict, eps_u: dict, eps_v: dict,
 
 
 def comult_unit(field: Field, delta, unit: dict, unit_l: dict, unit_r: dict,
-                dims):
-    """δ(1) against 1_l ⊗ 1_r, for δ: W → L⊗R and dims = (dim L, dim R)."""
-    dl, dr = dims
+                dl: int, dr: int):
+    """δ(1) against 1_l ⊗ 1_r, for δ: W → L⊗R and L, R of dimensions dl
+    and dr."""
     both = {}
     add_tensor(both, unit_l, unit_r, dr)
     return _pair(field, dl * dr, [apply(flatten_pairs(delta, dr), unit)],

@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from hopfcat.cli import main
 from hopfcat.core import check_antipode_theorems, verify_structure
 from hopfcat.fileformat import load, save
 from hopfcat.fixtures import group_algebra
+from hopfcat.report import Report
 from hopfcat.scalars import GF, QQ
 
 
@@ -114,6 +116,31 @@ def test_verify_checks_the_structure_once(fixture_dir, monkeypatch):
     assert main(["--quiet", "verify", fx(fixture_dir, "taft4"),
                  "--strictness", "--antipode-theorems"]) == 0
     assert calls == [("hopf",)]
+
+
+@pytest.mark.parametrize("argv,code,reads", [
+    (["taft4", "--strictness", "--antipode-theorems"], 0, 2),
+    (["taft4", "--level", "semihopf", "--strictness",
+      "--antipode-theorems"], 0, 3),
+    (["idempotent_candidate_identity", "--strictness",
+      "--antipode-theorems"], 1, 1),
+    (["kz2_regular_hopf_module"], 0, 2),
+])
+def test_verify_reads_each_verdict_once(fixture_dir, monkeypatch, argv,
+                                        code, reads):
+    # the base report, the level-'hopf' report the theorems need, and the
+    # extra checks' report: each verdict is read once, in the CLI, and the
+    # passing base is handed on rather than read again
+    read = []
+    overall = Report.overall
+
+    def counted(rep):
+        read.append(rep)
+        return overall.fget(rep)
+    monkeypatch.setattr(Report, "overall", property(counted))
+    assert main(["--quiet", "verify", fx(fixture_dir, argv[0])]
+                + argv[1:]) == code
+    assert len(read) == reads == len({id(rep) for rep in read})
 
 
 def test_verify_weak_output_of_pack(fixture_dir, tmp_path):
@@ -476,6 +503,62 @@ def test_an_output_path_that_cannot_be_written(fixture_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ")
     assert err.count("\n") == 1 and ".hopfcat-" not in err
+
+
+OUTPUTS = {
+    "transform": lambda fixture_dir, out: [
+        "transform", fx(fixture_dir, "pair2"), "pack", out],
+    "recover-antipode": lambda fixture_dir, out: [
+        "analyze", fx(fixture_dir, "pair2_stripped"), "recover-antipode",
+        "--out", out],
+    "integrals": lambda fixture_dir, out: [
+        "analyze", fx(fixture_dir, "kz2"), "integrals", "--out", out],
+    "can-ranks": lambda fixture_dir, out: [
+        "analyze", fx(fixture_dir, "kz3"), "can-ranks", "--out", out],
+    "coinvariants": lambda fixture_dir, out: [
+        "analyze", fx(fixture_dir, "kz2_regular_hopf_module"),
+        "coinvariants", "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_an_unwritable_report_leaves_no_output(fixture_dir, tmp_path,
+                                               command):
+    out, rep = tmp_path / "out", str(tmp_path / "missing" / "r.jsonl")
+    argv = OUTPUTS[command](fixture_dir, str(out))
+    assert main(["--quiet"] + argv) == 0 and out.exists()
+    out.unlink()
+    assert main(["--quiet", "--report", rep] + argv) == 2
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_an_unwritable_output_leaves_no_report(fixture_dir, tmp_path,
+                                               command):
+    rep = str(tmp_path / "r.jsonl")
+    out = str(tmp_path / "missing" / "out")
+    argv = ["--quiet", "--report", rep] + OUTPUTS[command](fixture_dir, out)
+    assert main(argv) == 2
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+@pytest.mark.parametrize("command", ["transform", "recover-antipode"])
+def test_a_written_structure_has_the_mode_of_open(fixture_dir, tmp_path,
+                                                  command, umask):
+    # 0666 less the umask, as open(path, "w") gives a new file, not the
+    # 0600 of the temporary file it is renamed from
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["--quiet"] + OUTPUTS[command](fixture_dir, str(out))) \
+            == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask \
+        == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
 
 
 # -- analyze ------------------------------------------------------------------------

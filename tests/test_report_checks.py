@@ -7,7 +7,8 @@ reduction, and different, and on maps it must refuse.  ``Report.overall`` and
 ``failed`` see items however they were appended, through ``add``, ``extend``
 or ``items`` itself.  Every item of a verifier's report goes through
 ``Report.add``, which the benchmark's tracer counts.  ``Instances`` compares
-each distinct instance once and records every one.
+each distinct instance, keyed by the identity of its arguments, once and
+records every one.
 """
 
 import os
@@ -290,3 +291,36 @@ def test_instances_keep_the_arguments_they_key_by_identity(monkeypatch):
     for _ in range(50):
         inst.check("law", (), _sides, QQ, [{0: 1}], [{0: 2}])
     assert len(compared) == len(inst.report.items) == 50
+
+
+def _shape(f, dims: tuple, n: int):
+    """dims[0] + n against 1001."""
+    return _sides(f, [{0: dims[0] + n}], [{0: 1001}])
+
+
+def test_equal_but_distinct_tuples_and_ints_are_new_instances(monkeypatch):
+    # instances are keyed by the identity of their arguments: an equal
+    # tuple or int that is another object is compared again, with its own
+    # outcome, and only the very same objects repeat an instance
+    compared = []
+
+    def counted(report, *args):
+        compared.append(args[0])
+        return check_map_equal(report, *args)
+    monkeypatch.setattr(report_module, "check_map_equal", counted)
+    inst = Instances(Report())
+    n, other_n = int("1000"), int("1000")
+    dims, other_dims = (1,), tuple([1])
+    assert n == other_n and n is not other_n
+    assert dims == other_dims and dims is not other_dims
+    assert inst.check("a", (), _shape, QQ, dims, 0) is False
+    assert inst.check("b", (), _shape, QQ, dims, n) is True
+    assert inst.check("c", (), _shape, QQ, other_dims, n) is True
+    assert inst.check("d", (), _shape, QQ, dims, other_n) is True
+    assert compared == ["a", "b", "c", "d"]
+    assert inst.check("e", (), _shape, QQ, dims, n) is True
+    assert inst.check("f", (), _shape, QQ, dims, 0) is False
+    assert compared == ["a", "b", "c", "d"]
+    assert [(it.axiom, it.ok, it.residual) for it in inst.report.items] == [
+        ("a", False, "[0]=-1000"), ("b", True, ""), ("c", True, ""),
+        ("d", True, ""), ("e", True, ""), ("f", False, "[0]=-1000")]
