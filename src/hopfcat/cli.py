@@ -8,8 +8,11 @@ Exit codes are stable contracts:
   3  an internal theorem-backed invariant was violated (data is suspect).
 
 Reports go to stdout as a text table and, with --report, to a structured
-JSON-lines file (one check record per line) next to which a run manifest
-with content digests of the canonicalized inputs is written.
+JSON-lines file (``Report.lines``: a line per failing or noted check, and
+one per axiom family for the passing ones) next to which a run manifest
+with content digests of the canonicalized inputs is written.  A --report
+path that names the input or an output, directly or through its manifest,
+is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -72,14 +75,46 @@ def _writing(path: str):
                         EXIT_PARSE)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths ``a`` and ``b`` name one file, through any symlink
+    or hard link: one existing file, or the one that writing to either
+    would create."""
+    try:
+        return os.path.samestat(os.stat(a), os.stat(b))
+    except OSError:
+        pass
+    if os.path.exists(a) or os.path.exists(b):
+        return False            # one exists, the other does not
+    if not (os.path.lexists(a) or os.path.lexists(b)) \
+            and os.path.basename(a) != os.path.basename(b):
+        return False            # two new files, no symlink between them
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_report_clash(args):
+    """Refuse a --report path that, itself or through its manifest, names
+    the input or an output of the command, before anything is read or
+    written: writing the report would replace that file."""
+    if not args.report:
+        return
+    files = [(args.path, "the input")]
+    if getattr(args, "out", None):
+        files.append((args.out, "the output"))
+    for name in (args.report, args.report + ".manifest.json"):
+        for path, role in files:
+            if _same_file(name, path):
+                raise _CliError(f"--report {args.report} would overwrite "
+                                f"{role} {name}", EXIT_PARSE)
+
+
 @contextlib.contextmanager
 def _reporting(report: Report, args, command: str, path: str, obj):
     """Around the writing of a command's outputs: write the --report
-    records and a manifest carrying the digest of ``obj``, the object
-    already loaded from ``path``, before the body writes any output, and
-    remove them again if the body fails; then print the table.  So a report
-    path that cannot be written leaves no output behind, and an output that
-    cannot be written leaves no report."""
+    lines (``Report.lines``) and a manifest carrying the digest of
+    ``obj``, the object already loaded from ``path``, before the body
+    writes any output, and remove them again if the body fails; then print
+    the table.  So a report path that cannot be written leaves no output
+    behind, and an output that cannot be written leaves no report."""
     written = []
     try:
         if args.report:
@@ -89,7 +124,7 @@ def _reporting(report: Report, args, command: str, path: str, obj):
                 "inputs": [{"path": path, "digest": fileformat.digest(obj)}],
                 "report": args.report,
             }
-            files = ((args.report, map(CheckItem.json_line, report.items)),
+            files = ((args.report, report.lines()),
                      (args.report + ".manifest.json",
                       [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]))
             with _writing(args.report):
@@ -367,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_report_clash(args)
         return args.func(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,6 +9,11 @@ record.  The laws it evaluates (the functions of ``sparse``, and the few
 beside the verifiers, that return both sides of an identity) must therefore
 be pure: a law may not change its arguments, and its sides may depend only
 on their values, so that the same arguments give the same sides.
+
+``Report.items`` holds a record per objects tuple, and every verdict,
+summary and table is read from those.  Only a ``--report`` file is folded
+(``Report.lines``): there each passing item counts towards one line for its
+axiom family, and each item that is not ok keeps its own line.
 """
 
 from __future__ import annotations
@@ -85,6 +90,30 @@ class Report:
 
     def by_axiom(self, axiom: str) -> list[CheckItem]:
         return [it for it in self.items if it.axiom == axiom]
+
+    def lines(self) -> list[str]:
+        """The lines of a ``--report`` file.  Each item that is not ok (a
+        failing axiom or a noted measurement) is its own ``json_line``, in
+        item order.  The passing items of one ``(axiom, required)`` family
+        are one line, where the family's first passing item stood: its
+        record with no objects, witness, residual or failures, and then
+        ``"folded"``, the number of items the line stands for."""
+        lines, folded = [], {}      # family -> [index of its line, count]
+        for it in self.items:
+            if not it.ok:
+                lines.append(it.json_line())
+            elif (family := (it.axiom, it.required)) in folded:
+                folded[family][1] += 1
+            else:
+                folded[family] = [len(lines), 1]
+                lines.append(None)
+        for (axiom, required), (at, count) in folded.items():
+            lines[at] = (f'{{"axiom": {_quote(axiom)}, "objects": [], '
+                         f'"ok": true, "witness": null, "residual": "", '
+                         f'"failures": 0, '
+                         f'"required": {"true" if required else "false"}, '
+                         f'"folded": {count}}}\n')
+        return lines
 
     def summary(self) -> str:
         bad = self.failed()

@@ -25,8 +25,9 @@ test for ``scalars.is_prime``, the row reduction on public
 scalars for ``linalg``'s row reduction on raw ones, and the per-kind
 parsers at the end for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
 is the per-column comparison that ``report.check_map_equal`` ran before it
-compared whole column lists first, and ``ReferenceInstances`` the
-``report.Instances`` that keyed a tuple or int argument by its value.
+compared whole column lists first, ``ReferenceInstances`` the
+``report.Instances`` that keyed a tuple or int argument by its value, and
+``reference_fold`` a second fold of report records for ``Report.lines``.
 """
 
 import random
@@ -202,6 +203,30 @@ class ReferenceInstances:
         report.add(CheckItem(axiom, objects, first.ok, first.witness,
                              first.residual, first.failures, required))
         return first.ok
+
+
+def reference_fold(records: list[dict]) -> list[dict]:
+    """The records of a ``--report`` file, folded from the per-tuple
+    ``record()`` dicts of a report in two passes: the passing records of
+    each (axiom, required) family are counted, then the records are walked
+    again, a failing or noted one kept as it is and each family written
+    once, at its first passing record, with that count as ``folded``."""
+    counts = {}
+    for r in records:
+        if r["ok"]:
+            family = r["axiom"], r["required"]
+            counts[family] = counts.get(family, 0) + 1
+    out = []
+    for r in records:
+        family = r["axiom"], r["required"]
+        if not r["ok"]:
+            out.append(r)
+        elif family in counts:
+            out.append({"axiom": r["axiom"], "objects": [], "ok": True,
+                        "witness": None, "residual": "", "failures": 0,
+                        "required": r["required"],
+                        "folded": counts.pop(family)})
+    return out
 
 
 def dense_verify_structure(a, level="hopf"):

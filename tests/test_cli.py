@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -7,11 +8,15 @@ import sys
 
 import pytest
 
+from mutants import mutate, slots
+from oracles import reference_fold
+
 from hopfcat import cli, core, fileformat, fundamental
 from hopfcat.cli import main
 from hopfcat.core import check_antipode_theorems, verify_structure
 from hopfcat.fileformat import load, save
 from hopfcat.fixtures import group_algebra
+from hopfcat.groupoid import linearize_groupoid, pair_groupoid
 from hopfcat.report import Report
 from hopfcat.scalars import GF, QQ
 
@@ -93,16 +98,17 @@ def test_antipode_theorems_below_level_hopf(fixture_dir, tmp_path):
     a = load(str(path))
     base = verify_structure(a, "category")
     assert base.overall
-    assert records == [it.record() for it in base.items] \
-        + [it.record() for it in verify_structure(a, "hopf").failed()]
+    assert records == reference_fold(
+        [it.record() for it in base.items]
+        + [it.record() for it in verify_structure(a, "hopf").failed()])
     assert "counit-left" in {r["axiom"] for r in records if not r["ok"]}
     # passing data keeps its items: the base report, then the theorems
     a = load(fx(fixture_dir, "kz2"))
     argv[4] = fx(fixture_dir, "kz2")
     assert main(argv) == 0
-    assert [json.loads(line) for line in open(rep)] == \
+    assert [json.loads(line) for line in open(rep)] == reference_fold(
         [it.record() for it in verify_structure(a, "category").items
-         + check_antipode_theorems(a).items]
+         + check_antipode_theorems(a).items])
 
 
 def test_verify_checks_the_structure_once(fixture_dir, monkeypatch):
@@ -365,8 +371,33 @@ def test_hopf_module_over_a_failing_base(fixture_dir, tmp_path):
     base = verify_structure(load(str(tmp_path / "kz2.hc")), "semihopf")
     assert not base.overall
     assert [json.loads(line) for line in open(rep)] \
-        == [it.record() for it in base.items]
+        == reference_fold([it.record() for it in base.items])
     assert os.path.exists(rep + ".manifest.json")
+
+
+def test_a_folded_report_keeps_every_failing_record(tmp_path, capsys):
+    # a mutant of the 5-object pair groupoid fails in several families on
+    # some of their 5^3 or 5^4 tuples: each failing record keeps its line,
+    # and the folded passing lines count the rest of the stdout summary
+    a = linearize_groupoid(pair_groupoid(tuple("abcde")), QQ)
+    slot = next(slots(a, ["mult"]))
+    path = str(tmp_path / "pair5_mutant.hc")
+    save(path, mutate(a, [slot + (lambda v: v * 2 if v else QQ.one,)]))
+    rep = str(tmp_path / "r.jsonl")
+    capsys.readouterr()
+    assert main(["--report", rep, "verify", path, "--strictness",
+                 "--antipode-theorems"]) == 1
+    total = int(re.search(r"(\d+)/(\d+) checks ok",
+                          capsys.readouterr().out).group(2))
+    base = verify_structure(load(path), "hopf")
+    assert len({it.axiom for it in base.failed()}) > 3
+    with open(rep, newline="") as fh:
+        lines = fh.readlines()
+    records = [json.loads(line) for line in lines]
+    kept = [line for line, r in zip(lines, records) if not r["ok"]]
+    assert kept == [it.json_line() for it in base.failed()]
+    assert sum(r["folded"] for r in records if r["ok"]) + len(kept) \
+        == total == len(base.items)
 
 
 # -- transform ----------------------------------------------------------------------
@@ -503,6 +534,61 @@ def test_an_output_path_that_cannot_be_written(fixture_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ")
     assert err.count("\n") == 1 and ".hopfcat-" not in err
+
+
+CLASHES = {
+    "input": (["--report", "{in}", "verify", "{in}"], ["in.hc"]),
+    "input manifest": (["--report", "{tmp}/in", "verify",
+                        "{tmp}/in.manifest.json"], ["in.manifest.json"]),
+    "input by symlink": (["--report", "link", "verify", "{in}"],
+                         ["in.hc", "link"]),
+    "input by hard link": (["--report", "{tmp}/link", "verify", "in.hc"],
+                           ["in.hc", "link"]),
+    "transform OUT": (["--report", "o.hc", "transform", "in.hc", "opposite",
+                       "{tmp}/o.hc"], ["in.hc"]),
+    "transform OUT by dangling symlink": (
+        ["--report", "link", "transform", "in.hc", "opposite", "o.hc"],
+        ["in.hc", "link"]),
+    "transform OUT manifest": (["--report", "o", "transform", "{in}",
+                                "opposite", "o.manifest.json"], ["in.hc"]),
+    "analyze --out": (["--report", "{tmp}/L", "analyze", "in.hc",
+                       "integrals", "--out", "L"], ["in.hc"]),
+}
+
+
+@pytest.mark.parametrize("clash", sorted(CLASHES))
+def test_a_report_path_that_names_the_input_or_an_output(
+        fixture_dir, tmp_path, monkeypatch, capsys, clash):
+    # writing the report would replace the input, or be replaced by the
+    # output: refused before anything is written, by real path
+    argv, files = CLASHES[clash]
+    monkeypatch.chdir(tmp_path)
+    data = open(fx(fixture_dir, "kz2"), "rb").read()
+    (tmp_path / files[0]).write_bytes(data)
+    if "link" in files:
+        target = "o.hc" if "dangling" in clash else files[0]
+        (os.link if "hard" in clash else os.symlink)(target, "link")
+    argv = [a.format(tmp=tmp_path, **{"in": files[0]}) for a in argv]
+    capsys.readouterr()
+    assert main(["--quiet"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --report {argv[1]} would overwrite ")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+    assert (tmp_path / files[0]).read_bytes() == data
+
+
+def test_a_report_path_of_the_same_name_elsewhere(fixture_dir, tmp_path,
+                                                  monkeypatch):
+    # the name of the input or of the output, in another directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "in.hc").write_bytes(open(fx(fixture_dir, "kz2"), "rb").read())
+    for report in ("sub/in.hc", "sub/o.hc"):
+        assert main(["--quiet", "--report", report, "transform", "in.hc",
+                     "opposite", "o.hc"]) == 0
+    assert sorted(os.listdir("sub")) == [
+        "in.hc", "in.hc.manifest.json", "o.hc", "o.hc.manifest.json"]
 
 
 OUTPUTS = {

@@ -3,7 +3,9 @@
 ``CheckItem.json_line`` formats the records of ``--report`` files directly;
 these tests hold it to the encoder it stands in for, on every fixture, on
 failing items with witnesses and residuals, and on strings that need
-escaping.
+escaping.  ``Report.lines`` folds the passing items of each axiom family
+into one line; it is held to ``oracles.reference_fold`` on random item
+lists, and the failing lines of a file to ``json_line`` of their items.
 """
 
 import glob
@@ -12,13 +14,15 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mutants import mutate, slots
+from oracles import reference_fold
 
 from hopfcat.cli import main
 from hopfcat.core import HopfCatData, verify_structure
 from hopfcat.fileformat import load
-from hopfcat.report import CheckItem
+from hopfcat.report import CheckItem, Report
 
 
 def dumped(item: CheckItem) -> str:
@@ -74,3 +78,34 @@ def test_every_single_coefficient_mutant(fixture_dir, name):
 def test_hand_made_items_that_need_escaping(item):
     assert item.json_line() == dumped(item)
     assert json.loads(item.json_line()) == item.record()
+
+
+def random_item(axiom, objects, required, ok, witness, residual, failures):
+    """A passing item as the verifiers and ``analyze`` record one (with a
+    residual only as a measurement, such as "dimension 1"), or one that is
+    not ok: failing when ``required``, a noted measurement when not."""
+    if ok:
+        return CheckItem(axiom, objects, True, None, residual, 0, required)
+    return CheckItem(axiom, objects, False, witness, residual, failures,
+                     required)
+
+
+ITEMS = st.lists(st.builds(
+    random_item,
+    st.sampled_from(["assoc", "unit-left", "comult-mult", 'quote"d', "日本"]),
+    st.lists(st.sampled_from(["x", "y", "é", "a\tb"]), max_size=4).map(tuple),
+    st.booleans(), st.booleans(), st.none() | st.integers(0, 99),
+    st.sampled_from(["", "dimension 1", "[0]=-1/2", 'say "hi"\\']),
+    st.integers(1, 5)), max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ITEMS)
+def test_folded_lines_of_random_items(items):
+    lines = Report(list(items)).lines()
+    records = [json.loads(line) for line in lines]
+    assert records == reference_fold([it.record() for it in items])
+    assert all(line == json.dumps(r) + "\n" for line, r in zip(lines, records))
+    kept = [line for line, r in zip(lines, records) if not r["ok"]]
+    assert kept == [it.json_line() for it in items if not it.ok]
+    assert sum(r.get("folded", 0) for r in records) + len(kept) == len(items)
