@@ -11,8 +11,10 @@ Reports go to stdout as a text table and, with --report, to a structured
 JSON-lines file (``Report.lines``: a line per failing or noted check, and
 one per axiom family for the passing ones) next to which a run manifest
 with content digests of the canonicalized inputs is written.  A --report
-path that names the input or an output, directly or through its manifest,
-is refused before anything is written.
+path that names the input, the base file a module-like input names, or an
+output, directly or through its manifest, is refused before anything is
+written, and so is a listing --out (integrals, coinvariants, can-ranks)
+that names the input or its base file.
 """
 
 from __future__ import annotations
@@ -91,20 +93,37 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _refuse_report_clash(args):
-    """Refuse a --report path that, itself or through its manifest, names
-    the input or an output of the command, before anything is read or
-    written: writing the report would replace that file."""
-    if not args.report:
-        return
-    files = [(args.path, "the input")]
-    if getattr(args, "out", None):
-        files.append((args.out, "the output"))
-    for name in (args.report, args.report + ".manifest.json"):
-        for path, role in files:
-            if _same_file(name, path):
-                raise _CliError(f"--report {args.report} would overwrite "
-                                f"{role} {name}", EXIT_PARSE)
+_LISTINGS = ("integrals", "coinvariants", "can-ranks")
+
+
+def _refuse_clash(args, reads, outputs=()):
+    """Refuse a --report path that, itself or through its manifest, names a
+    file the command reads or one of its ``outputs``, and a listing --out
+    (``_LISTINGS``) that names a file it reads, before anything is written:
+    writing there would replace that file.  ``reads`` and ``outputs`` are
+    (path, role) pairs."""
+    if args.report:
+        for name in (args.report, args.report + ".manifest.json"):
+            for path, role in (*reads, *outputs):
+                if _same_file(name, path):
+                    raise _CliError(f"--report {args.report} would "
+                                    f"overwrite {role} {name}", EXIT_PARSE)
+    if getattr(args, "op", None) in _LISTINGS and args.out:
+        for path, role in reads:
+            if _same_file(args.out, path):
+                raise _CliError(f"--out {args.out} would overwrite {role} "
+                                f"{args.out}", EXIT_PARSE)
+
+
+def _load_input(args):
+    """The structure in the input file, once no output of the command
+    would replace the base file it names (``fileformat.load`` keeps its
+    path); the input itself is checked before it is read, in ``main``."""
+    obj = _load(args.path)
+    base = getattr(obj, "_base_path", None)
+    if base is not None:
+        _refuse_clash(args, [(base, "the base file")])
+    return obj
 
 
 @contextlib.contextmanager
@@ -201,7 +220,7 @@ def _verify_any(obj, level=None, strictness=False,
 
 
 def cmd_verify(args) -> int:
-    obj = _load(args.path)
+    obj = _load_input(args)
     rep, ok = _verify_any(obj, args.level, args.strictness,
                           args.antipode_theorems)
     with _reporting(rep, args, "verify", args.path, obj):
@@ -253,7 +272,7 @@ def _apply_transform(obj, op: str, args):
 
 
 def cmd_transform(args) -> int:
-    obj = _load(args.path)
+    obj = _load_input(args)
     out = _apply_transform(obj, args.op, args)
     # self-check before writing
     rep, ok = _verify_any(out)
@@ -282,7 +301,7 @@ def _basis_lines(field, bases: dict) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
-    obj = _load(args.path)
+    obj = _load_input(args)
     op = args.op
     rep = Report()
     code = EXIT_PASS
@@ -347,7 +366,7 @@ def cmd_analyze(args) -> int:
             with _writing(args.out):
                 fileformat.save(args.out, completed)
             out_lines.append(f"wrote completed hopf-category to {args.out}")
-        elif args.out and op in ("integrals", "coinvariants", "can-ranks"):
+        elif args.out and op in _LISTINGS:
             with _writing(args.out), open(args.out, "w") as fh:
                 fh.write("\n".join(out_lines) + "\n")
         if not args.quiet:
@@ -402,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _refuse_report_clash(args)
+        out = getattr(args, "out", None)
+        _refuse_clash(args, [(args.path, "the input")],
+                      [(out, "the output")] if out else ())
         return args.func(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

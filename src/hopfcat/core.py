@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 from . import sparse as sp
 from .linalg import (LinMap, NotInvertible, _rref, bilinear_map, invert,
                      split_map)
-from .report import Instances, Report, PreconditionError, check_condition
+from .report import (Instances, Report, PreconditionError, check_condition,
+                     per_label)
 from .scalars import Field
 from .schema import LAYOUTS, MalformedDataError, check_shape, reshaped
 
@@ -104,32 +105,26 @@ class HopfCatData:
 class _Tensors(Instances):
     """The axiom instances of one verifier call (``report.Instances``) and
     the sparse views of a ``HopfCatData``'s structure constants they read,
-    interned once per call."""
+    interned once per call and indexed one label at a time
+    (``report.per_label``): ``mult[x][y][z]``, ``comult[x][y]``,
+    ``counit[x][y]``, ``antipode[x][y]``, ``unit[x]``, and ``dims[x][y]``.
+    The views hand over the interned tensors and the ints of the data's own
+    ``dims`` table themselves, never copies, so the memo's identity keys
+    hit as they would on the tables."""
 
     def __init__(self, a: HopfCatData, report: Report):
         super().__init__(report)
-        f = a.field
+        f, X = a.field, a.objects
         self.field = f
-        self.dims = a.dims
-        self.mult = self.intern(sp.tensors(f, a.mult))
-        self.comult = self.intern(sp.tensors(f, a.comult))
+        self.dims = per_label(a.dims, X)
+        self.mult = per_label(self.intern(sp.tensors(f, a.mult)), X)
+        self.comult = per_label(self.intern(sp.tensors(f, a.comult)), X)
+        self.counit = per_label(self.intern(sp.vectors(f, a.counit)), X)
         self.unit = self.intern(sp.vectors(f, a.unit))
-        self.counit = self.intern(sp.vectors(f, a.counit))
-        self.antipode = None if a.antipode is None else self.intern({
-            (x, y): sp.columns(f, a.antipode[(x, y)], a.dims[(x, y)])
-            for x in a.objects for y in a.objects})
-
-    def antipode_law(self, axiom: str, x, y, s_first: bool,
-                     flip: bool = False, required: bool = True) -> bool:
-        """Σ S(h1)·h2 (s_first, in A(y,y)) or Σ h1·S(h2) (in A(x,x)) over
-        Δe_i = Σ h1⊗h2, legs flipped first when ``flip``, against ε(e_i)·1."""
-        target = y if s_first else x
-        m = self.mult[(y, x, y)] if s_first else self.mult[(x, y, x)]
-        return self.check(axiom, (x, y), sp.antipode_law, self.field,
-                          self.comult[(x, y)], self.antipode[(x, y)], m,
-                          self.unit[target], self.counit[(x, y)], s_first,
-                          self.dims[(target, target)], flip,
-                          required=required)
+        self.antipode = None if a.antipode is None else per_label(
+            self.intern({(x, y): sp.columns(f, a.antipode[(x, y)],
+                                            a.dims[(x, y)])
+                         for x in X for y in X}), X)
 
 
 # The derived antipode identities, both sides of each as a ``SparseMap``
@@ -194,52 +189,55 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
     if level == "hopf" and a.antipode is None:
         raise MissingAntipodeError("level 'hopf' requires an antipode")
     rep = Report()
-    X, f, dims = a.objects, a.field, a.dims
+    X, f = a.objects, a.field
     t = _Tensors(a, rep)
-    check, mult, unit, comult, counit = (t.check, t.mult, t.unit, t.comult,
-                                         t.counit)
+    check, M, C, E, D, unit = (t.check, t.mult, t.comult, t.counit, t.dims,
+                               t.unit)
 
+    # Each loop looks up what its own label changes, and passes it on.
     for x in X:
+        Mx, Dx = M[x], D[x]
         for y in X:
+            Mxy, My = Mx[y], M[y]
             for z in X:
+                m, Mxz, Myz, Dz = Mxy[z], Mx[z], My[z], D[z]
                 for w in X:
-                    check("assoc", (x, y, z, w), sp.assoc, f,
-                          mult[(x, y, z)], mult[(x, z, w)], mult[(y, z, w)],
-                          mult[(x, y, w)], dims[(z, w)], dims[(x, w)])
+                    check("assoc", (x, y, z, w), sp.assoc, f, m, Mxz[w],
+                          Myz[w], Mxy[w], Dz[w], Dx[w])
     for x in X:
+        Mx, Mxx, Dx, ux = M[x], M[x][x], D[x], unit[x]
         for y in X:
-            check("unit-left", (x, y), sp.unit_law, f, mult[(x, x, y)],
-                  unit[x], dims[(x, y)], True)
-            check("unit-right", (x, y), sp.unit_law, f, mult[(x, y, y)],
-                  unit[y], dims[(x, y)], False)
+            check("unit-left", (x, y), sp.unit_law, f, Mxx[y], ux, Dx[y],
+                  True)
+            check("unit-right", (x, y), sp.unit_law, f, Mx[y][y], unit[y],
+                  Dx[y], False)
     if level == "category":
         return rep
 
     for x in X:
+        Cx, Ex, Dx = C[x], E[x], D[x]
         for y in X:
-            d, delta = dims[(x, y)], comult[(x, y)]
+            d, delta, eps = Dx[y], Cx[y], Ex[y]
             check("coassoc", (x, y), sp.coassoc, f, delta, delta, delta,
                   delta, d, d, d)
-            check("counit-left", (x, y), sp.counit_law, f, delta,
-                  counit[(x, y)], True)
-            check("counit-right", (x, y), sp.counit_law, f, delta,
-                  counit[(x, y)], False)
+            check("counit-left", (x, y), sp.counit_law, f, delta, eps, True)
+            check("counit-right", (x, y), sp.counit_law, f, delta, eps,
+                  False)
     for x in X:
+        Mx, Cx, Ex, Dx = M[x], C[x], E[x], D[x]
         for y in X:
+            Mxy, cxy, exy, Cy, Ey, Dy = Mx[y], Cx[y], Ex[y], C[y], E[y], D[y]
             for z in X:
-                m = mult[(x, y, z)]
-                check("comult-mult", (x, y, z), sp.comult_mult, f, m,
-                      comult[(x, z)], comult[(x, y)], comult[(y, z)], m, m,
-                      dims[(x, z)], dims[(x, z)])
-                check("counit-mult", (x, y, z), sp.counit_mult, f, m,
-                      counit[(x, z)], counit[(x, y)], counit[(y, z)],
-                      dims[(y, z)])
+                m, dxz = Mxy[z], Dx[z]
+                check("comult-mult", (x, y, z), sp.comult_mult, f, m, Cx[z],
+                      cxy, Cy[z], m, m, dxz, dxz)
+                check("counit-mult", (x, y, z), sp.counit_mult, f, m, Ex[z],
+                      exy, Ey[z], Dy[z])
     for x in X:
-        d = dims[(x, x)]
-        check("comult-unit", (x,), sp.comult_unit, f, comult[(x, x)],
-              unit[x], unit[x], unit[x], d, d)
-        check("counit-unit", (x,), sp.counit_unit, f, unit[x],
-              counit[(x, x)])
+        d, ux = D[x][x], unit[x]
+        check("comult-unit", (x,), sp.comult_unit, f, C[x][x], ux, ux, ux,
+              d, d)
+        check("counit-unit", (x,), sp.counit_unit, f, ux, E[x][x])
     if level == "semihopf":
         return rep
     return _check_antipode_laws(a, rep, t)
@@ -249,12 +247,21 @@ def _check_antipode_laws(a: HopfCatData, rep: Report,
                          t: _Tensors | None = None) -> Report:
     """Append both antipode identities of ``a`` to ``rep``, its report at
     level 'semihopf', making it the report at level 'hopf'; ``t`` is the
-    calling verifier's instances of ``a`` on ``rep``."""
+    calling verifier's instances of ``a`` on ``rep``.  Over Δe_i = Σ h1⊗h2
+    in A(x,y): Σ h1·S(h2) = ε(e_i)·1 in A(x,x) (left) and
+    Σ S(h1)·h2 = ε(e_i)·1 in A(y,y) (right)."""
     t = t or _Tensors(a, rep)
-    for x in a.objects:
-        for y in a.objects:
-            t.antipode_law("antipode-left", x, y, s_first=False)
-            t.antipode_law("antipode-right", x, y, s_first=True)
+    X, f, check = a.objects, t.field, t.check
+    M, C, S, E, D, unit = t.mult, t.comult, t.antipode, t.counit, t.dims, \
+        t.unit
+    for x in X:
+        Mx, Cx, Sx, Ex, ux, dxx = M[x], C[x], S[x], E[x], unit[x], D[x][x]
+        for y in X:
+            delta, s, eps = Cx[y], Sx[y], Ex[y]
+            check("antipode-left", (x, y), sp.antipode_law, f, delta, s,
+                  Mx[y][x], ux, eps, False, dxx, False)
+            check("antipode-right", (x, y), sp.antipode_law, f, delta, s,
+                  M[y][x][y], unit[y], eps, True, D[y][y], False)
     return rep
 
 
@@ -285,37 +292,47 @@ def check_antipode_theorems(a: HopfCatData,
     _require(a, "hopf", base,
              "antipode theorems need data that passes level 'hopf'")
     rep = Report()
-    X, f, dims = a.objects, a.field, a.dims
+    X, f = a.objects, a.field
     t = _Tensors(a, rep)
-    check, mult, s = t.check, t.mult, t.antipode
+    check, M, C, S, E, D, unit = (t.check, t.mult, t.comult, t.antipode,
+                                  t.counit, t.dims, t.unit)
 
     for x in X:
+        Mx, Sx = M[x], S[x]
         for y in X:
+            Mxy, Sxy, Sy = Mx[y], Sx[y], S[y]
             for z in X:
-                check("antipode-antimult", (x, y, z), _antimult, f,
-                      mult[(x, y, z)], mult[(z, y, x)], s[(x, z)],
-                      s[(y, z)], s[(x, y)], dims[(z, x)])
+                check("antipode-antimult", (x, y, z), _antimult, f, Mxy[z],
+                      M[z][y][x], Sx[z], Sy[z], Sxy, D[z][x])
     for x in X:
-        check("antipode-unit", (x,), _antipode_unit, f, s[(x, x)],
-              t.unit[x], dims[(x, x)])
+        check("antipode-unit", (x,), _antipode_unit, f, S[x][x], unit[x],
+              D[x][x])
     for x in X:
+        Sx, Cx, Ex = S[x], C[x], E[x]
         for y in X:
-            check("antipode-anticomult", (x, y), _anticomult, f, s[(x, y)],
-                  t.comult[(x, y)], t.comult[(y, x)], dims[(y, x)])
-            check("antipode-counit", (x, y), _antipode_counit, f, s[(x, y)],
-                  t.counit[(x, y)], t.counit[(y, x)])
+            s = Sx[y]
+            check("antipode-anticomult", (x, y), _anticomult, f, s, Cx[y],
+                  C[y][x], D[y][x])
+            check("antipode-counit", (x, y), _antipode_counit, f, s, Ex[y],
+                  E[y][x])
 
     # The three equivalent conditions.  Whether they hold is a property of
     # the instance, not an axiom, so they are recorded as measurements; only
-    # their pairwise agreement is a hard check.
+    # their pairwise agreement is a hard check.  The twisted ones are the
+    # antipode identities with the legs of Δ flipped first, the left one in
+    # A(y,y) and the right one in A(x,x).
     for x in X:
+        Mx, Cx, Sx, Ex, ux, dxx = M[x], C[x], S[x], E[x], unit[x], D[x][x]
         for y in X:
-            c1 = t.antipode_law("antipode-left-twisted", x, y, s_first=True,
-                                flip=True, required=False)
-            c2 = t.antipode_law("antipode-right-twisted", x, y,
-                                s_first=False, flip=True, required=False)
-            c3 = check("antipode-involutive", (x, y), _involutive, f,
-                       s[(x, y)], s[(y, x)], required=False)
+            delta, s, eps = Cx[y], Sx[y], Ex[y]
+            c1 = check("antipode-left-twisted", (x, y), sp.antipode_law, f,
+                       delta, s, M[y][x][y], unit[y], eps, True, D[y][y],
+                       True, required=False)
+            c2 = check("antipode-right-twisted", (x, y), sp.antipode_law, f,
+                       delta, s, Mx[y][x], ux, eps, False, dxx, True,
+                       required=False)
+            c3 = check("antipode-involutive", (x, y), _involutive, f, s,
+                       S[y][x], required=False)
             check_condition(
                 rep, "antipode-conditions-agree", (x, y),
                 c1 == c2 == c3,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from . import sparse as sp
 from .core import HopfCatData
-from .report import Instances, Report
+from .report import Instances, Report, per_label
 from .scalars import Field
 from .schema import LAYOUTS, check_shape, reshaped
 
@@ -63,65 +63,70 @@ def verify_dual(c: DualHopfCatData) -> Report:
     c.validate_shape()
     rep = Report()
     inst = Instances(rep)
-    X, f, dims, check = c.objects, c.field, c.dims, inst.check
-    alg, cocomp = (inst.intern(sp.tensors(f, t)) for t in (c.alg, c.cocomp))
-    unit, counit = (inst.intern(sp.vectors(f, v)) for v in (c.unit, c.counit))
+    X, f, check = c.objects, c.field, inst.check
+    A, T = (per_label(inst.intern(sp.tensors(f, t)), X)
+            for t in (c.alg, c.cocomp))
+    U = per_label(inst.intern(sp.vectors(f, c.unit)), X)
+    counit = inst.intern(sp.vectors(f, c.counit))
+    D = per_label(c.dims, X)
 
     for x in X:
+        Ax, Ux, Dx = A[x], U[x], D[x]
         for y in X:
-            m, d = alg[(x, y)], dims[(x, y)]
+            m, u, d = Ax[y], Ux[y], Dx[y]
             check("alg-assoc", (x, y), sp.assoc, f, m, m, m, m, d, d)
-            check("alg-unit-left", (x, y), sp.unit_law, f, m, unit[(x, y)],
-                  d, True)
-            check("alg-unit-right", (x, y), sp.unit_law, f, m, unit[(x, y)],
-                  d, False)
+            check("alg-unit-left", (x, y), sp.unit_law, f, m, u, d, True)
+            check("alg-unit-right", (x, y), sp.unit_law, f, m, u, d, False)
 
     for x in X:
+        Tx, Dx = T[x], D[x]
         for y in X:
+            Txy, Ty, Dy, dxy = Tx[y], T[y], D[y], Dx[y]
             for z in X:
+                Txz, Tyz, Dz, txyz, dyz = Tx[z], Ty[z], D[z], Txy[z], Dy[z]
                 for u in X:
                     check("cocomp-coassoc", (x, y, z, u), sp.coassoc, f,
-                          cocomp[(x, z, u)], cocomp[(x, y, z)],
-                          cocomp[(x, y, u)], cocomp[(y, z, u)],
-                          dims[(x, y)], dims[(y, z)], dims[(z, u)])
+                          Txz[u], txyz, Txy[u], Tyz[u], dxy, dyz, Dz[u])
     for x in X:
+        Tx, Txx, ex = T[x], T[x][x], counit[x]
         for y in X:
-            check("cocomp-counit-left", (x, y), sp.counit_law, f,
-                  cocomp[(x, x, y)], counit[x], True)
-            check("cocomp-counit-right", (x, y), sp.counit_law, f,
-                  cocomp[(x, y, y)], counit[y], False)
+            check("cocomp-counit-left", (x, y), sp.counit_law, f, Txx[y], ex,
+                  True)
+            check("cocomp-counit-right", (x, y), sp.counit_law, f, Tx[y][y],
+                  counit[y], False)
 
     for x in X:
+        Ax, Tx, Ux, Dx = A[x], T[x], U[x], D[x]
         for y in X:
+            Txy, axy, uxy, dl = Tx[y], Ax[y], Ux[y], Dx[y]
+            Ay, Uy, Dy = A[y], U[y], D[y]
             for z in X:
                 # cocomposition is an algebra map into the componentwise
                 # product on C(x,y)⊗C(y,z)
-                cc, dl, dr = cocomp[(x, y, z)], dims[(x, y)], dims[(y, z)]
-                check("cocomp-mult", (x, y, z), sp.comult_mult, f,
-                      alg[(x, z)], cc, cc, cc, alg[(x, y)], alg[(y, z)],
-                      dl, dr)
-                check("cocomp-unit", (x, y, z), sp.comult_unit, f, cc,
-                      unit[(x, z)], unit[(x, y)], unit[(y, z)], dl, dr)
+                cc, dr = Txy[z], Dy[z]
+                check("cocomp-mult", (x, y, z), sp.comult_mult, f, Ax[z], cc,
+                      cc, cc, axy, Ay[z], dl, dr)
+                check("cocomp-unit", (x, y, z), sp.comult_unit, f, cc, Ux[z],
+                      uxy, Uy[z], dl, dr)
     for x in X:
-        check("counit-mult", (x,), sp.counit_mult, f, alg[(x, x)],
-              counit[x], counit[x], counit[x], dims[(x, x)])
-        check("counit-unit", (x,), sp.counit_unit, f, unit[(x, x)],
-              counit[x])
+        ex = counit[x]
+        check("counit-mult", (x,), sp.counit_mult, f, A[x][x], ex, ex, ex,
+              D[x][x])
+        check("counit-unit", (x,), sp.counit_unit, f, U[x][x], ex)
 
     if c.antipode is not None:
         # S(x,y): C(y,x) → C(x,y), in column form
-        s = inst.intern({(x, y): sp.columns(f, c.antipode[(x, y)],
-                                            dims[(y, x)])
-                         for x in X for y in X})
+        S = per_label(inst.intern({(x, y): sp.columns(f, c.antipode[(x, y)],
+                                                      c.dims[(y, x)])
+                                   for x in X for y in X}), X)
         for x in X:
+            Tx, Sx, Ax, Ux, Dx, ex = T[x], S[x], A[x], U[x], D[x], counit[x]
             for y in X:
-                cc = cocomp[(x, y, x)]   # C(x,x) → C(x,y)⊗C(y,x)
+                cc = Tx[y][x]   # C(x,x) → C(x,y)⊗C(y,x)
                 check("dual-antipode-left", (x, y), sp.antipode_law, f, cc,
-                      s[(x, y)], alg[(x, y)], unit[(x, y)], counit[x],
-                      False, dims[(x, y)], False)
+                      Sx[y], Ax[y], Ux[y], ex, False, Dx[y], False)
                 check("dual-antipode-right", (x, y), sp.antipode_law, f, cc,
-                      s[(y, x)], alg[(y, x)], unit[(y, x)], counit[x],
-                      True, dims[(y, x)], False)
+                      S[y][x], A[y][x], U[y][x], ex, True, D[y][x], False)
     return rep
 
 

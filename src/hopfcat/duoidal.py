@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData, MalformedDataError
 from .linalg import LinMap
-from .report import Instances, Report
+from .report import Instances, Report, per_label
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
 
@@ -157,49 +157,56 @@ def verify_bimonoid(b: BimonoidData) -> Report:
     b.validate_shape()
     rep = Report()
     inst = Instances(rep)
-    f, X, dims, check = b.field, b.carrier.objects, b.carrier.dims, inst.check
-    mu, delta = (inst.intern(sp.tensors(f, t)) for t in (b.mu, b.delta))
-    eta, eps = (inst.intern(sp.vectors(f, v)) for v in (b.eta, b.eps))
+    f, X, check = b.field, b.carrier.objects, inst.check
+    M, C = (per_label(inst.intern(sp.tensors(f, t)), X)
+            for t in (b.mu, b.delta))
+    eta = inst.intern(sp.vectors(f, b.eta))
+    E = per_label(inst.intern(sp.vectors(f, b.eps)), X)
+    D = per_label(b.carrier.dims, X)
 
     for x in X:
+        Mx, Dx = M[x], D[x]
         for u in X:
+            Mxu, Mu = Mx[u], M[u]
             for v in X:
+                m, Mxv, Muv, Dv = Mxu[v], Mx[v], Mu[v], D[v]
                 for y in X:
-                    check("monoid-assoc", (x, u, v, y), sp.assoc, f,
-                          mu[(x, u, v)], mu[(x, v, y)], mu[(u, v, y)],
-                          mu[(x, u, y)], dims[(v, y)], dims[(x, y)])
+                    check("monoid-assoc", (x, u, v, y), sp.assoc, f, m,
+                          Mxv[y], Muv[y], Mxu[y], Dv[y], Dx[y])
     for x in X:
+        Mx, Mxx, Dx, ex = M[x], M[x][x], D[x], eta[x]
         for y in X:
-            check("monoid-unit-left", (x, y), sp.unit_law, f, mu[(x, x, y)],
-                  eta[x], dims[(x, y)], True)
-            check("monoid-unit-right", (x, y), sp.unit_law, f,
-                  mu[(x, y, y)], eta[y], dims[(x, y)], False)
+            check("monoid-unit-left", (x, y), sp.unit_law, f, Mxx[y], ex,
+                  Dx[y], True)
+            check("monoid-unit-right", (x, y), sp.unit_law, f, Mx[y][y],
+                  eta[y], Dx[y], False)
 
     for x in X:
+        Cx, Ex, Dx = C[x], E[x], D[x]
         for y in X:
-            d, dl = dims[(x, y)], delta[(x, y)]
+            d, dl, eps = Dx[y], Cx[y], Ex[y]
             check("comonoid-coassoc", (x, y), sp.coassoc, f, dl, dl, dl, dl,
                   d, d, d)
-            check("comonoid-counit-left", (x, y), sp.counit_law, f, dl,
-                  eps[(x, y)], True)
-            check("comonoid-counit-right", (x, y), sp.counit_law, f, dl,
-                  eps[(x, y)], False)
+            check("comonoid-counit-left", (x, y), sp.counit_law, f, dl, eps,
+                  True)
+            check("comonoid-counit-right", (x, y), sp.counit_law, f, dl, eps,
+                  False)
 
     for x in X:
+        Mx, Cx, Ex, Dx = M[x], C[x], E[x], D[x]
         for y in X:
-            d = dims[(x, y)]
-            check("interchange-mult-comult", (x, y), _mult_comult, f, d,
-                  delta[(x, y)], *(t for u in X for t in (
-                      mu[(x, u, y)], delta[(x, u)], delta[(u, y)])))
+            check("interchange-mult-comult", (x, y), _mult_comult, f, Dx[y],
+                  Cx[y], *(t for u in X for t in (
+                      Mx[u][y], Cx[u], C[u][y])))
             check("interchange-counit-mult", (x, y), _counit_mult, f,
-                  eps[(x, y)], *(t for u in X for t in (
-                      mu[(x, u, y)], eps[(x, u)], eps[(u, y)], dims[(u, y)])))
+                  Ex[y], *(t for u in X for t in (
+                      Mx[u][y], Ex[u], E[u][y], D[u][y])))
     for x in X:
-        d = dims[(x, x)]
-        check("interchange-comult-unit", (x,), sp.comult_unit, f,
-              delta[(x, x)], eta[x], eta[x], eta[x], d, d)
-        check("interchange-counit-unit", (x,), sp.counit_unit, f, eta[x],
-              eps[(x, x)])
+        d, ex = D[x][x], eta[x]
+        check("interchange-comult-unit", (x,), sp.comult_unit, f, C[x][x],
+              ex, ex, ex, d, d)
+        check("interchange-counit-unit", (x,), sp.counit_unit, f, ex,
+              E[x][x])
     return rep
 
 

@@ -12,8 +12,10 @@ The single place where a kind's layout is defined is its slot table in
 tensor family.  One reader and one writer serve every kind from the tables;
 only the headers that are not slots (``antipode``, ``base``, ``side``,
 ``gmul``, ``block``) and the scalar-free ``groupoid`` kind have code here.
-Module-like kinds name their base with `base <name>`, resolved by the loader
-next to the file (adding the .hc suffix when absent).
+The writer walks each stored tensor once, in record order, and formats each
+distinct scalar object once per call.  Module-like kinds name their base
+with `base <name>`, resolved by the loader next to the file (adding the .hc
+suffix when absent); the loader keeps the base file's path.
 """
 
 from __future__ import annotations
@@ -94,7 +96,28 @@ def _serialize_groupoid(g: GroupoidData) -> list[str]:
             + [f"inverse {a} {b}" for a, b in sorted(g.inverses.items())])
 
 
+def _tensors(slot, data, labels) -> list:
+    """(record head, stored tensor) of each key of ``slot``, in canonical
+    key order: the tag and the key labels, and the tensor read straight
+    from ``data``."""
+    tag, arity = slot.tag, len(slot.keys)
+    if arity == 0:
+        return [(tag, data)]
+    if arity == 1:
+        return [(f"{tag} {x}", data[x]) for x in labels]
+    return [(f"{tag} {' '.join(key)}", data[key])
+            for key in product(labels, repeat=arity)]
+
+
 def serialize(obj) -> str:
+    """The canonical text of ``obj``, in one walk over its tensors: each
+    stored tensor is read once, and the record lines of the nonzero cells
+    of all of a slot's tensors are made by one comprehension for its rank
+    (an empty tensor, of a factor of dimension 0, gives none), a
+    transposed slot's column by column so that its records come in record
+    index order.  Each distinct scalar object is formatted once per call,
+    in ``texts`` keyed by its ``id``, which is sound because ``obj`` keeps
+    every scalar alive while the call runs."""
     kind = type(obj).layout
     lines = [f"format {FORMAT_VERSION}", f"kind {kind.name}"]
     if kind.name == "groupoid":
@@ -113,14 +136,34 @@ def serialize(obj) -> str:
         for key in product(frame.labels, repeat=len(kind.dim)):
             d = frame.dims[key[0] if len(key) == 1 else key]
             lines.append(" ".join(("dim", *key, str(d))))
+    texts = {}              # id of a scalar -> its text
+    get = texts.get
+
+    def text(v) -> str:
+        s = texts[id(v)] = fmt(v)
+        return s
     for slot in sorted(kind.slots, key=lambda s: s.tag):
         data = getattr(obj, slot.tag)
         if data is None:
             continue
-        for key in product(frame.labels, repeat=len(slot.keys)):
-            head = " ".join((slot.tag, *key))
-            lines.extend(" ".join((head, *map(str, idx), fmt(v)))
-                         for idx, v in slot.entries(slot.stored(data, key)))
+        tensors = _tensors(slot, data, frame.labels)
+        rank = len(slot.dims)
+        if rank == 1:
+            lines += [f"{head} {i} {get(id(v)) or text(v)}"
+                      for head, t in tensors for i, v in enumerate(t) if v]
+        elif slot.transposed:       # stored [j][i], written (i, j)
+            lines += [f"{head} {i} {j} {get(id(v)) or text(v)}"
+                      for head, t in tensors
+                      for i, col in enumerate(zip(*t))
+                      for j, v in enumerate(col) if v]
+        elif rank == 2:
+            lines += [f"{head} {i} {j} {get(id(v)) or text(v)}"
+                      for head, t in tensors for i, p in enumerate(t)
+                      for j, v in enumerate(p) if v]
+        else:
+            lines += [f"{head} {i} {j} {k} {get(id(v)) or text(v)}"
+                      for head, t in tensors for i, p in enumerate(t)
+                      for j, q in enumerate(p) for k, v in enumerate(q) if v]
     return "\n".join(lines) + "\n"
 
 
@@ -421,7 +464,9 @@ def _parse_groupoid(rows, objects):
 # -- path-level helpers ---------------------------------------------------------------
 
 def load(path: str):
-    """Parse a structure file, resolving module bases next to it."""
+    """Parse a structure file, resolving module bases next to it.  The path
+    of the base file read is kept as ``_base_path``, next to
+    ``_base_name``, so that a caller can refuse to write over it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -429,16 +474,22 @@ def load(path: str):
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason}",
                          data.count(b"\n", 0, e.start) + 1)
+    bases = []
 
     def base_loader(name: str):
         d = os.path.dirname(path)
         for cand in (os.path.join(d, name), os.path.join(d, name + ".hc")):
             if os.path.exists(cand):
                 try:
-                    return load(cand)
+                    base = load(cand)
                 except ParseError as e:     # a line of the base file
                     e.path = e.path or cand
                     raise
+                bases.append(cand)
+                return base
         raise ParseError(f"cannot resolve base '{name}' next to {path}")
 
-    return parse(text, base_loader)
+    out = parse(text, base_loader)
+    if bases:
+        out._base_path = bases[0]
+    return out

@@ -29,7 +29,7 @@ from .core import (HopfCatData, MissingAntipodeError, _check_antipode_laws,
 from .linalg import LinMap, NotInvertible, _rref, invert, rank, rank_kernel
 from .modules import ModuleData, diagonal_action, verify_module
 from .report import (InternalInvariantError, Instances, PreconditionError,
-                     Report, check_condition, check_map_equal)
+                     Report, check_condition, check_map_equal, per_label)
 from .schema import LAYOUTS, check_shape, place, reshaped, tensor, zeros
 
 
@@ -64,24 +64,26 @@ def verify_hopf_module(m: HopfModuleData,
     inst = Instances(rep)
     a = m.base
     X, f, check = a.objects, a.field, inst.check
-    act, coact, mult, comult = (inst.intern(sp.tensors(f, t)) for t in (
+    P, R, M, C = (per_label(inst.intern(sp.tensors(f, t)), X) for t in (
         m.action, m.coaction, a.mult, a.comult))
-    counit = inst.intern(sp.vectors(f, a.counit))
+    E = per_label(inst.intern(sp.vectors(f, a.counit)), X)
+    D, B = per_label(m.dims, X), per_label(a.dims, X)
     for x in X:
+        Rx, Cx, Ex, Dx, Bx = R[x], C[x], E[x], D[x], B[x]
         for y in X:
-            rho = coact[(x, y)]
+            rho, b = Rx[y], Bx[y]
             check("comodule-coassoc", (x, y), sp.coassoc, f, rho, rho, rho,
-                  comult[(x, y)], m.dims[(x, y)], a.dims[(x, y)],
-                  a.dims[(x, y)])
-            check("comodule-counit", (x, y), sp.counit_law, f, rho,
-                  counit[(x, y)], False)
+                  Cx[y], Dx[y], b, b)
+            check("comodule-counit", (x, y), sp.counit_law, f, rho, Ex[y],
+                  False)
     for x in X:
+        Px, Rx, Mx, Dx, Bx = P[x], R[x], M[x], D[x], B[x]
         for y in X:
+            Pxy, rxy, Mxy, Cy = Px[y], Rx[y], Mx[y], C[y]
             for z in X:
-                psi = act[(x, y, z)]
+                psi = Pxy[z]
                 check("hopf-compat", (x, y, z), sp.comult_mult, f, psi,
-                      coact[(x, z)], coact[(x, y)], comult[(y, z)], psi,
-                      mult[(x, y, z)], m.dims[(x, z)], a.dims[(x, z)])
+                      Rx[z], rxy, Cy[z], psi, Mxy[z], Dx[z], Bx[z])
     return rep
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import sparse as sp
 from .core import HopfCatData
-from .report import Instances, Report
+from .report import Instances, Report, per_label
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
 
@@ -98,23 +98,27 @@ def validate_graded(h: GradedHopfData) -> Report:
     h.validate_shape()
     rep = Report()
     inst = Instances(rep)
-    f, G, mul, dims = h.field, h.group.elements, h.group.mul, h.dims
+    f, G, dims = h.field, h.group.elements, h.dims
     e, check = h.group.identity(), inst.check
-    mult, comult = (inst.intern(sp.tensors(f, t)) for t in (h.mult, h.comult))
+    # the product of degrees s and t is mul[s][t]
+    mul = per_label(h.group.table, G)
+    M = per_label(inst.intern(sp.tensors(f, h.mult)), G)
+    comult = inst.intern(sp.tensors(f, h.comult))
     counit = inst.intern(sp.vectors(f, h.counit))
     unit = sp.vector(f, h.unit)
 
     for s in G:
+        Ms, mul_s = M[s], mul[s]
         for t in G:
+            m, Mst, Mt, mul_t, mul_st = (Ms[t], M[mul_s[t]], M[t], mul[t],
+                                         mul[mul_s[t]])
             for r in G:
-                check("graded-assoc", (s, t, r), sp.assoc, f, mult[(s, t)],
-                      mult[(mul(s, t), r)], mult[(t, r)],
-                      mult[(s, mul(t, r))], dims[r],
-                      dims[mul(mul(s, t), r)])
+                check("graded-assoc", (s, t, r), sp.assoc, f, m, Mst[r],
+                      Mt[r], Ms[mul_t[r]], dims[r], dims[mul_st[r]])
     for s in G:
-        check("graded-unit-left", (s,), sp.unit_law, f, mult[(e, s)], unit,
+        check("graded-unit-left", (s,), sp.unit_law, f, M[e][s], unit,
               dims[s], True)
-        check("graded-unit-right", (s,), sp.unit_law, f, mult[(s, e)], unit,
+        check("graded-unit-right", (s,), sp.unit_law, f, M[s][e], unit,
               dims[s], False)
     for s in G:
         d, delta = dims[s], comult[s]
@@ -125,13 +129,13 @@ def validate_graded(h: GradedHopfData) -> Report:
         check("graded-counit-right", (s,), sp.counit_law, f, delta,
               counit[s], False)
     for s in G:
+        Ms, mul_s, cs, es = M[s], mul[s], comult[s], counit[s]
         for t in G:
-            st, m = mul(s, t), mult[(s, t)]
+            st, m = mul_s[t], Ms[t]
             check("graded-comult-mult", (s, t), sp.comult_mult, f, m,
-                  comult[st], comult[s], comult[t], m, m, dims[st],
-                  dims[st])
+                  comult[st], cs, comult[t], m, m, dims[st], dims[st])
             check("graded-counit-mult", (s, t), sp.counit_mult, f, m,
-                  counit[st], counit[s], counit[t], dims[t])
+                  counit[st], es, counit[t], dims[t])
     check("graded-comult-unit", (e,), sp.comult_unit, f, comult[e], unit,
           unit, unit, dims[e], dims[e])
     check("graded-counit-unit", (e,), sp.counit_unit, f, unit, counit[e])
@@ -142,10 +146,10 @@ def validate_graded(h: GradedHopfData) -> Report:
         for s in G:
             si = h.group.inverse(s)
             check("graded-antipode-left", (s,), sp.antipode_law, f,
-                  comult[s], sm[s], mult[(s, si)], unit, counit[s], False,
+                  comult[s], sm[s], M[s][si], unit, counit[s], False,
                   dims[e], False)
             check("graded-antipode-right", (s,), sp.antipode_law, f,
-                  comult[s], sm[s], mult[(si, s)], unit, counit[s], True,
+                  comult[s], sm[s], M[si][s], unit, counit[s], True,
                   dims[e], False)
     return rep
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
-from .report import Instances, Report
+from .report import Instances, Report, per_label
 from .schema import LAYOUTS, check_shape, reshaped, tensor
 
 
@@ -69,31 +69,40 @@ def verify_module(m: ModuleData) -> Report:
     inst = Instances(rep)
     a = m.base
     X, f, check = a.objects, a.field, inst.check
-    act, mult = (inst.intern(sp.tensors(f, t)) for t in (m.action, a.mult))
+    P, M = (per_label(inst.intern(sp.tensors(f, t)), X)
+            for t in (m.action, a.mult))
     unit = inst.intern(sp.vectors(f, a.unit))
-    right = m.side == "right"
-    for x in X:
-        for y in X:
-            for z in X:
-                for u in X:
-                    if right:    # (m·a)·b against m·(ab)
-                        check("module-assoc", (x, y, z, u), sp.assoc, f,
-                              act[(x, y, z)], act[(x, z, u)],
-                              mult[(y, z, u)], act[(x, y, u)],
-                              a.dims[(z, u)], m.dims[(x, u)])
-                    else:        # a·(b·m) against (ab)·m
+    D, B = per_label(m.dims, X), per_label(a.dims, X)
+    if m.side == "right":       # (m·a)·b against m·(ab)
+        for x in X:
+            Px, Dx = P[x], D[x]
+            for y in X:
+                Pxy, My = Px[y], M[y]
+                for z in X:
+                    p, Pxz, Myz, Bz = Pxy[z], Px[z], My[z], B[z]
+                    for u in X:
+                        check("module-assoc", (x, y, z, u), sp.assoc, f, p,
+                              Pxz[u], Myz[u], Pxy[u], Bz[u], Dx[u])
+        for x in X:
+            Px, Dx = P[x], D[x]
+            for y in X:
+                check("module-unit", (x, y), sp.unit_law, f, Px[y][y],
+                      unit[y], Dx[y], False)
+    else:                       # a·(b·m) against (ab)·m
+        for x in X:
+            Mx, Px, Dx = M[x], P[x], D[x]
+            for y in X:
+                Mxy, Pxy, Py = Mx[y], Px[y], P[y]
+                for z in X:
+                    mxyz, Pxz, Pyz, Dz = Mxy[z], Px[z], Py[z], D[z]
+                    for u in X:
                         check("module-assoc", (x, y, z, u), _assoc_reversed,
-                              f, mult[(x, y, z)], act[(x, z, u)],
-                              act[(y, z, u)], act[(x, y, u)],
-                              m.dims[(z, u)], m.dims[(x, u)])
-    for x in X:
-        for y in X:
-            if right:
-                check("module-unit", (x, y), sp.unit_law, f, act[(x, y, y)],
-                      unit[y], m.dims[(x, y)], False)
-            else:
-                check("module-unit", (x, y), sp.unit_law, f, act[(x, x, y)],
-                      unit[x], m.dims[(x, y)], True)
+                              f, mxyz, Pxz[u], Pyz[u], Pxy[u], Dz[u], Dx[u])
+        for x in X:
+            Pxx, Dx, ux = P[x][x], D[x], unit[x]
+            for y in X:
+                check("module-unit", (x, y), sp.unit_law, f, Pxx[y], ux,
+                      Dx[y], True)
     return rep
 
 
@@ -109,21 +118,25 @@ def verify_comodule(m: ComoduleData) -> Report:
     inst = Instances(rep)
     c = m.base
     X, f, check = c.objects, c.field, inst.check
-    coact, cocomp = (inst.intern(sp.tensors(f, t))
-                     for t in (m.coaction, c.cocomp))
+    R, T = (per_label(inst.intern(sp.tensors(f, t)), X)
+            for t in (m.coaction, c.cocomp))
     counit = inst.intern(sp.vectors(f, c.counit))
+    D, B = per_label(m.dims, X), per_label(c.dims, X)
     for x in X:
+        Rx, Dx = R[x], D[x]
         for z in X:
             for u in X:
+                Rxu, Tu, Bu, dxu = Rx[u], T[u], B[u], Dx[u]
+                rxuz = Rxu[z]
                 for y in X:
                     check("comodule-coassoc", (x, u, y, z), sp.coassoc, f,
-                          coact[(x, y, z)], coact[(x, u, y)],
-                          coact[(x, u, z)], cocomp[(u, y, z)],
-                          m.dims[(x, u)], c.dims[(u, y)], c.dims[(y, z)])
+                          Rx[y][z], Rxu[y], rxuz, Tu[y][z], dxu, Bu[y],
+                          B[y][z])
     for x in X:
+        Rx = R[x]
         for z in X:
-            check("comodule-counit", (x, z), sp.counit_law, f,
-                  coact[(x, z, z)], counit[z], False)
+            check("comodule-counit", (x, z), sp.counit_law, f, Rx[z][z],
+                  counit[z], False)
     return rep
 
 

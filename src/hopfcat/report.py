@@ -8,7 +8,11 @@ the memo keeps alive, so a repeated instance costs one lookup and one
 record.  The laws it evaluates (the functions of ``sparse``, and the few
 beside the verifiers, that return both sides of an identity) must therefore
 be pure: a law may not change its arguments, and its sides may depend only
-on their values, so that the same arguments give the same sides.
+on their values, so that the same arguments give the same sides.  A
+verifier reads its tensors and dims through ``per_label`` views, built
+once per call, which must hand over the very objects of its tables (the
+interned tensors, the ints of ``dims``), so that the identity keys hit
+exactly as they would on the tables.
 
 ``Report.items`` holds a record per objects tuple, and every verdict,
 summary and table is read from those.  Only a ``--report`` file is folded
@@ -238,6 +242,25 @@ class Instances:
         report.add(CheckItem(axiom, objects, first.ok, first.witness,
                              first.residual, first.failures, required))
         return first.ok
+
+
+def per_label(table: dict, labels) -> dict:
+    """``table``, keyed by pairs or triples of ``labels``, as nested dicts
+    keyed by one label each: ``per_label(t, X)[x][y][z] is t[(x, y, z)]``.
+
+    A verifier that loops over object tuples builds these views once per
+    call and reads its tensors and dimensions through them, each lookup in
+    the loop where its last label is bound, so an inner loop pays only for
+    what its own label changes, and no key tuple is built per instance.
+    Every entry is the very object of ``table``: an interned tensor, or an
+    int of a ``dims`` table.  So ``Instances.check`` sees the same argument
+    identities as through the table, and its memo hits exactly as there.
+    """
+    key = next(iter(table), ())
+    if len(key) == 2:
+        return {x: {y: table[(x, y)] for y in labels} for x in labels}
+    return {x: {y: {z: table[(x, y, z)] for z in labels} for y in labels}
+            for x in labels}
 
 
 def check_condition(report: Report, axiom: str, objects: tuple[str, ...],

@@ -14,11 +14,13 @@ by objects (or group elements).  A kind's ``Kind`` entry lists its slots; a
   product or inverse of degrees, or of the identity (graded kinds),
   ``n``       the total dimension (weak kinds, from the ``block`` headers);
 - whether the record order is the transpose of the stored order: record
-  ``antipode x y i j v`` is stored at ``antipode[(x, y)][j][i]``;
+  ``antipode x y i j v`` is stored at ``antipode[(x, y)][j][i]`` (only a
+  matrix is transposed);
 - whether the slot is optional, present exactly when ``antipode yes``;
 - for a module's action, the rules that apply under ``side left``.
 
-``fileformat`` reads and writes every kind from these tables, and
+``fileformat`` reads and writes every kind from these tables (the writer
+walks the stored nested lists itself, in record order), and
 ``check_shape``, the ``validate_shape`` of every data class, checks stored
 tensors against them.  Headers that are not slots (``antipode``, ``base``,
 ``side``, ``gmul``, ``block``) are handled by the reader and writer.
@@ -203,13 +205,6 @@ class Slot:
     def put(self, t, idx: list, v):
         """Store ``v`` at the record-order indices ``idx``."""
         _put(t, idx[::-1] if self.transposed else idx, v)
-
-    def entries(self, t) -> list:
-        """(record indices, value) of the nonzero entries, in record order."""
-        out = _nonzero(t, len(self.dims))
-        if self.transposed:
-            return sorted((idx[::-1], v) for idx, v in out)
-        return out
 
 
 class Kind(NamedTuple):

@@ -22,8 +22,9 @@ for the same constructors on ``schema.tensor``, with the groupoid validation
 that walks every pair and triple of morphisms for the one that visits only
 composable ones, the twelve-base primality
 test for ``scalars.is_prime``, the row reduction on public
-scalars for ``linalg``'s row reduction on raw ones, and the per-kind
-parsers at the end for ``fileformat``'s one table-driven reader.  ``reference_check_map_equal``
+scalars for ``linalg``'s row reduction on raw ones, the per-kind
+parsers near the end for ``fileformat``'s one table-driven reader, and the
+slot-table writer at the end for its one-walk rewrite.  ``reference_check_map_equal``
 is the per-column comparison that ``report.check_map_equal`` ran before it
 compared whole column lists first, ``ReferenceInstances`` the
 ``report.Instances`` that keyed a tuple or int argument by its value, and
@@ -32,6 +33,7 @@ compared whole column lists first, ``ReferenceInstances`` the
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import sympy
 
@@ -41,7 +43,8 @@ from hopfcat.dual import DualHopfCatData
 from hopfcat.duoidal import (BimonoidData, MkXObject, black_tensor,
                              white_tensor, zeta)
 from hopfcat.fileformat import (FORMAT_VERSION, KINDS, KindMismatchError,
-                                ParseError)
+                                ParseError, _header_lines,
+                                _serialize_groupoid)
 from hopfcat.fundamental import (AntipodeRecoveryError, CoinvariantFamily,
                                  HopfModuleData, RecoveryFailure)
 from hopfcat.graded import GradedHopfData, GroupTable
@@ -54,7 +57,7 @@ from hopfcat.report import (CheckItem, InternalInvariantError,
                             PreconditionError, Report, check_condition,
                             residual)
 from hopfcat.scalars import FieldMismatchError, parse_field
-from hopfcat.schema import MalformedDataError
+from hopfcat.schema import MalformedDataError, _nonzero
 from hopfcat import report as report_module
 from hopfcat import sparse as sp
 from hopfcat.weak import WeakHopfData
@@ -2830,3 +2833,50 @@ def _ref_parse_bimonoid(rows, idx, field, objects):
         else:
             raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
     return BimonoidData(field, MkXObject(objects, dims), mu, eta, delta, eps)
+
+
+# -- the slot-table writer before its one-walk rewrite -----------------------------
+#
+# ``reference_serialize`` is ``fileformat.serialize`` as it was when it read
+# each stored tensor through ``Slot.stored``, listed its nonzero entries
+# through ``Slot.entries`` (sorting a transposed slot's back into record
+# order) and formatted every cell's scalar afresh.  The writer differential
+# test holds the one-walk writer to it byte for byte.
+
+def _ref_entries(slot, t) -> list:
+    """(record indices, value) of the nonzero entries, in record order."""
+    out = _nonzero(t, len(slot.dims))
+    if slot.transposed:
+        return sorted((idx[::-1], v) for idx, v in out)
+    return out
+
+
+def reference_serialize(obj) -> str:
+    kind = type(obj).layout
+    lines = [f"format {FORMAT_VERSION}", f"kind {kind.name}"]
+    if kind.name == "groupoid":
+        return "\n".join(lines + _serialize_groupoid(obj)) + "\n"
+    frame = kind.frame(obj)
+    fmt = frame.field.fmt
+    labels = frame.labels
+    if kind.labels is None:     # weak: the objects named by the blocks
+        labels = tuple(dict.fromkeys(
+            lbl for (pair, _, _) in obj.blocks for lbl in pair))
+    lines.append(f"field {frame.field}")
+    lines.append("objects " + " ".join(labels))
+    for name in kind.headers:
+        lines.extend(_header_lines(obj, name))
+    if kind.dim:
+        for key in product(frame.labels, repeat=len(kind.dim)):
+            d = frame.dims[key[0] if len(key) == 1 else key]
+            lines.append(" ".join(("dim", *key, str(d))))
+    for slot in sorted(kind.slots, key=lambda s: s.tag):
+        data = getattr(obj, slot.tag)
+        if data is None:
+            continue
+        for key in product(frame.labels, repeat=len(slot.keys)):
+            head = " ".join((slot.tag, *key))
+            lines.extend(" ".join((head, *map(str, idx), fmt(v)))
+                         for idx, v in _ref_entries(
+                             slot, slot.stored(data, key)))
+    return "\n".join(lines) + "\n"

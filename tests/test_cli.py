@@ -591,6 +591,65 @@ def test_a_report_path_of_the_same_name_elsewhere(fixture_dir, tmp_path,
         "in.hc", "in.hc.manifest.json", "o.hc", "o.hc.manifest.json"]
 
 
+# A Hopf module m.hc names its base on its `base` line; the base is b.hc,
+# or b.manifest.json where the manifest of a report is to name it.
+BASE_CLASHES = {
+    "report names the base": (
+        "b", ["--report", "b.hc", "verify", "m.hc"]),
+    "report names the base by its full path": (
+        "b", ["--report", "{tmp}/b.hc", "analyze", "m.hc", "coinvariants"]),
+    "manifest names the base": (
+        "b.manifest.json", ["--report", "b", "verify", "m.hc"]),
+    "report names the base by symlink": (
+        "b", ["--report", "link", "verify", "m.hc"]),
+    "listing names the base": (
+        "b", ["analyze", "m.hc", "coinvariants", "--out", "b.hc"]),
+    "listing names the base by symlink": (
+        "b", ["analyze", "m.hc", "coinvariants", "--out", "link"]),
+    "listing names the input": (
+        "b", ["analyze", "b.hc", "integrals", "--out", "b.hc"]),
+    "can-ranks listing names the input by symlink": (
+        "b", ["analyze", "b.hc", "can-ranks", "--out", "link"]),
+}
+
+
+@pytest.mark.parametrize("clash", sorted(BASE_CLASHES))
+def test_an_output_that_names_a_file_read(fixture_dir, tmp_path, monkeypatch,
+                                          capsys, clash):
+    # the input's base file, or the input itself under a listing --out:
+    # refused before anything is written, which the files read survive
+    base, argv = BASE_CLASHES[clash]
+    monkeypatch.chdir(tmp_path)
+    base_file = base if base.endswith(".json") else base + ".hc"
+    files = {base_file: open(fx(fixture_dir, "kz2"), "rb").read(),
+             "m.hc": open(fx(fixture_dir, "kz2_regular_hopf_module"),
+                          "rb").read().replace(b"base kz2\n",
+                                               f"base {base}\n".encode())}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    if "symlink" in clash:
+        os.symlink(base_file, "link")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    capsys.readouterr()
+    assert main(["--quiet"] + argv) == 2
+    err = capsys.readouterr().err
+    flag = "--report" if argv[0] == "--report" else "--out"
+    assert err.startswith(f"error: {flag} {argv[argv.index(flag) + 1]} "
+                          "would overwrite the ")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [*files, *(["link"] if "symlink" in clash else [])])
+    for name, data in files.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+def test_a_module_loaded_from_a_file_keeps_its_base_path(fixture_dir):
+    m = load(fx(fixture_dir, "kz2_regular_hopf_module"))
+    assert m._base_name == "kz2"
+    assert m._base_path == os.path.join(fixture_dir, "kz2.hc")
+    assert not hasattr(load(fx(fixture_dir, "kz2")), "_base_path")
+
+
 OUTPUTS = {
     "transform": lambda fixture_dir, out: [
         "transform", fx(fixture_dir, "pair2"), "pack", out],

@@ -129,15 +129,111 @@ UNREAD = {ModuleData: of_base(("comult", "counit", "antipode")),
 
 
 def assert_same_reports_on_single_mutants(obj):
+    """Every single-coefficient mutant of ``obj`` gives the records of the
+    dense verifier; it passes exactly when it changes a tensor the kind's
+    laws never read, and otherwise fails a family that reads the tensor it
+    changed (``READS``)."""
     field = obj.base.field if hasattr(obj, "base") else obj.field
     bump = (lambda v: v * 2 if v else field.one)
+    reads = READS[type(obj)]
     every = list(slots(obj, KINDS[type(obj)][2]))
-    survivors = [slot for slot in every if passes(assert_same_reports(
-        mutate(obj, [slot + (bump,)])))]
+    survivors = []
+    for slot in every:
+        mut = mutate(obj, [slot + (bump,)])
+        result = assert_same_reports(mut)
+        if passes(result):
+            survivors.append(slot)
+            continue
+        failed = failed_families(mut, result)
+        assert failed & reads[slot[0]], (slot, sorted(failed))
     unread = UNREAD.get(type(obj), ())
     assert survivors == [slot for slot in every if slot[0] in unread]
     assert len(survivors) < len(every) and len(every) >= 8
     return len(survivors), len(every)
+
+
+def failed_families(obj, result) -> set:
+    """The failing required families of a report's records; for a Hopf
+    module whose base fails level 'semihopf' (its precondition), those of
+    the base's report."""
+    if isinstance(result, list):
+        return {r["axiom"] for r in result if r["required"] and not r["ok"]}
+    assert result is PreconditionError
+    return {it.axiom for it in verify_structure(obj.base, "semihopf").failed()}
+
+
+def reading(families: str) -> set:
+    return set(families.split())
+
+
+# the families whose sides read each tensor a mutant may change, by kind;
+# a base tensor of a Hopf module is also read by the families of the
+# base's own verification, which a failing base reports instead
+READS = {
+    DualHopfCatData: {
+        "alg": reading("alg-assoc alg-unit-left alg-unit-right cocomp-mult "
+                       "counit-mult dual-antipode-left dual-antipode-right"),
+        "unit": reading("alg-unit-left alg-unit-right cocomp-unit "
+                        "counit-unit dual-antipode-left dual-antipode-right"),
+        "cocomp": reading("cocomp-coassoc cocomp-counit-left "
+                          "cocomp-counit-right cocomp-mult cocomp-unit "
+                          "dual-antipode-left dual-antipode-right"),
+        "counit": reading("cocomp-counit-left cocomp-counit-right "
+                          "counit-mult counit-unit dual-antipode-left "
+                          "dual-antipode-right"),
+        "antipode": reading("dual-antipode-left dual-antipode-right"),
+    },
+    BimonoidData: {
+        "mu": reading("monoid-assoc monoid-unit-left monoid-unit-right "
+                      "interchange-mult-comult interchange-counit-mult"),
+        "eta": reading("monoid-unit-left monoid-unit-right "
+                       "interchange-comult-unit interchange-counit-unit"),
+        "delta": reading("comonoid-coassoc comonoid-counit-left "
+                         "comonoid-counit-right interchange-mult-comult "
+                         "interchange-comult-unit"),
+        "eps": reading("comonoid-counit-left comonoid-counit-right "
+                       "interchange-counit-mult interchange-counit-unit"),
+    },
+    ModuleData: {
+        "action": reading("module-assoc module-unit"),
+        "base.mult": reading("module-assoc"),
+        "base.unit": reading("module-unit"),
+    },
+    ComoduleData: {
+        "coaction": reading("comodule-coassoc comodule-counit"),
+        "base.cocomp": reading("comodule-coassoc"),
+        "base.counit": reading("comodule-counit"),
+    },
+    HopfModuleData: {
+        "action": reading("module-assoc module-unit hopf-compat"),
+        "coaction": reading("comodule-coassoc comodule-counit hopf-compat"),
+        "base.mult": reading("module-assoc hopf-compat assoc unit-left "
+                             "unit-right comult-mult counit-mult"),
+        "base.unit": reading("module-unit unit-left unit-right comult-unit "
+                             "counit-unit"),
+        "base.comult": reading("comodule-coassoc hopf-compat coassoc "
+                               "counit-left counit-right comult-mult "
+                               "comult-unit"),
+        "base.counit": reading("comodule-counit counit-left counit-right "
+                               "counit-mult counit-unit"),
+    },
+    GradedHopfData: {
+        "mult": reading("graded-assoc graded-unit-left graded-unit-right "
+                        "graded-comult-mult graded-counit-mult "
+                        "graded-antipode-left graded-antipode-right"),
+        "unit": reading("graded-unit-left graded-unit-right "
+                        "graded-comult-unit graded-counit-unit "
+                        "graded-antipode-left graded-antipode-right"),
+        "comult": reading("graded-coassoc graded-counit-left "
+                          "graded-counit-right graded-comult-mult "
+                          "graded-comult-unit graded-antipode-left "
+                          "graded-antipode-right"),
+        "counit": reading("graded-counit-left graded-counit-right "
+                          "graded-counit-mult graded-counit-unit "
+                          "graded-antipode-left graded-antipode-right"),
+        "antipode": reading("graded-antipode-left graded-antipode-right"),
+    },
+}
 
 
 # (survivors, mutants) of each input's sweep
