@@ -9,6 +9,10 @@ Pair n, for n = 1 .. N, runs ``perfbench/run.py --workload W --seed n
 processes; odd pairs run the parent first and even pairs the change first,
 so that a drift in the machine's speed does not always favour the same
 side.  Each run writes only under its own checkout's ``.perfbench_work/``.
+With ``--seed K`` every pair runs seed K instead: the seeds of a workload
+draw inputs whose passes cost reproducibly different amounts, so over seeds
+1 .. N the parent's IQR is mostly the seed mix, and one seed leaves only
+the machine's own spread.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints the median of
 each side, the parent's quartiles and their distance (IQR), the change in
@@ -77,18 +81,22 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=35)
+    p.add_argument("--seed", type=int, default=None,
+                   help="run every pair on this seed (default: pair n "
+                        "runs seed n)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2 for quartiles")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     parent, change = [], []
-    for seed in range(1, args.pairs + 1):
+    for n in range(1, args.pairs + 1):
+        seed = n if args.seed is None else args.seed
         sides = [(args.parent, parent), (args.change, change)]
-        for checkout, runs in (sides if seed % 2 else sides[::-1]):
+        for checkout, runs in (sides if n % 2 else sides[::-1]):
             runs.append(run_once(checkout, args.workload, seed,
                                  args.seconds))
-        print(f"pair {seed}/{args.pairs} seed {seed}: wall_s parent "
+        print(f"pair {n}/{args.pairs} seed {seed}: wall_s parent "
               f"{parent[-1]['wall_s']:.4f} change {change[-1]['wall_s']:.4f}",
               flush=True)
     print("\n".join(summary(metrics, parent, change)))

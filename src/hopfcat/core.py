@@ -107,15 +107,15 @@ class _Tensors(Instances):
     the sparse views of a ``HopfCatData``'s structure constants they read,
     interned once per call and indexed one label at a time
     (``report.per_label``): ``mult[x][y][z]``, ``comult[x][y]``,
-    ``counit[x][y]``, ``antipode[x][y]``, ``unit[x]``, and ``dims[x][y]``.
-    The views hand over the interned tensors and the ints of the data's own
-    ``dims`` table themselves, never copies, so the memo's identity keys
-    hit as they would on the tables."""
+    ``counit[x][y]``, ``antipode[x][y]``, ``unit[x]``, and ``dims[x][y]``,
+    over the data's field, which ``check`` passes to every law.  The views
+    hand over the interned tensors, which the memo keys by identity, and the
+    ints of the data's own ``dims`` table, which it keys by value, so the
+    memo hits as it would on the tables."""
 
     def __init__(self, a: HopfCatData, report: Report):
-        super().__init__(report)
+        super().__init__(report, a.field)
         f, X = a.field, a.objects
-        self.field = f
         self.dims = per_label(a.dims, X)
         self.mult = per_label(self.intern(sp.tensors(f, a.mult)), X)
         self.comult = per_label(self.intern(sp.tensors(f, a.comult)), X)
@@ -189,7 +189,7 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
     if level == "hopf" and a.antipode is None:
         raise MissingAntipodeError("level 'hopf' requires an antipode")
     rep = Report()
-    X, f = a.objects, a.field
+    X = a.objects
     t = _Tensors(a, rep)
     check, M, C, E, D, unit = (t.check, t.mult, t.comult, t.counit, t.dims,
                                t.unit)
@@ -202,14 +202,13 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
             for z in X:
                 m, Mxz, Myz, Dz = Mxy[z], Mx[z], My[z], D[z]
                 for w in X:
-                    check("assoc", (x, y, z, w), sp.assoc, f, m, Mxz[w],
+                    check("assoc", (x, y, z, w), sp.assoc, m, Mxz[w],
                           Myz[w], Mxy[w], Dz[w], Dx[w])
     for x in X:
         Mx, Mxx, Dx, ux = M[x], M[x][x], D[x], unit[x]
         for y in X:
-            check("unit-left", (x, y), sp.unit_law, f, Mxx[y], ux, Dx[y],
-                  True)
-            check("unit-right", (x, y), sp.unit_law, f, Mx[y][y], unit[y],
+            check("unit-left", (x, y), sp.unit_law, Mxx[y], ux, Dx[y], True)
+            check("unit-right", (x, y), sp.unit_law, Mx[y][y], unit[y],
                   Dx[y], False)
     if level == "category":
         return rep
@@ -218,26 +217,24 @@ def verify_structure(a: HopfCatData, level: str = "hopf") -> Report:
         Cx, Ex, Dx = C[x], E[x], D[x]
         for y in X:
             d, delta, eps = Dx[y], Cx[y], Ex[y]
-            check("coassoc", (x, y), sp.coassoc, f, delta, delta, delta,
+            check("coassoc", (x, y), sp.coassoc, delta, delta, delta,
                   delta, d, d, d)
-            check("counit-left", (x, y), sp.counit_law, f, delta, eps, True)
-            check("counit-right", (x, y), sp.counit_law, f, delta, eps,
-                  False)
+            check("counit-left", (x, y), sp.counit_law, delta, eps, True)
+            check("counit-right", (x, y), sp.counit_law, delta, eps, False)
     for x in X:
         Mx, Cx, Ex, Dx = M[x], C[x], E[x], D[x]
         for y in X:
             Mxy, cxy, exy, Cy, Ey, Dy = Mx[y], Cx[y], Ex[y], C[y], E[y], D[y]
             for z in X:
                 m, dxz = Mxy[z], Dx[z]
-                check("comult-mult", (x, y, z), sp.comult_mult, f, m, Cx[z],
+                check("comult-mult", (x, y, z), sp.comult_mult, m, Cx[z],
                       cxy, Cy[z], m, m, dxz, dxz)
-                check("counit-mult", (x, y, z), sp.counit_mult, f, m, Ex[z],
+                check("counit-mult", (x, y, z), sp.counit_mult, m, Ex[z],
                       exy, Ey[z], Dy[z])
     for x in X:
         d, ux = D[x][x], unit[x]
-        check("comult-unit", (x,), sp.comult_unit, f, C[x][x], ux, ux, ux,
-              d, d)
-        check("counit-unit", (x,), sp.counit_unit, f, ux, E[x][x])
+        check("comult-unit", (x,), sp.comult_unit, C[x][x], ux, ux, ux, d, d)
+        check("counit-unit", (x,), sp.counit_unit, ux, E[x][x])
     if level == "semihopf":
         return rep
     return _check_antipode_laws(a, rep, t)
@@ -251,16 +248,16 @@ def _check_antipode_laws(a: HopfCatData, rep: Report,
     in A(x,y): Σ h1·S(h2) = ε(e_i)·1 in A(x,x) (left) and
     Σ S(h1)·h2 = ε(e_i)·1 in A(y,y) (right)."""
     t = t or _Tensors(a, rep)
-    X, f, check = a.objects, t.field, t.check
+    X, check = a.objects, t.check
     M, C, S, E, D, unit = t.mult, t.comult, t.antipode, t.counit, t.dims, \
         t.unit
     for x in X:
         Mx, Cx, Sx, Ex, ux, dxx = M[x], C[x], S[x], E[x], unit[x], D[x][x]
         for y in X:
             delta, s, eps = Cx[y], Sx[y], Ex[y]
-            check("antipode-left", (x, y), sp.antipode_law, f, delta, s,
+            check("antipode-left", (x, y), sp.antipode_law, delta, s,
                   Mx[y][x], ux, eps, False, dxx, False)
-            check("antipode-right", (x, y), sp.antipode_law, f, delta, s,
+            check("antipode-right", (x, y), sp.antipode_law, delta, s,
                   M[y][x][y], unit[y], eps, True, D[y][y], False)
     return rep
 
@@ -292,7 +289,7 @@ def check_antipode_theorems(a: HopfCatData,
     _require(a, "hopf", base,
              "antipode theorems need data that passes level 'hopf'")
     rep = Report()
-    X, f = a.objects, a.field
+    X = a.objects
     t = _Tensors(a, rep)
     check, M, C, S, E, D, unit = (t.check, t.mult, t.comult, t.antipode,
                                   t.counit, t.dims, t.unit)
@@ -302,18 +299,17 @@ def check_antipode_theorems(a: HopfCatData,
         for y in X:
             Mxy, Sxy, Sy = Mx[y], Sx[y], S[y]
             for z in X:
-                check("antipode-antimult", (x, y, z), _antimult, f, Mxy[z],
+                check("antipode-antimult", (x, y, z), _antimult, Mxy[z],
                       M[z][y][x], Sx[z], Sy[z], Sxy, D[z][x])
     for x in X:
-        check("antipode-unit", (x,), _antipode_unit, f, S[x][x], unit[x],
-              D[x][x])
+        check("antipode-unit", (x,), _antipode_unit, S[x][x], unit[x], D[x][x])
     for x in X:
         Sx, Cx, Ex = S[x], C[x], E[x]
         for y in X:
             s = Sx[y]
-            check("antipode-anticomult", (x, y), _anticomult, f, s, Cx[y],
+            check("antipode-anticomult", (x, y), _anticomult, s, Cx[y],
                   C[y][x], D[y][x])
-            check("antipode-counit", (x, y), _antipode_counit, f, s, Ex[y],
+            check("antipode-counit", (x, y), _antipode_counit, s, Ex[y],
                   E[y][x])
 
     # The three equivalent conditions.  Whether they hold is a property of
@@ -325,13 +321,13 @@ def check_antipode_theorems(a: HopfCatData,
         Mx, Cx, Sx, Ex, ux, dxx = M[x], C[x], S[x], E[x], unit[x], D[x][x]
         for y in X:
             delta, s, eps = Cx[y], Sx[y], Ex[y]
-            c1 = check("antipode-left-twisted", (x, y), sp.antipode_law, f,
+            c1 = check("antipode-left-twisted", (x, y), sp.antipode_law,
                        delta, s, M[y][x][y], unit[y], eps, True, D[y][y],
                        True, required=False)
-            c2 = check("antipode-right-twisted", (x, y), sp.antipode_law, f,
+            c2 = check("antipode-right-twisted", (x, y), sp.antipode_law,
                        delta, s, Mx[y][x], ux, eps, False, dxx, True,
                        required=False)
-            c3 = check("antipode-involutive", (x, y), _involutive, f, s,
+            c3 = check("antipode-involutive", (x, y), _involutive, s,
                        S[y][x], required=False)
             check_condition(
                 rep, "antipode-conditions-agree", (x, y),

@@ -62,7 +62,7 @@ def verify_dual(c: DualHopfCatData) -> Report:
     being algebra maps, and — if present — both dual antipode identities."""
     c.validate_shape()
     rep = Report()
-    inst = Instances(rep)
+    inst = Instances(rep, c.field)
     X, f, check = c.objects, c.field, inst.check
     A, T = (per_label(inst.intern(sp.tensors(f, t)), X)
             for t in (c.alg, c.cocomp))
@@ -74,9 +74,9 @@ def verify_dual(c: DualHopfCatData) -> Report:
         Ax, Ux, Dx = A[x], U[x], D[x]
         for y in X:
             m, u, d = Ax[y], Ux[y], Dx[y]
-            check("alg-assoc", (x, y), sp.assoc, f, m, m, m, m, d, d)
-            check("alg-unit-left", (x, y), sp.unit_law, f, m, u, d, True)
-            check("alg-unit-right", (x, y), sp.unit_law, f, m, u, d, False)
+            check("alg-assoc", (x, y), sp.assoc, m, m, m, m, d, d)
+            check("alg-unit-left", (x, y), sp.unit_law, m, u, d, True)
+            check("alg-unit-right", (x, y), sp.unit_law, m, u, d, False)
 
     for x in X:
         Tx, Dx = T[x], D[x]
@@ -85,14 +85,14 @@ def verify_dual(c: DualHopfCatData) -> Report:
             for z in X:
                 Txz, Tyz, Dz, txyz, dyz = Tx[z], Ty[z], D[z], Txy[z], Dy[z]
                 for u in X:
-                    check("cocomp-coassoc", (x, y, z, u), sp.coassoc, f,
+                    check("cocomp-coassoc", (x, y, z, u), sp.coassoc,
                           Txz[u], txyz, Txy[u], Tyz[u], dxy, dyz, Dz[u])
     for x in X:
         Tx, Txx, ex = T[x], T[x][x], counit[x]
         for y in X:
-            check("cocomp-counit-left", (x, y), sp.counit_law, f, Txx[y], ex,
+            check("cocomp-counit-left", (x, y), sp.counit_law, Txx[y], ex,
                   True)
-            check("cocomp-counit-right", (x, y), sp.counit_law, f, Tx[y][y],
+            check("cocomp-counit-right", (x, y), sp.counit_law, Tx[y][y],
                   counit[y], False)
 
     for x in X:
@@ -104,15 +104,15 @@ def verify_dual(c: DualHopfCatData) -> Report:
                 # cocomposition is an algebra map into the componentwise
                 # product on C(x,y)⊗C(y,z)
                 cc, dr = Txy[z], Dy[z]
-                check("cocomp-mult", (x, y, z), sp.comult_mult, f, Ax[z], cc,
+                check("cocomp-mult", (x, y, z), sp.comult_mult, Ax[z], cc,
                       cc, cc, axy, Ay[z], dl, dr)
-                check("cocomp-unit", (x, y, z), sp.comult_unit, f, cc, Ux[z],
+                check("cocomp-unit", (x, y, z), sp.comult_unit, cc, Ux[z],
                       uxy, Uy[z], dl, dr)
     for x in X:
         ex = counit[x]
-        check("counit-mult", (x,), sp.counit_mult, f, A[x][x], ex, ex, ex,
+        check("counit-mult", (x,), sp.counit_mult, A[x][x], ex, ex, ex,
               D[x][x])
-        check("counit-unit", (x,), sp.counit_unit, f, U[x][x], ex)
+        check("counit-unit", (x,), sp.counit_unit, U[x][x], ex)
 
     if c.antipode is not None:
         # S(x,y): C(y,x) → C(x,y), in column form
@@ -123,9 +123,9 @@ def verify_dual(c: DualHopfCatData) -> Report:
             Tx, Sx, Ax, Ux, Dx, ex = T[x], S[x], A[x], U[x], D[x], counit[x]
             for y in X:
                 cc = Tx[y][x]   # C(x,x) → C(x,y)⊗C(y,x)
-                check("dual-antipode-left", (x, y), sp.antipode_law, f, cc,
+                check("dual-antipode-left", (x, y), sp.antipode_law, cc,
                       Sx[y], Ax[y], Ux[y], ex, False, Dx[y], False)
-                check("dual-antipode-right", (x, y), sp.antipode_law, f, cc,
+                check("dual-antipode-right", (x, y), sp.antipode_law, cc,
                       S[y][x], A[y][x], U[y][x], ex, True, D[y][x], False)
     return rep
 

@@ -156,7 +156,7 @@ def verify_bimonoid(b: BimonoidData) -> Report:
     side by side over u in object order; the interchange is never built."""
     b.validate_shape()
     rep = Report()
-    inst = Instances(rep)
+    inst = Instances(rep, b.field)
     f, X, check = b.field, b.carrier.objects, inst.check
     M, C = (per_label(inst.intern(sp.tensors(f, t)), X)
             for t in (b.mu, b.delta))
@@ -171,42 +171,40 @@ def verify_bimonoid(b: BimonoidData) -> Report:
             for v in X:
                 m, Mxv, Muv, Dv = Mxu[v], Mx[v], Mu[v], D[v]
                 for y in X:
-                    check("monoid-assoc", (x, u, v, y), sp.assoc, f, m,
+                    check("monoid-assoc", (x, u, v, y), sp.assoc, m,
                           Mxv[y], Muv[y], Mxu[y], Dv[y], Dx[y])
     for x in X:
         Mx, Mxx, Dx, ex = M[x], M[x][x], D[x], eta[x]
         for y in X:
-            check("monoid-unit-left", (x, y), sp.unit_law, f, Mxx[y], ex,
+            check("monoid-unit-left", (x, y), sp.unit_law, Mxx[y], ex,
                   Dx[y], True)
-            check("monoid-unit-right", (x, y), sp.unit_law, f, Mx[y][y],
+            check("monoid-unit-right", (x, y), sp.unit_law, Mx[y][y],
                   eta[y], Dx[y], False)
 
     for x in X:
         Cx, Ex, Dx = C[x], E[x], D[x]
         for y in X:
             d, dl, eps = Dx[y], Cx[y], Ex[y]
-            check("comonoid-coassoc", (x, y), sp.coassoc, f, dl, dl, dl, dl,
+            check("comonoid-coassoc", (x, y), sp.coassoc, dl, dl, dl, dl,
                   d, d, d)
-            check("comonoid-counit-left", (x, y), sp.counit_law, f, dl, eps,
-                  True)
-            check("comonoid-counit-right", (x, y), sp.counit_law, f, dl, eps,
+            check("comonoid-counit-left", (x, y), sp.counit_law, dl, eps, True)
+            check("comonoid-counit-right", (x, y), sp.counit_law, dl, eps,
                   False)
 
     for x in X:
         Mx, Cx, Ex, Dx = M[x], C[x], E[x], D[x]
         for y in X:
-            check("interchange-mult-comult", (x, y), _mult_comult, f, Dx[y],
+            check("interchange-mult-comult", (x, y), _mult_comult, Dx[y],
                   Cx[y], *(t for u in X for t in (
                       Mx[u][y], Cx[u], C[u][y])))
-            check("interchange-counit-mult", (x, y), _counit_mult, f,
+            check("interchange-counit-mult", (x, y), _counit_mult,
                   Ex[y], *(t for u in X for t in (
                       Mx[u][y], Ex[u], E[u][y], D[u][y])))
     for x in X:
         d, ex = D[x][x], eta[x]
-        check("interchange-comult-unit", (x,), sp.comult_unit, f, C[x][x],
+        check("interchange-comult-unit", (x,), sp.comult_unit, C[x][x],
               ex, ex, ex, d, d)
-        check("interchange-counit-unit", (x,), sp.counit_unit, f, ex,
-              E[x][x])
+        check("interchange-counit-unit", (x,), sp.counit_unit, ex, E[x][x])
     return rep
 
 

@@ -91,7 +91,8 @@ def _header_lines(obj, name: str) -> list[str]:
 def _serialize_groupoid(g: GroupoidData) -> list[str]:
     return (["objects " + " ".join(g.objects)]
             + [f"morphism {' '.join(m)}" for m in g.morphisms]
-            + [f"identity {x} {g.identities[x]}" for x in g.objects]
+            + [f"identity {x} {g.identities[x]}" for x in g.objects
+               if x in g.identities]
             + [f"compose {a} {b} {c}" for (a, b), c in sorted(g.compose.items())]
             + [f"inverse {a} {b}" for a, b in sorted(g.inverses.items())])
 
@@ -479,7 +480,7 @@ def load(path: str):
     def base_loader(name: str):
         d = os.path.dirname(path)
         for cand in (os.path.join(d, name), os.path.join(d, name + ".hc")):
-            if os.path.exists(cand):
+            if os.path.isfile(cand):
                 try:
                     base = load(cand)
                 except ParseError as e:     # a line of the base file

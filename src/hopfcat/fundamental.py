@@ -61,8 +61,8 @@ def verify_hopf_module(m: HopfModuleData,
              "Hopf modules need a base valid at level 'semihopf'")
     m.validate_shape()
     rep = verify_module(ModuleData(m.base, "right", m.dims, m.action))
-    inst = Instances(rep)
     a = m.base
+    inst = Instances(rep, a.field)
     X, f, check = a.objects, a.field, inst.check
     P, R, M, C = (per_label(inst.intern(sp.tensors(f, t)), X) for t in (
         m.action, m.coaction, a.mult, a.comult))
@@ -72,17 +72,16 @@ def verify_hopf_module(m: HopfModuleData,
         Rx, Cx, Ex, Dx, Bx = R[x], C[x], E[x], D[x], B[x]
         for y in X:
             rho, b = Rx[y], Bx[y]
-            check("comodule-coassoc", (x, y), sp.coassoc, f, rho, rho, rho,
+            check("comodule-coassoc", (x, y), sp.coassoc, rho, rho, rho,
                   Cx[y], Dx[y], b, b)
-            check("comodule-counit", (x, y), sp.counit_law, f, rho, Ex[y],
-                  False)
+            check("comodule-counit", (x, y), sp.counit_law, rho, Ex[y], False)
     for x in X:
         Px, Rx, Mx, Dx, Bx = P[x], R[x], M[x], D[x], B[x]
         for y in X:
             Pxy, rxy, Mxy, Cy = Px[y], Rx[y], Mx[y], C[y]
             for z in X:
                 psi = Pxy[z]
-                check("hopf-compat", (x, y, z), sp.comult_mult, f, psi,
+                check("hopf-compat", (x, y, z), sp.comult_mult, psi,
                       Rx[z], rxy, Cy[z], psi, Mxy[z], Dx[z], Bx[z])
     return rep
 

@@ -97,7 +97,7 @@ def validate_graded(h: GradedHopfData) -> Report:
     h.group.validate()
     h.validate_shape()
     rep = Report()
-    inst = Instances(rep)
+    inst = Instances(rep, h.field)
     f, G, dims = h.field, h.group.elements, h.dims
     e, check = h.group.identity(), inst.check
     # the product of degrees s and t is mul[s][t]
@@ -105,7 +105,7 @@ def validate_graded(h: GradedHopfData) -> Report:
     M = per_label(inst.intern(sp.tensors(f, h.mult)), G)
     comult = inst.intern(sp.tensors(f, h.comult))
     counit = inst.intern(sp.vectors(f, h.counit))
-    unit = sp.vector(f, h.unit)
+    unit = inst.intern({e: sp.vector(f, h.unit)})[e]
 
     for s in G:
         Ms, mul_s = M[s], mul[s]
@@ -113,42 +113,42 @@ def validate_graded(h: GradedHopfData) -> Report:
             m, Mst, Mt, mul_t, mul_st = (Ms[t], M[mul_s[t]], M[t], mul[t],
                                          mul[mul_s[t]])
             for r in G:
-                check("graded-assoc", (s, t, r), sp.assoc, f, m, Mst[r],
+                check("graded-assoc", (s, t, r), sp.assoc, m, Mst[r],
                       Mt[r], Ms[mul_t[r]], dims[r], dims[mul_st[r]])
     for s in G:
-        check("graded-unit-left", (s,), sp.unit_law, f, M[e][s], unit,
+        check("graded-unit-left", (s,), sp.unit_law, M[e][s], unit,
               dims[s], True)
-        check("graded-unit-right", (s,), sp.unit_law, f, M[s][e], unit,
+        check("graded-unit-right", (s,), sp.unit_law, M[s][e], unit,
               dims[s], False)
     for s in G:
         d, delta = dims[s], comult[s]
-        check("graded-coassoc", (s,), sp.coassoc, f, delta, delta, delta,
+        check("graded-coassoc", (s,), sp.coassoc, delta, delta, delta,
               delta, d, d, d)
-        check("graded-counit-left", (s,), sp.counit_law, f, delta, counit[s],
+        check("graded-counit-left", (s,), sp.counit_law, delta, counit[s],
               True)
-        check("graded-counit-right", (s,), sp.counit_law, f, delta,
+        check("graded-counit-right", (s,), sp.counit_law, delta,
               counit[s], False)
     for s in G:
         Ms, mul_s, cs, es = M[s], mul[s], comult[s], counit[s]
         for t in G:
             st, m = mul_s[t], Ms[t]
-            check("graded-comult-mult", (s, t), sp.comult_mult, f, m,
+            check("graded-comult-mult", (s, t), sp.comult_mult, m,
                   comult[st], cs, comult[t], m, m, dims[st], dims[st])
-            check("graded-counit-mult", (s, t), sp.counit_mult, f, m,
+            check("graded-counit-mult", (s, t), sp.counit_mult, m,
                   counit[st], es, counit[t], dims[t])
-    check("graded-comult-unit", (e,), sp.comult_unit, f, comult[e], unit,
+    check("graded-comult-unit", (e,), sp.comult_unit, comult[e], unit,
           unit, unit, dims[e], dims[e])
-    check("graded-counit-unit", (e,), sp.counit_unit, f, unit, counit[e])
+    check("graded-counit-unit", (e,), sp.counit_unit, unit, counit[e])
     if h.antipode is not None:
         # S_s: A_s → A_{s^-1}
         sm = inst.intern({s: sp.columns(f, h.antipode[s], dims[s])
                           for s in G})
         for s in G:
             si = h.group.inverse(s)
-            check("graded-antipode-left", (s,), sp.antipode_law, f,
+            check("graded-antipode-left", (s,), sp.antipode_law,
                   comult[s], sm[s], M[s][si], unit, counit[s], False,
                   dims[e], False)
-            check("graded-antipode-right", (s,), sp.antipode_law, f,
+            check("graded-antipode-right", (s,), sp.antipode_law,
                   comult[s], sm[s], M[si][s], unit, counit[s], True,
                   dims[e], False)
     return rep

@@ -66,8 +66,8 @@ def verify_module(m: ModuleData) -> Report:
     """Associativity and unit laws of the action, on every basis element."""
     m.validate_shape()
     rep = Report()
-    inst = Instances(rep)
     a = m.base
+    inst = Instances(rep, a.field)
     X, f, check = a.objects, a.field, inst.check
     P, M = (per_label(inst.intern(sp.tensors(f, t)), X)
             for t in (m.action, a.mult))
@@ -81,12 +81,12 @@ def verify_module(m: ModuleData) -> Report:
                 for z in X:
                     p, Pxz, Myz, Bz = Pxy[z], Px[z], My[z], B[z]
                     for u in X:
-                        check("module-assoc", (x, y, z, u), sp.assoc, f, p,
+                        check("module-assoc", (x, y, z, u), sp.assoc, p,
                               Pxz[u], Myz[u], Pxy[u], Bz[u], Dx[u])
         for x in X:
             Px, Dx = P[x], D[x]
             for y in X:
-                check("module-unit", (x, y), sp.unit_law, f, Px[y][y],
+                check("module-unit", (x, y), sp.unit_law, Px[y][y],
                       unit[y], Dx[y], False)
     else:                       # a·(b·m) against (ab)·m
         for x in X:
@@ -97,11 +97,11 @@ def verify_module(m: ModuleData) -> Report:
                     mxyz, Pxz, Pyz, Dz = Mxy[z], Px[z], Py[z], D[z]
                     for u in X:
                         check("module-assoc", (x, y, z, u), _assoc_reversed,
-                              f, mxyz, Pxz[u], Pyz[u], Pxy[u], Dz[u], Dx[u])
+                              mxyz, Pxz[u], Pyz[u], Pxy[u], Dz[u], Dx[u])
         for x in X:
             Pxx, Dx, ux = P[x][x], D[x], unit[x]
             for y in X:
-                check("module-unit", (x, y), sp.unit_law, f, Pxx[y], ux,
+                check("module-unit", (x, y), sp.unit_law, Pxx[y], ux,
                       Dx[y], True)
     return rep
 
@@ -115,8 +115,8 @@ def verify_comodule(m: ComoduleData) -> Report:
     """Coassociativity and counit laws of the coaction."""
     m.validate_shape()
     rep = Report()
-    inst = Instances(rep)
     c = m.base
+    inst = Instances(rep, c.field)
     X, f, check = c.objects, c.field, inst.check
     R, T = (per_label(inst.intern(sp.tensors(f, t)), X)
             for t in (m.coaction, c.cocomp))
@@ -129,13 +129,13 @@ def verify_comodule(m: ComoduleData) -> Report:
                 Rxu, Tu, Bu, dxu = Rx[u], T[u], B[u], Dx[u]
                 rxuz = Rxu[z]
                 for y in X:
-                    check("comodule-coassoc", (x, u, y, z), sp.coassoc, f,
+                    check("comodule-coassoc", (x, u, y, z), sp.coassoc,
                           Rx[y][z], Rxu[y], rxuz, Tu[y][z], dxu, Bu[y],
                           B[y][z])
     for x in X:
         Rx = R[x]
         for z in X:
-            check("comodule-counit", (x, z), sp.counit_law, f, Rx[z][z],
+            check("comodule-counit", (x, z), sp.counit_law, Rx[z][z],
                   counit[z], False)
     return rep
 

@@ -2,17 +2,19 @@
 
 Every comparison goes through ``check_map_equal`` and every record through
 ``Report.add``.  A verifier that loops over object tuples checks through one
-``Instances`` per call, which evaluates each distinct axiom instance once:
-an instance is keyed by its law and the identity of each argument, which
-the memo keeps alive, so a repeated instance costs one lookup and one
-record.  The laws it evaluates (the functions of ``sparse``, and the few
-beside the verifiers, that return both sides of an identity) must therefore
-be pure: a law may not change its arguments, and its sides may depend only
-on their values, so that the same arguments give the same sides.  A
-verifier reads its tensors and dims through ``per_label`` views, built
-once per call, which must hand over the very objects of its tables (the
-interned tensors, the ints of ``dims``), so that the identity keys hit
-exactly as they would on the tables.
+``Instances`` per call, bound to its field, which evaluates each distinct
+axiom instance once: an instance is keyed by its law and its arguments,
+hashed by Python itself.  The interned tensors (``Instances.intern``) hash
+by identity, and every other argument (an int, a bool, a tuple) by value;
+an uninterned list or dict cannot be hashed and raises ``TypeError``.  A
+repeated instance costs one lookup and one record.  The laws it evaluates
+(the functions of ``sparse``, and the few beside the verifiers, that return
+both sides of an identity) must therefore be pure: a law may not change its
+arguments, and its sides may depend only on their values, so that equal
+arguments give equal sides.  A verifier reads its tensors and dims through
+``per_label`` views, built once per call, which hand over the very objects
+of its tables (the interned tensors, the ints of ``dims``), so that the
+memo hits exactly as it would on the tables.
 
 ``Report.items`` holds a record per objects tuple, and every verdict,
 summary and table is read from those.  Only a ``--report`` file is folded
@@ -196,51 +198,73 @@ def check_map_equal(report: Report, axiom: str, objects: tuple[str, ...],
     return item.ok
 
 
+class _Tensor(list):
+    """An interned sparse tensor or column list: hashed by identity, equal
+    by value."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
+class _Vector(dict):
+    """An interned sparse vector: hashed by identity, equal by value."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
 class Instances:
-    """The axiom instances of one verifier call, each distinct one evaluated
-    once, with a record per objects tuple in ``report``.
+    """The axiom instances of one verifier call over ``field``, each
+    distinct one evaluated once, with a record per objects tuple in
+    ``report``.
 
     ``intern`` makes the tensors of a table with equal sparse forms one
     object, keyed by ``repr``, which is exact on nested lists and dicts of
-    ints and ``Fraction``s.  ``check`` keys an instance by its law and the
-    identity of every argument.  The first instance of a key goes through
-    ``check_map_equal``; each later one adds its own ``CheckItem``, with its
-    own axiom, objects and ``required``, and the first one's outcome.
+    ints and ``Fraction``s, and hands each out as a ``list`` or ``dict``
+    subclass that hashes by identity and keeps value equality.  ``check``
+    keys an instance by ``(law, args)``: interned tensors by identity, ints,
+    bools and tuples by value, and an uninterned list or dict raises
+    ``TypeError``.  The first instance of a key evaluates
+    ``law(field, *args)`` and goes through ``check_map_equal``; each later
+    one adds its own ``CheckItem``, with its own axiom, objects and
+    ``required``, and the first one's outcome.
 
-    The key is sound because the memo holds every first call's arguments:
-    each ``id`` in a stored key names a live object, so an argument with
-    that ``id`` is that very object, and a law is pure.  Arguments that are
-    equal but distinct objects only miss, which costs an evaluation and
-    never changes an outcome.  So a caller passes its tensors interned, and
-    its dimensions and flags as they stand in its tables or as literals,
-    never in a tuple or an int built afresh per call.
+    The key is sound because the memo holds every first call's arguments,
+    so an identity hash in it names a live object.  Two distinct objects
+    whose hashes collide are told apart by value equality, and a pure law
+    gives equal values equal outcomes.
     """
 
-    __slots__ = ("report", "_tensors", "_seen")
+    __slots__ = ("report", "field", "_tensors", "_seen")
 
-    def __init__(self, report: Report):
+    def __init__(self, report: Report, field):
         self.report = report
+        self.field = field
         self._tensors = {}      # repr -> the one tensor of that form
-        self._seen = {}         # key -> (first record, its arguments)
+        self._seen = {}         # (law, args) -> the first record
 
     def intern(self, table: dict) -> dict:
-        tensors = self._tensors
-        return {key: tensors.setdefault(repr(t), t)
-                for key, t in table.items()}
+        tensors, out = self._tensors, {}
+        for key, t in table.items():
+            form = repr(t)
+            one = tensors.get(form)
+            if one is None:
+                one = tensors[form] = (_Vector if isinstance(t, dict)
+                                       else _Tensor)(t)
+            out[key] = one
+        return out
 
     def check(self, axiom: str, objects: tuple[str, ...], law, *args,
               required: bool = True) -> bool:
-        key = (law, *map(id, args))
-        report = self.report
-        seen = self._seen.get(key)
-        if seen is None:
-            ok = check_map_equal(report, axiom, objects, *law(*args),
-                                 required)
-            self._seen[key] = report.items[-1], args
+        first = self._seen.get((law, args))
+        if first is None:
+            report = self.report
+            ok = check_map_equal(report, axiom, objects,
+                                 *law(self.field, *args), required)
+            self._seen[law, args] = report.items[-1]
             return ok
-        first = seen[0]
-        report.add(CheckItem(axiom, objects, first.ok, first.witness,
-                             first.residual, first.failures, required))
+        self.report.add(CheckItem(axiom, objects, first.ok, first.witness,
+                                  first.residual, first.failures, required))
         return first.ok
 
 
@@ -253,8 +277,8 @@ def per_label(table: dict, labels) -> dict:
     the loop where its last label is bound, so an inner loop pays only for
     what its own label changes, and no key tuple is built per instance.
     Every entry is the very object of ``table``: an interned tensor, or an
-    int of a ``dims`` table.  So ``Instances.check`` sees the same argument
-    identities as through the table, and its memo hits exactly as there.
+    int of a ``dims`` table.  So ``Instances.check`` sees the same arguments
+    as through the table, and its memo hits exactly as there.
     """
     key = next(iter(table), ())
     if len(key) == 2:

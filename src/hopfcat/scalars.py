@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 
 class FieldMismatchError(TypeError):
@@ -34,10 +35,12 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
+@cache
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin below 2**64, on seven bases (one that is
     0 mod n is skipped); above it on the first twelve primes, exact for
-    anything we will ever see."""
+    anything we will ever see.  Each verdict is remembered: every field
+    built, one per file read, asks again about its modulus."""
     if n < 2:
         return False
     for p in _PRIMES:

@@ -29,12 +29,11 @@ The laws are pure: they never change their arguments (inputs and results
 may share vectors, but nothing here writes into a vector it was given), and
 both sides depend only on the values of the arguments.  ``report.Instances``
 relies on this to evaluate each distinct instance of a law once per
-verifier call and to hand its outcome to every repeat of it.  It keys an
-instance by the identity of each argument, which is sound because it keeps
-the first call's arguments alive, so no ``id`` in a key is reused; equal
-but distinct arguments only miss.  Every law therefore takes its
-dimensions as separate ints, read from a ``dims`` table, where a tuple of
-them would be built afresh per call and never hit.
+verifier call and to hand its outcome to every repeat of it.  It binds the
+field, the first argument of every law, and keys an instance by the law and
+the other arguments, hashed by Python: an interned tensor by its identity,
+which is sound because the memo keeps the first call's arguments alive, and
+a dimension, flag or tuple by its value.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ scalars for ``linalg``'s row reduction on raw ones, the per-kind
 parsers near the end for ``fileformat``'s one table-driven reader, and the
 slot-table writer at the end for its one-walk rewrite.  ``reference_check_map_equal``
 is the per-column comparison that ``report.check_map_equal`` ran before it
-compared whole column lists first, ``ReferenceInstances`` the
-``report.Instances`` that keyed a tuple or int argument by its value, and
+compared whole column lists first, ``ReferenceInstances`` the key rule of
+``report.Instances`` spelled out with the ``id`` of each tensor, and
 ``reference_fold`` a second fold of report records for ``Report.lines``.
 """
 
@@ -173,33 +173,28 @@ def reference_check_map_equal(report, axiom, objects, lhs, rhs,
 
 
 class ReferenceInstances:
-    """``report.Instances`` as it was before it keyed instances by the
-    identity of every argument: a list or dict argument by its identity,
-    every other one, such as a tuple of dimensions or an int, by its value.
-    Its ``check`` stands in for ``Instances.check`` in tests, which hold
-    the two rules to the same records and the same comparisons; it calls
-    ``report.check_map_equal`` through the module, where tests count it."""
+    """``report.Instances`` with its key rule spelled out: a list or dict
+    argument (an interned tensor) by its ``id``, every other one, such as a
+    tuple of dimensions or an int, by its value.  Its ``check`` stands in
+    for ``Instances.check`` in tests, which hold the two to the same records
+    and the same comparisons; it calls ``report.check_map_equal`` through
+    the module, where tests count it."""
 
-    __slots__ = ("report", "_tensors", "_seen")
+    __slots__ = ("report", "field", "_seen")
 
-    def __init__(self, report):
+    def __init__(self, report, field):
         self.report = report
-        self._tensors = {}
+        self.field = field
         self._seen = {}
 
-    def intern(self, table: dict) -> dict:
-        tensors = self._tensors
-        return {key: tensors.setdefault(repr(t), t)
-                for key, t in table.items()}
-
     def check(self, axiom, objects, law, *args, required=True):
-        key = (law, *[id(a) if type(a) in (list, dict) else a
+        key = (law, *[id(a) if isinstance(a, (list, dict)) else a
                       for a in args])
         report = self.report
         seen = self._seen.get(key)
         if seen is None:
-            ok = report_module.check_map_equal(report, axiom, objects,
-                                               *law(*args), required)
+            ok = report_module.check_map_equal(
+                report, axiom, objects, *law(self.field, *args), required)
             self._seen[key] = report.items[-1], args
             return ok
         first = seen[0]

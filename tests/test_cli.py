@@ -262,6 +262,39 @@ def test_a_module_file_error_names_the_module_file(fixture_dir, tmp_path,
     assert err.startswith(f"error: {module}: ") and message in err
 
 
+def test_a_directory_does_not_shadow_a_base_file(fixture_dir, tmp_path,
+                                                 capsys):
+    # ``base kz2`` names ``kz2`` before ``kz2.hc``; a directory called
+    # ``kz2`` is not a base file, so the one beside it is read
+    module = tmp_path / "kz2_regular_hopf_module.hc"
+    module.write_text(open(fx(fixture_dir, "kz2_regular_hopf_module")).read())
+    (tmp_path / "kz2").mkdir()
+    save(str(tmp_path / "kz2.hc"), load(fx(fixture_dir, "kz2")))
+    assert main(["--quiet", "verify", str(module)]) == 0
+    os.remove(tmp_path / "kz2.hc")
+    capsys.readouterr()
+    assert main(["--quiet", "verify", str(module)]) == 2
+    line = open(module).read().splitlines().index("base kz2") + 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {module}: line {line}: cannot resolve base 'kz2'")
+
+
+def test_a_report_of_a_groupoid_missing_an_identity(tmp_path, capsys):
+    path = tmp_path / "g.hc"
+    path.write_text("format 1\nkind groupoid\nobjects a b\n"
+                    "morphism f a b\nidentity a f\n")
+    rep = str(tmp_path / "r.jsonl")
+    for argv in ([], ["--report", rep]):
+        capsys.readouterr()
+        assert main(argv + ["verify", str(path)]) == 1
+        assert "FAIL groupoid-valid" in capsys.readouterr().out
+    assert [json.loads(line)["axiom"] for line in open(rep)] == \
+        ["groupoid-valid"]
+    manifest = json.load(open(rep + ".manifest.json"))
+    assert manifest["inputs"][0]["digest"] == \
+        fileformat.digest(fileformat.load(str(path)))
+
+
 def test_verify_report_and_manifest(fixture_dir, tmp_path):
     rep = str(tmp_path / "r.jsonl")
     assert main(["--quiet", "--report", rep, "verify",

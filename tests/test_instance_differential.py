@@ -1,12 +1,16 @@
-"""Identity keys hit wherever value keys did.
+"""The hashed instance keys hit wherever the spelled-out rule does.
 
-``report.Instances`` keys an axiom instance by the identity of every
-argument; ``oracles.ReferenceInstances`` is the rule it replaced, which keyed
-a tuple or int argument by its value.  Every verifier that checks through
-``Instances`` must give the same records under both rules and compare the
-same number of instances through ``check_map_equal``.  A call site that
-passes a tuple or int built afresh per call keeps its records but loses its
-hits, and fails here on the count.
+``report.Instances`` keys an axiom instance by ``(law, args)``, hashed by
+Python: an interned tensor, a ``list`` or ``dict`` subclass, by its
+identity, and an int, bool or tuple by its value.
+``oracles.ReferenceInstances`` states the same rule with the ``id`` of each
+list or dict written out.  Every verifier that checks through ``Instances``
+must give the same records under both and compare the same number of
+instances through ``check_map_equal``.  A call site that passes a tensor it
+did not intern raises ``TypeError`` under the hashed key and fails here.
+The inputs are built inside the tests, one per test, so that a fault while
+building one fails that test rather than the collection of this module and
+of those that import it.
 """
 
 import glob
@@ -84,28 +88,46 @@ def outcomes(obj, monkeypatch) -> tuple[list, int]:
     return out, len(calls)
 
 
-def inputs() -> dict:
-    found = {}
-    for path in sorted(glob.glob(os.path.join(FIXTURE_DIR, "*.hc"))):
-        obj = load(path)
-        if isinstance(obj, HopfCatData) or type(obj) in VERIFY:
-            found[os.path.basename(path)] = obj
-    for n in range(4, 8):
-        found[f"pair{n}"] = linearize_groupoid(
+def _kind(path: str) -> str | None:
+    """The ``kind`` header of a structure file, read as text."""
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("kind "):
+                return line.split()[1]
+    return None
+
+
+KINDS = {cls.layout.name for cls in (HopfCatData, *VERIFY)}
+NAMES = sorted(
+    [os.path.basename(path)
+     for path in glob.glob(os.path.join(FIXTURE_DIR, "*.hc"))
+     if _kind(path) in KINDS]
+    + [f"pair{n}" for n in range(4, 8)]
+    + [f"z{n}-graded{lift}" for n in (4, 6) for lift in ("", "-lift")])
+
+
+def build(name: str):
+    """The input of that name: a fixture, the linearized pair groupoid on
+    n objects, or the Z/n-graded Hopf algebra or its lift."""
+    if name.endswith(".hc"):
+        obj = load(os.path.join(FIXTURE_DIR, name))
+        assert isinstance(obj, HopfCatData) or type(obj) in VERIFY, name
+        return obj
+    if name.startswith("pair"):
+        n = int(name[4:])
+        return linearize_groupoid(
             pair_groupoid(tuple(f"o{i}" for i in range(n))), QQ)
-    for n in (4, 6):
-        graded = cyclic_graded(QQ, n, 2)
-        found[f"z{n}-graded"] = graded
-        found[f"z{n}-graded-lift"] = from_graded(graded)
-    return found
+    graded = cyclic_graded(QQ, int(name[1:name.index("-")]), 2)
+    return from_graded(graded) if name.endswith("-lift") else graded
 
 
-INPUTS = inputs()
+def test_every_input_is_named():
+    assert len(NAMES) == 37
 
 
-@pytest.mark.parametrize("name", sorted(INPUTS))
+@pytest.mark.parametrize("name", NAMES)
 def test_identity_keys_hit_where_value_keys_did(name, monkeypatch):
-    obj = INPUTS[name]
+    obj = build(name)
     records, compared = outcomes(obj, monkeypatch)
     monkeypatch.setattr(Instances, "check", ReferenceInstances.check)
     assert (records, compared) == outcomes(obj, monkeypatch)

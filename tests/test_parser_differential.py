@@ -10,7 +10,9 @@ where the old parser named none.  Every edit also goes through
 ``fileformat.load``, where every ``ParseError`` must name a line too, and
 through ``cli.main``, which must neither raise nor return 3, and so does a
 seeded corpus of byte-level edits (truncate at a byte, insert or delete a
-byte, split a token, duplicate a run of bytes).
+byte, split a token, duplicate a run of bytes).  Every edit of either
+corpus that the reader accepts, valid data or not, is written back by
+``serialize`` as text that reads as an equal object.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ import shutil
 import pytest
 
 from hopfcat import cli
-from hopfcat.fileformat import ParseError, load, parse
+from hopfcat.fileformat import ParseError, load, parse, serialize
 from hopfcat.graded import GradedError, GroupTable
 from hopfcat.schema import LAYOUTS
 from oracles import reference_parse
@@ -250,6 +252,26 @@ def byte_corpus(fixture_dir):
     for path in sorted(glob.glob(os.path.join(fixture_dir, "*.hc"))):
         with open(path, "rb") as fh:
             yield from byte_edits(os.path.basename(path)[:-3], fh.read())
+
+
+def test_every_edit_that_parses_round_trips(fixture_dir):
+    # whatever the reader accepts, valid or not, the writer writes back as
+    # text that reads as an equal object
+    def loader(name):
+        return load(os.path.join(fixture_dir, name + ".hc"))
+
+    parsed = 0
+    texts = list(corpus(fixture_dir))
+    texts += [(label, data.decode()) for label, data in byte_corpus(
+        fixture_dir) if data.isascii()]
+    for label, text in texts:
+        try:
+            obj = parse(text, loader)
+        except Exception:   # noqa: BLE001 -- only accepted edits count
+            continue
+        parsed += 1
+        assert parse(serialize(obj), loader) == obj, label
+    assert parsed == 111
 
 
 def verify_codes(fixture_dir, tmp_path, edited) -> set:

@@ -7,8 +7,9 @@ reduction, and different, and on maps it must refuse.  ``Report.overall`` and
 ``failed`` see items however they were appended, through ``add``, ``extend``
 or ``items`` itself.  Every item of a verifier's report goes through
 ``Report.add``, which the benchmark's tracer counts.  ``Instances`` compares
-each distinct instance, keyed by the identity of its arguments, once and
-records every one.
+each distinct instance once and records every one: an instance is keyed by
+its law and its arguments, an interned tensor by identity and an int, bool
+or tuple by value, and an uninterned list or dict argument is refused.
 """
 
 import os
@@ -249,29 +250,34 @@ def _swapped(f, left: list, right: list):
     return SparseMap(f, 1, right), SparseMap(f, 1, left)
 
 
-def test_instances_check_each_distinct_instance_once(monkeypatch):
+def _counted(monkeypatch) -> list:
+    """The axiom of each comparison ``check_map_equal`` makes from now on."""
     compared = []
 
     def counted(report, *args):
-        compared.append(args[:2])
+        compared.append(args[0])
         return check_map_equal(report, *args)
     monkeypatch.setattr(report_module, "check_map_equal", counted)
+    return compared
+
+
+def test_instances_check_each_distinct_instance_once(monkeypatch):
+    compared = _counted(monkeypatch)
     rep = Report()
-    inst = Instances(rep)
+    inst = Instances(rep, QQ)
     one, two = inst.intern({"a": [{0: 1}], "b": [{0: 2}]}).values()
     again = inst.intern({"c": [{0: 1}]})["c"]
     assert again is one
-    assert inst.check("law", ("x",), _sides, QQ, one, two) is False
+    assert inst.check("law", ("x",), _sides, one, two) is False
     # an equal instance: recorded with its own axiom, objects and
     # required, and the first one's outcome
-    assert inst.check("other", ("y", "z"), _sides, QQ, again, two,
+    assert inst.check("other", ("y", "z"), _sides, again, two,
                       required=False) is False
     # another law, or another argument, is another instance
-    inst.check("law", ("x",), _swapped, QQ, one, two)
-    inst.check("law", ("x",), _sides, QQ, one, one)
-    inst.check("law", ("x",), _sides, QQ, [{0: 1}], two)
-    assert compared == [("law", ("x",)), ("law", ("x",)), ("law", ("x",)),
-                        ("law", ("x",))]
+    inst.check("law", ("x",), _swapped, one, two)
+    inst.check("law", ("x",), _sides, one, one)
+    inst.check("law", ("x",), _sides, two, one)
+    assert compared == ["law"] * 4
     first = CheckItem("law", ("x",), False, 0, "[0]=-1", 1)
     assert rep.items[:2] == [first, CheckItem(
         "other", ("y", "z"), False, 0, "[0]=-1", 1, required=False)]
@@ -279,18 +285,17 @@ def test_instances_check_each_distinct_instance_once(monkeypatch):
 
 
 def test_instances_keep_the_arguments_they_key_by_identity(monkeypatch):
-    # each temporary list lives on in the memo, so its id is not reused by
-    # the next one, which is a new instance
-    compared = []
-
-    def counted(report, *args):
-        compared.append(args[0])
-        return check_map_equal(report, *args)
-    monkeypatch.setattr(report_module, "check_map_equal", counted)
-    inst = Instances(Report())
-    for _ in range(50):
-        inst.check("law", (), _sides, QQ, [{0: 1}], [{0: 2}])
-    assert len(compared) == len(inst.report.items) == 50
+    # each interned tensor lives on in its ``Instances`` (in the intern
+    # table and in the memo's keys) after its caller drops it, so no
+    # identity hash in a key is reused by a later tensor: a new value is a
+    # new instance, and an old one repeats its instance
+    compared = _counted(monkeypatch)
+    inst = Instances(Report(), QQ)
+    for n in list(range(50)) * 2:
+        inst.check("law", (), _sides, inst.intern({0: [{0: n}]})[0],
+                   inst.intern({0: [{0: 2}]})[0])
+    assert len(compared) == 50
+    assert len(inst.report.items) == 100
 
 
 def _shape(f, dims: tuple, n: int):
@@ -298,29 +303,56 @@ def _shape(f, dims: tuple, n: int):
     return _sides(f, [{0: dims[0] + n}], [{0: 1001}])
 
 
-def test_equal_but_distinct_tuples_and_ints_are_new_instances(monkeypatch):
-    # instances are keyed by the identity of their arguments: an equal
-    # tuple or int that is another object is compared again, with its own
-    # outcome, and only the very same objects repeat an instance
-    compared = []
-
-    def counted(report, *args):
-        compared.append(args[0])
-        return check_map_equal(report, *args)
-    monkeypatch.setattr(report_module, "check_map_equal", counted)
-    inst = Instances(Report())
+def test_equal_ints_bools_and_tuples_are_one_instance(monkeypatch):
+    # an int, bool or tuple argument is keyed by its value: an equal one
+    # built afresh repeats the instance, and an unequal one is another
+    compared = _counted(monkeypatch)
+    inst = Instances(Report(), QQ)
     n, other_n = int("1000"), int("1000")
     dims, other_dims = (1,), tuple([1])
     assert n == other_n and n is not other_n
     assert dims == other_dims and dims is not other_dims
-    assert inst.check("a", (), _shape, QQ, dims, 0) is False
-    assert inst.check("b", (), _shape, QQ, dims, n) is True
-    assert inst.check("c", (), _shape, QQ, other_dims, n) is True
-    assert inst.check("d", (), _shape, QQ, dims, other_n) is True
-    assert compared == ["a", "b", "c", "d"]
-    assert inst.check("e", (), _shape, QQ, dims, n) is True
-    assert inst.check("f", (), _shape, QQ, dims, 0) is False
-    assert compared == ["a", "b", "c", "d"]
+    assert inst.check("a", (), _shape, dims, 0) is False
+    assert inst.check("b", (), _shape, dims, n) is True
+    assert inst.check("c", (), _shape, other_dims, n) is True
+    assert inst.check("d", (), _shape, dims, other_n) is True
+    assert inst.check("e", (), _shape, (2,), 999) is True
+    # a bool is an int to Python (False == 0), and every law reads its
+    # flags by their truth, so False repeats the instance of 0
+    assert inst.check("f", (), _shape, dims, False) is False
+    assert inst.check("g", (), _shape, dims, True) is False
+    assert compared == ["a", "b", "e", "g"]
     assert [(it.axiom, it.ok, it.residual) for it in inst.report.items] == [
         ("a", False, "[0]=-1000"), ("b", True, ""), ("c", True, ""),
-        ("d", True, ""), ("e", True, ""), ("f", False, "[0]=-1000")]
+        ("d", True, ""), ("e", True, ""), ("f", False, "[0]=-1000"),
+        ("g", False, "[0]=-999")]
+
+
+def test_value_equal_tensors_interned_by_one_instances_are_one_object():
+    # whichever table a tensor comes in, an equal sparse form is the same
+    # interned object, a list or dict that hashes by identity and compares
+    # by value; another ``Instances`` interns its own
+    inst = Instances(Report(), QQ)
+    tensor = [{0: {1: Fraction(1, 2)}}, {}]
+    first = inst.intern({("x", "y"): tensor, ("y", "x"): [{}, {}]})
+    second = inst.intern({("z", "z"): [{0: {1: Fraction(1, 2)}}, {}],
+                          "u": {3: 1}})
+    third = inst.intern({"v": {3: 1}})
+    assert second[("z", "z")] is first[("x", "y")]
+    assert third["v"] is second["u"]
+    assert first[("x", "y")] is not first[("y", "x")]
+    for t, plain in ((first[("x", "y")], tensor), (third["v"], {3: 1})):
+        assert isinstance(t, type(plain)) and t == plain
+        assert hash(t) == object.__hash__(t)
+    other = Instances(Report(), QQ).intern({0: tensor})[0]
+    assert other == first[("x", "y")] and other is not first[("x", "y")]
+
+
+@pytest.mark.parametrize("plain", [[{0: 1}], {0: 1}])
+def test_an_uninterned_list_or_dict_argument_raises(plain, monkeypatch):
+    compared = _counted(monkeypatch)
+    inst = Instances(Report(), QQ)
+    interned = inst.intern({0: [{0: 1}]})[0]
+    with pytest.raises(TypeError):
+        inst.check("law", (), _sides, interned, plain)
+    assert compared == [] and inst.report.items == []

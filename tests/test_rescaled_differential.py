@@ -6,7 +6,7 @@ interning there is one tensor per slot, and a verifier that reads, say,
 ``mult[x][z][y]`` where the law needs ``mult[x][y][z]`` writes the same
 records.  In the basis f_xy = λ_xy·e_xy, with a distinct λ for each pair,
 almost every tensor is its own: such a mix-up changes the records, and the
-dense verifiers (``oracles.dense_*``), the identity-keyed memo against
+dense verifiers (``oracles.dense_*``), the hashed instance memo against
 ``oracles.ReferenceInstances``, and the mutation net see it.
 """
 
@@ -91,7 +91,7 @@ def test_the_tensors_differ_from_one_tuple_to_the_next():
     # mult(x,y,z) is λ_xx when x = y and λ_yy when y = z: 3 tensors for the
     # 15 such triples, and one of its own for each of the other 12; S(x,x)
     # is 1 for every x
-    inst = Instances(None)
+    inst = Instances(None, QQ)
     for name, distinct in (("mult", 15), ("comult", 9), ("counit", 9),
                            ("antipode", 7)):
         table = inst.intern(getattr(CATEGORY, name))
