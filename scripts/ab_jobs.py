@@ -2,13 +2,17 @@
 """Per-job A/B timing of two checkouts, interleaved in one process.
 
     python3 scripts/ab_jobs.py PARENT_DIR CHANGE_DIR --workload many-objects \\
-        --rounds 10
+        --rounds 10 [--seed 1]
 
 Each checkout's ``src/hopfcat`` is imported under a package name of its own
 (``hopfcat_parent``, ``hopfcat_change``), so both live in this process at
-once.  Each side's inputs are built once, for seed 1, under that checkout's
-``.perfbench_work/ab_jobs/``, by the ``build`` of its
-``perfbench/workloads.py``, which is imported and never written.
+once.  Each side's inputs are built once, for ``--seed`` (default 1), under
+that checkout's ``.perfbench_work/ab_jobs/``, by the ``build`` of its
+``perfbench/workloads.py``, which is imported and never written.  Each
+side writes its inputs with its own library, so the script refuses to time
+two checkouts whose inputs differ in bytes (the ``digest`` of the files
+``build`` returns): a change to the writer would otherwise time each side
+on different data.
 
 A round runs every job of the workload on both sides, job by job: the
 parent first in even rounds and the change first in odd ones, so that a
@@ -43,6 +47,16 @@ MODULES = ("cli", "core", "dual", "duoidal", "fileformat", "fixtures",
            "report", "scalars", "weak")
 
 
+def library(label: str, checkout: str) -> SimpleNamespace:
+    """The modules of ``checkout``'s ``src/hopfcat``, imported as the
+    package ``hopfcat_<label>``."""
+    pkg = f"hopfcat_{label}"
+    src = os.path.join(checkout, "src", "hopfcat")
+    load_module(pkg, os.path.join(src, "__init__.py"), src)
+    return SimpleNamespace(**{
+        sub: importlib.import_module(f"{pkg}.{sub}") for sub in MODULES})
+
+
 def load_module(name: str, path: str, package: str | None = None):
     """The module in ``path`` (a package's ``__init__.py`` when
     ``package`` names its directory), imported as ``name``."""
@@ -57,19 +71,17 @@ def load_module(name: str, path: str, package: str | None = None):
 class Side:
     """One checkout: its library, its workload module, its jobs."""
 
-    def __init__(self, label: str, checkout: str, workload: str):
+    def __init__(self, label: str, checkout: str, workload: str, seed: int):
         self.label = label
-        pkg = f"hopfcat_{label}"
-        src = os.path.join(checkout, "src", "hopfcat")
-        load_module(pkg, os.path.join(src, "__init__.py"), src)
-        self.lib = SimpleNamespace(**{
-            sub: importlib.import_module(f"{pkg}.{sub}") for sub in MODULES})
+        self.lib = library(label, checkout)
         self.workloads = load_module(
             f"workloads_{label}",
             os.path.join(checkout, "perfbench", "workloads.py"))
         root = os.path.join(checkout, ".perfbench_work", "ab_jobs", workload)
         shutil.rmtree(root, ignore_errors=True)
-        self.jobs, _ = self.workloads.build(self.lib, workload, root, 1)
+        self.jobs, files = self.workloads.build(self.lib, workload, root,
+                                                seed)
+        self.digest = files.digest()
         self.times = [[] for _ in self.jobs]
 
     def run(self, i: int) -> float:
@@ -93,13 +105,18 @@ def main(argv=None) -> int:
     p.add_argument("change", help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     if args.rounds < 3:
         p.error("--rounds must be at least 3 for a median")
-    parent = Side("parent", args.parent, args.workload)
-    change = Side("change", args.change, args.workload)
+    parent = Side("parent", args.parent, args.workload, args.seed)
+    change = Side("change", args.change, args.workload, args.seed)
     if [j.label for j in parent.jobs] != [j.label for j in change.jobs]:
         sys.exit("the two checkouts build different job lists")
+    if parent.digest != change.digest:
+        sys.exit("the two checkouts write different input bytes "
+                 f"(digest {parent.digest[:12]} against "
+                 f"{change.digest[:12]})")
     round_wins = 0
     for r in range(args.rounds):
         totals = {parent: 0.0, change: 0.0}

@@ -32,7 +32,7 @@ from .linalg import (LinMap, NotInvertible, _rref, bilinear_map, invert,
 from .report import (Instances, Report, PreconditionError, check_condition,
                      per_label)
 from .scalars import Field
-from .schema import LAYOUTS, MalformedDataError, check_shape, reshaped
+from .schema import LAYOUTS, MalformedDataError, check_shape, reindexer
 
 
 class MissingAntipodeError(ValueError):
@@ -122,9 +122,7 @@ class _Tensors(Instances):
         self.counit = per_label(self.intern(sp.vectors(f, a.counit)), X)
         self.unit = self.intern(sp.vectors(f, a.unit))
         self.antipode = None if a.antipode is None else per_label(
-            self.intern({(x, y): sp.columns(f, a.antipode[(x, y)],
-                                            a.dims[(x, y)])
-                         for x in X for y in X}), X)
+            self.intern(sp.matrices(f, a.antipode, a.dims)), X)
 
 
 # The derived antipode identities, both sides of each as a ``SparseMap``
@@ -352,34 +350,37 @@ def transform(a: HopfCatData, mode: str) -> HopfCatData:
     comult, counit = dict(a.comult), dict(a.counit)
     if mode in ("opposite", "opcop"):
         dims = {(x, y): a.dim(y, x) for x in X for y in X}
-        mult = {(x, y, z): reshaped(
-            a.mult[(z, y, x)], 3, (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
-            zero, lambda i, j, k: (j, i, k))
-            for x in X for y in X for z in X}
+        swap = reindexer(zero, lambda i, j, k: (j, i, k))
+        mult = {(x, y, z): swap(a.mult[(z, y, x)],
+                                (dims[(x, y)], dims[(y, z)], dims[(x, z)]))
+                for x in X for y in X for z in X}
         comult = {(x, y): a.comult[(y, x)] for x in X for y in X}
         counit = {(x, y): a.counit[(y, x)] for x in X for y in X}
     if mode in ("coopposite", "opcop"):
-        comult = {key: reshaped(t, 3, (dims[key],) * 3, zero,
-                                lambda i, j, k: (i, k, j))
+        flip = reindexer(zero, lambda i, j, k: (i, k, j))
+        comult = {key: flip(t, (dims[key],) * 3)
                   for key, t in comult.items()}
 
     antipode = None
     if a.antipode is not None:
-        antipode = {}
+        antipode, inverses = {}, {}     # id of an S -> its inverse
         for x in X:
             for y in X:
                 if mode == "opcop":
                     antipode[(x, y)] = a.antipode[(y, x)]
                     continue
                 # the inverse of S(x,y) for the opposite, of S(y,x) for the
-                # coopposite
+                # coopposite, once per distinct matrix and shape
                 u, v = (x, y) if mode == "opposite" else (y, x)
-                inv = invert(a.antipode_map(u, v))
-                if isinstance(inv, NotInvertible):
-                    raise MalformedDataError(
-                        f"antipode at ({u},{v}) is singular; "
-                        f"the {mode} antipode needs its inverse")
-                antipode[(x, y)] = [list(r) for r in inv.entries]
+                once = (id(a.antipode[(u, v)]), a.dim(u, v))
+                if once not in inverses:
+                    inv = invert(a.antipode_map(u, v))
+                    if isinstance(inv, NotInvertible):
+                        raise MalformedDataError(
+                            f"antipode at ({u},{v}) is singular; "
+                            f"the {mode} antipode needs its inverse")
+                    inverses[once] = [list(r) for r in inv.entries]
+                antipode[(x, y)] = inverses[once]
 
     return HopfCatData(a.field, X, dims, mult, dict(a.unit), comult, counit,
                        antipode)
@@ -397,14 +398,18 @@ def check_strictness(a: HopfCatData, base: Report | None = None) -> Report:
              "strictness needs data valid at level 'category'")
     rep = Report()
     X, f, raw = a.objects, a.field, a.field.raw
+    ranks = {}      # id of a composition tensor -> its rank
     for x in X:
         for y in X:
             for z in X:
-                # the rank of the map: that of its fibres m(e_i, e_j) as rows
-                rows = [[raw(v) for v in fibre]
-                        for slab in a.mult[(x, y, z)] for fibre in slab
-                        if any(fibre)]
-                r = len(_rref(f, rows)[1])
+                # the rank of the map: that of its fibres m(e_i, e_j) as
+                # rows, once per distinct tensor
+                m = a.mult[(x, y, z)]
+                r = ranks.get(id(m))
+                if r is None:
+                    rows = [[raw(v) for v in fibre]
+                            for slab in m for fibre in slab if any(fibre)]
+                    r = ranks[id(m)] = len(_rref(f, rows)[1])
                 ok = r == a.dim(x, z)
                 check_condition(rep, "compose-surjective", (x, y, z), ok,
                                 residual=f"rank {r} < {a.dim(x, z)}")

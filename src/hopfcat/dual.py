@@ -27,7 +27,7 @@ from . import sparse as sp
 from .core import HopfCatData
 from .report import Instances, Report, per_label
 from .scalars import Field
-from .schema import LAYOUTS, check_shape, reshaped
+from .schema import LAYOUTS, check_shape, reindexer
 
 
 @dataclass
@@ -116,9 +116,8 @@ def verify_dual(c: DualHopfCatData) -> Report:
 
     if c.antipode is not None:
         # S(x,y): C(y,x) → C(x,y), in column form
-        S = per_label(inst.intern({(x, y): sp.columns(f, c.antipode[(x, y)],
-                                                      c.dims[(y, x)])
-                                   for x in X for y in X}), X)
+        S = per_label(inst.intern(sp.matrices(
+            f, c.antipode, {(x, y): c.dims[(y, x)] for x in X for y in X})), X)
         for x in X:
             Tx, Sx, Ax, Ux, Dx, ex = T[x], S[x], A[x], U[x], D[x], counit[x]
             for y in X:
@@ -130,30 +129,32 @@ def verify_dual(c: DualHopfCatData) -> Report:
     return rep
 
 
-def _reversed(t, rank: int, shape: tuple, zero):
-    """``t`` with its index order reversed, for example t[i][j][k] at
-    [k][j][i]: every tensor of a coordinate dual, either way round."""
-    return reshaped(t, rank, shape, zero, lambda *idx: idx[::-1])
+def _reversing(zero):
+    """``f(t, shape)``: ``t`` with its index order reversed, for example
+    t[i][j][k] at [k][j][i], once per distinct tensor and shape
+    (``schema.reindexer``): every tensor of a coordinate dual, either way
+    round."""
+    return reindexer(zero, lambda *idx: idx[::-1])
 
 
 def dualize(a: HopfCatData) -> DualHopfCatData:
     """Coordinate-dual of a (semi-)Hopf category on the dual bases."""
     a.validate_shape()
-    X, zero = a.objects, a.field.zero
+    X, rev = a.objects, _reversing(a.field.zero)
     dims = {(x, y): a.dim(y, x) for x in X for y in X}
     # opposite convolution: (f_a f_b)(e_i) = <f_a, e_i(2)><f_b, e_i(1)>
-    alg = {(x, y): _reversed(a.comult[(y, x)], 3, (dims[(x, y)],) * 3, zero)
+    alg = {(x, y): rev(a.comult[(y, x)], (dims[(x, y)],) * 3)
            for x in X for y in X}
     unit = {(x, y): a.counit[(y, x)] for x in X for y in X}
     # A(z,y)⊗A(y,x) → A(z,x) read backwards: C(x,z) → C(x,y)⊗C(y,z)
-    cocomp = {(x, y, z): _reversed(
-        a.mult[(z, y, x)], 3, (dims[(x, z)], dims[(x, y)], dims[(y, z)]),
-        zero) for x in X for y in X for z in X}
+    cocomp = {(x, y, z): rev(a.mult[(z, y, x)],
+                             (dims[(x, z)], dims[(x, y)], dims[(y, z)]))
+              for x in X for y in X for z in X}
     counit = {x: a.unit[x] for x in X}
     antipode = None
     if a.antipode is not None:    # the transpose of S: A(y,x) → A(x,y)
-        antipode = {(x, y): _reversed(a.antipode[(y, x)], 2,
-                                      (dims[(x, y)], dims[(y, x)]), zero)
+        antipode = {(x, y): rev(a.antipode[(y, x)],
+                                (dims[(x, y)], dims[(y, x)]))
                     for x in X for y in X}
     return DualHopfCatData(a.field, X, dims, alg, unit, cocomp, counit,
                            antipode)
@@ -162,18 +163,18 @@ def dualize(a: HopfCatData) -> DualHopfCatData:
 def undualize(c: DualHopfCatData) -> HopfCatData:
     """Inverse of ``dualize`` on the double-dual basis identification."""
     c.validate_shape()
-    X, zero = c.objects, c.field.zero
+    X, rev = c.objects, _reversing(c.field.zero)
     dims = {(x, y): c.dim(y, x) for x in X for y in X}
-    mult = {(x, y, z): _reversed(
-        c.cocomp[(z, y, x)], 3, (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
-        zero) for x in X for y in X for z in X}
+    mult = {(x, y, z): rev(c.cocomp[(z, y, x)],
+                           (dims[(x, y)], dims[(y, z)], dims[(x, z)]))
+            for x in X for y in X for z in X}
     unit = {x: c.counit[x] for x in X}
-    comult = {(x, y): _reversed(c.alg[(y, x)], 3, (dims[(x, y)],) * 3, zero)
+    comult = {(x, y): rev(c.alg[(y, x)], (dims[(x, y)],) * 3)
               for x in X for y in X}
     counit = {(x, y): c.unit[(y, x)] for x in X for y in X}
     antipode = None
     if c.antipode is not None:    # the transpose of S: C(x,y) → C(y,x)
-        antipode = {(x, y): _reversed(c.antipode[(y, x)], 2,
-                                      (dims[(y, x)], dims[(x, y)]), zero)
+        antipode = {(x, y): rev(c.antipode[(y, x)],
+                                (dims[(y, x)], dims[(x, y)]))
                     for x in X for y in X}
     return HopfCatData(c.field, X, dims, mult, unit, comult, counit, antipode)

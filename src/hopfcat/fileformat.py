@@ -12,10 +12,13 @@ The single place where a kind's layout is defined is its slot table in
 tensor family.  One reader and one writer serve every kind from the tables;
 only the headers that are not slots (``antipode``, ``base``, ``side``,
 ``gmul``, ``block``) and the scalar-free ``groupoid`` kind have code here.
-The writer walks each stored tensor once, in record order, and formats each
-distinct scalar object once per call.  Module-like kinds name their base
-with `base <name>`, resolved by the loader next to the file (adding the .hc
-suffix when absent); the loader keeps the base file's path.
+The reader gives all keys of a slot whose shape and records are equal one
+shared tensor (see ``schema`` on sharing).  The writer walks each distinct
+stored tensor once, in record order, and formats each distinct scalar
+object once per call.  Module-like kinds name their base with
+`base <name>`, resolved by the loader next to the file (adding the .hc
+suffix when absent); the loader keeps the base file's path, and refuses a
+cycle of base files.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from collections import Counter
 from itertools import product
 
 from .core import HopfCatData
@@ -111,14 +115,19 @@ def _tensors(slot, data, labels) -> list:
 
 
 def serialize(obj) -> str:
-    """The canonical text of ``obj``, in one walk over its tensors: each
-    stored tensor is read once, and the record lines of the nonzero cells
-    of all of a slot's tensors are made by one comprehension for its rank
-    (an empty tensor, of a factor of dimension 0, gives none), a
-    transposed slot's column by column so that its records come in record
-    index order.  Each distinct scalar object is formatted once per call,
-    in ``texts`` keyed by its ``id``, which is sound because ``obj`` keeps
-    every scalar alive while the call runs."""
+    """The canonical text of ``obj``, in one walk over its tensors.  The
+    record lines of the nonzero cells of a tensor are made by one
+    comprehension for its rank (an empty tensor, of a factor of dimension
+    0, gives none), a transposed slot's column by column so that its
+    records come in record index order.  The first key of a slot that
+    holds a tensor object walks it with its own record head, so a slot
+    whose tensors are all distinct makes each line in one step.  A second
+    key that holds it walks it once more without a head, and every later
+    key prefixes its head to those lines.  Each distinct scalar object is
+    formatted once per call, in ``texts`` keyed by its ``id``, and each
+    shared tensor walked once headless, in ``tails`` keyed by its ``id``:
+    both are sound because ``obj`` keeps every scalar and tensor alive
+    while the call runs."""
     kind = type(obj).layout
     lines = [f"format {FORMAT_VERSION}", f"kind {kind.name}"]
     if kind.name == "groupoid":
@@ -143,28 +152,39 @@ def serialize(obj) -> str:
     def text(v) -> str:
         s = texts[id(v)] = fmt(v)
         return s
+
+    def cells(head: str, t, rank: int, transposed: bool) -> list[str]:
+        """The record lines of the nonzero cells of ``t``, after ``head``."""
+        if rank == 1:
+            return [f"{head}{i} {get(id(v)) or text(v)}"
+                    for i, v in enumerate(t) if v]
+        if transposed:              # stored [j][i], written (i, j)
+            return [f"{head}{i} {j} {get(id(v)) or text(v)}"
+                    for i, col in enumerate(zip(*t))
+                    for j, v in enumerate(col) if v]
+        if rank == 2:
+            return [f"{head}{i} {j} {get(id(v)) or text(v)}"
+                    for i, p in enumerate(t) for j, v in enumerate(p) if v]
+        return [f"{head}{i} {j} {k} {get(id(v)) or text(v)}"
+                for i, p in enumerate(t) for j, q in enumerate(p)
+                for k, v in enumerate(q) if v]
     for slot in sorted(kind.slots, key=lambda s: s.tag):
         data = getattr(obj, slot.tag)
         if data is None:
             continue
-        tensors = _tensors(slot, data, frame.labels)
-        rank = len(slot.dims)
-        if rank == 1:
-            lines += [f"{head} {i} {get(id(v)) or text(v)}"
-                      for head, t in tensors for i, v in enumerate(t) if v]
-        elif slot.transposed:       # stored [j][i], written (i, j)
-            lines += [f"{head} {i} {j} {get(id(v)) or text(v)}"
-                      for head, t in tensors
-                      for i, col in enumerate(zip(*t))
-                      for j, v in enumerate(col) if v]
-        elif rank == 2:
-            lines += [f"{head} {i} {j} {get(id(v)) or text(v)}"
-                      for head, t in tensors for i, p in enumerate(t)
-                      for j, v in enumerate(p) if v]
-        else:
-            lines += [f"{head} {i} {j} {k} {get(id(v)) or text(v)}"
-                      for head, t in tensors for i, p in enumerate(t)
-                      for j, q in enumerate(p) for k, v in enumerate(q) if v]
+        rank, flip = len(slot.dims), slot.transposed
+        held = set()        # ids of the tensors a key has written
+        tails = {}          # id of a shared tensor -> its lines, headless
+        for head, t in _tensors(slot, data, frame.labels):
+            head += " "
+            if id(t) not in held:
+                held.add(id(t))
+                lines += cells(head, t, rank, flip)
+                continue
+            rest = tails.get(id(t))
+            if rest is None:
+                rest = tails[id(t)] = cells("", t, rank, flip)
+            lines += [head + line for line in rest]
     return "\n".join(lines) + "\n"
 
 
@@ -388,52 +408,71 @@ def _read_dims(dim_rows, labels, arity: int, objects_ln: int) -> dict:
 def _read_slots(kind, frame, records, omit) -> dict:
     """Every slot's tensors, zero but for the records; an optional slot is
     None when ``omit``.  Each distinct scalar token is parsed once, and its
-    one (immutable) scalar fills every cell that holds it."""
+    one (immutable) scalar fills every cell that holds it.  The records
+    are first gathered per key, by index (``found``).  Then the keys of
+    one slot whose shape and nonzero records are equal get one shared
+    tensor, allocated and filled once (``shared``, keyed by the shape and
+    the (index, scalar object) pairs: records equal as text)."""
     field = frame.field
-    zero = field.zero
     scalars = {}        # token -> its scalar
-    cells = {}          # tag -> (slot, {key labels: (tensor, record shape)})
-    out = {}
+    # tag -> (slot, {key labels: (shape, {idx: scalar})}, end of the key)
+    cells = {}
     for slot in kind.slots:
-        if slot.optional and omit:
-            out[slot.tag], cells[slot.tag] = None, (slot, None)
-            continue
-        table = {key: (slot.zeros(shape, zero), shape)
-                 for key, shape in slot.shapes(frame)}
-        cells[slot.tag] = (slot, table)
-        store = {k[0] if len(k) == 1 else k: t for k, (t, _) in table.items()}
-        out[slot.tag] = store if slot.keys else store[()]
-    seen = set()
+        cells[slot.tag] = (slot, None if slot.optional and omit else
+                           {key: (shape, {})
+                            for key, shape in slot.shapes(frame)},
+                           1 + len(slot.keys))
+    zeros = False       # whether some record holds an explicit zero
     for ln, toks in records:
-        slot, table = cells[toks[0]]
+        slot, table, end = cells[toks[0]]
         if table is None:
             raise ParseError(
                 "antipode entry in a file declaring 'antipode no'", ln)
-        end = 1 + len(slot.keys)
         key = tuple(toks[1:end])
-        if key not in table:
+        entry = table.get(key)
+        if entry is None:
             for t in key:
                 _check_label(frame.labels, t, ln)
-        t, shape = table[key]
+            entry = table[key]
+        shape, found = entry
         try:
-            idx = [int(tok) for tok in toks[end:-1]]
+            idx = tuple(map(int, toks[end:-1]))
         except ValueError:
-            idx = [_int(tok, ln) for tok in toks[end:-1]]
+            idx = tuple([_int(tok, ln) for tok in toks[end:-1]])
         for i, d in zip(idx, shape):
             if not 0 <= i < d:
-                raise ParseError(f"{slot.tag} index {tuple(idx)} out of "
+                raise ParseError(f"{slot.tag} index {idx} out of "
                                  f"range for dims {shape}", ln)
-        mark = (slot.tag, key, *idx)
-        if mark in seen:
-            raise ParseError(f"duplicate {slot.tag} entry at {key} "
-                             f"{tuple(idx)}", ln)
-        seen.add(mark)
+        if idx in found:
+            raise ParseError(f"duplicate {slot.tag} entry at {key} {idx}",
+                             ln)
         tok = toks[-1]
         v = scalars.get(tok)
         if v is None:
             v = scalars[tok] = _scalar(field, tok, ln)
-        if v:
-            slot.put(t, idx, v)
+            zeros = zeros or not v
+        found[idx] = v
+    out, zero = {}, field.zero
+    for slot, table, _ in cells.values():
+        if table is None:
+            out[slot.tag] = None
+            continue
+        if zeros:
+            table = {key: (shape, {idx: v for idx, v in found.items() if v})
+                     for key, (shape, found) in table.items()}
+        # a key alone with its shape and number of records shares nothing
+        sizes = Counter((shape, len(found)) for shape, found in table.values())
+        shared, store = {}, {}
+        for key, (shape, found) in table.items():
+            if sizes[shape, len(found)] == 1:
+                t = slot.tensor(shape, zero, found.items())
+            else:
+                sig = (shape, frozenset(zip(found, map(id, found.values()))))
+                t = shared.get(sig)
+                if t is None:
+                    t = shared[sig] = slot.tensor(shape, zero, found.items())
+            store[key[0] if len(key) == 1 else key] = t
+        out[slot.tag] = store if slot.keys else store[()]
     return out
 
 
@@ -464,25 +503,35 @@ def _parse_groupoid(rows, objects):
 
 # -- path-level helpers ---------------------------------------------------------------
 
-def load(path: str):
+def load(path: str, *, _reading: tuple = ()):
     """Parse a structure file, resolving module bases next to it.  The path
     of the base file read is kept as ``_base_path``, next to
-    ``_base_name``, so that a caller can refuse to write over it."""
+    ``_base_name``, so that a caller can refuse to write over it.
+    ``_reading`` holds the ``os.stat`` identities of the files whose bases
+    are being resolved: a base among them, or the file itself, is a cycle
+    of base files, and a ``ParseError`` at the ``base`` line."""
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
         data = fh.read()
     try:
         text = data.decode()
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason}",
                          data.count(b"\n", 0, e.start) + 1)
+    reading = _reading + ((st.st_dev, st.st_ino),)
     bases = []
 
     def base_loader(name: str):
         d = os.path.dirname(path)
         for cand in (os.path.join(d, name), os.path.join(d, name + ".hc")):
             if os.path.isfile(cand):
+                st = os.stat(cand)
+                if (st.st_dev, st.st_ino) in reading:
+                    raise ParseError(f"base '{name}' names {cand}, which "
+                                     f"is already being read: a cycle of "
+                                     f"base files")
                 try:
-                    base = load(cand)
+                    base = load(cand, _reading=reading)
                 except ParseError as e:     # a line of the base file
                     e.path = e.path or cand
                     raise

@@ -141,8 +141,7 @@ def validate_graded(h: GradedHopfData) -> Report:
     check("graded-counit-unit", (e,), sp.counit_unit, unit, counit[e])
     if h.antipode is not None:
         # S_s: A_s → A_{s^-1}
-        sm = inst.intern({s: sp.columns(f, h.antipode[s], dims[s])
-                          for s in G})
+        sm = inst.intern(sp.matrices(f, h.antipode, dims))
         for s in G:
             si = h.group.inverse(s)
             check("graded-antipode-left", (s,), sp.antipode_law,

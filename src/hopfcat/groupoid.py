@@ -105,7 +105,10 @@ def validate_groupoid(g: GroupoidData):
 
 
 def linearize_groupoid(g: GroupoidData, field: Field) -> HopfCatData:
-    """The k-linear Hopf category on the hom sets of a groupoid."""
+    """The k-linear Hopf category on the hom sets of a groupoid.  Every
+    structure constant is 0 or 1, so a tensor is its shape and the indices
+    of its ones; each distinct one is built once and shared by every key
+    that has it (``built``), as the reader would share it."""
     validate_groupoid(g)
     X = g.objects
     zero, one = field.zero, field.one
@@ -115,24 +118,31 @@ def linearize_groupoid(g: GroupoidData, field: Field) -> HopfCatData:
     index = {key: {m: i for i, m in enumerate(ms)}
              for key, ms in basis.items()}
     dims = {key: len(ms) for key, ms in basis.items()}
-    mult = {(x, y, z): tensor(
-        zero, (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
-        (((i, j, index[(x, z)][g.compose[(f, h)]]), one)
+    built = {}      # (shape, indices of the ones) -> the tensor
+
+    def ones(shape, where):
+        where = tuple(where)
+        t = built.get((shape, where))
+        if t is None:
+            t = built[shape, where] = tensor(zero, shape,
+                                             ((idx, one) for idx in where))
+        return t
+    mult = {(x, y, z): ones(
+        (dims[(x, y)], dims[(y, z)], dims[(x, z)]),
+        ((i, j, index[(x, z)][g.compose[(f, h)]])
          for i, f in enumerate(basis[(x, y)])
          for j, h in enumerate(basis[(y, z)])))
         for x in X for y in X for z in X}
-    unit = {x: tensor(zero, (dims[(x, x)],),
-                      [((index[(x, x)][g.identities[x]],), one)])
+    unit = {x: ones((dims[(x, x)],), [(index[(x, x)][g.identities[x]],)])
             for x in X}
-    comult = {key: tensor(zero, (d, d, d), (((i, i, i), one)
-                                             for i in range(d)))
+    comult = {key: ones((d, d, d), ((i, i, i) for i in range(d)))
               for key, d in dims.items()}
-    counit = {key: tensor(zero, (d,), (((i,), one) for i in range(d)))
+    counit = {key: ones((d,), ((i,) for i in range(d)))
               for key, d in dims.items()}
     # S(f) = f⁻¹, stored transposed: antipode[(x, y)][index of f⁻¹][f]
-    antipode = {(x, y): tensor(
-        zero, (dims[(y, x)], dims[(x, y)]),
-        (((index[(y, x)][g.inverses[f]], i), one)
+    antipode = {(x, y): ones(
+        (dims[(y, x)], dims[(x, y)]),
+        ((index[(y, x)][g.inverses[f]], i)
          for i, f in enumerate(basis[(x, y)])))
         for x in X for y in X}
     return HopfCatData(field, X, dims, mult, unit, comult, counit, antipode)

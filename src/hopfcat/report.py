@@ -221,7 +221,11 @@ class Instances:
     ``intern`` makes the tensors of a table with equal sparse forms one
     object, keyed by ``repr``, which is exact on nested lists and dicts of
     ints and ``Fraction``s, and hands each out as a ``list`` or ``dict``
-    subclass that hashes by identity and keeps value equality.  ``check``
+    subclass that hashes by identity and keeps value equality.  It takes
+    the ``repr`` once per distinct object of the table: an object that
+    several keys share (``sparse.tensors`` gives one sparse form per
+    distinct stored tensor) is looked up by its ``id``, which the table
+    keeps alive while the call runs.  ``check``
     keys an instance by ``(law, args)``: interned tensors by identity, ints,
     bools and tuples by value, and an uninterned list or dict raises
     ``TypeError``.  The first instance of a key evaluates
@@ -244,13 +248,16 @@ class Instances:
         self._seen = {}         # (law, args) -> the first record
 
     def intern(self, table: dict) -> dict:
-        tensors, out = self._tensors, {}
+        tensors, seen, out = self._tensors, {}, {}
         for key, t in table.items():
-            form = repr(t)
-            one = tensors.get(form)
+            one = seen.get(id(t))
             if one is None:
-                one = tensors[form] = (_Vector if isinstance(t, dict)
-                                       else _Tensor)(t)
+                form = repr(t)
+                one = tensors.get(form)
+                if one is None:
+                    one = tensors[form] = (_Vector if isinstance(t, dict)
+                                           else _Tensor)(t)
+                seen[id(t)] = one
             out[key] = one
         return out
 

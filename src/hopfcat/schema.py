@@ -35,8 +35,22 @@ and dual Hopf modules.  Every construction that re-indexes existing
 structure constants goes through ``place`` / ``reshaped``: duals and
 opposites, packing, the module↔comodule maps, the free Hopf module, and the
 matrix builders (``linalg.bilinear_map`` and ``linalg.split_map``).
-``sparse``'s readers (``tensors``, ``vectors``, ``columns``) turn the lists
+``sparse``'s readers (``tensors``, ``vectors``, ``matrices``) turn the lists
 into sparse form.
+
+Sharing: a structure may hold one tensor object under several keys, and
+most do.  The reader gives all keys of a slot whose declared shape and
+nonzero records (as text) are equal one shared tensor, a rewrite
+re-indexes each distinct tensor once per shape (``reindexer``), and
+groupoid linearization builds each distinct tensor once.  So a tensor is never written into once
+it is stored: an edit replaces a key's tensor (``dict(table)`` and a new
+tensor under that key), and never writes into the old one.  Every per-key
+pass does its work once per distinct object, keyed by ``id`` in a memo
+that lives for one call: ``check_shape`` per (object, shape), since an
+empty list stands for several shapes, the writer per object, and the
+sparse readers and ``report.Instances.intern`` per object.  Each memo is
+sound because the table it reads keeps every keyed object alive while the
+call runs.
 """
 
 from __future__ import annotations
@@ -61,25 +75,28 @@ class Frame(NamedTuple):
 
 
 def _rule(text: str, keys: str):
-    """Compile one dimension rule into a function of (key, frame)."""
+    """Compile one dimension rule into a function of (frame, key list)
+    giving the dimension at each key of the list, in turn."""
     if text == "n":
-        return lambda key, f: f.n
+        return lambda f, ks: [f.n] * len(ks)
     family, inner = text[:-1].split("(")
     if "," in inner:
         p, q = (keys.index(c) for c in inner.split(","))
         if family == "base":
-            return lambda key, f: f.base.dims[(key[p], key[q])]
-        return lambda key, f: f.dims[(key[p], key[q])]
+            return lambda f, ks: [f.base.dims[k[p], k[q]] for k in ks]
+        if (p, q) == (0, 1) and len(keys) == 2:     # the key itself
+            return lambda f, ks: [f.dims[k] for k in ks]
+        return lambda f, ks: [f.dims[k[p], k[q]] for k in ks]
     if inner == "e":
-        return lambda key, f: f.dims[f.group.identity()]
+        return lambda f, ks: [f.dims[f.group.identity()]] * len(ks)
     if inner.endswith("^-1"):
         p = keys.index(inner[0])
-        return lambda key, f: f.dims[f.group.inverse(key[p])]
+        return lambda f, ks: [f.dims[f.group.inverse(k[p])] for k in ks]
     if len(inner) == 2:
         p, q = keys.index(inner[0]), keys.index(inner[1])
-        return lambda key, f: f.dims[f.group.mul(key[p], key[q])]
+        return lambda f, ks: [f.dims[f.group.mul(k[p], k[q])] for k in ks]
     p = keys.index(inner)
-    return lambda key, f: f.dims[key[p]]
+    return lambda f, ks: [f.dims[k[p]] for k in ks]
 
 
 def zeros(zero, shape):
@@ -159,16 +176,21 @@ def reshaped(t, rank: int, shape, zero, where):
     return place(zeros(zero, shape), t, rank, where)
 
 
-def _shape_of(rules):
-    """One function of (key, frame) giving all of ``rules`` as a tuple."""
-    if len(rules) == 1:
-        (a,) = rules
-        return lambda key, f: (a(key, f),)
-    if len(rules) == 2:
-        a, b = rules
-        return lambda key, f: (a(key, f), b(key, f))
-    a, b, c = rules
-    return lambda key, f: (a(key, f), b(key, f), c(key, f))
+def reindexer(zero, where):
+    """``reshaped`` for the call of one rewrite: ``f(t, shape)`` re-indexes
+    each distinct (tensor object, ``shape``) once, by ``where``, and hands
+    the same result to every key that asks again, so the rewrite keeps the
+    sharing of its input.  The memo is keyed by ``id(t)``, sound while the
+    input data keeps ``t`` alive; drop ``f`` when the rewrite returns."""
+    memo = {}
+
+    def f(t, shape):
+        out = memo.get((id(t), shape))
+        if out is None:
+            out = memo[id(t), shape] = reshaped(t, len(shape), shape, zero,
+                                                where)
+        return out
+    return f
 
 
 class Slot:
@@ -178,16 +200,17 @@ class Slot:
         self.tag, self.keys, self.dims, self.left = tag, keys, dims, left
         self.transposed, self.optional = transposed, optional
         self.width = 2 + len(keys) + len(dims)     # tokens of one record
-        self._shape = {side: _shape_of([_rule(r, keys) for r in rules])
+        self._rules = {side: [_rule(r, keys) for r in rules]
                        for side, rules in (("right", dims),
                                            ("left", left or dims))}
 
     def shapes(self, frame: Frame):
         """(key labels, dimensions of the tensor there in record index
-        order) over the slot's whole key space, in canonical order."""
-        shape = self._shape[frame.side]
-        for key in product(frame.labels, repeat=len(self.keys)):
-            yield key, shape(key, frame)
+        order) over the slot's whole key space, in canonical order: each
+        rule is read for all keys in one pass."""
+        keys = list(product(frame.labels, repeat=len(self.keys)))
+        return zip(keys, zip(*[rule(frame, keys)
+                               for rule in self._rules[frame.side]]))
 
     # Storage: nested lists, indexed in record order unless transposed.
 
@@ -198,13 +221,13 @@ class Slot:
             return data
         return data.get(key[0] if len(key) == 1 else key)
 
-    def zeros(self, shape: tuple, zero) -> list:
-        """A zero tensor of record-order ``shape``."""
-        return zeros(zero, shape[::-1] if self.transposed else shape)
-
-    def put(self, t, idx: list, v):
-        """Store ``v`` at the record-order indices ``idx``."""
-        _put(t, idx[::-1] if self.transposed else idx, v)
+    def tensor(self, shape: tuple, zero, entries):
+        """The stored tensor of record-order ``shape`` holding ``v`` at each
+        (record-order index tuple, ``v``) of ``entries``."""
+        if self.transposed:
+            return tensor(zero, shape[::-1],
+                          ((idx[::-1], v) for idx, v in entries))
+        return tensor(zero, shape, entries)
 
 
 class Kind(NamedTuple):
@@ -296,8 +319,10 @@ LAYOUTS = {kind.name: kind for kind in (
 
 def check_shape(obj):
     """Every declared dimension present and non-negative, and every slot's
-    tensors shaped as its kind's table says; raises ``MalformedDataError``.
-    This is ``validate_shape`` of every data class."""
+    tensors shaped as its kind's table says; raises ``MalformedDataError``
+    naming the first key whose tensor does not fit.  This is
+    ``validate_shape`` of every data class.  A tensor object is checked
+    once per stored shape it must have (``fitted``, keyed by ``id``)."""
     kind = type(obj).layout
     frame = kind.frame(obj)
     labels = frame.labels
@@ -309,6 +334,7 @@ def check_shape(obj):
             if d is None or d < 0:
                 raise MalformedDataError(
                     f"missing or negative dim({','.join(key)})")
+    fitted = set()      # (id of a tensor, stored shape) found to fit
     for slot in kind.slots:
         data = getattr(obj, slot.tag)
         if data is None and slot.optional:
@@ -316,6 +342,11 @@ def check_shape(obj):
         flip = slot.transposed
         for key, shape in slot.shapes(frame):
             t = slot.stored(data, key)
-            if t is None or not _fits(t, shape[::-1] if flip else shape):
+            if flip:
+                shape = shape[::-1]
+            if (id(t), shape) in fitted:
+                continue
+            if t is None or not _fits(t, shape):
                 raise MalformedDataError(
                     f"{slot.tag} tensor at ({','.join(key)}) malformed")
+            fitted.add((id(t), shape))

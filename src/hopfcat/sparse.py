@@ -12,7 +12,10 @@ such a pair, for whichever tensors feed the law.
 
 Scalars here are raw (``Field.raw``): over GF(p) plain ints, over Q ints
 where the value is integral and ``Fraction`` values otherwise.  Structure
-tensors are read into sparse raw form once per verifier call: a 3-tensor
+tensors are read into sparse raw form once per distinct tensor object per
+verifier call (``tensors``, ``vectors`` and ``matrices``; a loaded or
+rewritten structure holds one object under every key whose tensor is
+equal, see ``schema``): a 3-tensor
 ``t[i][j][k]`` becomes a list over ``i`` of dicts ``{j: {k: c}}``, keeping
 only the nonzero ``c`` (so ``t[i][j]`` is the vector that a bilinear map
 sends ``e_i, e_j`` to), and a matrix ``m[row][col]`` becomes its list of
@@ -71,14 +74,40 @@ def tensor3(field: Field, t) -> list[dict]:
              if (vec := vector(field, fibre))} for slab in t]
 
 
+def _each(table: dict, read, cols: dict | None = None) -> dict:
+    """``read(t, n)`` for the tensor ``t`` at each key of a table keyed by
+    objects, with ``n = cols[key]`` (None without ``cols``), once per
+    distinct (tensor object, ``n``): every key that holds it gets the same
+    result.  The memo is keyed by ``id``, sound because ``table`` keeps
+    each keyed tensor alive while the call runs."""
+    memo, out = {}, {}
+    for key, t in table.items():
+        n = None if cols is None else cols[key]
+        s = memo.get((id(t), n))
+        if s is None:
+            s = memo[id(t), n] = read(t, n)
+        out[key] = s
+    return out
+
+
 def tensors(field: Field, table: dict) -> dict:
-    """Each 3-tensor of a table keyed by objects, in sparse form."""
-    return {key: tensor3(field, t) for key, t in table.items()}
+    """Each 3-tensor of a table keyed by objects, in sparse form, once per
+    distinct tensor object."""
+    return _each(table, lambda t, _: tensor3(field, t))
 
 
 def vectors(field: Field, table: dict) -> dict:
-    """Each vector of a table keyed by objects, in sparse form."""
-    return {key: vector(field, v) for key, v in table.items()}
+    """Each vector of a table keyed by objects, in sparse form, once per
+    distinct vector object."""
+    return _each(table, lambda v, _: vector(field, v))
+
+
+def matrices(field: Field, table: dict, cols: dict) -> dict:
+    """Each matrix ``table[key]`` of a table keyed by objects as its
+    ``cols[key]`` sparse columns, once per distinct (matrix object, number
+    of columns): an empty matrix has as many columns as its key says,
+    whichever keys share it."""
+    return _each(table, lambda m, n: columns(field, m, n), cols)
 
 
 def columns(field: Field, m, cols: int) -> list[dict]:

@@ -262,6 +262,30 @@ def test_a_module_file_error_names_the_module_file(fixture_dir, tmp_path,
     assert err.startswith(f"error: {module}: ") and message in err
 
 
+@pytest.mark.parametrize("bases", [{"selfmod": "selfmod"},
+                                   {"a": "b", "b": "a"}],
+                         ids=["self", "two files"])
+def test_a_cycle_of_base_files_is_a_parse_error(fixture_dir, tmp_path,
+                                                capsys, bases):
+    # each file is a module whose base header names the next file of the
+    # cycle, so reading one would never end
+    text = open(fx(fixture_dir, "kz2_regular_module")).read()
+    assert text.splitlines()[4] == "base kz2"
+    for name, base in bases.items():
+        (tmp_path / f"{name}.hc").write_text(
+            text.replace("base kz2\n", f"base {base}\n", 1))
+    first = next(iter(bases))
+    capsys.readouterr()
+    assert main(["--quiet", "verify", str(tmp_path / f"{first}.hc")]) == 2
+    out, err = capsys.readouterr()
+    # the cycle closes at the base line of the last file read
+    last = first if len(bases) == 1 else bases[first]
+    assert out == ""
+    assert err == (f"error: {tmp_path / f'{last}.hc'}: line 5: base "
+                   f"'{bases[last]}' names {tmp_path / f'{bases[last]}.hc'}, "
+                   f"which is already being read: a cycle of base files\n")
+
+
 def test_a_directory_does_not_shadow_a_base_file(fixture_dir, tmp_path,
                                                  capsys):
     # ``base kz2`` names ``kz2`` before ``kz2.hc``; a directory called

@@ -85,9 +85,9 @@ def fill(obj, cells: Cells, optional: bool):
             continue
         table = {}
         for key, shape in slot.shapes(frame):
-            t = slot.zeros(shape, cells.field.zero)
-            for idx in product(*map(range, shape)):
-                slot.put(t, list(idx), cells.draw())
+            t = slot.tensor(shape, cells.field.zero,
+                            [(idx, cells.draw())
+                             for idx in product(*map(range, shape))])
             table[key[0] if len(key) == 1 else key] = t
         setattr(obj, slot.tag, table[()] if not slot.keys else table)
     return obj
