@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """A/B timing of two checkouts on the pair groupoids at scale, in one process.
 
-    python3 scripts/ab_scale.py PARENT_DIR CHANGE_DIR [--sizes 8 12 16] \\
-        [--runs 5]
+    python3 scripts/ab_scale.py PARENT_DIR CHANGE_DIR
 
-For each size n, each checkout writes the linearized pair groupoid on n
-objects over Q (every hom one-dimensional) with its own library, into a
-temporary directory; the script refuses to go on unless both files hold the
-same bytes.  It then times, on each side's own file:
+For each size n in ``SIZES``, each checkout writes the linearized pair
+groupoid on n objects over Q (every hom one-dimensional) with its own
+library, into a temporary directory; the script refuses to go on unless
+both files hold the same bytes.  It then times, on each side's own file:
 
 - ``load``: ``fileformat.load``;
 - ``verify_structure``: ``core.verify_structure`` at level 'hopf' on the
@@ -19,7 +18,7 @@ same bytes.  It then times, on each side's own file:
 Each checkout's ``src/hopfcat`` is imported under a package name of its own,
 as ``scripts/ab_jobs.py`` does.  Every run alternates the sides, the parent
 first in even runs and the change first in odd ones, and the table gives
-the median of ``--runs`` runs per side and their ratio (change / parent).
+the median of ``RUNS`` runs per side and their ratio (change / parent).
 Compare numbers within one run of the script only: the machine's speed
 drifts between sessions.
 """
@@ -40,6 +39,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_jobs import library      # noqa: E402
 
 OPS = ("load", "verify_structure", "serialize", "verify")
+SIZES = (8, 12, 16)
+RUNS = 5
 
 
 def write_pair_groupoid(lib, n: int, path: str) -> bytes:
@@ -83,17 +84,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", help="checkout of the parent commit")
     p.add_argument("change", help="checkout of the change")
-    p.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 16])
-    p.add_argument("--runs", type=int, default=5)
     args = p.parse_args(argv)
-    if args.runs < 3:
-        p.error("--runs must be at least 3 for a median")
     sides = (("parent", library("parent", args.parent)),
              ("change", library("change", args.change)))
     print(f"{'n':>3s} {'op':17s} {'parent s':>10s} {'change s':>10s} "
           f"{'ratio':>6s}")
     with tempfile.TemporaryDirectory() as work:
-        for n in args.sizes:
+        for n in SIZES:
             paths, data = {}, {}
             for label, lib in sides:
                 paths[label] = os.path.join(work, f"{label}_pair{n}.hc")
@@ -103,7 +100,7 @@ def main(argv=None) -> int:
                          f"pair groupoid on {n} objects")
             for op in OPS:
                 times = {label: [] for label, _ in sides}
-                for r in range(args.runs):
+                for r in range(RUNS):
                     for label, lib in (sides if r % 2 == 0 else sides[::-1]):
                         times[label].append(timed(lib, op, paths[label],
                                                   work))

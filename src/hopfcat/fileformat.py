@@ -13,12 +13,12 @@ tensor family.  One reader and one writer serve every kind from the tables;
 only the headers that are not slots (``antipode``, ``base``, ``side``,
 ``gmul``, ``block``) and the scalar-free ``groupoid`` kind have code here.
 The reader gives all keys of a slot whose shape and records are equal one
-shared tensor (see ``schema`` on sharing).  The writer walks each distinct
-stored tensor once, in record order, and formats each distinct scalar
-object once per call.  Module-like kinds name their base with
-`base <name>`, resolved by the loader next to the file (adding the .hc
-suffix when absent); the loader keeps the base file's path, and refuses a
-cycle of base files.
+shared tensor (see ``schema`` on sharing).  The writer walks each stored
+tensor in record order, each distinct one once in a slot where tensors
+repeat, and formats each distinct scalar object once per call.
+Module-like kinds name their base with `base <name>`, resolved by the
+loader next to the file (adding the .hc suffix when absent); the loader
+keeps the base file's path, and refuses a cycle of base files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from collections import Counter
+from contextvars import ContextVar
 from itertools import product
 
 from .core import HopfCatData
@@ -116,18 +116,19 @@ def _tensors(slot, data, labels) -> list:
 
 def serialize(obj) -> str:
     """The canonical text of ``obj``, in one walk over its tensors.  The
-    record lines of the nonzero cells of a tensor are made by one
-    comprehension for its rank (an empty tensor, of a factor of dimension
-    0, gives none), a transposed slot's column by column so that its
-    records come in record index order.  The first key of a slot that
-    holds a tensor object walks it with its own record head, so a slot
-    whose tensors are all distinct makes each line in one step.  A second
-    key that holds it walks it once more without a head, and every later
-    key prefixes its head to those lines.  Each distinct scalar object is
-    formatted once per call, in ``texts`` keyed by its ``id``, and each
-    shared tensor walked once headless, in ``tails`` keyed by its ``id``:
-    both are sound because ``obj`` keeps every scalar and tensor alive
-    while the call runs."""
+    record lines of the nonzero cells of a run of (head, tensor) pairs
+    are made by one comprehension for their rank (an empty tensor, of a
+    factor of dimension 0, gives none), a transposed slot's column by
+    column so that its records come in record index order.  A slot where
+    most keys hold a tensor of their own is one run, head and all.  In a
+    slot where at most half as many tensor objects as keys are distinct,
+    each distinct tensor is walked once without a head, in ``tails``
+    keyed by its ``id``, and each key prefixes its head to those lines.
+    (A prefix costs less than a walk, but a walk per distinct tensor
+    costs more than one run unless tensors repeat that often.)  Each
+    distinct scalar object is formatted once per call, in ``texts``
+    keyed by its ``id``.  Both memos are sound because ``obj`` keeps
+    every scalar and tensor alive while the call runs."""
     kind = type(obj).layout
     lines = [f"format {FORMAT_VERSION}", f"kind {kind.name}"]
     if kind.name == "groupoid":
@@ -153,38 +154,37 @@ def serialize(obj) -> str:
         s = texts[id(v)] = fmt(v)
         return s
 
-    def cells(head: str, t, rank: int, transposed: bool) -> list[str]:
-        """The record lines of the nonzero cells of ``t``, after ``head``."""
+    def cells(tensors, rank: int, transposed: bool) -> list[str]:
+        """The record lines of the nonzero cells of each (head, tensor) of
+        ``tensors``, in turn."""
         if rank == 1:
-            return [f"{head}{i} {get(id(v)) or text(v)}"
-                    for i, v in enumerate(t) if v]
+            return [f"{head} {i} {get(id(v)) or text(v)}"
+                    for head, t in tensors for i, v in enumerate(t) if v]
         if transposed:              # stored [j][i], written (i, j)
-            return [f"{head}{i} {j} {get(id(v)) or text(v)}"
+            return [f"{head} {i} {j} {get(id(v)) or text(v)}"
+                    for head, t in tensors
                     for i, col in enumerate(zip(*t))
                     for j, v in enumerate(col) if v]
         if rank == 2:
-            return [f"{head}{i} {j} {get(id(v)) or text(v)}"
-                    for i, p in enumerate(t) for j, v in enumerate(p) if v]
-        return [f"{head}{i} {j} {k} {get(id(v)) or text(v)}"
-                for i, p in enumerate(t) for j, q in enumerate(p)
-                for k, v in enumerate(q) if v]
+            return [f"{head} {i} {j} {get(id(v)) or text(v)}"
+                    for head, t in tensors for i, p in enumerate(t)
+                    for j, v in enumerate(p) if v]
+        return [f"{head} {i} {j} {k} {get(id(v)) or text(v)}"
+                for head, t in tensors for i, p in enumerate(t)
+                for j, q in enumerate(p) for k, v in enumerate(q) if v]
     for slot in sorted(kind.slots, key=lambda s: s.tag):
         data = getattr(obj, slot.tag)
         if data is None:
             continue
         rank, flip = len(slot.dims), slot.transposed
-        held = set()        # ids of the tensors a key has written
-        tails = {}          # id of a shared tensor -> its lines, headless
-        for head, t in _tensors(slot, data, frame.labels):
-            head += " "
-            if id(t) not in held:
-                held.add(id(t))
-                lines += cells(head, t, rank, flip)
-                continue
-            rest = tails.get(id(t))
-            if rest is None:
-                rest = tails[id(t)] = cells("", t, rank, flip)
-            lines += [head + line for line in rest]
+        tensors = _tensors(slot, data, frame.labels)
+        distinct = {id(t): t for _, t in tensors}
+        if 2 * len(distinct) > len(tensors):    # most keys hold their own
+            lines += cells(tensors, rank, flip)
+            continue
+        tails = {k: cells((("", t),), rank, flip)
+                 for k, t in distinct.items()}
+        lines += [head + tail for head, t in tensors for tail in tails[id(t)]]
     return "\n".join(lines) + "\n"
 
 
@@ -411,8 +411,9 @@ def _read_slots(kind, frame, records, omit) -> dict:
     one (immutable) scalar fills every cell that holds it.  The records
     are first gathered per key, by index (``found``).  Then the keys of
     one slot whose shape and nonzero records are equal get one shared
-    tensor, allocated and filled once (``shared``, keyed by the shape and
-    the (index, scalar object) pairs: records equal as text)."""
+    tensor, allocated and filled once (``shared``, keyed by the shape,
+    the indices and the scalar objects in record order: the same records
+    as text, in the same order)."""
     field = frame.field
     scalars = {}        # token -> its scalar
     # tag -> (slot, {key labels: (shape, {idx: scalar})}, end of the key)
@@ -460,17 +461,12 @@ def _read_slots(kind, frame, records, omit) -> dict:
         if zeros:
             table = {key: (shape, {idx: v for idx, v in found.items() if v})
                      for key, (shape, found) in table.items()}
-        # a key alone with its shape and number of records shares nothing
-        sizes = Counter((shape, len(found)) for shape, found in table.values())
         shared, store = {}, {}
         for key, (shape, found) in table.items():
-            if sizes[shape, len(found)] == 1:
-                t = slot.tensor(shape, zero, found.items())
-            else:
-                sig = (shape, frozenset(zip(found, map(id, found.values()))))
-                t = shared.get(sig)
-                if t is None:
-                    t = shared[sig] = slot.tensor(shape, zero, found.items())
+            sig = (shape, *found, *map(id, found.values()))
+            t = shared.get(sig)
+            if t is None:
+                t = shared[sig] = slot.tensor(shape, zero, found.items())
             store[key[0] if len(key) == 1 else key] = t
         out[slot.tag] = store if slot.keys else store[()]
     return out
@@ -503,13 +499,19 @@ def _parse_groupoid(rows, objects):
 
 # -- path-level helpers ---------------------------------------------------------------
 
-def load(path: str, *, _reading: tuple = ()):
+# The os.stat identities of the files whose bases ``load`` is resolving.
+# ``load`` recurses through itself, not a private helper, so that a wrapper
+# of ``load`` sees every file read, base files included.
+_READING: ContextVar[tuple] = ContextVar("_READING", default=())
+
+
+def load(path: str):
     """Parse a structure file, resolving module bases next to it.  The path
     of the base file read is kept as ``_base_path``, next to
-    ``_base_name``, so that a caller can refuse to write over it.
-    ``_reading`` holds the ``os.stat`` identities of the files whose bases
-    are being resolved: a base among them, or the file itself, is a cycle
-    of base files, and a ``ParseError`` at the ``base`` line."""
+    ``_base_name``, so that a caller can refuse to write over it.  A base
+    file that is already being read (the file itself, or a file whose base
+    is being resolved) is a cycle of base files, and a ``ParseError`` at
+    the ``base`` line."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         data = fh.read()
@@ -518,7 +520,7 @@ def load(path: str, *, _reading: tuple = ()):
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason}",
                          data.count(b"\n", 0, e.start) + 1)
-    reading = _reading + ((st.st_dev, st.st_ino),)
+    reading = _READING.get() + ((st.st_dev, st.st_ino),)
     bases = []
 
     def base_loader(name: str):
@@ -530,11 +532,14 @@ def load(path: str, *, _reading: tuple = ()):
                     raise ParseError(f"base '{name}' names {cand}, which "
                                      f"is already being read: a cycle of "
                                      f"base files")
+                token = _READING.set(reading)
                 try:
-                    base = load(cand, _reading=reading)
+                    base = load(cand)
                 except ParseError as e:     # a line of the base file
                     e.path = e.path or cand
                     raise
+                finally:
+                    _READING.reset(token)
                 bases.append(cand)
                 return base
         raise ParseError(f"cannot resolve base '{name}' next to {path}")

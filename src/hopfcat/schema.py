@@ -40,17 +40,17 @@ into sparse form.
 
 Sharing: a structure may hold one tensor object under several keys, and
 most do.  The reader gives all keys of a slot whose declared shape and
-nonzero records (as text) are equal one shared tensor, a rewrite
-re-indexes each distinct tensor once per shape (``reindexer``), and
-groupoid linearization builds each distinct tensor once.  So a tensor is never written into once
-it is stored: an edit replaces a key's tensor (``dict(table)`` and a new
-tensor under that key), and never writes into the old one.  Every per-key
-pass does its work once per distinct object, keyed by ``id`` in a memo
-that lives for one call: ``check_shape`` per (object, shape), since an
-empty list stands for several shapes, the writer per object, and the
-sparse readers and ``report.Instances.intern`` per object.  Each memo is
-sound because the table it reads keeps every keyed object alive while the
-call runs.
+nonzero records (as text, in the same order) are equal one shared tensor,
+a rewrite re-indexes each distinct tensor once per shape (``reindexer``),
+and groupoid linearization builds each distinct tensor once.  So a tensor
+is never written into once it is stored: an edit replaces a key's tensor
+(``dict(table)`` and a new tensor under that key), and never writes into
+the old one.  Every per-key pass does its work once per distinct object,
+keyed by ``id`` in a memo that lives for one call: ``check_shape`` per
+(object, shape), since an empty list stands for several shapes, the
+sparse readers and ``report.Instances.intern`` per object, and the writer
+per object in a slot where tensors repeat.  Each memo is sound because
+the table it reads keeps every keyed object alive while the call runs.
 """
 
 from __future__ import annotations
@@ -84,8 +84,6 @@ def _rule(text: str, keys: str):
         p, q = (keys.index(c) for c in inner.split(","))
         if family == "base":
             return lambda f, ks: [f.base.dims[k[p], k[q]] for k in ks]
-        if (p, q) == (0, 1) and len(keys) == 2:     # the key itself
-            return lambda f, ks: [f.dims[k] for k in ks]
         return lambda f, ks: [f.dims[k[p], k[q]] for k in ks]
     if inner == "e":
         return lambda f, ks: [f.dims[f.group.identity()]] * len(ks)

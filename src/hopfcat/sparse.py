@@ -15,11 +15,10 @@ where the value is integral and ``Fraction`` values otherwise.  Structure
 tensors are read into sparse raw form once per distinct tensor object per
 verifier call (``tensors``, ``vectors`` and ``matrices``; a loaded or
 rewritten structure holds one object under every key whose tensor is
-equal, see ``schema``): a 3-tensor
-``t[i][j][k]`` becomes a list over ``i`` of dicts ``{j: {k: c}}``, keeping
-only the nonzero ``c`` (so ``t[i][j]`` is the vector that a bilinear map
-sends ``e_i, e_j`` to), and a matrix ``m[row][col]`` becomes its list of
-sparse columns.
+equal, see ``schema``): a 3-tensor ``t[i][j][k]`` becomes a list over
+``i`` of dicts ``{j: {k: c}}``, keeping only the nonzero ``c`` (so
+``t[i][j]`` is the vector that a bilinear map sends ``e_i, e_j`` to), and
+a matrix ``m[row][col]`` becomes its list of sparse columns.
 
 The arithmetic uses only ``+`` and ``*``, so over GF(p) it accumulates
 unreduced ints that may leave [0, p).  ``report.check_map_equal`` compares

@@ -286,6 +286,23 @@ def test_a_cycle_of_base_files_is_a_parse_error(fixture_dir, tmp_path,
                    f"which is already being read: a cycle of base files\n")
 
 
+def test_a_file_read_before_is_no_longer_being_read(fixture_dir, tmp_path):
+    # c names the module m as its base, which a base may not be; loading m
+    # (whose base is kz2) or failing on c must leave no file marked as
+    # being read, or c's error would turn into a cycle
+    text = open(fx(fixture_dir, "kz2_regular_module")).read()
+    (tmp_path / "kz2.hc").write_text(open(fx(fixture_dir, "kz2")).read())
+    (tmp_path / "m.hc").write_text(text)
+    (tmp_path / "c.hc").write_text(text.replace("base kz2\n", "base m\n", 1))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(fileformat.ParseError) as e:
+            load(str(tmp_path / "c.hc"))
+        errors.append(str(e.value))
+        load(str(tmp_path / "m.hc"))
+    assert "cycle" not in errors[0] and errors[1] == errors[0]
+
+
 def test_a_directory_does_not_shadow_a_base_file(fixture_dir, tmp_path,
                                                  capsys):
     # ``base kz2`` names ``kz2`` before ``kz2.hc``; a directory called

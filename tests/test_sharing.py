@@ -3,11 +3,12 @@
 The reader gives every key of a slot whose shape and records are equal one
 shared tensor, the rewrites and groupoid linearization keep or make such
 sharing, and every per-key pass (the shape check, the sparse readers,
-interning, strictness's ranks, the writer) does its work once per distinct
-object, keyed by its ``id`` (see ``schema``).  Each verifier must then
-answer on the data as read exactly as on a copy in which every key holds a
-tensor of its own: the same records, the same exceptions, the same number
-of ``check_map_equal`` calls, and the same bytes from the writer.
+interning, strictness's ranks, the writer where tensors repeat) does its
+work once per distinct object, keyed by its ``id`` (see ``schema``).  Each
+verifier must then answer on the data as read exactly as on a copy in
+which every key holds a tensor of its own: the same records, the same
+exceptions, the same number of ``check_map_equal`` calls, and the same
+bytes from the writer.
 """
 
 import copy
@@ -229,6 +230,21 @@ def test_a_mutant_of_a_shared_table_changes_one_key(tmp_path):
     assert [k for k in a.mult if mut.mult[k] != a.mult[k]] == [key]
     assert mut.mult[key] == [[[2]]]
     assert a == before      # the shared tensor was not written into
+
+
+@pytest.mark.parametrize("own", [1, 31, 32, 33, 63])
+def test_a_slot_of_shared_and_own_tensors_writes_its_copy(own):
+    # 64 compositions of the pair groupoid on 4 objects, ``own`` of them a
+    # tensor of their own and the rest one shared [[[1]]]: the writer
+    # walks each distinct tensor once up to 32 distinct (the shared one
+    # and 31 own), and every key's tensor past that
+    a = pair(4)
+    keys = list(a.mult)[:own]
+    mut = mutate(a, [("mult", key, (0, 0, 0), lambda v: 2 * v)
+                     for key in keys])
+    assert len({id(t) for t in mut.mult.values()}) == own + (own < 64)
+    assert serialize(mut) == serialize(unshared(mut))
+    assert parse(serialize(mut)) == mut
 
 
 @pytest.mark.parametrize("mode", ["opposite", "coopposite", "opcop"])
