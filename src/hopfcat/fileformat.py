@@ -12,13 +12,10 @@ The single place where a kind's layout is defined is its slot table in
 tensor family.  One reader and one writer serve every kind from the tables;
 only the headers that are not slots (``antipode``, ``base``, ``side``,
 ``gmul``, ``block``) and the scalar-free ``groupoid`` kind have code here.
-The reader gives all keys of a slot whose shape and records are equal one
-shared tensor (see ``schema`` on sharing).  The writer walks each stored
-tensor in record order, each distinct one once in a slot where tensors
-repeat, and formats each distinct scalar object once per call.
-Module-like kinds name their base with `base <name>`, resolved by the
-loader next to the file (adding the .hc suffix when absent); the loader
-keeps the base file's path, and refuses a cycle of base files.
+The reader shares equal tensors (see ``schema`` on sharing).  Module-like
+kinds name their base with `base <name>`, resolved by the loader next to
+the file (adding the .hc suffix when absent); the loader keeps the base
+file's path, and refuses a cycle of base files.
 """
 
 from __future__ import annotations
@@ -119,16 +116,16 @@ def serialize(obj) -> str:
     record lines of the nonzero cells of a run of (head, tensor) pairs
     are made by one comprehension for their rank (an empty tensor, of a
     factor of dimension 0, gives none), a transposed slot's column by
-    column so that its records come in record index order.  A slot where
-    most keys hold a tensor of their own is one run, head and all.  In a
-    slot where at most half as many tensor objects as keys are distinct,
-    each distinct tensor is walked once without a head, in ``tails``
-    keyed by its ``id``, and each key prefixes its head to those lines.
-    (A prefix costs less than a walk, but a walk per distinct tensor
-    costs more than one run unless tensors repeat that often.)  Each
-    distinct scalar object is formatted once per call, in ``texts``
-    keyed by its ``id``.  Both memos are sound because ``obj`` keeps
-    every scalar and tensor alive while the call runs."""
+    column so that its records come in record index order, and a sparse
+    slot's keys sorted.  A slot where most keys hold a tensor of their own
+    is one run, head and all.  In a slot where at most half as many tensor
+    objects as keys are distinct, each distinct tensor is walked once
+    without a head, in ``tails`` keyed by its ``id``, and each key
+    prefixes its head to those lines.  (A prefix costs less than a walk,
+    but a walk per distinct tensor costs more than one run unless tensors
+    repeat that often.)  Each distinct scalar object is formatted once per
+    call, in ``texts`` keyed by its ``id``.  Both memos are sound because
+    ``obj`` keeps every scalar and tensor alive while the call runs."""
     kind = type(obj).layout
     lines = [f"format {FORMAT_VERSION}", f"kind {kind.name}"]
     if kind.name == "groupoid":
@@ -154,18 +151,22 @@ def serialize(obj) -> str:
         s = texts[id(v)] = fmt(v)
         return s
 
-    def cells(tensors, rank: int, transposed: bool) -> list[str]:
-        """The record lines of the nonzero cells of each (head, tensor) of
-        ``tensors``, in turn."""
-        if rank == 1:
+    def cells(tensors, slot) -> list[str]:
+        """The record lines of the nonzero cells of each (head, tensor of
+        ``slot``) of ``tensors``, in turn."""
+        if slot.sparse:
+            return [" ".join((head, *map(str, idx), get(id(v)) or text(v)))
+                    for head, t in tensors for idx, v in sorted(t.items())
+                    if v]
+        if len(slot.dims) == 1:
             return [f"{head} {i} {get(id(v)) or text(v)}"
                     for head, t in tensors for i, v in enumerate(t) if v]
-        if transposed:              # stored [j][i], written (i, j)
+        if slot.transposed:         # stored [j][i], written (i, j)
             return [f"{head} {i} {j} {get(id(v)) or text(v)}"
                     for head, t in tensors
                     for i, col in enumerate(zip(*t))
                     for j, v in enumerate(col) if v]
-        if rank == 2:
+        if len(slot.dims) == 2:
             return [f"{head} {i} {j} {get(id(v)) or text(v)}"
                     for head, t in tensors for i, p in enumerate(t)
                     for j, v in enumerate(p) if v]
@@ -176,13 +177,12 @@ def serialize(obj) -> str:
         data = getattr(obj, slot.tag)
         if data is None:
             continue
-        rank, flip = len(slot.dims), slot.transposed
         tensors = _tensors(slot, data, frame.labels)
         distinct = {id(t): t for _, t in tensors}
         if 2 * len(distinct) > len(tensors):    # most keys hold their own
-            lines += cells(tensors, rank, flip)
+            lines += cells(tensors, slot)
             continue
-        tails = {k: cells((("", t),), rank, flip)
+        tails = {k: cells((("", t),), slot)
                  for k, t in distinct.items()}
         lines += [head + tail for head, t in tensors for tail in tails[id(t)]]
     return "\n".join(lines) + "\n"
@@ -411,9 +411,9 @@ def _read_slots(kind, frame, records, omit) -> dict:
     one (immutable) scalar fills every cell that holds it.  The records
     are first gathered per key, by index (``found``).  Then the keys of
     one slot whose shape and nonzero records are equal get one shared
-    tensor, allocated and filled once (``shared``, keyed by the shape,
-    the indices and the scalar objects in record order: the same records
-    as text, in the same order)."""
+    tensor, built once (``shared``, keyed by the shape, the indices and
+    the scalar objects in record order: the same records as text, in the
+    same order)."""
     field = frame.field
     scalars = {}        # token -> its scalar
     # tag -> (slot, {key labels: (shape, {idx: scalar})}, end of the key)

@@ -13,30 +13,34 @@ by objects (or group elements).  A kind's ``Kind`` entry lists its slots; a
   ``d(s)``, ``d(st)``, ``d(s^-1)``, ``d(e)`` the dimension of a degree, of a
   product or inverse of degrees, or of the identity (graded kinds),
   ``n``       the total dimension (weak kinds, from the ``block`` headers);
-- whether the record order is the transpose of the stored order: record
-  ``antipode x y i j v`` is stored at ``antipode[(x, y)][j][i]`` (only a
-  matrix is transposed);
+- whether it is stored sparse (below), and else whether the record order
+  is the transpose of the stored order: record ``antipode x y i j v`` is
+  stored at ``antipode[(x, y)][j][i]`` (only a matrix is transposed);
 - whether the slot is optional, present exactly when ``antipode yes``;
 - for a module's action, the rules that apply under ``side left``.
 
 ``fileformat`` reads and writes every kind from these tables (the writer
-walks the stored nested lists itself, in record order), and
-``check_shape``, the ``validate_shape`` of every data class, checks stored
-tensors against them.  Headers that are not slots (``antipode``, ``base``,
-``side``, ``gmul``, ``block``) are handled by the reader and writer.
+walks the stored tensors itself, in record order), and ``check_shape``, the
+``validate_shape`` of every data class, checks stored tensors against them.
+Headers that are not slots (``antipode``, ``base``, ``side``, ``gmul``,
+``block``) are handled by the reader and writer.
 
-This module also owns the storage layout, nested lists of rank 1 to 3:
-``zeros`` allocates a tensor, ``tensor`` builds one from its entries, and
-``place`` / ``reshaped`` move the nonzero entries of one tensor to the
-positions a function of their indices names.  Every structure tensor made
-from scratch goes through ``tensor``: linearized groupoids, the stock
-fixtures, the unit module and the actions of the tensor-product, canonical
-and dual Hopf modules.  Every construction that re-indexes existing
-structure constants goes through ``place`` / ``reshaped``: duals and
-opposites, packing, the module↔comodule maps, the free Hopf module, and the
-matrix builders (``linalg.bilinear_map`` and ``linalg.split_map``).
-``sparse``'s readers (``tensors``, ``vectors``, ``matrices``) turn the lists
-into sparse form.
+This module also owns the storage layouts.  A sparse slot (the weak
+kind's) stores a tensor as one dict ``{record-order index tuple: scalar}``
+of its nonzero constants: a missing key is zero, a stored zero is skipped
+like a zero cell, and the writer sorts the keys (one linear pass, as the
+reader and packing build them in record order).  Every other slot stores
+nested lists of rank 1 to 3: ``zeros`` allocates a tensor, ``tensor``
+builds one from its entries, and ``place`` / ``reshaped`` move the nonzero
+entries of one tensor to the positions a function of their indices names.
+Every structure tensor made from scratch goes through ``tensor``:
+linearized groupoids, the stock fixtures, the unit module and the actions
+of the tensor-product, canonical and dual Hopf modules.  Every construction
+that re-indexes existing structure constants goes through ``place`` /
+``reshaped``: duals and opposites, the module↔comodule maps, the free Hopf
+module, and the matrix builders (``linalg.bilinear_map`` and
+``linalg.split_map``).  ``sparse``'s readers (``tensors``, ``vectors``,
+``matrices``) turn the lists into sparse form.
 
 Sharing: a structure may hold one tensor object under several keys, and
 most do.  The reader gives all keys of a slot whose declared shape and
@@ -120,7 +124,17 @@ def _fits(t, shape) -> bool:
     return True
 
 
-def _nonzero(t, rank: int) -> list:
+def _fits_sparse(t, shape) -> bool:
+    """Whether ``t`` is a dict keyed by tuples of ``len(shape)`` ints (not
+    bools), each in range for its axis: checked axis by axis."""
+    if type(t) is not dict or t and (set(map(type, t)) != {tuple}
+                                     or set(map(len, t)) != {len(shape)}):
+        return False
+    return all(set(map(type, axis)) == {int} and min(axis) >= 0
+               and max(axis) < d for axis, d in zip(zip(*t), shape))
+
+
+def nonzero_entries(t, rank: int) -> list:
     """(index tuple, value) of the nonzero entries of nested lists of
     rank 1 to 3, in index order."""
     if rank == 1:
@@ -161,7 +175,7 @@ def place(out, t, rank: int, where):
     ``rank`` 1 to 3) at ``out[where(*idx)]``; returns ``out``.  Every
     re-indexing of structure constants (a transpose, a leg swap, a block
     shift, a flattening of two factors into one) is a ``where``."""
-    for idx, v in _nonzero(t, rank):
+    for idx, v in nonzero_entries(t, rank):
         _put(out, where(*idx), v)
     return out
 
@@ -193,10 +207,11 @@ def reindexer(zero, where):
 
 class Slot:
     def __init__(self, tag: str, keys: str, dims: tuple[str, ...], *,
-                 left: tuple[str, ...] | None = None,
+                 left: tuple[str, ...] | None = None, sparse: bool = False,
                  transposed: bool = False, optional: bool = False):
         self.tag, self.keys, self.dims, self.left = tag, keys, dims, left
         self.transposed, self.optional = transposed, optional
+        self.sparse = sparse
         self.width = 2 + len(keys) + len(dims)     # tokens of one record
         self._rules = {side: [_rule(r, keys) for r in rules]
                        for side, rules in (("right", dims),
@@ -210,7 +225,7 @@ class Slot:
         return zip(keys, zip(*[rule(frame, keys)
                                for rule in self._rules[frame.side]]))
 
-    # Storage: nested lists, indexed in record order unless transposed.
+    # Storage: a dict if sparse, else nested lists, transposed or not.
 
     def stored(self, data, key: tuple):
         """The stored tensor at ``key``: the slot itself when it has no
@@ -222,6 +237,8 @@ class Slot:
     def tensor(self, shape: tuple, zero, entries):
         """The stored tensor of record-order ``shape`` holding ``v`` at each
         (record-order index tuple, ``v``) of ``entries``."""
+        if self.sparse:
+            return dict(entries)
         if self.transposed:
             return tensor(zero, shape[::-1],
                           ((idx[::-1], v) for idx, v in entries))
@@ -280,11 +297,11 @@ LAYOUTS = {kind.name: kind for kind in (
              optional=True),
     ), _objects_frame),
     Kind("weak-hopf", None, "", ("antipode", "block"), (
-        Slot("mult", "", ("n", "n", "n")),
-        Slot("unit", "", ("n",)),
-        Slot("comult", "", ("n", "n", "n")),
-        Slot("counit", "", ("n",)),
-        Slot("antipode", "", ("n", "n"), transposed=True, optional=True),
+        Slot("mult", "", ("n", "n", "n"), sparse=True),
+        Slot("unit", "", ("n",), sparse=True),
+        Slot("comult", "", ("n", "n", "n"), sparse=True),
+        Slot("counit", "", ("n",), sparse=True),
+        Slot("antipode", "", ("n", "n"), sparse=True, optional=True),
     ), _weak_frame),
     Kind("groupoid", "objects", "", (), ()),
     Kind("graded-hopf", "elements", "s", ("antipode", "gmul"), (
@@ -337,14 +354,14 @@ def check_shape(obj):
         data = getattr(obj, slot.tag)
         if data is None and slot.optional:
             continue
-        flip = slot.transposed
+        flip, fits = slot.transposed, _fits_sparse if slot.sparse else _fits
         for key, shape in slot.shapes(frame):
             t = slot.stored(data, key)
             if flip:
                 shape = shape[::-1]
             if (id(t), shape) in fitted:
                 continue
-            if t is None or not _fits(t, shape):
+            if t is None or not fits(t, shape):
                 raise MalformedDataError(
                     f"{slot.tag} tensor at ({','.join(key)}) malformed")
             fitted.add((id(t), shape))

@@ -11,11 +11,11 @@ bialgebra compatibility and the laws of units, counits and antipodes) as
 such a pair, for whichever tensors feed the law.
 
 Scalars here are raw (``Field.raw``): over GF(p) plain ints, over Q ints
-where the value is integral and ``Fraction`` values otherwise.  Structure
-tensors are read into sparse raw form once per distinct tensor object per
-verifier call (``tensors``, ``vectors`` and ``matrices``; a loaded or
-rewritten structure holds one object under every key whose tensor is
-equal, see ``schema``): a 3-tensor ``t[i][j][k]`` becomes a list over
+where the value is integral and ``Fraction`` values otherwise.  Nested-list
+tensors (every kind's but the weak kind's, which ``weak`` groups itself)
+are read into sparse raw form once per distinct tensor object per verifier
+call (``tensors``, ``vectors`` and ``matrices``; see ``schema`` on
+sharing): a 3-tensor ``t[i][j][k]`` becomes a list over
 ``i`` of dicts ``{j: {k: c}}``, keeping only the nonzero ``c`` (so
 ``t[i][j]`` is the vector that a bilinear map sends ``e_i, e_j`` to), and
 a matrix ``m[row][col]`` becomes its list of sparse columns.

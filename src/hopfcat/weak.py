@@ -6,17 +6,12 @@ direct product of the per-pair algebras with the summed cocomposition.  Both
 outputs, and any hand-built data of the same shape, go through
 ``verify_weak_hopf``, which checks the weak bialgebra laws and the three
 antipode identities against internally computed source and target counital
-maps — all exactly, on every basis element, pair or triple a law ranges over.
-The weak counit law ε(xyz) = ε(xy₁)ε(y₂z) = ε(xy₂)ε(y₁z) is checked on all n³
-basis triples through the pairing ε(e_i·e_a), so nothing is skipped or
-sampled.  The checks run on the ``sparse`` helpers that the Hopf-category
-verifier uses, over the nonzero structure constants read once per call.
+maps, exactly, on the ``sparse`` arithmetic.
 
-Packed data is block-sparse, so each law sums its sides over the nonzero
-constants only, keyed by instance, and compares them on the union of their
-keys, in lexicographic order.  Every instance outside those keys has two
-empty sides, so the law holds there and is still checked, as associativity
-on a triple (i, j, k) with e_i·e_j = 0 and e_j·e_k = 0 always was.
+``WeakHopfData`` stores each tensor as a sparse slot of ``schema``, so
+packing, the verifier's per-index views of the constants and each law's
+sums cost O(nonzeros), never one step per cell of the block-sparse total
+space.
 
 Blocks are ordered lexicographically in the declared object order, so packed
 output is canonical and diffable.
@@ -26,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from . import sparse as sp
 from .core import HopfCatData, MissingAntipodeError
 from .dual import DualHopfCatData
 from .report import Report, check_condition, residual
 from .scalars import Field
-from .schema import LAYOUTS, check_shape, place, zeros
+from .schema import LAYOUTS, check_shape, nonzero_entries
 
 
 @dataclass
@@ -40,11 +36,11 @@ class WeakHopfData:
     field: Field
     total_dim: int
     blocks: tuple[tuple[tuple[str, str], int, int], ...]  # ((x,y), offset, len)
-    mult: list      # c[i][j][k] on the total space
-    unit: list
-    comult: list    # D[i][j][k]
-    counit: list
-    antipode: list | None = None   # S[j][i]
+    mult: dict      # {(i, j, k): c}: e_i·e_j = Σ c e_k
+    unit: dict      # {(i,): c}
+    comult: dict    # {(i, j, k): c}: Δ(e_i) = Σ c e_j⊗e_k
+    counit: dict    # {(i,): c}
+    antipode: dict | None = None   # {(i, j): c}: S(e_i) = Σ c e_j
 
     layout = LAYOUTS["weak-hopf"]
     validate_shape = check_shape
@@ -52,70 +48,59 @@ class WeakHopfData:
 
 # -- packing --------------------------------------------------------------------
 
-def _block_layout(objects, dims) -> tuple:
-    blocks = []
-    off = 0
-    for x in objects:
-        for y in objects:
-            ln = dims[(x, y)]
-            blocks.append(((x, y), off, ln))
-            off += ln
-    return tuple(blocks), off
-
-
-def _packed(field, blocks, total: int, parts) -> WeakHopfData:
-    """The weak Hopf data on the total space holding, for each
-    (tag, tensor, offsets) of ``parts``, the tensor's nonzero entries with
-    each index shifted by its block's offset, and zero elsewhere."""
-    out = {tag: zeros(field.zero, (total,) * rank)
-           for tag, rank in (("mult", 3), ("unit", 1), ("comult", 3),
-                             ("counit", 1), ("antipode", 2))}
-    for tag, t, offs in parts:
-        place(out[tag], t, len(offs),
-              lambda *idx: tuple(o + i for o, i in zip(offs, idx)))
-    return WeakHopfData(field, total, blocks, **out)
+def _packed(src, parts) -> WeakHopfData:
+    """The weak Hopf data on the direct sum of the homs of ``src``, a
+    (dual) Hopf category, in lexicographic block order, holding for each
+    (tag, tensor, block pairs) of ``parts(src.objects)`` the tensor's
+    nonzero entries, each record index shifted by its block's offset."""
+    src.validate_shape()
+    if src.antipode is None:
+        raise MissingAntipodeError("packing needs an antipode")
+    blocks, off, total = [], {}, 0
+    for pair in product(src.objects, repeat=2):
+        blocks.append((pair, total, src.dims[pair]))
+        off[pair], total = total, total + src.dims[pair]
+    out = {slot.tag: {} for slot in WeakHopfData.layout.slots}
+    for tag, t, pairs in parts(src.objects):
+        entries = nonzero_entries(t, len(pairs))
+        if tag == "antipode":   # stored [j][i] in both source kinds
+            entries = [((i, j), v) for (j, i), v in entries]
+        put, offs = out[tag], [off[pair] for pair in pairs]
+        for idx, v in entries:
+            put[tuple(map(add, offs, idx))] = v
+    return WeakHopfData(src.field, total, tuple(blocks), **out)
 
 
 def pack(a: HopfCatData) -> WeakHopfData:
     """One algebra on the direct sum of all hom objects; blocks multiply
     through composition when the inner objects match and give zero otherwise."""
-    a.validate_shape()
-    if a.antipode is None:
-        raise MissingAntipodeError("packing needs an antipode")
-    X = a.objects
-    blocks, total = _block_layout(X, a.dims)
-    off = {pair: o for (pair, o, _) in blocks}
-    parts = [("unit", a.unit[x], (off[(x, x)],)) for x in X]
-    for x, y in product(X, repeat=2):
-        o = off[(x, y)]
-        parts += [("mult", a.mult[(x, y, z)], (o, off[(y, z)], off[(x, z)]))
-                  for z in X]
-        # S(x,y) maps the (x,y) block into the (y,x) block
-        parts += [("comult", a.comult[(x, y)], (o, o, o)),
-                  ("counit", a.counit[(x, y)], (o,)),
-                  ("antipode", a.antipode[(x, y)], (off[(y, x)], o))]
-    return _packed(a.field, blocks, total, parts)
+    def parts(X):
+        for x in X:
+            yield "unit", a.unit[x], ((x, x),)
+        for x, y in product(X, repeat=2):
+            for z in X:
+                yield "mult", a.mult[x, y, z], ((x, y), (y, z), (x, z))
+            yield "comult", a.comult[x, y], ((x, y),) * 3
+            yield "counit", a.counit[x, y], ((x, y),)
+            # S(x,y) maps the (x,y) block into the (y,x) block
+            yield "antipode", a.antipode[x, y], ((x, y), (y, x))
+    return _packed(a, parts)
 
 
 def pack_dual(c: DualHopfCatData) -> WeakHopfData:
     """Direct product of the per-pair algebras with summed cocomposition,
     counit supported on the diagonal blocks, and block-transposed antipode."""
-    c.validate_shape()
-    if c.antipode is None:
-        raise MissingAntipodeError("packing needs an antipode")
-    X = c.objects
-    blocks, total = _block_layout(X, c.dims)
-    off = {pair: o for (pair, o, _) in blocks}
-    parts = [("counit", c.counit[x], (off[(x, x)],)) for x in X]
-    for x, y in product(X, repeat=2):
-        o = off[(x, y)]
-        # S(y,x): C(x,y) → C(y,x) maps the (x,y) block into the (y,x) block
-        parts += [("mult", c.alg[(x, y)], (o, o, o)),
-                  ("unit", c.unit[(x, y)], (o,)),
-                  ("antipode", c.antipode[(y, x)], (off[(y, x)], o))]
-        parts += [("comult", c.cocomp[(x, y, z)], (off[(x, z)], o, off[(y, z)]))
-                  for z in X]
-    return _packed(c.field, blocks, total, parts)
+    def parts(X):
+        for x in X:
+            yield "counit", c.counit[x], ((x, x),)
+        for x, y in product(X, repeat=2):
+            yield "mult", c.alg[x, y], ((x, y),) * 3
+            yield "unit", c.unit[x, y], ((x, y),)
+            # S(y,x): C(x,y) → C(y,x) maps the (x,y) block into the (y,x) block
+            yield "antipode", c.antipode[y, x], ((x, y), (y, x))
+            for z in X:
+                yield "comult", c.cocomp[x, y, z], ((x, z), (x, y), (y, z))
+    return _packed(c, parts)
 
 
 # -- verification -----------------------------------------------------------------
@@ -124,22 +109,28 @@ class _Tensors:
     """Sparse views of a ``WeakHopfData``'s structure constants, read once per
     call, and the element operations the weak Hopf laws are written in.
 
-    ``comult[i]`` is Δ(e_i) as ``{(a, b): c}``; ``pairing[i][a]`` is
-    ε(e_i·e_a), the bilinear form through which every counital expression is
-    evaluated.
+    ``comult[i]`` is Δ(e_i) as ``{(a, b): c}``, ``delta_left[a]`` is
+    ``{(i, b): c}`` over the terms c e_a⊗e_b of each Δ(e_i), and
+    ``pairing[i][a]`` is ε(e_i·e_a), the bilinear form through which every
+    counital expression is evaluated.
     """
 
     def __init__(self, w: WeakHopfData):
-        n, f = w.total_dim, w.field
-        self.one, self.zero = f.raw(f.one), f.raw(f.zero)
-        self.mult = sp.tensor3(f, w.mult)
-        self.comult = [{(a, b): c for a, fibre in rows.items()
-                        for b, c in fibre.items()}
-                       for rows in sp.tensor3(f, w.comult)]
-        self.counit = sp.vector(f, w.counit)
-        self.unit = sp.vector(f, w.unit)
-        self.antipode = None if w.antipode is None \
-            else sp.columns(f, w.antipode, n)
+        n, f, raw = w.total_dim, w.field, w.field.raw
+        self.one, self.zero = raw(f.one), raw(f.zero)
+        self.mult, self.comult, self.antipode, self.delta_left = (
+            [{} for _ in range(n)] for _ in range(4))
+        for (i, j, k), c in w.mult.items():
+            if c:
+                self.mult[i].setdefault(j, {})[k] = raw(c)
+        for (i, j, k), c in w.comult.items():
+            if c:
+                self.comult[i][j, k] = self.delta_left[j][i, k] = raw(c)
+        for (i, j), c in (w.antipode or {}).items():
+            if c:
+                self.antipode[i][j] = raw(c)
+        self.counit, self.unit = ({i: raw(c) for (i,), c in v.items() if c}
+                                  for v in (w.counit, w.unit))
         self.pairing = [f.reduce({a: self.eps(vec)
                                   for a, vec in rows.items()})
                         for rows in self.mult]
@@ -179,15 +170,6 @@ class _Tensors:
         return sp.nonzero(acc)
 
 
-def _by_first(n: int, pairs) -> list[list]:
-    """For each index below n, the (rest, value) of the ((first, rest),
-    value) of ``pairs`` with that first index, in their order."""
-    out = [[] for _ in range(n)]
-    for (first, rest), v in pairs:
-        out[first].append((rest, v))
-    return out
-
-
 def verify_weak_hopf(w: WeakHopfData) -> Report:
     """Associativity/unit, coassociativity/counit, multiplicativity of the
     comultiplication, both orderings of the weak counit law, both weak unit
@@ -198,7 +180,9 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
     over; the weak counit law in particular on all n³ triples.  Both sides
     of a law are summed over the nonzero constants, keyed by instance, and
     compared on the union of their keys in lexicographic order: any other
-    instance has two empty sides, so the law holds there.  A residual comes
+    instance has two empty sides, so the law holds there and is still
+    checked, as associativity on a triple (i, j, k) with e_i·e_j = 0 and
+    e_j·e_k = 0 always was.  A residual comes
     from the reduced difference of the two sides, so a sum that cancels
     inside one side changes nothing.  A failing instance is recorded under
     the blocks of its basis elements.
@@ -276,15 +260,12 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
 
     # comultiplication is multiplicative: Δ(e_i)Δ(e_j) is summed for all j
     # at once, over the terms e_a⊗e_b of Δ(e_i), the e_p with e_a e_p != 0
-    # and the terms of each Δ(e_j) whose left leg is e_p
-    delta_left = _by_first(n, (((p, (j, q)), v) for j, delta
-                               in enumerate(comult)
-                               for (p, q), v in delta.items()))
+    # and the terms of each Δ(e_j) whose left leg is e_p (``delta_left``)
     for i in range(n):
         rhs = {}
         for (a, b), u in comult[i].items():
             for p, first in mult[a].items():
-                for (j, q), v in delta_left[p]:
+                for (j, q), v in t.delta_left[p].items():
                     second = mult[b].get(q)
                     if second:
                         acc = rhs.setdefault(j, {})
@@ -335,7 +316,9 @@ def verify_weak_hopf(w: WeakHopfData) -> Report:
     # weak unit laws: in 1₁ ⊗ 1₂1'₁ ⊗ 1'₂ (mid) and 1₁ ⊗ 1'₁1₂ ⊗ 1'₂
     # (mid_op), the terms of the second Δ(1) are found by their left leg 1'₁,
     # which must multiply with 1₂
-    unit_left = _by_first(n, t.unit_delta.items())
+    unit_left = [[] for _ in range(n)]
+    for (a, b), v in t.unit_delta.items():
+        unit_left[a].append((b, v))
     ddl, mid, mid_op = {}, {}, {}
     for (a, b), v in t.unit_delta.items():
         for (p, q), u in comult[a].items():

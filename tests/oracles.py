@@ -32,6 +32,7 @@ compared whole column lists first, ``ReferenceInstances`` the key rule of
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -57,7 +58,8 @@ from hopfcat.report import (CheckItem, InternalInvariantError,
                             PreconditionError, Report, check_condition,
                             residual)
 from hopfcat.scalars import FieldMismatchError, parse_field
-from hopfcat.schema import MalformedDataError, _nonzero
+from hopfcat.schema import (LAYOUTS, Kind, MalformedDataError, Slot,
+                            check_shape, nonzero_entries)
 from hopfcat import report as report_module
 from hopfcat import sparse as sp
 from hopfcat.weak import WeakHopfData
@@ -1043,6 +1045,59 @@ def dense_validate_graded(h):
     return rep
 
 
+# The weak kind as it was stored before its tensors became sparse dicts:
+# nested lists on the total space, the antipode stored transposed,
+# ``S[j][i]``, under the slot table of that layout.  ``dense_weak`` gives
+# that view of sparse weak data, by its own loops; the weak verifiers, the
+# packing loops and the weak parser kept below read or build it, and
+# ``reference_serialize`` writes it.
+
+@dataclass
+class DenseWeakHopfData:
+    field: object
+    total_dim: int
+    blocks: tuple
+    mult: list      # c[i][j][k] on the total space
+    unit: list
+    comult: list    # D[i][j][k]
+    counit: list
+    antipode: list | None = None   # S[j][i]
+
+    layout = Kind("weak-hopf", None, "", ("antipode", "block"), (
+        Slot("mult", "", ("n", "n", "n")),
+        Slot("unit", "", ("n",)),
+        Slot("comult", "", ("n", "n", "n")),
+        Slot("counit", "", ("n",)),
+        Slot("antipode", "", ("n", "n"), transposed=True, optional=True),
+    ), LAYOUTS["weak-hopf"].frame)
+    validate_shape = check_shape
+
+
+def dense_weak(w) -> DenseWeakHopfData:
+    """The nested lists of each tensor of the sparse weak data ``w``: every
+    cell zero but the keys of its dict, a key ``(i, j)`` of the antipode at
+    ``[j][i]``."""
+    n, zero = w.total_dim, w.field.zero
+
+    def square():
+        return [[zero] * n for _ in range(n)]
+    mult, comult = [square() for _ in range(n)], [square() for _ in range(n)]
+    unit, counit = [zero] * n, [zero] * n
+    for dense, sparse in ((mult, w.mult), (comult, w.comult)):
+        for (i, j, k), v in sparse.items():
+            dense[i][j][k] = v
+    for dense, sparse in ((unit, w.unit), (counit, w.counit)):
+        for (i,), v in sparse.items():
+            dense[i] = v
+    antipode = None
+    if w.antipode is not None:
+        antipode = square()
+        for (i, j), v in w.antipode.items():
+            antipode[j][i] = v
+    return DenseWeakHopfData(w.field, n, w.blocks, mult, unit, comult, counit,
+                             antipode)
+
+
 # The weak Hopf verifier as it was before it moved onto the shared sparse
 # helpers: its own dict calculus, and the weak counit law checked only on
 # block-compatible triples plus a seeded sample of the others.  It is kept
@@ -1137,6 +1192,7 @@ def sampled_verify_weak_hopf(w, seed: int = 0,
     w.validate_shape()
     if w.antipode is None:
         raise MissingAntipodeError("weak Hopf verification needs an antipode")
+    w = dense_weak(w)
     rep = Report()
     n = w.total_dim
     one_elt = _unit_vec(w)
@@ -1434,7 +1490,7 @@ def reference_verify_weak_hopf(w) -> Report:
     w.validate_shape()
     if w.antipode is None:
         raise MissingAntipodeError("weak Hopf verification needs an antipode")
-    t = _ReferenceWeakTensors(w)
+    t = _ReferenceWeakTensors(dense_weak(w))
     n, mult, comult, antipode = w.total_dim, t.mult, t.comult, t.antipode
     field, fmt = w.field, w.field.fmt
     blk = [pair for (pair, _, ln) in w.blocks for _ in range(ln)]
@@ -1551,12 +1607,12 @@ def reference_verify_weak_hopf(w) -> Report:
 
 def reference_counital_target(w, vec: dict) -> dict:
     """Reference for ``weak.counital_target``."""
-    return _ReferenceWeakTensors(w).eps_t(vec)
+    return _ReferenceWeakTensors(dense_weak(w)).eps_t(vec)
 
 
 def reference_counital_source(w, vec: dict) -> dict:
     """Reference for ``weak.counital_source``."""
-    return _ReferenceWeakTensors(w).eps_s(vec)
+    return _ReferenceWeakTensors(dense_weak(w)).eps_s(vec)
 
 
 # The re-indexings of structure constants as they were before they moved
@@ -1751,8 +1807,8 @@ def reference_pack(a):
         o = off[(x, x)]
         for i, v in enumerate(a.unit[x]):
             unit[o + i] = v
-    return WeakHopfData(a.field, total, blocks, mult, unit, comult, counit,
-                        antipode)
+    return DenseWeakHopfData(a.field, total, blocks, mult, unit, comult,
+                             counit, antipode)
 
 
 def reference_pack_dual(c):
@@ -1802,8 +1858,8 @@ def reference_pack_dual(c):
                         for b_ in range(c.dim(y, z)):
                             if t[k][a_][b_]:
                                 comult[ok + k][oa + a_][ob + b_] = t[k][a_][b_]
-    return WeakHopfData(c.field, total, blocks, mult, unit, comult, counit,
-                        antipode)
+    return DenseWeakHopfData(c.field, total, blocks, mult, unit, comult,
+                             counit, antipode)
 
 
 def reference_comodule_to_module(m):
@@ -2672,8 +2728,8 @@ def _ref_parse_weak(rows, idx, field, objects):
             antipode[j][i] = _ref_scalar(field, toks[3], lineno)
         else:
             raise ParseError(f"unrecognized record '{' '.join(toks)}'", lineno)
-    w = WeakHopfData(field, total, tuple(blocks), mult, unit, comult, counit,
-                     antipode)
+    w = DenseWeakHopfData(field, total, tuple(blocks), mult, unit, comult,
+                          counit, antipode)
     w.validate_shape()
     return w
 
@@ -2835,18 +2891,21 @@ def _ref_parse_bimonoid(rows, idx, field, objects):
 # ``reference_serialize`` is ``fileformat.serialize`` as it was when it read
 # each stored tensor through ``Slot.stored``, listed its nonzero entries
 # through ``Slot.entries`` (sorting a transposed slot's back into record
-# order) and formatted every cell's scalar afresh.  The writer differential
-# test holds the one-walk writer to it byte for byte.
+# order) and formatted every cell's scalar afresh; sparse weak data it
+# writes through ``dense_weak``.  The writer differential test holds the
+# one-walk writer to it byte for byte.
 
 def _ref_entries(slot, t) -> list:
     """(record indices, value) of the nonzero entries, in record order."""
-    out = _nonzero(t, len(slot.dims))
+    out = nonzero_entries(t, len(slot.dims))
     if slot.transposed:
         return sorted((idx[::-1], v) for idx, v in out)
     return out
 
 
 def reference_serialize(obj) -> str:
+    if isinstance(obj, WeakHopfData):
+        obj = dense_weak(obj)
     kind = type(obj).layout
     lines = [f"format {FORMAT_VERSION}", f"kind {kind.name}"]
     if kind.name == "groupoid":

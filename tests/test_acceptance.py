@@ -66,12 +66,11 @@ def test_criterion_01_groupoid_pipeline():
         assert wrep.overall
         diag = {off for (pair, off, _) in w.blocks if pair[0] == pair[1]}
         unit_coproduct = {}
-        for i, u in enumerate(w.unit):
-            for j, row in enumerate(w.comult[i]):
-                for k, c in enumerate(row):
-                    if u * c:
-                        unit_coproduct[(j, k)] = \
-                            unit_coproduct.get((j, k), QQ.zero) + u * c
+        for (i,), u in w.unit.items():
+            for (h, j, k), c in w.comult.items():
+                if h == i and u * c:
+                    unit_coproduct[(j, k)] = \
+                        unit_coproduct.get((j, k), QQ.zero) + u * c
         assert {key: v for key, v in unit_coproduct.items() if v} == \
             {(i, i): QQ.one for i in sorted(diag)}
 
@@ -81,7 +80,8 @@ def test_criterion_01_groupoid_pipeline():
         names = {pair: g.hom(*pair)[0] for pair in blocks}
         for p1, o1 in blocks.items():
             for p2, o2 in blocks.items():
-                prod = {k: c for k, c in enumerate(w.mult[o1][o2]) if c}
+                prod = {k: c for (i, j, k), c in w.mult.items()
+                        if (i, j) == (o1, o2) and c}
                 if p1[1] == p2[0]:
                     target = (p1[0], p2[1])
                     assert g.compose[(names[p1], names[p2])] == names[target]

@@ -28,7 +28,8 @@ from hopfcat import cli
 from hopfcat.fileformat import ParseError, load, parse, serialize
 from hopfcat.graded import GradedError, GroupTable
 from hopfcat.schema import LAYOUTS
-from oracles import reference_parse
+from hopfcat.weak import WeakHopfData
+from oracles import dense_weak, reference_parse
 
 POOL = ["-1", "0", "1", "2", "3", "9", "x", "*", "1/2", "1/0", "-1/3",
         "yes", "no", "left", "right", "dim", "antipode", "base", "side",
@@ -211,6 +212,8 @@ def outcome(parser, text, loader):
         return ("error", "ParseError", e.line is not None)
     except Exception as e:     # the old parsers let a few others through
         return ("error", type(e).__name__)
+    if isinstance(obj, WeakHopfData):   # the old parser built nested lists
+        obj = dense_weak(obj)
     return ("ok", obj, getattr(obj, "_base_name", None))
 
 

@@ -16,8 +16,9 @@ import itertools
 
 import pytest
 
-from oracles import (_bilinear_map, _split_map, reference_comodule_to_module,
-                     reference_dualize, reference_free_hopf_module,
+from oracles import (_bilinear_map, _split_map, dense_weak,
+                     reference_comodule_to_module, reference_dualize,
+                     reference_free_hopf_module,
                      reference_module_to_comodule, reference_pack,
                      reference_pack_dual, reference_tensor_modules,
                      reference_transform, reference_undualize)
@@ -125,9 +126,11 @@ def test_singular_antipode_messages():
 
 
 def test_packing(inputs):
+    # packing stores sparse dicts, the loops built nested lists
     for a in inputs:
-        same(pack, reference_pack, a)
-        same(pack_dual, reference_pack_dual, reference_dualize(a))
+        same(lambda a: dense_weak(pack(a)), reference_pack, a)
+        same(lambda c: dense_weak(pack_dual(c)), reference_pack_dual,
+             reference_dualize(a))
 
 
 def test_module_comodule_maps(inputs):

@@ -43,6 +43,11 @@ def table_rows():
                 dims = f"right: {dims}; left: `{' '.join(slot.left)}`"
             if slot.transposed:
                 dims += ", stored `[j][i]`"
+            if slot.sparse:
+                idx = ", ".join("ijk"[:len(slot.dims)])
+                if len(slot.dims) == 1:
+                    idx += ","
+                dims += f", stored `{{({idx}): v}}`"
             if slot.optional:
                 dims += ", only with `antipode yes`"
             first = [f"`{kind.name}`", ", ".join(f"`{h}`" for h in heads)]
@@ -75,7 +80,11 @@ def test_shape_check_names_the_malformed_slot(fixture_dir, kind):
         bad = copy.deepcopy(obj)
         data = getattr(bad, slot.tag)
         tensor = next(iter(data.values())) if slot.keys else data
-        tensor.append(copy.deepcopy(tensor[0]))
+        if slot.sparse:     # an index one past the end of the first axis
+            _, shape = next(iter(slot.shapes(bad.layout.frame(bad))))
+            tensor[(shape[0],) + (0,) * (len(shape) - 1)] = bad.field.one
+        else:
+            tensor.append(copy.deepcopy(tensor[0]))
         with pytest.raises(MalformedDataError, match=slot.tag):
             bad.validate_shape()
 
