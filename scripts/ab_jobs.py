@@ -6,32 +6,50 @@
 
 Each checkout's ``src/hopfcat`` is imported under a package name of its own
 (``hopfcat_parent``, ``hopfcat_change``), so both live in this process at
-once.  Each side's inputs are built once, for ``--seed`` (default 1), under
-that checkout's ``.perfbench_work/ab_jobs/``, by the ``build`` of its
-``perfbench/workloads.py``, which is imported and never written.  Each
-side writes its inputs with its own library, so the script refuses to time
-two checkouts whose inputs differ in bytes (the ``digest`` of the files
-``build`` returns): a change to the writer would otherwise time each side
-on different data.
+once.  Naming one checkout twice is the A/A run: the spread it prints is
+what a claim's ratio is read against.
+
+A job is a timed call and a check of its outcome.  The workloads of the
+benchmark (``hom-dim``, ``dense-fp``, ``many-objects``) are lists of
+``cli.main`` calls, built for ``--seed`` (default 1) by the ``build`` of
+each checkout's ``perfbench/workloads.py``, which is imported and never
+written, and checked against their known answers by its ``check``.  The
+workload ``pair-ladder`` is defined here: for each n in ``SIZES``, the
+linearized pair groupoid on n objects over Q (every hom one-dimensional),
+and the weak Hopf algebra that ``weak.pack`` makes of it, each written to
+a file by each side's own library.  On the groupoid it times
+``fileformat.load`` of the file, ``core.verify_structure`` at level 'hopf',
+``fileformat.serialize`` and ``cli.main`` on ``verify --strictness
+--antipode-theorems --report``; on the algebra ``weak.pack`` of the
+groupoid, ``weak.verify_weak_hopf``, ``serialize`` and ``load``.  Loading,
+serializing and packing must give back what was written, and each verifier
+must pass.  ``--seed`` does not change it.
+
+Each side builds and writes its inputs under its checkout's
+``.perfbench_work/ab_jobs/<side>/<workload>``, so an A/A run keeps two
+sets.  Each side writes its inputs with its own library, so the script
+refuses to time two checkouts whose inputs differ in bytes: a change to
+the writer would otherwise time each side on different data.
 
 A round runs every job of the workload on both sides, job by job: the
 parent first in even rounds and the change first in odd ones, so that a
-drift in the machine's speed does not always favour one side.  Every
-outcome is checked against its known answer (``workloads.check``); a wrong
-one stops the script with exit code 1.
+drift in the machine's speed does not always favour one side.  A wrong
+outcome on either side stops the script with exit code 1.
 
 It prints each job's median time on each side, the sums of those medians,
 and the wins of the change: the jobs whose median is lower, and the rounds
 whose total is lower.  Unlike ``scripts/ab_bench.py``, which compares whole
 benchmark runs in fresh processes, this sees a change of a few percent on
 a shared machine, at the price of measuring warm jobs only: no set-up, no
-import and no peak RSS.
+import and no peak RSS.  Compare numbers within one run of the script
+only: the machine's speed drifts between sessions.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib.util
 import io
 import os
@@ -39,18 +57,26 @@ import shutil
 import statistics
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from types import SimpleNamespace
+from typing import Callable
 
 MODULES = ("cli", "core", "dual", "duoidal", "fileformat", "fixtures",
            "fundamental", "graded", "groupoid", "linalg", "modules",
            "report", "scalars", "weak")
+LADDER = "pair-ladder"
+SIZES = (8, 12, 16)
 
 
 def library(label: str, checkout: str) -> SimpleNamespace:
     """The modules of ``checkout``'s ``src/hopfcat``, imported as the
     package ``hopfcat_<label>``."""
     pkg = f"hopfcat_{label}"
+    for name in [m for m in sys.modules
+                 if m == pkg or m.startswith(pkg + ".")]:
+        del sys.modules[name]       # another checkout's, from an earlier call
     src = os.path.join(checkout, "src", "hopfcat")
     load_module(pkg, os.path.join(src, "__init__.py"), src)
     return SimpleNamespace(**{
@@ -68,31 +94,100 @@ def load_module(name: str, path: str, package: str | None = None):
     return module
 
 
+@dataclass
+class Job:
+    """``call(prepare())``, or ``call()`` when there is nothing to prepare,
+    is timed; ``check`` of its result is why the outcome is wrong, or
+    None."""
+
+    label: str
+    call: Callable
+    check: Callable
+    prepare: Callable | None = None
+
+
+def equal(want):
+    """The check that a result equals ``want``."""
+    return lambda got: None if got == want else "not what was written"
+
+
+def passes(report):
+    return None if report.overall else "fails"
+
+
+def exits_0(code):
+    return None if code == 0 else f"exit {code}"
+
+
+def ladder_jobs(lib, root: str):
+    """(jobs, digest of the files written) of ``pair-ladder``."""
+    ff, jobs, digest = lib.fileformat, [], hashlib.sha256()
+    os.makedirs(root)
+
+    def write(name: str, obj):
+        path = os.path.join(root, name + ".hc")
+        ff.save(path, obj)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest.update(data)
+        return path, data.decode()
+
+    for n in SIZES:
+        cat = lib.groupoid.linearize_groupoid(lib.groupoid.pair_groupoid(
+            tuple(f"x{i}" for i in range(n))), lib.scalars.QQ)
+        w = lib.weak.pack(cat)
+        path, text = write(f"pair{n}", cat)
+        packed, packed_text = write(f"packed{n}", w)
+        read, read_packed = partial(ff.load, path), partial(ff.load, packed)
+        argv = ["--report", os.path.join(root, "report.jsonl"), "verify",
+                "--strictness", "--antipode-theorems", path]
+        jobs += [
+            Job(f"{n} load", read, equal(cat)),
+            Job(f"{n} verify_structure",
+                partial(lib.core.verify_structure, level="hopf"), passes,
+                read),
+            Job(f"{n} serialize", ff.serialize, equal(text), read),
+            Job(f"{n} verify", partial(lib.cli.main, argv), exits_0),
+            Job(f"{n} packed pack", partial(lib.weak.pack, cat), equal(w)),
+            Job(f"{n} packed verify_weak_hopf", lib.weak.verify_weak_hopf,
+                passes, read_packed),
+            Job(f"{n} packed serialize", ff.serialize, equal(packed_text),
+                read_packed),
+            Job(f"{n} packed load", read_packed, equal(w))]
+    return jobs, digest.hexdigest()
+
+
 class Side:
-    """One checkout: its library, its workload module, its jobs."""
+    """One checkout: its library, its jobs and their times."""
 
     def __init__(self, label: str, checkout: str, workload: str, seed: int):
         self.label = label
-        self.lib = library(label, checkout)
-        self.workloads = load_module(
-            f"workloads_{label}",
-            os.path.join(checkout, "perfbench", "workloads.py"))
-        root = os.path.join(checkout, ".perfbench_work", "ab_jobs", workload)
+        lib = library(label, checkout)
+        root = os.path.join(checkout, ".perfbench_work", "ab_jobs", label,
+                            workload)
         shutil.rmtree(root, ignore_errors=True)
-        self.jobs, files = self.workloads.build(self.lib, workload, root,
-                                                seed)
-        self.digest = files.digest()
+        if workload == LADDER:
+            self.jobs, self.digest = ladder_jobs(lib, root)
+        else:
+            workloads = load_module(
+                f"workloads_{label}",
+                os.path.join(checkout, "perfbench", "workloads.py"))
+            jobs, files = workloads.build(lib, workload, root, seed)
+            self.jobs = [Job(job.label, partial(lib.cli.main, job.argv),
+                             partial(workloads.check, job)) for job in jobs]
+            self.digest = files.digest()
         self.times = [[] for _ in self.jobs]
 
     def run(self, i: int) -> float:
         """Run job ``i``; its time, after checking its outcome."""
         job, sink = self.jobs[i], io.StringIO()
+        args = () if job.prepare is None else (job.prepare(),)
         gc.collect()
         with redirect_stdout(sink), redirect_stderr(sink):
             t0 = perf_counter()
-            code = self.lib.cli.main(job.argv)
+            out = job.call(*args)
             t = perf_counter() - t0
-        why = self.workloads.check(job, code)
+        why = job.check(out)
         if why is not None:
             sys.exit(f"{self.label}: {job.label}: {why}\n{sink.getvalue()}")
         self.times[i].append(t)

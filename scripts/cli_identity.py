@@ -19,10 +19,7 @@ set it, in a temporary directory of its own.
 It prints every difference in exit code, stdout, stderr, report, manifest
 or output file, after replacing each checkout's path and its temporary
 directory with fixed markers, and exits 1 if there is any, 0 if there is
-none.  Reports are compared folded (``fold``): the passing records of each
-axiom family count as one, so a checkout that writes a record per objects
-tuple and one that writes a line per family compare equal, while every
-record that is not ok is compared byte for byte.
+none.  Reports, like every other field, are compared byte for byte.
 """
 
 from __future__ import annotations
@@ -168,34 +165,7 @@ def run_checkout(checkout: str) -> dict:
             if text is not None:
                 fields[key] = text.replace(work, "<work>").replace(
                     checkout, "<checkout>")
-        if fields["report"] is not None:
-            fields["report"] = fold(fields["report"])
     return outcomes
-
-
-def fold(report: str) -> str:
-    """``report`` with the passing records of each (axiom, required) family
-    made one line, where the family's first passing record stood, with no
-    objects, witness, residual or failures and the number of records it
-    stands for as ``folded``; a line already folded counts as its
-    ``folded``.  Every record that is not ok keeps its line as it is.  So
-    folding a folded report changes nothing."""
-    lines, families = [], {}
-    for line in report.splitlines(keepends=True):
-        record = json.loads(line)
-        if not record["ok"]:
-            lines.append(line)
-            continue
-        family = record["axiom"], record["required"]
-        if family not in families:
-            families[family] = {
-                "axiom": record["axiom"], "objects": [], "ok": True,
-                "witness": None, "residual": "", "failures": 0,
-                "required": record["required"], "folded": 0}
-            lines.append(families[family])
-        families[family]["folded"] += record.get("folded", 1)
-    return "".join(line if isinstance(line, str) else json.dumps(line) + "\n"
-                   for line in lines)
 
 
 def differences(parent: dict, change: dict) -> list:

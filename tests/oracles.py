@@ -1605,14 +1605,12 @@ def reference_verify_weak_hopf(w) -> Report:
     return rep
 
 
-def reference_counital_target(w, vec: dict) -> dict:
-    """Reference for ``weak.counital_target``."""
-    return _ReferenceWeakTensors(dense_weak(w)).eps_t(vec)
-
-
-def reference_counital_source(w, vec: dict) -> dict:
-    """Reference for ``weak.counital_source``."""
-    return _ReferenceWeakTensors(dense_weak(w)).eps_s(vec)
+def reference_counital_maps(w):
+    """References for ``weak.counital_target`` and ``counital_source`` on
+    ``w``: the functions vec ↦ ε_t(vec) and vec ↦ ε_s(vec), each through
+    |Δ(1)| products, on tensors read once from the nested lists of ``w``."""
+    t = _ReferenceWeakTensors(dense_weak(w))
+    return t.eps_t, t.eps_s
 
 
 # The re-indexings of structure constants as they were before they moved

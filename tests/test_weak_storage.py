@@ -22,8 +22,9 @@ import os
 import pytest
 
 from mutants import mutate, slots
-from oracles import (dense_weak, reference_dualize, reference_pack,
-                     reference_pack_dual, reference_parse, reference_serialize)
+from oracles import (dense_weak, reference_counital_maps, reference_dualize,
+                     reference_pack, reference_pack_dual, reference_parse,
+                     reference_serialize)
 from test_rescaled_differential import rescaled_pair_groupoid
 from test_weak_differential import groupoid_category
 
@@ -33,7 +34,8 @@ from hopfcat.dual import DualHopfCatData, dualize
 from hopfcat.fileformat import load, parse, serialize
 from hopfcat.groupoid import linearize_groupoid, pair_groupoid
 from hopfcat.scalars import GF, QQ
-from hopfcat.weak import WeakHopfData, pack, pack_dual, verify_weak_hopf
+from hopfcat.weak import (WeakHopfData, counital_source, counital_target,
+                          pack, pack_dual, verify_weak_hopf)
 
 
 def records(rep):
@@ -94,6 +96,28 @@ def test_packing_reading_and_writing_match_the_dense_layout(fixture_dir):
         packed += assert_as_before(label, pack, reference_pack, src)
         packed += assert_as_before(label, pack_dual, reference_pack_dual,
                                    reference_dualize(src))
+    assert packed == 54
+
+
+def test_counital_maps_match_the_reference(fixture_dir):
+    # on every basis element of every packing that has an antipode
+    packed = 0
+    for label, src in sources(fixture_dir):
+        if isinstance(src, DualHopfCatData):
+            cases = ((pack_dual, src),)
+        else:
+            cases = ((pack, src), (pack_dual, dualize(src)))
+        for packing, arg in cases:
+            try:
+                w = packing(arg)
+            except MissingAntipodeError:
+                continue
+            packed += 1
+            eps_t, eps_s = reference_counital_maps(w)
+            for i in range(w.total_dim):
+                e_i = {i: w.field.one}
+                assert counital_target(w, e_i) == eps_t(e_i), (label, i)
+                assert counital_source(w, e_i) == eps_s(e_i), (label, i)
     assert packed == 54
 
 
