@@ -34,7 +34,12 @@ the writer would otherwise time each side on different data.
 A round runs every job of the workload on both sides, job by job: the
 parent first in even rounds and the change first in odd ones, so that a
 drift in the machine's speed does not always favour one side.  A wrong
-outcome on either side stops the script with exit code 1.
+outcome on either side stops the script with exit code 1.  Each job runs
+after a ``gc.collect()``, outside its timed region.  Once both sides are
+built, the rounds run under ``gc.freeze()``: everything alive then (both
+libraries, both sides' inputs, and whatever the calling process holds) is
+left out of every later collection, which then scans only what the jobs
+allocate.  Both sides run under the same freeze.
 
 It prints each job's median time on each side, the sums of those medians,
 and the wins of the change: the jobs whose median is lower, and the rounds
@@ -213,16 +218,21 @@ def main(argv=None) -> int:
                  f"(digest {parent.digest[:12]} against "
                  f"{change.digest[:12]})")
     round_wins = 0
-    for r in range(args.rounds):
-        totals = {parent: 0.0, change: 0.0}
-        for i in range(len(parent.jobs)):
-            for side in ((parent, change) if r % 2 == 0
-                         else (change, parent)):
-                totals[side] += side.run(i)
-        round_wins += totals[change] < totals[parent]
-        print(f"round {r + 1}/{args.rounds}: parent "
-              f"{1000 * totals[parent]:.1f} ms, change "
-              f"{1000 * totals[change]:.1f} ms", flush=True)
+    gc.collect()
+    gc.freeze()     # what is alive now is never scanned again
+    try:
+        for r in range(args.rounds):
+            totals = {parent: 0.0, change: 0.0}
+            for i in range(len(parent.jobs)):
+                for side in ((parent, change) if r % 2 == 0
+                             else (change, parent)):
+                    totals[side] += side.run(i)
+            round_wins += totals[change] < totals[parent]
+            print(f"round {r + 1}/{args.rounds}: parent "
+                  f"{1000 * totals[parent]:.1f} ms, change "
+                  f"{1000 * totals[change]:.1f} ms", flush=True)
+    finally:
+        gc.unfreeze()
     width = max(len(job.label) for job in parent.jobs)
     print(f"{'job':{width}s} {'parent ms':>10s} {'change ms':>10s} "
           f"{'diff':>7s}")

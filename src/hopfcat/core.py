@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 from . import sparse as sp
 from .linalg import (LinMap, NotInvertible, _rref, bilinear_map, invert,
                      split_map)
-from .report import (Instances, Report, PreconditionError, check_condition,
-                     per_label)
+from .report import Instances, Report, PreconditionError, check_condition
 from .scalars import Field
 from .schema import LAYOUTS, MalformedDataError, check_shape, reindexer
 
@@ -104,25 +103,24 @@ class HopfCatData:
 
 class _Tensors(Instances):
     """The axiom instances of one verifier call (``report.Instances``) and
-    the sparse views of a ``HopfCatData``'s structure constants they read,
-    interned once per call and indexed one label at a time
-    (``report.per_label``): ``mult[x][y][z]``, ``comult[x][y]``,
-    ``counit[x][y]``, ``antipode[x][y]``, ``unit[x]``, and ``dims[x][y]``,
-    over the data's field, which ``check`` passes to every law.  The views
-    hand over the interned tensors, which the memo keys by identity, and the
-    ints of the data's own ``dims`` table, which it keys by value, so the
-    memo hits as it would on the tables."""
+    the views of a ``HopfCatData``'s structure constants they read, built
+    once per call by ``Instances.view`` and indexed one label at a time:
+    ``mult[x][y][z]``, ``comult[x][y]``, ``counit[x][y]``,
+    ``antipode[x][y]``, ``unit[x]``, and ``dims[x][y]``, over the data's
+    field, which ``check`` passes to every law.  The views hand over the
+    interned sparse tensors, which the memo keys by identity, and the ints
+    of the data's own ``dims`` table, which it keys by value, so the memo
+    hits as it would on the tables."""
 
     def __init__(self, a: HopfCatData, report: Report):
         super().__init__(report, a.field)
-        f, X = a.field, a.objects
-        self.dims = per_label(a.dims, X)
-        self.mult = per_label(self.intern(sp.tensors(f, a.mult)), X)
-        self.comult = per_label(self.intern(sp.tensors(f, a.comult)), X)
-        self.counit = per_label(self.intern(sp.vectors(f, a.counit)), X)
-        self.unit = self.intern(sp.vectors(f, a.unit))
-        self.antipode = None if a.antipode is None else per_label(
-            self.intern(sp.matrices(f, a.antipode, a.dims)), X)
+        self.dims = self.view(a.dims)
+        self.mult = self.view(a.mult, sp.tensor3)
+        self.comult = self.view(a.comult, sp.tensor3)
+        self.counit = self.view(a.counit, sp.vector)
+        self.unit = self.view(a.unit, sp.vector)
+        self.antipode = None if a.antipode is None else self.view(
+            a.antipode, sp.columns, a.dims)
 
 
 # The derived antipode identities, both sides of each as a ``SparseMap``

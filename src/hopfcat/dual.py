@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from . import sparse as sp
 from .core import HopfCatData
-from .report import Instances, Report, per_label
+from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape, reindexer
 
@@ -63,12 +63,10 @@ def verify_dual(c: DualHopfCatData) -> Report:
     c.validate_shape()
     rep = Report()
     inst = Instances(rep, c.field)
-    X, f, check = c.objects, c.field, inst.check
-    A, T = (per_label(inst.intern(sp.tensors(f, t)), X)
-            for t in (c.alg, c.cocomp))
-    U = per_label(inst.intern(sp.vectors(f, c.unit)), X)
-    counit = inst.intern(sp.vectors(f, c.counit))
-    D = per_label(c.dims, X)
+    X, view, check = c.objects, inst.view, inst.check
+    A, T = view(c.alg, sp.tensor3), view(c.cocomp, sp.tensor3)
+    U, counit = view(c.unit, sp.vector), view(c.counit, sp.vector)
+    D = view(c.dims)
 
     for x in X:
         Ax, Ux, Dx = A[x], U[x], D[x]
@@ -116,8 +114,8 @@ def verify_dual(c: DualHopfCatData) -> Report:
 
     if c.antipode is not None:
         # S(x,y): C(y,x) → C(x,y), in column form
-        S = per_label(inst.intern(sp.matrices(
-            f, c.antipode, {(x, y): c.dims[(y, x)] for x in X for y in X})), X)
+        S = view(c.antipode, sp.columns,
+                 {(x, y): c.dims[(y, x)] for x in X for y in X})
         for x in X:
             Tx, Sx, Ax, Ux, Dx, ex = T[x], S[x], A[x], U[x], D[x], counit[x]
             for y in X:

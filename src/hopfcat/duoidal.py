@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData, MalformedDataError
 from .linalg import LinMap
-from .report import Instances, Report, per_label
+from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
 
@@ -157,12 +157,10 @@ def verify_bimonoid(b: BimonoidData) -> Report:
     b.validate_shape()
     rep = Report()
     inst = Instances(rep, b.field)
-    f, X, check = b.field, b.carrier.objects, inst.check
-    M, C = (per_label(inst.intern(sp.tensors(f, t)), X)
-            for t in (b.mu, b.delta))
-    eta = inst.intern(sp.vectors(f, b.eta))
-    E = per_label(inst.intern(sp.vectors(f, b.eps)), X)
-    D = per_label(b.carrier.dims, X)
+    X, view, check = b.carrier.objects, inst.view, inst.check
+    M, C = view(b.mu, sp.tensor3), view(b.delta, sp.tensor3)
+    eta, E = view(b.eta, sp.vector), view(b.eps, sp.vector)
+    D = view(b.carrier.dims)
 
     for x in X:
         Mx, Dx = M[x], D[x]

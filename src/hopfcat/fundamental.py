@@ -29,7 +29,7 @@ from .core import (HopfCatData, MissingAntipodeError, _check_antipode_laws,
 from .linalg import LinMap, NotInvertible, _rref, invert, rank, rank_kernel
 from .modules import ModuleData, diagonal_action, verify_module
 from .report import (InternalInvariantError, Instances, PreconditionError,
-                     Report, check_condition, check_map_equal, per_label)
+                     Report, check_condition, check_map_equal)
 from .schema import LAYOUTS, check_shape, place, reshaped, tensor, zeros
 
 
@@ -63,11 +63,11 @@ def verify_hopf_module(m: HopfModuleData,
     rep = verify_module(ModuleData(m.base, "right", m.dims, m.action))
     a = m.base
     inst = Instances(rep, a.field)
-    X, f, check = a.objects, a.field, inst.check
-    P, R, M, C = (per_label(inst.intern(sp.tensors(f, t)), X) for t in (
+    X, view, check = a.objects, inst.view, inst.check
+    P, R, M, C = (view(t, sp.tensor3) for t in (
         m.action, m.coaction, a.mult, a.comult))
-    E = per_label(inst.intern(sp.vectors(f, a.counit)), X)
-    D, B = per_label(m.dims, X), per_label(a.dims, X)
+    E = view(a.counit, sp.vector)
+    D, B = view(m.dims), view(a.dims)
     for x in X:
         Rx, Cx, Ex, Dx, Bx = R[x], C[x], E[x], D[x], B[x]
         for y in X:
@@ -110,7 +110,8 @@ def canonical_hopf_module(a: HopfCatData, z: str) -> HopfModuleData:
     if z not in a.objects:
         raise ValueError(f"unknown object label '{z}'")
     f, X = a.field, a.objects
-    mult, comult = sp.tensors(f, a.mult), sp.tensors(f, a.comult)
+    view = Instances(Report(), f).view
+    mult, comult = view(a.mult, sp.tensor3), view(a.comult, sp.tensor3)
     dims = {(x, y): a.dim(z, y) * a.dim(x, y) for x in X for y in X}
     coaction, action = {}, {}
     for x in X:
@@ -118,7 +119,7 @@ def canonical_hopf_module(a: HopfCatData, z: str) -> HopfModuleData:
             coaction[(x, y)] = _right_leg_coaction(a, x, y, a.dim(z, y))
             for u in X:     # (c⊗b)·h = Σ c·h_(1) ⊗ b·h_(2)
                 action[(x, y, u)] = diagonal_action(
-                    f, mult[(z, y, u)], mult[(x, y, u)], comult[(y, u)],
+                    f, mult[z][y][u], mult[x][y][u], comult[y][u],
                     (a.dim(z, y), a.dim(x, y)), (a.dim(z, u), a.dim(x, u)))
     return HopfModuleData(a, dims, action, coaction)
 
@@ -344,22 +345,23 @@ def check_equivalence(m: HopfModuleData) -> Report:
     one = f.raw(f.one)
     rep = Report()
     fam = coinvariants(m)
-    act, coact = sp.tensors(f, m.action), sp.tensors(f, m.coaction)
+    view = Instances(Report(), f).view
+    act, coact = view(m.action, sp.tensor3), view(m.coaction, sp.tensor3)
 
     for x in a.objects:
         basis = [sp.vector(f, v) for v in fam.bases[x]]
         for y in a.objects:
             dxy, ident = a.dim(x, y), sp.identity(f, a.dim(x, y))
-            rho = sp.flatten_pairs(coact[(x, y)], dxy)
+            rho = sp.flatten_pairs(coact[x][y], dxy)
             s = sp.columns(f, a.antipode[(x, y)], dxy)
             # n⊗h ↦ n·h, on the basis v_p⊗e_j of N_x⊗A(x,y)
             incl = sp.tensor_maps(basis, ident, dxy)
             psi = [col for i in range(m.dim(x, x))
-                   for col in sp.left_factor(act[(x, x, y)], i, dxy)]
+                   for col in sp.left_factor(act[x][x][y], i, dxy)]
             counit_fg = [sp.apply(psi, v) for v in incl]
             # its inverse m ↦ Σ m_(0)·S(m_(1)) ⊗ m_(2): u⊗h ↦ u·S(h) on the
             # first leg of rho(m), then beside its second leg
-            twisted = [sp.product(act[(x, y, x)], {u: one}, col)
+            twisted = [sp.product(act[x][y][x], {u: one}, col)
                        for u in range(m.dim(x, y)) for col in s]
             twist = sp.tensor_maps([sp.apply(twisted, c) for c in rho], ident,
                                    dxy)
@@ -406,7 +408,9 @@ def dual_hopf_module(a: HopfCatData) -> HopfModuleData:
         raise MissingAntipodeError("the dual Hopf module needs an antipode")
     a.validate_shape()
     f, X = a.field, a.objects
-    one, mult = f.raw(f.one), sp.tensors(f, a.mult)
+    view = Instances(Report(), f).view
+    one, mult = f.raw(f.one), view(a.mult, sp.tensor3)
+    S = view(a.antipode, sp.columns, a.dims)
     dims = dict(a.dims)
     coaction, action = {}, {}
     for x in X:
@@ -417,8 +421,7 @@ def dual_hopf_module(a: HopfCatData) -> HopfModuleData:
             for z in X:
                 # p[α][j][b] = Σ_t S[t][j]·m[b][t][α], for S: A(y,z) → A(z,y)
                 # and m: A(x,z)⊗A(z,y) → A(x,y)
-                s = sp.columns(f, a.antipode[(y, z)], a.dim(y, z))
-                mt, d3 = mult[(x, z, y)], a.dim(x, z)
+                s, mt, d3 = S[y][z], mult[x][z][y], a.dim(x, z)
                 action[(x, y, z)] = tensor(f.zero, (d, len(s), d3), (
                     ((al, j, b), f.lift(v)) for b in range(d3)
                     for j, col in enumerate(s)

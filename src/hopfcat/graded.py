@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import sparse as sp
 from .core import HopfCatData
-from .report import Instances, Report, per_label
+from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
 
@@ -98,14 +98,14 @@ def validate_graded(h: GradedHopfData) -> Report:
     h.validate_shape()
     rep = Report()
     inst = Instances(rep, h.field)
-    f, G, dims = h.field, h.group.elements, h.dims
+    G, dims, view = h.group.elements, h.dims, inst.view
     e, check = h.group.identity(), inst.check
     # the product of degrees s and t is mul[s][t]
-    mul = per_label(h.group.table, G)
-    M = per_label(inst.intern(sp.tensors(f, h.mult)), G)
-    comult = inst.intern(sp.tensors(f, h.comult))
-    counit = inst.intern(sp.vectors(f, h.counit))
-    unit = inst.intern({e: sp.vector(f, h.unit)})[e]
+    mul = view(h.group.table)
+    M = view(h.mult, sp.tensor3)
+    comult = view(h.comult, sp.tensor3)
+    counit = view(h.counit, sp.vector)
+    unit = view({e: h.unit}, sp.vector)[e]
 
     for s in G:
         Ms, mul_s = M[s], mul[s]
@@ -141,7 +141,7 @@ def validate_graded(h: GradedHopfData) -> Report:
     check("graded-counit-unit", (e,), sp.counit_unit, unit, counit[e])
     if h.antipode is not None:
         # S_s: A_s → A_{s^-1}
-        sm = inst.intern(sp.matrices(f, h.antipode, dims))
+        sm = view(h.antipode, sp.columns, dims)
         for s in G:
             si = h.group.inverse(s)
             check("graded-antipode-left", (s,), sp.antipode_law,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import sparse as sp
 from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
-from .report import Instances, Report, per_label
+from .report import Instances, Report
 from .schema import LAYOUTS, check_shape, reshaped, tensor
 
 
@@ -68,11 +68,10 @@ def verify_module(m: ModuleData) -> Report:
     rep = Report()
     a = m.base
     inst = Instances(rep, a.field)
-    X, f, check = a.objects, a.field, inst.check
-    P, M = (per_label(inst.intern(sp.tensors(f, t)), X)
-            for t in (m.action, a.mult))
-    unit = inst.intern(sp.vectors(f, a.unit))
-    D, B = per_label(m.dims, X), per_label(a.dims, X)
+    X, view, check = a.objects, inst.view, inst.check
+    P, M = view(m.action, sp.tensor3), view(a.mult, sp.tensor3)
+    unit = view(a.unit, sp.vector)
+    D, B = view(m.dims), view(a.dims)
     if m.side == "right":       # (m·a)·b against m·(ab)
         for x in X:
             Px, Dx = P[x], D[x]
@@ -117,11 +116,10 @@ def verify_comodule(m: ComoduleData) -> Report:
     rep = Report()
     c = m.base
     inst = Instances(rep, c.field)
-    X, f, check = c.objects, c.field, inst.check
-    R, T = (per_label(inst.intern(sp.tensors(f, t)), X)
-            for t in (m.coaction, c.cocomp))
-    counit = inst.intern(sp.vectors(f, c.counit))
-    D, B = per_label(m.dims, X), per_label(c.dims, X)
+    X, view, check = c.objects, inst.view, inst.check
+    R, T = view(m.coaction, sp.tensor3), view(c.cocomp, sp.tensor3)
+    counit = view(c.counit, sp.vector)
+    D, B = view(m.dims), view(c.dims)
     for x in X:
         Rx, Dx = R[x], D[x]
         for z in X:
@@ -155,14 +153,14 @@ def regular_comodule(c: DualHopfCatData) -> ComoduleData:
 def unit_module(a: HopfCatData, side: str = "left") -> ModuleData:
     """All hom components one-dimensional, acted on through the counit."""
     X, f = a.objects, a.field
-    eps = sp.vectors(f, a.counit)
+    eps = Instances(Report(), f).view(a.counit, sp.vector)
 
     def act(x, y, z):   # h·1 = ε(h)·1 on the left, 1·h = ε(h)·1 on the right
         if side == "left":
             return tensor(f.zero, (a.dim(x, y), 1, 1), (
-                ((i, 0, 0), f.lift(e)) for i, e in eps[(x, y)].items()))
+                ((i, 0, 0), f.lift(e)) for i, e in eps[x][y].items()))
         return tensor(f.zero, (1, a.dim(y, z), 1), (
-            ((0, i, 0), f.lift(e)) for i, e in eps[(y, z)].items()))
+            ((0, i, 0), f.lift(e)) for i, e in eps[y][z].items()))
     action = {(x, y, z): act(x, y, z) for x in X for y in X for z in X}
     return ModuleData(a, side, {(x, y): 1 for x in X for y in X}, action)
 
@@ -228,8 +226,9 @@ def tensor_modules(m: ModuleData, n: ModuleData) -> ModuleData:
     a = m.base
     f, X = a.field, a.objects
     left = m.side == "left"
-    act_m, act_n = sp.tensors(f, m.action), sp.tensors(f, n.action)
-    comult = sp.tensors(f, a.comult)
+    view = Instances(Report(), f).view
+    act_m, act_n = view(m.action, sp.tensor3), view(n.action, sp.tensor3)
+    comult = view(a.comult, sp.tensor3)
     dims = {(x, y): m.dim(x, y) * n.dim(x, y) for x in X for y in X}
     action = {}
     for x in X:
@@ -237,8 +236,8 @@ def tensor_modules(m: ModuleData, n: ModuleData) -> ModuleData:
             for z in X:
                 u, v = (y, z) if left else (x, y)   # M(u,v)⊗N(u,v) is acted on
                 action[(x, y, z)] = diagonal_action(
-                    f, act_m[(x, y, z)], act_n[(x, y, z)],
-                    comult[(x, y) if left else (y, z)],
+                    f, act_m[x][y][z], act_n[x][y][z],
+                    comult[x][y] if left else comult[y][z],
                     (m.dim(u, v), n.dim(u, v)), (m.dim(x, z), n.dim(x, z)),
                     left)
     return ModuleData(a, m.side, dims, action)

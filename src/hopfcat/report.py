@@ -4,17 +4,21 @@ Every comparison goes through ``check_map_equal`` and every record through
 ``Report.add``.  A verifier that loops over object tuples checks through one
 ``Instances`` per call, bound to its field, which evaluates each distinct
 axiom instance once: an instance is keyed by its law and its arguments,
-hashed by Python itself.  The interned tensors (``Instances.intern``) hash
-by identity, and every other argument (an int, a bool, a tuple) by value;
-an uninterned list or dict cannot be hashed and raises ``TypeError``.  A
-repeated instance costs one lookup and one record.  The laws it evaluates
-(the functions of ``sparse``, and the few beside the verifiers, that return
-both sides of an identity) must therefore be pure: a law may not change its
-arguments, and its sides may depend only on their values, so that equal
-arguments give equal sides.  A verifier reads its tensors and dims through
-``per_label`` views, built once per call, which hand over the very objects
-of its tables (the interned tensors, the ints of ``dims``), so that the
-memo hits exactly as it would on the tables.
+hashed by Python itself.  The interned tensors hash by identity, and every
+other argument (an int, a bool, a tuple) by value; an uninterned list or
+dict cannot be hashed and raises ``TypeError``.  A repeated instance costs
+one lookup and one record.  The laws it evaluates (the functions of
+``sparse``, and the few beside the verifiers, that return both sides of an
+identity) must therefore be pure: a law may not change its arguments, and
+its sides may depend only on their values, so that equal arguments give
+equal sides.  ``Instances.view`` is the one reader of the tables keyed by
+objects: in one walk of a table it reads each distinct stored tensor into
+sparse form (``sparse.vector``, ``tensor3`` or ``columns``), interns it,
+and nests the result one label at a time.  A verifier builds its views
+once per call; they hand over the interned tensors and the ints of
+``dims``, so that the memo hits exactly as it would on the tables.  The
+constructors that read a table without checking an axiom read it through
+a view too.
 
 ``Report.items`` holds a record per objects tuple, and every verdict,
 summary and table is read from those.  Only a ``--report`` file is folded
@@ -218,20 +222,19 @@ class Instances:
     distinct one evaluated once, with a record per objects tuple in
     ``report``.
 
-    ``intern`` makes the tensors of a table with equal sparse forms one
-    object, keyed by ``repr``, which is exact on nested lists and dicts of
-    ints and ``Fraction``s, and hands each out as a ``list`` or ``dict``
-    subclass that hashes by identity and keeps value equality.  It takes
-    the ``repr`` once per distinct object of the table: an object that
-    several keys share (``sparse.tensors`` gives one sparse form per
-    distinct stored tensor) is looked up by its ``id``, which the table
-    keeps alive while the call runs.  ``check``
-    keys an instance by ``(law, args)``: interned tensors by identity, ints,
-    bools and tuples by value, and an uninterned list or dict raises
-    ``TypeError``.  The first instance of a key evaluates
-    ``law(field, *args)`` and goes through ``check_map_equal``; each later
-    one adds its own ``CheckItem``, with its own axiom, objects and
-    ``required``, and the first one's outcome.
+    ``view`` reads the tables the instances range over.  It makes the
+    tensors of its tables with equal sparse forms one object, keyed by
+    ``repr``, which is exact on nested lists and dicts of ints and
+    ``Fraction``s, and hands each out as a ``list`` or ``dict`` subclass
+    that hashes by identity and keeps value equality; the plain form it
+    copies is kept beside it.  ``check`` keys an instance by ``(law,
+    args)``: interned tensors by identity, ints, bools and tuples by value,
+    and an uninterned list or dict raises ``TypeError``.  The first
+    instance of a key evaluates ``law(field, *args)``, with each interned
+    tensor replaced by its plain form, which CPython subscripts faster than
+    a subclass, and goes through ``check_map_equal``; each later one adds
+    its own ``CheckItem``, with its own axiom, objects and ``required``,
+    and the first one's outcome.
 
     The key is sound because the memo holds every first call's arguments,
     so an identity hash in it names a live object.  Two distinct objects
@@ -239,59 +242,77 @@ class Instances:
     gives equal values equal outcomes.
     """
 
-    __slots__ = ("report", "field", "_tensors", "_seen")
+    __slots__ = ("report", "field", "_tensors", "_plain", "_seen")
 
     def __init__(self, report: Report, field):
         self.report = report
         self.field = field
         self._tensors = {}      # repr -> the one tensor of that form
+        self._plain = {}        # id of an interned tensor -> its plain form
         self._seen = {}         # (law, args) -> the first record
 
-    def intern(self, table: dict) -> dict:
-        tensors, seen, out = self._tensors, {}, {}
+    def view(self, table: dict, read=None, cols: dict | None = None) -> dict:
+        """``table``, keyed by labels, label pairs or label triples, as
+        nested dicts keyed by one label each: ``view(t)[x][y][z]`` is the
+        entry of ``t[(x, y, z)]``, and ``view(t)[x]`` that of ``t[x]``.
+
+        Without ``read`` an entry is the very object of ``table`` (an int
+        of a ``dims`` table, a label of a group table).  With ``read``,
+        ``sparse.vector``, ``tensor3`` or ``columns``, it is the interned
+        sparse form of ``read(field, t)``, or of ``read(field, t,
+        cols[key])`` with ``cols``, read once per distinct (stored object,
+        ``cols[key]``): every key that holds the object gets the same
+        interned tensor.  The column count is part of the memo's key
+        because an empty matrix has as many columns as its key says,
+        whichever keys share it.  The memo is keyed by ``id``, sound
+        because ``table`` keeps each keyed object alive while it runs.
+
+        A verifier builds its views once per call and looks each entry up
+        in the loop where its last label is bound, so an inner loop pays
+        only for what its own label changes, and no key tuple is built per
+        instance.  ``check`` sees the interned tensors and the ints of
+        ``dims`` themselves, and its memo hits as it would on the tables.
+        """
+        field, tensors, plain = self.field, self._tensors, self._plain
+        seen, out, row, at = {}, {}, None, None
         for key, t in table.items():
-            one = seen.get(id(t))
-            if one is None:
-                form = repr(t)
-                one = tensors.get(form)
+            if read is not None:
+                n = None if cols is None else cols[key]
+                one = seen.get((id(t), n))
                 if one is None:
-                    one = tensors[form] = (_Vector if isinstance(t, dict)
-                                           else _Tensor)(t)
-                seen[id(t)] = one
-            out[key] = one
+                    s = read(field, t) if n is None else read(field, t, n)
+                    form = repr(s)
+                    one = tensors.get(form)
+                    if one is None:
+                        one = tensors[form] = (
+                            _Vector if isinstance(s, dict) else _Tensor)(s)
+                        plain[id(one)] = s
+                    seen[id(t), n] = one
+                t = one
+            if type(key) is not tuple:
+                out[key] = t
+                continue
+            # a table comes row by row, so each row's dict is looked up
+            # once; keys in any other order still land where they belong
+            if key[:-1] != row:
+                row, at = key[:-1], out
+                for label in row:
+                    at = at.setdefault(label, {})
+            at[key[-1]] = t
         return out
 
     def check(self, axiom: str, objects: tuple[str, ...], law, *args,
               required: bool = True) -> bool:
         first = self._seen.get((law, args))
         if first is None:
-            report = self.report
-            ok = check_map_equal(report, axiom, objects,
-                                 *law(self.field, *args), required)
+            report, plain = self.report, self._plain
+            ok = check_map_equal(report, axiom, objects, *law(
+                self.field, *[plain.get(id(a), a) for a in args]), required)
             self._seen[law, args] = report.items[-1]
             return ok
         self.report.add(CheckItem(axiom, objects, first.ok, first.witness,
                                   first.residual, first.failures, required))
         return first.ok
-
-
-def per_label(table: dict, labels) -> dict:
-    """``table``, keyed by pairs or triples of ``labels``, as nested dicts
-    keyed by one label each: ``per_label(t, X)[x][y][z] is t[(x, y, z)]``.
-
-    A verifier that loops over object tuples builds these views once per
-    call and reads its tensors and dimensions through them, each lookup in
-    the loop where its last label is bound, so an inner loop pays only for
-    what its own label changes, and no key tuple is built per instance.
-    Every entry is the very object of ``table``: an interned tensor, or an
-    int of a ``dims`` table.  So ``Instances.check`` sees the same arguments
-    as through the table, and its memo hits exactly as there.
-    """
-    key = next(iter(table), ())
-    if len(key) == 2:
-        return {x: {y: table[(x, y)] for y in labels} for x in labels}
-    return {x: {y: {z: table[(x, y, z)] for z in labels} for y in labels}
-            for x in labels}
 
 
 def check_condition(report: Report, axiom: str, objects: tuple[str, ...],

@@ -39,8 +39,9 @@ of the tensor-product, canonical and dual Hopf modules.  Every construction
 that re-indexes existing structure constants goes through ``place`` /
 ``reshaped``: duals and opposites, the module↔comodule maps, the free Hopf
 module, and the matrix builders (``linalg.bilinear_map`` and
-``linalg.split_map``).  ``sparse``'s readers (``tensors``, ``vectors``,
-``matrices``) turn the lists into sparse form.
+``linalg.split_map``).  ``report.Instances.view`` turns the lists of a
+table into sparse form with ``sparse``'s ``vector``, ``tensor3`` and
+``columns``.
 
 Sharing: a structure may hold one tensor object under several keys, and
 most do.  The reader gives all keys of a slot whose declared shape and
@@ -51,9 +52,9 @@ is never written into once it is stored: an edit replaces a key's tensor
 (``dict(table)`` and a new tensor under that key), and never writes into
 the old one.  Every per-key pass does its work once per distinct object,
 keyed by ``id`` in a memo that lives for one call: ``check_shape`` per
-(object, shape), since an empty list stands for several shapes, the
-sparse readers and ``report.Instances.intern`` per object, and the writer
-per object in a slot where tensors repeat.  Each memo is sound because
+(object, shape), since an empty list stands for several shapes,
+``report.Instances.view`` per (object, column count), for the same
+reason, and the writer per object in a slot where tensors repeat.  Each memo is sound because
 the table it reads keeps every keyed object alive while the call runs.
 """
 

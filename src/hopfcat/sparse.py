@@ -13,12 +13,13 @@ such a pair, for whichever tensors feed the law.
 Scalars here are raw (``Field.raw``): over GF(p) plain ints, over Q ints
 where the value is integral and ``Fraction`` values otherwise.  Nested-list
 tensors (every kind's but the weak kind's, which ``weak`` groups itself)
-are read into sparse raw form once per distinct tensor object per verifier
-call (``tensors``, ``vectors`` and ``matrices``; see ``schema`` on
-sharing): a 3-tensor ``t[i][j][k]`` becomes a list over
-``i`` of dicts ``{j: {k: c}}``, keeping only the nonzero ``c`` (so
-``t[i][j]`` is the vector that a bilinear map sends ``e_i, e_j`` to), and
-a matrix ``m[row][col]`` becomes its list of sparse columns.
+are read into sparse raw form by ``vector``, ``tensor3`` and ``columns``,
+through ``report.Instances.view``, once per distinct tensor object per
+verifier call (see ``schema`` on sharing): a 3-tensor ``t[i][j][k]``
+becomes a list over ``i`` of dicts ``{j: {k: c}}``, keeping only the
+nonzero ``c`` (so ``t[i][j]`` is the vector that a bilinear map sends
+``e_i, e_j`` to), and a matrix ``m[row][col]`` becomes its list of sparse
+columns.
 
 The arithmetic uses only ``+`` and ``*``, so over GF(p) it accumulates
 unreduced ints that may leave [0, p).  ``report.check_map_equal`` compares
@@ -71,42 +72,6 @@ def vector(field: Field, v) -> dict:
 def tensor3(field: Field, t) -> list[dict]:
     return [{j: vec for j, fibre in enumerate(slab)
              if (vec := vector(field, fibre))} for slab in t]
-
-
-def _each(table: dict, read, cols: dict | None = None) -> dict:
-    """``read(t, n)`` for the tensor ``t`` at each key of a table keyed by
-    objects, with ``n = cols[key]`` (None without ``cols``), once per
-    distinct (tensor object, ``n``): every key that holds it gets the same
-    result.  The memo is keyed by ``id``, sound because ``table`` keeps
-    each keyed tensor alive while the call runs."""
-    memo, out = {}, {}
-    for key, t in table.items():
-        n = None if cols is None else cols[key]
-        s = memo.get((id(t), n))
-        if s is None:
-            s = memo[id(t), n] = read(t, n)
-        out[key] = s
-    return out
-
-
-def tensors(field: Field, table: dict) -> dict:
-    """Each 3-tensor of a table keyed by objects, in sparse form, once per
-    distinct tensor object."""
-    return _each(table, lambda t, _: tensor3(field, t))
-
-
-def vectors(field: Field, table: dict) -> dict:
-    """Each vector of a table keyed by objects, in sparse form, once per
-    distinct vector object."""
-    return _each(table, lambda v, _: vector(field, v))
-
-
-def matrices(field: Field, table: dict, cols: dict) -> dict:
-    """Each matrix ``table[key]`` of a table keyed by objects as its
-    ``cols[key]`` sparse columns, once per distinct (matrix object, number
-    of columns): an empty matrix has as many columns as its key says,
-    whichever keys share it."""
-    return _each(table, lambda m, n: columns(field, m, n), cols)
 
 
 def columns(field: Field, m, cols: int) -> list[dict]:

@@ -9,11 +9,14 @@ or ``items`` itself.  Every item of a verifier's report goes through
 ``Report.add``, which the benchmark's tracer counts.  ``Instances`` compares
 each distinct instance once and records every one: an instance is keyed by
 its law and its arguments, an interned tensor by identity and an int, bool
-or tuple by value, and an uninterned list or dict argument is refused.
+or tuple by value, and an uninterned list or dict argument is refused; the
+law itself gets the plain forms.  ``Instances.view`` reads each distinct
+stored object of a table once and nests the table one label at a time.
 """
 
 import os
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,7 @@ from hopfcat.linalg import LinMap
 from hopfcat import report as report_module
 from hopfcat.report import CheckItem, Instances, Report, check_map_equal
 from hopfcat.scalars import GF, QQ
-from hopfcat.sparse import SparseMap
+from hopfcat.sparse import SparseMap, columns, vector
 from hopfcat.weak import verify_weak_hopf
 
 from oracles import reference_check_map_equal
@@ -250,6 +253,12 @@ def _swapped(f, left: list, right: list):
     return SparseMap(f, 1, right), SparseMap(f, 1, left)
 
 
+def _given(field, form):
+    """A reader for ``Instances.view`` that hands back the sparse form it
+    is given."""
+    return form
+
+
 def _counted(monkeypatch) -> list:
     """The axiom of each comparison ``check_map_equal`` makes from now on."""
     compared = []
@@ -265,8 +274,8 @@ def test_instances_check_each_distinct_instance_once(monkeypatch):
     compared = _counted(monkeypatch)
     rep = Report()
     inst = Instances(rep, QQ)
-    one, two = inst.intern({"a": [{0: 1}], "b": [{0: 2}]}).values()
-    again = inst.intern({"c": [{0: 1}]})["c"]
+    one, two = inst.view({"a": [{0: 1}], "b": [{0: 2}]}, _given).values()
+    again = inst.view({"c": [{0: 1}]}, _given)["c"]
     assert again is one
     assert inst.check("law", ("x",), _sides, one, two) is False
     # an equal instance: recorded with its own axiom, objects and
@@ -292,8 +301,8 @@ def test_instances_keep_the_arguments_they_key_by_identity(monkeypatch):
     compared = _counted(monkeypatch)
     inst = Instances(Report(), QQ)
     for n in list(range(50)) * 2:
-        inst.check("law", (), _sides, inst.intern({0: [{0: n}]})[0],
-                   inst.intern({0: [{0: 2}]})[0])
+        inst.check("law", (), _sides, inst.view({0: [{0: n}]}, _given)[0],
+                   inst.view({0: [{0: 2}]}, _given)[0])
     assert len(compared) == 50
     assert len(inst.report.items) == 100
 
@@ -334,25 +343,93 @@ def test_value_equal_tensors_interned_by_one_instances_are_one_object():
     # by value; another ``Instances`` interns its own
     inst = Instances(Report(), QQ)
     tensor = [{0: {1: Fraction(1, 2)}}, {}]
-    first = inst.intern({("x", "y"): tensor, ("y", "x"): [{}, {}]})
-    second = inst.intern({("z", "z"): [{0: {1: Fraction(1, 2)}}, {}],
-                          "u": {3: 1}})
-    third = inst.intern({"v": {3: 1}})
-    assert second[("z", "z")] is first[("x", "y")]
+    first = inst.view({("x", "y"): tensor, ("y", "x"): [{}, {}]}, _given)
+    second = inst.view({("z", "z"): [{0: {1: Fraction(1, 2)}}, {}],
+                        "u": {3: 1}}, _given)
+    third = inst.view({"v": {3: 1}}, _given)
+    assert second["z"]["z"] is first["x"]["y"]
     assert third["v"] is second["u"]
-    assert first[("x", "y")] is not first[("y", "x")]
-    for t, plain in ((first[("x", "y")], tensor), (third["v"], {3: 1})):
+    assert first["x"]["y"] is not first["y"]["x"]
+    for t, plain in ((first["x"]["y"], tensor), (third["v"], {3: 1})):
         assert isinstance(t, type(plain)) and t == plain
         assert hash(t) == object.__hash__(t)
-    other = Instances(Report(), QQ).intern({0: tensor})[0]
-    assert other == first[("x", "y")] and other is not first[("x", "y")]
+    other = Instances(Report(), QQ).view({0: tensor}, _given)[0]
+    assert other == first["x"]["y"] and other is not first["x"]["y"]
 
 
 @pytest.mark.parametrize("plain", [[{0: 1}], {0: 1}])
 def test_an_uninterned_list_or_dict_argument_raises(plain, monkeypatch):
     compared = _counted(monkeypatch)
     inst = Instances(Report(), QQ)
-    interned = inst.intern({0: [{0: 1}]})[0]
+    interned = inst.view({0: [{0: 1}]}, _given)[0]
     with pytest.raises(TypeError):
         inst.check("law", (), _sides, interned, plain)
     assert compared == [] and inst.report.items == []
+
+
+def test_a_law_gets_the_plain_forms_and_a_repeat_still_hits(monkeypatch):
+    # the memo keys an instance by the interned tensors, and the law
+    # evaluates on the plain list and dict that each of them copies
+    compared = _counted(monkeypatch)
+    inst = Instances(Report(), QQ)
+    got = []
+
+    def law(f, cols: list, vec: dict, n: int):
+        got.append((cols, vec, n))
+        return _sides(f, cols, [vec])
+    cols = inst.view({"x": [[1]]}, columns, {"x": 1})["x"]
+    vec = inst.view({"x": [1]}, vector)["x"]
+    assert type(cols) is not list and type(vec) is not dict
+    assert inst.check("law", ("x",), law, cols, vec, 1) is True
+    assert inst.check("again", ("y",), law, cols, vec, 1) is True
+    assert [tuple(map(type, args)) for args in got] == [(list, dict, int)]
+    assert got == [(cols, vec, 1)] and compared == ["law"]
+    assert [(it.axiom, it.ok) for it in inst.report.items] == [
+        ("law", True), ("again", True)]
+
+
+def _at(view: dict, key):
+    """The entry of a view at a key of its table."""
+    for label in key if isinstance(key, tuple) else (key,):
+        view = view[label]
+    return view
+
+
+def _leaves(view: dict) -> int:
+    return sum(_leaves(v) if type(v) is dict else 1 for v in view.values())
+
+
+def test_view_reads_each_distinct_object_once_and_nests_the_table():
+    X = ("x", "y", "z")
+    inst = Instances(Report(), QQ)
+    # one read per distinct (object, column count): the diagonal shares a
+    # matrix, and the rest shares one empty matrix under two column counts
+    reads = []
+
+    def counted(field, m, n):
+        reads.append((id(m), n))
+        return columns(field, m, n)
+    square, empty = [[1, 0], [0, 2]], []
+    table = {(x, y): square if x == y else empty for x in X for y in X}
+    cols = {(x, y): 2 if x == y else 1 + 2 * (x > y) for x in X for y in X}
+    view = inst.view(table, counted, cols)
+    assert sorted(reads) == sorted([(id(square), 2), (id(empty), 1),
+                                    (id(empty), 3)])
+    assert view["x"]["y"] == [{}] and view["y"]["x"] == [{}, {}, {}]
+    assert view["x"]["y"] is view["x"]["z"] is view["y"]["z"]
+    # the nesting holds the table entry for entry, keyed by labels, label
+    # pairs or label triples, in row order or with the last label slowest
+    for table in ({x: [n] for n, x in enumerate(X)},
+                  {(x, y): [n, 1] for n, (x, y) in enumerate(product(X, X))},
+                  {k: [0, n] for n, k in enumerate(product(X, X, X))}):
+        for order in (table, dict(sorted(table.items(),
+                                         key=lambda kv: kv[0][::-1]))):
+            view = inst.view(order, vector)
+            assert _leaves(view) == len(table)
+            for key, v in table.items():
+                assert _at(view, key) == vector(QQ, v)
+    # without a reader, the view hands back the table's own objects
+    dims = {(x, y): int("1000") for x in X for y in X}
+    view = inst.view(dims)
+    assert _leaves(view) == len(dims)
+    assert all(_at(view, key) is n for key, n in dims.items())

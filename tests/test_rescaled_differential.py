@@ -34,6 +34,7 @@ from hopfcat.graded import GradedHopfData, GroupTable
 from hopfcat.modules import regular_comodule, regular_module
 from hopfcat.report import Instances
 from hopfcat.scalars import QQ
+from hopfcat.sparse import columns, tensor3, vector
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -92,10 +93,19 @@ def test_the_tensors_differ_from_one_tuple_to_the_next():
     # 15 such triples, and one of its own for each of the other 12; S(x,x)
     # is 1 for every x
     inst = Instances(None, QQ)
-    for name, distinct in (("mult", 15), ("comult", 9), ("counit", 9),
-                           ("antipode", 7)):
-        table = inst.intern(getattr(CATEGORY, name))
-        assert len({id(t) for t in table.values()}) == distinct, name
+    for name, read, distinct in (("mult", tensor3, 15),
+                                 ("comult", tensor3, 9),
+                                 ("counit", vector, 9),
+                                 ("antipode", columns, 7)):
+        cols = CATEGORY.dims if read is columns else None
+        view = inst.view(getattr(CATEGORY, name), read, cols)
+        assert len({id(t) for t in leaves(view)}) == distinct, name
+
+
+def leaves(view: dict):
+    """The entries of a view, nested one label at a time."""
+    for entry in view.values():
+        yield from leaves(entry) if type(entry) is dict else (entry,)
 
 
 def test_the_category_and_its_mutants():
