@@ -151,10 +151,17 @@ def _anticomult(f, s, delta, delta_op, d: int):
     for i, fibres in enumerate(delta):
         lhs.append(sp.apply(flat, s[i]))
         acc = {}
-        for j, fibre in fibres.items():
+        for j, fibre in fibres.items():     # Σ_k c_jk S e_k, then ⊗ S e_j
+            left = {}
             for k, c in fibre.items():
-                sp.add_tensor(acc, {p: c * v for p, v in s[k].items()},
-                              s[j], d)
+                for p, v in s[k].items():
+                    left[p] = left[p] + c * v if p in left else c * v
+            s_j = s[j]
+            for p, x in left.items():
+                base = p * d
+                for q, y in s_j.items():
+                    t = base + q
+                    acc[t] = acc[t] + x * y if t in acc else x * y
         rhs.append(sp.nonzero(acc))
     return sp.SparseMap(f, d * d, lhs), sp.SparseMap(f, d * d, rhs)
 

@@ -444,18 +444,19 @@ def integrals(a: HopfCatData, x: str, memo: dict | None = None) -> list[tuple]:
     if x not in a.objects:
         raise ValueError(f"unknown object label '{x}'")
     f = a.field
+    raw = f.raw
+    zero = raw(f.zero)
     d = a.dim(x, x)
     dc = a.comult[(x, x)]
-    u = a.unit[x]
-    zero = f.zero
-    # rows indexed by (dual basis element i, evaluation argument c)
+    u = [raw(v) for v in a.unit[x]]
+    # raw rows indexed by (dual basis element i, evaluation argument c)
     rows = []
     for i in range(d):
         for c in range(d):
-            row = [dc[c][i][al] - (u[i] if al == c else zero)
-                   for al in range(d)]
+            row = [raw(v) for v in dc[c][i]]
+            row[c] -= u[i]
             rows.append(row)
-    _, basis = rank_kernel(LinMap(f, len(rows), d, rows))
+    _, basis = rank_kernel(_lifted(f, rows, d))
 
     memo = {} if memo is None else memo
     if "dual" not in memo:
@@ -470,10 +471,16 @@ def integrals(a: HopfCatData, x: str, memo: dict | None = None) -> list[tuple]:
     # pairing against every component is bijective
     for y in a.objects:
         dxy = a.dim(x, y)
-        act = dual_mod.action[(x, x, y)]
-        mat = LinMap(f, dxy, len(basis) * dxy, [
-            [sum((phi[i] * act[i][j][b] for i in range(d)), zero)
-             for phi in basis for j in range(dxy)] for b in range(dxy)])
+        act = sp.tensor3(f, dual_mod.action[(x, x, y)])
+        rows = [[zero] * (len(basis) * dxy) for _ in range(dxy)]
+        for n, phi in enumerate(basis):     # row b, column (phi, j)
+            for i, coef in enumerate(phi):
+                if coef:
+                    coef = raw(coef)
+                    for j, fibre in act[i].items():
+                        for b, v in fibre.items():
+                            rows[b][n * dxy + j] += coef * v
+        mat = _lifted(f, rows, len(basis) * dxy)
         if mat.rows != mat.cols or isinstance(invert(mat), NotInvertible):
             raise InternalInvariantError(
                 f"integral pairing at ({x},{y}) is not bijective "

@@ -229,13 +229,16 @@ def swap_map(field: Field, d1: int, d2: int) -> LinMap:
 def _rref(field: Field, rows):
     """Reduced row echelon form of rows of raw scalars (``Field.raw``, not
     necessarily reduced); returns (rows, pivot_cols) with canonical entries.
-    Only two steps depend on the field: a pivot's inverse, and bringing each
-    changed row back to canonical form (mod p; nothing to do over Q)."""
-    p = field.p
 
-    def canonical(row):
-        return row if p is None else [v % p for v in row]
-    rows = [canonical(list(r)) for r in rows]
+    Every row is copied and brought to canonical form (mod p; nothing to do
+    over Q) once, on entry.  When column c gets its pivot, the rows from the
+    pivot row down are zero left of c, so scaling the pivot row and
+    eliminating c from another row change only columns c and beyond: each
+    such update rewrites that tail of the row in one comprehension, which
+    over GF(p) also reduces it.  Only the pivot's inverse and that reduction
+    depend on the field."""
+    p = field.p
+    rows = [list(r) if p is None else [v % p for v in r] for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -249,15 +252,18 @@ def _rref(field: Field, rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
+        tail = rows[r][c:]
+        pv = tail[0]
         if pv != 1:
             inv = field.one / pv if p is None else pow(pv, -1, p)
-            rows[r] = canonical([v * inv for v in rows[r]])
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = canonical([a - f * b
-                                     for a, b in zip(rows[i], rows[r])])
+            rows[r][c:] = tail = ([v * inv for v in tail] if p is None
+                                  else [v * inv % p for v in tail])
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = ([a - f * b for a, b in zip(row[c:], tail)]
+                           if p is None else
+                           [(a - f * b) % p for a, b in zip(row[c:], tail)])
         pivots.append(c)
         r += 1
         if r == nrows:

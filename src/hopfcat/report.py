@@ -152,8 +152,14 @@ def residual(field, lhs: dict, rhs: dict) -> str:
     scalars (see ``sparse``), as ``[key]=value`` in key order with values
     written by ``field.fmt``; empty when the vectors agree.  The difference
     is reduced here (``Field.reduce``), the one place where the engine's
-    unreduced GF(p) values are brought mod p."""
+    unreduced GF(p) values are brought mod p.  Over GF(p) two sides that
+    agree seldom agree as ints, so vectors with the same keys are first
+    compared value by value mod p, and equal ones return at once."""
     if lhs == rhs:
+        return ""
+    p = field.p
+    if p is not None and lhs.keys() == rhs.keys() \
+            and not [k for k, v in lhs.items() if (v - rhs[k]) % p]:
         return ""
     diff = dict(lhs)
     for k, v in rhs.items():

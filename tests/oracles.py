@@ -28,7 +28,11 @@ slot-table writer at the end for its one-walk rewrite.  ``reference_check_map_eq
 is the per-column comparison that ``report.check_map_equal`` ran before it
 compared whole column lists first, ``ReferenceInstances`` the key rule of
 ``report.Instances`` spelled out with the ``id`` of each tensor, and
-``reference_fold`` a second fold of report records for ``Report.lines``.
+``reference_fold`` a second fold of report records for ``Report.lines``,
+and ``reference_residual`` and the ``reference_*`` kernels after it are
+``report.residual``, ``sparse.comult_mult``, ``antipode_law`` and
+``coassoc`` and ``core._anticomult`` as they were before the dense GF(p)
+path was made cheaper.
 """
 
 import random
@@ -227,6 +231,125 @@ def reference_fold(records: list[dict]) -> list[dict]:
                         "required": r["required"],
                         "folded": counts.pop(family)})
     return out
+
+
+# -- the sparse kernels before they summed their terms inline ----------------------
+#
+# ``sparse.comult_mult``, ``antipode_law`` and ``coassoc`` and
+# ``core._anticomult`` as they were before each summed its terms inline and
+# ``comult_mult`` built its right side from one factor per i and one per j:
+# three contraction stages there, and ``add_product`` and ``add_tensor``
+# for each term elsewhere; and ``report.residual`` as it was before it
+# compared two GF(p) columns mod p first.  ``test_kernel_differential.py``
+# holds the new bodies to their reduced columns and residual texts.
+
+def reference_residual(field, lhs: dict, rhs: dict) -> str:
+    """``report.residual`` before it compared two GF(p) vectors with the
+    same keys value by value first: every unequal pair takes the difference
+    and reduces it."""
+    if lhs == rhs:
+        return ""
+    diff = dict(lhs)
+    for k, v in rhs.items():
+        diff[k] = diff[k] - v if k in diff else -v
+    diff = field.reduce(diff)
+    return " ".join(f"[{k}]={field.fmt(diff[k])}" for k in sorted(diff))
+
+
+def _reference_add_product(acc: dict, t3: list[dict], u: dict, v: dict):
+    """acc += the bilinear map of the sparse 3-tensor t3 on (u, v)."""
+    for i, a in u.items():
+        row = t3[i]
+        for j, b in v.items():
+            if j in row:
+                sp.axpy(acc, a * b, row[j])
+
+
+def reference_comult_mult(field, m, delta, delta_u, delta_v, m1, m2,
+                          d1: int, d2: int):
+    flat = sp.flatten_pairs(delta, d2)
+    lhs, rhs = [], []
+    for i, delta_i in enumerate(delta_u):
+        stage1 = {}
+        for a, fibre in delta_i.items():
+            for b, cab in fibre.items():
+                for c, ac in m1[a].items():
+                    acc = stage1.setdefault(c, {}).setdefault(b, {})
+                    for t, v in ac.items():
+                        acc[t] = acc[t] + cab * v if t in acc else cab * v
+        m_i = m[i]
+        for j, delta_j in enumerate(delta_v):
+            lhs.append(sp.apply(flat, m_i.get(j, sp._EMPTY)))
+            stage2 = {}
+            for c, fibre in delta_j.items():
+                for b, vec in stage1.get(c, sp._EMPTY).items():
+                    for e, cce in fibre.items():
+                        acc = stage2.setdefault((b, e), {})
+                        for t, v in vec.items():
+                            acc[t] = acc[t] + cce * v if t in acc else cce * v
+            col, terms = {}, 0
+            for (b, e), vec in stage2.items():
+                w = m2[b].get(e)
+                if w:
+                    terms += 1
+                    for r, x in vec.items():
+                        base = r * d2
+                        for s, y in w.items():
+                            k = base + s
+                            col[k] = col[k] + x * y if k in col else x * y
+            rhs.append({k: v for k, v in col.items() if v}
+                       if terms > 1 else col)
+    return sp._pair(field, d1 * d2, lhs, rhs)
+
+
+def reference_coassoc(field, first, left, second, right, du: int, dv: int,
+                      dw: int):
+    left, right = sp.flatten_pairs(left, dv), sp.flatten_pairs(right, dw)
+    lhs, rhs = [], []
+    for split1, split2 in zip(first, second):
+        acc = {}
+        for p, fibre in split1.items():
+            for w, c in fibre.items():
+                sp.add_tensor(acc, left[p], {w: c}, dw)
+        lhs.append(sp.nonzero(acc))
+        acc = {}
+        for u, fibre in split2.items():
+            for q, c in fibre.items():
+                sp.add_tensor(acc, {u: c}, right[q], dv * dw)
+        rhs.append(sp.nonzero(acc))
+    return sp._pair(field, du * dv * dw, lhs, rhs)
+
+
+def reference_antipode_law(field, delta, s, m, unit: dict, eps: dict,
+                           s_first: bool, rows: int, flip: bool = False):
+    lhs, rhs = [], []
+    for i, fibres in enumerate(delta):
+        acc = {}
+        for j, fibre in fibres.items():
+            for k, c in fibre.items():
+                h1, h2 = (k, j) if flip else (j, k)
+                if s_first:
+                    _reference_add_product(acc, m, s[h1], {h2: c})
+                else:
+                    _reference_add_product(acc, m, {h1: c}, s[h2])
+        lhs.append(sp.nonzero(acc))
+        rhs.append({k: eps[i] * u for k, u in unit.items()}
+                   if i in eps else {})
+    return sp._pair(field, rows, lhs, rhs)
+
+
+def reference_anticomult(f, s, delta, delta_op, d: int):
+    flat = sp.flatten_pairs(delta_op, d)
+    lhs, rhs = [], []
+    for i, fibres in enumerate(delta):
+        lhs.append(sp.apply(flat, s[i]))
+        acc = {}
+        for j, fibre in fibres.items():
+            for k, c in fibre.items():
+                sp.add_tensor(acc, {p: c * v for p, v in s[k].items()},
+                              s[j], d)
+        rhs.append(sp.nonzero(acc))
+    return sp.SparseMap(f, d * d, lhs), sp.SparseMap(f, d * d, rhs)
 
 
 def dense_verify_structure(a, level="hopf"):
