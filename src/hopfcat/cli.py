@@ -15,6 +15,10 @@ path that names the input, the base file a module-like input names, or an
 output, directly or through its manifest, is refused before anything is
 written, and so is a listing --out (integrals, coinvariants, can-ranks)
 that names the input or its base file.
+
+Each command dispatches through one table with a row per kind or op
+(``_VERIFIERS``, ``_TRANSFORMS``, ``_ANALYSES``); a new op or kind is one
+row plus its function.  Rows look functions up at call time (see there).
 """
 
 from __future__ import annotations
@@ -93,9 +97,6 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-_LISTINGS = ("integrals", "coinvariants", "can-ranks")
-
-
 def _refuse_clash(args, reads, outputs=()):
     """Refuse a --report path that, itself or through its manifest, names a
     file the command reads or one of its ``outputs``, and a listing --out
@@ -160,63 +161,75 @@ def _reporting(report: Report, args, command: str, path: str, obj):
         print(report.table())
 
 
+# A row calls its function through the module-level name, in a lambda or a
+# def, not as the object bound when the table is built, so that swapping the
+# name here (perfbench's Tracer.install, a test's monkeypatch) sees the call.
+
+def _checked(rep: Report) -> tuple[Report, bool]:
+    return rep, rep.overall
+
+
+def _verify_groupoid(obj) -> tuple[Report, bool]:
+    rep = Report()
+    try:
+        validate_groupoid(obj)
+        rep.add(CheckItem("groupoid-valid", (), True))
+    except GroupoidError as e:
+        rep.add(CheckItem("groupoid-valid", (), False, None, str(e), 1))
+    return _checked(rep)
+
+
+def _verify_hopf_module(obj) -> tuple[Report, bool]:
+    # a failing base is the answer; a passing one is the precondition
+    rep = verify_structure(obj.base, "semihopf")
+    if not rep.overall:
+        return rep, False
+    return _checked(verify_hopf_module(obj, base=rep))
+
+
+# kind -> verifier of every kind but hopf-category, which takes the options
+_VERIFIERS = {
+    DualHopfCatData: lambda o: _checked(verify_dual(o)),
+    WeakHopfData: lambda o: _checked(verify_weak_hopf(o)),
+    BimonoidData: lambda o: _checked(verify_bimonoid(o)),
+    ModuleData: lambda o: _checked(verify_module(o)),
+    ComoduleData: lambda o: _checked(verify_comodule(o)),
+    HopfModuleData: _verify_hopf_module,
+    GroupoidData: _verify_groupoid,
+    GradedHopfData: lambda o: _checked(validate_graded(o)),
+}
+
+
 def _verify_any(obj, level=None, strictness=False,
                 theorems=False) -> tuple[Report, bool]:
     """The report of verifying ``obj``, and its verdict read once per part.
     ``level``, ``strictness`` and ``theorems`` are the options of
     ``verify``: they apply to hopf-category data, and a level given for
     any other kind is a usage error."""
-    if isinstance(obj, HopfCatData):
-        level = level or ("hopf" if obj.has_antipode else "semihopf")
-        rep = verify_structure(obj, level)
-        # the extra checks presuppose valid data: on a failing base report
-        # they are skipped, and that report is the answer
-        if not rep.overall:
-            return rep, False
-        # the data is verified once per level an extra check needs, and the
-        # passing report handed to the check as its precondition
-        extra = Report()
-        if strictness:
-            extra.extend(check_strictness(obj, base=rep))
-        if theorems:
-            hopf = rep if level == "hopf" else verify_structure(obj, "hopf")
-            if hopf is rep or hopf.overall:
-                extra.extend(check_antipode_theorems(obj, base=hopf))
-            else:
-                extra.items.extend(hopf.failed())
-        rep.extend(extra)
-        return rep, extra.overall
-    if level:
-        raise _CliError("--level only applies to hopf-category files",
-                        EXIT_PARSE)
-    if isinstance(obj, DualHopfCatData):
-        rep = verify_dual(obj)
-    elif isinstance(obj, WeakHopfData):
-        rep = verify_weak_hopf(obj)
-    elif isinstance(obj, BimonoidData):
-        rep = verify_bimonoid(obj)
-    elif isinstance(obj, ModuleData):
-        rep = verify_module(obj)
-    elif isinstance(obj, ComoduleData):
-        rep = verify_comodule(obj)
-    elif isinstance(obj, HopfModuleData):
-        # a failing base is the answer; a passing one is the precondition
-        rep = verify_structure(obj.base, "semihopf")
-        if not rep.overall:
-            return rep, False
-        rep = verify_hopf_module(obj, base=rep)
-    elif isinstance(obj, GroupoidData):
-        rep = Report()
-        try:
-            validate_groupoid(obj)
-            rep.add(CheckItem("groupoid-valid", (), True))
-        except GroupoidError as e:
-            rep.add(CheckItem("groupoid-valid", (), False, None, str(e), 1))
-    elif isinstance(obj, GradedHopfData):
-        rep = validate_graded(obj)
-    else:
-        raise _CliError(f"no verifier for {type(obj).__name__}", EXIT_PARSE)
-    return rep, rep.overall
+    if not isinstance(obj, HopfCatData):
+        if level:
+            raise _CliError("--level only applies to hopf-category files",
+                            EXIT_PARSE)
+        return _VERIFIERS[type(obj)](obj)
+    level = level or ("hopf" if obj.has_antipode else "semihopf")
+    rep = verify_structure(obj, level)
+    # the extra checks presuppose valid data: on a failing base report
+    # they are skipped, and that report is the answer
+    if not rep.overall:
+        return rep, False
+    # the data is verified once per level an extra check needs, and the
+    # passing report handed to the check as its precondition
+    extra = Report()
+    if strictness:
+        extra.extend(check_strictness(obj, base=rep))
+    if theorems:
+        hopf = rep if level == "hopf" else verify_structure(obj, "hopf")
+        if hopf is rep or hopf.overall:
+            extra.extend(check_antipode_theorems(obj, base=hopf))
+        else:
+            extra.items.extend(hopf.failed())
+    rep.extend(extra)
+    return rep, extra.overall
 
 
 def cmd_verify(args) -> int:
@@ -228,52 +241,37 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _linearize(obj, args):
+    try:
+        field = parse_field(args.field)
+    except ValueError as e:
+        raise _CliError(f"--field '{args.field}': {e}", EXIT_PARSE)
+    return linearize_groupoid(obj, field)
+
+
+# op -> (kind taken, function of the structure and the parsed arguments)
 _TRANSFORMS = {
-    "from-groupoid": (GroupoidData,),
-    "from-graded": (GradedHopfData,),
-    "dualize": (HopfCatData,),
-    "undualize": (DualHopfCatData,),
-    "pack": (HopfCatData,),
-    "pack-dual": (DualHopfCatData,),
-    "opposite": (HopfCatData,),
-    "coopposite": (HopfCatData,),
-    "opcop": (HopfCatData,),
-    "bimonoid": (HopfCatData,),
-    "unbimonoid": (BimonoidData,),
+    "from-groupoid": (GroupoidData, _linearize),
+    "from-graded": (GradedHopfData, lambda o, a: from_graded(o)),
+    "dualize": (HopfCatData, lambda o, a: dualize(o)),
+    "undualize": (DualHopfCatData, lambda o, a: undualize(o)),
+    "pack": (HopfCatData, lambda o, a: pack(o)),
+    "pack-dual": (DualHopfCatData, lambda o, a: pack_dual(o)),
+    "opposite": (HopfCatData, lambda o, a: transform(o, "opposite")),
+    "coopposite": (HopfCatData, lambda o, a: transform(o, "coopposite")),
+    "opcop": (HopfCatData, lambda o, a: transform(o, "opcop")),
+    "bimonoid": (HopfCatData, lambda o, a: bimonoid_from_category(o)),
+    "unbimonoid": (BimonoidData, lambda o, a: category_from_bimonoid(o)),
 }
-
-
-def _apply_transform(obj, op: str, args):
-    if not isinstance(obj, _TRANSFORMS[op]):
-        raise _CliError(
-            f"op '{op}' does not accept kind "
-            f"'{fileformat.kind_of(obj)}'", EXIT_PARSE)
-    if op == "from-groupoid":
-        try:
-            field = parse_field(args.field)
-        except ValueError as e:
-            raise _CliError(f"--field '{args.field}': {e}", EXIT_PARSE)
-        return linearize_groupoid(obj, field)
-    if op == "from-graded":
-        return from_graded(obj)
-    if op == "dualize":
-        return dualize(obj)
-    if op == "undualize":
-        return undualize(obj)
-    if op == "pack":
-        return pack(obj)
-    if op == "pack-dual":
-        return pack_dual(obj)
-    if op in ("opposite", "coopposite", "opcop"):
-        return transform(obj, op)
-    if op == "bimonoid":
-        return bimonoid_from_category(obj)
-    return category_from_bimonoid(obj)     # op == "unbimonoid"
 
 
 def cmd_transform(args) -> int:
     obj = _load_input(args)
-    out = _apply_transform(obj, args.op, args)
+    kind, apply = _TRANSFORMS[args.op]
+    if not isinstance(obj, kind):
+        raise _CliError(f"op '{args.op}' does not accept kind "
+                        f"'{fileformat.kind_of(obj)}'", EXIT_PARSE)
+    out = apply(obj, args)
     # self-check before writing
     rep, ok = _verify_any(out)
     if not ok:
@@ -293,86 +291,89 @@ def cmd_transform(args) -> int:
 def _basis_lines(field, bases: dict) -> list[str]:
     lines = []
     for x in sorted(bases):
-        vecs = bases[x]
-        lines.append(f"{x}: dimension {len(vecs)}")
-        for v in vecs:
-            lines.append("  (" + ", ".join(field.fmt(c) for c in v) + ")")
+        lines.append(f"{x}: dimension {len(bases[x])}")
+        lines += ["  (" + ", ".join(map(field.fmt, v)) + ")" for v in bases[x]]
     return lines
+
+
+def _recover(obj):
+    rep = Report()
+    result = recover_antipode(obj.strip_antipode())
+    if isinstance(result, RecoveryFailure):
+        rep.add(CheckItem(
+            "antipode-recoverable", (result.z, result.x, result.y), False,
+            None, f"canonical map has rank {result.rank} of {result.dim}", 1))
+        return rep, False, None
+    rep.add(CheckItem("antipode-recoverable", (), True))
+    return rep, True, result
+
+
+def _integrals(obj):
+    rep, memo = Report(), {}
+    bases = {x: integrals(obj, x, memo) for x in obj.objects}
+    for x in obj.objects:
+        rep.add(CheckItem("integral-basis", (x,), True, None,
+                          f"dimension {len(bases[x])}"))
+    return rep, True, _basis_lines(obj.field, bases)
+
+
+def _coinvariants(obj):
+    rep, fam = Report(), coinvariants(obj)
+    for x in obj.base.objects:
+        rep.add(CheckItem("coinvariant-basis", (x,), True, None,
+                          f"dimension {fam.dim(x)}"))
+    return rep, True, _basis_lines(obj.base.field, fam.bases)
+
+
+def _can_ranks(obj):
+    rep, lines = Report(), []
+    for (z, x, y), (r, d) in sorted(can_rank_table(obj).items()):
+        ok = r == d
+        rep.add(CheckItem("can-invertible", (z, x, y), ok, None if ok else 0,
+                          f"rank {r} of {d}", 0 if ok else 1))
+        lines.append(f"can[{z};{x},{y}] rank {r} of {d} "
+                     + ("invertible" if ok else "SINGULAR"))
+    return rep, rep.overall, lines
+
+
+def _strictness(obj):
+    rep = check_strictness(obj)
+    return rep, all(i.ok for i in rep.by_axiom("compose-surjective")), None
+
+
+# op -> (kind taken, analysis, whether --out gets a listing); an analysis
+# returns its report, its verdict and what --out gets: the lines of a
+# listing, or the completed structure (None: nothing to write)
+_ANALYSES = {
+    "recover-antipode": (HopfCatData, _recover, False),
+    "integrals": (HopfCatData, _integrals, True),
+    "coinvariants": (HopfModuleData, _coinvariants, True),
+    "can-ranks": (HopfCatData, _can_ranks, True),
+    "strictness": (HopfCatData, _strictness, False),
+}
+_LISTINGS = tuple(op for op, row in _ANALYSES.items() if row[2])
 
 
 def cmd_analyze(args) -> int:
     obj = _load_input(args)
-    op = args.op
-    rep = Report()
-    code = EXIT_PASS
-    out_lines: list[str] = []
-    completed = None
-
-    if op == "recover-antipode":
-        if not isinstance(obj, HopfCatData):
-            raise _CliError("recover-antipode needs a hopf-category file",
-                            EXIT_PARSE)
-        result = recover_antipode(obj.strip_antipode())
-        if isinstance(result, RecoveryFailure):
-            rep.add(CheckItem(
-                "antipode-recoverable", (result.z, result.x, result.y), False,
-                None,
-                f"canonical map has rank {result.rank} of {result.dim}", 1))
-            code = EXIT_FAIL
-        else:
-            rep.add(CheckItem("antipode-recoverable", (), True))
-            completed = result
-    elif op == "integrals":
-        if not isinstance(obj, HopfCatData):
-            raise _CliError("integrals needs a hopf-category file", EXIT_PARSE)
-        memo = {}
-        bases = {x: integrals(obj, x, memo) for x in obj.objects}
-        for x in obj.objects:
-            rep.add(CheckItem("integral-basis", (x,), True, None,
-                              f"dimension {len(bases[x])}"))
-        out_lines.extend(_basis_lines(obj.field, bases))
-    elif op == "coinvariants":
-        if not isinstance(obj, HopfModuleData):
-            raise _CliError("coinvariants needs a hopf-module file",
-                            EXIT_PARSE)
-        fam = coinvariants(obj)
-        for x in obj.base.objects:
-            rep.add(CheckItem("coinvariant-basis", (x,), True, None,
-                              f"dimension {fam.dim(x)}"))
-        out_lines.extend(_basis_lines(obj.base.field, fam.bases))
-    elif op == "can-ranks":
-        if not isinstance(obj, HopfCatData):
-            raise _CliError("can-ranks needs a hopf-category file", EXIT_PARSE)
-        table = can_rank_table(obj)
-        for (z, x, y), (r, d) in sorted(table.items()):
-            ok = r == d
-            rep.add(CheckItem("can-invertible", (z, x, y), ok,
-                              None if ok else 0, f"rank {r} of {d}",
-                              0 if ok else 1))
-            out_lines.append(f"can[{z};{x},{y}] rank {r} of {d} "
-                             + ("invertible" if ok else "SINGULAR"))
-        if not rep.overall:
-            code = EXIT_FAIL
-    elif op == "strictness":
-        if not isinstance(obj, HopfCatData):
-            raise _CliError("strictness needs a hopf-category file",
-                            EXIT_PARSE)
-        rep = check_strictness(obj)
-        if not all(i.ok for i in rep.by_axiom("compose-surjective")):
-            code = EXIT_FAIL
-
-    with _reporting(rep, args, f"analyze {op}", args.path, obj):
-        if args.out and completed is not None:
-            with _writing(args.out):
-                fileformat.save(args.out, completed)
-            out_lines.append(f"wrote completed hopf-category to {args.out}")
-        elif args.out and op in _LISTINGS:
+    kind, analysis, listing = _ANALYSES[args.op]
+    if not isinstance(obj, kind):
+        raise _CliError(f"{args.op} needs a {kind.layout.name} file",
+                        EXIT_PARSE)
+    rep, ok, out = analysis(obj)
+    lines = out if listing else []
+    with _reporting(rep, args, f"analyze {args.op}", args.path, obj):
+        if args.out and listing:
             with _writing(args.out), open(args.out, "w") as fh:
-                fh.write("\n".join(out_lines) + "\n")
+                fh.write("\n".join(lines) + "\n")
+        elif args.out and out is not None:
+            with _writing(args.out):
+                fileformat.save(args.out, out)
+            lines = [f"wrote completed hopf-category to {args.out}"]
         if not args.quiet:
-            for line in out_lines:
+            for line in lines:
                 print(line)
-    return code
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 @functools.cache
@@ -410,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="derived computations and rank scans")
     pa.add_argument("path")
-    pa.add_argument("op", choices=("recover-antipode", "integrals",
-                                   "coinvariants", "can-ranks", "strictness"))
+    pa.add_argument("op", choices=tuple(_ANALYSES))
     pa.add_argument("--out", default=None,
                     help="output file (completed structure or listing)")
     pa.set_defaults(func=cmd_analyze)
