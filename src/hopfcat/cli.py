@@ -16,9 +16,9 @@ output, directly or through its manifest, is refused before anything is
 written, and so is a listing --out (integrals, coinvariants, can-ranks)
 that names the input or its base file.
 
-Each command dispatches through one table with a row per kind or op
-(``_VERIFIERS``, ``_TRANSFORMS``, ``_ANALYSES``); a new op or kind is one
-row plus its function.  Rows look functions up at call time (see there).
+Each command dispatches through one table, a row per kind or op: a new
+op or kind is one row plus its function, looked up at call time (see
+``_VERIFIERS``).
 """
 
 from __future__ import annotations
@@ -161,10 +161,6 @@ def _reporting(report: Report, args, command: str, path: str, obj):
         print(report.table())
 
 
-# A row calls its function through the module-level name, in a lambda or a
-# def, not as the object bound when the table is built, so that swapping the
-# name here (perfbench's Tracer.install, a test's monkeypatch) sees the call.
-
 def _checked(rep: Report) -> tuple[Report, bool]:
     return rep, rep.overall
 
@@ -187,6 +183,9 @@ def _verify_hopf_module(obj) -> tuple[Report, bool]:
     return _checked(verify_hopf_module(obj, base=rep))
 
 
+# Rows of all three tables reach their function through its module-level
+# name, in a lambda or a def, not as the object bound at import, so that a
+# swap of the name here (perfbench's Tracer.install, a monkeypatch) is seen.
 # kind -> verifier of every kind but hopf-category, which takes the options
 _VERIFIERS = {
     DualHopfCatData: lambda o: _checked(verify_dual(o)),
@@ -203,13 +202,14 @@ _VERIFIERS = {
 def _verify_any(obj, level=None, strictness=False,
                 theorems=False) -> tuple[Report, bool]:
     """The report of verifying ``obj``, and its verdict read once per part.
-    ``level``, ``strictness`` and ``theorems`` are the options of
-    ``verify``: they apply to hopf-category data, and a level given for
-    any other kind is a usage error."""
+    ``level``, ``strictness`` and ``theorems``, the options of ``verify``,
+    apply to hopf-category data; given for another kind, each is refused."""
     if not isinstance(obj, HopfCatData):
-        if level:
-            raise _CliError("--level only applies to hopf-category files",
-                            EXIT_PARSE)
+        for flag, given in (("--level", level), ("--strictness", strictness),
+                            ("--antipode-theorems", theorems)):
+            if given:
+                raise _CliError(f"{flag} only applies to hopf-category files",
+                                EXIT_PARSE)
         return _VERIFIERS[type(obj)](obj)
     level = level or ("hopf" if obj.has_antipode else "semihopf")
     rep = verify_structure(obj, level)
@@ -297,8 +297,7 @@ def _basis_lines(field, bases: dict) -> list[str]:
 
 
 def _recover(obj):
-    rep = Report()
-    result = recover_antipode(obj.strip_antipode())
+    rep, result = Report(), recover_antipode(obj.strip_antipode())
     if isinstance(result, RecoveryFailure):
         rep.add(CheckItem(
             "antipode-recoverable", (result.z, result.x, result.y), False,
@@ -342,8 +341,8 @@ def _strictness(obj):
 
 
 # op -> (kind taken, analysis, whether --out gets a listing); an analysis
-# returns its report, its verdict and what --out gets: the lines of a
-# listing, or the completed structure (None: nothing to write)
+# returns its report, its verdict and the listing's lines or the completed
+# structure (None: nothing to write)
 _ANALYSES = {
     "recover-antipode": (HopfCatData, _recover, False),
     "integrals": (HopfCatData, _integrals, True),
