@@ -17,8 +17,8 @@ written, and so is a listing --out (integrals, coinvariants, can-ranks)
 that names the input or its base file.
 
 Each command dispatches through one table, a row per kind or op: a new
-op or kind is one row plus its function, looked up at call time (see
-``_VERIFIERS``).
+op or kind is one row plus its function, looked up by name at call time
+so that swapping the name (a tracer, a test) reaches every call.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def _verify_hopf_module(obj) -> tuple[Report, bool]:
     return _checked(verify_hopf_module(obj, base=rep))
 
 
-# Rows of all three tables reach their function through its module-level
-# name, in a lambda or a def, not as the object bound at import, so that a
-# swap of the name here (perfbench's Tracer.install, a monkeypatch) is seen.
+# Each table's row reaches its function through the module-level name, in a
+# lambda or a def: perfbench's Tracer.install swaps names in this module's
+# namespace, and would miss a function bound at import.
 # kind -> verifier of every kind but hopf-category, which takes the options
 _VERIFIERS = {
     DualHopfCatData: lambda o: _checked(verify_dual(o)),
@@ -249,7 +249,7 @@ def _linearize(obj, args):
     return linearize_groupoid(obj, field)
 
 
-# op -> (kind taken, function of the structure and the parsed arguments)
+# op -> (kind taken, function of the structure and the arguments)
 _TRANSFORMS = {
     "from-groupoid": (GroupoidData, _linearize),
     "from-graded": (GradedHopfData, lambda o, a: from_graded(o)),
@@ -341,8 +341,8 @@ def _strictness(obj):
 
 
 # op -> (kind taken, analysis, whether --out gets a listing); an analysis
-# returns its report, its verdict and the listing's lines or the completed
-# structure (None: nothing to write)
+# returns its report, its verdict and the listing's lines, the completed
+# structure or None
 _ANALYSES = {
     "recover-antipode": (HopfCatData, _recover, False),
     "integrals": (HopfCatData, _integrals, True),

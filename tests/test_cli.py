@@ -880,3 +880,123 @@ def test_consecutive_calls_share_nothing(fixture_dir, tmp_path, capsys):
     assert [r[0] for r in fresh] == [0, 1, 1, 0, 0, 0, ("exit", 2), 0]
     assert cli.build_parser() is cli.build_parser()
     assert [run(argv) for argv in calls] == fresh
+
+
+# -- dispatch: one row per kind and per op ------------------------------------------
+
+# one fixture of each kind, and the kind each op takes, written out here rather
+# than read from the CLI's tables
+KIND_FIXTURES = {
+    "hopf-category": "kz2",
+    "dual-hopf-category": "kz2_dual",
+    "weak-hopf": "pair3_packed",
+    "groupoid": "pair2_groupoid",
+    "graded-hopf": "graded_z2_strong_graded",
+    "module": "kz2_regular_module",
+    "comodule": "kz2_dual_regular_comodule",
+    "hopf-module": "kz2_regular_hopf_module",
+    "bimonoid": "kz2_bimonoid",
+}
+TRANSFORM_TAKES = {
+    "from-groupoid": "groupoid", "from-graded": "graded-hopf",
+    "dualize": "hopf-category", "undualize": "dual-hopf-category",
+    "pack": "hopf-category", "pack-dual": "dual-hopf-category",
+    "opposite": "hopf-category", "coopposite": "hopf-category",
+    "opcop": "hopf-category", "bimonoid": "hopf-category",
+    "unbimonoid": "bimonoid",
+}
+ANALYSIS_TAKES = {
+    "recover-antipode": "hopf-category", "integrals": "hopf-category",
+    "coinvariants": "hopf-module", "can-ranks": "hopf-category",
+    "strictness": "hopf-category",
+}
+
+
+def test_every_kind_read_but_hopf_category_has_a_verifier():
+    assert set(fileformat._CLASSES) == set(KIND_FIXTURES)
+    assert set(cli._VERIFIERS) == \
+        set(fileformat._CLASSES.values()) - {core.HopfCatData}
+
+
+def test_each_op_has_one_row():
+    assert set(TRANSFORM_TAKES) == set(cli._TRANSFORMS)
+    assert set(ANALYSIS_TAKES) == set(cli._ANALYSES)
+    assert cli._LISTINGS == ("integrals", "coinvariants", "can-ranks")
+
+
+def _by_kind(fixture_dir, tmp_path, capsys, argv) -> dict:
+    """The exit code and stderr of ``argv`` on each kind's fixture, by kind,
+    after checking that a refusal leaves no report behind."""
+    out = {}
+    for kind, name in KIND_FIXTURES.items():
+        rep = tmp_path / "r.jsonl"
+        capsys.readouterr()
+        code = main(["--quiet", "--report", str(rep)]
+                    + [fx(fixture_dir, name) if a is None else a
+                       for a in argv])
+        out[kind] = code, capsys.readouterr().err
+        assert rep.exists() == (code != 2)
+        if rep.exists():
+            rep.unlink()
+    return out
+
+
+@pytest.mark.parametrize("op", TRANSFORM_TAKES)
+def test_a_transform_refuses_exactly_the_kinds_it_does_not_take(
+        fixture_dir, tmp_path, capsys, op):
+    got = _by_kind(fixture_dir, tmp_path, capsys,
+                   ["transform", None, op, str(tmp_path / "out.hc")])
+    assert got == {
+        kind: (0, "") if kind == TRANSFORM_TAKES[op] else
+        (2, f"error: op '{op}' does not accept kind '{kind}'\n")
+        for kind in KIND_FIXTURES}
+
+
+@pytest.mark.parametrize("op", ANALYSIS_TAKES)
+def test_an_analysis_refuses_exactly_the_kinds_it_does_not_take(
+        fixture_dir, tmp_path, capsys, op):
+    got = _by_kind(fixture_dir, tmp_path, capsys,
+                   ["analyze", None, op, "--out", str(tmp_path / "out")])
+    assert got == {
+        kind: (0, "") if kind == ANALYSIS_TAKES[op] else
+        (2, f"error: {op} needs a {ANALYSIS_TAKES[op]} file\n")
+        for kind in KIND_FIXTURES}
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--level", "category"], "--level"),
+    (["--level", "hopf"], "--level"),
+    (["--strictness"], "--strictness"),
+    (["--antipode-theorems"], "--antipode-theorems"),
+    (["--antipode-theorems", "--strictness"], "--strictness"),
+    (["--strictness", "--level", "semihopf"], "--level"),
+])
+def test_verify_options_are_refused_on_every_other_kind(
+        fixture_dir, tmp_path, capsys, flags, named):
+    got = _by_kind(fixture_dir, tmp_path, capsys, ["verify", None] + flags)
+    assert got.pop("hopf-category") == (0, "")
+    assert got == {kind: (2, f"error: {named} only applies to "
+                             "hopf-category files\n") for kind in got}
+
+
+def test_rows_look_their_functions_up_at_call_time(fixture_dir, tmp_path,
+                                                   monkeypatch):
+    """A row that held the function bound at import would miss a swap of
+    the module-level name, as perfbench's tracer makes."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+    for name in ("dualize", "verify_dual", "integrals"):
+        counting(name, getattr(cli, name))
+    out = str(tmp_path / "d.hc")
+    assert main(["--quiet", "transform", fx(fixture_dir, "kz2"), "dualize",
+                 out]) == 0
+    assert calls == ["dualize", "verify_dual"]     # the output's self-check
+    assert main(["--quiet", "verify", fx(fixture_dir, "kz2_dual")]) == 0
+    assert main(["--quiet", "analyze", fx(fixture_dir, "kz2"),
+                 "integrals"]) == 0
+    assert calls == ["dualize", "verify_dual", "verify_dual", "integrals"]
