@@ -9,8 +9,7 @@ correspondence on the two-tensor-product category, and the freeness toolkit
 """
 
 from .scalars import Field, FpElement, FieldMismatchError, GF, QQ, parse_field
-from .linalg import (LinMap, NotInvertible, TensorIndex, invert, kron,
-                     rank, rank_kernel, solve, swap_map)
+from .linalg import LinMap, NotInvertible, invert, rank, rank_kernel, solve
 from .report import (CheckItem, InternalInvariantError, PreconditionError,
                      Report)
 from .core import (HopfCatData, MalformedDataError, MissingAntipodeError,
@@ -28,11 +27,11 @@ from .modules import (ComoduleData, ModuleData, comodule_to_module,
                       tensor_modules, unit_module, verify_comodule,
                       verify_module)
 from .fundamental import (CoinvariantFamily, HopfModuleData, RecoveryFailure,
-                          build_can, can_inverse, can_rank_table,
-                          canonical_hopf_module, check_antipode_bijective,
-                          check_equivalence, coinvariants, dual_hopf_module,
-                          free_hopf_module, integrals, recover_antipode,
-                          regular_hopf_module, verify_hopf_module)
+                          can_inverse, can_rank_table, canonical_hopf_module,
+                          check_antipode_bijective, check_equivalence,
+                          coinvariants, dual_hopf_module, free_hopf_module,
+                          integrals, recover_antipode, regular_hopf_module,
+                          verify_hopf_module)
 from .duoidal import (BimonoidData, MkXObject, bimonoid_from_category,
                       black_tensor, category_from_bimonoid, verify_bimonoid,
                       white_tensor, zeta)

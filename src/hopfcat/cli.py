@@ -14,7 +14,9 @@ with content digests of the canonicalized inputs is written.  A --report
 path that names the input, the base file a module-like input names, or an
 output, directly or through its manifest, is refused before anything is
 written, and so is a listing --out (integrals, coinvariants, can-ranks)
-that names the input or its base file.
+that names the input or its base file.  An analysis that writes nothing
+(strictness) refuses --out, and the global --field is checked before any
+command reads or writes a file.
 
 Each command dispatches through one table, a row per kind or op: a new
 op or kind is one row plus its function, looked up by name at call time
@@ -241,17 +243,10 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _linearize(obj, args):
-    try:
-        field = parse_field(args.field)
-    except ValueError as e:
-        raise _CliError(f"--field '{args.field}': {e}", EXIT_PARSE)
-    return linearize_groupoid(obj, field)
-
-
 # op -> (kind taken, function of the structure and the arguments)
 _TRANSFORMS = {
-    "from-groupoid": (GroupoidData, _linearize),
+    "from-groupoid": (GroupoidData,
+                      lambda o, a: linearize_groupoid(o, a.field)),
     "from-graded": (GradedHopfData, lambda o, a: from_graded(o)),
     "dualize": (HopfCatData, lambda o, a: dualize(o)),
     "undualize": (DualHopfCatData, lambda o, a: undualize(o)),
@@ -340,29 +335,31 @@ def _strictness(obj):
     return rep, all(i.ok for i in rep.by_axiom("compose-surjective")), None
 
 
-# op -> (kind taken, analysis, whether --out gets a listing); an analysis
-# returns its report, its verdict and the listing's lines, the completed
-# structure or None
+# op -> (kind taken, analysis, what --out receives: "listing", "structure"
+# or None, which refuses --out); an analysis returns its report, its verdict
+# and the listing's lines, the completed structure or None
 _ANALYSES = {
-    "recover-antipode": (HopfCatData, _recover, False),
-    "integrals": (HopfCatData, _integrals, True),
-    "coinvariants": (HopfModuleData, _coinvariants, True),
-    "can-ranks": (HopfCatData, _can_ranks, True),
-    "strictness": (HopfCatData, _strictness, False),
+    "recover-antipode": (HopfCatData, _recover, "structure"),
+    "integrals": (HopfCatData, _integrals, "listing"),
+    "coinvariants": (HopfModuleData, _coinvariants, "listing"),
+    "can-ranks": (HopfCatData, _can_ranks, "listing"),
+    "strictness": (HopfCatData, _strictness, None),
 }
-_LISTINGS = tuple(op for op, row in _ANALYSES.items() if row[2])
+_LISTINGS = tuple(op for op, row in _ANALYSES.items() if row[2] == "listing")
 
 
 def cmd_analyze(args) -> int:
     obj = _load_input(args)
-    kind, analysis, listing = _ANALYSES[args.op]
+    kind, analysis, writes = _ANALYSES[args.op]
     if not isinstance(obj, kind):
         raise _CliError(f"{args.op} needs a {kind.layout.name} file",
                         EXIT_PARSE)
+    if args.out and writes is None:
+        raise _CliError(f"{args.op} writes nothing to --out", EXIT_PARSE)
     rep, ok, out = analysis(obj)
-    lines = out if listing else []
+    lines = out if writes == "listing" else []
     with _reporting(rep, args, f"analyze {args.op}", args.path, obj):
-        if args.out and listing:
+        if args.out and writes == "listing":
             with _writing(args.out), open(args.out, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
         elif args.out and out is not None:
@@ -385,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact structure-constant calculus for finite k-linear "
                     "Hopf categories")
     p.add_argument("--field", default="q",
-                   help="target field for from-groupoid: q or fp:<p>")
+                   help="target field for from-groupoid: q or fp:<p>; "
+                        "checked for every command")
     p.add_argument("--report", default=None,
                    help="write a JSON-lines report (plus run manifest)")
     p.add_argument("--quiet", action="store_true")
@@ -420,6 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            args.field = parse_field(args.field)
+        except ValueError as e:
+            raise _CliError(f"--field '{args.field}': {e}", EXIT_PARSE)
         out = getattr(args, "out", None)
         _refuse_clash(args, [(args.path, "the input")],
                       [(out, "the output")] if out else ())

@@ -1,60 +1,23 @@
-"""Dense exact matrices and tensor-index bookkeeping.
+"""Exact matrices and their row reduction: rank, kernel, inverse and solve.
 
 Conventions used verbatim by every structure-constant module:
 
 - A ``LinMap`` stores ``entries[r][c]`` with ``r`` indexing the codomain and
   ``c`` the domain; ``f @ g`` is composition f after g.
 - Tensor factors flatten row-major with the LEFTMOST factor slowest: the pair
-  (i, k) over dims (d1, d2) flattens to ``i*d2 + k``.  ``kron`` and
-  ``swap_map`` follow this convention, fixed once for the whole library.
+  (i, k) over dims (d1, d2) flattens to ``i*d2 + k``.  ``LinMap.kron``
+  and ``swap_map`` follow this convention, fixed once for the whole library.
 
 Everything is exact; results re-verify by multiplication to identical scalars.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .scalars import Field, FieldMismatchError
 from .schema import reshaped
 from .sparse import SparseMap, columns
-
-
-@dataclass(frozen=True)
-class TensorIndex:
-    """Row-major flattening of a tuple of factor dimensions."""
-
-    factor_dims: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        n = 1
-        for d in self.factor_dims:
-            n *= d
-        return n
-
-    def flatten(self, multi) -> int:
-        if len(multi) != len(self.factor_dims):
-            raise ValueError("multi-index arity mismatch")
-        flat = 0
-        for i, d in zip(multi, self.factor_dims):
-            if not 0 <= i < d:
-                raise ValueError(f"index {i} out of range [0,{d})")
-            flat = flat * d + i
-        return flat
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.total:
-            raise ValueError(f"flat index {flat} out of range [0,{self.total})")
-        out = []
-        for d in reversed(self.factor_dims):
-            out.append(flat % d)
-            flat //= d
-        return tuple(reversed(out))
-
-    def __iter__(self):
-        return itertools.product(*(range(d) for d in self.factor_dims))
 
 
 @dataclass(frozen=True)
@@ -90,11 +53,6 @@ class LinMap:
                     for i in range(n)])
 
     @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "LinMap":
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @classmethod
     def column(cls, field: Field, vec) -> "LinMap":
         return cls(field, len(vec), 1, [[v] for v in vec])
 
@@ -109,18 +67,6 @@ class LinMap:
         """The same map in column form, as check_map_equal compares it."""
         return SparseMap(self.field, self.rows,
                          columns(self.field, self.entries, self.cols))
-
-    def apply(self, vec) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match domain")
-        out = [self.field.zero] * self.rows
-        for c, v in enumerate(vec):
-            if v:
-                for r in range(self.rows):
-                    a = self.entries[r][c]
-                    if a:
-                        out[r] = out[r] + a * v
-        return out
 
     def _check_field(self, other: "LinMap"):
         if self.field != other.field:
@@ -149,14 +95,6 @@ class LinMap:
                         if ak_col[r]:
                             out[r][j] = out[r][j] + ak_col[r] * v
         return LinMap(self.field, self.rows, other.cols, out)
-
-    def __add__(self, other: "LinMap") -> "LinMap":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sum")
-        return LinMap(self.field, self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._check_field(other)
@@ -196,10 +134,6 @@ class LinMap:
 
     def __repr__(self):
         return f"LinMap({self.rows}x{self.cols} over {self.field})"
-
-
-def kron(f: LinMap, g: LinMap) -> LinMap:
-    return f.kron(g)
 
 
 def bilinear_map(field: Field, t, d1: int, d2: int, d3: int) -> LinMap:

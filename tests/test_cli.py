@@ -582,6 +582,28 @@ def test_from_groupoid_rejects_a_bad_field(fixture_dir, tmp_path, capsys,
     assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("field", ["fp:4", "nosuch"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "{in}"],
+    ["transform", "{in}", "dualize", "{work}/out.hc"],
+    ["analyze", "{in}", "can-ranks", "--out", "{work}/out.txt"],
+], ids=["verify", "transform", "analyze"])
+def test_every_command_rejects_a_bad_field(fixture_dir, tmp_path, capsys,
+                                           field, argv):
+    # --field is read by from-groupoid alone, but checked for every command
+    # before anything is read or written
+    work = tmp_path / "work"
+    work.mkdir()
+    capsys.readouterr()
+    assert main(["--quiet", "--field", field, "--report",
+                 str(work / "r.jsonl")]
+                + [a.format(**{"in": fx(fixture_dir, "kz2"), "work": work})
+                   for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --field '{field}': ")
+    assert err.count("\n") == 1 and list(work.iterdir()) == []
+
+
 UNWRITABLE = [
     ("--report", lambda fixture_dir, path: [
         "--quiet", "--report", path, "verify", fx(fixture_dir, "pair2")]),
@@ -910,6 +932,11 @@ ANALYSIS_TAKES = {
     "coinvariants": "hopf-module", "can-ranks": "hopf-category",
     "strictness": "hopf-category",
 }
+# what --out receives from each analysis; None refuses --out
+ANALYSIS_OUT = {
+    "recover-antipode": "structure", "integrals": "listing",
+    "coinvariants": "listing", "can-ranks": "listing", "strictness": None,
+}
 
 
 def test_every_kind_read_but_hopf_category_has_a_verifier():
@@ -921,7 +948,25 @@ def test_every_kind_read_but_hopf_category_has_a_verifier():
 def test_each_op_has_one_row():
     assert set(TRANSFORM_TAKES) == set(cli._TRANSFORMS)
     assert set(ANALYSIS_TAKES) == set(cli._ANALYSES)
+    assert {op: row[2] for op, row in cli._ANALYSES.items()} == ANALYSIS_OUT
     assert cli._LISTINGS == ("integrals", "coinvariants", "can-ranks")
+
+
+@pytest.mark.parametrize("op", ANALYSIS_OUT)
+def test_every_analysis_writes_out_or_refuses_it(fixture_dir, tmp_path,
+                                                 capsys, op):
+    # a refusal writes neither --out nor the report
+    out, rep = tmp_path / "F", tmp_path / "R"
+    capsys.readouterr()
+    code = main(["--quiet", "--report", str(rep), "analyze",
+                 fx(fixture_dir, KIND_FIXTURES[ANALYSIS_TAKES[op]]), op,
+                 "--out", str(out)])
+    if ANALYSIS_OUT[op] is None:
+        assert code == 2 and not out.exists() and not rep.exists()
+        assert capsys.readouterr().err \
+            == f"error: {op} writes nothing to --out\n"
+    else:
+        assert code == 0 and out.exists() and rep.exists()
 
 
 def _by_kind(fixture_dir, tmp_path, capsys, argv) -> dict:
@@ -955,8 +1000,8 @@ def test_a_transform_refuses_exactly_the_kinds_it_does_not_take(
 @pytest.mark.parametrize("op", ANALYSIS_TAKES)
 def test_an_analysis_refuses_exactly_the_kinds_it_does_not_take(
         fixture_dir, tmp_path, capsys, op):
-    got = _by_kind(fixture_dir, tmp_path, capsys,
-                   ["analyze", None, op, "--out", str(tmp_path / "out")])
+    out = ["--out", str(tmp_path / "out")] if ANALYSIS_OUT[op] else []
+    got = _by_kind(fixture_dir, tmp_path, capsys, ["analyze", None, op] + out)
     assert got == {
         kind: (0, "") if kind == ANALYSIS_TAKES[op] else
         (2, f"error: {op} needs a {ANALYSIS_TAKES[op]} file\n")

@@ -154,7 +154,8 @@ def test_coinvariant_vectors_are_coinvariant(hopf_fixtures):
     rho = _split_map(a.field, m.coaction[("*", "*")], d, d, a.dim("*", "*"))
     against = LinMap.identity(a.field, d).kron(a.unit_map("*"))
     for v in fam.bases["*"]:
-        assert rho.apply(list(v)) == against.apply(list(v))
+        col = LinMap.column(a.field, v)
+        assert rho @ col == against @ col
 
 
 def test_equivalence_on_regular_modules(hopf_fixtures):

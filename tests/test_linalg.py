@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from oracles import (reference_echelon_basis, reference_invert,
                      reference_rank_kernel, reference_solve)
 
-from hopfcat.linalg import (LinMap, NotInvertible, TensorIndex,
-                            echelon_basis, invert, kron, rank, rank_kernel,
-                            solve, swap_map)
+from hopfcat.linalg import (LinMap, NotInvertible, echelon_basis, invert,
+                            rank, rank_kernel, solve, swap_map)
 from hopfcat.scalars import GF, QQ, FieldMismatchError, FpElement
 
 
@@ -26,7 +25,7 @@ def test_rank_kernel_identity():
 
 
 def test_rank_kernel_zero_map():
-    r, basis = rank_kernel(LinMap.zero(QQ, 2, 3))
+    r, basis = rank_kernel(qmat([[0, 0, 0], [0, 0, 0]]))
     assert r == 0
     assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -51,29 +50,28 @@ def test_invert_unipotent():
 def test_invert_failures_carry_rank():
     out = invert(qmat([[1, 2], [2, 4]]))
     assert isinstance(out, NotInvertible) and out.rank == 1
-    out = invert(LinMap.zero(QQ, 2, 3))
+    out = invert(qmat([[0, 0, 0], [0, 0, 0]]))
     assert isinstance(out, NotInvertible)
 
 
 def test_kron_frozen():
-    assert kron(LinMap.identity(QQ, 2), LinMap.identity(QQ, 3)) \
+    assert LinMap.identity(QQ, 2).kron(LinMap.identity(QQ, 3)) \
         == LinMap.identity(QQ, 6)
     f = qmat([[1, 2], [3, 4]])
-    assert kron(f, LinMap.identity(QQ, 1)) == f
-    assert kron(qmat([[2]]), qmat([[3]])) == qmat([[6]])
+    assert f.kron(LinMap.identity(QQ, 1)) == f
+    assert qmat([[2]]).kron(qmat([[3]])) == qmat([[6]])
 
 
 def test_kron_indexing_convention():
     # leftmost factor slowest: (f⊗g)[(i,k),(j,l)] = f[i,j] g[k,l]
     f = qmat([[1, 2], [3, 4]])
     g = qmat([[5, 6], [7, 8]])
-    fg = kron(f, g)
-    ti = TensorIndex((2, 2))
+    fg = f.kron(g)
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    assert fg.entries[ti.flatten((i, k))][ti.flatten((j, l))] \
+                    assert fg.entries[i * 2 + k][j * 2 + l] \
                         == f.entries[i][j] * g.entries[k][l]
 
 
@@ -81,24 +79,20 @@ def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatchError):
         LinMap.identity(QQ, 2) @ LinMap.identity(GF(5), 2)
     with pytest.raises(FieldMismatchError):
-        kron(LinMap.identity(QQ, 2), LinMap.identity(GF(5), 2))
+        LinMap.identity(QQ, 2).kron(LinMap.identity(GF(5), 2))
 
 
 def test_compose_needs_matching_inner_dims():
     with pytest.raises(ValueError):
         LinMap.identity(QQ, 2) @ LinMap.identity(QQ, 3)
-    with pytest.raises(ValueError):
-        LinMap.zero(QQ, 2, 2) + LinMap.zero(QQ, 2, 3)
 
 
 def test_swap_map_is_flip():
     s = swap_map(QQ, 2, 3)
-    ti = TensorIndex((2, 3))
-    to = TensorIndex((3, 2))
     for i in range(2):
         for k in range(3):
-            col = s.col(ti.flatten((i, k)))
-            assert col[to.flatten((k, i))] == 1
+            col = s.col(i * 3 + k)
+            assert col[k * 2 + i] == 1
             assert sum(1 for v in col if v) == 1
     assert swap_map(QQ, 3, 2) @ s == LinMap.identity(QQ, 6)
 
@@ -109,26 +103,6 @@ def test_solve_exact_and_inconsistent():
     x = solve(a, b)
     assert x is not None and a @ x == b
     assert solve(a, qmat([[1], [2], [4]])) is None
-
-
-# -- tensor index ----------------------------------------------------------------
-
-def test_tensor_index_roundtrip_exhaustive():
-    ti = TensorIndex((2, 3, 4))
-    seen = set()
-    for multi in ti:
-        flat = ti.flatten(multi)
-        assert ti.unflatten(flat) == multi
-        seen.add(flat)
-    assert seen == set(range(24))
-
-
-def test_tensor_index_bounds():
-    ti = TensorIndex((2, 2))
-    with pytest.raises(ValueError):
-        ti.flatten((2, 0))
-    with pytest.raises(ValueError):
-        ti.unflatten(4)
 
 
 # -- hypothesis properties ---------------------------------------------------------
@@ -181,14 +155,14 @@ def test_invert_iff_full_rank(f):
        matrices(GF(5), 3, 2))
 def test_mixed_product_identity(f, fp, g, gp):
     # over each field separately: (f∘f')⊗(g∘g') = (f⊗g)∘(f'⊗g')
-    assert kron(f @ fp, f @ fp) == kron(f, f) @ kron(fp, fp)
-    assert kron(g @ gp, g @ gp) == kron(g, g) @ kron(gp, gp)
+    assert (f @ fp).kron(f @ fp) == f.kron(f) @ fp.kron(fp)
+    assert (g @ gp).kron(g @ gp) == g.kron(g) @ gp.kron(gp)
 
 
 @settings(max_examples=40)
 @given(matrices(QQ, 2, 1), matrices(QQ, 1, 2), matrices(QQ, 2, 2))
 def test_kron_associative_on_entries(a, b, c):
-    assert kron(kron(a, b), c) == kron(a, kron(b, c))
+    assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
 
 @settings(max_examples=80)
@@ -197,7 +171,7 @@ def test_rank_kernel_exactness(f):
     r, basis = rank_kernel(f)
     assert r + len(basis) == f.cols
     for v in basis:
-        assert not any(f.apply(list(v)))
+        assert (f @ LinMap.column(f.field, v)).is_zero()
     # canonical: echelon, leading ones at increasing positions
     leads = []
     for v in basis:
