@@ -25,6 +25,17 @@ groupoid, ``weak.verify_weak_hopf``, ``serialize`` and ``load``.  Loading,
 serializing and packing must give back what was written, and each verifier
 must pass.  ``--seed`` does not change it.
 
+The workload ``cold-start`` times what the benchmark does not: starting
+up.  Its two jobs are a fresh import of the side's package and all its
+submodules from its checkout, as each set-up of ``perfbench/run.py`` does
+(checked to come from that checkout), and one fresh process of ``python
+-m hopfcat.cli --quiet --report R verify fixtures/kz2.hc`` with
+``PYTHONPATH`` set to the checkout's ``src`` alone, which must exit 0 and
+write ``R``.  Neither writes bytecode: on a checkout without
+``__pycache__``, such as a fresh clone, both compile every module of the
+package from source in every round, as the benchmark's set-ups do; where
+bytecode is cached, both read it.  ``--seed`` does not change it.
+
 Each side builds and writes its inputs under its checkout's
 ``.perfbench_work/ab_jobs/<side>/<workload>``, so an A/A run keeps two
 sets.  Each side writes its inputs with its own library, so the script
@@ -45,9 +56,10 @@ It prints each job's median time on each side, the sums of those medians,
 and the wins of the change: the jobs whose median is lower, and the rounds
 whose total is lower.  Unlike ``scripts/ab_bench.py``, which compares whole
 benchmark runs in fresh processes, this sees a change of a few percent on
-a shared machine, at the price of measuring warm jobs only: no set-up, no
-import and no peak RSS.  Compare numbers within one run of the script
-only: the machine's speed drifts between sessions.
+a shared machine, at the price of measuring warm jobs only (but for
+``cold-start``): no set-up, no import and no peak RSS.  Compare numbers
+within one run of the script only: the machine's speed drifts between
+sessions.
 """
 
 from __future__ import annotations
@@ -60,6 +72,7 @@ import io
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -73,6 +86,7 @@ MODULES = ("cli", "core", "dual", "duoidal", "fileformat", "fixtures",
            "report", "scalars", "weak")
 LADDER = "pair-ladder"
 SIZES = (8, 12, 16)
+COLD = "cold-start"
 
 
 def library(label: str, checkout: str) -> SimpleNamespace:
@@ -162,6 +176,41 @@ def ladder_jobs(lib, root: str):
     return jobs, digest.hexdigest()
 
 
+def cold_jobs(label: str, checkout: str, root: str):
+    """(jobs, digest of the file read) of ``cold-start``."""
+    os.makedirs(root)
+    # the process runs in ``root``
+    checkout, root = os.path.abspath(checkout), os.path.abspath(root)
+    fixture = os.path.join(checkout, "fixtures", "kz2.hc")
+    with open(fixture, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    package = os.path.realpath(os.path.join(checkout, "src", "hopfcat"))
+    report = os.path.join(root, "report.jsonl")
+    argv = [sys.executable, "-B", "-m", "hopfcat.cli", "--quiet",
+            "--report", report, "verify", fixture]
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+
+    def imported(lib):
+        where = os.path.realpath(os.path.dirname(lib.cli.__file__))
+        return None if where == package else f"imported from {where}"
+
+    def wrote_report(proc):
+        """Why the process failed, or None; a report it wrote is removed,
+        so that every run must write its own."""
+        if proc.returncode != 0:
+            return f"exit {proc.returncode}: {proc.stderr.strip()}"
+        if not os.path.isfile(report):
+            return "no report written"
+        os.remove(report)
+        return None
+
+    return [Job("import", partial(library, label, checkout), imported),
+            Job("cli verify kz2",
+                partial(subprocess.run, argv, env=env, cwd=root,
+                        capture_output=True, text=True),
+                wrote_report)], digest
+
+
 class Side:
     """One checkout: its library, its jobs and their times."""
 
@@ -173,6 +222,8 @@ class Side:
         shutil.rmtree(root, ignore_errors=True)
         if workload == LADDER:
             self.jobs, self.digest = ladder_jobs(lib, root)
+        elif workload == COLD:
+            self.jobs, self.digest = cold_jobs(label, checkout, root)
         else:
             workloads = load_module(
                 f"workloads_{label}",
@@ -209,6 +260,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.rounds < 3:
         p.error("--rounds must be at least 3 for a median")
+    if args.workload == COLD:
+        sys.dont_write_bytecode = True
     parent = Side("parent", args.parent, args.workload, args.seed)
     change = Side("change", args.change, args.workload, args.seed)
     if [j.label for j in parent.jobs] != [j.label for j in change.jobs]:

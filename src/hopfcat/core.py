@@ -24,14 +24,13 @@ follows the number of nonzero terms, not the size of dense matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import sparse as sp
 from .linalg import (LinMap, NotInvertible, _rref, bilinear_map, invert,
                      split_map)
 from .report import Instances, Report, PreconditionError, check_condition
 from .scalars import Field
 from .schema import LAYOUTS, MalformedDataError, check_shape, reindexer
+from .value import Value
 
 
 class MissingAntipodeError(ValueError):
@@ -41,16 +40,25 @@ class MissingAntipodeError(ValueError):
 LEVELS = ("category", "semihopf", "hopf")
 
 
-@dataclass
-class HopfCatData:
-    field: Field
-    objects: tuple[str, ...]
-    dims: dict[tuple[str, str], int]
-    mult: dict[tuple[str, str, str], list]
-    unit: dict[str, list]
-    comult: dict[tuple[str, str], list]
-    counit: dict[tuple[str, str], list]
-    antipode: dict[tuple[str, str], list] | None = None
+class HopfCatData(Value):
+    _fields = ("field", "objects", "dims", "mult", "unit", "comult", "counit",
+               "antipode")
+
+    def __init__(self, field: Field, objects: tuple[str, ...],
+                 dims: dict[tuple[str, str], int],
+                 mult: dict[tuple[str, str, str], list],
+                 unit: dict[str, list],
+                 comult: dict[tuple[str, str], list],
+                 counit: dict[tuple[str, str], list],
+                 antipode: dict[tuple[str, str], list] | None = None):
+        self.field = field
+        self.objects = objects
+        self.dims = dims
+        self.mult = mult
+        self.unit = unit
+        self.comult = comult
+        self.counit = counit
+        self.antipode = antipode
 
     layout = LAYOUTS["hopf-category"]
     validate_shape = check_shape
@@ -95,10 +103,11 @@ class HopfCatData:
     # -- convenience ----------------------------------------------------------
 
     def strip_antipode(self) -> "HopfCatData":
-        return replace(self, antipode=None)
+        return self.with_antipode(None)
 
-    def with_antipode(self, antipode: dict) -> "HopfCatData":
-        return replace(self, antipode=antipode)
+    def with_antipode(self, antipode: dict | None) -> "HopfCatData":
+        return type(self)(self.field, self.objects, self.dims, self.mult,
+                          self.unit, self.comult, self.counit, antipode)
 
 
 class _Tensors(Instances):

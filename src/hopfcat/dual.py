@@ -21,25 +21,35 @@ through the shared laws of ``sparse``, over the nonzero constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import sparse as sp
 from .core import HopfCatData
 from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape, reindexer
+from .value import Value
 
 
-@dataclass
-class DualHopfCatData:
-    field: Field
-    objects: tuple[str, ...]
-    dims: dict[tuple[str, str], int]
-    alg: dict[tuple[str, str], list]           # mult tensor of C(x,y)
-    unit: dict[tuple[str, str], list]          # unit vector of C(x,y)
-    cocomp: dict[tuple[str, str, str], list]   # T[k][a][b]
-    counit: dict[str, list]                    # covector on C(x,x)
-    antipode: dict[tuple[str, str], list] | None = None
+class DualHopfCatData(Value):
+    _fields = ("field", "objects", "dims", "alg", "unit", "cocomp", "counit",
+               "antipode")
+
+    # alg: the mult tensor of C(x,y); unit: the unit vector of C(x,y);
+    # cocomp: T[k][a][b]; counit: a covector on C(x,x)
+    def __init__(self, field: Field, objects: tuple[str, ...],
+                 dims: dict[tuple[str, str], int],
+                 alg: dict[tuple[str, str], list],
+                 unit: dict[tuple[str, str], list],
+                 cocomp: dict[tuple[str, str, str], list],
+                 counit: dict[str, list],
+                 antipode: dict[tuple[str, str], list] | None = None):
+        self.field = field
+        self.objects = objects
+        self.dims = dims
+        self.alg = alg
+        self.unit = unit
+        self.cocomp = cocomp
+        self.counit = counit
+        self.antipode = antipode
 
     layout = LAYOUTS["dual-hopf-category"]
     validate_shape = check_shape
@@ -53,7 +63,8 @@ class DualHopfCatData:
 
 
     def strip_antipode(self) -> "DualHopfCatData":
-        return replace(self, antipode=None)
+        return type(self)(self.field, self.objects, self.dims, self.alg,
+                          self.unit, self.cocomp, self.counit)
 
 
 def verify_dual(c: DualHopfCatData) -> Report:

@@ -24,20 +24,22 @@ with semi-Hopf category structures on the same components, realized here by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import sparse as sp
 from .core import HopfCatData, MalformedDataError
 from .linalg import LinMap
 from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
+from .value import Value
 
 
-@dataclass
-class MkXObject:
-    objects: tuple[str, ...]
-    dims: dict[tuple[str, str], int]
+class MkXObject(Value):
+    _fields = ("objects", "dims")
+
+    def __init__(self, objects: tuple[str, ...],
+                 dims: dict[tuple[str, str], int]):
+        self.objects = objects
+        self.dims = dims
 
     def dim(self, x: str, y: str) -> int:
         return self.dims[(x, y)]
@@ -132,14 +134,22 @@ def zeta(field: Field, m: MkXObject, n: MkXObject, p: MkXObject,
     return out
 
 
-@dataclass
-class BimonoidData:
-    field: Field
-    carrier: MkXObject
-    mu: dict[tuple[str, str, str], list]   # component (x,u,y): A(x,u)⊗A(u,y)→A(x,y)
-    eta: dict[str, list]                    # vector in A(x,x)
-    delta: dict[tuple[str, str], list]      # D[i][j][k]
-    eps: dict[tuple[str, str], list]
+class BimonoidData(Value):
+    _fields = ("field", "carrier", "mu", "eta", "delta", "eps")
+
+    # mu: component (x,u,y) is A(x,u)⊗A(u,y)→A(x,y); eta: a vector in
+    # A(x,x); delta: D[i][j][k]
+    def __init__(self, field: Field, carrier: MkXObject,
+                 mu: dict[tuple[str, str, str], list],
+                 eta: dict[str, list],
+                 delta: dict[tuple[str, str], list],
+                 eps: dict[tuple[str, str], list]):
+        self.field = field
+        self.carrier = carrier
+        self.mu = mu
+        self.eta = eta
+        self.delta = delta
+        self.eps = eps
 
     layout = LAYOUTS["bimonoid"]
     validate_shape = check_shape

@@ -21,8 +21,6 @@ rank, but for recovery's last step S = (1⊗ε)∘X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import sparse as sp
 from .core import (HopfCatData, MissingAntipodeError, _check_antipode_laws,
                    _require, verify_structure)
@@ -31,14 +29,20 @@ from .modules import ModuleData, diagonal_action, verify_module
 from .report import (InternalInvariantError, Instances, PreconditionError,
                      Report, check_condition, check_map_equal)
 from .schema import LAYOUTS, check_shape, place, reshaped, tensor, zeros
+from .value import FrozenValue, Value
 
 
-@dataclass
-class HopfModuleData:
-    base: HopfCatData
-    dims: dict[tuple[str, str], int]
-    action: dict[tuple[str, str, str], list]   # p[i][j][k]
-    coaction: dict[tuple[str, str], list]      # r[i][j][k]
+class HopfModuleData(Value):
+    _fields = ("base", "dims", "action", "coaction")
+
+    # action: p[i][j][k]; coaction: r[i][j][k]
+    def __init__(self, base: HopfCatData, dims: dict[tuple[str, str], int],
+                 action: dict[tuple[str, str, str], list],
+                 coaction: dict[tuple[str, str], list]):
+        self.base = base
+        self.dims = dims
+        self.action = action
+        self.coaction = coaction
 
     layout = LAYOUTS["hopf-module"]
     validate_shape = check_shape
@@ -209,15 +213,17 @@ def can_inverse(a: HopfCatData, z: str, x: str, y: str):
     return invert(cm)
 
 
-@dataclass(frozen=True)
-class RecoveryFailure:
+class RecoveryFailure(FrozenValue):
     """Antipode recovery blocked by a singular canonical map."""
 
-    z: str
-    x: str
-    y: str
-    rank: int
-    dim: int
+    _fields = ("z", "x", "y", "rank", "dim")
+
+    def __init__(self, z: str, x: str, y: str, rank: int, dim: int):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "dim", dim)
 
 
 class AntipodeRecoveryError(ValueError):
@@ -286,12 +292,14 @@ def recover_antipode(a: HopfCatData):
 
 # -- coinvariants and the freeness equivalence ----------------------------------------
 
-@dataclass
-class CoinvariantFamily:
+class CoinvariantFamily(Value):
     """Per object, a reduced-echelon basis of the coinvariant subspace of the
     diagonal component."""
 
-    bases: dict[str, list[tuple]]
+    _fields = ("bases",)
+
+    def __init__(self, bases: dict[str, list[tuple]]):
+        self.bases = bases
 
     def dim(self, x: str) -> int:
         return len(self.bases[x])

@@ -13,13 +13,12 @@ checks every axiom on every basis element through the shared laws of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import sparse as sp
 from .core import HopfCatData
 from .report import Instances, Report
 from .scalars import Field
 from .schema import LAYOUTS, check_shape
+from .value import Value
 
 
 class GradedError(ValueError):
@@ -30,10 +29,13 @@ class GradedError(ValueError):
         self.degrees = degrees
 
 
-@dataclass
-class GroupTable:
-    elements: tuple[str, ...]
-    table: dict[tuple[str, str], str]
+class GroupTable(Value):
+    _fields = ("elements", "table")
+
+    def __init__(self, elements: tuple[str, ...],
+                 table: dict[tuple[str, str], str]):
+        self.elements = elements
+        self.table = table
 
     def validate(self):
         E = self.elements
@@ -74,16 +76,25 @@ class GroupTable:
         return self.table[(a, b)]
 
 
-@dataclass
-class GradedHopfData:
-    field: Field
-    group: GroupTable
-    dims: dict[str, int]
-    mult: dict[tuple[str, str], list]   # m[s,t][i][j][k]
-    unit: list                          # vector in the degree-e component
-    comult: dict[str, list]             # per degree: D[i][j][k]
-    counit: dict[str, list]
-    antipode: dict[str, list] | None = None   # S_s matrix: rows over A_{s^-1}
+class GradedHopfData(Value):
+    _fields = ("field", "group", "dims", "mult", "unit", "comult", "counit",
+               "antipode")
+
+    # mult: m[s,t][i][j][k]; unit: a vector in the degree-e component;
+    # comult: per degree D[i][j][k]; antipode: per degree the S_s matrix,
+    # rows over A_{s^-1}
+    def __init__(self, field: Field, group: GroupTable, dims: dict[str, int],
+                 mult: dict[tuple[str, str], list], unit: list,
+                 comult: dict[str, list], counit: dict[str, list],
+                 antipode: dict[str, list] | None = None):
+        self.field = field
+        self.group = group
+        self.dims = dims
+        self.mult = mult
+        self.unit = unit
+        self.comult = comult
+        self.counit = counit
+        self.antipode = antipode
 
     layout = LAYOUTS["graded-hopf"]
     validate_shape = check_shape

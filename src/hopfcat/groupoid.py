@@ -9,24 +9,31 @@ antipode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import HopfCatData
 from .scalars import Field
 from .schema import LAYOUTS, tensor
+from .value import Value
 
 
 class GroupoidError(ValueError):
     """Validation failure; the message names the offending morphism(s)."""
 
 
-@dataclass
-class GroupoidData:
-    objects: tuple[str, ...]
-    morphisms: tuple[tuple[str, str, str], ...]  # (name, source, target)
-    identities: dict[str, str]                   # object -> morphism name
-    compose: dict[tuple[str, str], str]          # (g, h) -> g∘h
-    inverses: dict[str, str]
+class GroupoidData(Value):
+    _fields = ("objects", "morphisms", "identities", "compose", "inverses")
+
+    # morphisms: (name, source, target); identities: object -> morphism
+    # name; compose: (g, h) -> g∘h
+    def __init__(self, objects: tuple[str, ...],
+                 morphisms: tuple[tuple[str, str, str], ...],
+                 identities: dict[str, str],
+                 compose: dict[tuple[str, str], str],
+                 inverses: dict[str, str]):
+        self.objects = objects
+        self.morphisms = morphisms
+        self.identities = identities
+        self.compose = compose
+        self.inverses = inverses
 
     layout = LAYOUTS["groupoid"]
 

@@ -13,20 +13,21 @@ Everything is exact; results re-verify by multiplication to identical scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .scalars import Field, FieldMismatchError
 from .schema import reshaped
 from .sparse import SparseMap, columns
+from .value import FrozenValue
 
 
-@dataclass(frozen=True)
-class NotInvertible:
+class NotInvertible(FrozenValue):
     """Returned when inversion fails; carries the rank actually achieved."""
 
-    rank: int
-    rows: int
-    cols: int
+    _fields = ("rank", "rows", "cols")
+
+    def __init__(self, rank: int, rows: int, cols: int):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
 
 class LinMap:

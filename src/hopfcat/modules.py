@@ -22,25 +22,28 @@ of a tensor product (``diagonal_action``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import sparse as sp
 from .core import HopfCatData
 from .dual import DualHopfCatData, dualize, undualize
 from .report import Instances, Report
 from .schema import LAYOUTS, check_shape, reshaped, tensor
+from .value import Value
 
 
 class BaseMismatchError(ValueError):
     """Module data does not fit its base structure."""
 
 
-@dataclass
-class ModuleData:
-    base: HopfCatData
-    side: str                       # "right" | "left"
-    dims: dict[tuple[str, str], int]
-    action: dict[tuple[str, str, str], list]
+class ModuleData(Value):
+    _fields = ("base", "side", "dims", "action")
+
+    def __init__(self, base: HopfCatData, side: str,   # "right" | "left"
+                 dims: dict[tuple[str, str], int],
+                 action: dict[tuple[str, str, str], list]):
+        self.base = base
+        self.side = side
+        self.dims = dims
+        self.action = action
 
     layout = LAYOUTS["module"]
     validate_shape = check_shape
@@ -49,11 +52,15 @@ class ModuleData:
         return self.dims[(x, y)]
 
 
-@dataclass
-class ComoduleData:
-    base: DualHopfCatData
-    dims: dict[tuple[str, str], int]
-    coaction: dict[tuple[str, str, str], list]
+class ComoduleData(Value):
+    _fields = ("base", "dims", "coaction")
+
+    def __init__(self, base: DualHopfCatData,
+                 dims: dict[tuple[str, str], int],
+                 coaction: dict[tuple[str, str, str], list]):
+        self.base = base
+        self.dims = dims
+        self.coaction = coaction
 
     layout = LAYOUTS["comodule"]
     validate_shape = check_shape

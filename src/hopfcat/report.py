@@ -28,10 +28,10 @@ axiom family, and each item that is not ok keeps its own line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .scalars import FieldMismatchError
+from .value import Value
 
 
 class PreconditionError(ValueError):
@@ -42,15 +42,21 @@ class InternalInvariantError(AssertionError):
     """A theorem-backed internal cross-check failed; the input data is suspect."""
 
 
-@dataclass(slots=True)
-class CheckItem:
-    axiom: str
-    objects: tuple[str, ...]
-    ok: bool
-    witness: int | None = None
-    residual: str = ""
-    failures: int = 0
-    required: bool = True   # False: a measured property, not an axiom
+class CheckItem(Value):
+    _fields = __slots__ = ("axiom", "objects", "ok", "witness", "residual",
+                           "failures", "required")
+
+    # required: False for a measured property, not an axiom
+    def __init__(self, axiom: str, objects: tuple[str, ...], ok: bool,
+                 witness: int | None = None, residual: str = "",
+                 failures: int = 0, required: bool = True):
+        self.axiom = axiom
+        self.objects = objects
+        self.ok = ok
+        self.witness = witness
+        self.residual = residual
+        self.failures = failures
+        self.required = required
 
     def record(self) -> dict:
         return {
@@ -77,9 +83,11 @@ class CheckItem:
                 f'"required": {"true" if self.required else "false"}}}\n')
 
 
-@dataclass
-class Report:
-    items: list[CheckItem] = field(default_factory=list)
+class Report(Value):
+    _fields = ("items",)
+
+    def __init__(self, items: list[CheckItem] | None = None):
+        self.items = [] if items is None else items
 
     @property
     def overall(self) -> bool:

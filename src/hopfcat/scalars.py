@@ -21,9 +21,10 @@ per operation.  ``Field.lift`` hands out a ``Fraction`` again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+
+from .value import FrozenValue
 
 
 class FieldMismatchError(TypeError):
@@ -139,15 +140,15 @@ class FpElement:
         return f"FpElement({self.value}, {self.p})"
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(FrozenValue):
     """Descriptor of an exact base field: rationals (p is None) or GF(p)."""
 
-    p: int | None = None
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int | None = None):
+        if p is not None and not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        object.__setattr__(self, "p", p)
 
     @property
     def zero(self):

@@ -19,7 +19,6 @@ output is canonical and diffable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import add
 
@@ -29,18 +28,29 @@ from .dual import DualHopfCatData
 from .report import Report, check_condition, residual
 from .scalars import Field
 from .schema import LAYOUTS, check_shape, nonzero_entries
+from .value import Value
 
 
-@dataclass
-class WeakHopfData:
-    field: Field
-    total_dim: int
-    blocks: tuple[tuple[tuple[str, str], int, int], ...]  # ((x,y), offset, len)
-    mult: dict      # {(i, j, k): c}: e_i·e_j = Σ c e_k
-    unit: dict      # {(i,): c}
-    comult: dict    # {(i, j, k): c}: Δ(e_i) = Σ c e_j⊗e_k
-    counit: dict    # {(i,): c}
-    antipode: dict | None = None   # {(i, j): c}: S(e_i) = Σ c e_j
+class WeakHopfData(Value):
+    _fields = ("field", "total_dim", "blocks", "mult", "unit", "comult",
+               "counit", "antipode")
+
+    # blocks: ((x,y), offset, len) per block; mult {(i, j, k): c}:
+    # e_i·e_j = Σ c e_k; unit {(i,): c}; comult {(i, j, k): c}:
+    # Δ(e_i) = Σ c e_j⊗e_k; counit {(i,): c}; antipode {(i, j): c}:
+    # S(e_i) = Σ c e_j
+    def __init__(self, field: Field, total_dim: int,
+                 blocks: tuple[tuple[tuple[str, str], int, int], ...],
+                 mult: dict, unit: dict, comult: dict, counit: dict,
+                 antipode: dict | None = None):
+        self.field = field
+        self.total_dim = total_dim
+        self.blocks = blocks
+        self.mult = mult
+        self.unit = unit
+        self.comult = comult
+        self.counit = counit
+        self.antipode = antipode
 
     layout = LAYOUTS["weak-hopf"]
     validate_shape = check_shape
